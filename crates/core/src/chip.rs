@@ -122,6 +122,50 @@ impl ActiveSet {
     }
 }
 
+/// `SleepSet::wake_at` of a core that is ticked every cycle.
+const AWAKE: u64 = 0;
+/// `SleepSet::wake_at` of a core asleep with no timer: only a fill wakes it.
+const UNTIL_FILL: u64 = u64::MAX;
+
+/// Which active cores are asleep, as dense per-slot arrays the core loop
+/// reads instead of touching the `Core` structs.
+///
+/// A core goes to sleep after a real tick that left it in a non-`Busy`
+/// [`CoreIdle`] state — its coming ticks are counter bumps only — and is
+/// woken by its timer (the ROB head's completion cycle) or by a
+/// `Msg::Data` fill, whichever comes first. The cycles it slept through
+/// are owed to its counters and paid by `Core::fast_forward_stalled` at
+/// the wake (before the fill mutates the core) or at a sync point.
+#[derive(Debug)]
+struct SleepSet {
+    /// Per activation slot: the first cycle the core must really be
+    /// ticked again ([`AWAKE`], a timer, or [`UNTIL_FILL`]).
+    wake_at: Vec<u64>,
+    /// Per activation slot, meaningful while asleep: the first cycle
+    /// whose tick the core's counters do not include yet.
+    since: Vec<u64>,
+    /// Activation slot of each physical core (fills address cores, the
+    /// core loop walks slots); `u32::MAX` for an inactive core.
+    slot_of: Vec<u32>,
+    /// Population of the set.
+    asleep: usize,
+}
+
+impl SleepSet {
+    fn new(cores: usize, active: &[(usize, CoreSource)]) -> Self {
+        let mut slot_of = vec![u32::MAX; cores];
+        for (slot, (c, _)) in active.iter().enumerate() {
+            slot_of[*c] = slot as u32;
+        }
+        SleepSet {
+            wake_at: vec![AWAKE; active.len()],
+            since: vec![0; active.len()],
+            slot_of,
+            asleep: 0,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct TxnTable {
     entries: Vec<Option<(u16, Addr, AccessKind, Cycle)>>,
@@ -215,6 +259,11 @@ pub struct ScaleOutChip {
     /// Whether the workload is open-loop (gates the per-cycle arrival
     /// advance so closed-loop runs pay nothing in the core loop).
     open_loop: bool,
+    /// The sleeping active cores (see [`SleepSet`]).
+    sleep: SleepSet,
+    /// `Core::tick` calls executed since construction (observational;
+    /// see [`ScaleOutChip::core_tick_counts`]).
+    core_ticks: u64,
 }
 
 /// Builds the organization's fabric: the network plus the terminal ids
@@ -397,10 +446,11 @@ impl ScaleOutChip {
                 };
                 (c, source)
             })
-            .collect();
+            .collect::<Vec<_>>();
 
         let num_llcs = llcs.len();
         let num_mems = channels.len();
+        let sleep = SleepSet::new(cores.len(), &active);
         let mut chip = ScaleOutChip {
             cfg,
             fabric,
@@ -424,6 +474,8 @@ impl ScaleOutChip {
             fill_hist: LatencyHist::new(),
             record_tails: true,
             open_loop: matches!(&class, WorkloadClass::OpenLoop(_)),
+            sleep,
+            core_ticks: 0,
         };
         chip.warm_caches(&class);
         chip
@@ -481,34 +533,37 @@ impl ScaleOutChip {
             let addr = Addr(SHARED_RW_BASE + i * LINE_BYTES);
             self.llcs[self.map.home_tile(addr)].warm(addr);
         }
-        for slot in 0..self.active.len() {
-            let c = self.active[slot].0;
-            let (hot, local): (Vec<Addr>, Vec<Addr>) = match &self.active[slot].1 {
+        fn warm_l1s(
+            core: &mut Core,
+            hot: impl Iterator<Item = Addr>,
+            local: impl Iterator<Item = Addr>,
+        ) {
+            for addr in hot {
+                core.warm_l1i(addr);
+            }
+            for addr in local {
+                core.warm_l1d(addr);
+            }
+        }
+        for (c, source) in &self.active {
+            let core = &mut self.cores[*c];
+            match source {
                 CoreSource::Synthetic(g) => {
-                    (g.hot_instr_lines().collect(), g.local_data_lines().collect())
+                    warm_l1s(core, g.hot_instr_lines(), g.local_data_lines())
                 }
                 CoreSource::OpenLoop(o) => {
                     let g = o.gen();
-                    (g.hot_instr_lines().collect(), g.local_data_lines().collect())
+                    warm_l1s(core, g.hot_instr_lines(), g.local_data_lines())
                 }
                 CoreSource::Trace(t) => {
                     let h = t.header();
                     let base = PRIVATE_BASE + ((h.core as u64) << 40);
-                    (
-                        (0..h.instr_hot_lines as u64)
-                            .map(|i| Addr(INSTR_BASE + i * LINE_BYTES))
-                            .collect(),
-                        (0..h.local_data_lines as u64)
-                            .map(|i| Addr(base + i * LINE_BYTES))
-                            .collect(),
+                    warm_l1s(
+                        core,
+                        (0..h.instr_hot_lines as u64).map(|i| Addr(INSTR_BASE + i * LINE_BYTES)),
+                        (0..h.local_data_lines as u64).map(|i| Addr(base + i * LINE_BYTES)),
                     )
                 }
-            };
-            for addr in hot {
-                self.cores[c].warm_l1i(addr);
-            }
-            for addr in local {
-                self.cores[c].warm_l1d(addr);
             }
         }
     }
@@ -553,22 +608,26 @@ impl ScaleOutChip {
     }
 
     /// Advances the chip by one cycle, visiting only components with work:
-    /// LLC tiles and memory channels are scanned through active sets that
-    /// a component enters when traffic arrives for it and leaves when it
-    /// drains. Bit-identical to [`ScaleOutChip::tick_reference`] (a tick
-    /// of an idle component is a no-op), which the differential tests
-    /// enforce across every organization.
+    /// sleeping cores are skipped (their stall cycles are paid in bulk
+    /// when they wake), and LLC tiles and memory channels are scanned
+    /// through active sets that a component enters when traffic arrives
+    /// for it and leaves when it drains. Bit-identical to
+    /// [`ScaleOutChip::tick_reference`] (a tick of an idle component is a
+    /// no-op or a counter bump), which the differential tests enforce
+    /// across every organization.
     pub fn tick(&mut self) {
         self.tick_impl(false);
     }
 
     /// The full-scan, per-instruction reference tick: semantically
-    /// identical to [`ScaleOutChip::tick`] but visits every LLC tile and
-    /// memory channel every cycle *and* pulls instructions across the
-    /// source trait object one at a time (`Core::tick_reference`) instead
-    /// of in blocks. Kept as the oracle for differential testing of both
-    /// the active-set scheduler and the block-based delivery path (and as
-    /// the honest baseline for their microbenchmarks). Both flavours run
+    /// identical to [`ScaleOutChip::tick`] but ticks every active core
+    /// (the oracle never sleeps: sleepers are settled and woken first),
+    /// visits every LLC tile and memory channel every cycle *and* pulls
+    /// instructions across the source trait object one at a time
+    /// (`Core::tick_reference`) instead of in blocks. Kept as the oracle
+    /// for differential testing of the sleep set, the active-set
+    /// scheduler and the block-based delivery path (and as the honest
+    /// baseline for their microbenchmarks). Both flavours run
     /// on the same ring-ROB/array-MSHR core structures; those are proved
     /// equivalent to their pre-refactor containers separately
     /// (`tests/chip_golden_metrics.rs`, `tests/proptest_core.rs`).
@@ -578,6 +637,13 @@ impl ScaleOutChip {
 
     fn tick_impl(&mut self, full_scan: bool) {
         let now = self.now;
+        if full_scan {
+            for slot in 0..self.active.len() {
+                if self.sleep.wake_at[slot] != AWAKE {
+                    self.wake_slot(slot, now.raw());
+                }
+            }
+        }
 
         // 1. Cores execute and emit miss requests.
         let mut injections = std::mem::take(&mut self.inject_buf);
@@ -592,15 +658,37 @@ impl ScaleOutChip {
             }
         }
         for ai in 0..self.active.len() {
+            // The reference pass woke every sleeper above, so this test
+            // never skips a core there.
+            let wake = self.sleep.wake_at[ai];
+            if wake > now.raw() {
+                continue;
+            }
+            if wake != AWAKE {
+                self.wake_slot(ai, now.raw());
+            }
             let (c, source) = {
                 let entry = &mut self.active[ai];
                 (entry.0, &mut entry.1)
             };
             self.req_buf.clear();
+            self.core_ticks += 1;
             if full_scan {
                 self.cores[c].tick_reference(now, source, &mut self.req_buf);
             } else {
                 self.cores[c].tick(now, source, &mut self.req_buf);
+                // Sleep when the next tick (at `now + 1`) is provably a
+                // counter bump; a wake cycle of `now + 1` is no sleep.
+                let wake_at = match self.cores[c].idle_state() {
+                    CoreIdle::Busy => AWAKE,
+                    CoreIdle::Stalled => UNTIL_FILL,
+                    CoreIdle::StalledUntil(at) => at.raw(),
+                };
+                if wake_at > now.raw() + 1 {
+                    self.sleep.wake_at[ai] = wake_at;
+                    self.sleep.since[ai] = now.raw() + 1;
+                    self.sleep.asleep += 1;
+                }
             }
             for r in self.req_buf.drain(..) {
                 let txn = self.txns.alloc(c as u16, r.line, r.kind, now);
@@ -686,13 +774,12 @@ impl ScaleOutChip {
     }
 
     /// Runs `cycles` ticks, fast-forwarding through stretches where every
-    /// component is provably idle: all active cores are fetch-stalled with
-    /// nothing to retire, the LLC/memory active sets hold only timed
-    /// wakeups, and the fabric's only pending work sits in its event
-    /// wheels. The clock then jumps to the earliest wake cycle (stalled
-    /// cores receive their per-cycle stall counters in bulk), so the
-    /// result is bit-identical to calling [`ScaleOutChip::tick`] `cycles`
-    /// times — the chip-level analogue of the network's
+    /// component is provably idle: all active cores are asleep, the
+    /// LLC/memory active sets hold only timed wakeups, and the fabric's
+    /// only pending work sits in its event wheels. The clock then jumps
+    /// to the earliest wake cycle (the sleepers simply stay asleep), so
+    /// the result is bit-identical to calling [`ScaleOutChip::tick`]
+    /// `cycles` times — the chip-level analogue of the network's
     /// `run_until_drained` fast-forward.
     pub fn run_for(&mut self, cycles: u64) {
         let mut remaining = cycles;
@@ -700,7 +787,8 @@ impl ScaleOutChip {
             match self.skippable_cycles() {
                 Some(skip) if skip > 0 => {
                     let skip = skip.min(remaining);
-                    self.skip_idle(skip);
+                    self.fabric.skip_idle(skip);
+                    self.now.0 += skip;
                     remaining -= skip;
                 }
                 _ => {
@@ -709,23 +797,21 @@ impl ScaleOutChip {
                 }
             }
         }
+        self.sync_sleepers();
     }
 
     /// How many upcoming whole-chip ticks are provably no-ops (beyond
-    /// counter bumps on stalled cores). `None` when some component needs
-    /// per-cycle ticking right now.
+    /// counter bumps on sleeping cores). `None` when some component needs
+    /// per-cycle ticking right now — in particular whenever any core is
+    /// awake, which the sleep set answers without looking at the cores.
     fn skippable_cycles(&self) -> Option<u64> {
-        fn merge(wake: &mut Option<Cycle>, at: Cycle) {
-            *wake = Some(wake.map_or(at, |w| w.min(at)));
+        if self.sleep.asleep < self.active.len() {
+            return None;
         }
-        let mut wake: Option<Cycle> = None;
-        for (c, _) in &self.active {
-            match self.cores[*c].idle_state() {
-                CoreIdle::Busy => return None,
-                CoreIdle::Stalled => {}
-                CoreIdle::StalledUntil(at) => merge(&mut wake, at),
-            }
-        }
+        // `UNTIL_FILL` is `Cycle::NEVER`, so sleepers without a timer
+        // drop out of the minimum by themselves.
+        let timers = self.sleep.wake_at.iter().copied();
+        let mut wake = Cycle(timers.min().unwrap_or(UNTIL_FILL));
         if !self.active_llcs.is_empty() {
             for (i, tile) in self.llcs.iter().enumerate() {
                 if !self.active_llcs.member[i] {
@@ -737,7 +823,7 @@ impl ScaleOutChip {
                     return None;
                 }
                 if let Some(at) = tile.next_output_at() {
-                    merge(&mut wake, at);
+                    wake = wake.min(at);
                 }
             }
         }
@@ -747,32 +833,75 @@ impl ScaleOutChip {
                     continue;
                 }
                 if let Some(at) = ch.next_wake() {
-                    merge(&mut wake, at);
+                    wake = wake.min(at);
                 }
             }
         }
         match self.fabric.next_event() {
             NextEvent::EveryCycle => return None,
             NextEvent::Idle => {}
-            NextEvent::At(at) => merge(&mut wake, at),
+            NextEvent::At(at) => wake = wake.min(at),
         }
-        Some(match wake {
-            Some(w) => w.raw().saturating_sub(self.now.raw()),
-            // Fully quiescent: nothing but stall counters would ever move
-            // again, so any number of cycles may be skipped.
-            None => u64::MAX,
-        })
+        // Fully quiescent (`NEVER`): nothing but stall counters would
+        // ever move again, so any number of cycles may be skipped.
+        Some(wake.raw().saturating_sub(self.now.raw()))
     }
 
-    /// Applies `delta` skipped cycles: stalled cores take their counter
-    /// bumps in bulk, the fabric clock advances, and the chip clock jumps.
-    fn skip_idle(&mut self, delta: u64) {
-        for ai in 0..self.active.len() {
-            let c = self.active[ai].0;
-            self.cores[c].fast_forward_stalled(delta);
+    /// Pays a sleeping core the cycles `since..upto` it slept through —
+    /// the only caller of `Core::fast_forward_stalled`.
+    fn settle(&mut self, slot: usize, upto: u64) {
+        let owed = upto - self.sleep.since[slot];
+        self.cores[self.active[slot].0].fast_forward_stalled(owed);
+        self.sleep.since[slot] = upto;
+    }
+
+    /// Wakes a sleeping core: settles it up to `upto` (the first cycle
+    /// it will be ticked again) and returns it to the core loop.
+    fn wake_slot(&mut self, slot: usize, upto: u64) {
+        self.settle(slot, upto);
+        self.sleep.wake_at[slot] = AWAKE;
+        self.sleep.asleep -= 1;
+    }
+
+    /// Settles every sleeper up to the current cycle without waking it,
+    /// so the cores' counters are exact for a reader.
+    fn sync_sleepers(&mut self) {
+        for slot in 0..self.active.len() {
+            if self.sleep.wake_at[slot] != AWAKE {
+                self.settle(slot, self.now.raw());
+            }
         }
-        self.fabric.skip_idle(delta);
-        self.now.0 += delta;
+        debug_assert_eq!(
+            self.lost_wakeups(),
+            Vec::<usize>::new(),
+            "cores asleep until a fill with no transaction in flight"
+        );
+    }
+
+    /// Cores asleep until a fill that nothing in flight will deliver —
+    /// a lost wake-up, which would otherwise hang the core silently.
+    /// Every L1 miss holds a [`TxnTable`] entry from request to fill, so
+    /// the list is empty on a correct chip.
+    fn lost_wakeups(&self) -> Vec<usize> {
+        let mut expects_fill = vec![false; self.cores.len()];
+        for (core, ..) in self.txns.entries.iter().flatten() {
+            expects_fill[*core as usize] = true;
+        }
+        self.active
+            .iter()
+            .zip(&self.sleep.wake_at)
+            .filter(|((c, _), wake_at)| **wake_at == UNTIL_FILL && !expects_fill[*c])
+            .map(|((c, _), _)| *c)
+            .collect()
+    }
+
+    /// `(executed, slept)` core-ticks since construction: `Core::tick`
+    /// calls actually made, and active-core cycles covered by bulk stall
+    /// accounting instead. Observational only — not reset by
+    /// [`ScaleOutChip::reset_stats`] and not part of [`SystemMetrics`].
+    pub fn core_tick_counts(&self) -> (u64, u64) {
+        let total = self.active.len() as u64 * self.now.raw();
+        (self.core_ticks, total - self.core_ticks)
     }
 
     fn convert_llc_output(
@@ -882,6 +1011,13 @@ impl ScaleOutChip {
                 }
                 let c = core as usize;
                 debug_assert_eq!(info.core, Some(c));
+                // A sleeper's tick for this cycle has already been
+                // skipped: pay `since..=now` before the fill changes what
+                // a stalled tick counts.
+                let slot = self.sleep.slot_of[c] as usize;
+                if self.sleep.wake_at[slot] != AWAKE {
+                    self.wake_slot(slot, now.raw() + 1);
+                }
                 if kind.is_ifetch() {
                     self.cores[c].fill_ifetch(line, now);
                 } else if let Some(victim) = self.cores[c].fill_data(line, now) {
@@ -952,6 +1088,7 @@ impl ScaleOutChip {
 
     /// Resets all statistics at the warmup/measurement boundary.
     pub fn reset_stats(&mut self) {
+        self.sync_sleepers();
         for (c, _) in &self.active {
             self.cores[*c].reset_stats(self.now);
         }
@@ -991,8 +1128,10 @@ impl ScaleOutChip {
         }
     }
 
-    /// Collects the metrics accumulated since the last reset.
-    pub fn metrics(&self) -> SystemMetrics {
+    /// Collects the metrics accumulated since the last reset (`&mut`:
+    /// sleeping cores are first paid the stall cycles they are owed).
+    pub fn metrics(&mut self) -> SystemMetrics {
+        self.sync_sleepers();
         let mut per_core_ipc = vec![0.0; self.cores.len()];
         let mut instructions = 0u64;
         let mut cycles = 0u64;
@@ -1260,12 +1399,43 @@ mod tests {
             Workload::WebFrontend,
             9,
         );
-        run_cycles(&mut chip, 10_000);
+        chip.run_for(10_000);
         // In-flight transactions stay bounded by cores × (MSHRs + fetch).
         assert!(
             chip.inflight_transactions() <= 16 * 10,
             "{} transactions leaked",
             chip.inflight_transactions()
         );
+        // ...and every core asleep until a fill has one coming.
+        let (_, slept) = chip.core_tick_counts();
+        assert!(slept > 0, "the run must have put cores to sleep");
+        assert_eq!(chip.lost_wakeups(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn lost_wakeup_guard_names_the_stranded_core() {
+        let mut chip = ScaleOutChip::new(
+            ChipConfig::paper(Organization::Mesh),
+            Workload::DataServing,
+            3,
+        );
+        // Run until some core sleeps with no timer.
+        let slot = loop {
+            chip.tick();
+            if let Some(slot) = chip.sleep.wake_at.iter().position(|w| *w == UNTIL_FILL) {
+                break slot;
+            }
+        };
+        let core = chip.active[slot].0;
+        assert_eq!(chip.lost_wakeups(), Vec::<usize>::new());
+        // Lose its fills: drop every transaction it has in flight.
+        let doomed: Vec<u32> = (0..chip.txns.entries.len() as u32)
+            .filter(|i| chip.txns.entries[*i as usize].is_some_and(|e| e.0 as usize == core))
+            .collect();
+        assert!(!doomed.is_empty());
+        for i in doomed {
+            chip.txns.release(TxnId(i));
+        }
+        assert_eq!(chip.lost_wakeups(), vec![core]);
     }
 }

@@ -56,6 +56,7 @@
 use crate::config::ChipConfig;
 use crate::runner::RunSpec;
 use nocout_sim::config::MeasurementWindow;
+use nocout_sim::hash::fnv1a;
 use nocout_workloads::trace::TraceSet;
 use nocout_workloads::{OpenLoopSpec, Workload, WorkloadClass};
 use std::fmt;
@@ -508,15 +509,6 @@ impl Message {
             k => Err(WireError::UnknownKind(k)),
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Encodes one message as a complete frame (header + payload).

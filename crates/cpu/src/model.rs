@@ -48,19 +48,20 @@ pub struct MissRequest {
 }
 
 /// How a core will behave over the coming cycles if no fill arrives —
-/// the contract behind the chip-level idle fast-forward.
+/// the contract behind the chip's per-core sleep (see
+/// [`Core::idle_state`] for which pipeline states are predictable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreIdle {
     /// The core is dispatching (or could dispatch) work: it must be
     /// ticked every cycle.
     Busy,
-    /// Fetch-stalled with nothing able to retire: every tick until the
-    /// next fill only increments stall counters, which
+    /// Dispatch is blocked and nothing can retire: every tick until the
+    /// next fill only increments counters, which
     /// [`Core::fast_forward_stalled`] can apply in bulk.
     Stalled,
-    /// Fetch-stalled, but the ROB head completes at the given cycle — the
-    /// core is linearly stalled strictly *before* that cycle and must be
-    /// ticked normally from it onward.
+    /// Dispatch is blocked, but the ROB head completes at the given
+    /// cycle — the core is linearly stalled strictly *before* that cycle
+    /// and must be ticked normally from it onward.
     StalledUntil(Cycle),
 }
 
@@ -266,12 +267,57 @@ impl Core {
         self.stall_line != NO_LINE
     }
 
-    /// Classifies the core's upcoming cycles for the chip-level
-    /// fast-forward (see [`CoreIdle`]). Only a fetch-stalled core is
-    /// predictable: dispatch is disabled, so a tick can only retire ready
-    /// ROB entries and bump counters.
+    /// Whether [`Core::tick`]'s dispatch stage is a provable no-op until
+    /// a fill arrives or the ROB head retires:
+    ///
+    /// * fetch is stalled on an L1-I miss (dispatch is not attempted);
+    /// * the ROB is full (the dispatch loop breaks before touching the
+    ///   staged instruction);
+    /// * the staged instruction — its fetch line already resolved — is a
+    ///   dependent load with data misses outstanding, or a load/store
+    ///   with the LSQ full: it is re-staged untouched.
+    ///
+    /// A staged access the L1 answered with [`L1Access::Blocked`] is *not*
+    /// in the list: its retry re-probes the L1 and bumps
+    /// `L1Cache::blocked` every cycle, so such a core stays busy. Nothing
+    /// is lost by that: on the Figure 7 grid none of the 6.28 M no-op
+    /// core-ticks is such a retry (see `docs/hot-path.md`).
+    fn dispatch_blocked(&self) -> bool {
+        if self.stall_line != NO_LINE || self.rob.is_full() {
+            return true;
+        }
+        match self.staged {
+            // An unresolved fetch line means the L1-I blocked the probe.
+            Some(i) if i.fetch_line.line_index() == self.fetch_line => self.held_by_misses(i.op),
+            _ => false,
+        }
+    }
+
+    /// Whether outstanding data misses hold `op` back at dispatch: a
+    /// dependent load waits for every earlier miss (the low-MLP
+    /// behaviour of scale-out workloads), and any memory access waits
+    /// for a free LSQ entry. Only a fill lifts the hold. Shared by
+    /// dispatch and [`Core::idle_state`], so the two cannot disagree.
+    #[inline]
+    fn held_by_misses(&self, op: Op) -> bool {
+        let waiting = self.wakeup.waiting();
+        match op {
+            Op::Alu { .. } => false,
+            Op::Load { dependent, .. } => {
+                (dependent && waiting > 0) || waiting >= self.cfg.lsq_entries
+            }
+            Op::Store { .. } => waiting >= self.cfg.lsq_entries,
+        }
+    }
+
+    /// Classifies the core's upcoming cycles for the chip's per-core
+    /// sleep (see [`CoreIdle`]). A core is predictable exactly when
+    /// dispatch is blocked (fetch stall, full ROB, or a staged memory
+    /// access held back by outstanding misses): a tick can then only
+    /// retire ready ROB entries and bump counters, and only a fill can
+    /// unblock dispatch.
     pub fn idle_state(&self) -> CoreIdle {
-        if self.stall_line == NO_LINE {
+        if !self.dispatch_blocked() {
             return CoreIdle::Busy;
         }
         match self.rob.front() {
@@ -285,11 +331,13 @@ impl Core {
     /// `delta` consecutive [`Core::tick`] calls would do in a state
     /// [`Core::idle_state`] reported as skippable (counters move, nothing
     /// else can). The caller must not fast-forward across the
-    /// [`CoreIdle::StalledUntil`] boundary.
+    /// [`CoreIdle::StalledUntil`] boundary, and must apply the skipped
+    /// cycles *before* delivering the fill that ends the stall.
     pub fn fast_forward_stalled(&mut self, delta: u64) {
-        debug_assert!(self.stall_line != NO_LINE, "only a stalled core skips");
         self.stats.cycles.add(delta);
-        self.stats.fetch_stall_cycles.add(delta);
+        if self.stall_line != NO_LINE {
+            self.stats.fetch_stall_cycles.add(delta);
+        }
         if self.rob.front().is_some_and(|slot| slot.is_waiting()) {
             self.stats.mem_stall_cycles.add(delta);
         }
@@ -434,20 +482,18 @@ impl Core {
                 Op::Alu { latency } => {
                     self.rob.push_ready(now + latency.max(1) as u64);
                 }
-                Op::Load { addr, dependent } => {
-                    if dependent && self.wakeup.waiting() > 0 {
-                        // Dependent load: wait for earlier misses (low-MLP
-                        // behaviour of scale-out workloads).
-                        self.staged = Some(instr);
-                        return;
-                    }
-                    if !self.try_dispatch_mem(addr, AccessKind::Load, now, requests) {
+                Op::Load { addr, .. } => {
+                    if self.held_by_misses(instr.op)
+                        || !self.try_dispatch_mem(addr, AccessKind::Load, now, requests)
+                    {
                         self.staged = Some(instr);
                         return;
                     }
                 }
                 Op::Store { addr } => {
-                    if !self.try_dispatch_mem(addr, AccessKind::Store, now, requests) {
+                    if self.held_by_misses(instr.op)
+                        || !self.try_dispatch_mem(addr, AccessKind::Store, now, requests)
+                    {
                         self.staged = Some(instr);
                         return;
                     }
@@ -459,7 +505,8 @@ impl Core {
         }
     }
 
-    /// Returns false if the access could not be dispatched this cycle.
+    /// Probes the L1-D for an access [`Core::held_by_misses`] let
+    /// through; returns false if the L1 has no MSHR for it this cycle.
     fn try_dispatch_mem(
         &mut self,
         addr: Addr,
@@ -467,9 +514,6 @@ impl Core {
         now: Cycle,
         requests: &mut Vec<MissRequest>,
     ) -> bool {
-        if self.wakeup.waiting() >= self.cfg.lsq_entries {
-            return false;
-        }
         match self.l1d.access(addr, kind.is_write(), 0) {
             L1Access::Hit => {
                 self.rob.push_ready(now + self.l1d.latency());

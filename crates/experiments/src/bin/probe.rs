@@ -1,5 +1,7 @@
-//! Diagnostic probe: stall composition and miss rates per organization.
-//! Not part of the paper's figures; used to calibrate the workload models.
+//! Diagnostic probe: stall composition and miss rates per organization,
+//! plus the share of core-ticks the simulator slept through instead of
+//! executing. Not part of the paper's figures; used to calibrate the
+//! workload models.
 //!
 //! Run with `cargo run --release -p nocout-experiments --bin probe -- \
 //! [--workload NAME] [--jobs N]` (legacy positional `ws`/`sat` accepted).
@@ -10,7 +12,8 @@ use nocout_experiments::campaign;
 
 const ABOUT: &str = "Calibration probe (not a paper figure): runs one \
 workload — synthetic or trace:PATH — on the mesh and NOC-Out and prints \
-stall composition, LLC/memory rates and network latencies side by side.";
+stall composition, LLC/memory rates and network latencies side by side, \
+then the share of core-ticks each run covered by bulk stall accounting.";
 
 fn main() {
     let mut cli = Cli::parse("probe", ABOUT, "[--workload NAME|trace:PATH | ws|sat]");
@@ -28,10 +31,8 @@ fn main() {
     cli.finish();
 
     let orgs = [Organization::Mesh, Organization::NocOut];
-    let frame = campaign()
-        .orgs(orgs)
-        .workloads([workload.clone()])
-        .run(&runner);
+    let plan = campaign().orgs(orgs).workloads([workload.clone()]);
+    let frame = plan.run(&runner);
     for org in orgs {
         let m = &frame.get(org, workload.clone()).metrics;
         let instr = m.instructions as f64;
@@ -46,6 +47,18 @@ fn main() {
             m.network.mean_request_latency,
             m.network.mean_response_latency,
             m.memory.reads as f64 / instr * 1000.0,
+        );
+    }
+    // The sleep counters live on the chip, not in the (cacheable)
+    // metrics, so each point is simulated once more here to read them.
+    for spec in plan.specs() {
+        let mut chip = ScaleOutChip::new(spec.chip, spec.workload.clone(), spec.seed);
+        chip.run_for(spec.window.total_cycles());
+        let (executed, slept) = chip.core_tick_counts();
+        println!(
+            "{:>22}: core-ticks executed {executed}  slept {slept} ({:.1}%)",
+            spec.chip.organization,
+            slept as f64 / (executed + slept) as f64 * 100.0,
         );
     }
 }

@@ -9,6 +9,8 @@
 //!   generator so that every experiment is exactly reproducible from a seed,
 //! * [`stats`] — counters, histograms and running statistics used by the
 //!   network, memory-system and core models,
+//! * [`hash`] — the FNV-1a content hash behind cache keys, wire digests
+//!   and trace identities,
 //! * [`ring::Ring`] — the fixed-capacity ring buffer behind the uncore
 //!   hot-path FIFO queues,
 //! * [`config`] — small helpers for experiment configuration.
@@ -29,6 +31,7 @@
 //! ```
 
 pub mod config;
+pub mod hash;
 pub mod ring;
 pub mod rng;
 pub mod stats;

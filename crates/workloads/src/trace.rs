@@ -21,6 +21,7 @@ use crate::openloop::OpenLoopSpec;
 use crate::profile::{Workload, WorkloadProfile};
 use nocout_cpu::source::{FetchedInstr, InstructionSource, Op};
 use nocout_mem::addr::Addr;
+use nocout_sim::hash::{fnv1a_fold, FNV_BASIS};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -45,18 +46,6 @@ fn invalid<T>(path: &Path, what: impl fmt::Display) -> io::Result<T> {
         format!("{}: {what}", path.display()),
     ))
 }
-
-fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a offset basis (the initial hash state).
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The per-stream header: identity and the warm-up sets a chip needs to
 /// reproduce checkpoint-style cache warming without the originating
@@ -446,8 +435,8 @@ impl TraceSet {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .expect("suffix-matched name is UTF-8");
-            hash = fnv1a(hash, name.as_bytes());
-            hash = fnv1a(hash, &bytes);
+            hash = fnv1a_fold(hash, name.as_bytes());
+            hash = fnv1a_fold(hash, &bytes);
             let mut cursor = io::Cursor::new(&bytes[..]);
             let header = TraceHeader::decode(&mut cursor, path)?;
             if header.instr_count == 0 {

@@ -2,7 +2,8 @@
 //! fast-forward and block-based instruction delivery never change
 //! results.
 //!
-//! `ScaleOutChip::tick` visits only LLC tiles and memory channels with
+//! `ScaleOutChip::tick` skips sleeping cores (paying their stall cycles
+//! in bulk at the wake), visits only LLC tiles and memory channels with
 //! pending work and feeds every core in instruction *blocks* (one
 //! virtual `refill` per 64 instructions), and `ScaleOutChip::run_for`
 //! jumps over globally idle stretches; all of it must be bit-identical
@@ -13,6 +14,7 @@
 //! workload class.
 
 use nocout_repro::prelude::*;
+use nocout_repro::substrates::workloads::OpenLoopSpec;
 
 const ALL_ORGS: [Organization; 5] = [
     Organization::Mesh,
@@ -198,5 +200,104 @@ fn low_occupancy_chip_drains_through_active_sets() {
             "{org}: {} transactions stranded",
             chip.inflight_transactions()
         );
+    }
+}
+
+/// Per-core sleep never changes results: a chip driven by an arbitrary
+/// interleaving of `tick`, `run_for` and `tick_reference` — with
+/// `metrics()` read and `reset_stats()` called while cores are asleep —
+/// matches a chip that only ever ran the reference tick, which ticks
+/// every core every cycle. Covers every organization and every kind of
+/// instruction source (closed-loop synthetic, open-loop, trace replay).
+#[test]
+fn sleeping_cores_are_bit_identical_to_reference() {
+    // Replay opens the stream files per chip build: the directory lives
+    // until the test ends.
+    struct TraceDir(std::path::PathBuf);
+    impl Drop for TraceDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let trace_dir = TraceDir(
+        std::env::temp_dir().join(format!("nocout-sleep-lockstep-{}", std::process::id())),
+    );
+    let trace = capture_synthetic_trace(
+        ChipConfig::paper(Organization::Mesh),
+        Workload::MapReduceW,
+        4,
+        &trace_dir.0,
+        3_000,
+    )
+    .expect("capture");
+    let classes: [WorkloadClass; 5] = [
+        Workload::DataServing.into(),
+        Workload::SatSolver.into(),
+        Workload::WebSearch.into(),
+        OpenLoopSpec {
+            workload: Workload::DataServing,
+            interval: 200,
+            service_instrs: 32,
+        }
+        .into(),
+        trace.into(),
+    ];
+    for org in ALL_ORGS {
+        for (k, class) in classes.iter().enumerate() {
+            let ctx = format!("{org} class {k}");
+            let cfg = ChipConfig::paper(org);
+            let mut fast = ScaleOutChip::new(cfg, class.clone(), 11);
+            let mut reference = ScaleOutChip::new(cfg, class.clone(), 11);
+            let active = fast.active_cores() as u64;
+            let (mut asleep_samples, mut reset_done) = (0, false);
+            // Segment lengths are coprime with the flavour rotation, so
+            // every flavour runs at every length.
+            for (segment, len) in [1u64, 7, 64, 3, 129, 20, 2, 250]
+                .iter()
+                .cycle()
+                .take(40)
+                .enumerate()
+            {
+                match segment % 3 {
+                    0 => (0..*len).for_each(|_| fast.tick()),
+                    1 => fast.run_for(*len),
+                    _ => (0..*len).for_each(|_| fast.tick_reference()),
+                }
+                (0..*len).for_each(|_| reference.tick_reference());
+                // One more plain tick tells whether cores are asleep at
+                // this sample point: fewer `Core::tick` calls than
+                // active cores means the rest slept through it.
+                let (executed_before, _) = fast.core_tick_counts();
+                fast.tick();
+                reference.tick_reference();
+                let some_asleep = fast.core_tick_counts().0 - executed_before < active;
+                asleep_samples += some_asleep as u32;
+                assert_eq!(fast.now(), reference.now(), "{ctx}: clocks");
+                assert_eq!(
+                    fast.inflight_transactions(),
+                    reference.inflight_transactions(),
+                    "{ctx} segment {segment}: in-flight txns"
+                );
+                assert_eq!(
+                    format!("{:?}", fast.metrics()),
+                    format!("{:?}", reference.metrics()),
+                    "{ctx} segment {segment}"
+                );
+                if some_asleep && !reset_done && segment >= 12 {
+                    fast.reset_stats();
+                    reference.reset_stats();
+                    reset_done = true;
+                }
+            }
+            assert!(reset_done, "{ctx}: no reset landed on a sleeping core");
+            assert!(
+                asleep_samples >= 10,
+                "{ctx}: only {asleep_samples} samples saw sleepers"
+            );
+            let (executed, slept) = fast.core_tick_counts();
+            assert_eq!(executed + slept, active * fast.now().raw(), "{ctx}");
+            // The oracle never sleeps.
+            assert_eq!(reference.core_tick_counts().1, 0, "{ctx}");
+        }
     }
 }

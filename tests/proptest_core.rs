@@ -7,9 +7,16 @@
 //! chip-level half is `tests/chip_golden_metrics.rs`): every operation
 //! sequence must leave the new structures observably identical to the
 //! containers they replaced.
+//!
+//! The last section pins the core's bulk stall accounting — the one
+//! function the chip's per-core sleep rests on — to dense ticking.
 
+use nocout_repro::substrates::cpu::model::{Core, CoreConfig, CoreIdle, MissRequest};
 use nocout_repro::substrates::cpu::rob::{RingRob, WakeupIndex};
+use nocout_repro::substrates::cpu::source::{FetchedInstr, Op, ScriptedSource};
+use nocout_repro::substrates::mem::addr::Addr;
 use nocout_repro::substrates::mem::mshr::{MshrFile, MshrRequest};
+use nocout_repro::substrates::mem::protocol::AccessKind;
 use nocout_repro::substrates::sim::Cycle;
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -43,6 +50,219 @@ fn decode(kind: u8, line: u64, at: u64) -> RobOp {
         2 => RobOp::TryPop(at),
         _ => RobOp::Fill(line, at),
     }
+}
+
+/// One core, its looping script, and the fills its misses have coming —
+/// driven either densely (a `Core::tick` every cycle) or the way the
+/// chip's sleep set drives it: after a real tick that leaves
+/// `idle_state()` non-`Busy` the core is not ticked again until its
+/// wake cycle or a fill, and `fast_forward_stalled` pays the gap.
+struct DrivenCore {
+    core: Core,
+    src: ScriptedSource,
+    /// `(due cycle, request)` in issue order.
+    pending: Vec<(u64, MissRequest)>,
+    /// Every request with its issue cycle.
+    log: Vec<(u64, MissRequest)>,
+    /// While asleep: (first unpaid cycle, wake cycle).
+    asleep: Option<(u64, u64)>,
+    /// Sleeps begun, split by whether fetch was stalled.
+    sleeps_fetch: u32,
+    sleeps_backend: u32,
+}
+
+impl DrivenCore {
+    fn new(script: Vec<FetchedInstr>) -> Self {
+        DrivenCore {
+            core: Core::new(CoreConfig::a15()),
+            src: ScriptedSource::new(script),
+            pending: Vec::new(),
+            log: Vec::new(),
+            asleep: None,
+            sleeps_fetch: 0,
+            sleeps_backend: 0,
+        }
+    }
+
+    /// Pays the cycles `since..upto` the core slept through.
+    fn wake(&mut self, upto: u64) {
+        if let Some((since, _)) = self.asleep.take() {
+            self.core.fast_forward_stalled(upto - since);
+        }
+    }
+
+    /// One cycle in the chip's order: the core's tick, then the fills
+    /// due this cycle. `latency[k]` is the k-th request's fill latency.
+    fn step(&mut self, t: u64, latency: &[u64], sleepy: bool) {
+        if self.asleep.is_some_and(|(_, wake_at)| wake_at <= t) {
+            self.wake(t);
+        }
+        if self.asleep.is_none() {
+            let mut out = Vec::new();
+            self.core.tick(Cycle(t), &mut self.src, &mut out);
+            for r in out {
+                self.pending
+                    .push((t + latency[self.log.len() % latency.len()], r));
+                self.log.push((t, r));
+            }
+            let wake_at = match self.core.idle_state() {
+                CoreIdle::Busy => 0,
+                CoreIdle::Stalled => u64::MAX,
+                CoreIdle::StalledUntil(at) => at.raw(),
+            };
+            if sleepy && wake_at > t + 1 {
+                self.asleep = Some((t + 1, wake_at));
+                if self.core.fetch_stalled() {
+                    self.sleeps_fetch += 1;
+                } else {
+                    self.sleeps_backend += 1;
+                }
+            }
+        }
+        while let Some(i) = self.pending.iter().position(|(due, _)| *due <= t) {
+            let (_, r) = self.pending.remove(i);
+            // The sleeper's tick for `t` was skipped: pay it before the
+            // fill changes what a stalled tick counts.
+            self.wake(t + 1);
+            match r.kind {
+                AccessKind::InstrFetch => self.core.fill_ifetch(r.line, Cycle(t)),
+                _ => {
+                    self.core.fill_data(r.line, Cycle(t));
+                }
+            }
+        }
+    }
+}
+
+/// Runs `script` for `cycles` on a dense and a sleepy twin and checks
+/// they end in the same state — every counter, the ROB, the staged
+/// instruction, both L1s (the `Debug` rendering covers all of `Core`) —
+/// having issued the same requests at the same cycles. Returns the
+/// sleepy twin for the caller to check which states it slept in.
+fn assert_sleep_equals_dense(
+    script: Vec<FetchedInstr>,
+    latency: &[u64],
+    cycles: u64,
+) -> DrivenCore {
+    let mut dense = DrivenCore::new(script.clone());
+    let mut sleepy = DrivenCore::new(script);
+    for t in 0..cycles {
+        dense.step(t, latency, false);
+        sleepy.step(t, latency, true);
+    }
+    sleepy.wake(cycles);
+    assert_eq!(dense.log, sleepy.log, "miss streams diverged");
+    assert_eq!(format!("{:?}", dense.core), format!("{:?}", sleepy.core));
+    sleepy
+}
+
+fn alu(line: u64, latency: u8) -> FetchedInstr {
+    FetchedInstr {
+        fetch_line: Addr(line * 64),
+        op: Op::Alu { latency },
+    }
+}
+
+fn load(line: u64, addr: u64, dependent: bool) -> FetchedInstr {
+    FetchedInstr {
+        fetch_line: Addr(line * 64),
+        op: Op::Load {
+            addr: Addr(0x10_0000 + addr),
+            dependent,
+        },
+    }
+}
+
+/// Fetch stall with an empty ROB: `Stalled`, woken by the fill only.
+#[test]
+fn sleep_in_fetch_stall_equals_dense() {
+    let s = assert_sleep_equals_dense(vec![alu(0, 1), alu(1, 1), alu(2, 1)], &[40], 400);
+    assert!(s.sleeps_fetch > 0 && s.sleeps_backend == 0);
+}
+
+/// Fetch stall behind a long ALU op: `StalledUntil`, and the timer lands
+/// the fast-forward exactly on the cycle the head retires (the fill
+/// comes much later).
+#[test]
+fn sleep_until_rob_head_completes_lands_on_the_wake_cycle() {
+    let script = vec![alu(0, 9), alu(1, 1)];
+    let mut probe = DrivenCore::new(script.clone());
+    probe.step(0, &[2, 300], true);
+    probe.step(1, &[2, 300], true);
+    probe.step(2, &[2, 300], true);
+    probe.step(3, &[2, 300], true);
+    // Dispatched the latency-9 op at cycle 3 and stalled on line 1.
+    assert_eq!(probe.core.idle_state(), CoreIdle::StalledUntil(Cycle(12)));
+    assert_eq!(probe.asleep, Some((4, 12)));
+    let s = assert_sleep_equals_dense(script, &[2, 300], 700);
+    assert!(s.sleeps_fetch > 0);
+}
+
+/// ROB full behind a load that misses for a long time.
+#[test]
+fn sleep_with_full_rob_equals_dense() {
+    let mut script = vec![load(0, 0, false)];
+    script.extend((0..70).map(|_| alu(0, 1)));
+    let mut probe = DrivenCore::new(script.clone());
+    // Every miss, the first fetch included, fills after 500 cycles.
+    (0..540).for_each(|t| probe.step(t, &[500], true));
+    assert!(!probe.core.fetch_stalled());
+    assert_eq!(
+        probe.core.idle_state(),
+        CoreIdle::Stalled,
+        "ROB full, head waiting"
+    );
+    let s = assert_sleep_equals_dense(script, &[500], 2_500);
+    assert!(s.sleeps_backend > 0);
+}
+
+/// A dependent load staged behind an outstanding miss.
+#[test]
+fn sleep_on_dependent_load_equals_dense() {
+    let script = vec![load(0, 0, false), alu(0, 2), load(0, 64, true), alu(0, 1)];
+    let mut probe = DrivenCore::new(script.clone());
+    (0..96).for_each(|t| probe.step(t, &[90], true));
+    assert!(!probe.core.fetch_stalled());
+    assert_eq!(probe.core.outstanding_data_misses(), 1);
+    assert_eq!(probe.core.idle_state(), CoreIdle::Stalled);
+    let s = assert_sleep_equals_dense(script, &[90], 1_000);
+    assert!(s.sleeps_backend > 0);
+}
+
+/// The LSQ full: 16 loads merged onto two missing lines, a store staged.
+#[test]
+fn sleep_with_full_lsq_equals_dense() {
+    let mut script: Vec<FetchedInstr> = (0..16)
+        .map(|i| load(0, (i % 2) * 64 + i * 2, false))
+        .collect();
+    script.push(FetchedInstr {
+        fetch_line: Addr(0),
+        op: Op::Store {
+            addr: Addr(0x20_0000),
+        },
+    });
+    let mut probe = DrivenCore::new(script.clone());
+    (0..132).for_each(|t| probe.step(t, &[120], true));
+    assert!(!probe.core.fetch_stalled());
+    assert_eq!(probe.core.outstanding_data_misses(), 16);
+    assert_eq!(probe.core.idle_state(), CoreIdle::Stalled);
+    let s = assert_sleep_equals_dense(script, &[120], 1_000);
+    assert!(s.sleeps_backend > 0);
+}
+
+/// A staged access the L1 refuses for want of an MSHR retries every
+/// cycle (each retry counts into `L1Cache::blocked`), so the core is
+/// `Busy` and never sleeps in that state.
+#[test]
+fn l1_mshr_blocked_retry_stays_busy() {
+    let script: Vec<FetchedInstr> = (0..9).map(|i| load(0, i * 64, false)).collect();
+    let mut probe = DrivenCore::new(script);
+    (0..112).for_each(|t| probe.step(t, &[100], true));
+    assert_eq!(probe.core.outstanding_data_misses(), 8);
+    assert_eq!(probe.core.idle_state(), CoreIdle::Busy);
+    let blocked = probe.core.l1d().blocked.value();
+    probe.step(112, &[100], true);
+    assert_eq!(probe.core.l1d().blocked.value(), blocked + 1);
 }
 
 proptest! {
@@ -158,5 +378,29 @@ proptest! {
                 prop_assert!(file.contains(*l));
             }
         }
+    }
+
+    // Sleeping through every non-`Busy` stretch — whatever blocked
+    // state a random script and random fill times reach — leaves the
+    // core exactly where dense ticking does.
+    #[test]
+    fn sleeping_core_matches_dense_ticking(
+        ops in prop::collection::vec((0u64..5, 0u8..6, 0u64..10, any::<bool>(), 1u8..7), 1..90),
+        latency in prop::collection::vec(1u64..180, 1..12),
+    ) {
+        let script: Vec<FetchedInstr> = ops
+            .iter()
+            .map(|&(line, kind, a, dependent, lat)| match kind {
+                0 | 1 => alu(line, lat),
+                // Sub-line offsets merge onto one MSHR (the LSQ-full path).
+                2 | 3 => load(line, (a % 4) * 64 + a, dependent),
+                4 => load(line, a * 64, false),
+                _ => FetchedInstr {
+                    fetch_line: Addr(line * 64),
+                    op: Op::Store { addr: Addr(0x20_0000 + a * 64) },
+                },
+            })
+            .collect();
+        assert_sleep_equals_dense(script, &latency, 1_200);
     }
 }
