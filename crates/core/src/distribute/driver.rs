@@ -244,6 +244,11 @@ pub struct DriverStats {
     /// Archive bytes skipped by resuming interrupted transfers from the
     /// worker's staged partial.
     pub trace_resume_bytes: u64,
+    /// Wall time of the successful dispatches, summed, in microseconds:
+    /// connect, handshake, trace provisioning, request and results. Set
+    /// against the points' own simulation time it shows what a shard
+    /// costs beyond what it simulates.
+    pub dispatch_wall_us: u64,
 }
 
 /// A fault-tolerant [`CampaignExecutor`] over worker endpoints.
@@ -501,14 +506,17 @@ impl ShardedDriver {
             else {
                 return;
             };
+            let started = Instant::now();
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 self.run_shard_on(addr, shard_id, &shard_specs, &hashes, &mut caps, registry)
             }));
             match attempt {
                 Ok(Ok((results, report))) => {
+                    let wall_us = started.elapsed().as_micros() as u64;
                     consecutive_failures = 0;
                     caps.trace_failures = 0;
                     let mut st = relock(state);
+                    st.stats.dispatch_wall_us += wall_us;
                     st.stats.absorb(&report);
                     st.complete(shard_id, &indices, results, specs);
                     self.sync_trace_capability(&mut caps, &mut st, specs);

@@ -325,9 +325,10 @@ impl TraceStore {
             let dest = self.entry_dir(hash);
             let _ = std::fs::remove_dir_all(&dest); // a quarantine raced us back
             std::fs::rename(&tmp, &dest)?;
-            // Reload from the final path so the TraceSet's dir (and the
-            // open_stream paths) point at the installed entry.
-            TraceSet::load(&dest)
+            // The rename moved the very files just verified, so the set
+            // only needs its dir (and open_stream paths) pointed at the
+            // installed entry — not a second read, hash and validation.
+            Ok(set.rerooted(dest))
         })();
         if installed.is_err() {
             let _ = std::fs::remove_dir_all(&tmp);
@@ -381,10 +382,13 @@ mod tests {
         store.append_chunk(hash, mid as u64, &archive[mid..]).unwrap();
         let installed = store.commit(hash, archive.len() as u64).unwrap();
         assert_eq!(installed.content_hash(), hash);
+        assert_eq!(installed.dir(), store_dir.join(format!("{hash:016x}")));
+        assert!(installed.open_stream(0).is_ok(), "paths point at the installed entry");
         assert_eq!(store.held(), vec![hash]);
         assert_eq!(store.staged_len(hash), 0, "partial removed after install");
         let loaded = store.get(hash).expect("installed entry loads");
         assert_eq!(loaded.content_hash(), hash);
+        assert_eq!(installed.files(), loaded.files());
         let _ = std::fs::remove_dir_all(&cap);
         let _ = std::fs::remove_dir_all(&store_dir);
     }

@@ -7,10 +7,19 @@
 //! ([`BatchRunner::run_batch_outcomes`]), and answers with one
 //! [`Message::PointOk`]/[`Message::PointFailed`] per spec followed by a
 //! [`Message::ShardDone`] trailer whose count lets the driver detect a
-//! short stream. While a point simulates, a heartbeat thread keeps the
-//! connection audibly alive ([`Message::Heartbeat`] every
-//! [`Worker::with_heartbeat`] interval), so the driver can distinguish
-//! "slow point" from "dead worker" with a single read timeout.
+//! short stream. While a shard runs, a heartbeat thread keeps the
+//! connection audibly alive (one [`Message::Heartbeat`] per
+//! [`Worker::with_heartbeat`] interval of the shard's run time, none
+//! once it has ended), so the driver can distinguish "slow point" from
+//! "dead worker" with a single read timeout.
+//!
+//! The worker issues **one write per protocol turn** — a turn being the
+//! run of frames after which it waits for the driver: a `HelloAck`, a
+//! `TraceAck`, or a shard's last result frame *together with* its
+//! `ShardDone` trailer. Two small writes with no read between them are
+//! the Nagle × delayed-ACK stall (≈ 40 ms per shard on Linux) on any
+//! socket without `TCP_NODELAY`; see "Turns and latency" in
+//! `docs/distributed-campaigns.md`.
 //!
 //! The one piece of durable state is the optional [`TraceStore`]
 //! (`--trace-store DIR`): a connection opens with the
@@ -38,7 +47,7 @@
 //! flags; nothing here fires unless a plan is set.
 
 use super::store::TraceStore;
-use super::wire::{read_frame_with, write_frame, Message, WireError, VERSION};
+use super::wire::{encode_frame, read_frame_with, write_frame, Message, WireError, VERSION};
 use crate::cache::render_entry;
 use crate::runner::{panic_message, BatchRunner, PointError, RunSpec};
 use std::collections::HashMap;
@@ -46,6 +55,7 @@ use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -163,6 +173,11 @@ impl Worker {
                 break;
             }
             let stream = conn?;
+            // Intermediate result frames of a multi-point shard (and
+            // heartbeats) are small writes the driver does not answer:
+            // without this they can wait out its delayed ACK. Best
+            // effort — the one-write-per-turn rule does not depend on it.
+            let _ = stream.set_nodelay(true);
             let reader = stream.try_clone()?;
             if let Err(e) = self.serve_stream(reader, &stream) {
                 if !matches!(e, WireError::Closed) {
@@ -306,31 +321,23 @@ impl Worker {
         specs: &[RunSpec],
         writer: &Mutex<W>,
     ) -> Result<(), WireError> {
-        let stop = AtomicBool::new(false);
         // Copied out so the heartbeat thread does not capture `self`
         // (the runner's cache counters are deliberately not `Sync`).
         let heartbeat = self.heartbeat;
         std::thread::scope(|scope| {
-            let stop = &stop;
+            // Dropping `running` — at the shard's end, or by an unwind —
+            // wakes the heartbeat thread at once.
+            let (running, ended) = mpsc::channel::<()>();
             scope.spawn(move || {
-                // Heartbeat ticker: wakes often enough to stop promptly,
-                // writes at the configured cadence. Write errors are left
-                // for the result path to surface.
-                let tick = Duration::from_millis(20).min(heartbeat);
-                let mut since_beat = Duration::ZERO;
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    since_beat += tick;
-                    if since_beat >= heartbeat {
-                        since_beat = Duration::ZERO;
-                        if let Ok(mut w) = writer.lock() {
-                            let _ = write_frame(&mut *w, &Message::Heartbeat);
-                        }
+                // Write errors are left for the result path to surface.
+                while ended.recv_timeout(heartbeat) == Err(RecvTimeoutError::Timeout) {
+                    if let Ok(mut w) = writer.lock() {
+                        let _ = write_frame(&mut *w, &Message::Heartbeat);
                     }
                 }
             });
             let result = self.run_shard_inner(shard, specs, writer);
-            stop.store(true, Ordering::SeqCst);
+            drop(running);
             result
         })
     }
@@ -341,6 +348,9 @@ impl Worker {
         specs: &[RunSpec],
         writer: &Mutex<W>,
     ) -> Result<(), WireError> {
+        // Result frames encoded but not yet written: only ever the
+        // shard's last, which shares a write with the trailer.
+        let mut turn = Vec::new();
         let mut sent = 0u32;
         for (index, spec) in specs.iter().enumerate() {
             let point_no = self.points.fetch_add(1, Ordering::SeqCst);
@@ -372,10 +382,12 @@ impl Worker {
                     error: e.message,
                 },
             };
-            self.send_result(writer, &msg)?;
+            let more_points = index + 1 < specs.len();
+            self.send_result(writer, &mut turn, &msg, more_points)?;
             sent += 1;
         }
-        self.send_result(writer, &Message::ShardDone { shard, points: sent })
+        let done = Message::ShardDone { shard, points: sent };
+        self.send_result(writer, &mut turn, &done, true)
     }
 
     /// Sends a protocol frame that is *not* a result frame (handshake
@@ -391,33 +403,191 @@ impl Worker {
         write_frame(&mut *w, msg)
     }
 
-    /// Sends one result frame, applying the armed faults in order:
-    /// delay, then drop, then corruption.
+    /// Appends one result frame to `turn`, applying the armed faults in
+    /// order — delay, then drop, then corruption — and, when `write_now`,
+    /// hands the whole turn to the writer in one write. The faults are
+    /// per *frame*: each takes its own process-wide number, and a drop
+    /// still delivers the frames buffered ahead of it, exactly as if
+    /// every frame had been its own write.
     fn send_result<W: Write + Send>(
         &self,
         writer: &Mutex<W>,
+        turn: &mut Vec<u8>,
         msg: &Message,
+        write_now: bool,
     ) -> Result<(), WireError> {
         if let Some(d) = self.fault.delay {
             std::thread::sleep(d);
         }
         let frame_no = self.frames.fetch_add(1, Ordering::SeqCst);
-        if self.fault.drop_after_frames == Some(frame_no) {
+        let framed = if self.fault.drop_after_frames == Some(frame_no) {
             self.dead.store(true, Ordering::SeqCst);
-            return Err(WireError::Io(std::io::Error::other(
+            Err(WireError::Io(std::io::Error::other(
                 "injected fault: connection dropped",
-            )));
+            )))
+        } else {
+            turn.extend_from_slice(&encode_frame(msg)?);
+            if self.fault.corrupt_frame == Some(frame_no) {
+                *turn.last_mut().expect("a frame was just appended") ^= 0x01;
+            }
+            Ok(())
+        };
+        if (write_now || framed.is_err()) && !turn.is_empty() {
+            let mut w = writer.lock().map_err(|_| {
+                WireError::Io(std::io::Error::other("writer lock poisoned"))
+            })?;
+            w.write_all(turn)?;
+            w.flush()?;
+            turn.clear();
         }
-        let mut frame = super::wire::encode_frame(msg)?;
-        if self.fault.corrupt_frame == Some(frame_no) {
-            let last = frame.len() - 1;
-            frame[last] ^= 0x01;
+        framed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::wire::read_frame;
+    use super::*;
+    use crate::config::{ChipConfig, Organization};
+    use nocout_sim::config::MeasurementWindow;
+    use nocout_workloads::Workload;
+    use std::time::Instant;
+
+    /// Keeps the bytes of every `write` call apart: one entry per write
+    /// the worker issued.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
         }
-        let mut w = writer.lock().map_err(|_| {
-            WireError::Io(std::io::Error::other("writer lock poisoned"))
-        })?;
-        w.write_all(&frame)?;
-        w.flush()?;
-        Ok(())
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn tiny_specs(n: usize) -> Vec<RunSpec> {
+        (0..n as u64)
+            .map(|seed| {
+                RunSpec::new(ChipConfig::paper(Organization::Mesh), Workload::WebSearch)
+                    .with_window(MeasurementWindow::new(20, 60))
+                    .with_seed(seed)
+            })
+            .collect()
+    }
+
+    /// A worker whose heartbeat stays silent unless a test shortens it.
+    fn quiet_worker(fault: FaultPlan) -> Worker {
+        Worker::new(BatchRunner::serial())
+            .with_heartbeat(Duration::from_secs(60))
+            .with_faults(fault)
+    }
+
+    /// Serves shard 7 of `specs` from memory; returns how the connection
+    /// ended and every write the worker issued.
+    fn serve_shard(worker: &Worker, specs: &[RunSpec]) -> (Result<(), WireError>, Vec<Vec<u8>>) {
+        let request = encode_frame(&Message::ShardRequest { shard: 7, specs: specs.to_vec() })
+            .expect("encode request");
+        let mut log = WriteLog::default();
+        let served = worker.serve_stream(&request[..], &mut log);
+        (served, log.0)
+    }
+
+    /// Decodes every frame of `bytes`, corrupt ones as their error.
+    fn decode(bytes: &[u8]) -> Vec<Result<Message, WireError>> {
+        let mut rest = bytes;
+        let mut frames = Vec::new();
+        while !rest.is_empty() {
+            frames.push(read_frame(&mut rest));
+        }
+        frames
+    }
+
+    #[test]
+    fn a_shard_ends_in_one_write_and_earlier_points_stream() {
+        for n in [0, 1, 3] {
+            let specs = tiny_specs(n);
+            let (served, writes) = serve_shard(&quiet_worker(FaultPlan::default()), &specs);
+            served.expect("clean shard");
+            assert_eq!(writes.len(), n.max(1), "{n} points: one write per turn");
+            let trailer = Message::ShardDone { shard: 7, points: n as u32 };
+            for (i, write) in writes.iter().enumerate() {
+                let got: Vec<Message> =
+                    decode(write).into_iter().map(|f| f.expect("intact frame")).collect();
+                let mut want = Vec::new();
+                if let Some(spec) = specs.get(i) {
+                    let metrics = BatchRunner::serial()
+                        .run_batch_outcomes(std::slice::from_ref(spec))
+                        .pop()
+                        .expect("one outcome")
+                        .expect("the point runs");
+                    want.push(Message::PointOk {
+                        shard: 7,
+                        index: i as u32,
+                        entry: render_entry(&spec.cache_key(), &metrics),
+                    });
+                }
+                if i + 1 == writes.len() {
+                    want.push(trailer.clone());
+                }
+                assert_eq!(got, want, "{n} points, write {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn drop_on_the_trailer_still_delivers_the_result_before_it() {
+        // Frame 0 is the point, frame 1 its trailer.
+        let worker = quiet_worker(FaultPlan { drop_after_frames: Some(1), ..FaultPlan::default() });
+        let (served, writes) = serve_shard(&worker, &tiny_specs(1));
+        let err = served.expect_err("the drop ends the connection");
+        assert!(err.to_string().contains("injected fault"), "{err}");
+        assert!(worker.is_dead());
+        assert_eq!(writes.len(), 1);
+        let frames = decode(&writes[0]);
+        assert_eq!(frames.len(), 1, "the trailer is never sent");
+        assert!(matches!(frames[0], Ok(Message::PointOk { shard: 7, index: 0, .. })));
+    }
+
+    #[test]
+    fn corruption_hits_the_numbered_frame_not_the_end_of_the_write() {
+        let worker = quiet_worker(FaultPlan { corrupt_frame: Some(0), ..FaultPlan::default() });
+        let (served, writes) = serve_shard(&worker, &tiny_specs(1));
+        served.expect("corruption is silent on the sending side");
+        assert_eq!(writes.len(), 1);
+        let frames = decode(&writes[0]);
+        assert!(matches!(frames[0], Err(WireError::Corrupt)), "{:?}", frames[0]);
+        assert!(
+            matches!(frames[1], Ok(Message::ShardDone { shard: 7, points: 1 })),
+            "{:?}",
+            frames[1]
+        );
+        assert_eq!(frames.len(), 2);
+    }
+
+    #[test]
+    fn delay_elapses_per_result_frame_under_a_steady_heartbeat() {
+        let delay = Duration::from_millis(200);
+        let worker = quiet_worker(FaultPlan { delay: Some(delay), ..FaultPlan::default() })
+            .with_heartbeat(Duration::from_millis(30));
+        let started = Instant::now();
+        let (served, writes) = serve_shard(&worker, &tiny_specs(1));
+        served.expect("a slow shard is still a clean one");
+        assert!(started.elapsed() >= 2 * delay, "one delay per result frame");
+        let frames: Vec<Message> = writes
+            .iter()
+            .flat_map(|w| decode(w))
+            .map(|f| f.expect("intact frame"))
+            .collect();
+        let beats = frames.iter().filter(|m| **m == Message::Heartbeat).count();
+        assert!(beats >= 6, "2 result frames x >= 3 heartbeats each, got {beats}");
+        // The heartbeat stops with the shard: nothing follows the two
+        // result frames, and they still share one write.
+        assert_eq!(frames.len(), beats + 2);
+        assert!(frames[..beats].iter().all(|m| *m == Message::Heartbeat));
+        assert_eq!(decode(writes.last().expect("a write")).len(), 2);
     }
 }

@@ -155,10 +155,13 @@ fn main() {
         let driver = ShardedDriver::new(endpoints, cfg);
         let frame = campaign.run_on(&driver);
         let stats = driver.stats();
+        // Every dispatch either succeeded or counted as a failed attempt.
+        let succeeded = stats.dispatches - stats.failed_attempts;
         eprintln!(
             "shard-run: {} shards, {} dispatches ({} retries, {} speculative), \
              {} failed attempts, {} points resumed from journal, {} failed points, \
-             {} traces shipped, {} trace reuses, {} trace bytes resumed",
+             {} traces shipped, {} trace reuses, {} trace bytes resumed, \
+             {:.1} ms per successful dispatch",
             stats.shards,
             stats.dispatches,
             stats.retries,
@@ -169,6 +172,7 @@ fn main() {
             stats.trace_ships,
             stats.trace_reuses,
             stats.trace_resume_bytes,
+            stats.dispatch_wall_us as f64 / 1e3 / succeeded.max(1) as f64,
         );
         frame
     };

@@ -504,6 +504,27 @@ impl TraceSet {
         }))
     }
 
+    /// This set as it stands after its directory was renamed to `dir`:
+    /// the same validated streams and content hash, with [`TraceSet::dir`]
+    /// and every stream path under the new root. Nothing is re-read — a
+    /// rename keeps the inodes — so the caller vouches that `dir` holds
+    /// exactly the files this set was loaded from.
+    pub fn rerooted<P: Into<PathBuf>>(&self, dir: P) -> Arc<TraceSet> {
+        let dir = dir.into();
+        let files = self
+            .files
+            .iter()
+            .map(|f| dir.join(f.file_name().expect("stream files are named")))
+            .collect();
+        Arc::new(TraceSet {
+            dir,
+            files,
+            headers: self.headers.clone(),
+            warm: self.warm,
+            content_hash: self.content_hash,
+        })
+    }
+
     /// The trace directory.
     pub fn dir(&self) -> &Path {
         &self.dir

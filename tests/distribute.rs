@@ -23,7 +23,7 @@ use nocout_workloads::trace::TraceSet;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small campaign: 2 organizations × 2 workloads on the fast window.
 fn specs() -> Vec<RunSpec> {
@@ -519,4 +519,73 @@ fn mixed_store_and_storeless_workers_complete_a_trace_campaign() {
     for d in [capture_dir, store_dir] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+// ---------------------------------------------------------------------
+// Turns and latency: a shard costs what it simulates.
+// ---------------------------------------------------------------------
+
+/// Runs 25 one-point shards of a tiny-window spec through a worker that
+/// `serve` puts behind a loopback listener, and requires them to cost
+/// less than 500 ms more than the same points run locally. Two small
+/// worker writes with no read between them (a result frame, then its
+/// trailer) stall every shard for the driver's delayed ACK — 40 ms on
+/// Linux, so 25 × 40 ms = 1 s of overhead by construction — whereas a
+/// busy test host only slows some campaigns down: the campaign gets
+/// three tries, which separates the two.
+fn assert_shards_cost_what_they_simulate(serve: fn(&Worker, &TcpListener)) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker listener");
+    let addr = listener.local_addr().expect("listener address").to_string();
+    std::thread::spawn(move || {
+        // No heartbeat falls inside a point: results are the only writes.
+        let worker = Worker::new(BatchRunner::new(1)).with_heartbeat(Duration::from_secs(1));
+        serve(&worker, &listener);
+    });
+    let specs: Vec<RunSpec> = (0..25)
+        .map(|seed| {
+            RunSpec::new(ChipConfig::paper(Organization::Mesh), Workload::WebSearch)
+                .with_window(MeasurementWindow::new(20, 60))
+                .with_seed(seed)
+        })
+        .collect();
+    let started = Instant::now();
+    let baseline = local_baseline(&specs);
+    let local = started.elapsed();
+    let driver = ShardedDriver::new(
+        vec![Endpoint::Tcp(addr)],
+        DriverConfig { shard_points: 1, ..test_config() },
+    );
+    let mut overheads = Vec::new();
+    for _ in 0..3 {
+        let started = Instant::now();
+        let outcomes = driver.execute_sharded(&specs);
+        let overhead = started.elapsed().saturating_sub(local);
+        assert_eq!(canon(&outcomes), baseline);
+        assert_eq!(driver.stats().dispatches, 25, "{:?}", driver.stats());
+        if overhead < Duration::from_millis(500) {
+            return;
+        }
+        overheads.push(overhead);
+    }
+    panic!("25 one-point shards cost {overheads:?} on top of their points' {local:?}");
+}
+
+#[test]
+fn one_point_shards_do_not_wait_out_a_delayed_ack() {
+    assert_shards_cost_what_they_simulate(|worker, listener| {
+        let _ = worker.serve_listener(listener);
+    });
+}
+
+#[test]
+fn an_embedders_accept_loop_without_nodelay_is_as_fast() {
+    // `serve_stream` cannot set socket options (it is generic over
+    // `Read`/`Write`), so the one-write-per-turn rule alone must carry a
+    // hand-rolled accept loop that never calls `set_nodelay`.
+    assert_shards_cost_what_they_simulate(|worker, listener| {
+        for stream in listener.incoming().flatten() {
+            let Ok(reader) = stream.try_clone() else { continue };
+            let _ = worker.serve_stream(reader, &stream);
+        }
+    });
 }
