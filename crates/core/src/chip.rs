@@ -63,6 +63,13 @@ impl InstructionSource for CoreSource {
             CoreSource::OpenLoop(o) => o.refill(block),
         }
     }
+
+    fn idle_until(&self) -> Option<(Addr, Cycle)> {
+        match self {
+            CoreSource::OpenLoop(o) => o.idle_until(),
+            CoreSource::Synthetic(_) | CoreSource::Trace(_) => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -131,11 +138,14 @@ const UNTIL_FILL: u64 = u64::MAX;
 /// reads instead of touching the `Core` structs.
 ///
 /// A core goes to sleep after a real tick that left it in a non-`Busy`
-/// [`CoreIdle`] state — its coming ticks are counter bumps only — and is
-/// woken by its timer (the ROB head's completion cycle) or by a
-/// `Msg::Data` fill, whichever comes first. The cycles it slept through
-/// are owed to its counters and paid by `Core::fast_forward_stalled` at
-/// the wake (before the fill mutates the core) or at a sync point.
+/// [`CoreIdle`] state — its coming ticks are all alike: counter bumps
+/// while stalled, a full-width filler rotation while spinning — and is
+/// woken by its timer (the ROB head's completion cycle, or the idle
+/// source's next arrival) or by a `Msg::Data` fill, whichever comes
+/// first. The cycles it slept through are owed to it and paid by
+/// `Core::fast_forward` at the wake (before the fill mutates the core)
+/// or at a sync point; which kind they were is the core's to know, so
+/// the set keeps no note of it.
 #[derive(Debug)]
 struct SleepSet {
     /// Per activation slot: the first cycle the core must really be
@@ -264,6 +274,33 @@ pub struct ScaleOutChip {
     /// `Core::tick` calls executed since construction (observational;
     /// see [`ScaleOutChip::core_tick_counts`]).
     core_ticks: u64,
+    /// Core-ticks settled as spinning ones since construction.
+    spin_ticks: u64,
+    /// Cycles `run_for` jumped over since construction (observational;
+    /// see [`ScaleOutChip::skipped_cycles`]).
+    skipped_cycles: u64,
+}
+
+/// How the active cores' ticks were executed since construction: one
+/// per active core per cycle, either a `Core::tick` call or a cycle the
+/// core slept through and was paid in bulk. Observational only — not
+/// reset by [`ScaleOutChip::reset_stats`] and not part of
+/// [`SystemMetrics`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreTickCounts {
+    /// `Core::tick` calls actually made.
+    pub executed: u64,
+    /// Cycles slept with dispatch blocked (counter bumps only).
+    pub slept_stalled: u64,
+    /// Cycles slept spinning on an idle source's filler.
+    pub slept_spinning: u64,
+}
+
+impl CoreTickCounts {
+    /// All core-ticks: active cores × cycles.
+    pub fn total(&self) -> u64 {
+        self.executed + self.slept_stalled + self.slept_spinning
+    }
 }
 
 /// Builds the organization's fabric: the network plus the terminal ids
@@ -476,6 +513,8 @@ impl ScaleOutChip {
             open_loop: matches!(&class, WorkloadClass::OpenLoop(_)),
             sleep,
             core_ticks: 0,
+            spin_ticks: 0,
+            skipped_cycles: 0,
         };
         chip.warm_caches(&class);
         chip
@@ -608,10 +647,10 @@ impl ScaleOutChip {
     }
 
     /// Advances the chip by one cycle, visiting only components with work:
-    /// sleeping cores are skipped (their stall cycles are paid in bulk
-    /// when they wake), and LLC tiles and memory channels are scanned
-    /// through active sets that a component enters when traffic arrives
-    /// for it and leaves when it drains. Bit-identical to
+    /// sleeping cores are skipped (the cycles they slept through are paid
+    /// in bulk when they wake), and LLC tiles and memory channels are
+    /// scanned through active sets that a component enters when traffic
+    /// arrives for it and leaves when it drains. Bit-identical to
     /// [`ScaleOutChip::tick_reference`] (a tick of an idle component is a
     /// no-op or a counter bump), which the differential tests enforce
     /// across every organization.
@@ -647,16 +686,6 @@ impl ScaleOutChip {
 
         // 1. Cores execute and emit miss requests.
         let mut injections = std::mem::take(&mut self.inject_buf);
-        // Open-loop arrivals land on their schedule regardless of core
-        // progress (a fast-forwarded gap is caught up in one call). The
-        // pre-pass is gated so closed-loop runs keep the core loop as-is.
-        if self.open_loop {
-            for (_, source) in self.active.iter_mut() {
-                if let CoreSource::OpenLoop(o) = source {
-                    o.advance_to(now.raw());
-                }
-            }
-        }
         for ai in 0..self.active.len() {
             // The reference pass woke every sleeper above, so this test
             // never skips a core there.
@@ -671,18 +700,30 @@ impl ScaleOutChip {
                 let entry = &mut self.active[ai];
                 (entry.0, &mut entry.1)
             };
+            // Open-loop arrivals land on their schedule regardless of
+            // core progress. Only a core about to consume instructions
+            // needs them delivered: a sleeper's gap is caught up in this
+            // one call at its wake. Gated so closed-loop runs keep the
+            // core loop as-is.
+            if self.open_loop {
+                if let CoreSource::OpenLoop(o) = source {
+                    o.advance_to(now.raw());
+                }
+            }
             self.req_buf.clear();
             self.core_ticks += 1;
             if full_scan {
                 self.cores[c].tick_reference(now, source, &mut self.req_buf);
             } else {
                 self.cores[c].tick(now, source, &mut self.req_buf);
-                // Sleep when the next tick (at `now + 1`) is provably a
-                // counter bump; a wake cycle of `now + 1` is no sleep.
-                let wake_at = match self.cores[c].idle_state() {
+                // Sleep when the next tick (at `now + 1`) is provably one
+                // `fast_forward` can stand in for; a wake cycle of
+                // `now + 1` is no sleep. A spinner's timer is the arrival
+                // cycle: that tick is a real one and serves the request.
+                let wake_at = match self.cores[c].idle_state(now, source) {
                     CoreIdle::Busy => AWAKE,
                     CoreIdle::Stalled => UNTIL_FILL,
-                    CoreIdle::StalledUntil(at) => at.raw(),
+                    CoreIdle::StalledUntil(at) | CoreIdle::SpinningUntil(at) => at.raw(),
                 };
                 if wake_at > now.raw() + 1 {
                     self.sleep.wake_at[ai] = wake_at;
@@ -789,6 +830,7 @@ impl ScaleOutChip {
                     let skip = skip.min(remaining);
                     self.fabric.skip_idle(skip);
                     self.now.0 += skip;
+                    self.skipped_cycles += skip;
                     remaining -= skip;
                 }
                 _ => {
@@ -848,10 +890,13 @@ impl ScaleOutChip {
     }
 
     /// Pays a sleeping core the cycles `since..upto` it slept through —
-    /// the only caller of `Core::fast_forward_stalled`.
+    /// the only caller of `Core::fast_forward`.
     fn settle(&mut self, slot: usize, upto: u64) {
-        let owed = upto - self.sleep.since[slot];
-        self.cores[self.active[slot].0].fast_forward_stalled(owed);
+        let since = self.sleep.since[slot];
+        let spinning = self.cores[self.active[slot].0].fast_forward(Cycle(since), upto - since);
+        if spinning {
+            self.spin_ticks += upto - since;
+        }
         self.sleep.since[slot] = upto;
     }
 
@@ -874,34 +919,60 @@ impl ScaleOutChip {
         debug_assert_eq!(
             self.lost_wakeups(),
             Vec::<usize>::new(),
-            "cores asleep until a fill with no transaction in flight"
+            "cores asleep until a fill with no transaction in flight, \
+             or past the cycle their state says they wake at"
         );
     }
 
-    /// Cores asleep until a fill that nothing in flight will deliver —
-    /// a lost wake-up, which would otherwise hang the core silently.
-    /// Every L1 miss holds a [`TxnTable`] entry from request to fill, so
-    /// the list is empty on a correct chip.
+    /// Cores whose wake-up is lost or late, either of which would hang
+    /// or delay the core silently; empty on a correct chip. Lost: asleep
+    /// until a fill that nothing in flight will deliver (every L1 miss
+    /// holds a [`TxnTable`] entry from request to fill). Late: asleep on
+    /// a timer beyond the current cycle that is not the one the core's
+    /// state names — for a spinner, its source's next arrival; sleeping
+    /// past that serves the request late, and every one queued behind it.
     fn lost_wakeups(&self) -> Vec<usize> {
         let mut expects_fill = vec![false; self.cores.len()];
         for (core, ..) in self.txns.entries.iter().flatten() {
             expects_fill[*core as usize] = true;
         }
+        let now = self.now.raw();
         self.active
             .iter()
             .zip(&self.sleep.wake_at)
-            .filter(|((c, _), wake_at)| **wake_at == UNTIL_FILL && !expects_fill[*c])
+            .filter(|((c, source), wake_at)| match **wake_at {
+                UNTIL_FILL => !expects_fill[*c],
+                // Awake, or woken by the coming tick whatever its state.
+                at if at <= now => false,
+                // A sleeper's state is as its last tick left it.
+                at => !matches!(
+                    self.cores[*c].idle_state(Cycle(now - 1), source),
+                    CoreIdle::StalledUntil(t) | CoreIdle::SpinningUntil(t) if t.raw() == at
+                ),
+            })
             .map(|((c, _), _)| *c)
             .collect()
     }
 
-    /// `(executed, slept)` core-ticks since construction: `Core::tick`
-    /// calls actually made, and active-core cycles covered by bulk stall
-    /// accounting instead. Observational only — not reset by
-    /// [`ScaleOutChip::reset_stats`] and not part of [`SystemMetrics`].
-    pub fn core_tick_counts(&self) -> (u64, u64) {
+    /// Core-ticks since construction, split by how they were executed
+    /// (see [`CoreTickCounts`]). Takes `&mut self` to settle the
+    /// sleepers first, as [`ScaleOutChip::metrics`] does, so cycles still
+    /// owed are counted under the right kind of sleep.
+    pub fn core_tick_counts(&mut self) -> CoreTickCounts {
+        self.sync_sleepers();
         let total = self.active.len() as u64 * self.now.raw();
-        (self.core_ticks, total - self.core_ticks)
+        CoreTickCounts {
+            executed: self.core_ticks,
+            slept_stalled: total - self.core_ticks - self.spin_ticks,
+            slept_spinning: self.spin_ticks,
+        }
+    }
+
+    /// Cycles [`ScaleOutChip::run_for`] jumped over whole — every core
+    /// asleep, the uncore waiting on timers only — since construction.
+    /// Observational, like [`ScaleOutChip::core_tick_counts`].
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped_cycles
     }
 
     fn convert_llc_output(
@@ -1129,7 +1200,7 @@ impl ScaleOutChip {
     }
 
     /// Collects the metrics accumulated since the last reset (`&mut`:
-    /// sleeping cores are first paid the stall cycles they are owed).
+    /// sleeping cores are first paid the cycles they are owed).
     pub fn metrics(&mut self) -> SystemMetrics {
         self.sync_sleepers();
         let mut per_core_ipc = vec![0.0; self.cores.len()];
@@ -1407,7 +1478,7 @@ mod tests {
             chip.inflight_transactions()
         );
         // ...and every core asleep until a fill has one coming.
-        let (_, slept) = chip.core_tick_counts();
+        let slept = chip.core_tick_counts().slept_stalled;
         assert!(slept > 0, "the run must have put cores to sleep");
         assert_eq!(chip.lost_wakeups(), Vec::<usize>::new());
     }
@@ -1436,6 +1507,33 @@ mod tests {
         for i in doomed {
             chip.txns.release(TxnId(i));
         }
+        assert_eq!(chip.lost_wakeups(), vec![core]);
+    }
+
+    #[test]
+    fn lost_wakeup_guard_names_the_core_that_oversleeps_an_arrival() {
+        let spec = nocout_workloads::OpenLoopSpec {
+            workload: Workload::DataServing,
+            interval: 1_600,
+            service_instrs: 32,
+        };
+        let mut chip = ScaleOutChip::new(ChipConfig::paper(Organization::Mesh), spec, 3);
+        // Run until some core spins towards the next arrival.
+        let slot = loop {
+            chip.tick();
+            let spinner = (0..chip.active.len()).find(|&slot| {
+                chip.sleep.wake_at[slot] != AWAKE && chip.active[slot].1.idle_until().is_some()
+            });
+            if let Some(slot) = spinner {
+                break slot;
+            }
+        };
+        let (core, arrival) = (chip.active[slot].0, chip.sleep.wake_at[slot]);
+        assert_eq!(arrival % spec.interval, 0, "the timer is the arrival cycle");
+        chip.sync_sleepers();
+        // Forge a timer one cycle past the arrival: the request would be
+        // picked up late, and every later one behind it.
+        chip.sleep.wake_at[slot] = arrival + 1;
         assert_eq!(chip.lost_wakeups(), vec![core]);
     }
 }

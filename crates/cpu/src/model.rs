@@ -56,13 +56,18 @@ pub enum CoreIdle {
     /// ticked every cycle.
     Busy,
     /// Dispatch is blocked and nothing can retire: every tick until the
-    /// next fill only increments counters, which
-    /// [`Core::fast_forward_stalled`] can apply in bulk.
+    /// next fill only increments counters, which [`Core::fast_forward`]
+    /// can apply in bulk.
     Stalled,
     /// Dispatch is blocked, but the ROB head completes at the given
     /// cycle — the core is linearly stalled strictly *before* that cycle
     /// and must be ticked normally from it onward.
     StalledUntil(Cycle),
+    /// The source has nothing to serve before the given cycle and the
+    /// pipeline has settled on its filler: every tick strictly *before*
+    /// that cycle retires `width` fillers and dispatches `width` more —
+    /// as linear as a stall, and applied in bulk by the same function.
+    SpinningUntil(Cycle),
 }
 
 /// Per-core statistics.
@@ -310,13 +315,49 @@ impl Core {
         }
     }
 
+    /// The line whose 1-cycle ALU filler the pipeline spins on, if it
+    /// sits at that fixed point with every ROB entry complete by cycle
+    /// `by`: the block a spent single filler (so the next `take`
+    /// refills), fetch running on the filler's line, nothing staged, no
+    /// miss outstanding, and at least `width` entries to retire. A tick
+    /// at `by` then retires `width` entries, dispatches `width` fillers
+    /// completing at `by + 1`, and leaves all of the above true for
+    /// `by + 1` — the ROB keeps whatever occupancy it had, a full one
+    /// included. Shared by [`Core::idle_state`] and
+    /// [`Core::fast_forward`], so the state that is slept in is the
+    /// state that is accounted for.
+    fn spinning_on(&self, by: Cycle) -> Option<Addr> {
+        let filler = self.block.spent_single()?;
+        (filler.op == Op::Alu { latency: 1 }
+            && self.stall_line == NO_LINE
+            && self.staged.is_none()
+            && self.fetch_line == filler.fetch_line.line_index()
+            && self.wakeup.waiting() == 0
+            && self.rob.len() >= self.cfg.width
+            && self.rob.all_ready_by(by))
+        .then_some(filler.fetch_line)
+    }
+
     /// Classifies the core's upcoming cycles for the chip's per-core
-    /// sleep (see [`CoreIdle`]). A core is predictable exactly when
-    /// dispatch is blocked (fetch stall, full ROB, or a staged memory
-    /// access held back by outstanding misses): a tick can then only
-    /// retire ready ROB entries and bump counters, and only a fill can
-    /// unblock dispatch.
-    pub fn idle_state(&self) -> CoreIdle {
+    /// sleep (see [`CoreIdle`]), after its tick at `now`. A core is
+    /// predictable when `source` promises fillers only
+    /// ([`InstructionSource::idle_until`]) and the pipeline has settled
+    /// on them, or when dispatch is blocked (fetch stall, full ROB, or a
+    /// staged memory access held back by outstanding misses): a tick can
+    /// then only retire ready ROB entries and bump counters, and only a
+    /// fill can unblock dispatch. Spinning is tested first — a spin at
+    /// full ROB occupancy looks blocked at the end of every tick — and
+    /// cheapest test first: only a filler refill leaves the block a
+    /// spent single instruction, so a source that always has work is not
+    /// even asked, and the ROB is scanned only once the source says idle.
+    pub fn idle_state(&self, now: Cycle, source: &dyn InstructionSource) -> CoreIdle {
+        if self.block.spent_single().is_some() {
+            if let Some((line, until)) = source.idle_until() {
+                if self.spinning_on(now + 1) == Some(line) {
+                    return CoreIdle::SpinningUntil(until);
+                }
+            }
+        }
         if !self.dispatch_blocked() {
             return CoreIdle::Busy;
         }
@@ -327,20 +368,57 @@ impl Core {
         }
     }
 
-    /// Applies `delta` cycles of pure stalling in one step: exactly what
-    /// `delta` consecutive [`Core::tick`] calls would do in a state
-    /// [`Core::idle_state`] reported as skippable (counters move, nothing
-    /// else can). The caller must not fast-forward across the
-    /// [`CoreIdle::StalledUntil`] boundary, and must apply the skipped
-    /// cycles *before* delivering the fill that ends the stall.
-    pub fn fast_forward_stalled(&mut self, delta: u64) {
-        self.stats.cycles.add(delta);
-        if self.stall_line != NO_LINE {
-            self.stats.fetch_stall_cycles.add(delta);
+    /// Applies in one step what the `n` consecutive [`Core::tick`] calls
+    /// at cycles `since..since + n` would do to a core whose
+    /// [`Core::idle_state`] was not `Busy` after its tick at `since - 1`
+    /// — the only function that knows what a skipped tick does. Which
+    /// kind of tick is read off the core's own state, which nothing
+    /// changes while it sleeps. The caller must not cross the
+    /// `StalledUntil`/`SpinningUntil` cycle, and must apply the skipped
+    /// cycles *before* delivering a fill.
+    ///
+    /// Stalled: counters move, nothing else can. Spinning: each tick
+    /// retires and dispatches `width` fillers, so the sequence numbers
+    /// advance, the ROB ring rotates, and every 64-instruction block
+    /// boundary inside the window is stamped (dispatch) or recorded
+    /// (retire) at the cycle its instruction passes — retire before
+    /// dispatch within a cycle, as in [`Core::tick`]. Returns whether
+    /// the ticks were spinning ones (the chip reports the two shares).
+    pub fn fast_forward(&mut self, since: Cycle, n: u64) -> bool {
+        self.stats.cycles.add(n);
+        if self.spinning_on(since).is_none() {
+            debug_assert!(self.dispatch_blocked(), "fast-forwarding a busy core");
+            if self.stall_line != NO_LINE {
+                self.stats.fetch_stall_cycles.add(n);
+            }
+            if self.rob.front().is_some_and(|slot| slot.is_waiting()) {
+                self.stats.mem_stall_cycles.add(n);
+            }
+            return false;
         }
-        if self.rob.front().is_some_and(|slot| slot.is_waiting()) {
-            self.stats.mem_stall_cycles.add(delta);
+        let width = self.cfg.width as u64;
+        let count = width * n;
+        // Instruction `seq`, the `seq - first`-th of the window, passes
+        // its stage at cycle `since + (seq - first) / width`.
+        let (dispatched, retired) = (self.dispatched, self.retired_seq);
+        if self.record_tails {
+            for block in retired / 64..(dispatched + count).div_ceil(64) {
+                let (first, last) = (block * 64, block * 64 + 63);
+                let mark = &mut self.block_marks[(block % 4) as usize];
+                if (dispatched..dispatched + count).contains(&first) {
+                    *mark = since + (first - dispatched) / width;
+                }
+                if (retired..retired + count).contains(&last) {
+                    let at = since + (last - retired) / width;
+                    self.stats.block_latency.record(at.raw() - mark.raw());
+                }
+            }
         }
+        self.stats.retired.add(count);
+        self.retired_seq += count;
+        self.dispatched += count;
+        self.rob.rotate_ready(count, width, since + 1);
+        true
     }
 
     /// Advances one cycle: retires completed instructions and dispatches
@@ -629,7 +707,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::ScriptedSource;
+    use crate::source::{GappedSource, ScriptedSource};
 
     fn alu_stream() -> ScriptedSource {
         ScriptedSource::new(vec![FetchedInstr {
@@ -1030,12 +1108,12 @@ mod tests {
         let (mut dense, mut src_a) = build();
         let (mut sparse, _src_b) = build();
         // Both are now fetch-stalled on line 64 with the load in the ROB.
-        assert_eq!(dense.idle_state(), CoreIdle::Stalled);
+        assert_eq!(dense.idle_state(Cycle(2), &src_a), CoreIdle::Stalled);
         let mut out = Vec::new();
         for t in 3..40 {
             dense.tick(Cycle(t), &mut src_a, &mut out);
         }
-        sparse.fast_forward_stalled(37);
+        sparse.fast_forward(Cycle(3), 37);
         assert_eq!(dense.stats.cycles.value(), sparse.stats.cycles.value());
         assert_eq!(
             dense.stats.fetch_stall_cycles.value(),
@@ -1169,10 +1247,10 @@ mod tests {
 
     #[test]
     fn fast_forward_zero_delta_is_a_no_op() {
-        let (mut core, _src, _) = stalled_until_core();
+        let (mut core, _src, start) = stalled_until_core();
         let before_cycles = core.stats.cycles.value();
         let before_stall = core.stats.fetch_stall_cycles.value();
-        core.fast_forward_stalled(0);
+        core.fast_forward(start + 1, 0);
         assert_eq!(core.stats.cycles.value(), before_cycles);
         assert_eq!(core.stats.fetch_stall_cycles.value(), before_stall);
     }
@@ -1185,7 +1263,7 @@ mod tests {
         // there must match dense per-cycle ticking bit for bit.
         let (dense_core, mut dense_src, start) = stalled_until_core();
         let (sparse_core, mut sparse_src, _) = stalled_until_core();
-        let wake = match dense_core.idle_state() {
+        let wake = match dense_core.idle_state(start, &dense_src) {
             CoreIdle::StalledUntil(at) => at,
             other => panic!("expected StalledUntil, got {other:?}"),
         };
@@ -1196,7 +1274,7 @@ mod tests {
         for t in (start.raw() + 1)..wake.raw() {
             dense_core.tick(Cycle(t), &mut dense_src, &mut out);
         }
-        sparse_core.fast_forward_stalled(delta);
+        sparse_core.fast_forward(start + 1, delta);
         // From the wake cycle onward both must be ticked normally.
         for t in wake.raw()..wake.raw() + 10 {
             dense_core.tick(Cycle(t), &mut dense_src, &mut out);
@@ -1227,9 +1305,9 @@ mod tests {
         let mut out = Vec::new();
         core.tick(Cycle(0), &mut src, &mut out);
         assert!(core.fetch_stalled());
-        assert_eq!(core.idle_state(), CoreIdle::Stalled);
+        assert_eq!(core.idle_state(Cycle(0), &src), CoreIdle::Stalled);
         let retired_before = core.stats.retired.value();
-        core.fast_forward_stalled(1_000);
+        core.fast_forward(Cycle(1), 1_000);
         assert_eq!(core.stats.retired.value(), retired_before);
         assert_eq!(core.stats.fetch_stall_cycles.value(), 1_000);
         assert_eq!(core.stats.cycles.value(), 1_001);
@@ -1237,11 +1315,110 @@ mod tests {
         assert_eq!(core.stats.mem_stall_cycles.value(), 0);
     }
 
+    const FILLER_LINE: Addr = Addr(0x1000);
+
+    /// A warmed core and a [`GappedSource`] whose first 3-instruction
+    /// request (the ALU latencies given, on the filler line) arrives at
+    /// cycle 5 and whose second arrives `second_gap` cycles later, ticked
+    /// densely through cycle `upto`.
+    fn gapped_core(
+        request: [u8; 3],
+        second_gap: u64,
+        record: bool,
+        upto: u64,
+    ) -> (Core, GappedSource) {
+        let script = request
+            .iter()
+            .map(|&latency| FetchedInstr {
+                fetch_line: FILLER_LINE,
+                op: Op::Alu { latency },
+            })
+            .collect();
+        let mut src = GappedSource::new(script, FILLER_LINE, 3, vec![5, second_gap]);
+        let mut core = Core::new(CoreConfig::a15());
+        core.set_tail_recording(record);
+        core.warm_l1i(FILLER_LINE);
+        tick_range(&mut core, &mut src, 0..upto + 1);
+        (core, src)
+    }
+
+    fn tick_range(core: &mut Core, src: &mut GappedSource, cycles: std::ops::Range<u64>) {
+        let mut out = Vec::new();
+        for t in cycles {
+            src.advance_to(t);
+            core.tick(Cycle(t), src, &mut out);
+            assert!(
+                out.is_empty(),
+                "ALU-only streams on a warmed line never miss"
+            );
+        }
+    }
+
+    /// Bulk-accounted spinning equals dense ticking on the whole `Core`
+    /// (stale ROB slots, block marks and the instruction block included),
+    /// at every ROB occupancy the spin can settle at, for windows shorter
+    /// and longer than a block and than the ROB ring, split by a stats
+    /// reset, with tail recording on and off — and the tick at the
+    /// arrival cycle, the first one after the window, serves the request.
+    #[test]
+    fn spinning_fast_forward_matches_dense_ticking() {
+        // A request of latencies (a, a+1, a+2) retires one instruction a
+        // cycle for two cycles while three are dispatched, so the spin
+        // settles at 3a + 4 entries; (30, 30, 30) fills the ROB.
+        for (request, occupancy) in [([1, 1, 1], 3), ([12, 13, 14], 40), ([30, 30, 30], 64)] {
+            // The spin begins after the tick at `last`, found on a probe
+            // whose second request never comes.
+            let last = (5..200)
+                .find(|&t| {
+                    let (core, src) = gapped_core(request, 1 << 40, true, t);
+                    matches!(core.idle_state(Cycle(t), &src), CoreIdle::SpinningUntil(_))
+                })
+                .expect("the core settles into the spin");
+            let since = last + 1;
+            for n in [1u64, 2, 21, 22, 64, 1_600] {
+                for (record, reset_after) in [(true, None), (false, None), (true, Some(n / 3))] {
+                    let ctx = format!("occupancy {occupancy} window {n} record {record}");
+                    let gap = since + n - 5;
+                    let (mut dense, mut dense_src) = gapped_core(request, gap, record, last);
+                    let (mut sparse, mut sparse_src) = gapped_core(request, gap, record, last);
+                    assert_eq!(sparse.rob.len(), occupancy, "{ctx}");
+                    assert_eq!(
+                        sparse.idle_state(Cycle(last), &sparse_src),
+                        CoreIdle::SpinningUntil(Cycle(since + n)),
+                        "{ctx}"
+                    );
+                    let split = reset_after.unwrap_or(n);
+                    tick_range(&mut dense, &mut dense_src, since..since + split);
+                    sparse.fast_forward(Cycle(since), split);
+                    if reset_after.is_some() {
+                        dense.reset_stats(Cycle(since + split));
+                        sparse.reset_stats(Cycle(since + split));
+                    }
+                    tick_range(&mut dense, &mut dense_src, since + split..since + n);
+                    sparse.fast_forward(Cycle(since + split), n - split);
+                    assert_eq!(format!("{dense:?}"), format!("{sparse:?}"), "{ctx}");
+                    // The promise ends at the arrival: both tick for real.
+                    assert_eq!(sparse_src.started(), 1, "{ctx}");
+                    tick_range(&mut dense, &mut dense_src, since + n..since + n + 1);
+                    tick_range(&mut sparse, &mut sparse_src, since + n..since + n + 1);
+                    assert_eq!(
+                        sparse_src.started(),
+                        2,
+                        "{ctx}: arrival tick serves the request"
+                    );
+                    tick_range(&mut dense, &mut dense_src, since + n + 1..since + n + 40);
+                    tick_range(&mut sparse, &mut sparse_src, since + n + 1..since + n + 40);
+                    assert_eq!(format!("{dense:?}"), format!("{sparse:?}"), "{ctx}: after");
+                }
+            }
+        }
+    }
+
     #[test]
     fn idle_state_reports_busy_when_dispatching() {
         let mut src = alu_stream();
-        let (core, _, _) = warm_core(&mut src);
-        assert_eq!(core.idle_state(), CoreIdle::Busy);
+        let (core, now, _) = warm_core(&mut src);
+        assert_eq!(core.idle_state(now, &src), CoreIdle::Busy);
     }
 
     #[test]

@@ -217,6 +217,33 @@ impl RingRob {
         std::mem::replace(&mut s.next_waiter, NO_SLOT)
     }
 
+    /// Whether every entry has completed by cycle `by` (none waits, none
+    /// is still executing) — an O(len) scan, for callers that have
+    /// already ruled out the common cases in O(1).
+    pub fn all_ready_by(&self, by: Cycle) -> bool {
+        let (head, cap) = (self.head as usize, self.slots.len());
+        (0..self.len as usize).all(|i| self.slots[(head + i) % cap].ready_at <= by.raw())
+    }
+
+    /// Applies `count` retire-and-replace steps in bulk: the `j`-th
+    /// retires the head and appends an entry completing at
+    /// `first_ready + j / per_cycle` — what a core at full occupancy of
+    /// 1-cycle work does, `per_cycle` steps a cycle. Leaves every
+    /// *physical* slot as the individual `pop_front`/`push_ready` calls
+    /// would: only the last `capacity` appends survive the wraparound,
+    /// so only those are written.
+    pub fn rotate_ready(&mut self, count: u64, per_cycle: u64, first_ready: Cycle) {
+        let cap = self.slots.len() as u64;
+        let tail = (self.head + self.len) as u64;
+        for j in count.saturating_sub(cap)..count {
+            self.slots[((tail + j) % cap) as usize] = RobSlot {
+                ready_at: first_ready.raw() + j / per_cycle,
+                next_waiter: NO_SLOT,
+            };
+        }
+        self.head = ((self.head as u64 + count) % cap) as u32;
+    }
+
     #[inline]
     fn link(&mut self, from: u32, to: u32) {
         debug_assert_eq!(self.slots[from as usize].next_waiter, NO_SLOT);

@@ -1,6 +1,7 @@
 //! The instruction-stream interface between cores and workload models.
 
 use nocout_mem::addr::Addr;
+use nocout_sim::Cycle;
 
 /// One dynamic instruction's behaviour, as far as timing is concerned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,6 +134,14 @@ impl InstrBlock {
         }
     }
 
+    /// The instruction of a fully consumed one-instruction block — the
+    /// shape an idle source's filler refills leave the block in (see
+    /// [`InstructionSource::idle_until`]).
+    #[inline]
+    pub fn spent_single(&self) -> Option<FetchedInstr> {
+        (self.len == 1 && self.pos == 1).then(|| self.buf[0])
+    }
+
     /// The next instruction of the stream, refilling from `source` when
     /// the block has drained — the only point where the delivery path
     /// crosses the trait object.
@@ -176,6 +185,18 @@ pub trait InstructionSource {
             block.push(self.next_instr());
         }
     }
+
+    /// A source with nothing to serve promises so: `Some((line, until))`
+    /// means that strictly before cycle `until` every instruction it
+    /// hands out is the 1-cycle ALU filler fetched from `line`, one per
+    /// [`InstructionSource::refill`], and that handing them out changes
+    /// nothing in the source. A core spinning on that filler is then as
+    /// predictable as a stalled one ([`crate::model::CoreIdle::SpinningUntil`]);
+    /// from `until` on the source must be asked again. The default —
+    /// `None`, "always has work" — is every closed-loop source's answer.
+    fn idle_until(&self) -> Option<(Addr, Cycle)> {
+        None
+    }
 }
 
 /// A trivial source that loops over a fixed instruction sequence; useful
@@ -218,6 +239,94 @@ impl InstructionSource for ScriptedSource {
         let i = self.script[self.pos];
         self.pos = (self.pos + 1) % self.script.len();
         i
+    }
+}
+
+/// A scripted source with idle gaps, the smallest source that makes the
+/// [`InstructionSource::idle_until`] promise: requests of `burst`
+/// instructions from a looping script arrive on a schedule (the gaps
+/// between arrivals cycle through a list), queue if the core is behind,
+/// and between them the source hands out single 1-cycle ALU fillers on
+/// one line. For tests of the core's spinning state; the open-loop
+/// workload model is `nocout_workloads::OpenLoopSource`.
+#[derive(Debug, Clone)]
+pub struct GappedSource {
+    script: ScriptedSource,
+    filler_line: Addr,
+    burst: u32,
+    gaps: Vec<u64>,
+    next_arrival: u64,
+    arrived: u64,
+    started: u64,
+    /// Instructions left in the request being served.
+    remaining: u32,
+}
+
+impl GappedSource {
+    /// Creates the source: request `k` arrives `gaps[k % gaps.len()]`
+    /// cycles after request `k - 1` (the first, after cycle 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty script or gap list, a zero gap or a zero burst.
+    pub fn new(script: Vec<FetchedInstr>, filler_line: Addr, burst: u32, gaps: Vec<u64>) -> Self {
+        assert!(burst >= 1, "burst must be >= 1");
+        assert!(
+            !gaps.is_empty() && gaps.iter().all(|g| *g >= 1),
+            "gaps must be >= 1"
+        );
+        GappedSource {
+            script: ScriptedSource::new(script),
+            filler_line,
+            burst,
+            next_arrival: gaps[0],
+            gaps,
+            arrived: 0,
+            started: 0,
+            remaining: 0,
+        }
+    }
+
+    /// Delivers every arrival scheduled at or before `now`; call before
+    /// the core's tick of that cycle (any gap is caught up in one call).
+    pub fn advance_to(&mut self, now: u64) {
+        while self.next_arrival <= now {
+            self.arrived += 1;
+            self.next_arrival += self.gaps[self.arrived as usize % self.gaps.len()];
+        }
+    }
+
+    /// Requests whose service has begun.
+    pub fn started(&self) -> u64 {
+        self.started
+    }
+}
+
+impl InstructionSource for GappedSource {
+    fn next_instr(&mut self) -> FetchedInstr {
+        if self.remaining == 0 && self.arrived > self.started {
+            self.started += 1;
+            self.remaining = self.burst;
+        }
+        if self.remaining == 0 {
+            return FetchedInstr {
+                fetch_line: self.filler_line,
+                op: Op::Alu { latency: 1 },
+            };
+        }
+        self.remaining -= 1;
+        self.script.next_instr()
+    }
+
+    /// One instruction per block: serve-or-idle is a clock decision.
+    fn refill(&mut self, block: &mut InstrBlock) {
+        block.clear();
+        block.push(self.next_instr());
+    }
+
+    fn idle_until(&self) -> Option<(Addr, Cycle)> {
+        (self.remaining == 0 && self.arrived == self.started)
+            .then_some((self.filler_line, Cycle(self.next_arrival)))
     }
 }
 
@@ -294,6 +403,33 @@ mod tests {
         let first = block.pop().unwrap();
         assert_eq!(first, mixed_script()[0]);
         assert_eq!(block.remaining(), BLOCK_CAP - 1);
+    }
+
+    #[test]
+    fn gapped_source_keeps_its_idle_promise() {
+        let line = Addr(0x40);
+        let filler = FetchedInstr {
+            fetch_line: line,
+            op: Op::Alu { latency: 1 },
+        };
+        let mut src = GappedSource::new(mixed_script(), line, 2, vec![10, 3]);
+        let mut block = InstrBlock::new();
+        assert_eq!(block.spent_single(), None);
+        for t in 0..10 {
+            src.advance_to(t);
+            assert_eq!(src.idle_until(), Some((line, Cycle(10))));
+            assert_eq!(block.take(&mut src), filler);
+            assert_eq!(block.spent_single(), Some(filler));
+        }
+        // The arrival ends the promise; two requests (cycles 10 and 13)
+        // are served back to back once the core falls behind.
+        src.advance_to(13);
+        assert_eq!(src.idle_until(), None);
+        let served: Vec<_> = (0..4).map(|_| block.take(&mut src)).collect();
+        assert_eq!(served, mixed_script()[..4]);
+        assert_eq!(src.started(), 2);
+        assert_eq!(src.idle_until(), Some((line, Cycle(23))));
+        assert_eq!(block.take(&mut src), filler);
     }
 
     #[test]

@@ -4,19 +4,27 @@
 //! workload models.
 //!
 //! Run with `cargo run --release -p nocout-experiments --bin probe -- \
-//! [--workload NAME] [--jobs N]` (legacy positional `ws`/`sat` accepted).
+//! [--workload NAME|trace:PATH|openloop:WORKLOAD:INTERVAL:SERVICE] \
+//! [--jobs N]` (legacy positional `ws`/`sat` accepted).
 
 use nocout::prelude::*;
 use nocout_experiments::cli::Cli;
 use nocout_experiments::campaign;
 
 const ABOUT: &str = "Calibration probe (not a paper figure): runs one \
-workload — synthetic or trace:PATH — on the mesh and NOC-Out and prints \
-stall composition, LLC/memory rates and network latencies side by side, \
-then the share of core-ticks each run covered by bulk stall accounting.";
+workload — synthetic, trace:PATH or openloop:WORKLOAD:INTERVAL:SERVICE \
+(one request of SERVICE instructions per core every INTERVAL cycles) — on \
+the mesh and NOC-Out and prints stall composition, LLC/memory rates and \
+network latencies side by side, then the share of core-ticks each run \
+slept through instead of executing: stalled (dispatch blocked) and \
+spinning (idle open-loop cores between requests).";
 
 fn main() {
-    let mut cli = Cli::parse("probe", ABOUT, "[--workload NAME|trace:PATH | ws|sat]");
+    let mut cli = Cli::parse(
+        "probe",
+        ABOUT,
+        "[--workload NAME|trace:PATH|openloop:WORKLOAD:INTERVAL:SERVICE | ws|sat]",
+    );
     let mut workload: WorkloadClass = Workload::DataServing.into();
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
@@ -54,11 +62,18 @@ fn main() {
     for spec in plan.specs() {
         let mut chip = ScaleOutChip::new(spec.chip, spec.workload.clone(), spec.seed);
         chip.run_for(spec.window.total_cycles());
-        let (executed, slept) = chip.core_tick_counts();
+        let ticks = chip.core_tick_counts();
+        let share = |n: u64| n as f64 / ticks.total() as f64 * 100.0;
         println!(
-            "{:>22}: core-ticks executed {executed}  slept {slept} ({:.1}%)",
+            "{:>22}: core-ticks executed {}  slept stalled {} ({:.1}%)  slept spinning {} ({:.1}%)  \
+             whole-chip cycles skipped {}",
             spec.chip.organization,
-            slept as f64 / (executed + slept) as f64 * 100.0,
+            ticks.executed,
+            ticks.slept_stalled,
+            share(ticks.slept_stalled),
+            ticks.slept_spinning,
+            share(ticks.slept_spinning),
+            chip.skipped_cycles(),
         );
     }
 }

@@ -28,9 +28,15 @@
 //! * With no request in service and none queued, the source emits
 //!   single-instruction fillers (a 1-cycle ALU op on the hottest, warmed
 //!   instruction line) so the core stays responsive: each idle cycle the
-//!   arrival schedule is re-checked. Cores therefore never quiesce under
-//!   open-loop load, which also keeps the chip's idle fast-forward out of
-//!   the picture.
+//!   arrival schedule is re-checked. That is what is *modelled*: an idle
+//!   core spins at full width, retiring fillers, and picks a request up
+//!   in the cycle it arrives. How it is *executed* is another matter: the
+//!   spin is the same every cycle until the next arrival, which the
+//!   schedule knows, so the source says so
+//!   ([`InstructionSource::idle_until`]) and the chip puts the core to
+//!   sleep until that cycle, accounting the skipped ticks in bulk
+//!   (`docs/hot-path.md`, "Which states sleep"). Results are
+//!   bit-identical either way.
 //!
 //! Unlike the closed-loop sources, the instruction *sequence* is
 //! timing-dependent (how many fillers separate two requests depends on
@@ -46,6 +52,7 @@ use crate::profile::Workload;
 use nocout_cpu::source::{FetchedInstr, InstrBlock, InstructionSource, Op};
 use nocout_mem::addr::Addr;
 use nocout_sim::stats::LatencyHist;
+use nocout_sim::Cycle;
 
 /// Parameters of an open-loop arrival process layered over a synthetic
 /// workload.
@@ -240,6 +247,14 @@ impl InstructionSource for OpenLoopSource {
             block.push(self.gen.next_instr());
         }
     }
+
+    /// Idle — nothing in service, nothing queued — until the next
+    /// scheduled arrival: the filler arm of `next_one` is all that runs
+    /// until then, and it touches no field.
+    fn idle_until(&self) -> Option<(Addr, Cycle)> {
+        (!self.in_flight && self.arrived == self.completed)
+            .then_some((Addr(INSTR_BASE), Cycle(self.next_arrival)))
+    }
 }
 
 #[cfg(test)]
@@ -276,6 +291,32 @@ mod tests {
             assert_eq!(i.op, Op::Alu { latency: 1 });
         }
         assert_eq!(s.backlog(), 0);
+    }
+
+    #[test]
+    fn idle_promise_holds_exactly_between_requests() {
+        let mut s = OpenLoopSource::new(spec(), 0, 1);
+        s.advance_to(50);
+        assert_eq!(s.idle_until(), Some((Addr(INSTR_BASE), Cycle(100))));
+        // Handing fillers out, one per block, changes nothing in the source.
+        let before = format!("{s:?}");
+        let mut block = InstrBlock::new();
+        s.refill(&mut block);
+        assert_eq!(block.remaining(), 1);
+        assert_eq!(format!("{s:?}"), before);
+        // A queued request ends the promise...
+        s.advance_to(100);
+        assert_eq!(s.idle_until(), None);
+        for _ in 0..8 {
+            s.next_instr();
+        }
+        // ...and so does a served one whose completion the next pull
+        // has yet to record.
+        assert_eq!(s.idle_until(), None);
+        s.advance_to(120);
+        s.next_instr();
+        assert_eq!(s.completed(), 1);
+        assert_eq!(s.idle_until(), Some((Addr(INSTR_BASE), Cycle(200))));
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! fast-forward and block-based instruction delivery never change
 //! results.
 //!
-//! `ScaleOutChip::tick` skips sleeping cores (paying their stall cycles
-//! in bulk at the wake), visits only LLC tiles and memory channels with
-//! pending work and feeds every core in instruction *blocks* (one
-//! virtual `refill` per 64 instructions), and `ScaleOutChip::run_for`
-//! jumps over globally idle stretches; all of it must be bit-identical
+//! `ScaleOutChip::tick` skips sleeping cores (paying the cycles they
+//! slept through, stalled or spinning, in bulk at the wake), visits
+//! only LLC tiles and memory channels with pending work and feeds every
+//! core in instruction *blocks* (one virtual `refill` per 64
+//! instructions), and `ScaleOutChip::run_for` jumps over globally idle
+//! stretches; all of it must be bit-identical
 //! to the full-scan, per-instruction reference (`tick_reference`)
 //! across every organization, workload mix and seed — the same
 //! differential pattern `tests/batch_determinism.rs` applies to the
@@ -208,7 +209,9 @@ fn low_occupancy_chip_drains_through_active_sets() {
 /// `metrics()` read and `reset_stats()` called while cores are asleep —
 /// matches a chip that only ever ran the reference tick, which ticks
 /// every core every cycle. Covers every organization and every kind of
-/// instruction source (closed-loop synthetic, open-loop, trace replay).
+/// instruction source (closed-loop synthetic, open-loop from near idle —
+/// where cores sleep spinning between requests — to past the mesh's
+/// knee, trace replay).
 #[test]
 fn sleeping_cores_are_bit_identical_to_reference() {
     // Replay opens the stream files per chip build: the directory lives
@@ -230,16 +233,22 @@ fn sleeping_cores_are_bit_identical_to_reference() {
         3_000,
     )
     .expect("capture");
-    let classes: [WorkloadClass; 5] = [
+    let open_loop = |interval| -> WorkloadClass {
+        OpenLoopSpec {
+            workload: Workload::DataServing,
+            interval,
+            service_instrs: 32,
+        }
+        .into()
+    };
+    const NEAR_IDLE: usize = 3;
+    let classes: [WorkloadClass; 7] = [
         Workload::DataServing.into(),
         Workload::SatSolver.into(),
         Workload::WebSearch.into(),
-        OpenLoopSpec {
-            workload: Workload::DataServing,
-            interval: 200,
-            service_instrs: 32,
-        }
-        .into(),
+        open_loop(1_600),
+        open_loop(200),
+        open_loop(50),
         trace.into(),
     ];
     for org in ALL_ORGS {
@@ -267,10 +276,10 @@ fn sleeping_cores_are_bit_identical_to_reference() {
                 // One more plain tick tells whether cores are asleep at
                 // this sample point: fewer `Core::tick` calls than
                 // active cores means the rest slept through it.
-                let (executed_before, _) = fast.core_tick_counts();
+                let executed_before = fast.core_tick_counts().executed;
                 fast.tick();
                 reference.tick_reference();
-                let some_asleep = fast.core_tick_counts().0 - executed_before < active;
+                let some_asleep = fast.core_tick_counts().executed - executed_before < active;
                 asleep_samples += some_asleep as u32;
                 assert_eq!(fast.now(), reference.now(), "{ctx}: clocks");
                 assert_eq!(
@@ -294,10 +303,39 @@ fn sleeping_cores_are_bit_identical_to_reference() {
                 asleep_samples >= 10,
                 "{ctx}: only {asleep_samples} samples saw sleepers"
             );
-            let (executed, slept) = fast.core_tick_counts();
-            assert_eq!(executed + slept, active * fast.now().raw(), "{ctx}");
+            let ticks = fast.core_tick_counts();
+            assert_eq!(ticks.total(), active * fast.now().raw(), "{ctx}");
             // The oracle never sleeps.
-            assert_eq!(reference.core_tick_counts().1, 0, "{ctx}");
+            let oracle = reference.core_tick_counts();
+            assert_eq!(oracle.executed, oracle.total(), "{ctx}");
+            if k != NEAR_IDLE {
+                continue;
+            }
+            // Near idle the cores spin between requests, and sleep
+            // through it: a third of the segments ran the reference
+            // tick, which executes every core-slot, so the share is read
+            // off a plain run of the same class. `run_for` can then jump
+            // the whole chip to the next arrival.
+            assert!(ticks.slept_spinning > 0, "{ctx}: no core slept spinning");
+            let mut idle = ScaleOutChip::new(cfg, class.clone(), 11);
+            idle.run_for(6_000);
+            let ticks = idle.core_tick_counts();
+            assert!(
+                ticks.executed * 5 < ticks.total(),
+                "{ctx}: {ticks:?} executes 20 % of the core-slots or more"
+            );
+            assert!(
+                ticks.slept_spinning > ticks.slept_stalled,
+                "{ctx}: {ticks:?}"
+            );
+            assert!(idle.skipped_cycles() > 0, "{ctx}: no whole-chip skip");
+            let mut stepped = ScaleOutChip::new(cfg, class.clone(), 11);
+            (0..6_000).for_each(|_| stepped.tick());
+            assert_eq!(
+                format!("{:?}", idle.metrics()),
+                format!("{:?}", stepped.metrics()),
+                "{ctx}: run_for against per-cycle ticking"
+            );
         }
     }
 }

@@ -8,12 +8,15 @@
 //! sequence must leave the new structures observably identical to the
 //! containers they replaced.
 //!
-//! The last section pins the core's bulk stall accounting — the one
-//! function the chip's per-core sleep rests on — to dense ticking.
+//! The last section pins the core's bulk accounting of skipped ticks —
+//! the one function the chip's per-core sleep rests on — to dense
+//! ticking, for stalled cores and for cores spinning on an idle source.
 
 use nocout_repro::substrates::cpu::model::{Core, CoreConfig, CoreIdle, MissRequest};
 use nocout_repro::substrates::cpu::rob::{RingRob, WakeupIndex};
-use nocout_repro::substrates::cpu::source::{FetchedInstr, Op, ScriptedSource};
+use nocout_repro::substrates::cpu::source::{
+    FetchedInstr, GappedSource, InstructionSource, Op, ScriptedSource,
+};
 use nocout_repro::substrates::mem::addr::Addr;
 use nocout_repro::substrates::mem::mshr::{MshrFile, MshrRequest};
 use nocout_repro::substrates::mem::protocol::AccessKind;
@@ -52,42 +55,70 @@ fn decode(kind: u8, line: u64, at: u64) -> RobOp {
     }
 }
 
-/// One core, its looping script, and the fills its misses have coming —
-/// driven either densely (a `Core::tick` every cycle) or the way the
-/// chip's sleep set drives it: after a real tick that leaves
-/// `idle_state()` non-`Busy` the core is not ticked again until its
-/// wake cycle or a fill, and `fast_forward_stalled` pays the gap.
-struct DrivenCore {
+/// A source the driver can tell the time: open-loop-shaped sources take
+/// their arrivals from it, closed-loop ones ignore it.
+trait Clocked: InstructionSource {
+    fn advance_to(&mut self, _now: u64) {}
+}
+
+impl Clocked for ScriptedSource {}
+
+impl Clocked for GappedSource {
+    fn advance_to(&mut self, now: u64) {
+        GappedSource::advance_to(self, now);
+    }
+}
+
+/// One core, its source, and the fills its misses have coming — driven
+/// either densely (a `Core::tick` every cycle) or the way the chip's
+/// sleep set drives it: after a real tick that leaves `idle_state()`
+/// non-`Busy` the core is not ticked again until its wake cycle or a
+/// fill, and `fast_forward` pays the gap.
+struct DrivenCore<S> {
     core: Core,
-    src: ScriptedSource,
+    src: S,
     /// `(due cycle, request)` in issue order.
     pending: Vec<(u64, MissRequest)>,
     /// Every request with its issue cycle.
     log: Vec<(u64, MissRequest)>,
     /// While asleep: (first unpaid cycle, wake cycle).
     asleep: Option<(u64, u64)>,
-    /// Sleeps begun, split by whether fetch was stalled.
+    /// Sleeps begun, split by state: fetch stalled, otherwise blocked,
+    /// spinning.
     sleeps_fetch: u32,
     sleeps_backend: u32,
+    sleeps_spinning: u32,
 }
 
-impl DrivenCore {
+impl DrivenCore<ScriptedSource> {
     fn new(script: Vec<FetchedInstr>) -> Self {
+        DrivenCore::on(ScriptedSource::new(script))
+    }
+}
+
+impl<S: Clocked> DrivenCore<S> {
+    fn on(src: S) -> Self {
         DrivenCore {
             core: Core::new(CoreConfig::a15()),
-            src: ScriptedSource::new(script),
+            src,
             pending: Vec::new(),
             log: Vec::new(),
             asleep: None,
             sleeps_fetch: 0,
             sleeps_backend: 0,
+            sleeps_spinning: 0,
         }
+    }
+
+    /// The core's classification after its tick at `t`.
+    fn idle_after(&self, t: u64) -> CoreIdle {
+        self.core.idle_state(Cycle(t), &self.src)
     }
 
     /// Pays the cycles `since..upto` the core slept through.
     fn wake(&mut self, upto: u64) {
         if let Some((since, _)) = self.asleep.take() {
-            self.core.fast_forward_stalled(upto - since);
+            self.core.fast_forward(Cycle(since), upto - since);
         }
     }
 
@@ -98,6 +129,8 @@ impl DrivenCore {
             self.wake(t);
         }
         if self.asleep.is_none() {
+            // As in the chip, only a core about to tick is told the time.
+            self.src.advance_to(t);
             let mut out = Vec::new();
             self.core.tick(Cycle(t), &mut self.src, &mut out);
             for r in out {
@@ -105,14 +138,17 @@ impl DrivenCore {
                     .push((t + latency[self.log.len() % latency.len()], r));
                 self.log.push((t, r));
             }
-            let wake_at = match self.core.idle_state() {
+            let idle = self.idle_after(t);
+            let wake_at = match idle {
                 CoreIdle::Busy => 0,
                 CoreIdle::Stalled => u64::MAX,
-                CoreIdle::StalledUntil(at) => at.raw(),
+                CoreIdle::StalledUntil(at) | CoreIdle::SpinningUntil(at) => at.raw(),
             };
             if sleepy && wake_at > t + 1 {
                 self.asleep = Some((t + 1, wake_at));
-                if self.core.fetch_stalled() {
+                if matches!(idle, CoreIdle::SpinningUntil(_)) {
+                    self.sleeps_spinning += 1;
+                } else if self.core.fetch_stalled() {
                     self.sleeps_fetch += 1;
                 } else {
                     self.sleeps_backend += 1;
@@ -134,18 +170,18 @@ impl DrivenCore {
     }
 }
 
-/// Runs `script` for `cycles` on a dense and a sleepy twin and checks
-/// they end in the same state — every counter, the ROB, the staged
-/// instruction, both L1s (the `Debug` rendering covers all of `Core`) —
-/// having issued the same requests at the same cycles. Returns the
-/// sleepy twin for the caller to check which states it slept in.
-fn assert_sleep_equals_dense(
-    script: Vec<FetchedInstr>,
+/// Runs a dense and a sleepy twin of `make()` for `cycles` and checks
+/// they end in the same state — every counter, the ROB (stale slots
+/// included), the staged instruction, the instruction block, both L1s
+/// (the `Debug` rendering covers all of `Core`) — having issued the same
+/// requests at the same cycles. Returns the sleepy twin for the caller
+/// to check which states it slept in.
+fn assert_twins_agree<S: Clocked>(
+    make: impl Fn() -> DrivenCore<S>,
     latency: &[u64],
     cycles: u64,
-) -> DrivenCore {
-    let mut dense = DrivenCore::new(script.clone());
-    let mut sleepy = DrivenCore::new(script);
+) -> DrivenCore<S> {
+    let (mut dense, mut sleepy) = (make(), make());
     for t in 0..cycles {
         dense.step(t, latency, false);
         sleepy.step(t, latency, true);
@@ -154,6 +190,15 @@ fn assert_sleep_equals_dense(
     assert_eq!(dense.log, sleepy.log, "miss streams diverged");
     assert_eq!(format!("{:?}", dense.core), format!("{:?}", sleepy.core));
     sleepy
+}
+
+/// [`assert_twins_agree`] on a closed-loop script.
+fn assert_sleep_equals_dense(
+    script: Vec<FetchedInstr>,
+    latency: &[u64],
+    cycles: u64,
+) -> DrivenCore<ScriptedSource> {
+    assert_twins_agree(|| DrivenCore::new(script.clone()), latency, cycles)
 }
 
 fn alu(line: u64, latency: u8) -> FetchedInstr {
@@ -192,7 +237,7 @@ fn sleep_until_rob_head_completes_lands_on_the_wake_cycle() {
     probe.step(2, &[2, 300], true);
     probe.step(3, &[2, 300], true);
     // Dispatched the latency-9 op at cycle 3 and stalled on line 1.
-    assert_eq!(probe.core.idle_state(), CoreIdle::StalledUntil(Cycle(12)));
+    assert_eq!(probe.idle_after(3), CoreIdle::StalledUntil(Cycle(12)));
     assert_eq!(probe.asleep, Some((4, 12)));
     let s = assert_sleep_equals_dense(script, &[2, 300], 700);
     assert!(s.sleeps_fetch > 0);
@@ -208,7 +253,7 @@ fn sleep_with_full_rob_equals_dense() {
     (0..540).for_each(|t| probe.step(t, &[500], true));
     assert!(!probe.core.fetch_stalled());
     assert_eq!(
-        probe.core.idle_state(),
+        probe.idle_after(539),
         CoreIdle::Stalled,
         "ROB full, head waiting"
     );
@@ -224,7 +269,7 @@ fn sleep_on_dependent_load_equals_dense() {
     (0..96).for_each(|t| probe.step(t, &[90], true));
     assert!(!probe.core.fetch_stalled());
     assert_eq!(probe.core.outstanding_data_misses(), 1);
-    assert_eq!(probe.core.idle_state(), CoreIdle::Stalled);
+    assert_eq!(probe.idle_after(95), CoreIdle::Stalled);
     let s = assert_sleep_equals_dense(script, &[90], 1_000);
     assert!(s.sleeps_backend > 0);
 }
@@ -245,9 +290,35 @@ fn sleep_with_full_lsq_equals_dense() {
     (0..132).for_each(|t| probe.step(t, &[120], true));
     assert!(!probe.core.fetch_stalled());
     assert_eq!(probe.core.outstanding_data_misses(), 16);
-    assert_eq!(probe.core.idle_state(), CoreIdle::Stalled);
+    assert_eq!(probe.idle_after(131), CoreIdle::Stalled);
     let s = assert_sleep_equals_dense(script, &[120], 1_000);
     assert!(s.sleeps_backend > 0);
+}
+
+/// A source with idle gaps takes one core through all three sleeps: the
+/// first filler misses in the cold L1-I (fetch stall), the spin settles
+/// until the first arrival, the request's load misses behind a full
+/// ROB... and the next gap spins again at whatever occupancy that left.
+#[test]
+fn gapped_source_crosses_stalled_spinning_and_serving() {
+    let script = vec![load(3, 0, false), alu(3, 2), load(3, 64, true), alu(3, 1)];
+    let make = || {
+        DrivenCore::on(GappedSource::new(
+            script.clone(),
+            Addr(3 * 64),
+            40,
+            vec![120, 700, 90],
+        ))
+    };
+    let s = assert_twins_agree(make, &[25, 140], 4_000);
+    assert!(s.sleeps_fetch > 0, "cold filler line");
+    assert!(s.sleeps_backend > 0, "dependent load behind a miss");
+    assert!(
+        s.sleeps_spinning >= 3,
+        "one spin per gap, {}",
+        s.sleeps_spinning
+    );
+    assert!(s.src.started() >= 10, "requests were served");
 }
 
 /// A staged access the L1 refuses for want of an MSHR retries every
@@ -259,7 +330,7 @@ fn l1_mshr_blocked_retry_stays_busy() {
     let mut probe = DrivenCore::new(script);
     (0..112).for_each(|t| probe.step(t, &[100], true));
     assert_eq!(probe.core.outstanding_data_misses(), 8);
-    assert_eq!(probe.core.idle_state(), CoreIdle::Busy);
+    assert_eq!(probe.idle_after(111), CoreIdle::Busy);
     let blocked = probe.core.l1d().blocked.value();
     probe.step(112, &[100], true);
     assert_eq!(probe.core.l1d().blocked.value(), blocked + 1);
@@ -402,5 +473,40 @@ proptest! {
             })
             .collect();
         assert_sleep_equals_dense(script, &latency, 1_200);
+    }
+
+    // The same with idle gaps: requests of a random script arrive on a
+    // random schedule, so the twins cross stalled, spinning and serving
+    // in whatever order that produces — spins at any ROB occupancy, cut
+    // short by arrivals, entered with misses still in flight.
+    #[test]
+    fn sleeping_core_matches_dense_ticking_across_idle_gaps(
+        ops in prop::collection::vec((0u64..5, 0u8..6, 0u64..10, any::<bool>(), 1u8..40), 1..60),
+        latency in prop::collection::vec(1u64..180, 1..12),
+        burst in 1u32..90,
+        gaps in prop::collection::vec(1u64..400, 1..6),
+        filler_line in 0u64..6,
+    ) {
+        let script: Vec<FetchedInstr> = ops
+            .iter()
+            .map(|&(line, kind, a, dependent, lat)| match kind {
+                0 | 1 => alu(line, lat),
+                2 | 3 => load(line, (a % 4) * 64 + a, dependent),
+                4 => load(line, a * 64, false),
+                _ => FetchedInstr {
+                    fetch_line: Addr(line * 64),
+                    op: Op::Store { addr: Addr(0x20_0000 + a * 64) },
+                },
+            })
+            .collect();
+        let make = || {
+            DrivenCore::on(GappedSource::new(
+                script.clone(),
+                Addr(filler_line * 64),
+                burst,
+                gaps.clone(),
+            ))
+        };
+        assert_twins_agree(make, &latency, 2_500);
     }
 }
