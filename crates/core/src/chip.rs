@@ -560,17 +560,22 @@ impl ScaleOutChip {
                 )
             }
         };
-        for i in 0..footprint {
-            let addr = Addr(INSTR_BASE + i * LINE_BYTES);
-            self.llcs[self.map.home_tile(addr)].warm(addr);
-        }
-        for i in 0..llc_resident {
-            let addr = Addr(LLC_DATA_BASE + i * LINE_BYTES);
-            self.llcs[self.map.home_tile(addr)].warm(addr);
-        }
-        for i in 0..shared_rw {
-            let addr = Addr(SHARED_RW_BASE + i * LINE_BYTES);
-            self.llcs[self.map.home_tile(addr)].warm(addr);
+        // Tile by tile, not line by line: a tile's tag array sees its
+        // lines in the same order either way (region by region,
+        // ascending), which is all its LRU stamps depend on, and it stays
+        // in the host's cache while it fills instead of taking turns with
+        // every other tile's on each line.
+        let regions = [
+            (INSTR_BASE, footprint),
+            (LLC_DATA_BASE, llc_resident),
+            (SHARED_RW_BASE, shared_rw),
+        ];
+        for (tile, llc) in self.llcs.iter_mut().enumerate() {
+            for (base, lines) in regions {
+                for addr in self.map.lines_homed_at(tile, Addr(base), lines) {
+                    llc.warm(addr);
+                }
+            }
         }
         fn warm_l1s(
             core: &mut Core,
