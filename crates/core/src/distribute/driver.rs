@@ -17,9 +17,10 @@
 //! trace hashes the store holds. Shard placement prefers endpoints
 //! already holding a shard's traces ([`DriverStats::trace_reuses`]);
 //! otherwise the driver ships the archive ahead of the shard request in
-//! [`DriverConfig::chunk_bytes`] chunks ([`DriverStats::trace_ships`]),
-//! resuming interrupted transfers from the worker-reported staged
-//! length ([`DriverStats::trace_resume_bytes`]).
+//! [`DriverConfig::chunk_bytes`] chunks ([`DriverStats::trace_ships`],
+//! [`DriverStats::trace_ship_bytes`]), resuming interrupted transfers
+//! from the worker-reported staged length
+//! ([`DriverStats::trace_resume_bytes`]).
 //!
 //! ## Failure model
 //!
@@ -244,6 +245,9 @@ pub struct DriverStats {
     /// Archive bytes skipped by resuming interrupted transfers from the
     /// worker's staged partial.
     pub trace_resume_bytes: u64,
+    /// Archive bytes actually sent in trace chunks, failed attempts
+    /// included; resumed bytes are not sent and not counted.
+    pub trace_ship_bytes: u64,
     /// Wall time of the successful dispatches, summed, in microseconds:
     /// connect, handshake, trace provisioning, request and results. Set
     /// against the points' own simulation time it shows what a shard
@@ -870,6 +874,7 @@ impl ShardedDriver {
                 frame[last] ^= 0x01;
             }
             writer.write_all(&frame).map_err(WireError::from)?;
+            report.ship_bytes += (end - off) as u64;
             off = end;
         }
         writer.flush().map_err(WireError::from)?;
@@ -961,6 +966,7 @@ struct ShipReport {
     ships: u64,
     reuses: u64,
     resume_bytes: u64,
+    ship_bytes: u64,
 }
 
 impl DriverStats {
@@ -968,6 +974,7 @@ impl DriverStats {
         self.trace_ships += r.ships;
         self.trace_reuses += r.reuses;
         self.trace_resume_bytes += r.resume_bytes;
+        self.trace_ship_bytes += r.ship_bytes;
     }
 }
 

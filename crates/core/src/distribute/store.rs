@@ -404,10 +404,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&store_dir);
     }
 
-    #[test]
-    fn corrupt_entry_is_quarantined_and_reported_missing() {
-        let (cap, set) = capture("quarantine");
-        let store_dir = tmp("store-quarantine");
+    /// Installs a captured trace, lets `corrupt` edit the bytes of one
+    /// installed stream file, and checks the store's answer: `held()`
+    /// still advertises the entry (no verification on scan), but `get()`
+    /// must refuse it, quarantine it, and miss.
+    fn corrupted_entry_is_quarantined(tag: &str, corrupt: impl FnOnce(&mut Vec<u8>)) {
+        let (cap, set) = capture(tag);
+        let store_dir = tmp(&format!("store-{tag}"));
         let _ = std::fs::remove_dir_all(&store_dir);
         let store = TraceStore::open(&store_dir).unwrap();
         let hash = set.content_hash();
@@ -415,14 +418,10 @@ mod tests {
         store.append_chunk(hash, 0, &archive).unwrap();
         store.commit(hash, archive.len() as u64).unwrap();
 
-        // Flip one byte of one installed stream: held() still advertises
-        // the entry (no verification on scan), but get() must detect the
-        // mismatch, quarantine, and miss.
         let entry = store_dir.join(format!("{hash:016x}"));
         let stream = std::fs::read_dir(&entry).unwrap().next().unwrap().unwrap().path();
         let mut bytes = std::fs::read(&stream).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
+        corrupt(&mut bytes);
         std::fs::write(&stream, &bytes).unwrap();
         assert_eq!(store.held(), vec![hash]);
         assert!(store.get(hash).is_none());
@@ -431,6 +430,24 @@ mod tests {
         assert!(store.held().is_empty(), "quarantined entries are no longer advertised");
         let _ = std::fs::remove_dir_all(&cap);
         let _ = std::fs::remove_dir_all(&store_dir);
+    }
+
+    #[test]
+    fn corrupt_entry_is_quarantined_and_reported_missing() {
+        corrupted_entry_is_quarantined("quarantine", |bytes| {
+            let last = bytes.len() - 1;
+            bytes[last] ^= 0x01;
+        });
+    }
+
+    /// Header bytes 22..30 are `payload_len`: a value whose end overflows
+    /// any offset arithmetic done on it is a typed load error like any
+    /// other wrong length — no panic, no wrapped length.
+    #[test]
+    fn hostile_payload_len_is_quarantined_not_overflowed() {
+        corrupted_entry_is_quarantined("hostile-len", |bytes| {
+            bytes[22..30].copy_from_slice(&u64::MAX.to_le_bytes());
+        });
     }
 
     #[test]

@@ -38,8 +38,7 @@
 //! [`MAX_PAYLOAD`] bound and covered by the frame digest), acknowledged
 //! by [`Message::TraceAck`]. The assembled archive is re-verified
 //! against `TraceSet`'s content hash before any spec can resolve to it
-//! (`super::store`). The v1 `trace:PATH` spec form stays accepted for
-//! one version, for pools that share a filesystem.
+//! (`super::store`).
 //!
 //! ## Payloads
 //!
@@ -711,9 +710,7 @@ pub fn render_spec(spec: &RunSpec) -> Result<String, WireError> {
 
 /// Parses one [`render_spec`] line back into a `RunSpec`, with no trace
 /// resolver: `trace@<contenthash>` specs fail with a typed "no trace
-/// store" error. The v1 `trace:PATH` form (accepted for one more
-/// version, for pools sharing a filesystem) loads its `TraceSet` from
-/// the named directory.
+/// store" error.
 ///
 /// # Errors
 ///
@@ -723,9 +720,8 @@ pub fn parse_spec(line: &str) -> Result<RunSpec, WireError> {
 }
 
 /// Parses one [`render_spec`] line back into a `RunSpec`. Trace
-/// workloads in the `trace@<contenthash>` form resolve through `traces`
-/// (a worker's `--trace-store`); the v1 `trace:PATH` form loads from
-/// the named directory. Either way a missing, corrupt, or edited trace
+/// workloads (`trace@<contenthash>`) resolve through `traces` (a
+/// worker's `--trace-store`), so a missing, corrupt, or edited trace
 /// fails here, before any simulation.
 ///
 /// # Errors
@@ -812,10 +808,6 @@ pub fn parse_spec_with(
                 ))
             })?;
         WorkloadClass::Trace(set)
-    } else if let Some(path) = workload_part.strip_prefix("trace:") {
-        WorkloadClass::from(TraceSet::load(path).map_err(|e| {
-            malformed(format!("cannot load trace `{path}`: {e}"))
-        })?)
     } else if workload_part.starts_with("openloop:") {
         WorkloadClass::from(OpenLoopSpec::parse_token(workload_part).ok_or_else(
             || malformed(format!("bad open-loop workload token `{workload_part}`")),

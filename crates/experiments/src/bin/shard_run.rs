@@ -160,7 +160,7 @@ fn main() {
         eprintln!(
             "shard-run: {} shards, {} dispatches ({} retries, {} speculative), \
              {} failed attempts, {} points resumed from journal, {} failed points, \
-             {} traces shipped, {} trace reuses, {} trace bytes resumed, \
+             {} traces shipped ({} bytes sent), {} trace reuses, {} trace bytes resumed, \
              {:.1} ms per successful dispatch",
             stats.shards,
             stats.dispatches,
@@ -170,6 +170,7 @@ fn main() {
             stats.journal_resumed,
             stats.failed_points,
             stats.trace_ships,
+            stats.trace_ship_bytes,
             stats.trace_reuses,
             stats.trace_resume_bytes,
             stats.dispatch_wall_us as f64 / 1e3 / succeeded.max(1) as f64,

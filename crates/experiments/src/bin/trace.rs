@@ -91,6 +91,7 @@ fn main() {
             "Workload".into(),
             "Streams".into(),
             "Instrs/core".into(),
+            "Bytes/instr".into(),
             "Synth IPC".into(),
             "Replay IPC".into(),
             "Identical".into(),
@@ -127,6 +128,7 @@ fn main() {
             w.name().into(),
             set.streams().to_string(),
             instrs_per_core.to_string(),
+            format!("{:.2}", set.total_bytes() as f64 / set.total_instructions() as f64),
             format!("{:.4}", synth.aggregate_ipc()),
             format!("{:.4}", replay.aggregate_ipc()),
             if identical { "yes".into() } else { "NO".into() },

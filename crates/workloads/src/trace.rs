@@ -3,14 +3,17 @@
 //!
 //! A trace is a *directory* of per-core stream files (`core-000.nctrace`,
 //! `core-001.nctrace`, ...), each holding a versioned header followed by
-//! length-prefixed instruction records (the exact byte layout is
+//! delta-coded instruction records: one head byte, then the zig-zag
+//! LEB128 deltas of the fetch line and the data address against the
+//! previous record's, only where needed (the exact byte layout is
 //! documented in `docs/trace-format.md`). [`TraceWriter`] produces one
-//! stream file; [`TraceSource`] replays one with buffered reads (no mmap)
-//! and loops back to the first record when the stream runs out, so a
-//! finite capture can drive arbitrarily long simulations;
-//! [`TraceSet`] loads a whole directory, validates every record once,
-//! and computes the content hash that keys replay runs in the results
-//! cache (editing any byte of any stream invalidates cached metrics).
+//! stream file; [`TraceSource`] replays one out of its read buffer (no
+//! mmap) and loops back to the first record when the stream runs out, so
+//! a finite capture can drive arbitrarily long simulations;
+//! [`TraceSet`] loads a whole directory, validates every record once
+//! with the decoder replay uses, and computes the content hash that keys
+//! replay runs in the results cache (editing any byte of any stream
+//! invalidates cached metrics).
 //!
 //! [`WorkloadClass`] is the run-spec-level union of the two workload
 //! classes the simulator now supports: a synthetic CloudSuite-style
@@ -24,7 +27,7 @@ use nocout_mem::addr::Addr;
 use nocout_sim::hash::{fnv1a_fold, FNV_BASIS};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,7 +35,7 @@ use std::sync::Arc;
 pub const TRACE_MAGIC: [u8; 4] = *b"NCTR";
 /// Current trace format version (checked on open; see
 /// `docs/trace-format.md` for the versioning policy).
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
 /// File-name suffix of per-core stream files inside a trace directory.
 pub const TRACE_SUFFIX: &str = ".nctrace";
 
@@ -151,75 +154,172 @@ impl TraceHeader {
     fn encoded_len(&self) -> u64 {
         58 + self.name.len() as u64
     }
+
+    /// Checks that the file is exactly as long as this header promises —
+    /// with a checked sum, so a `payload_len` corrupted toward `u64::MAX`
+    /// is the same typed error as any other wrong length.
+    fn check_file_len(&self, actual: u64, path: &Path) -> io::Result<()> {
+        let (header, payload) = (self.encoded_len(), self.payload_len);
+        if header.checked_add(payload) == Some(actual) {
+            return Ok(());
+        }
+        invalid(
+            path,
+            format!("file is {actual} bytes but header promises {header} + {payload}"),
+        )
+    }
 }
 
-// Record tags (first body byte after the length prefix).
-const TAG_ALU: u8 = 0;
-const TAG_LOAD: u8 = 1;
-const TAG_STORE: u8 = 2;
+// Head byte: bits 0-1 are the record kind, bit 2 says the record stays
+// on the previous record's fetch line, bits 3-7 are the kind's operand
+// (an ALU latency below `LATENCY_ESCAPE`, or the escape itself with the
+// latency in the record's last byte; a load's `dependent` bit; zero for
+// a store). Every bit without a meaning must be zero.
+const KIND_MASK: u8 = 0b11;
+const KIND_ALU: u8 = 0;
+const KIND_LOAD: u8 = 1;
+const KIND_STORE: u8 = 2;
+const SAME_LINE: u8 = 1 << 2;
+const OPERAND_SHIFT: u32 = 3;
+const LATENCY_ESCAPE: u8 = 31;
+/// Longest record: head byte plus two ten-byte varints.
+const MAX_RECORD_LEN: usize = 21;
 
-fn encode_record(out: &mut Vec<u8>, instr: &FetchedInstr) {
-    let start = out.len();
-    out.push(0); // length prefix, patched below
-    match instr.op {
-        Op::Alu { latency } => {
-            out.push(TAG_ALU);
-            out.extend_from_slice(&instr.fetch_line.0.to_le_bytes());
-            out.push(latency);
+/// What a record is coded against: the previous record's fetch line and
+/// the previous data address. Zero at a stream's first record, and again
+/// whenever replay rewinds to it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Predictor {
+    fetch_line: u64,
+    data_addr: u64,
+}
+
+/// Appends `cur - *prev` (wrapping, so any pair of addresses
+/// round-trips) as a zig-zag LEB128 varint in its shortest form, and
+/// moves the predictor slot to `cur`.
+fn put_delta(out: &mut Vec<u8>, prev: &mut u64, cur: u64) {
+    let delta = cur.wrapping_sub(*prev) as i64;
+    let mut zz = ((delta << 1) ^ (delta >> 63)) as u64;
+    while zz >= 0x80 {
+        out.push(zz as u8 | 0x80);
+        zz >>= 7;
+    }
+    out.push(zz as u8);
+    *prev = cur;
+}
+
+/// Reads one [`put_delta`] varint at `bytes[*at..]` and moves the
+/// predictor slot by it. Only the shortest form is accepted, so bytes
+/// and values stay one-to-one.
+#[inline(always)]
+fn take_delta(bytes: &[u8], at: &mut usize, prev: &mut u64) -> Result<(), &'static str> {
+    let mut zz = 0u64;
+    for i in 0..10 {
+        let Some(&b) = bytes.get(*at + i) else {
+            return Err("record runs past the payload");
+        };
+        if i == 9 && b > 1 {
+            break; // a 65th bit, or an eleventh byte
         }
-        Op::Load { addr, dependent } => {
-            out.push(TAG_LOAD);
-            out.extend_from_slice(&instr.fetch_line.0.to_le_bytes());
-            out.extend_from_slice(&addr.0.to_le_bytes());
-            out.push(dependent as u8);
-        }
-        Op::Store { addr } => {
-            out.push(TAG_STORE);
-            out.extend_from_slice(&instr.fetch_line.0.to_le_bytes());
-            out.extend_from_slice(&addr.0.to_le_bytes());
+        zz |= u64::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Err("over-long varint");
+            }
+            *at += i + 1;
+            *prev = prev.wrapping_add((zz >> 1) ^ (zz & 1).wrapping_neg());
+            return Ok(());
         }
     }
-    out[start] = (out.len() - start - 1) as u8;
+    Err("varint does not fit 64 bits")
 }
 
-fn decode_record(body: &[u8], path: &Path) -> io::Result<FetchedInstr> {
-    let err = |what: &str| -> io::Result<FetchedInstr> { invalid(path, what) };
-    let Some((&tag, rest)) = body.split_first() else {
-        return err("empty record");
-    };
-    let u64_at = |o: usize| -> io::Result<u64> {
-        match rest.get(o..o + 8) {
-            Some(b) => Ok(u64::from_le_bytes(b.try_into().unwrap())),
-            None => invalid(path, "truncated record"),
-        }
-    };
-    let fetch_line = Addr(u64_at(0)?);
-    let op = match tag {
-        TAG_ALU => match rest.get(8) {
-            Some(&latency) => Op::Alu { latency },
-            None => return err("truncated ALU record"),
-        },
-        TAG_LOAD => {
-            let addr = Addr(u64_at(8)?);
-            match rest.get(16) {
-                Some(&dep) => Op::Load {
-                    addr,
-                    dependent: dep != 0,
-                },
-                None => return err("truncated load record"),
+fn encode_record(out: &mut Vec<u8>, pred: &mut Predictor, instr: &FetchedInstr) {
+    let head_at = out.len();
+    out.push(0); // head byte, patched below
+    let mut head = 0;
+    if instr.fetch_line.0 == pred.fetch_line {
+        head |= SAME_LINE;
+    } else {
+        put_delta(out, &mut pred.fetch_line, instr.fetch_line.0);
+    }
+    head |= match instr.op {
+        Op::Alu { latency } => {
+            if latency >= LATENCY_ESCAPE {
+                out.push(latency);
             }
+            KIND_ALU | latency.min(LATENCY_ESCAPE) << OPERAND_SHIFT
         }
-        TAG_STORE => Op::Store {
-            addr: Addr(u64_at(8)?),
-        },
-        other => return invalid(path, format!("unknown record tag {other}")),
+        Op::Load { addr, dependent } => {
+            put_delta(out, &mut pred.data_addr, addr.0);
+            KIND_LOAD | u8::from(dependent) << OPERAND_SHIFT
+        }
+        Op::Store { addr } => {
+            put_delta(out, &mut pred.data_addr, addr.0);
+            KIND_STORE
+        }
     };
-    Ok(FetchedInstr { fetch_line, op })
+    out[head_at] = head;
+}
+
+/// Decodes the record at the front of `bytes` against `pred`, returning
+/// it with its encoded length. This is the one decoder: load-time
+/// validation and replay both call it, and it accepts exactly the byte
+/// strings [`encode_record`] produces. Inlined into both loops, which
+/// keeps the predictor in registers (a fifth off either's time).
+#[inline(always)]
+fn decode_record(
+    bytes: &[u8],
+    pred: &mut Predictor,
+) -> Result<(FetchedInstr, usize), &'static str> {
+    let Some(&head) = bytes.first() else {
+        return Err("record runs past the payload");
+    };
+    let mut at = 1;
+    if head & SAME_LINE == 0 {
+        let prev = pred.fetch_line;
+        take_delta(bytes, &mut at, &mut pred.fetch_line)?;
+        if pred.fetch_line == prev {
+            return Err("zero fetch-line delta without the same-line flag");
+        }
+    }
+    let operand = head >> OPERAND_SHIFT;
+    let kind = head & KIND_MASK;
+    let op = if kind == KIND_ALU {
+        if operand < LATENCY_ESCAPE {
+            Op::Alu { latency: operand }
+        } else {
+            let Some(&latency) = bytes.get(at) else {
+                return Err("record runs past the payload");
+            };
+            if latency < LATENCY_ESCAPE {
+                return Err("latency escape for a latency that fits the head byte");
+            }
+            at += 1;
+            Op::Alu { latency }
+        }
+    } else {
+        if kind > KIND_STORE {
+            return Err("unknown record kind 3");
+        }
+        if operand > u8::from(kind == KIND_LOAD) {
+            return Err("reserved head-byte bits set");
+        }
+        take_delta(bytes, &mut at, &mut pred.data_addr)?;
+        let addr = Addr(pred.data_addr);
+        if kind == KIND_LOAD {
+            Op::Load { addr, dependent: operand == 1 }
+        } else {
+            Op::Store { addr }
+        }
+    };
+    let fetch_line = Addr(pred.fetch_line);
+    Ok((FetchedInstr { fetch_line, op }, at))
 }
 
 /// Writes one per-core stream file: header first, then each captured
-/// instruction as a length-prefixed record; [`TraceWriter::finish`]
-/// patches the final counts back into the header.
+/// instruction as a record coded against the one before it;
+/// [`TraceWriter::finish`] patches the final counts back into the header.
 ///
 /// # Examples
 ///
@@ -245,6 +345,7 @@ pub struct TraceWriter {
     path: PathBuf,
     header: TraceHeader,
     buf: Vec<u8>,
+    pred: Predictor,
 }
 
 impl TraceWriter {
@@ -264,7 +365,8 @@ impl TraceWriter {
             out,
             path,
             header,
-            buf: Vec::with_capacity(32),
+            buf: Vec::with_capacity(MAX_RECORD_LEN),
+            pred: Predictor::default(),
         })
     }
 
@@ -276,7 +378,7 @@ impl TraceWriter {
     /// Appends one instruction.
     pub fn write(&mut self, instr: &FetchedInstr) -> io::Result<()> {
         self.buf.clear();
-        encode_record(&mut self.buf, instr);
+        encode_record(&mut self.buf, &mut self.pred, instr);
         self.out.write_all(&self.buf)?;
         self.header.instr_count += 1;
         self.header.payload_len += self.buf.len() as u64;
@@ -308,36 +410,47 @@ impl TraceWriter {
 /// [`InstructionSource`] whose stream is the recorded sequence repeated
 /// forever (workload streams are infinite by contract).
 ///
-/// Decoding trusts the file layout; [`TraceSet::load`] validates every
-/// record up front, and a file mutated after that validation surfaces as
-/// a panic naming the file rather than silent corruption.
+/// Records decode straight out of the read buffer. Decoding trusts the
+/// file layout; [`TraceSet::load`] validates every record up front with
+/// the same decoder, and a file mutated after that validation surfaces
+/// as a panic naming the file rather than silent corruption.
 #[derive(Debug)]
 pub struct TraceSource {
-    reader: BufReader<File>,
+    file: File,
     path: PathBuf,
     header: TraceHeader,
-    payload_start: u64,
-    /// Bytes of payload consumed since the last rewind.
-    consumed: u64,
+    /// `buf[pos..len]` holds the payload bytes read but not yet decoded.
+    buf: Box<[u8]>,
+    pos: usize,
+    len: usize,
+    /// Payload bytes not yet read from the file since the last rewind.
+    unread: u64,
+    pred: Predictor,
 }
 
+/// Read-buffer size of a [`TraceSource`] (a chip holds one per core).
+const SOURCE_BUF_LEN: usize = 8 * 1024;
+
 impl TraceSource {
-    /// Opens a stream file and validates its header. Empty streams are
-    /// rejected: a source must always produce.
+    /// Opens a stream file and validates its header against the file's
+    /// length. Empty streams are rejected: a source must always produce.
     pub fn open<P: Into<PathBuf>>(path: P) -> io::Result<Self> {
         let path = path.into();
-        let mut reader = BufReader::new(File::open(&path)?);
-        let header = TraceHeader::decode(&mut reader, &path)?;
+        let mut file = File::open(&path)?;
+        let header = TraceHeader::decode(&mut file, &path)?;
         if header.instr_count == 0 || header.payload_len == 0 {
             return invalid(&path, "empty trace stream (sources must be infinite)");
         }
-        let payload_start = header.encoded_len();
+        header.check_file_len(file.metadata()?.len(), &path)?;
         Ok(TraceSource {
-            reader,
+            file,
             path,
+            unread: header.payload_len,
             header,
-            payload_start,
-            consumed: 0,
+            buf: vec![0; SOURCE_BUF_LEN].into_boxed_slice(),
+            pos: 0,
+            len: 0,
+            pred: Predictor::default(),
         })
     }
 
@@ -346,26 +459,34 @@ impl TraceSource {
         &self.header
     }
 
-    fn read_one(&mut self) -> FetchedInstr {
-        if self.consumed >= self.header.payload_len {
-            // Loop: rewind to the first record.
-            self.reader
-                .seek(SeekFrom::Start(self.payload_start))
-                .unwrap_or_else(|e| panic!("{}: rewind failed: {e}", self.path.display()));
-            self.consumed = 0;
+    /// Tops the buffer up from the file, first rewinding to the first
+    /// record (and zeroing the predictor) when the payload is spent.
+    fn fill(&mut self) -> io::Result<()> {
+        if self.pos == self.len && self.unread == 0 {
+            self.file.seek(SeekFrom::Start(self.header.encoded_len()))?;
+            self.unread = self.header.payload_len;
+            self.pred = Predictor::default();
         }
-        let mut len = [0u8; 1];
-        let mut body = [0u8; 255];
-        let instr = self
-            .reader
-            .read_exact(&mut len)
-            .and_then(|()| {
-                let n = len[0] as usize;
-                self.reader.read_exact(&mut body[..n])?;
-                decode_record(&body[..n], &self.path)
-            })
+        self.buf.copy_within(self.pos..self.len, 0);
+        self.len -= self.pos;
+        self.pos = 0;
+        let room = self.buf.len() - self.len;
+        let want = usize::try_from(self.unread).map_or(room, |u| u.min(room));
+        self.file.read_exact(&mut self.buf[self.len..self.len + want])?;
+        self.len += want;
+        self.unread -= want as u64;
+        Ok(())
+    }
+
+    fn read_one(&mut self) -> FetchedInstr {
+        // A whole record is buffered unless the payload ends first.
+        if self.len - self.pos < MAX_RECORD_LEN && (self.unread > 0 || self.pos == self.len) {
+            self.fill()
+                .unwrap_or_else(|e| panic!("{}: trace read failed: {e}", self.path.display()));
+        }
+        let (instr, n) = decode_record(&self.buf[self.pos..self.len], &mut self.pred)
             .unwrap_or_else(|e| panic!("{}: corrupt trace record: {e}", self.path.display()));
-        self.consumed += 1 + len[0] as u64;
+        self.pos += n;
         instr
     }
 }
@@ -404,13 +525,16 @@ pub struct TraceSet {
     headers: Vec<TraceHeader>,
     warm: TraceWarm,
     content_hash: u64,
+    total_bytes: u64,
 }
 
 impl TraceSet {
     /// Loads and validates a trace directory: every stream's header and
-    /// every record is checked once, and the content hash (FNV-1a 64 over
-    /// each file's name and bytes, in file-name order) is computed here so
-    /// cache-key construction never re-reads the files.
+    /// every record is checked once (kind, reserved bits, canonical
+    /// varints, no record past the payload, record count = header), and
+    /// the content hash (FNV-1a 64 over each file's name and bytes, in
+    /// file-name order) is computed here so cache-key construction never
+    /// re-reads the files.
     pub fn load<P: Into<PathBuf>>(dir: P) -> io::Result<Arc<TraceSet>> {
         let dir = dir.into();
         let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)?
@@ -429,6 +553,7 @@ impl TraceSet {
         }
         let mut headers = Vec::with_capacity(files.len());
         let mut hash = FNV_BASIS;
+        let mut total_bytes = 0;
         for path in &files {
             let bytes = std::fs::read(path)?;
             let name = path
@@ -437,34 +562,21 @@ impl TraceSet {
                 .expect("suffix-matched name is UTF-8");
             hash = fnv1a_fold(hash, name.as_bytes());
             hash = fnv1a_fold(hash, &bytes);
-            let mut cursor = io::Cursor::new(&bytes[..]);
-            let header = TraceHeader::decode(&mut cursor, path)?;
+            let header = TraceHeader::decode(&mut &bytes[..], path)?;
             if header.instr_count == 0 {
                 return invalid(path, "empty trace stream");
             }
-            // Validate the whole record section once, so replay can trust
-            // the layout.
-            let payload_start = header.encoded_len() as usize;
-            let payload_end = payload_start + header.payload_len as usize;
-            if bytes.len() != payload_end {
-                return invalid(
-                    path,
-                    format!(
-                        "file is {} bytes but header promises {payload_end}",
-                        bytes.len()
-                    ),
-                );
-            }
-            let mut off = payload_start;
+            header.check_file_len(bytes.len() as u64, path)?;
+            // Validate the whole record section once, with the decoder
+            // replay uses, so replay can trust the layout.
+            let mut rest = &bytes[header.encoded_len() as usize..];
+            let mut pred = Predictor::default();
             let mut records = 0u64;
-            while off < payload_end {
-                let len = bytes[off] as usize;
-                let body_end = off + 1 + len;
-                if body_end > payload_end {
-                    return invalid(path, "record overruns the payload");
+            while !rest.is_empty() {
+                match decode_record(rest, &mut pred) {
+                    Ok((_, n)) => rest = &rest[n..],
+                    Err(what) => return invalid(path, format!("record {records}: {what}")),
                 }
-                decode_record(&bytes[off + 1..body_end], path)?;
-                off = body_end;
                 records += 1;
             }
             if records != header.instr_count {
@@ -476,6 +588,7 @@ impl TraceSet {
                     ),
                 );
             }
+            total_bytes += bytes.len() as u64;
             headers.push(header);
         }
         let first = &headers[0];
@@ -501,6 +614,7 @@ impl TraceSet {
             headers,
             warm,
             content_hash: hash,
+            total_bytes,
         }))
     }
 
@@ -522,6 +636,7 @@ impl TraceSet {
             headers: self.headers.clone(),
             warm: self.warm,
             content_hash: self.content_hash,
+            total_bytes: self.total_bytes,
         })
     }
 
@@ -564,6 +679,13 @@ impl TraceSet {
     /// of any stream invalidates cached replay results.
     pub fn content_hash(&self) -> u64 {
         self.content_hash
+    }
+
+    /// Total length of the stream files in bytes, headers included, as
+    /// read at load — against [`TraceSet::total_instructions`] it is what
+    /// an instruction costs on disk and on the shard wire.
+    pub fn total_bytes(&self) -> u64 {
+        self.total_bytes
     }
 
     /// Total instructions recorded across all streams (part of the cache
@@ -771,15 +893,24 @@ mod tests {
     #[test]
     fn content_hash_tracks_every_byte() {
         let dir = TempDir::new("hash");
-        let path = capture_one(&dir.0, 0, 4, 200);
+        // A hand-picked stream, so the last byte's meaning is known: the
+        // store's address delta is 0x40, zig-zag 0x80, varint [0x80, 0x01].
+        let path = dir.0.join(format!("core-000{TRACE_SUFFIX}"));
+        let header = TraceHeader::for_profile(&Workload::MapReduceC.profile(), 0, 4);
+        let mut w = TraceWriter::create(&path, header).unwrap();
+        for op in [Op::Alu { latency: 1 }, Op::Store { addr: Addr(0x40) }] {
+            w.write(&FetchedInstr { fetch_line: Addr(0x1000), op }).unwrap();
+        }
+        w.finish().unwrap();
         let before = TraceSet::load(&dir.0).unwrap().content_hash();
         let again = TraceSet::load(&dir.0).unwrap().content_hash();
         assert_eq!(before, again, "hash is deterministic");
-        // Flip one payload byte (keeping the record layout valid: patch an
-        // address byte inside the first record).
+        // Flip one payload bit that keeps the record valid: the top byte
+        // of that varint, 0x01 -> 0x03, moves the store to another address.
         let mut bytes = std::fs::read(&path).unwrap();
-        let off = bytes.len() - 2;
-        bytes[off] ^= 0x01;
+        assert_eq!(bytes[bytes.len() - 2..], [0x80, 0x01]);
+        let off = bytes.len() - 1;
+        bytes[off] ^= 0x02;
         std::fs::write(&path, bytes).unwrap();
         let after = TraceSet::load(&dir.0).unwrap().content_hash();
         assert_ne!(before, after, "edits must change the hash");
@@ -793,6 +924,21 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         let err = TraceSet::load(&dir.0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn hostile_payload_len_is_a_typed_error() {
+        let dir = TempDir::new("hostile");
+        let path = capture_one(&dir.0, 0, 1, 100);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[22..30].copy_from_slice(&u64::MAX.to_le_bytes()); // payload_len
+        std::fs::write(&path, bytes).unwrap();
+        let at_load = TraceSet::load(&dir.0).unwrap_err();
+        let at_open = TraceSource::open(&path).unwrap_err();
+        for err in [at_load, at_open] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(&path.display().to_string()), "{err}");
+        }
     }
 
     #[test]

@@ -232,32 +232,25 @@ fn trace_specs_round_trip_by_content_hash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The v1 `trace:PATH` spec form stays parseable for one protocol
-/// version: a line hand-built in the old form loads the trace from the
-/// named directory and lands on the same cache key.
+/// The v1 `trace:PATH` spec form is gone: a path token is a malformed
+/// workload like any other, with or without a resolver, and is refused
+/// without touching a file (the directory it names does not exist, and
+/// the error is the token's, not an I/O one).
 #[test]
-fn v1_trace_path_form_is_still_accepted() {
-    let dir = std::env::temp_dir().join(format!("nocout-wire-v1-path-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let chip = ChipConfig::paper(Organization::Mesh);
-    let trace = nocout_repro::capture_synthetic_trace(chip, Workload::WebSearch, 1, &dir, 2_000)
-        .expect("capture trace");
-    let hash = trace.content_hash();
-    let spec = RunSpec {
-        chip,
-        workload: WorkloadClass::from(trace),
-        window: MeasurementWindow::new(100, 400),
-        seed: 1,
-    };
-    let line = render_spec(&spec).expect("trace spec renders");
-    let v1_line = line.replace(
-        &format!("trace@{hash:016x}"),
-        &format!("trace:{}", dir.display()),
-    );
-    let parsed = parse_spec(&v1_line).expect("v1 path form parses without a resolver");
-    assert_eq!(parsed.cache_key(), spec.cache_key());
-    let _ = std::fs::remove_dir_all(&dir);
+fn v1_trace_path_form_is_refused() {
+    let spec = RunSpec::new(ChipConfig::paper(Organization::Mesh), Workload::WebSearch);
+    let line = render_spec(&spec).expect("spec renders");
+    let (fields, _) = line.split_once(" workload=").expect("workload token is last");
+    let v1_line = format!("{fields} workload=trace:/some/dir");
+    let empty = MapLookup(HashMap::new());
+    for traces in [None, Some(&empty as &dyn TraceLookup)] {
+        match parse_spec_with(&v1_line, traces).unwrap_err() {
+            WireError::Malformed(msg) => {
+                assert!(msg.contains("bad workload token `trace:/some/dir`"), "{msg}")
+            }
+            other => panic!("expected a malformed workload token, got {other:?}"),
+        }
+    }
 }
 
 /// Satellite contract: dialing a v1-framed stream at a v2 worker is a

@@ -129,16 +129,17 @@ fn trace_replay_participates_in_the_results_cache() {
     assert_eq!(warm.cache().unwrap().hits(), 1, "warm cache must hit");
     assert_metrics_identical(&first[0], &second[0], "cache round trip");
 
-    // Edit one byte of one stream: the content hash (and therefore the
-    // cache key) changes, so the same path must now miss.
+    // Edit one byte of one stream (the header's seed field, offset 30:
+    // provenance only, so the stream stays loadable): the content hash
+    // (and therefore the cache key) changes, so the same path must now
+    // miss.
     let stream = std::fs::read_dir(&trace_dir.0)
         .unwrap()
         .map(|e| e.unwrap().path())
         .find(|p| p.extension().is_some_and(|e| e == "nctrace"))
         .expect("a stream file");
     let mut bytes = std::fs::read(&stream).unwrap();
-    let last = bytes.len() - 2;
-    bytes[last] ^= 0x01;
+    bytes[30] ^= 0x01;
     std::fs::write(&stream, bytes).unwrap();
     let edited_spec = replay_spec(chip, &trace_dir.0, window, 5);
     assert_ne!(
@@ -149,6 +150,23 @@ fn trace_replay_participates_in_the_results_cache() {
     let probe = BatchRunner::serial().with_cache(ResultsCache::open(&cache_dir.0).unwrap());
     probe.run_batch(std::slice::from_ref(&edited_spec));
     assert_eq!(probe.cache().unwrap().misses(), 1, "edited trace must miss");
+}
+
+/// The format's size gate: at the capture length a fast-window run needs,
+/// every profile codes below 3 bytes per instruction, headers included
+/// (measured 2.15-2.41; the fixed-width version 1 records took 13.4), so
+/// a coder regression fails here and not only in the benchmark.
+#[test]
+fn every_profile_codes_below_three_bytes_per_instruction() {
+    let instrs = trace_capture_len(&MeasurementWindow::fast());
+    for workload in Workload::ALL {
+        let dir = TempDir::new("size");
+        let chip = ChipConfig::with_cores(Organization::Mesh, 16);
+        let set = capture_synthetic_trace(chip, workload, 1, &dir.0, instrs).expect("capture");
+        assert_eq!(set.total_instructions(), instrs * set.streams() as u64);
+        let per_instr = set.total_bytes() as f64 / set.total_instructions() as f64;
+        assert!(per_instr < 3.0, "{workload:?}: {per_instr:.2} bytes per instruction");
+    }
 }
 
 /// A trace with more streams than the chip has cores must fail loudly:
