@@ -10,6 +10,7 @@ use crate::config::{ChipConfig, Organization};
 use crate::metrics::{LlcSummary, MemSummary, NetSummary, SystemMetrics, TailSummary};
 use nocout_cpu::{Core, CoreConfig, CoreIdle, MissRequest};
 use nocout_mem::addr::{Addr, AddressMap};
+use nocout_mem::directory::SharerSet;
 use nocout_mem::llc::{LlcConfig, LlcInput, LlcOutput, LlcTile};
 use nocout_mem::mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
 use nocout_mem::protocol::{AccessKind, CoreId, Msg, MsgSlab, TxnId};
@@ -385,9 +386,16 @@ impl ScaleOutChip {
     /// # Panics
     ///
     /// Panics on inconsistent configurations (e.g. a core count the
-    /// organization cannot lay out) and on a trace whose streams cannot
-    /// be opened.
+    /// organization cannot lay out, or more cores than a directory sharer
+    /// set records — [`SharerSet::MAX_CORES`]) and on a trace whose
+    /// streams cannot be opened.
     pub fn new(cfg: ChipConfig, workload: impl Into<WorkloadClass>, seed: u64) -> Self {
+        assert!(
+            cfg.cores <= SharerSet::MAX_CORES,
+            "a {}-core chip exceeds the directory's {}-core sharer sets",
+            cfg.cores,
+            SharerSet::MAX_CORES
+        );
         let class = workload.into();
         let (fabric, core_term, llc_term, mc_term, active_order): BuiltFabric =
             build_fabric(&cfg);
@@ -560,22 +568,21 @@ impl ScaleOutChip {
                 )
             }
         };
-        // Tile by tile, not line by line: a tile's tag array sees its
-        // lines in the same order either way (region by region,
-        // ascending), which is all its LRU stamps depend on, and it stays
-        // in the host's cache while it fills instead of taking turns with
-        // every other tile's on each line.
+        // Tile by tile, run by run: a tile's share of a region is one run
+        // of consecutive slice-local lines, and its tag array depends only
+        // on the order it sees its own lines in (region by region,
+        // ascending) — the state `LlcTile::warm` line by line would leave.
         let regions = [
             (INSTR_BASE, footprint),
             (LLC_DATA_BASE, llc_resident),
             (SHARED_RW_BASE, shared_rw),
         ];
         for (tile, llc) in self.llcs.iter_mut().enumerate() {
-            for (base, lines) in regions {
-                for addr in self.map.lines_homed_at(tile, Addr(base), lines) {
-                    llc.warm(addr);
-                }
-            }
+            let runs: Vec<(Addr, u64)> = regions
+                .iter()
+                .filter_map(|&(base, lines)| self.map.homed_run(tile, Addr(base), lines))
+                .collect();
+            llc.warm_fill(&runs);
         }
         fn warm_l1s(
             core: &mut Core,

@@ -620,6 +620,24 @@ mod tests {
     }
 
     #[test]
+    fn chip_beyond_the_sharer_set_is_refused_naming_the_limit() {
+        // 129 cores: one more than a directory sharer mask records. The
+        // chip refuses up front rather than alias core 128 onto core 0.
+        let spec = RunSpec::new(
+            ChipConfig::with_cores(Organization::Mesh, 129),
+            Workload::MapReduceC,
+        )
+        .fast();
+        let err = run_outcome(&spec).unwrap_err();
+        assert_eq!(err.cache_key, spec.cache_key());
+        assert!(
+            err.message.contains("129-core chip") && err.message.contains("128-core"),
+            "{}",
+            err.message
+        );
+    }
+
+    #[test]
     fn batch_isolates_panicking_point() {
         let good = RunSpec::new(
             ChipConfig::with_cores(Organization::Mesh, 16),

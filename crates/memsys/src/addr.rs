@@ -129,6 +129,21 @@ impl AddressMap {
             .map(move |i| Addr::from_line_index(base + i))
     }
 
+    /// [`AddressMap::lines_homed_at`] in closed form: the first line of
+    /// the range homed at `tile` and how many are (each `llc_tiles` lines
+    /// after the one before), or `None` when the range holds none.
+    pub fn homed_run(&self, tile: usize, first: Addr, count: u64) -> Option<(Addr, u64)> {
+        let tiles = self.llc_tiles as u64;
+        let base = first.line_index();
+        let skip = (tile as u64 + tiles - base % tiles) % tiles;
+        (skip < count).then(|| {
+            (
+                Addr::from_line_index(base + skip),
+                (count - skip).div_ceil(tiles),
+            )
+        })
+    }
+
     /// Bank within the home tile.
     #[inline]
     pub fn bank_in_tile(&self, addr: Addr) -> usize {
@@ -190,6 +205,32 @@ mod tests {
                 .map(|i| Addr::from_line_index(first.line_index() + i))
                 .collect();
             assert_eq!(all, range);
+        }
+    }
+
+    #[test]
+    fn homed_run_is_lines_homed_at_in_closed_form() {
+        // The grid above plus an empty range and one shorter than a stride
+        // that starts off a tile boundary.
+        for (tiles, first, count) in [
+            (8, 0, 64),
+            (8, 13, 50),
+            (64, 1 << 34, 1_000),
+            (5, 3, 2),
+            (8, 13, 0),
+            (64, 77, 9),
+        ] {
+            let map = AddressMap::new(tiles, 1, 1);
+            let first = Addr::from_line_index(first);
+            for tile in 0..tiles {
+                let lines: Vec<Addr> = map.lines_homed_at(tile, first, count).collect();
+                let run = map.homed_run(tile, first, count);
+                assert_eq!(
+                    run,
+                    lines.first().map(|&a| (a, lines.len() as u64)),
+                    "{tiles} tiles, tile {tile}, {count} lines from {first}"
+                );
+            }
         }
     }
 

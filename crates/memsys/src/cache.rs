@@ -2,6 +2,12 @@
 //!
 //! Used for both the 32 KB L1s and the LLC slices. Only tags and metadata
 //! are modelled — the simulator never carries data values, just timing.
+//!
+//! Storage is three flat arrays indexed `set * ways + way`: `tags` (line
+//! index + 1, so `0` is an invalid way), `lru` stamps and `dirty` bytes —
+//! 17 bytes a way, all `vec![0; n]`, so an empty array is untouched zero
+//! pages rather than memory written at construction, and a tag probe
+//! scans one dense `u64` slice.
 
 use crate::addr::Addr;
 use serde::{Deserialize, Serialize};
@@ -42,15 +48,6 @@ impl CacheGeometry {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Higher = more recently used.
-    lru: u64,
-}
-
 /// A line evicted by an insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
@@ -83,11 +80,15 @@ pub enum Lookup {
 /// c.insert(a, false);
 /// assert_eq!(c.lookup(a), Lookup::Hit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheArray {
     geometry: CacheGeometry,
     sets: usize,
-    ways: Vec<Way>,
+    /// Line index + 1 per way; `0` = invalid.
+    tags: Vec<u64>,
+    /// Last-use stamp per way; higher = more recently used.
+    lru: Vec<u64>,
+    dirty: Vec<u8>,
     stamp: u64,
     line_shift: u32,
 }
@@ -104,10 +105,13 @@ impl CacheArray {
         assert!(sets > 0, "cache must have at least one set");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(geometry.line_bytes.is_power_of_two());
+        let n = sets * geometry.ways;
         CacheArray {
             geometry,
             sets,
-            ways: vec![Way::default(); sets * geometry.ways],
+            tags: vec![0; n],
+            lru: vec![0; n],
+            dirty: vec![0; n],
             stamp: 0,
             line_shift: geometry.line_bytes.trailing_zeros(),
         }
@@ -119,18 +123,8 @@ impl CacheArray {
     }
 
     #[inline]
-    fn set_index(&self, addr: Addr) -> usize {
-        ((addr.0 >> self.line_shift) as usize) & (self.sets - 1)
-    }
-
-    #[inline]
-    fn tag(&self, addr: Addr) -> u64 {
+    fn line_of(&self, addr: Addr) -> u64 {
         addr.0 >> self.line_shift
-    }
-
-    #[inline]
-    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.geometry.ways..(set + 1) * self.geometry.ways
     }
 
     /// Resolves a line number (address >> line shift) to the base index
@@ -143,6 +137,23 @@ impl CacheArray {
         (((line_index as usize) & (self.sets - 1)) * self.geometry.ways) as u32
     }
 
+    /// The way holding `line_index` in the set starting at `base`.
+    #[inline]
+    fn find(&self, base: usize, line_index: u64) -> Option<usize> {
+        let tag = line_index + 1;
+        self.tags[base..base + self.geometry.ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|k| base + k)
+    }
+
+    /// [`CacheArray::find`] from an address.
+    #[inline]
+    fn find_addr(&self, addr: Addr) -> Option<usize> {
+        let line = self.line_of(addr);
+        self.find(self.set_base_of_line(line) as usize, line)
+    }
+
     /// [`CacheArray::lookup`] with the geometry pre-resolved: `set_base`
     /// must be `self.set_base_of_line(line_index)`. Identical recency
     /// behaviour (the LRU stamp advances on every lookup, hit or miss).
@@ -150,135 +161,142 @@ impl CacheArray {
     pub fn lookup_at(&mut self, set_base: u32, line_index: u64) -> Lookup {
         debug_assert_eq!(set_base, self.set_base_of_line(line_index));
         self.stamp += 1;
-        let stamp = self.stamp;
-        let base = set_base as usize;
-        for w in &mut self.ways[base..base + self.geometry.ways] {
-            if w.valid && w.tag == line_index {
-                w.lru = stamp;
-                return Lookup::Hit;
+        match self.find(set_base as usize, line_index) {
+            Some(i) => {
+                self.lru[i] = self.stamp;
+                Lookup::Hit
             }
+            None => Lookup::Miss,
         }
-        Lookup::Miss
     }
 
     /// [`CacheArray::mark_dirty`] with the geometry pre-resolved.
     #[inline]
     pub fn mark_dirty_at(&mut self, set_base: u32, line_index: u64) -> bool {
         debug_assert_eq!(set_base, self.set_base_of_line(line_index));
-        let base = set_base as usize;
-        for w in &mut self.ways[base..base + self.geometry.ways] {
-            if w.valid && w.tag == line_index {
-                w.dirty = true;
-                return true;
-            }
+        let hit = self.find(set_base as usize, line_index);
+        if let Some(i) = hit {
+            self.dirty[i] = 1;
         }
-        false
+        hit.is_some()
     }
 
     /// Probes for a line without updating recency.
     pub fn probe(&self, addr: Addr) -> Lookup {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        if self.ways[self.set_range(set)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
-        {
-            Lookup::Hit
-        } else {
-            Lookup::Miss
+        match self.find_addr(addr) {
+            Some(_) => Lookup::Hit,
+            None => Lookup::Miss,
         }
     }
 
     /// Looks up a line, updating LRU recency on a hit.
     pub fn lookup(&mut self, addr: Addr) -> Lookup {
-        let idx = self.tag(addr);
+        let idx = self.line_of(addr);
         self.lookup_at(self.set_base_of_line(idx), idx)
     }
 
     /// Marks a present line dirty (returns whether it was present).
     pub fn mark_dirty(&mut self, addr: Addr) -> bool {
-        let idx = self.tag(addr);
+        let idx = self.line_of(addr);
         self.mark_dirty_at(self.set_base_of_line(idx), idx)
     }
 
     /// Inserts a line (after a fill), evicting the LRU way if the set is
     /// full. Returns the victim, if any.
     pub fn insert(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
+        let line = self.line_of(addr);
+        let base = self.set_base_of_line(line) as usize;
+        let set = base..base + self.geometry.ways;
         self.stamp += 1;
-        let stamp = self.stamp;
-        let line_shift = self.line_shift;
-        let range = self.set_range(set);
-        let ways = &mut self.ways[range];
         // Already present: refresh (fill on a racing request).
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = stamp;
-            w.dirty |= dirty;
+        if let Some(i) = self.find(base, line) {
+            self.lru[i] = self.stamp;
+            self.dirty[i] |= dirty as u8;
             return None;
         }
-        // Free way?
-        if let Some(w) = ways.iter_mut().find(|w| !w.valid) {
-            *w = Way {
-                tag,
-                valid: true,
-                dirty,
-                lru: stamp,
-            };
-            return None;
+        // A free way, else evict the LRU one.
+        let (i, evicted) = match self.tags[set.clone()].iter().position(|&t| t == 0) {
+            Some(k) => (base + k, None),
+            None => {
+                let i = set.min_by_key(|&i| self.lru[i]).expect("ways non-empty");
+                let victim = Evicted {
+                    addr: Addr((self.tags[i] - 1) << self.line_shift),
+                    dirty: self.dirty[i] != 0,
+                };
+                (i, Some(victim))
+            }
+        };
+        self.tags[i] = line + 1;
+        self.lru[i] = self.stamp;
+        self.dirty[i] = dirty as u8;
+        evicted
+    }
+
+    /// Installs whole runs of consecutive lines, clean, into a never-used
+    /// array: the state `insert(line, false)` for every line of each
+    /// `(first_line, count)` range in turn would leave, without the
+    /// per-line set scans — in an array that has seen nothing else the
+    /// k-th line of a set lands in way k with the next stamp. Lines that
+    /// find their set full go through [`CacheArray::insert`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array has been used (any lookup or insert) or two
+    /// ranges share a line: either would make "way k, next stamp" wrong.
+    pub fn warm_fill(&mut self, ranges: &[(u64, u64)]) {
+        assert_eq!(self.stamp, 0, "warm_fill needs a never-used array");
+        for (k, a) in ranges.iter().enumerate() {
+            for b in &ranges[..k] {
+                assert!(
+                    a.0.max(b.0) >= (a.0 + a.1).min(b.0 + b.1),
+                    "warm_fill ranges {a:?} and {b:?} overlap"
+                );
+            }
         }
-        // Evict LRU.
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| w.lru)
-            .expect("ways non-empty");
-        let evicted = Evicted {
-            addr: Addr(victim.tag << line_shift),
-            dirty: victim.dirty,
-        };
-        *victim = Way {
-            tag,
-            valid: true,
-            dirty,
-            lru: stamp,
-        };
-        Some(evicted)
+        let ways = self.geometry.ways;
+        let mut filled = vec![0usize; self.sets];
+        for &(first, count) in ranges {
+            for line in first..first + count {
+                let set = (line as usize) & (self.sets - 1);
+                let k = filled[set];
+                if k == ways {
+                    self.insert(Addr(line << self.line_shift), false);
+                    continue;
+                }
+                filled[set] = k + 1;
+                self.stamp += 1;
+                self.tags[set * ways + k] = line + 1;
+                self.lru[set * ways + k] = self.stamp;
+            }
+        }
     }
 
     /// Invalidates a line if present; returns `(was_present, was_dirty)`.
     pub fn invalidate(&mut self, addr: Addr) -> (bool, bool) {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let range = self.set_range(set);
-        for w in &mut self.ways[range] {
-            if w.valid && w.tag == tag {
-                let dirty = w.dirty;
-                w.valid = false;
-                w.dirty = false;
-                return (true, dirty);
+        match self.find_addr(addr) {
+            Some(i) => {
+                let dirty = self.dirty[i] != 0;
+                self.tags[i] = 0;
+                self.dirty[i] = 0;
+                (true, dirty)
             }
+            None => (false, false),
         }
-        (false, false)
     }
 
     /// Clears a present line's dirty bit (downgrade on a forward snoop);
     /// returns whether the line was present.
     pub fn clean(&mut self, addr: Addr) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        let range = self.set_range(set);
-        for w in &mut self.ways[range] {
-            if w.valid && w.tag == tag {
-                w.dirty = false;
-                return true;
-            }
+        let hit = self.find_addr(addr);
+        if let Some(i) = hit {
+            self.dirty[i] = 0;
         }
-        false
+        hit.is_some()
     }
 
     /// Number of valid lines (test/diagnostic helper; O(size)).
     pub fn valid_lines(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 

@@ -8,12 +8,29 @@
 
 use crate::protocol::CoreId;
 
-/// A set of sharer cores (bit per core; supports up to 128 cores for the
-/// §7.1 concentration study).
+/// A set of sharer cores: one bit per core, so at most
+/// [`SharerSet::MAX_CORES`] cores (the §7.1 concentration study's 128).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharerSet(pub u128);
 
 impl SharerSet {
+    /// The largest core count a sharer set can record.
+    pub const MAX_CORES: usize = 128;
+
+    /// The mask bit of `core`. Checked in every build: a wrapped shift
+    /// would record core k + 128 as core k and send its invalidations and
+    /// forwards to the wrong L1.
+    #[inline]
+    fn bit(core: CoreId) -> u128 {
+        assert!(
+            (core.0 as usize) < Self::MAX_CORES,
+            "core {} does not fit a {}-core sharer set",
+            core.0,
+            Self::MAX_CORES
+        );
+        1u128 << core.0
+    }
+
     /// The empty set.
     pub fn empty() -> Self {
         SharerSet(0)
@@ -21,22 +38,22 @@ impl SharerSet {
 
     /// A singleton set.
     pub fn single(core: CoreId) -> Self {
-        SharerSet(1u128 << core.0)
+        SharerSet(Self::bit(core))
     }
 
     /// Inserts a core.
     pub fn insert(&mut self, core: CoreId) {
-        self.0 |= 1u128 << core.0;
+        self.0 |= Self::bit(core);
     }
 
     /// Removes a core.
     pub fn remove(&mut self, core: CoreId) {
-        self.0 &= !(1u128 << core.0);
+        self.0 &= !Self::bit(core);
     }
 
     /// Whether `core` is in the set.
     pub fn contains(&self, core: CoreId) -> bool {
-        self.0 & (1u128 << core.0) != 0
+        self.0 & Self::bit(core) != 0
     }
 
     /// Number of sharers.
@@ -77,17 +94,12 @@ pub enum DirState {
     Exclusive(CoreId),
 }
 
-/// One directory entry: the tracked line index with its state stored next
-/// to the tag, so a hit costs exactly one cache line of directory storage.
+/// A tracked line that found its set full (see [`Directory`]).
 #[derive(Debug, Clone, Copy)]
-struct DirEntry {
+struct SpillEntry {
     line: u64,
     state: DirState,
 }
-
-/// Tag value marking a free way. Real line indices are chip addresses
-/// shifted down by the 6 line bits, so `u64::MAX` can never collide.
-const EMPTY_LINE: u64 = u64::MAX;
 
 /// Location of a tracked line: a way in the set-associative array, or an
 /// index into the conflict spill list.
@@ -106,8 +118,11 @@ enum Pos {
 /// [`crate::cache::CacheArray`] geometry (construct with
 /// [`Directory::with_geometry`] from the slice's set count, ways and NUCA
 /// stride): a lookup is the same shift+mask the tag array uses followed by
-/// a ≤ `ways` linear tag scan, replacing the per-line
-/// `HashMap<u64, DirState>`. Because directory population is not *exactly*
+/// a ≤ `ways` linear scan of `lines` (line index + 1, `0` = free way).
+/// A way's state sits at the same index in two more flat arrays — `bits`,
+/// the sharer mask or the owner's id, and `excl`, which of the two — 25
+/// bytes a way, all zero-initialised, so an empty directory is untouched
+/// zero pages. Because directory population is not *exactly*
 /// the slice's resident set (a line can be re-tracked while an in-flight
 /// MSHR completes after its slice victimization), set-conflict overflow
 /// falls back to a small spill list, preserving the map's semantics
@@ -132,8 +147,13 @@ pub struct Directory {
     sets: usize,
     ways: usize,
     stride: u64,
-    entries: Vec<DirEntry>,
-    spill: Vec<DirEntry>,
+    /// Line index + 1 per way; `0` = free.
+    lines: Vec<u64>,
+    /// Per way: the sharer mask (Shared) or the owner's id (Exclusive).
+    bits: Vec<u128>,
+    /// Per way: non-zero when the way's state is Exclusive.
+    excl: Vec<u8>,
+    spill: Vec<SpillEntry>,
     len: usize,
 }
 
@@ -148,7 +168,7 @@ impl Directory {
     /// study maximum) × 64 KB of private L1 (I + D) per core / 64 B lines.
     /// The directory only tracks lines held in some L1, so population
     /// beyond this bound means an eviction path failed to drop its lines.
-    pub const MAX_TRACKED_LINES: usize = 128 * (64 * 1024 / 64);
+    pub const MAX_TRACKED_LINES: usize = SharerSet::MAX_CORES * (64 * 1024 / 64);
 
     /// Creates an empty directory with a default standalone geometry
     /// (256 sets × 16 ways, unit stride).
@@ -167,13 +187,9 @@ impl Directory {
             sets,
             ways,
             stride,
-            entries: vec![
-                DirEntry {
-                    line: EMPTY_LINE,
-                    state: DirState::Shared(SharerSet::empty()),
-                };
-                sets * ways
-            ],
+            lines: vec![0; sets * ways],
+            bits: vec![0; sets * ways],
+            excl: vec![0; sets * ways],
             spill: Vec::new(),
             len: 0,
         }
@@ -186,26 +202,36 @@ impl Directory {
 
     #[inline]
     fn find(&self, line_index: u64) -> Option<Pos> {
-        debug_assert_ne!(line_index, EMPTY_LINE);
         let base = self.set_base(line_index);
-        for i in 0..self.ways {
-            if self.entries[base + i].line == line_index {
-                return Some(Pos::Way(base + i));
-            }
+        let set = &self.lines[base..base + self.ways];
+        if let Some(k) = set.iter().position(|&l| l == line_index + 1) {
+            return Some(Pos::Way(base + k));
         }
-        if !self.spill.is_empty() {
-            if let Some(i) = self.spill.iter().position(|e| e.line == line_index) {
-                return Some(Pos::Spill(i));
-            }
-        }
-        None
+        self.spill
+            .iter()
+            .position(|e| e.line == line_index)
+            .map(Pos::Spill)
     }
 
     #[inline]
-    fn state_at(&mut self, pos: Pos) -> &mut DirState {
+    fn get_at(&self, pos: Pos) -> DirState {
         match pos {
-            Pos::Way(i) => &mut self.entries[i].state,
-            Pos::Spill(i) => &mut self.spill[i].state,
+            Pos::Way(i) if self.excl[i] != 0 => DirState::Exclusive(CoreId(self.bits[i] as u16)),
+            Pos::Way(i) => DirState::Shared(SharerSet(self.bits[i])),
+            Pos::Spill(i) => self.spill[i].state,
+        }
+    }
+
+    #[inline]
+    fn set_at(&mut self, pos: Pos, state: DirState) {
+        match pos {
+            Pos::Way(i) => {
+                (self.bits[i], self.excl[i]) = match state {
+                    DirState::Shared(s) => (s.0, 0),
+                    DirState::Exclusive(owner) => (owner.0 as u128, 1),
+                }
+            }
+            Pos::Spill(i) => self.spill[i].state = state,
         }
     }
 
@@ -218,24 +244,22 @@ impl Directory {
             self.len
         );
         let base = self.set_base(line_index);
-        for i in 0..self.ways {
-            if self.entries[base + i].line == EMPTY_LINE {
-                self.entries[base + i] = DirEntry {
-                    line: line_index,
-                    state,
-                };
-                return;
+        let set = &self.lines[base..base + self.ways];
+        match set.iter().position(|&l| l == 0) {
+            Some(k) => {
+                self.lines[base + k] = line_index + 1;
+                self.set_at(Pos::Way(base + k), state);
             }
+            None => self.spill.push(SpillEntry {
+                line: line_index,
+                state,
+            }),
         }
-        self.spill.push(DirEntry {
-            line: line_index,
-            state,
-        });
     }
 
     fn remove_at(&mut self, pos: Pos) {
         match pos {
-            Pos::Way(i) => self.entries[i].line = EMPTY_LINE,
+            Pos::Way(i) => self.lines[i] = 0,
             Pos::Spill(i) => {
                 self.spill.swap_remove(i);
             }
@@ -245,10 +269,7 @@ impl Directory {
 
     /// Current state of a line (None = uncached in all L1s).
     pub fn state(&self, addr: crate::addr::Addr) -> Option<DirState> {
-        match self.find(addr.line_index())? {
-            Pos::Way(i) => Some(self.entries[i].state),
-            Pos::Spill(i) => Some(self.spill[i].state),
-        }
+        self.find(addr.line_index()).map(|pos| self.get_at(pos))
     }
 
     /// Records `core` as a sharer (demotes Exclusive to Shared, keeping the
@@ -257,18 +278,12 @@ impl Directory {
         let idx = addr.line_index();
         match self.find(idx) {
             Some(pos) => {
-                let entry = self.state_at(pos);
-                *entry = match *entry {
-                    DirState::Shared(mut s) => {
-                        s.insert(core);
-                        DirState::Shared(s)
-                    }
-                    DirState::Exclusive(owner) => {
-                        let mut s = SharerSet::single(owner);
-                        s.insert(core);
-                        DirState::Shared(s)
-                    }
+                let mut sharers = match self.get_at(pos) {
+                    DirState::Shared(s) => s,
+                    DirState::Exclusive(owner) => SharerSet::single(owner),
                 };
+                sharers.insert(core);
+                self.set_at(pos, DirState::Shared(sharers));
             }
             None => self.insert(idx, DirState::Shared(SharerSet::single(core))),
         }
@@ -278,7 +293,7 @@ impl Directory {
     pub fn set_exclusive(&mut self, addr: crate::addr::Addr, core: CoreId) {
         let idx = addr.line_index();
         match self.find(idx) {
-            Some(pos) => *self.state_at(pos) = DirState::Exclusive(core),
+            Some(pos) => self.set_at(pos, DirState::Exclusive(core)),
             None => self.insert(idx, DirState::Exclusive(core)),
         }
     }
@@ -291,12 +306,12 @@ impl Directory {
         let Some(pos) = self.find(idx) else {
             return false;
         };
-        let (drop_entry, had) = match self.state_at(pos) {
-            DirState::Exclusive(owner) if *owner == core => (true, true),
-            DirState::Exclusive(_) => (false, false),
-            DirState::Shared(s) => {
+        let (drop_entry, had) = match self.get_at(pos) {
+            DirState::Exclusive(owner) => (owner == core, owner == core),
+            DirState::Shared(mut s) => {
                 let had = s.contains(core);
                 s.remove(core);
+                self.set_at(pos, DirState::Shared(s));
                 (s.is_empty(), had)
             }
         };
@@ -450,6 +465,63 @@ mod tests {
             dir.drop_line(Addr(l * 64));
         }
         assert_eq!(dir.tracked_lines(), 0);
+    }
+
+    #[test]
+    fn line_zero_is_a_line_not_a_free_way() {
+        // Ways store line + 1 so that zeroed storage reads as free; line
+        // index 0 must still be tracked, found, demoted and dropped like
+        // any other line — in a way and in the spill list.
+        let zero = Addr(0);
+        let mut dir = Directory::with_geometry(2, 1, 1);
+        assert_eq!(dir.state(zero), None, "a free way is not line 0");
+        dir.set_exclusive(zero, CoreId(0));
+        assert_eq!(dir.state(zero), Some(DirState::Exclusive(CoreId(0))));
+        assert_eq!(dir.tracked_lines(), 1);
+        // Same set, way taken by line 0: line 2 spills; line 0 stays found.
+        dir.add_sharer(Addr(2 * 64), CoreId(1));
+        assert!(!dir.spill_is_empty_for_test());
+        dir.add_sharer(zero, CoreId(3));
+        let both: SharerSet = [CoreId(0), CoreId(3)].into_iter().collect();
+        assert_eq!(dir.state(zero), Some(DirState::Shared(both)), "demoted");
+        assert!(dir.remove_core(zero, CoreId(0)));
+        assert!(dir.remove_core(zero, CoreId(3)));
+        assert_eq!(dir.state(zero), None);
+        assert_eq!(dir.tracked_lines(), 1);
+        // Line 4 takes the freed way, so now line 0 is the one that spills.
+        dir.add_sharer(Addr(4 * 64), CoreId(2));
+        dir.add_sharer(zero, CoreId(5));
+        assert_eq!(
+            dir.state(zero),
+            Some(DirState::Shared(SharerSet::single(CoreId(5))))
+        );
+        dir.drop_line(zero);
+        assert_eq!(dir.state(zero), None);
+        assert_eq!(dir.tracked_lines(), 2);
+    }
+
+    #[test]
+    fn sharer_set_refuses_a_core_it_cannot_record() {
+        // In release and debug alike: an unchecked shift would wrap and
+        // record core 128 as core 0.
+        let ops: [fn(CoreId); 4] = [
+            |c| {
+                SharerSet::single(c);
+            },
+            |c| SharerSet::empty().insert(c),
+            |c| SharerSet::empty().remove(c),
+            |c| {
+                SharerSet::empty().contains(c);
+            },
+        ];
+        for op in ops {
+            let refused = std::panic::catch_unwind(|| op(CoreId(SharerSet::MAX_CORES as u16)));
+            let msg = *refused.unwrap_err().downcast::<String>().unwrap();
+            assert!(
+                msg.contains("core 128") && msg.contains("128-core"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -639,6 +639,23 @@ impl LlcTile {
         let _ = self.cache.insert(slice, false);
     }
 
+    /// [`LlcTile::warm`] for whole runs of this tile's lines, on a tile
+    /// that has seen no access yet: each `(first, count)` names `count`
+    /// lines homed here starting at chip address `first` — `tile_stride`
+    /// apart on the chip, consecutive inside the slice. Runs must not
+    /// overlap (see [`CacheArray::warm_fill`]).
+    pub fn warm_fill(&mut self, runs: &[(Addr, u64)]) {
+        let stride = self.cfg.tile_stride as u64;
+        let local: Vec<(u64, u64)> = runs
+            .iter()
+            .map(|&(first, count)| {
+                debug_assert_eq!(first.line_index() % stride, self.cfg.tile_index as u64);
+                (self.slice_addr(first).line_index(), count)
+            })
+            .collect();
+        self.cache.warm_fill(&local);
+    }
+
     /// Queues incoming work (called by the chip model on packet delivery).
     pub fn submit(&mut self, input: LlcInput) {
         self.queue.push_back(input);

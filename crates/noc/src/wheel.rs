@@ -4,7 +4,8 @@
 //! scheduled a small, bounded number of cycles ahead (a hop delay, a
 //! credit round-trip, a latency-function value), and the engine drains
 //! each cycle exactly once. Under that contract a slot-indexed wheel —
-//! `slot = cycle % slots` — replaces a comparison heap: pushes and drains
+//! `slot = cycle & (slots - 1)`, the slot count a power of two so no push
+//! or drain divides — replaces a comparison heap: pushes and drains
 //! are O(1) with no sift, no `Reverse` ordering, and no per-event
 //! allocation, because slot vectors are recycled by swapping with the
 //! caller's scratch buffer.
@@ -26,18 +27,28 @@ use nocout_sim::Cycle;
 #[derive(Debug)]
 pub(crate) struct EventWheel<T> {
     slots: Vec<Vec<T>>,
+    /// `slots.len() - 1`; the length is always a power of two.
+    mask: usize,
     /// Events currently scheduled anywhere in the wheel.
     pending: usize,
 }
 
 impl<T> EventWheel<T> {
-    /// Creates a wheel with `slots` initial slots (its schedule horizon).
+    /// Creates a wheel with at least `slots` initial slots (its schedule
+    /// horizon), rounded up to a power of two.
     pub(crate) fn with_slots(slots: usize) -> Self {
         assert!(slots >= 2);
+        let slots = slots.next_power_of_two();
         EventWheel {
             slots: (0..slots).map(|_| Vec::new()).collect(),
+            mask: slots - 1,
             pending: 0,
         }
+    }
+
+    #[inline]
+    fn slot_of(&self, at: u64) -> usize {
+        at as usize & self.mask
     }
 
     /// Schedules `ev` for cycle `at` (`now <= at`), growing the horizon if
@@ -49,7 +60,7 @@ impl<T> EventWheel<T> {
         if delta >= self.slots.len() as u64 {
             self.grow(now, delta);
         }
-        let idx = (at.raw() as usize) % self.slots.len();
+        let idx = self.slot_of(at.raw());
         self.slots[idx].push(ev);
         self.pending += 1;
     }
@@ -59,7 +70,7 @@ impl<T> EventWheel<T> {
     /// cycle.
     #[inline]
     pub(crate) fn drain_into(&mut self, now: Cycle, out: &mut Vec<T>) {
-        let idx = (now.raw() as usize) % self.slots.len();
+        let idx = self.slot_of(now.raw());
         out.clear();
         std::mem::swap(&mut self.slots[idx], out);
         self.pending -= out.len();
@@ -72,8 +83,7 @@ impl<T> EventWheel<T> {
         if self.pending == 0 {
             return None;
         }
-        let len = self.slots.len();
-        (0..len as u64).find(|dt| !self.slots[((now.raw() + dt) as usize) % len].is_empty())
+        (0..self.slots.len() as u64).find(|dt| !self.slots[self.slot_of(now.raw() + dt)].is_empty())
     }
 
     /// Events scheduled and not yet drained.
@@ -93,15 +103,13 @@ impl<T> EventWheel<T> {
             new_len *= 2;
         }
         let mut new_slots: Vec<Vec<T>> = (0..new_len).map(|_| Vec::new()).collect();
-        let old_len = self.slots.len();
-        for dt in 0..old_len as u64 {
+        for dt in 0..self.slots.len() as u64 {
             let at = now.raw() + dt;
-            let old_idx = (at as usize) % old_len;
-            for ev in self.slots[old_idx].drain(..) {
-                new_slots[(at as usize) % new_len].push(ev);
-            }
+            let old_idx = self.slot_of(at);
+            new_slots[at as usize & (new_len - 1)].append(&mut self.slots[old_idx]);
         }
         self.slots = new_slots;
+        self.mask = new_len - 1;
     }
 }
 
@@ -126,6 +134,27 @@ mod tests {
         assert_eq!(out, vec![30, 31], "same-cycle events keep push order");
         assert_eq!(w.pending(), 0);
         assert_eq!(w.next_occupied_delta(Cycle(4)), None);
+    }
+
+    #[test]
+    fn slot_count_rounds_up_to_a_power_of_two() {
+        // Six slots asked for, eight allocated: every cycle inside the
+        // requested horizon still drains at its own cycle, in order.
+        let mut w: EventWheel<u64> = EventWheel::with_slots(6);
+        let mut seen = Vec::new();
+        let mut out = Vec::new();
+        for t in 0..=20u64 {
+            if t + 5 <= 20 {
+                w.push(Cycle(t), Cycle(t + 5), t + 5);
+            }
+            if t < 5 {
+                w.push(Cycle(t), Cycle(t), t);
+            }
+            w.drain_into(Cycle(t), &mut out);
+            seen.extend(out.iter().copied());
+        }
+        assert_eq!(seen, (0..=20).collect::<Vec<u64>>());
+        assert_eq!(w.pending(), 0);
     }
 
     #[test]

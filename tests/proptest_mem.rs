@@ -4,7 +4,10 @@
 use nocout_repro::substrates::mem::addr::{Addr, AddressMap};
 use nocout_repro::substrates::mem::cache::{CacheArray, CacheGeometry, Lookup};
 use nocout_repro::substrates::mem::directory::Directory;
+use nocout_repro::substrates::mem::llc::{LlcConfig, LlcTile};
 use nocout_repro::substrates::mem::protocol::CoreId;
+use nocout_repro::substrates::workloads::gen::{INSTR_BASE, LLC_DATA_BASE, SHARED_RW_BASE};
+use nocout_repro::substrates::workloads::Workload;
 use proptest::prelude::*;
 
 fn small_cache() -> CacheArray {
@@ -147,5 +150,110 @@ proptest! {
             }
         }
         prop_assert_eq!(dir.tracked_lines(), model.len());
+    }
+
+    #[test]
+    fn warm_fill_equals_the_insert_loop(
+        ways in 1usize..17,
+        sets_log2 in 0u32..7,
+        base in 0u64..1000,
+        // (gap before the range, its length in percent of the array's
+        // capacity, sort key): one to four ranges, together sometimes well
+        // past capacity so sets over-subscribe and the fallback runs.
+        cuts in prop::collection::vec((0u64..40, 0u64..80, 0u32..1000), 1..5),
+        ops in prop::collection::vec((0u8..3, 0u64..10_000, any::<bool>()), 300..301)
+    ) {
+        let capacity = (ways as u64) << sets_log2;
+        let geometry = CacheGeometry { capacity_bytes: capacity * 64, ways, line_bytes: 64 };
+        let mut end = base;
+        let mut ranges: Vec<(u32, (u64, u64))> = cuts
+            .iter()
+            .map(|&(gap, percent, key)| {
+                let range = (end + gap, (capacity * percent).div_ceil(100));
+                end = range.0 + range.1;
+                (key, range)
+            })
+            .collect();
+        // Disjoint, not sorted: the chip's regions are not ascending.
+        ranges.sort_by_key(|&(key, _)| key);
+        let ranges: Vec<(u64, u64)> = ranges.into_iter().map(|(_, r)| r).collect();
+
+        let mut filled = CacheArray::new(geometry);
+        filled.warm_fill(&ranges);
+        let mut looped = CacheArray::new(geometry);
+        for &(first, count) in &ranges {
+            for line in first..first + count {
+                looped.insert(Addr::from_line_index(line), false);
+            }
+        }
+        prop_assert_eq!(&filled, &looped);
+
+        // ... and stay equal, answer by answer (victims included), under
+        // traffic over the warmed lines and a margin either side.
+        let span = end + 16;
+        for &(kind, line, dirty) in &ops {
+            let a = Addr::from_line_index(line % span);
+            match kind {
+                0 => prop_assert_eq!(filled.lookup(a), looped.lookup(a)),
+                1 => prop_assert_eq!(filled.insert(a, dirty), looped.insert(a, dirty)),
+                _ => prop_assert_eq!(filled.invalidate(a), looped.invalidate(a)),
+            }
+        }
+        prop_assert_eq!(&filled, &looped);
+    }
+}
+
+#[test]
+#[should_panic(expected = "never-used")]
+fn warm_fill_refuses_an_array_that_has_seen_a_lookup() {
+    let mut c = small_cache();
+    c.lookup(Addr(0));
+    c.warm_fill(&[(0, 4)]);
+}
+
+#[test]
+#[should_panic(expected = "overlap")]
+fn warm_fill_refuses_overlapping_ranges() {
+    small_cache().warm_fill(&[(8, 4), (0, 9)]);
+}
+
+/// The chip warms each LLC tile with `warm_fill`; `LlcTile::warm`, line by
+/// line, is what that replaced and what defines the warmed state. Both
+/// chip geometries, every tile, every profile's three regions in the
+/// chip's order — which is not ascending: SHARED_RW sits below LLC_DATA.
+#[test]
+fn llc_warm_fill_equals_per_line_warm() {
+    for (cfg, tiles) in [
+        (LlcConfig::tiled_slice(), 64),
+        (LlcConfig::nocout_tile(), 8),
+    ] {
+        let map = AddressMap::new(tiles, 1, 4);
+        for workload in Workload::ALL {
+            let p = workload.profile();
+            let regions = [
+                (INSTR_BASE, p.instr_footprint_lines as u64),
+                (LLC_DATA_BASE, p.llc_resident_lines as u64),
+                (SHARED_RW_BASE, p.shared_rw_lines as u64),
+            ];
+            for tile in 0..tiles {
+                let mut filled = LlcTile::new(cfg.at_position(tile, tiles));
+                let runs: Vec<(Addr, u64)> = regions
+                    .iter()
+                    .filter_map(|&(base, lines)| map.homed_run(tile, Addr(base), lines))
+                    .collect();
+                filled.warm_fill(&runs);
+                let mut looped = LlcTile::new(cfg.at_position(tile, tiles));
+                for (base, lines) in regions {
+                    for addr in map.lines_homed_at(tile, Addr(base), lines) {
+                        looped.warm(addr);
+                    }
+                }
+                assert_eq!(
+                    format!("{filled:?}"),
+                    format!("{looped:?}"),
+                    "{workload:?}, tile {tile} of {tiles}"
+                );
+            }
+        }
     }
 }
