@@ -1,27 +1,14 @@
-//! Benchmark support crate.
+//! The micro-op definitions `nocbench layers` times.
 //!
-//! The benchmarks live in `benches/`:
-//!
-//! * `figures` — one Criterion benchmark per paper table/figure
-//!   (`bench_fig1`, `bench_fig4`, `bench_fig7`, `bench_fig8`,
-//!   `bench_fig9`, `bench_power`, `bench_table1`, `bench_banking`,
-//!   `bench_scalability`), each exercising a scaled-down version of the
-//!   corresponding experiment pipeline,
-//! * `micro` — microbenchmarks of the simulator's hot paths (network
-//!   tick, LLC tile, L1, workload generation, RNG).
-//!
-//! Run with `cargo bench -p nocout-bench`. The full-fidelity experiment
-//! binaries live in `nocout-experiments`.
+//! One fixture and one round function per simulator hot path, grouped by
+//! layer ([`memopt`], [`uncoreopt`], [`nocopt`], [`statopt`]). The
+//! benchmark (`nocbench/`, a package outside this workspace) owns the
+//! timing harness and the metric names; this crate owns what "one op"
+//! means, inside the workspace so that its own test suite executes every
+//! op.
 
-/// A short measurement window for benchmark-scale simulations.
-pub fn bench_window() -> nocout_sim::config::MeasurementWindow {
-    nocout_sim::config::MeasurementWindow::new(500, 1_500)
-}
-
-/// The core/L1 memory-path microbench operations, defined once so the
-/// criterion bench (`benches/micro.rs`) and the recorded trajectory
-/// keys (`benches/batch.rs`, `micro_*` in `BENCH_batch.json`) can never
-/// drift apart in what "one op" means.
+/// The core/L1 memory-path micro-ops (`cpu.core_tick_ns`,
+/// `cpu.rob_round_ns`, `memsys.l1_mshr_ns`).
 pub mod memopt {
     use nocout_cpu::model::{Core, CoreConfig};
     use nocout_cpu::rob::{RingRob, WakeupIndex};
@@ -94,11 +81,9 @@ pub mod memopt {
     }
 }
 
-/// The uncore microbench operations — LLC tile service, directory
-/// tracking, and the analytic-fabric event wheel — defined once for the
-/// same reason as [`memopt`]: the criterion bench and the recorded
-/// trajectory keys (`micro_llc_tile_rate`, `micro_directory_rate`,
-/// `micro_fabric_wheel_rate`) must agree on what "one op" means.
+/// The uncore micro-ops — LLC tile service, directory tracking, and the
+/// analytic-fabric event wheel (`memsys.llc_hit_ns`,
+/// `memsys.directory_ns`, `noc.fabric_wheel_ns`).
 pub mod uncoreopt {
     use nocout_mem::addr::Addr;
     use nocout_mem::directory::Directory;
@@ -188,12 +173,9 @@ pub mod uncoreopt {
     }
 }
 
-/// The flit-level network microbench operations — the saturated
-/// router-pair switch hop and the per-topology loaded network tick —
-/// defined once for the same reason as [`memopt`]: the criterion bench
-/// (`benches/micro.rs`) and the recorded trajectory keys
-/// (`micro_switch_hop_rate`, `micro_loaded_tick_rate_*` in
-/// `BENCH_batch.json`) must agree on what "one op" means.
+/// The flit-level network micro-ops — the saturated router-pair switch
+/// hop and the per-topology loaded network tick (`noc.switch_hop_ns`,
+/// `noc.loaded_tick_ns.*`).
 pub mod nocopt {
     use nocout_noc::network::{Network, NetworkBuilder};
     use nocout_noc::router::RouterConfig;
@@ -207,7 +189,7 @@ pub mod nocopt {
     /// streams both ways, pre-filled so the switch allocator grants on
     /// every cycle. One *switch hop* is one granted flit traversal (the
     /// callers measure `stats().flit_hops` over the timed loop rather
-    /// than counting rounds, so the key is ns-per-hop honest).
+    /// than counting rounds, so the metric is ns-per-hop honest).
     pub fn saturated_pair() -> (Network, [TerminalId; 2]) {
         let mut b = NetworkBuilder::new(128);
         let r0 = b.add_router(RouterConfig::mesh());
@@ -236,14 +218,13 @@ pub mod nocopt {
         }
     }
 
-    /// A paper-scale network under the sustained random load of the
-    /// `benches/micro.rs` loaded-tick benchmarks (~0.5 packets injected
-    /// per cycle); one op is one `Network::tick`.
+    /// A paper-scale network under sustained random load (~0.5 packets
+    /// injected per cycle); one op is one `Network::tick`.
     pub struct LoadedNet {
-        /// Trajectory-key suffix (`mesh`, `flattened_butterfly`,
-        /// `noc_out`), matching `org_key` naming in `benches/batch.rs`.
+        /// Which topology this is: `mesh`, `flattened_butterfly` or
+        /// `noc_out`.
         pub key: &'static str,
-        net: Network,
+        pub(crate) net: Network,
         srcs: Vec<TerminalId>,
         dsts: Vec<TerminalId>,
         all: Vec<TerminalId>,
@@ -318,17 +299,10 @@ pub mod nocopt {
     pub fn flit_hops(net: &Network) -> u64 {
         net.stats().flit_hops.value()
     }
-
-    /// Flit hops performed so far by a loaded network.
-    pub fn flit_hops_loaded(ln: &LoadedNet) -> u64 {
-        ln.net.stats().flit_hops.value()
-    }
 }
 
-/// The service-level statistics microbench operation, defined once for
-/// the same reason as [`memopt`]: the criterion bench and the recorded
-/// trajectory key (`micro_latency_hist_rate`) must agree on what "one
-/// op" means.
+/// The service-level statistics micro-op
+/// (`sim.latency_hist_record_ns`).
 pub mod statopt {
     use nocout_sim::stats::LatencyHist;
 
@@ -350,5 +324,89 @@ pub mod statopt {
         acc.merge(scratch);
         scratch.reset();
         std::hint::black_box(acc.percentile(0.99));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{memopt, nocopt, statopt, uncoreopt};
+    use nocout_noc::fabric::Fabric;
+    use nocout_sim::stats::LatencyHist;
+    use nocout_sim::Cycle;
+
+    const ROUNDS: u64 = 300;
+
+    /// The fixture after [`ROUNDS`] calls of its round function.
+    fn drive<F>(mut fixture: F, round: impl Fn(&mut F, u64)) -> F {
+        for i in 0..ROUNDS {
+            round(&mut fixture, i);
+        }
+        fixture
+    }
+
+    /// Every fixture builds and every round function does the work its
+    /// `nocbench layers` metric is named after. The benchmark sits
+    /// outside the workspace, so this is where the workspace's own suite
+    /// executes the ops.
+    #[test]
+    fn every_micro_op_runs_and_leaves_its_mark() {
+        let ((core, _), out) = drive(
+            (memopt::resident_alu_core(), Vec::new()),
+            |((core, src), out), i| memopt::resident_alu_tick(core, src, out, Cycle(i)),
+        );
+        assert!(out.is_empty(), "the resident stream missed");
+        let retired = core.stats.retired.value();
+        assert!(retired >= 2 * ROUNDS, "{retired} retired: not at full width");
+
+        let (rob, idx) = drive(memopt::rob_and_index(), |(rob, idx), i| {
+            memopt::rob_fill_wakeup_round(rob, idx, i)
+        });
+        assert!(rob.is_empty(), "{} ROB entries never retired", rob.len());
+        assert_eq!((idx.waiting(), idx.lines()), (0, 0), "waiters never woken");
+
+        let (l1, last_waiters, _) = drive(
+            (memopt::a15_l1(), Vec::new(), 0u64),
+            |(l1, scratch, next), _| memopt::mshr_alloc_merge_fill(l1, scratch, next),
+        );
+        assert_eq!(last_waiters, [0, 1], "a fill returns both merged waiters");
+        assert_eq!(l1.outstanding_misses(), 0, "the L1's MSHRs did not drain");
+
+        let (tile, _) = drive(
+            (uncoreopt::warmed_nocout_tile(), Cycle(0)),
+            |(tile, now), i| uncoreopt::llc_tile_hit_round(tile, now, i),
+        );
+        let (accesses, hits) = (tile.stats.accesses.value(), tile.stats.hits.value());
+        assert_eq!((accesses, hits), (ROUNDS, ROUNDS), "every request hits");
+        assert!(!tile.has_queued_input(), "the tile fell behind its input");
+
+        let dir = drive(uncoreopt::bench_directory(), uncoreopt::directory_round);
+        assert_eq!(dir.tracked_lines(), 0, "every tracked line was dropped");
+
+        let fab = drive(uncoreopt::tencycle_fabric(), uncoreopt::fabric_wheel_round);
+        let in_flight = fab.packets_in_flight() as u64;
+        assert_eq!(fab.stats().packets_injected.value(), ROUNDS);
+        assert_eq!(fab.stats().packets_delivered.value(), ROUNDS - in_flight);
+        // Ten in flight during a tick, nine once its delivery is drained.
+        assert_eq!(in_flight, 9, "a ten-cycle fabric holds ten cycles' packets");
+
+        let (pair, _) = drive(nocopt::saturated_pair(), |(net, terms), _| {
+            nocopt::switch_hop_round(net, terms)
+        });
+        let hops = nocopt::flit_hops(&pair);
+        assert!(hops > ROUNDS, "{hops} flit hops: the pair is not saturated");
+
+        for net in nocopt::loaded_networks() {
+            let ln = drive(net, |ln, _| nocopt::loaded_tick(ln));
+            let s = ln.net.stats();
+            let moved = s.packets_delivered.value() > 0 && s.flit_hops.value() > 0;
+            assert!(moved, "{}: nothing moved", ln.key);
+        }
+
+        let (scratch, acc) = drive(
+            (LatencyHist::new(), LatencyHist::new()),
+            |(scratch, acc), i| statopt::latency_hist_round(scratch, acc, i),
+        );
+        assert_eq!(scratch.total(), 0, "scratch is reset after each merge");
+        assert_eq!(acc.total(), 64 * ROUNDS, "the histogram's total");
     }
 }

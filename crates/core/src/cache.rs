@@ -26,7 +26,7 @@
 //! canonical string itself contains a 64-bit digest of the content, so
 //! that guarantee is probabilistic (aliasing needs an FNV-64 collision
 //! *plus* matching stream/instruction counts). Bump
-//! [`FORMAT`] when the entry layout changes; bump the `v2` prefix in
+//! `FORMAT` when the entry layout changes; bump the `v2` prefix in
 //! [`RunSpec::cache_key`] when simulator *behaviour* changes so that
 //! stale results from older binaries cannot be replayed.
 //!

@@ -251,7 +251,7 @@ impl Campaign {
     /// The full expansion down to individual [`RunSpec`]s, in execution
     /// order: the canonical point order with the (collapsed) seed axis
     /// innermost. This is exactly what [`Campaign::run`] submits to the
-    /// runner — both build the same [`Campaign::plan`] — and what tests
+    /// runner — both build the same `Campaign::plan` — and what tests
     /// use to pin cache-key coverage.
     pub fn specs(&self) -> Vec<RunSpec> {
         self.plan().1

@@ -3,12 +3,11 @@
 use nocout_noc::topology::fbfly::FbflySpec;
 use nocout_noc::topology::mesh::MeshSpec;
 use nocout_noc::topology::nocout::NocOutSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The evaluated system organizations (§5.1) plus the two analytic fabrics
 /// of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Organization {
     /// Tiled 8×8 mesh (baseline).
     Mesh,
@@ -71,7 +70,7 @@ impl std::str::FromStr for Organization {
 }
 
 /// Full chip configuration (Table 1 defaults via [`ChipConfig::paper`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipConfig {
     /// Interconnect/LLC organization.
     pub organization: Organization,

@@ -2,7 +2,6 @@
 
 use nocout_sim::stats::LatencyHist;
 use nocout_tech::energy::NocActivity;
-use serde::{Deserialize, Serialize};
 
 /// The service-level summary of one latency distribution: sample count,
 /// mean, and the tail percentiles scale-out serving is judged by.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// relative error bound (never below the exact quantile, at most 33/32
 /// above it). Percentiles do **not** compose across summaries — merge the
 /// underlying histograms first, then summarize ([`TailSummary::of`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TailSummary {
     /// Samples recorded.
     pub count: u64,
@@ -39,7 +38,7 @@ impl TailSummary {
 }
 
 /// Everything the experiment harness reads out of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemMetrics {
     /// Instructions per cycle of every core (inactive cores report 0).
     pub per_core_ipc: Vec<f64>,
@@ -107,7 +106,7 @@ impl SystemMetrics {
 }
 
 /// Aggregated LLC statistics (summed over tiles).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LlcSummary {
     /// Core requests processed.
     pub accesses: u64,
@@ -145,7 +144,7 @@ impl LlcSummary {
 }
 
 /// Interconnect statistics for the window.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NetSummary {
     /// Packets delivered.
     pub packets: u64,
@@ -179,7 +178,7 @@ pub struct NetSummary {
 }
 
 /// Memory-channel statistics for the window.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MemSummary {
     /// Line reads serviced.
     pub reads: u64,

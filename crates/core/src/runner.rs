@@ -147,10 +147,10 @@ pub fn run_outcome(spec: &RunSpec) -> PointOutcome {
 ///
 /// The workload can be a synthetic profile or a captured trace
 /// ([`WorkloadClass`]); cloning is cheap either way (traces are shared
-/// by reference). Unlike its components, `RunSpec` itself does not
-/// derive serde: a trace workload is backed by on-disk streams that a
-/// field-wise serialization cannot capture — archive the canonical
-/// [`RunSpec::cache_key`] (which embeds the trace content hash) instead.
+/// by reference). A trace workload is backed by on-disk streams that a
+/// field-wise dump of the spec cannot capture: to archive or ship a
+/// point, use the canonical [`RunSpec::cache_key`], which embeds the
+/// trace content hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Chip configuration.

@@ -9,10 +9,9 @@
 //! and falls with the LLC access latency implied by die size.
 
 use nocout_tech::ChipPowerModel;
-use serde::{Deserialize, Serialize};
 
 /// Inputs to the SOP optimization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SopInputs {
     /// Die area budget for cores + LLC, mm².
     pub area_budget_mm2: f64,
@@ -43,7 +42,7 @@ impl SopInputs {
 }
 
 /// One candidate configuration with its score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SopPoint {
     /// Core count.
     pub cores: usize,

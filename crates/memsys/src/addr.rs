@@ -1,6 +1,5 @@
 //! Physical addresses and NUCA address mapping.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cache-line size in bytes (Table 1).
@@ -20,7 +19,7 @@ pub const LINE_SHIFT: u32 = 6;
 /// assert_eq!(a.line().0, 0x1200);
 /// assert_eq!(a.line_index(), 0x48);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u64);
 
 impl Addr {
@@ -68,7 +67,7 @@ impl fmt::Display for Addr {
 /// assert!(map.bank_in_tile(a) < 2);
 /// assert!(map.memory_channel(a) < 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMap {
     llc_tiles: usize,
     banks_per_tile: usize,

@@ -10,10 +10,9 @@
 //! scans one dense `u64` slice.
 
 use crate::addr::Addr;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a cache array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,

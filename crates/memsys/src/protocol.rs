@@ -9,11 +9,10 @@
 
 use crate::addr::Addr;
 use nocout_noc::types::MessageClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A core (and its private L1s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(pub u16);
 
 impl CoreId {
@@ -32,16 +31,16 @@ impl fmt::Display for CoreId {
 
 /// A core-side miss transaction (allocated by the chip model; flows through
 /// every message belonging to the transaction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TxnId(pub u32);
 
 /// An LLC-side miss-status-holding-register id (memory fetches and
 /// invalidation collections in flight at one LLC tile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MshrId(pub u32);
 
 /// The kind of access a core performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Instruction fetch (read, L1-I).
     InstrFetch,
@@ -76,7 +75,7 @@ impl AccessKind {
 }
 
 /// Coherence request kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// Read (shared) permission.
     GetS,

@@ -17,10 +17,9 @@
 
 use crate::flit::Flit;
 use crate::types::{MessageClass, PortIndex, RouterId, TerminalId, CLASS_COUNT};
-use serde::{Deserialize, Serialize};
 
 /// Output arbitration policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArbiterKind {
     /// Rotating fair arbitration over (input port, VC) pairs — the policy of
     /// the mesh and flattened-butterfly routers.
@@ -34,7 +33,7 @@ pub enum ArbiterKind {
 }
 
 /// Per-router microarchitecture parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Cycles spent in the router pipeline before the flit enters the link.
     /// Per-hop zero-load latency is `pipeline_delay + link delay`.

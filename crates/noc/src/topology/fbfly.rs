@@ -11,13 +11,12 @@
 use crate::network::NetworkBuilder;
 use crate::router::RouterConfig;
 use crate::types::{PortIndex, RouterId, TerminalId};
-use serde::{Deserialize, Serialize};
 
 use super::mesh::{mc_tiles, TiledNetwork};
 use super::{credit_round_trip_depth, link_delay_for_mm, TILED_TILE_MM};
 
 /// Parameters of a tiled flattened-butterfly network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FbflySpec {
     /// Grid columns.
     pub cols: usize,

@@ -15,13 +15,12 @@
 
 use crate::latency::LatencyFabric;
 use crate::types::TerminalId;
-use serde::{Deserialize, Serialize};
 
 use super::mesh::mc_tiles;
 use super::{WIRE_CYCLES_PER_MM};
 
 /// Which analytic fabric to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalyticKind {
     /// Wire delay only (125 ps/mm over the Manhattan tile distance).
     IdealWire,
@@ -30,7 +29,7 @@ pub enum AnalyticKind {
 }
 
 /// Parameters for an analytic tiled fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticSpec {
     /// Grid columns.
     pub cols: usize,

@@ -9,12 +9,11 @@
 use crate::network::{Network, NetworkBuilder};
 use crate::router::RouterConfig;
 use crate::types::{PortIndex, RouterId, TerminalId};
-use serde::{Deserialize, Serialize};
 
 use super::{link_delay_for_mm, TILED_TILE_MM};
 
 /// Parameters of a tiled mesh network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshSpec {
     /// Grid columns.
     pub cols: usize,

@@ -13,12 +13,11 @@
 use crate::network::NetworkBuilder;
 use crate::router::RouterConfig;
 use crate::types::{RouterId, TerminalId};
-use serde::{Deserialize, Serialize};
 
 use super::{credit_round_trip_depth, link_delay_for_mm, NOCOUT_TILE_MM};
 
 /// Parameters of a NOC-Out network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocOutSpec {
     /// LLC columns (and LLC tiles; 8 in the paper).
     pub columns: usize,

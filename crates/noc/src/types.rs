@@ -1,10 +1,9 @@
 //! Core identifier and message-class types for the NoC.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a router (or tree node) within a [`crate::network::Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub u16);
 
 impl RouterId {
@@ -23,7 +22,7 @@ impl fmt::Display for RouterId {
 
 /// Identifies a network terminal: anything that injects and ejects packets
 /// (a core, an LLC tile, or a memory controller).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TerminalId(pub u16);
 
 impl TerminalId {
@@ -49,7 +48,7 @@ pub type PortIndex = u8;
 /// deadlock freedom for the coherence protocol (§4.1): data requests, snoop
 /// requests, and responses (both data and snoop responses). Each class rides
 /// a dedicated virtual channel at every port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageClass {
     /// L1 miss requests travelling from cores toward the LLC/directory, and
     /// LLC fill requests toward the memory controllers.

@@ -1,10 +1,8 @@
 //! Experiment configuration helpers.
 //!
-//! The harness describes every run with small serde-serializable structs so
-//! a run can be archived next to its results. This module holds the pieces
-//! shared by all experiments: the measurement window and the seed set.
-
-use serde::{Deserialize, Serialize};
+//! The harness describes every run with small plain-data structs. This
+//! module holds the pieces shared by all experiments: the measurement
+//! window and the seed set.
 
 /// Warmup/measurement window for a simulation run.
 ///
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(w.measure_cycles > 0);
 /// assert_eq!(w.total_cycles(), w.warmup_cycles + w.measure_cycles);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeasurementWindow {
     /// Cycles simulated before statistics are reset.
     pub warmup_cycles: u64,
@@ -68,7 +66,7 @@ impl Default for MeasurementWindow {
 /// let seeds = SeedSet::consecutive(100, 3);
 /// assert_eq!(seeds.iter().collect::<Vec<_>>(), vec![100, 101, 102]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedSet {
     seeds: Vec<u64>,
 }

@@ -13,7 +13,6 @@ use nocout_noc::topology::fbfly::FbflySpec;
 use nocout_noc::topology::mesh::MeshSpec;
 use nocout_noc::topology::nocout::NocOutSpec;
 use nocout_noc::topology::{credit_round_trip_depth, link_delay_for_mm};
-use serde::{Deserialize, Serialize};
 
 /// One router's buffering/switching structure for area purposes.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +46,7 @@ pub struct OrganizationArea {
 }
 
 /// The Fig. 8 area breakdown, in mm².
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocAreaReport {
     /// Link repeater/driver area.
     pub links_mm2: f64,

@@ -5,10 +5,9 @@
 //! context numbers the paper uses to frame the NoC results, plus the die
 //! floorplan arithmetic behind the tile pitches used by the topologies.
 
-use serde::{Deserialize, Serialize};
 
 /// Per-component area and power constants from §5.2 and Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipPowerModel {
     /// Core area including L1s, mm² (ARM Cortex-A15-like at 32 nm).
     pub core_area_mm2: f64,

@@ -8,11 +8,10 @@
 
 use crate::wire::WireModel;
 use crate::BufferTech;
-use serde::{Deserialize, Serialize};
 
 /// Activity observed over a measurement window (taken from
 /// `nocout_noc::NetStats`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocActivity {
     /// Total link distance travelled by flits, in flit·mm.
     pub flit_mm: f64,
@@ -27,7 +26,7 @@ pub struct NocActivity {
 }
 
 /// Energy breakdown over the window, in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocEnergyReport {
     /// Link (wire + repeater) energy.
     pub links_j: f64,

@@ -13,11 +13,10 @@ use crate::profile::WorkloadProfile;
 use nocout_cpu::{Core, CoreConfig};
 use nocout_mem::protocol::AccessKind;
 use nocout_sim::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Measured rates of one workload stream (per kilo-instruction where
 /// noted).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Characterization {
     /// Instructions retired during the measurement.
     pub instructions: u64,

@@ -1,10 +1,9 @@
 //! The six workload profiles and their calibrated parameters.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The CloudSuite-derived workloads of the paper's evaluation (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Cassandra-style NoSQL serving: very low ILP/MLP, the most
     /// latency-sensitive workload (largest FBfly gain in Fig. 7).
@@ -199,7 +198,7 @@ impl fmt::Display for Workload {
 
 /// Tunable parameters of one workload model. See the crate docs for how
 /// each knob maps to a CloudSuite trait.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// Display name.
     pub name: &'static str,
