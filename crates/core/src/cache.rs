@@ -12,9 +12,10 @@
 //! ## Key and invalidation
 //!
 //! The cache key is a *content* hash (FNV-1a 64) over
-//! [`RunSpec::cache_key`], a versioned canonical rendering that spells
-//! out every field of the spec: all ten `ChipConfig` fields, the
-//! workload class, both window lengths, and the seed. Any field change —
+//! [`RunSpec::cache_key`]: the behaviour version, then the one spec line
+//! ([`RunSpec::spec_line`]) that spells out every field of the spec — all
+//! ten `ChipConfig` fields, both window lengths, the seed and the
+//! workload token. Any field change —
 //! different link width, another seed, a longer window — therefore maps
 //! to a different entry; there are no partial hits. A trace workload
 //! contributes its *content* hash plus stream/instruction counts (see
@@ -26,14 +27,18 @@
 //! canonical string itself contains a 64-bit digest of the content, so
 //! that guarantee is probabilistic (aliasing needs an FNV-64 collision
 //! *plus* matching stream/instruction counts). Bump
-//! `FORMAT` when the entry layout changes; bump the `v2` prefix in
+//! `FORMAT` when the entry layout changes; bump the `v3` prefix in
 //! [`RunSpec::cache_key`] when simulator *behaviour* changes so that
-//! stale results from older binaries cannot be replayed.
+//! stale results from older binaries cannot be replayed — an older entry
+//! is a plain miss, and no reader for older forms is kept.
 //!
-//! Metrics round-trip bit-exactly: floats are stored as the hex of their
-//! IEEE-754 bits, so a cache hit is indistinguishable from re-running the
-//! simulation — a property the integration tests and the CI byte-identity
-//! gate both enforce.
+//! Metrics round-trip bit-exactly — a cache hit is indistinguishable
+//! from re-running the simulation, a property the integration tests and
+//! the CI byte-identity gate both enforce — because the entry is written
+//! and read under the workspace's one set of text rules
+//! (`nocout_sim::text`; "Text formats" in `docs/distributed-campaigns.md`):
+//! floats as the hex of their bits, and any byte the writer would not
+//! have written, after the last line included, makes the entry a miss.
 //!
 //! ## Concurrency
 //!
@@ -45,6 +50,7 @@
 use crate::metrics::{LlcSummary, MemSummary, NetSummary, SystemMetrics, TailSummary};
 use crate::runner::RunSpec;
 use nocout_sim::hash::fnv1a;
+use nocout_sim::text::{float, hex, whole, Reader, TextError};
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::io;
@@ -55,41 +61,17 @@ const FORMAT: &str = "nocout-results-cache v2";
 
 impl RunSpec {
     /// The canonical, versioned rendering of this spec that the results
-    /// cache hashes and verifies. Every field of the spec appears by
-    /// name; any change to any field changes the key (the invalidation
-    /// rule is exactly "the spec changed"). Trace workloads render as
-    /// their *content* hash, so editing or re-capturing a trace directory
-    /// invalidates its cached replay results even at the same path. The
-    /// `v2` prefix is the *behaviour* version: bump it when the
-    /// simulator's outputs change for unchanged specs (v1 → v2: the
-    /// workload generator moved to a cumulative-threshold op-mix draw,
-    /// changing every synthetic stream).
+    /// cache hashes and verifies: the behaviour version, then
+    /// [`RunSpec::spec_line`] — every field of the spec by name, so any
+    /// change to any field changes the key (the invalidation rule is
+    /// exactly "the spec changed"). Trace workloads render as their
+    /// *content* hash, so editing or re-capturing a trace directory
+    /// invalidates its cached replay results even at the same path. Bump
+    /// the `v3` prefix when the simulator's outputs change for unchanged
+    /// specs (v2 → v3: the network's all-class p50/p99 come from the
+    /// merged per-class `LatencyHist`s, and the key became the spec line).
     pub fn cache_key(&self) -> String {
-        let c = &self.chip;
-        format!(
-            "v2 org={:?} cores={} llc_bytes={} link_bits={} mem_channels={} \
-             banks_per_llc_tile={} concentration={} active_override={:?} \
-             express={} llc_rows={} workload={} warmup={} measure={} seed={}",
-            c.organization,
-            c.cores,
-            c.llc_total_bytes,
-            c.link_width_bits,
-            c.mem_channels,
-            c.banks_per_llc_tile,
-            c.concentration,
-            c.active_core_override,
-            c.express_links,
-            c.llc_rows,
-            self.workload.cache_token(),
-            self.window.warmup_cycles,
-            self.window.measure_cycles,
-            self.seed
-        )
-    }
-
-    /// FNV-1a 64 hash of [`RunSpec::cache_key`] — the cache file name.
-    pub fn content_hash(&self) -> u64 {
-        fnv1a(self.cache_key().as_bytes())
+        format!("v3 {}", self.spec_line())
     }
 }
 
@@ -160,8 +142,10 @@ impl ResultsCache {
         self.quarantined.get()
     }
 
-    fn entry_path(&self, spec: &RunSpec) -> PathBuf {
-        self.dir.join(format!("{:016x}.metrics", spec.content_hash()))
+    /// The entry file of a [`RunSpec::cache_key`], named by its FNV-1a 64
+    /// content hash.
+    fn entry_path(&self, key: &str) -> PathBuf {
+        self.dir.join(format!("{}.metrics", hex(fnv1a(key.as_bytes()))))
     }
 
     /// Looks the spec up; a corrupt, truncated, or key-mismatched entry is
@@ -170,11 +154,12 @@ impl ResultsCache {
     /// lookups of the same spec do not re-read and re-parse a file that
     /// can never hit, and so the next `put` recreates the entry cleanly.
     pub fn get(&self, spec: &RunSpec) -> Option<SystemMetrics> {
-        let path = self.entry_path(spec);
+        let key = spec.cache_key();
+        let path = self.entry_path(&key);
         let loaded = match std::fs::read_to_string(&path) {
             Err(_) => None, // absent (or unreadable): a plain miss
             Ok(text) => {
-                let parsed = parse_entry(&text, &spec.cache_key());
+                let parsed = parse_entry(&text, &key);
                 if parsed.is_none() {
                     // Present but unusable: move it out of the lookup path.
                     if std::fs::rename(&path, path.with_extension("bad")).is_ok() {
@@ -197,8 +182,9 @@ impl ResultsCache {
     /// ([`ResultsCache::store_failures`]) so a fully unwritable cache
     /// directory does not drown a campaign in identical warnings.
     pub fn put(&self, spec: &RunSpec, metrics: &SystemMetrics) {
-        let body = render_entry(&spec.cache_key(), metrics);
-        let path = self.entry_path(spec);
+        let key = spec.cache_key();
+        let body = render_entry(&key, metrics);
+        let path = self.entry_path(&key);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let result = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, &path));
         if let Err(e) = result {
@@ -216,181 +202,131 @@ impl ResultsCache {
 }
 
 /// Renders a metrics entry: the versioned header, the canonical key, then
-/// every metric field with floats as the hex of their IEEE-754 bits. Also
-/// the bit-exact payload format of `crate::distribute` result frames and
-/// the driver journal.
-pub(crate) fn render_entry(key: &str, m: &SystemMetrics) -> String {
+/// every metric field, counts in decimal and floats as the hex of their
+/// IEEE-754 bits (`nocout_sim::text`). Also the bit-exact payload format
+/// of `crate::distribute` result frames and the driver journal.
+pub fn render_entry(key: &str, m: &SystemMetrics) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{FORMAT}");
     let _ = writeln!(s, "key {key}");
     let _ = writeln!(s, "active_cores {}", m.active_cores);
     let _ = writeln!(s, "cycles {}", m.cycles);
     let _ = writeln!(s, "instructions {}", m.instructions);
-    let _ = writeln!(s, "fetch_stall_fraction {:016x}", m.fetch_stall_fraction.to_bits());
+    let _ = writeln!(s, "fetch_stall_fraction {}", float(m.fetch_stall_fraction));
     let _ = write!(s, "per_core_ipc");
     for ipc in &m.per_core_ipc {
-        let _ = write!(s, " {:016x}", ipc.to_bits());
+        let _ = write!(s, " {}", float(*ipc));
     }
     s.push('\n');
+    let (l, n) = (&m.llc, &m.network);
     let _ = writeln!(
         s,
         "llc {} {} {} {} {} {}",
-        m.llc.accesses,
-        m.llc.hits,
-        m.llc.misses,
-        m.llc.snoops_sent,
-        m.llc.snooping_accesses,
-        m.llc.writebacks
+        l.accesses, l.hits, l.misses, l.snoops_sent, l.snooping_accesses, l.writebacks
     );
     let _ = writeln!(
         s,
         "net_counts {} {} {} {} {} {}",
-        m.network.packets,
-        m.network.p50_latency,
-        m.network.p99_latency,
-        m.network.buffer_writes,
-        m.network.buffer_reads,
-        m.network.xbar_traversals
+        n.packets, n.p50_latency, n.p99_latency, n.buffer_writes, n.buffer_reads, n.xbar_traversals
     );
     let _ = writeln!(
         s,
-        "net_lat {:016x} {:016x} {:016x} {:016x}",
-        m.network.mean_latency.to_bits(),
-        m.network.mean_request_latency.to_bits(),
-        m.network.mean_response_latency.to_bits(),
-        m.network.flit_mm.to_bits()
+        "net_lat {} {} {} {}",
+        float(n.mean_latency),
+        float(n.mean_request_latency),
+        float(n.mean_response_latency),
+        float(n.flit_mm)
     );
     let _ = writeln!(s, "mem {} {}", m.memory.reads, m.memory.writes);
     let _ = writeln!(s, "ifetch_wait {}", m.ifetch_fill_wait_cycles);
-    fn tail_line(s: &mut String, name: &str, t: &TailSummary) {
-        let _ = writeln!(
-            s,
-            "{name} {} {:016x} {} {} {}",
-            t.count,
-            t.mean.to_bits(),
-            t.p50,
-            t.p99,
-            t.p999
-        );
+    for (name, t) in [
+        ("tail_block", &m.block_latency),
+        ("tail_fill", &m.fill_latency),
+        ("tail_llc_miss", &m.llc_miss_latency),
+        ("tail_request", &m.request_latency),
+        ("net_tail_request", &n.request_tail),
+        ("net_tail_snoop", &n.snoop_tail),
+        ("net_tail_response", &n.response_tail),
+    ] {
+        let _ = writeln!(s, "{name} {} {} {} {} {}", t.count, float(t.mean), t.p50, t.p99, t.p999);
     }
-    tail_line(&mut s, "tail_block", &m.block_latency);
-    tail_line(&mut s, "tail_fill", &m.fill_latency);
-    tail_line(&mut s, "tail_llc_miss", &m.llc_miss_latency);
-    tail_line(&mut s, "tail_request", &m.request_latency);
-    tail_line(&mut s, "net_tail_request", &m.network.request_tail);
-    tail_line(&mut s, "net_tail_snoop", &m.network.snoop_tail);
-    tail_line(&mut s, "net_tail_response", &m.network.response_tail);
     s
 }
 
-/// Parses [`render_entry`] output, verifying the embedded key against
-/// `expected_key`; any mismatch, truncation or malformed field is `None`.
-pub(crate) fn parse_entry(text: &str, expected_key: &str) -> Option<SystemMetrics> {
-    // Every writer (cache file, journal body, wire record) emits a
-    // newline-terminated final line; text truncated mid-value on the last
-    // line would otherwise still parse as a valid, wrong number.
-    if !text.ends_with('\n') {
-        return None;
+/// Reads one [`render_entry`] rendering at `r`, through its last line's
+/// newline, verifying the embedded key against `expected_key`.
+pub(crate) fn read_entry(r: &mut Reader<'_>, expected_key: &str) -> Result<SystemMetrics, TextError> {
+    fn tail(r: &mut Reader<'_>, name: &str) -> Result<TailSummary, TextError> {
+        r.eol()?.expect(name)?;
+        Ok(TailSummary { count: r.num()?, mean: r.float()?, p50: r.num()?, p99: r.num()?, p999: r.num()? })
     }
-    let mut lines = text.lines();
-    if lines.next()? != FORMAT {
-        return None;
+    if r.line()? != FORMAT || r.expect("key")?.line()? != expected_key {
+        return Err(TextError(format!("expected the `{FORMAT}` entry of `{expected_key}`")));
     }
-    let key = lines.next()?.strip_prefix("key ")?;
-    if key != expected_key {
-        return None;
+    let active_cores = r.expect("active_cores")?.num()?;
+    let cycles = r.eol()?.expect("cycles")?.num()?;
+    let instructions = r.eol()?.expect("instructions")?.num()?;
+    let fetch_stall_fraction = r.eol()?.expect("fetch_stall_fraction")?.float()?;
+    let mut per_core_ipc = Vec::new();
+    r.eol()?.expect("per_core_ipc")?;
+    while !r.at_eol() {
+        per_core_ipc.push(r.float()?);
     }
-    fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-        line.strip_prefix(name)?.strip_prefix(' ')
-    }
-    fn ints(s: &str) -> Option<Vec<u64>> {
-        s.split_whitespace()
-            .map(|t| t.parse().ok())
-            .collect::<Option<Vec<u64>>>()
-    }
-    fn floats(s: &str) -> Option<Vec<f64>> {
-        s.split_whitespace()
-            .map(|t| u64::from_str_radix(t, 16).ok().map(f64::from_bits))
-            .collect::<Option<Vec<f64>>>()
-    }
-    let active_cores = field(lines.next()?, "active_cores")?.parse().ok()?;
-    let cycles = field(lines.next()?, "cycles")?.parse().ok()?;
-    let instructions = field(lines.next()?, "instructions")?.parse().ok()?;
-    let fsf = floats(field(lines.next()?, "fetch_stall_fraction")?)?;
-    let per_core_ipc = floats(lines.next()?.strip_prefix("per_core_ipc")?)?;
-    let llc = ints(field(lines.next()?, "llc")?)?;
-    let net_counts = ints(field(lines.next()?, "net_counts")?)?;
-    let net_lat = floats(field(lines.next()?, "net_lat")?)?;
-    let mem = ints(field(lines.next()?, "mem")?)?;
-    let ifetch_wait: u64 = field(lines.next()?, "ifetch_wait")?.parse().ok()?;
-    fn tail(s: &str) -> Option<TailSummary> {
-        let mut it = s.split_whitespace();
-        let count = it.next()?.parse().ok()?;
-        let mean = f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?);
-        let p50 = it.next()?.parse().ok()?;
-        let p99 = it.next()?.parse().ok()?;
-        let p999 = it.next()?.parse().ok()?;
-        if it.next().is_some() {
-            return None;
-        }
-        Some(TailSummary {
-            count,
-            mean,
-            p50,
-            p99,
-            p999,
-        })
-    }
-    let tail_block = tail(field(lines.next()?, "tail_block")?)?;
-    let tail_fill = tail(field(lines.next()?, "tail_fill")?)?;
-    let tail_llc_miss = tail(field(lines.next()?, "tail_llc_miss")?)?;
-    let tail_request = tail(field(lines.next()?, "tail_request")?)?;
-    let net_tail_request = tail(field(lines.next()?, "net_tail_request")?)?;
-    let net_tail_snoop = tail(field(lines.next()?, "net_tail_snoop")?)?;
-    let net_tail_response = tail(field(lines.next()?, "net_tail_response")?)?;
-    if fsf.len() != 1 || llc.len() != 6 || net_counts.len() != 6 || net_lat.len() != 4 || mem.len() != 2
-    {
-        return None;
-    }
-    Some(SystemMetrics {
+    r.eol()?.expect("llc")?;
+    let llc = LlcSummary {
+        accesses: r.num()?,
+        hits: r.num()?,
+        misses: r.num()?,
+        snoops_sent: r.num()?,
+        snooping_accesses: r.num()?,
+        writebacks: r.num()?,
+    };
+    r.eol()?.expect("net_counts")?;
+    let (packets, p50_latency, p99_latency) = (r.num()?, r.num()?, r.num()?);
+    let (buffer_writes, buffer_reads, xbar_traversals) = (r.num()?, r.num()?, r.num()?);
+    r.eol()?.expect("net_lat")?;
+    let (mean_latency, mean_request_latency) = (r.float()?, r.float()?);
+    let (mean_response_latency, flit_mm) = (r.float()?, r.float()?);
+    let memory = MemSummary { reads: r.eol()?.expect("mem")?.num()?, writes: r.num()? };
+    let ifetch_fill_wait_cycles = r.eol()?.expect("ifetch_wait")?.num()?;
+    let metrics = SystemMetrics {
         per_core_ipc,
         active_cores,
         cycles,
         instructions,
-        fetch_stall_fraction: fsf[0],
-        llc: LlcSummary {
-            accesses: llc[0],
-            hits: llc[1],
-            misses: llc[2],
-            snoops_sent: llc[3],
-            snooping_accesses: llc[4],
-            writebacks: llc[5],
-        },
+        fetch_stall_fraction,
+        llc,
+        memory,
+        ifetch_fill_wait_cycles,
+        block_latency: tail(r, "tail_block")?,
+        fill_latency: tail(r, "tail_fill")?,
+        llc_miss_latency: tail(r, "tail_llc_miss")?,
+        request_latency: tail(r, "tail_request")?,
         network: NetSummary {
-            packets: net_counts[0],
-            mean_latency: net_lat[0],
-            mean_request_latency: net_lat[1],
-            mean_response_latency: net_lat[2],
-            p50_latency: net_counts[1],
-            p99_latency: net_counts[2],
-            flit_mm: net_lat[3],
-            buffer_writes: net_counts[3],
-            buffer_reads: net_counts[4],
-            xbar_traversals: net_counts[5],
-            request_tail: net_tail_request,
-            snoop_tail: net_tail_snoop,
-            response_tail: net_tail_response,
+            packets,
+            mean_latency,
+            mean_request_latency,
+            mean_response_latency,
+            p50_latency,
+            p99_latency,
+            flit_mm,
+            buffer_writes,
+            buffer_reads,
+            xbar_traversals,
+            request_tail: tail(r, "net_tail_request")?,
+            snoop_tail: tail(r, "net_tail_snoop")?,
+            response_tail: tail(r, "net_tail_response")?,
         },
-        memory: MemSummary {
-            reads: mem[0],
-            writes: mem[1],
-        },
-        ifetch_fill_wait_cycles: ifetch_wait,
-        block_latency: tail_block,
-        fill_latency: tail_fill,
-        llc_miss_latency: tail_llc_miss,
-        request_latency: tail_request,
-    })
+    };
+    r.eol()?;
+    Ok(metrics)
+}
+
+/// Parses [`render_entry`] output, verifying the embedded key against
+/// `expected_key`; any mismatch, truncation, malformed field or byte
+/// after the last line is `None`.
+pub(crate) fn parse_entry(text: &str, expected_key: &str) -> Option<SystemMetrics> {
+    whole(text, |r| read_entry(r, expected_key)).ok()
 }
 
 #[cfg(test)]
@@ -408,6 +344,7 @@ mod tests {
     }
 
     fn metrics() -> SystemMetrics {
+        let tail = |count, mean, p50, p99, p999| TailSummary { count, mean, p50, p99, p999 };
         SystemMetrics {
             per_core_ipc: vec![0.25, 0.0, 1.0 / 3.0],
             active_cores: 3,
@@ -419,7 +356,7 @@ mod tests {
                 hits: 7,
                 misses: 2,
                 snoops_sent: 1,
-                snooping_accesses: 1,
+                snooping_accesses: 4,
                 writebacks: 3,
             },
             network: NetSummary {
@@ -433,88 +370,28 @@ mod tests {
                 buffer_writes: 5,
                 buffer_reads: 6,
                 xbar_traversals: 7,
-                request_tail: TailSummary {
-                    count: 30,
-                    mean: 14.75,
-                    p50: 14,
-                    p99: 29,
-                    p999: 31,
-                },
+                request_tail: tail(30, 14.75, 14, 29, 31),
                 snoop_tail: TailSummary::default(),
-                response_tail: TailSummary {
-                    count: 12,
-                    mean: 22.5,
-                    p50: 21,
-                    p99: 44,
-                    p999: 47,
-                },
+                response_tail: tail(12, 22.5, 21, 44, 47),
             },
-            memory: MemSummary {
-                reads: 11,
-                writes: 4,
-            },
+            memory: MemSummary { reads: 11, writes: 4 },
             ifetch_fill_wait_cycles: 321,
-            block_latency: TailSummary {
-                count: 19,
-                mean: 130.0625,
-                p50: 120,
-                p99: 400,
-                p999: 512,
-            },
-            fill_latency: TailSummary {
-                count: 8,
-                mean: 77.5,
-                p50: 70,
-                p99: 150,
-                p999: 150,
-            },
-            llc_miss_latency: TailSummary {
-                count: 2,
-                mean: 90.0,
-                p50: 88,
-                p99: 92,
-                p999: 92,
-            },
-            request_latency: TailSummary {
-                count: 55,
-                mean: 333.125,
-                p50: 300,
-                p99: 900,
-                p999: 1024,
-            },
+            block_latency: tail(19, 130.0625, 120, 400, 512),
+            fill_latency: tail(8, 77.5, 70, 150, 151),
+            llc_miss_latency: tail(2, 90.0, 88, 92, 93),
+            request_latency: tail(55, 333.125, 300, 900, 1024),
         }
     }
 
+    /// Every field of every summary reads back: the fixture has no two
+    /// equal values on one line, and `{:?}` prints a float's shortest
+    /// round-tripping form, so equal renderings mean equal bits.
     #[test]
     fn entry_round_trips_bit_exactly() {
         let m = metrics();
         let key = spec().cache_key();
         let parsed = parse_entry(&render_entry(&key, &m), &key).expect("parses");
-        assert_eq!(parsed.active_cores, m.active_cores);
-        assert_eq!(parsed.cycles, m.cycles);
-        assert_eq!(parsed.instructions, m.instructions);
-        assert_eq!(
-            parsed.fetch_stall_fraction.to_bits(),
-            m.fetch_stall_fraction.to_bits()
-        );
-        assert_eq!(parsed.per_core_ipc.len(), m.per_core_ipc.len());
-        for (a, b) in parsed.per_core_ipc.iter().zip(&m.per_core_ipc) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(parsed.llc.accesses, m.llc.accesses);
-        assert_eq!(parsed.llc.writebacks, m.llc.writebacks);
-        assert_eq!(parsed.network.packets, m.network.packets);
-        assert_eq!(parsed.network.flit_mm.to_bits(), m.network.flit_mm.to_bits());
-        assert_eq!(parsed.network.p99_latency, m.network.p99_latency);
-        assert_eq!(parsed.memory.reads, m.memory.reads);
-        assert_eq!(parsed.ifetch_fill_wait_cycles, m.ifetch_fill_wait_cycles);
-        assert_eq!(parsed.block_latency, m.block_latency);
-        assert_eq!(parsed.fill_latency, m.fill_latency);
-        assert_eq!(parsed.llc_miss_latency, m.llc_miss_latency);
-        assert_eq!(parsed.request_latency, m.request_latency);
-        assert_eq!(parsed.network.request_tail, m.network.request_tail);
-        assert_eq!(parsed.network.snoop_tail, m.network.snoop_tail);
-        assert_eq!(parsed.network.response_tail, m.network.response_tail);
+        assert_eq!(format!("{parsed:?}"), format!("{m:?}"));
     }
 
     #[test]
@@ -526,97 +403,46 @@ mod tests {
     }
 
     #[test]
-    fn truncated_entry_is_a_miss() {
+    fn bytes_after_the_last_line_are_a_miss() {
         let key = spec().cache_key();
         let entry = render_entry(&key, &metrics());
-        for cut in [0, 10, entry.len() / 2, entry.len() - 2] {
-            assert!(parse_entry(&entry[..cut], &key).is_none(), "cut {cut}");
+        assert!(parse_entry(&entry, &key).is_some());
+        for junk in ["\n", " ", "garbage\n", "net_tail_response 1 2 3 4 5\n"] {
+            assert!(parse_entry(&format!("{entry}{junk}"), &key).is_none(), "`{junk}`");
         }
     }
 
+    /// One variant per RunSpec field — all ten ChipConfig fields, the
+    /// workload, both window lengths, and the seed. A `spec_line()` (and
+    /// so `cache_key()`) that drops a field fails here rather than
+    /// silently aliasing two configurations to one entry, and so does a
+    /// `parse_line()` that does not read the field back.
     #[test]
     fn every_spec_field_changes_the_key() {
-        // One variant per RunSpec field — all ten ChipConfig fields, the
-        // workload, both window lengths, and the seed. A cache_key()
-        // refactor that drops any field fails here rather than silently
-        // aliasing two configurations to one entry.
         let base = spec();
-        let base_key = base.cache_key();
-        let variants: Vec<(&str, RunSpec)> = vec![
-            ("seed", base.clone().with_seed(2)),
-            ("workload", {
-                let mut v = base.clone();
-                v.workload = Workload::SatSolver.into();
-                v
-            }),
-            ("measure_cycles", {
-                let mut v = base.clone();
-                v.window.measure_cycles += 1;
-                v
-            }),
-            ("warmup_cycles", {
-                let mut v = base.clone();
-                v.window.warmup_cycles += 1;
-                v
-            }),
-            ("organization", {
-                let mut v = base.clone();
-                v.chip.organization = Organization::NocOut;
-                v
-            }),
-            ("cores", {
-                let mut v = base.clone();
-                v.chip.cores = 64;
-                v
-            }),
-            ("llc_total_bytes", {
-                let mut v = base.clone();
-                v.chip.llc_total_bytes *= 2;
-                v
-            }),
-            ("link_width_bits", {
-                let mut v = base.clone();
-                v.chip.link_width_bits = 64;
-                v
-            }),
-            ("mem_channels", {
-                let mut v = base.clone();
-                v.chip.mem_channels += 1;
-                v
-            }),
-            ("banks_per_llc_tile", {
-                let mut v = base.clone();
-                v.chip.banks_per_llc_tile += 1;
-                v
-            }),
-            ("concentration", {
-                let mut v = base.clone();
-                v.chip.concentration = 2;
-                v
-            }),
-            ("active_core_override", {
-                let mut v = base.clone();
-                v.chip.active_core_override = Some(4);
-                v
-            }),
-            ("express_links", {
-                let mut v = base.clone();
-                v.chip.express_links = true;
-                v
-            }),
-            ("llc_rows", {
-                let mut v = base.clone();
-                v.chip.llc_rows = 2;
-                v
-            }),
+        type Change = fn(&mut RunSpec);
+        let variants: [(&str, Change); 14] = [
+            ("seed", |v| v.seed = 2),
+            ("workload", |v| v.workload = Workload::SatSolver.into()),
+            ("measure_cycles", |v| v.window.measure_cycles += 1),
+            ("warmup_cycles", |v| v.window.warmup_cycles += 1),
+            ("organization", |v| v.chip.organization = Organization::NocOut),
+            ("cores", |v| v.chip.cores = 64),
+            ("llc_total_bytes", |v| v.chip.llc_total_bytes *= 2),
+            ("link_width_bits", |v| v.chip.link_width_bits = 64),
+            ("mem_channels", |v| v.chip.mem_channels += 1),
+            ("banks_per_llc_tile", |v| v.chip.banks_per_llc_tile += 1),
+            ("concentration", |v| v.chip.concentration = 2),
+            ("active_core_override", |v| v.chip.active_core_override = Some(4)),
+            ("express_links", |v| v.chip.express_links = true),
+            ("llc_rows", |v| v.chip.llc_rows = 2),
         ];
-        for (field, variant) in variants {
-            assert_ne!(variant.cache_key(), base_key, "field {field}");
-            assert_ne!(
-                variant.content_hash(),
-                base.content_hash(),
-                "field {field}"
-            );
+        for (field, change) in variants {
+            let mut variant = base.clone();
+            change(&mut variant);
+            assert_ne!(variant.cache_key(), base.cache_key(), "field {field}");
+            let read = RunSpec::parse_line(&variant.spec_line(), |_| unreachable!("no trace"));
+            assert_eq!(read, Ok(variant), "field {field}");
         }
     }
 
@@ -635,7 +461,7 @@ mod tests {
         // Corrupt the entry on disk: the lookup must miss, and the bytes
         // must move to `<entry>.bad` so the next lookup is a plain
         // missing-file miss instead of another parse of garbage.
-        let path = cache.entry_path(&s);
+        let path = cache.entry_path(&s.cache_key());
         std::fs::write(&path, "not a cache entry").unwrap();
         assert!(cache.get(&s).is_none());
         assert_eq!(cache.quarantined(), 1);

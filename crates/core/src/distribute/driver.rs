@@ -58,7 +58,7 @@
 //!   journal and dispatches only what it does not cover
 //!   (`super::journal`).
 
-use super::journal::{Journal, JournalRecord};
+use super::journal::Journal;
 use super::store::archive_trace;
 use super::wire::{
     encode_frame, read_frame, write_frame, Message, WireError, VERSION,
@@ -67,6 +67,7 @@ use crate::cache::{parse_entry, render_entry};
 use crate::campaign::CampaignExecutor;
 use crate::runner::{panic_message, PointError, PointOutcome, RunSpec};
 use nocout_sim::rng::SimRng;
+use nocout_sim::text::hex;
 use nocout_workloads::trace::TraceSet;
 use nocout_workloads::WorkloadClass;
 use std::collections::{HashMap, HashSet};
@@ -379,17 +380,10 @@ impl ShardedDriver {
             let (journal, recovered) = Journal::resume(path, specs)
                 .unwrap_or_else(|e| panic!("cannot resume journal {}: {e}", path.display()));
             for (i, record) in recovered.into_iter().enumerate() {
-                let Some(record) = record else { continue };
-                stats.journal_resumed += 1;
-                outcomes[i] = Some(match record {
-                    JournalRecord::Ok(entry) => parse_entry(&entry, &specs[i].cache_key())
-                        .map(Ok)
-                        .expect("resume() validated every recovered entry"),
-                    JournalRecord::Failed(message) => Err(PointError {
-                        cache_key: specs[i].cache_key(),
-                        message,
-                    }),
-                });
+                if record.is_some() {
+                    stats.journal_resumed += 1;
+                    outcomes[i] = record;
+                }
             }
             Some(journal)
         } else {
@@ -833,12 +827,14 @@ impl ShardedDriver {
     ) -> Result<(), WireError> {
         if caps.probed && caps.storeless_or_failed {
             return Err(WireError::Malformed(format!(
-                "shard needs trace {hash:016x} but the worker has no --trace-store"
+                "shard needs trace {} but the worker has no --trace-store",
+                hex(hash)
             )));
         }
         let set = registry.get(&hash).ok_or_else(|| {
             WireError::Malformed(format!(
-                "shard needs trace {hash:016x} but the driver's registry does not hold it"
+                "shard needs trace {} but the driver's registry does not hold it",
+                hex(hash)
             ))
         })?;
         let archive = archive_trace(set).map_err(WireError::Io)?;
@@ -912,7 +908,8 @@ fn read_trace_ack<R: io::Read>(reader: &mut R, hash: u64) -> Result<u64, WireErr
     match read_control(reader)? {
         Message::TraceAck { hash: h, have } if h == hash => Ok(have),
         other => Err(WireError::Malformed(format!(
-            "expected a trace ack for {hash:016x}, got {other:?}"
+            "expected a trace ack for {}, got {other:?}",
+            hex(hash)
         ))),
     }
 }

@@ -17,56 +17,70 @@
 //! ok <index>
 //! <cache-entry text, one or more lines>
 //! end <index>
-//! fail <index> <message, \n escaped as \\n>
+//! fail <index> <message, escaped onto one line>
 //! end <index>
 //! ```
 //!
 //! The `campaign` line fingerprints the spec sequence (FNV-1a 64 over
-//! every `RunSpec::cache_key`), so a journal can never be replayed
-//! against a different campaign. Every record is terminated by a
-//! matching `end <index>` marker: a record the crash tore in half has no
-//! marker, so [`Journal::resume`] stops at the last complete record and
-//! truncates the torn tail before appending resumes. `ok` entries are
-//! re-verified against their spec's canonical key on load — a corrupt
-//! body degrades to "not covered", never to wrong data.
+//! every `RunSpec::cache_key`, behaviour version included), so a journal
+//! can never be replayed against a different campaign or simulator.
+//! Every record is terminated by a matching `end <index>` marker: a
+//! record the crash tore in half has no marker, so [`Journal::resume`]
+//! stops at the last complete record and truncates the torn tail before
+//! appending resumes. `ok` entries are re-verified against their spec's
+//! canonical key on load — a corrupt body degrades to "not covered",
+//! never to wrong data. Heads, entries and the failure message's escape
+//! follow the workspace's one set of text rules (`nocout_sim::text`;
+//! "Text formats" in `docs/distributed-campaigns.md`).
 
 use super::wire::WireError;
-use crate::cache::parse_entry;
-use crate::runner::{PointError, RunSpec};
+use crate::cache::read_entry;
+use crate::runner::{PointError, PointOutcome, RunSpec};
+use nocout_sim::hash::{fnv1a_fold, FNV_BASIS};
+use nocout_sim::text::{escape, hex, unescape, Reader, TextError};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const FORMAT: &str = "nocout-shard-journal v1";
 
-/// FNV-1a 64 fingerprint of a campaign's spec sequence.
+/// FNV-1a 64 fingerprint of a campaign's spec sequence: every
+/// `RunSpec::cache_key`, each followed by a newline.
 pub fn campaign_fingerprint(specs: &[RunSpec]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for spec in specs {
-        for &b in spec.cache_key().as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    specs.iter().fold(FNV_BASIS, |h, spec| {
+        fnv1a_fold(fnv1a_fold(h, spec.cache_key().as_bytes()), b"\n")
+    })
 }
 
-/// One outcome recovered from a journal.
-#[derive(Debug, Clone)]
-pub enum JournalRecord {
-    /// The point completed; the entry text parses bit-exactly.
-    Ok(String),
-    /// The point failed deterministically worker-side.
-    Failed(String),
+/// The journal's second line: which campaign it belongs to.
+fn campaign_line(specs: &[RunSpec]) -> String {
+    format!("campaign {} points {}", hex(campaign_fingerprint(specs)), specs.len())
+}
+
+/// Reads one complete record at `r`: its spec index and the outcome it
+/// recorded. Anything else — torn, corrupt, out of range — is an error,
+/// where [`Journal::resume`] stops trusting the file.
+fn read_record(r: &mut Reader<'_>, specs: &[RunSpec]) -> Result<(usize, PointOutcome), TextError> {
+    let kind = r.token()?;
+    let index: usize = r.num()?;
+    let out_of_range = || TextError(format!("record index {index} of {} points", specs.len()));
+    let cache_key = specs.get(index).ok_or_else(out_of_range)?.cache_key();
+    let outcome = match kind {
+        "ok" => Ok(read_entry(r.eol()?, &cache_key)?),
+        "fail" => Err(PointError { message: unescape(r.line()?)?, cache_key }),
+        other => return Err(TextError(format!("expected `ok` or `fail`, found `{other}`"))),
+    };
+    if r.expect("end")?.num::<usize>()? != index {
+        return Err(TextError(format!("record {index} ends in another record's marker")));
+    }
+    r.eol()?;
+    Ok((index, outcome))
 }
 
 /// An append-only, crash-safe record of completed campaign points.
 #[derive(Debug)]
 pub struct Journal {
     writer: BufWriter<File>,
-    path: PathBuf,
 }
 
 impl Journal {
@@ -77,18 +91,9 @@ impl Journal {
     /// File creation/write errors.
     pub fn create(path: &Path, specs: &[RunSpec]) -> std::io::Result<Journal> {
         let mut writer = BufWriter::new(File::create(path)?);
-        writeln!(writer, "{FORMAT}")?;
-        writeln!(
-            writer,
-            "campaign {:016x} points {}",
-            campaign_fingerprint(specs),
-            specs.len()
-        )?;
+        writeln!(writer, "{FORMAT}\n{}", campaign_line(specs))?;
         writer.flush()?;
-        Ok(Journal {
-            writer,
-            path: path.to_path_buf(),
-        })
+        Ok(Journal { writer })
     }
 
     /// Resumes from an existing journal: verifies the campaign
@@ -106,134 +111,51 @@ impl Journal {
     pub fn resume(
         path: &Path,
         specs: &[RunSpec],
-    ) -> Result<(Journal, Vec<Option<JournalRecord>>), WireError> {
+    ) -> Result<(Journal, Vec<Option<PointOutcome>>), WireError> {
         if !path.exists() {
-            let journal = Journal::create(path, specs).map_err(WireError::Io)?;
-            return Ok((journal, vec![None; specs.len()]));
+            return Ok((Journal::create(path, specs)?, vec![None; specs.len()]));
         }
-        let text = std::fs::read_to_string(path).map_err(WireError::Io)?;
-        let mut recovered: Vec<Option<JournalRecord>> = vec![None; specs.len()];
-        // Byte offset of the last complete record (initialized after the
-        // header validates).
-        let mut good_end;
-        let mut offset = 0usize;
-        let mut lines = text.split_inclusive('\n');
-        let mut next = |offset: &mut usize| -> Option<&str> {
-            let line = lines.next()?;
-            *offset += line.len();
-            // A last line without '\n' is by definition torn.
-            line.strip_suffix('\n')
-        };
-        let header_ok = next(&mut offset) == Some(FORMAT);
-        if !header_ok {
+        let text = std::fs::read_to_string(path)?;
+        let mut r = Reader::new(&text);
+        if r.line() != Ok(FORMAT) {
+            return Err(WireError::Malformed(format!("{} is not a shard journal", path.display())));
+        }
+        let (found, expect) = (r.line().unwrap_or("a torn line"), campaign_line(specs));
+        if found != expect {
             return Err(WireError::Malformed(format!(
-                "{} is not a shard journal",
+                "journal {} belongs to a different campaign \
+                 (found `{found}`, this campaign is `{expect}`) — \
+                 pass a fresh --journal path or drop --resume",
                 path.display()
             )));
         }
-        match next(&mut offset) {
-            Some(line) => {
-                let expect = format!(
-                    "campaign {:016x} points {}",
-                    campaign_fingerprint(specs),
-                    specs.len()
-                );
-                if line != expect {
-                    return Err(WireError::Malformed(format!(
-                        "journal {} belongs to a different campaign \
-                         (found `{line}`, this campaign is `{expect}`) — \
-                         pass a fresh --journal path or drop --resume",
-                        path.display()
-                    )));
-                }
-            }
-            None => {
-                return Err(WireError::Malformed(format!(
-                    "journal {} is truncated before its campaign line",
-                    path.display()
-                )))
-            }
-        }
-        good_end = offset;
 
-        // Records: parse greedily, stop at the first torn or invalid one.
-        'records: while let Some(head) = next(&mut offset) {
-            let (record, index) = if let Some(rest) = head.strip_prefix("ok ") {
-                let Ok(index) = rest.parse::<usize>() else { break };
-                if index >= specs.len() {
-                    break;
-                }
-                let marker = format!("end {index}");
-                let mut body = String::new();
-                loop {
-                    match next(&mut offset) {
-                        None => break 'records, // torn mid-record
-                        Some(line) if line == marker => break,
-                        Some(line) => {
-                            body.push_str(line);
-                            body.push('\n');
-                        }
-                    }
-                }
-                if parse_entry(&body, &specs[index].cache_key()).is_none() {
-                    break; // corrupt body: not covered, stop trusting the file
-                }
-                (JournalRecord::Ok(body), index)
-            } else if let Some(rest) = head.strip_prefix("fail ") {
-                let Some((idx, msg)) = rest.split_once(' ') else { break };
-                let Ok(index) = idx.parse::<usize>() else { break };
-                if index >= specs.len() {
-                    break;
-                }
-                match next(&mut offset) {
-                    Some(line) if line == format!("end {index}") => {}
-                    _ => break, // torn
-                }
-                (JournalRecord::Failed(msg.replace("\\n", "\n")), index)
-            } else {
-                break;
-            };
-            recovered[index] = Some(record);
-            good_end = offset;
+        // Records: read greedily, stop at the first torn or invalid one.
+        let mut recovered: Vec<Option<PointOutcome>> = vec![None; specs.len()];
+        let mut good_end = text.len() - r.remaining();
+        while let Ok((index, outcome)) = read_record(&mut r, specs) {
+            recovered[index] = Some(outcome);
+            good_end = text.len() - r.remaining();
         }
 
         // Truncate the torn tail, then append after it.
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(WireError::Io)?;
-        file.set_len(good_end as u64).map_err(WireError::Io)?;
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(good_end as u64)?;
         let mut writer = BufWriter::new(file);
-        writer
-            .seek(SeekFrom::Start(good_end as u64))
-            .map_err(WireError::Io)?;
-        Ok((
-            Journal {
-                writer,
-                path: path.to_path_buf(),
-            },
-            recovered,
-        ))
+        writer.seek(SeekFrom::Start(good_end as u64))?;
+        Ok((Journal { writer }, recovered))
     }
 
-    /// The journal file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one successful point (its bit-exact cache-entry text) and
-    /// flushes — after this returns, a crash cannot lose the record.
+    /// Appends one successful point (its bit-exact cache-entry text, last
+    /// line newline-terminated like every entry's — anything else resumes
+    /// as a torn record) and flushes — after this returns, a crash cannot
+    /// lose the record.
     ///
     /// # Errors
     ///
     /// Write errors.
     pub fn record_ok(&mut self, index: usize, entry: &str) -> std::io::Result<()> {
-        writeln!(self.writer, "ok {index}")?;
-        self.writer.write_all(entry.as_bytes())?;
-        if !entry.ends_with('\n') {
-            writeln!(self.writer)?;
-        }
-        writeln!(self.writer, "end {index}")?;
+        write!(self.writer, "ok {index}\n{entry}end {index}\n")?;
         self.writer.flush()
     }
 
@@ -243,12 +165,7 @@ impl Journal {
     ///
     /// Write errors.
     pub fn record_failed(&mut self, index: usize, error: &PointError) -> std::io::Result<()> {
-        writeln!(
-            self.writer,
-            "fail {index} {}",
-            error.message.replace('\n', "\\n")
-        )?;
-        writeln!(self.writer, "end {index}")?;
+        writeln!(self.writer, "fail {index} {}\nend {index}", escape(&error.message))?;
         self.writer.flush()
     }
 }
@@ -256,8 +173,10 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::render_entry;
     use crate::config::{ChipConfig, Organization};
     use nocout_workloads::Workload;
+    use std::path::PathBuf;
 
     fn specs() -> Vec<RunSpec> {
         (1..=3)
@@ -282,40 +201,44 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let specs = specs();
         let metrics = crate::runner::run(&specs[0]);
-        let entry = crate::cache::render_entry(&specs[0].cache_key(), &metrics);
+        let key = |i: usize| specs[i].cache_key();
+        let entry = render_entry(&key(0), &metrics);
+        let failure = PointError { cache_key: key(1), message: "boom\nwith detail".into() };
         {
             let mut j = Journal::create(&path, &specs).unwrap();
             j.record_ok(0, &entry).unwrap();
-            j.record_failed(
-                1,
-                &PointError {
-                    cache_key: specs[1].cache_key(),
-                    message: "boom\nwith detail".into(),
-                },
-            )
-            .unwrap();
-        }
-        // Tear the file mid-record: an `ok 2` header with half a body and
-        // no end marker, as a crash between write and flush would leave.
-        {
-            use std::io::Write as _;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            write!(f, "ok 2\nnocout-results-cache v1\nkey trunca").unwrap();
+            j.record_failed(1, &failure).unwrap();
+            // Tear the file mid-record: an `ok 2` header with half a body
+            // and no end marker, as a crash between write and flush leaves.
+            write!(j.writer, "ok 2\nnocout-results-cache v2\nkey trunca").unwrap();
         }
         let (mut j, recovered) = Journal::resume(&path, &specs).unwrap();
-        assert!(matches!(&recovered[0], Some(JournalRecord::Ok(e)) if *e == entry));
-        assert!(
-            matches!(&recovered[1], Some(JournalRecord::Failed(m)) if m == "boom\nwith detail")
-        );
+        assert!(matches!(&recovered[0], Some(Ok(m)) if render_entry(&key(0), m) == entry));
+        assert_eq!(recovered[1], Some(Err(failure)));
         assert!(recovered[2].is_none(), "torn record must not be trusted");
         // The torn tail is gone: appending record 2 (rendered against its
         // own spec's key — entries must verify) and resuming again
         // recovers all three.
-        j.record_ok(2, &crate::cache::render_entry(&specs[2].cache_key(), &metrics))
-            .unwrap();
+        j.record_ok(2, &render_entry(&key(2), &metrics)).unwrap();
         drop(j);
         let (_, recovered) = Journal::resume(&path, &specs).unwrap();
         assert!(recovered.iter().all(Option::is_some));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The failure message survives whatever it contains — a literal
+    /// backslash-`n` stays two characters, a real newline stays one, a
+    /// trailing backslash stays — because the journal escapes through the
+    /// codec's one rule, which escapes the escape character too.
+    #[test]
+    fn failure_messages_resume_byte_equal() {
+        let path = tmp("escape");
+        let specs = specs();
+        let message = "cannot open C:\\new\\dir: literal \\n, real \n, trailing \\";
+        let error = PointError { cache_key: specs[1].cache_key(), message: message.into() };
+        Journal::create(&path, &specs).unwrap().record_failed(1, &error).unwrap();
+        let (_, recovered) = Journal::resume(&path, &specs).unwrap();
+        assert_eq!(recovered[1], Some(Err(error)));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -40,16 +40,24 @@
 //!
 //! Unpacking therefore reproduces a directory whose `TraceSet::load`
 //! content hash equals the shipped hash exactly when every byte arrived
-//! intact — the end-to-end check no per-frame digest can replace.
+//! intact — the end-to-end check no per-frame digest can replace. Each
+//! header line follows the workspace's one set of text rules
+//! (`nocout_sim::text`; "Text formats" in `docs/distributed-campaigns.md`),
+//! so a file name is one token: no space, newline or `/`.
 
 use super::wire::TraceLookup;
+use nocout_sim::text::{hex, whole, Reader};
 use nocout_workloads::trace::TraceSet;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-const ARCHIVE_MAGIC: &str = "nocout-trace-archive v1";
+/// Bytes that are not what they were declared to be: the error kind the
+/// text reader's refusals map to as well.
+fn bad(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 /// Serializes a trace as one shippable archive: every stream file in
 /// file-name order, names and bytes verbatim.
@@ -57,25 +65,14 @@ const ARCHIVE_MAGIC: &str = "nocout-trace-archive v1";
 /// # Errors
 ///
 /// I/O errors reading the stream files, or a stream file whose name is
-/// not representable (contains a newline).
+/// not representable (not UTF-8, or contains a space, a newline or a `/`).
 pub fn archive_trace(set: &TraceSet) -> io::Result<Vec<u8>> {
-    let mut out = format!("{ARCHIVE_MAGIC} files {}\n", set.files().len()).into_bytes();
+    let mut out = format!("nocout-trace-archive v1 files {}\n", set.files().len()).into_bytes();
     for path in set.files() {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("trace stream {} has a non-UTF-8 name", path.display()),
-                )
-            })?;
-        if name.contains('\n') || name.contains('/') {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trace stream name `{name}` cannot be archived"),
-            ));
-        }
+        let name = path.file_name().and_then(|n| n.to_str());
+        let name = name.filter(|n| !n.contains([' ', '\n', '/'])).ok_or_else(|| {
+            bad(format!("trace stream {} has a name that cannot be archived", path.display()))
+        })?;
         let bytes = std::fs::read(path)?;
         out.extend_from_slice(format!("file {name} {}\n", bytes.len()).as_bytes());
         out.extend_from_slice(&bytes);
@@ -90,46 +87,26 @@ pub fn archive_trace(set: &TraceSet) -> io::Result<Vec<u8>> {
 ///
 /// A malformed archive (bad magic, counts or lengths that disagree with
 /// the bytes) or any I/O error writing the files.
-fn unpack_archive(bytes: &[u8], dest: &Path) -> io::Result<()> {
-    fn bad(msg: impl Into<String>) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, msg.into())
-    }
-    fn take_line<'a>(bytes: &mut &'a [u8]) -> io::Result<&'a str> {
-        let nl = bytes
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| bad("archive truncated inside a header line"))?;
-        let line = std::str::from_utf8(&bytes[..nl])
-            .map_err(|_| bad("archive header line is not UTF-8"))?;
-        *bytes = &bytes[nl + 1..];
-        Ok(line)
-    }
-    let mut rest = bytes;
-    let head = take_line(&mut rest)?;
-    let count: usize = head
-        .strip_prefix(ARCHIVE_MAGIC)
-        .and_then(|t| t.strip_prefix(" files "))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| bad(format!("bad archive header `{head}`")))?;
+pub(super) fn unpack_archive(bytes: &[u8], dest: &Path) -> io::Result<()> {
+    let (mut head, mut rest) = Reader::head(bytes)?;
+    let count: usize = head.expect("nocout-trace-archive")?.expect("v1")?.expect("files")?.num()?;
+    head.end()?;
     std::fs::create_dir_all(dest)?;
     for _ in 0..count {
-        let head = take_line(&mut rest)?;
-        let (name, len) = head
-            .strip_prefix("file ")
-            .and_then(|t| t.rsplit_once(' '))
-            .and_then(|(name, len)| Some((name, len.parse::<usize>().ok()?)))
-            .ok_or_else(|| bad(format!("bad archive file header `{head}`")))?;
-        if name.is_empty() || name.contains('/') || name.contains("..") {
+        let (mut head, raw) = Reader::head(rest)?;
+        let (name, len): (_, usize) = (head.expect("file")?.token()?, head.num()?);
+        head.end()?;
+        if name.contains('/') || name.contains("..") {
             return Err(bad(format!("unsafe archive file name `{name}`")));
         }
-        if rest.len() < len {
+        if raw.len() < len {
             return Err(bad(format!(
                 "archive truncated: file `{name}` declares {len} bytes, {} remain",
-                rest.len()
+                raw.len()
             )));
         }
-        std::fs::write(dest.join(name), &rest[..len])?;
-        rest = &rest[len..];
+        std::fs::write(dest.join(name), &raw[..len])?;
+        rest = &raw[len..];
     }
     if !rest.is_empty() {
         return Err(bad(format!("{} trailing bytes after the archive", rest.len())));
@@ -169,11 +146,11 @@ impl TraceStore {
     }
 
     fn entry_dir(&self, hash: u64) -> PathBuf {
-        self.dir.join(format!("{hash:016x}"))
+        self.dir.join(hex(hash).to_string())
     }
 
     fn partial_path(&self, hash: u64) -> PathBuf {
-        self.dir.join(format!("{hash:016x}.partial"))
+        self.dir.join(format!("{}.partial", hex(hash)))
     }
 
     /// The content hashes this store holds entries for. A cheap
@@ -188,15 +165,7 @@ impl TraceStore {
         let mut hashes: Vec<u64> = read
             .flatten()
             .filter(|e| e.path().is_dir())
-            .filter_map(|e| {
-                let name = e.file_name();
-                let name = name.to_str()?;
-                if name.len() == 16 {
-                    u64::from_str_radix(name, 16).ok()
-                } else {
-                    None
-                }
-            })
+            .filter_map(|e| whole(e.file_name().to_str()?, Reader::hash).ok())
             .collect();
         hashes.sort_unstable();
         hashes
@@ -298,29 +267,18 @@ impl TraceStore {
     ) -> io::Result<Arc<TraceSet>> {
         let bytes = std::fs::read(partial)?;
         if bytes.len() as u64 != total_len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "staged {} bytes but the offer declared {total_len}",
-                    bytes.len()
-                ),
-            ));
+            return Err(bad(format!("staged {} bytes but the offer declared {total_len}", bytes.len())));
         }
         let tmp = self
             .dir
-            .join(format!("{hash:016x}.tmp.{}", std::process::id()));
+            .join(format!("{}.tmp.{}", hex(hash), std::process::id()));
         let _ = std::fs::remove_dir_all(&tmp);
         let installed = (|| {
             unpack_archive(&bytes, &tmp)?;
             let set = TraceSet::load(&tmp)?;
             if set.content_hash() != hash {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "assembled archive hashes to {:016x}, offer named {hash:016x}",
-                        set.content_hash()
-                    ),
-                ));
+                let found = hex(set.content_hash());
+                return Err(bad(format!("assembled archive hashes to {found}, offer named {}", hex(hash))));
             }
             let dest = self.entry_dir(hash);
             let _ = std::fs::remove_dir_all(&dest); // a quarantine raced us back
@@ -382,7 +340,7 @@ mod tests {
         store.append_chunk(hash, mid as u64, &archive[mid..]).unwrap();
         let installed = store.commit(hash, archive.len() as u64).unwrap();
         assert_eq!(installed.content_hash(), hash);
-        assert_eq!(installed.dir(), store_dir.join(format!("{hash:016x}")));
+        assert_eq!(installed.dir(), store_dir.join(hex(hash).to_string()));
         assert!(installed.open_stream(0).is_ok(), "paths point at the installed entry");
         assert_eq!(store.held(), vec![hash]);
         assert_eq!(store.staged_len(hash), 0, "partial removed after install");
@@ -418,7 +376,7 @@ mod tests {
         store.append_chunk(hash, 0, &archive).unwrap();
         store.commit(hash, archive.len() as u64).unwrap();
 
-        let entry = store_dir.join(format!("{hash:016x}"));
+        let entry = store_dir.join(hex(hash).to_string());
         let stream = std::fs::read_dir(&entry).unwrap().next().unwrap().unwrap().path();
         let mut bytes = std::fs::read(&stream).unwrap();
         corrupt(&mut bytes);

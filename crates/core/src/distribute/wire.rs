@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! magic   4 bytes  b"NCWP"
-//! version 2 bytes  little-endian u16, currently 2
+//! version 2 bytes  little-endian u16, currently 3
 //! kind    1 byte   message discriminant
 //! flags   1 byte   must be zero (reserved)
 //! length  4 bytes  little-endian u32 payload length, <= MAX_PAYLOAD
@@ -25,39 +25,41 @@
 //! corrupt inputs all map to a typed [`WireError`]
 //! (`tests/distribute_wire.rs` pins this property over random mutations).
 //!
-//! ## Version 2: the capability handshake and trace shipping
+//! ## The capability handshake and trace shipping (since version 2)
 //!
 //! A connection opens with [`Message::Hello`] (driver → worker) answered
 //! by [`Message::HelloAck`] (worker → driver) carrying the worker's
 //! protocol version, core count, whether it has a `--trace-store`, and
 //! the set of trace content hashes the store already holds. Traces
-//! travel by content hash, never by path: [`render_spec`] renders a
-//! trace workload as `trace@<contenthash>`, and a driver ships the
-//! backing archive ahead of the shard as a [`Message::TraceOffer`]
+//! travel by content hash, never by path: a trace workload's spec token
+//! is `trace@<contenthash>x<streams>i<instructions>`, and a driver ships
+//! the backing archive ahead of the shard as a [`Message::TraceOffer`]
 //! followed by [`Message::TraceChunk`] frames (each under the
 //! [`MAX_PAYLOAD`] bound and covered by the frame digest), acknowledged
 //! by [`Message::TraceAck`]. The assembled archive is re-verified
 //! against `TraceSet`'s content hash before any spec can resolve to it
-//! (`super::store`).
+//! (`super::store`), and a resolved spec's stream and instruction counts
+//! are checked against the token's.
 //!
 //! ## Payloads
 //!
-//! Payloads are UTF-8 text except [`Message::TraceChunk`], which carries
-//! one ASCII header line followed by the raw chunk bytes. Specs
-//! serialize through [`render_spec`]/[`parse_spec`] — every `RunSpec`
-//! field spelled out, with the workload token last. Metric records reuse
-//! the results cache's entry format (`crate::cache`), which stores
-//! floats as the hex of their IEEE-754 bits: a metrics record survives
-//! the wire bit-exactly, and the receiver verifies the embedded
-//! canonical key against the spec it asked about, so a record can never
-//! be attributed to the wrong point.
+//! Payloads are lines of text read through the workspace's one strict
+//! field reader (`nocout_sim::text`) under the rules stated once in the
+//! "Text formats" section of `docs/distributed-campaigns.md`; a point
+//! result and a trace chunk carry raw text or bytes after their one
+//! header line. Specs travel as [`RunSpec::spec_line`] — the line the
+//! cache key is made of — and metric records as the results cache's
+//! entry text (`crate::cache`), whose embedded canonical key the
+//! receiver verifies against the spec it asked about, so a record
+//! survives the wire bit-exactly and can never be attributed to the
+//! wrong point. Version 3 made the spec line's workload token the cache
+//! key's; a version-2 peer is refused with the typed
+//! [`WireError::VersionMismatch`], and no reader for older forms is kept.
 
-use crate::config::ChipConfig;
 use crate::runner::RunSpec;
-use nocout_sim::config::MeasurementWindow;
 use nocout_sim::hash::fnv1a;
+use nocout_sim::text::{hex, Reader, TextError};
 use nocout_workloads::trace::TraceSet;
-use nocout_workloads::{OpenLoopSpec, Workload, WorkloadClass};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -66,8 +68,9 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"NCWP";
 /// Protocol version; bump on any frame or payload layout change.
 /// Version 2 added the capability handshake and content-addressed trace
-/// shipping (`Hello`/`HelloAck`/`TraceOffer`/`TraceChunk`/`TraceAck`).
-pub const VERSION: u16 = 2;
+/// shipping (`Hello`/`HelloAck`/`TraceOffer`/`TraceChunk`/`TraceAck`);
+/// version 3 made the spec line's workload token the cache key's.
+pub const VERSION: u16 = 3;
 /// Upper bound on a frame payload. A shard of a million-point campaign
 /// is still far below this; anything larger is a corrupt length field.
 /// Trace archives larger than this ship as multiple chunks.
@@ -77,7 +80,7 @@ pub const HEADER_LEN: usize = 20;
 
 /// Resolves a trace content hash to a locally held `TraceSet` — the
 /// worker's `--trace-store`, or a driver-side registry. `parse_spec`
-/// needs one to resolve the `trace@<contenthash>` spec form.
+/// needs one to resolve the `trace@<contenthash>…` spec form.
 pub trait TraceLookup {
     /// The trace with this content hash, if held (a corrupt store entry
     /// counts as not held — the implementation quarantines it).
@@ -144,6 +147,12 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<TextError> for WireError {
+    fn from(e: TextError) -> Self {
+        WireError::Malformed(e.0)
+    }
+}
 
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
@@ -263,28 +272,25 @@ impl Message {
         }
     }
 
-    fn payload(&self) -> Result<Vec<u8>, WireError> {
-        Ok(match self {
+    fn payload(&self) -> Vec<u8> {
+        match self {
             Message::ShardRequest { shard, specs } => {
                 let mut s = format!("shard {shard} specs {}\n", specs.len());
                 for spec in specs {
-                    let line = render_spec(spec)?;
-                    s.push_str(&line);
+                    s.push_str(&spec.spec_line());
                     s.push('\n');
                 }
                 s.into_bytes()
             }
-            Message::PointOk { shard, index, entry } => {
-                format!("point {shard} {index}\n{entry}").into_bytes()
-            }
-            Message::PointFailed { shard, index, error } => {
-                format!("point {shard} {index}\n{error}").into_bytes()
+            Message::PointOk { shard, index, entry: body }
+            | Message::PointFailed { shard, index, error: body } => {
+                format!("point {shard} {index}\n{body}").into_bytes()
             }
             Message::ShardDone { shard, points } => {
-                format!("shard {shard} points {points}").into_bytes()
+                format!("shard {shard} points {points}\n").into_bytes()
             }
             Message::Heartbeat => Vec::new(),
-            Message::Hello { version } => format!("hello v{version}").into_bytes(),
+            Message::Hello { version } => format!("hello v{version}\n").into_bytes(),
             Message::HelloAck { version, cores, store, trace_hashes } => {
                 let mut s = format!(
                     "hello-ack v{version} cores {cores} store {} traces {}\n",
@@ -292,22 +298,22 @@ impl Message {
                     trace_hashes.len()
                 );
                 for h in trace_hashes {
-                    s.push_str(&format!("{h:016x}\n"));
+                    s.push_str(&format!("{}\n", hex(*h)));
                 }
                 s.into_bytes()
             }
             Message::TraceOffer { hash, total_len } => {
-                format!("offer {hash:016x} len {total_len}").into_bytes()
+                format!("offer {} len {total_len}\n", hex(*hash)).into_bytes()
             }
             Message::TraceChunk { hash, offset, data } => {
-                let mut out = format!("chunk {hash:016x} off {offset}\n").into_bytes();
+                let mut out = format!("chunk {} off {offset}\n", hex(*hash)).into_bytes();
                 out.extend_from_slice(data);
                 out
             }
             Message::TraceAck { hash, have } => {
-                format!("ack {hash:016x} have {have}").into_bytes()
+                format!("ack {} have {have}\n", hex(*hash)).into_bytes()
             }
-        })
+        }
     }
 
     fn from_payload(
@@ -315,198 +321,69 @@ impl Message {
         payload: &[u8],
         traces: Option<&dyn TraceLookup>,
     ) -> Result<Message, WireError> {
-        fn malformed(msg: impl Into<String>) -> WireError {
-            WireError::Malformed(msg.into())
-        }
         // Every kind except TraceChunk is pure UTF-8 text; TraceChunk is
         // one text header line followed by raw bytes.
-        if kind == 9 {
-            let nl = payload
-                .iter()
-                .position(|&b| b == b'\n')
-                .ok_or_else(|| malformed("trace chunk without a header line"))?;
-            let head = std::str::from_utf8(&payload[..nl])
-                .map_err(|_| malformed("trace chunk header is not UTF-8"))?;
-            let mut it = head.split_whitespace();
-            let (hash, offset) = match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-                (Some("chunk"), Some(h), Some("off"), Some(o), None) => (
-                    u64::from_str_radix(h, 16)
-                        .map_err(|_| malformed(format!("bad trace hash `{h}`")))?,
-                    o.parse::<u64>()
-                        .map_err(|_| malformed(format!("bad chunk offset `{o}`")))?,
-                ),
-                _ => return Err(malformed(format!("bad trace chunk header `{head}`"))),
-            };
-            return Ok(Message::TraceChunk {
-                hash,
-                offset,
-                data: payload[nl + 1..].to_vec(),
-            });
-        }
-        let payload = std::str::from_utf8(payload)
-            .map_err(|_| malformed("payload is not UTF-8"))?;
-        match kind {
+        let (mut r, data) = match kind {
+            9 => Reader::head(payload)?,
+            _ => {
+                let text = std::str::from_utf8(payload)
+                    .map_err(|_| WireError::Malformed("payload is not UTF-8".into()))?;
+                (Reader::new(text), &[][..])
+            }
+        };
+        let msg = match kind {
             1 => {
-                let mut lines = payload.lines();
-                let head = lines.next().ok_or_else(|| malformed("empty shard request"))?;
-                let mut it = head.split_whitespace();
-                let (shard, count) = match (it.next(), it.next(), it.next(), it.next(), it.next())
-                {
-                    (Some("shard"), Some(s), Some("specs"), Some(n), None) => (
-                        s.parse::<u64>()
-                            .map_err(|_| malformed(format!("bad shard id `{s}`")))?,
-                        n.parse::<usize>()
-                            .map_err(|_| malformed(format!("bad spec count `{n}`")))?,
-                    ),
-                    _ => return Err(malformed(format!("bad shard request header `{head}`"))),
-                };
-                let specs: Vec<RunSpec> = lines
-                    .map(|l| parse_spec_with(l, traces))
-                    .collect::<Result<_, _>>()?;
-                if specs.len() != count {
-                    return Err(malformed(format!(
-                        "shard request declares {count} specs but carries {}",
-                        specs.len()
-                    )));
-                }
-                Ok(Message::ShardRequest { shard, specs })
+                let shard = r.expect("shard")?.num()?;
+                let count: usize = r.expect("specs")?.num()?;
+                r.eol()?;
+                let specs = (0..count).map(|_| parse_spec_with(r.line()?, traces));
+                Message::ShardRequest { shard, specs: specs.collect::<Result<_, _>>()? }
             }
             2 | 3 => {
-                let (head, body) = payload
-                    .split_once('\n')
-                    .ok_or_else(|| malformed("point frame without body"))?;
-                let mut it = head.split_whitespace();
-                let (shard, index) = match (it.next(), it.next(), it.next(), it.next()) {
-                    (Some("point"), Some(s), Some(i), None) => (
-                        s.parse::<u64>()
-                            .map_err(|_| malformed(format!("bad shard id `{s}`")))?,
-                        i.parse::<u32>()
-                            .map_err(|_| malformed(format!("bad point index `{i}`")))?,
-                    ),
-                    _ => return Err(malformed(format!("bad point header `{head}`"))),
-                };
-                Ok(if kind == 2 {
-                    Message::PointOk { shard, index, entry: body.to_string() }
-                } else {
-                    Message::PointFailed { shard, index, error: body.to_string() }
-                })
-            }
-            4 => {
-                let mut it = payload.split_whitespace();
-                match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-                    (Some("shard"), Some(s), Some("points"), Some(n), None) => {
-                        Ok(Message::ShardDone {
-                            shard: s
-                                .parse()
-                                .map_err(|_| malformed(format!("bad shard id `{s}`")))?,
-                            points: n
-                                .parse()
-                                .map_err(|_| malformed(format!("bad point count `{n}`")))?,
-                        })
-                    }
-                    _ => Err(malformed(format!("bad shard-done payload `{payload}`"))),
+                let (shard, index) = (r.expect("point")?.num()?, r.num()?);
+                let body = r.eol()?.rest().to_string();
+                match kind {
+                    2 => Message::PointOk { shard, index, entry: body },
+                    _ => Message::PointFailed { shard, index, error: body },
                 }
             }
-            5 => {
-                if payload.is_empty() {
-                    Ok(Message::Heartbeat)
-                } else {
-                    Err(malformed("heartbeat with payload"))
-                }
-            }
-            6 => match payload.strip_prefix("hello v") {
-                Some(v) => Ok(Message::Hello {
-                    version: v
-                        .parse()
-                        .map_err(|_| malformed(format!("bad hello version `{v}`")))?,
-                }),
-                None => Err(malformed(format!("bad hello payload `{payload}`"))),
+            4 => Message::ShardDone {
+                shard: r.expect("shard")?.num()?,
+                points: r.expect("points")?.num()?,
             },
+            5 => Message::Heartbeat,
+            6 => Message::Hello { version: r.expect("hello")?.prefix("v")?.num()? },
             7 => {
-                let mut lines = payload.lines();
-                let head = lines.next().ok_or_else(|| malformed("empty hello-ack"))?;
-                let mut it = head.split_whitespace();
-                let (version, cores, store, count) = match (
-                    it.next(),
-                    it.next(),
-                    it.next(),
-                    it.next(),
-                    it.next(),
-                    it.next(),
-                    it.next(),
-                    it.next(),
-                ) {
-                    (
-                        Some("hello-ack"),
-                        Some(v),
-                        Some("cores"),
-                        Some(c),
-                        Some("store"),
-                        Some(s),
-                        Some("traces"),
-                        Some(n),
-                    ) => (
-                        v.strip_prefix('v')
-                            .and_then(|v| v.parse::<u16>().ok())
-                            .ok_or_else(|| malformed(format!("bad hello-ack version `{v}`")))?,
-                        c.parse::<u32>()
-                            .map_err(|_| malformed(format!("bad core count `{c}`")))?,
-                        match s {
-                            "0" => false,
-                            "1" => true,
-                            _ => return Err(malformed(format!("bad store flag `{s}`"))),
-                        },
-                        n.parse::<usize>()
-                            .map_err(|_| malformed(format!("bad trace count `{n}`")))?,
-                    ),
-                    _ => return Err(malformed(format!("bad hello-ack header `{head}`"))),
-                };
-                let trace_hashes: Vec<u64> = lines
-                    .map(|l| {
-                        u64::from_str_radix(l, 16)
-                            .map_err(|_| malformed(format!("bad trace hash `{l}`")))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if trace_hashes.len() != count {
-                    return Err(malformed(format!(
-                        "hello-ack declares {count} traces but carries {}",
-                        trace_hashes.len()
-                    )));
-                }
-                Ok(Message::HelloAck { version, cores, store, trace_hashes })
+                let version = r.expect("hello-ack")?.prefix("v")?.num()?;
+                let cores = r.expect("cores")?.num()?;
+                let store = r.expect("store")?.flag()?;
+                let count: usize = r.expect("traces")?.num()?;
+                let trace_hashes = (0..count).map(|_| r.eol()?.hash());
+                let trace_hashes = trace_hashes.collect::<Result<_, _>>()?;
+                r.eol()?;
+                Message::HelloAck { version, cores, store, trace_hashes }
             }
-            8 => {
-                let mut it = payload.split_whitespace();
-                match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-                    (Some("offer"), Some(h), Some("len"), Some(n), None) => {
-                        Ok(Message::TraceOffer {
-                            hash: u64::from_str_radix(h, 16)
-                                .map_err(|_| malformed(format!("bad trace hash `{h}`")))?,
-                            total_len: n
-                                .parse()
-                                .map_err(|_| malformed(format!("bad archive length `{n}`")))?,
-                        })
-                    }
-                    _ => Err(malformed(format!("bad trace offer payload `{payload}`"))),
-                }
-            }
-            10 => {
-                let mut it = payload.split_whitespace();
-                match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-                    (Some("ack"), Some(h), Some("have"), Some(n), None) => {
-                        Ok(Message::TraceAck {
-                            hash: u64::from_str_radix(h, 16)
-                                .map_err(|_| malformed(format!("bad trace hash `{h}`")))?,
-                            have: n
-                                .parse()
-                                .map_err(|_| malformed(format!("bad have length `{n}`")))?,
-                        })
-                    }
-                    _ => Err(malformed(format!("bad trace ack payload `{payload}`"))),
-                }
-            }
-            k => Err(WireError::UnknownKind(k)),
+            8 => Message::TraceOffer {
+                hash: r.expect("offer")?.hash()?,
+                total_len: r.expect("len")?.num()?,
+            },
+            9 => Message::TraceChunk {
+                hash: r.expect("chunk")?.hash()?,
+                offset: r.expect("off")?.num()?,
+                data: data.to_vec(),
+            },
+            10 => Message::TraceAck {
+                hash: r.expect("ack")?.hash()?,
+                have: r.expect("have")?.num()?,
+            },
+            k => return Err(WireError::UnknownKind(k)),
+        };
+        // The one-line kinds end their line like every other text line.
+        if matches!(kind, 4 | 6 | 8 | 10) {
+            r.eol()?;
         }
+        r.end()?;
+        Ok(msg)
     }
 }
 
@@ -514,10 +391,9 @@ impl Message {
 ///
 /// # Errors
 ///
-/// [`WireError::Malformed`] if the message cannot be rendered (a
-/// workload token containing a line break) or exceeds [`MAX_PAYLOAD`].
+/// [`WireError::Oversized`] if the payload exceeds [`MAX_PAYLOAD`].
 pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, WireError> {
-    let bytes = msg.payload()?;
+    let bytes = msg.payload();
     if bytes.len() > MAX_PAYLOAD as usize {
         return Err(WireError::Oversized(bytes.len() as u32));
     }
@@ -661,175 +537,52 @@ pub fn decode_frame_with(
     Ok(msg)
 }
 
-/// Renders a spec as one line: every field as `key=value` in a fixed
-/// order, the workload token last. Trace workloads render by content
-/// hash (`trace@<contenthash>`) — never by path — so a spec means the
-/// same bytes on every host; the worker resolves the hash against its
-/// trace store.
-///
-/// # Errors
-///
-/// [`WireError::Malformed`] for a workload token containing a line
-/// break (impossible for the hash and synthetic forms; a defensive
-/// rejection for future token kinds).
+/// A spec's one line, [`RunSpec::spec_line`]; it cannot fail (the
+/// `Result` is the signature callers were written against).
 pub fn render_spec(spec: &RunSpec) -> Result<String, WireError> {
-    let c = &spec.chip;
-    let workload = match &spec.workload {
-        WorkloadClass::Synthetic(w) => format!("synthetic:{}", w.key()),
-        WorkloadClass::Trace(t) => format!("trace@{:016x}", t.content_hash()),
-        WorkloadClass::OpenLoop(s) => s.token(),
-    };
-    if workload.contains('\n') || workload.contains('\r') {
-        return Err(WireError::Malformed(
-            "workload token contains a line break — cannot serialize".into(),
-        ));
-    }
-    let active = match c.active_core_override {
-        Some(n) => n.to_string(),
-        None => "-".to_string(),
-    };
-    Ok(format!(
-        "org={:?} cores={} llc_bytes={} link_bits={} mem_channels={} banks={} \
-         conc={} active={} express={} llc_rows={} warmup={} measure={} seed={} \
-         workload={workload}",
-        c.organization,
-        c.cores,
-        c.llc_total_bytes,
-        c.link_width_bits,
-        c.mem_channels,
-        c.banks_per_llc_tile,
-        c.concentration,
-        active,
-        u8::from(c.express_links),
-        c.llc_rows,
-        spec.window.warmup_cycles,
-        spec.window.measure_cycles,
-        spec.seed,
-    ))
+    Ok(spec.spec_line())
 }
 
-/// Parses one [`render_spec`] line back into a `RunSpec`, with no trace
-/// resolver: `trace@<contenthash>` specs fail with a typed "no trace
-/// store" error.
+/// [`parse_spec_with`] without a trace resolver: a `trace@…` workload is
+/// a typed "no trace store" error.
 ///
 /// # Errors
 ///
-/// [`WireError::Malformed`] naming the offending field.
+/// [`WireError::Malformed`] naming the offending token.
 pub fn parse_spec(line: &str) -> Result<RunSpec, WireError> {
     parse_spec_with(line, None)
 }
 
-/// Parses one [`render_spec`] line back into a `RunSpec`. Trace
-/// workloads (`trace@<contenthash>`) resolve through `traces` (a
-/// worker's `--trace-store`), so a missing, corrupt, or edited trace
-/// fails here, before any simulation.
+/// Reads one [`render_spec`] line back ([`RunSpec::parse_line`]). Trace
+/// workloads resolve through `traces` (a worker's `--trace-store`), so a
+/// missing, corrupt, or edited trace fails here, before any simulation.
 ///
 /// # Errors
 ///
-/// [`WireError::Malformed`] naming the offending field.
+/// [`WireError::Malformed`] naming the offending token.
 pub fn parse_spec_with(
     line: &str,
     traces: Option<&dyn TraceLookup>,
 ) -> Result<RunSpec, WireError> {
-    fn malformed(msg: impl Into<String>) -> WireError {
-        WireError::Malformed(msg.into())
-    }
-    let (fields_part, workload_part) = line
-        .split_once(" workload=")
-        .ok_or_else(|| malformed(format!("spec line without workload: `{line}`")))?;
-    let mut fields = std::collections::HashMap::new();
-    for tok in fields_part.split_whitespace() {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| malformed(format!("bad spec token `{tok}`")))?;
-        fields.insert(k, v);
-    }
-    fn take<'a>(
-        fields: &std::collections::HashMap<&str, &'a str>,
-        key: &str,
-    ) -> Result<&'a str, WireError> {
-        fields
-            .get(key)
-            .copied()
-            .ok_or_else(|| WireError::Malformed(format!("spec missing field `{key}`")))
-    }
-    fn num<T: std::str::FromStr>(
-        fields: &std::collections::HashMap<&str, &str>,
-        key: &str,
-    ) -> Result<T, WireError> {
-        let v = take(fields, key)?;
-        v.parse()
-            .map_err(|_| WireError::Malformed(format!("bad value for `{key}`: `{v}`")))
-    }
-    let organization = take(&fields, "org")?
-        .parse()
-        .map_err(|e: String| malformed(e))?;
-    let active = match take(&fields, "active")? {
-        "-" => None,
-        v => Some(v.parse().map_err(|_| {
-            malformed(format!("bad value for `active`: `{v}`"))
-        })?),
+    let resolve = |hash| {
+        let Some(traces) = traces else {
+            return Err(TextError(format!(
+                "spec names trace {} but this receiver has no trace store \
+                 (start the worker with --trace-store DIR)",
+                hex(hash)
+            )));
+        };
+        let held = traces.lookup(hash);
+        held.ok_or_else(|| TextError(format!("trace {} is not in the local trace store", hex(hash))))
     };
-    let express = match take(&fields, "express")? {
-        "0" => false,
-        "1" => true,
-        v => return Err(malformed(format!("bad value for `express`: `{v}`"))),
-    };
-    let chip = ChipConfig {
-        organization,
-        cores: num(&fields, "cores")?,
-        llc_total_bytes: num(&fields, "llc_bytes")?,
-        link_width_bits: num(&fields, "link_bits")?,
-        mem_channels: num(&fields, "mem_channels")?,
-        banks_per_llc_tile: num(&fields, "banks")?,
-        concentration: num(&fields, "conc")?,
-        active_core_override: active,
-        express_links: express,
-        llc_rows: num(&fields, "llc_rows")?,
-    };
-    let workload = if let Some(key) = workload_part.strip_prefix("synthetic:") {
-        WorkloadClass::from(Workload::from_key(key).ok_or_else(|| {
-            malformed(format!("unknown synthetic workload `{key}`"))
-        })?)
-    } else if let Some(hash) = workload_part.strip_prefix("trace@") {
-        let hash = u64::from_str_radix(hash, 16)
-            .map_err(|_| malformed(format!("bad trace content hash `{hash}`")))?;
-        let set = traces
-            .ok_or_else(|| {
-                malformed(format!(
-                    "spec names trace {hash:016x} but this receiver has no trace \
-                     store (start the worker with --trace-store DIR)"
-                ))
-            })?
-            .lookup(hash)
-            .ok_or_else(|| {
-                malformed(format!(
-                    "trace {hash:016x} is not in the local trace store"
-                ))
-            })?;
-        WorkloadClass::Trace(set)
-    } else if workload_part.starts_with("openloop:") {
-        WorkloadClass::from(OpenLoopSpec::parse_token(workload_part).ok_or_else(
-            || malformed(format!("bad open-loop workload token `{workload_part}`")),
-        )?)
-    } else {
-        return Err(malformed(format!("bad workload token `{workload_part}`")));
-    };
-    Ok(RunSpec {
-        chip,
-        workload,
-        window: MeasurementWindow::new(
-            num(&fields, "warmup")?,
-            num(&fields, "measure")?,
-        ),
-        seed: num(&fields, "seed")?,
-    })
+    Ok(RunSpec::parse_line(line, resolve)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Organization;
+    use crate::config::{ChipConfig, Organization};
+    use nocout_workloads::Workload;
 
     fn spec() -> RunSpec {
         RunSpec::new(
@@ -858,6 +611,31 @@ mod tests {
         s.chip.cores = 128;
         let parsed = parse_spec(&render_spec(&s).unwrap()).unwrap();
         assert_eq!(parsed, s);
+    }
+
+    /// The spec line is canonical: exactly the writer's keys in the
+    /// writer's order. An unknown key, a duplicate (however it would be
+    /// resolved), a swapped pair, a missing key or a trailing token is
+    /// refused, and the error names the token it stopped at.
+    #[test]
+    fn spec_line_refuses_unknown_duplicate_and_misplaced_keys() {
+        let line = render_spec(&spec()).unwrap();
+        assert!(line.contains(" seed=7 workload=synthetic:DataServing"), "{line}");
+        for (what, bad, names) in [
+            ("unknown", format!("bogus=9 {line}"), "bogus=9"),
+            ("unknown, mid-line", line.replace(" seed=", " bogus=9 seed="), "bogus=9"),
+            ("duplicate", line.replace(" seed=7", " seed=7 seed=8"), "seed=8"),
+            ("out of order", line.replace(" warmup=", " seed=7 warmup="), "seed=7"),
+            ("missing", line.replace(" seed=7", ""), "workload=synthetic:DataServing"),
+            ("trailing", format!("{line} seed=7"), "seed=7"),
+            ("two spaces", line.replace(" seed=", "  seed="), " seed=7"),
+            ("non-canonical number", line.replace(" seed=7", " seed=+7"), "+7"),
+        ] {
+            match parse_spec(&bad) {
+                Err(WireError::Malformed(msg)) => assert!(msg.contains(names), "{what}: {msg}"),
+                other => panic!("{what}: `{bad}` must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -961,7 +739,7 @@ mod tests {
     fn trace_at_hash_without_a_store_is_a_typed_error() {
         let line = render_spec(&spec()).unwrap();
         let line = line.split(" workload=").next().unwrap().to_string()
-            + " workload=trace@00000000deadbeef";
+            + " workload=trace@00000000deadbeefx16i2000";
         let err = parse_spec(&line).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("no trace store"), "{msg}");

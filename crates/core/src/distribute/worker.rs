@@ -50,6 +50,7 @@ use super::store::TraceStore;
 use super::wire::{encode_frame, read_frame_with, write_frame, Message, WireError, VERSION};
 use crate::cache::render_entry;
 use crate::runner::{panic_message, BatchRunner, PointError, RunSpec};
+use nocout_sim::text::hex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -283,7 +284,8 @@ impl Worker {
                     }
                     let total = offers.get(&hash).copied().ok_or_else(|| {
                         WireError::Malformed(format!(
-                            "trace chunk for {hash:016x} without a preceding offer"
+                            "trace chunk for {} without a preceding offer",
+                            hex(hash)
                         ))
                     })?;
                     if staged >= total {

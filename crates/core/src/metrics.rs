@@ -38,7 +38,7 @@ impl TailSummary {
 }
 
 /// Everything the experiment harness reads out of a run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemMetrics {
     /// Instructions per cycle of every core (inactive cores report 0).
     pub per_core_ipc: Vec<f64>,
@@ -106,7 +106,7 @@ impl SystemMetrics {
 }
 
 /// Aggregated LLC statistics (summed over tiles).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LlcSummary {
     /// Core requests processed.
     pub accesses: u64,
@@ -144,7 +144,7 @@ impl LlcSummary {
 }
 
 /// Interconnect statistics for the window.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NetSummary {
     /// Packets delivered.
     pub packets: u64,
@@ -178,7 +178,7 @@ pub struct NetSummary {
 }
 
 /// Memory-channel statistics for the window.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemSummary {
     /// Line reads serviced.
     pub reads: u64,

@@ -33,22 +33,10 @@
 //! this as `--cache DIR` (see `nocout_experiments::cli`), so re-running a
 //! figure pays only for the points its previous run didn't cover.
 //!
-//! * **Key**: the FNV-1a 64 hash of [`RunSpec::cache_key`], a versioned
-//!   canonical string spelling out every spec field — the full
-//!   `ChipConfig` (organization, cores, LLC bytes, link width, memory
-//!   channels, banks per tile, concentration, active-core override,
-//!   express links, LLC rows), the workload, the warmup and measure
-//!   cycle counts, and the seed.
-//! * **Invalidation**: any change to any of those fields is a different
-//!   key; there are no partial hits. The stored entry embeds the full
-//!   key string and is verified on load, so collisions degrade to
-//!   misses. Entries never expire on their own — delete the directory
-//!   (or bump the key's behaviour version) after changing simulator
-//!   behaviour.
-//! * **Fidelity**: entries round-trip metrics bit-exactly (floats are
-//!   stored as raw IEEE-754 bits), so hits are indistinguishable from
-//!   re-simulation; the `results_cache` integration test and the CI
-//!   byte-identity gate (`sweep --cache` twice, `cmp`) enforce this.
+//! The key is the hash of [`RunSpec::cache_key`] — the behaviour version
+//! and [`RunSpec::spec_line`], every spec field by name — so any field
+//! change is a different entry, and entries round-trip metrics
+//! bit-exactly; [`crate::cache`] has the invalidation and fidelity rules.
 //!
 //! ```
 //! use nocout::config::{ChipConfig, Organization};
@@ -69,10 +57,13 @@ use crate::config::ChipConfig;
 use crate::metrics::SystemMetrics;
 use nocout_sim::config::{MeasurementWindow, SeedSet};
 use nocout_sim::stats::RunningStats;
+use nocout_sim::text::{whole, Reader, TextError};
+use nocout_workloads::trace::TraceSet;
 use nocout_workloads::WorkloadClass;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A seed set was empty where at least one seed is required.
 ///
@@ -190,6 +181,74 @@ impl RunSpec {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// The one rendering of a spec: every field as `key=value` in this
+    /// fixed order on one line, the workload's
+    /// [`WorkloadClass::cache_token`] last. [`RunSpec::cache_key`] is this
+    /// line behind the behaviour version and a shard request carries it
+    /// verbatim, so a field added to the spec is added here and in
+    /// [`RunSpec::parse_line`], nowhere else.
+    pub fn spec_line(&self) -> String {
+        // Destructured in full, so a new `ChipConfig` field fails to
+        // compile here until it is rendered (and `parse_line` until read).
+        let ChipConfig {
+            organization,
+            cores,
+            llc_total_bytes,
+            link_width_bits,
+            mem_channels,
+            banks_per_llc_tile,
+            concentration,
+            active_core_override,
+            express_links,
+            llc_rows,
+        } = self.chip;
+        let active = active_core_override.map_or("-".to_string(), |n| n.to_string());
+        let (express, window) = (u8::from(express_links), self.window);
+        format!(
+            "org={organization:?} cores={cores} llc_bytes={llc_total_bytes} \
+             link_bits={link_width_bits} mem_channels={mem_channels} banks={banks_per_llc_tile} \
+             conc={concentration} active={active} express={express} llc_rows={llc_rows} \
+             warmup={} measure={} seed={} workload={}",
+            window.warmup_cycles,
+            window.measure_cycles,
+            self.seed,
+            self.workload.cache_token()
+        )
+    }
+
+    /// Reads a [`RunSpec::spec_line`] back: the same keys in the same
+    /// order and nothing else, so an unknown, duplicate, missing or
+    /// misplaced key is refused by name. `resolve` turns a trace token's
+    /// content hash into the locally held trace (see
+    /// [`WorkloadClass::parse_token`]).
+    pub fn parse_line(
+        line: &str,
+        resolve: impl FnOnce(u64) -> Result<Arc<TraceSet>, TextError>,
+    ) -> Result<RunSpec, TextError> {
+        let mut r = Reader::new(line);
+        let chip = ChipConfig {
+            organization: r.prefix("org=")?.token()?.parse().map_err(TextError)?,
+            cores: r.prefix("cores=")?.num()?,
+            llc_total_bytes: r.prefix("llc_bytes=")?.num()?,
+            link_width_bits: r.prefix("link_bits=")?.num()?,
+            mem_channels: r.prefix("mem_channels=")?.num()?,
+            banks_per_llc_tile: r.prefix("banks=")?.num()?,
+            concentration: r.prefix("conc=")?.num()?,
+            active_core_override: match r.prefix("active=")?.token()? {
+                "-" => None,
+                n => Some(whole(n, Reader::num)?),
+            },
+            express_links: r.prefix("express=")?.flag()?,
+            llc_rows: r.prefix("llc_rows=")?.num()?,
+        };
+        let window =
+            MeasurementWindow::new(r.prefix("warmup=")?.num()?, r.prefix("measure=")?.num()?);
+        let seed = r.prefix("seed=")?.num()?;
+        let workload = WorkloadClass::parse_token(r.prefix("workload=")?.token()?, resolve)?;
+        r.end()?;
+        Ok(RunSpec { chip, workload, window, seed })
     }
 }
 

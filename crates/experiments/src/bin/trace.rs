@@ -3,10 +3,11 @@
 //! `trace:PATH` workload class, and asserts the replayed chip metrics are
 //! bit-identical to the synthetic run that produced the streams.
 //!
-//! Two artifact files land under `out/` with one canonically-formatted
-//! metric line per workload — `trace_synth.txt` from the synthetic runs
-//! and `trace_replay.txt` from the replays — so CI can `cmp` them as a
-//! byte-identity gate. Captured trace directories live under
+//! Two artifact files land under `out/` with one results-cache entry
+//! (`nocout::cache::render_entry`, keyed by the workload's tag: every
+//! count verbatim, every float as the hex of its bits) per workload —
+//! `trace_synth.txt` from the synthetic runs and `trace_replay.txt` from
+//! the replays — so CI can `cmp` them as a byte-identity gate. Captured trace directories live under
 //! `out/traces/<workload>/` and are removed after verification unless
 //! `--keep` is given (replay them later with any binary's
 //! `--workload trace:out/traces/<workload>`).
@@ -14,47 +15,15 @@
 //! Run with `cargo run --release -p nocout-experiments --bin trace`
 //! (`NOCOUT_FAST=1` shortens the window and therefore the captures).
 
+use nocout::cache::render_entry;
 use nocout::prelude::*;
 use nocout_experiments::cli::Cli;
 use nocout_experiments::{campaign, measurement_window, out_path, Table};
-use std::fmt::Write as _;
 
 const ABOUT: &str = "Captures a multi-million-instruction trace from each \
 CloudSuite-style profile on the mesh, replays it as the trace:PATH \
 workload class, asserts the replayed chip metrics are bit-identical, and \
 writes out/trace_synth.txt + out/trace_replay.txt for the CI cmp gate.";
-
-/// One canonical line per run: every count verbatim, every float as the
-/// hex of its IEEE-754 bits, so byte equality of the two artifact files
-/// is exactly metric bit-identity.
-fn metric_line(workload: &str, m: &SystemMetrics) -> String {
-    let mut s = format!(
-        "{workload}: cores {} cycles {} instr {} ipc {:016x} fetch_stall {:016x} \
-         llc {} {} {} {} {} {} net {} {:016x} {} {} mem {} {}",
-        m.active_cores,
-        m.cycles,
-        m.instructions,
-        m.aggregate_ipc().to_bits(),
-        m.fetch_stall_fraction.to_bits(),
-        m.llc.accesses,
-        m.llc.hits,
-        m.llc.misses,
-        m.llc.snoops_sent,
-        m.llc.snooping_accesses,
-        m.llc.writebacks,
-        m.network.packets,
-        m.network.mean_latency.to_bits(),
-        m.network.p50_latency,
-        m.network.p99_latency,
-        m.memory.reads,
-        m.memory.writes,
-    );
-    let _ = write!(s, " per_core");
-    for ipc in &m.per_core_ipc {
-        let _ = write!(s, " {:016x}", ipc.to_bits());
-    }
-    s
-}
 
 fn main() {
     let mut cli = Cli::parse(
@@ -117,13 +86,13 @@ fn main() {
             .run(&runner);
         let (synth, replay) = (&frame.results()[0].metrics, &frame.results()[1].metrics);
 
-        let a = metric_line(&tag, synth);
-        let b = metric_line(&tag, replay);
+        // Byte equality of the two entry texts is exactly metric
+        // bit-identity.
+        let a = render_entry(&tag, synth);
+        let b = render_entry(&tag, replay);
         let identical = a == b;
         synth_lines.push_str(&a);
-        synth_lines.push('\n');
         replay_lines.push_str(&b);
-        replay_lines.push('\n');
         table.row(vec![
             w.name().into(),
             set.streams().to_string(),

@@ -11,6 +11,7 @@ use crate::report::campaign;
 use crate::table::Table;
 use nocout::campaign::ResultFrame;
 use nocout::prelude::*;
+use nocout_sim::text::hex;
 use nocout_workloads::trace::TraceSet;
 use nocout_workloads::WorkloadClass;
 use std::sync::Arc;
@@ -105,7 +106,7 @@ pub fn trace_table(frame: &ResultFrame, set: &Arc<TraceSet>) -> Table {
         ],
     );
     table.row(vec![
-        format!("{:016x}", set.content_hash()),
+        hex(set.content_hash()).to_string(),
         "1.000".into(),
         format!(
             "{:.3}",

@@ -5,7 +5,7 @@
 //! traversals, link millimetres) and queue pressure.
 
 use crate::types::{MessageClass, CLASS_COUNT};
-use nocout_sim::stats::{Counter, LatencyHist, Log2Histogram, RunningStats};
+use nocout_sim::stats::{Counter, LatencyHist, RunningStats};
 
 /// Aggregated statistics for one network over the measurement window.
 #[derive(Debug, Default)]
@@ -18,13 +18,10 @@ pub struct NetStats {
     pub flits_delivered: Counter,
     /// End-to-end packet latency (injection-queue entry to tail ejection).
     pub latency: RunningStats,
-    /// Latency distribution.
-    pub latency_hist: Log2Histogram,
     /// Latency split per message class.
     pub per_class_latency: [RunningStats; CLASS_COUNT],
-    /// Fine-grained latency distribution per message class (log-linear
-    /// buckets, tight enough for p99/p999 — the coarse `latency_hist`
-    /// stays for order-of-magnitude tail shape).
+    /// Latency distribution per message class (log-linear buckets, tight
+    /// enough for p99/p999); the all-class distribution is their merge.
     pub tail_hists: [LatencyHist; CLASS_COUNT],
     /// Total flit link traversals (router-to-router and ejection links).
     pub flit_hops: Counter,
@@ -52,7 +49,6 @@ impl NetStats {
         self.packets_delivered.incr();
         self.flits_delivered.add(flits as u64);
         self.latency.record(latency as f64);
-        self.latency_hist.record(latency);
         self.per_class_latency[class.vc()].record(latency as f64);
         self.tail_hists[class.vc()].record(latency);
     }

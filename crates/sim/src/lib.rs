@@ -11,6 +11,8 @@
 //!   network, memory-system and core models,
 //! * [`hash`] — the FNV-1a content hash behind cache keys, wire digests
 //!   and trace identities,
+//! * [`text`] — the strict field reader and the hex / escape writers every
+//!   text format (cache entry, wire payload, journal, trace archive) shares,
 //! * [`ring::Ring`] — the fixed-capacity ring buffer behind the uncore
 //!   hot-path FIFO queues,
 //! * [`config`] — small helpers for experiment configuration.
@@ -35,6 +37,7 @@ pub mod hash;
 pub mod ring;
 pub mod rng;
 pub mod stats;
+pub mod text;
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

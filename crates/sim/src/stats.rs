@@ -186,114 +186,6 @@ impl RunningStats {
     }
 }
 
-/// A power-of-two bucketed histogram of `u64` samples.
-///
-/// Bucket `i` holds samples in `[2^(i-1), 2^i)` except bucket 0 which holds
-/// zero/one. Used for latency distributions where tail shape matters (the
-/// paper's serialization-latency argument in Fig. 9 shows up as tail
-/// movement here).
-///
-/// # Examples
-///
-/// ```
-/// use nocout_sim::stats::Log2Histogram;
-///
-/// let mut h = Log2Histogram::new();
-/// h.record(1);
-/// h.record(10);
-/// h.record(1000);
-/// assert_eq!(h.total(), 3);
-/// assert!(h.percentile(0.5) >= 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Log2Histogram {
-    buckets: [u64; 64],
-    total: u64,
-    sum: u128,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Log2Histogram::new()
-    }
-}
-
-impl Log2Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Log2Histogram {
-            buckets: [0; 64],
-            total: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&mut self, x: u64) {
-        let idx = (64 - x.leading_zeros()) as usize;
-        self.buckets[idx.min(63)] += 1;
-        self.total += 1;
-        self.sum += x as u128;
-    }
-
-    /// Number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Approximate percentile (`q` in `[0,1]`): upper bound of the bucket
-    /// containing the q-quantile sample. Returns 0 when empty.
-    ///
-    /// # Error bound
-    ///
-    /// Buckets are whole powers of two, so the returned value can exceed
-    /// the exact q-quantile sample by up to **2×** (the true sample may sit
-    /// anywhere in `[2^(i-1), 2^i)` while this returns `2^i`). That is fine
-    /// for order-of-magnitude tail shape but far too coarse for p99/p999
-    /// reporting — new callers that publish percentiles should record into
-    /// [`LatencyHist`] instead, whose log-linear buckets bound the relative
-    /// error at 1/32 (~3%).
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank.max(1) {
-                return if i == 0 { 1 } else { 1u64 << i };
-            }
-        }
-        u64::MAX
-    }
-
-    /// Iterates over `(bucket_upper_bound, count)` pairs for non-empty
-    /// buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 1 } else { 1u64 << i }, c))
-    }
-
-    /// Resets the histogram.
-    pub fn reset(&mut self) {
-        *self = Log2Histogram::new();
-    }
-}
-
 /// Number of linear sub-buckets per power-of-two major bucket in
 /// [`LatencyHist`] (as a shift): 2^5 = 32 sub-buckets.
 const SUB_BITS: usize = 5;
@@ -307,10 +199,9 @@ const LAT_BUCKETS: usize = SUBS * (64 - SUB_BITS + 1);
 /// A fixed-capacity log-linear latency histogram: power-of-two major
 /// buckets, each split into 32 linear sub-buckets.
 ///
-/// This is the service-level companion to [`Log2Histogram`]: same
-/// recording cost (a handful of ALU ops and one array increment, zero
-/// steady-state allocation), but the relative quantile error is bounded
-/// at **1/32 (~3%)** instead of 2×, tight enough to report p99/p999.
+/// Recording costs a handful of ALU ops and one array increment, with
+/// zero steady-state allocation, and the relative quantile error is
+/// bounded at **1/32 (~3%)**, tight enough to report p99/p999.
 /// Values below 32 are recorded exactly. Histograms merge by bucket-wise
 /// addition, so per-core/per-tile histograms compose into chip-wide
 /// distributions without losing tail resolution.
@@ -604,29 +495,6 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_and_mean() {
-        let mut h = Log2Histogram::new();
-        for x in [0, 1, 2, 3, 4, 8, 16, 1024] {
-            h.record(x);
-        }
-        assert_eq!(h.total(), 8);
-        assert!((h.mean() - 1058.0 / 8.0).abs() < 1e-12);
-        assert!(h.iter().count() > 3);
-    }
-
-    #[test]
-    fn histogram_percentiles_monotone() {
-        let mut h = Log2Histogram::new();
-        for x in 1..=1000u64 {
-            h.record(x);
-        }
-        let p50 = h.percentile(0.5);
-        let p99 = h.percentile(0.99);
-        assert!(p50 <= p99);
-        assert!((256..=1024).contains(&p50));
     }
 
     #[test]

@@ -52,6 +52,7 @@ use crate::profile::Workload;
 use nocout_cpu::source::{FetchedInstr, InstrBlock, InstructionSource, Op};
 use nocout_mem::addr::Addr;
 use nocout_sim::stats::LatencyHist;
+use nocout_sim::text::{whole, Reader};
 use nocout_sim::Cycle;
 
 /// Parameters of an open-loop arrival process layered over a synthetic
@@ -86,8 +87,8 @@ impl OpenLoopSpec {
         let rest = s.strip_prefix("openloop:")?;
         let mut parts = rest.split(':');
         let workload = Workload::from_key(parts.next()?)?;
-        let interval: u64 = parts.next()?.parse().ok()?;
-        let service_instrs: u32 = parts.next()?.parse().ok()?;
+        let interval: u64 = whole(parts.next()?, Reader::num).ok()?;
+        let service_instrs: u32 = whole(parts.next()?, Reader::num).ok()?;
         if parts.next().is_some() || interval == 0 || service_instrs == 0 {
             return None;
         }
@@ -275,6 +276,7 @@ mod tests {
         assert_eq!(OpenLoopSpec::parse_token(&s.token()), Some(s));
         assert_eq!(OpenLoopSpec::parse_token("openloop:DataServing:0:8"), None);
         assert_eq!(OpenLoopSpec::parse_token("openloop:Nope:100:8"), None);
+        assert_eq!(OpenLoopSpec::parse_token("openloop:DataServing:+100:08"), None);
         assert_eq!(
             OpenLoopSpec::parse_token("openloop:DataServing:100:8:extra"),
             None

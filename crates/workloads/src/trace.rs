@@ -25,6 +25,7 @@ use crate::profile::{Workload, WorkloadProfile};
 use nocout_cpu::source::{FetchedInstr, InstructionSource, Op};
 use nocout_mem::addr::Addr;
 use nocout_sim::hash::{fnv1a_fold, FNV_BASIS};
+use nocout_sim::text::{hex, whole, Reader, TextError};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -739,24 +740,57 @@ impl WorkloadClass {
         }
     }
 
-    /// The canonical token this class contributes to a `RunSpec` cache
-    /// key. Synthetic classes render as the workload's identifier; traces
-    /// render as their content hash plus stream and instruction counts.
-    /// Note the trace token is a *digest*, not the content itself: unlike
-    /// synthetic keys, the cache's verify-on-load check can only be as
-    /// strong as this token, so two traces aliasing requires a 64-bit
-    /// FNV collision *and* identical stream/instruction counts —
-    /// astronomically unlikely, but probabilistic rather than exact.
+    /// The one canonical token of this class, the last field of the spec
+    /// line cache keys and shard requests share: `synthetic:<key>`,
+    /// `openloop:<key>:<interval>:<service>`, or
+    /// `trace@<contenthash>x<streams>i<instructions>` — never a path, so
+    /// a spec means the same bytes on every host. Note the trace token is
+    /// a *digest*, not the content itself: unlike synthetic keys, the
+    /// cache's verify-on-load check can only be as strong as this token,
+    /// so two traces aliasing requires a 64-bit FNV collision *and*
+    /// identical stream/instruction counts — astronomically unlikely,
+    /// but probabilistic rather than exact.
     pub fn cache_token(&self) -> String {
         match self {
-            WorkloadClass::Synthetic(w) => format!("{w:?}"),
+            WorkloadClass::Synthetic(w) => format!("synthetic:{}", w.key()),
             WorkloadClass::Trace(t) => format!(
-                "trace:{:016x}x{}i{}",
-                t.content_hash(),
+                "trace@{}x{}i{}",
+                hex(t.content_hash()),
                 t.streams(),
                 t.total_instructions()
             ),
             WorkloadClass::OpenLoop(s) => s.token(),
+        }
+    }
+
+    /// Inverse of [`WorkloadClass::cache_token`]. A trace token names a
+    /// content hash, which `resolve` turns into the locally held set (or
+    /// the reason it cannot); the set must then have the stream and
+    /// instruction counts the token promises.
+    pub fn parse_token(
+        token: &str,
+        resolve: impl FnOnce(u64) -> Result<Arc<TraceSet>, TextError>,
+    ) -> Result<WorkloadClass, TextError> {
+        let bad = || TextError(format!("bad workload token `{token}`"));
+        if let Some(key) = token.strip_prefix("synthetic:") {
+            Workload::from_key(key).map(WorkloadClass::from).ok_or_else(bad)
+        } else if token.starts_with("openloop:") {
+            OpenLoopSpec::parse_token(token).map(WorkloadClass::from).ok_or_else(bad)
+        } else if let Some(rest) = token.strip_prefix("trace@") {
+            let shape = rest.get(16..).and_then(|s| s.strip_prefix('x')?.split_once('i'));
+            let (streams, instrs) = shape.ok_or_else(bad)?;
+            let hash = whole(&rest[..16], Reader::hash)?;
+            let counts: (usize, u64) = (whole(streams, Reader::num)?, whole(instrs, Reader::num)?);
+            let set = resolve(hash)?;
+            if counts != (set.streams(), set.total_instructions()) {
+                let held = (set.streams(), set.total_instructions());
+                return Err(TextError(format!(
+                    "`{token}` promises {counts:?} (streams, instructions), the held trace has {held:?}"
+                )));
+            }
+            Ok(WorkloadClass::Trace(set))
+        } else {
+            Err(bad())
         }
     }
 }
@@ -968,11 +1002,19 @@ mod tests {
         let c: WorkloadClass = Workload::DataServing.into();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a.cache_token(), "WebSearch");
-        let t = WorkloadClass::from(TraceSet::load(&dir.0).unwrap());
+        assert_eq!(a.cache_token(), "synthetic:WebSearch");
+        let set = TraceSet::load(&dir.0).unwrap();
+        let t = WorkloadClass::from(set.clone());
         assert_ne!(t, a);
-        assert!(t.cache_token().starts_with("trace:"));
         // One stream of 20 instructions.
-        assert!(t.cache_token().ends_with("x1i20"), "{}", t.cache_token());
+        let token = t.cache_token();
+        assert_eq!(token, format!("trace@{}x1i20", hex(set.content_hash())));
+        // Every form reads back; a trace token is held to its counts.
+        let held = |_| Ok(set.clone());
+        assert_eq!(WorkloadClass::parse_token(&token, held), Ok(t));
+        assert_eq!(WorkloadClass::parse_token("synthetic:WebSearch", held), Ok(a));
+        for wrong in [token.replace("x1i", "x2i"), format!("{token}0"), token.replace('@', ":")] {
+            assert!(WorkloadClass::parse_token(&wrong, held).is_err(), "{wrong}");
+        }
     }
 }

@@ -13,8 +13,8 @@
 //! * flipping any single bit of a frame's *payload* is always detected
 //!   (the header digest), and flipping any header byte is a typed error
 //!   or a differently-typed message — never a panic;
-//! * a v1-framed stream dialed at a v2 worker is refused with a typed
-//!   version-mismatch error naming both versions.
+//! * a v1-framed stream dialed at a current worker is refused with a
+//!   typed version-mismatch error naming both versions.
 
 use nocout_repro::config::{ChipConfig, Organization};
 use nocout_repro::distribute::{
@@ -193,8 +193,8 @@ impl TraceLookup for MapLookup {
     }
 }
 
-/// Trace workloads serialize by *content hash* (`trace@<hash>`), never
-/// by path: the line round-trips through any resolver holding the same
+/// Trace workloads serialize by *content hash* (`trace@<hash>x<streams>i<instrs>`),
+/// never by path: the line round-trips through any resolver holding the same
 /// bytes, regardless of where either side stores them — even when the
 /// capture directory path contains spaces or a newline, which the v1
 /// path form could not frame.
@@ -218,8 +218,9 @@ fn trace_specs_round_trip_by_content_hash() {
     };
     let line = render_spec(&spec).expect("trace spec renders");
     assert!(
-        line.ends_with(&format!("trace@{hash:016x}")),
-        "trace workloads render by content hash: {line}"
+        line.ends_with(&format!(" workload={}", spec.workload.cache_token()))
+            && line.contains(&format!("trace@{hash:016x}x")),
+        "trace workloads render by content hash and counts: {line}"
     );
     let resolver = MapLookup(HashMap::from([(hash, trace)]));
     let parsed = parse_spec_with(&line, Some(&resolver)).expect("trace spec parses");
