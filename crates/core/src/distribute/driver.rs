@@ -59,7 +59,7 @@
 //!   (`super::journal`).
 
 use super::journal::Journal;
-use super::store::archive_trace;
+use super::store::ArchivePieces;
 use super::wire::{
     encode_frame, read_frame, write_frame, Message, WireError, VERSION,
 };
@@ -837,8 +837,12 @@ impl ShardedDriver {
                 hex(hash)
             ))
         })?;
-        let archive = archive_trace(set).map_err(WireError::Io)?;
-        let total = archive.len() as u64;
+        // Chunks are cut straight from the set's held stream bytes (and
+        // the small header lines between them): the archive is never
+        // materialised whole on this side.
+        let archive = ArchivePieces::of(set).map_err(WireError::Io)?;
+        let len = archive.len();
+        let total = len as u64;
         let mut writer = stream;
         let mut reader = stream;
         write_frame(&mut writer, &Message::TraceOffer { hash, total_len: total })?;
@@ -857,12 +861,12 @@ impl ShardedDriver {
         }
         report.resume_bytes += have;
         let mut off = have as usize;
-        while off < archive.len() {
-            let end = (off + self.cfg.chunk_bytes).min(archive.len());
+        while off < len {
+            let end = (off + self.cfg.chunk_bytes).min(len);
             let mut frame = encode_frame(&Message::TraceChunk {
                 hash,
                 offset: off as u64,
-                data: archive[off..end].to_vec(),
+                data: archive.copy_range(off..end),
             })?;
             let chunk_no = self.chunks_sent.fetch_add(1, Ordering::SeqCst);
             if self.cfg.fault_corrupt_chunk == Some(chunk_no) {

@@ -18,12 +18,21 @@
 //!   directory, is loaded and re-verified against its content hash, and
 //!   only then renamed into place. A crash mid-install leaves at most a
 //!   temp directory and the partial file, never a half-written entry.
-//! * **Verify on load** — [`TraceStore::get`] re-derives the content
-//!   hash from the bytes on disk (`TraceSet::load` re-reads and
-//!   re-hashes every stream); an entry whose bytes no longer match its
-//!   name is quarantined to `<entry>.bad` — exactly like
+//! * **Verified bytes are the replayed bytes** — every byte replayed
+//!   was hashed and validated in this process, and is replayed from the
+//!   buffer that was checked. A store's first [`TraceStore::get`] of an
+//!   entry re-derives the content hash from the bytes on disk
+//!   (`TraceSet::load` reads, hashes and validates every stream, and
+//!   keeps what it read); an entry whose bytes do not match its name is
+//!   quarantined to `<entry>.bad` — exactly like
 //!   `crate::cache::ResultsCache` — and reported as a miss, so the
-//!   driver re-ships instead of replaying corrupt streams.
+//!   driver re-ships instead of replaying corrupt streams. The store
+//!   then remembers the verified set (the [`REMEMBERED_SETS`] most
+//!   recently used, by hash) and serves later `get`s from memory for as
+//!   long as the entry directory exists: a wiped or quarantined entry is
+//!   a miss and drops the remembered set. Bit rot in an installed entry
+//!   is therefore found at the next process's first `get` — or this
+//!   one's after an eviction — not at the next point's.
 //! * **Resumable transfer** — chunks append to `<hash>.partial` with a
 //!   per-chunk fsync; a worker crash mid-transfer loses nothing already
 //!   appended, and the next offer resumes from the staged length.
@@ -48,10 +57,17 @@
 use super::wire::TraceLookup;
 use nocout_sim::text::{hex, whole, Reader};
 use nocout_workloads::trace::TraceSet;
+use std::borrow::Cow;
 use std::io::{self, Seek, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Verified sets a [`TraceStore`] keeps in memory, most recently used
+/// first. A campaign interleaves its traces, so one would thrash; an
+/// eviction costs only the next `get`'s re-verification from disk.
+pub const REMEMBERED_SETS: usize = 4;
 
 /// Bytes that are not what they were declared to be: the error kind the
 /// text reader's refusals map to as well.
@@ -59,25 +75,66 @@ fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Serializes a trace as one shippable archive: every stream file in
-/// file-name order, names and bytes verbatim.
+/// A trace's shippable archive as the pieces it is the concatenation of:
+/// the small header lines (owned) and each stream's bytes, borrowed from
+/// the set that holds them. File-name order, names and bytes verbatim.
+pub(super) struct ArchivePieces<'a>(Vec<Cow<'a, [u8]>>);
+
+impl<'a> ArchivePieces<'a> {
+    /// # Errors
+    ///
+    /// A stream file whose name is not representable (not UTF-8, or
+    /// contains a space, a newline or a `/`).
+    pub(super) fn of(set: &'a TraceSet) -> io::Result<Self> {
+        let files = set.files();
+        let mut pieces = Vec::with_capacity(1 + 2 * files.len());
+        pieces.push(Cow::from(
+            format!("nocout-trace-archive v1 files {}\n", files.len()).into_bytes(),
+        ));
+        for (slot, path) in files.iter().enumerate() {
+            let name = path.file_name().and_then(|n| n.to_str());
+            let name = name.filter(|n| !n.contains([' ', '\n', '/'])).ok_or_else(|| {
+                bad(format!("trace stream {} has a name that cannot be archived", path.display()))
+            })?;
+            let bytes = set.stream_bytes(slot);
+            pieces.push(Cow::from(format!("file {name} {}\n", bytes.len()).into_bytes()));
+            pieces.push(Cow::from(bytes));
+        }
+        Ok(ArchivePieces(pieces))
+    }
+
+    /// Length of the whole archive in bytes.
+    pub(super) fn len(&self) -> usize {
+        self.0.iter().map(|p| p.len()).sum()
+    }
+
+    /// Bytes `range` of the archive, copied out of the pieces it spans.
+    pub(super) fn copy_range(&self, range: Range<usize>) -> Vec<u8> {
+        let mut out = Vec::with_capacity(range.len());
+        let mut at = 0; // archive offset of the current piece
+        for piece in &self.0 {
+            let lo = range.start.max(at);
+            let hi = range.end.min(at + piece.len());
+            if lo < hi {
+                out.extend_from_slice(&piece[lo - at..hi - at]);
+            }
+            at += piece.len();
+        }
+        out
+    }
+}
+
+/// Serializes a trace as one shippable archive: every stream in
+/// file-name order, names and bytes verbatim, from the bytes the set
+/// holds (no file is read).
 ///
 /// # Errors
 ///
-/// I/O errors reading the stream files, or a stream file whose name is
-/// not representable (not UTF-8, or contains a space, a newline or a `/`).
+/// A stream file whose name is not representable (not UTF-8, or
+/// contains a space, a newline or a `/`).
 pub fn archive_trace(set: &TraceSet) -> io::Result<Vec<u8>> {
-    let mut out = format!("nocout-trace-archive v1 files {}\n", set.files().len()).into_bytes();
-    for path in set.files() {
-        let name = path.file_name().and_then(|n| n.to_str());
-        let name = name.filter(|n| !n.contains([' ', '\n', '/'])).ok_or_else(|| {
-            bad(format!("trace stream {} has a name that cannot be archived", path.display()))
-        })?;
-        let bytes = std::fs::read(path)?;
-        out.extend_from_slice(format!("file {name} {}\n", bytes.len()).as_bytes());
-        out.extend_from_slice(&bytes);
-    }
-    Ok(out)
+    let pieces = ArchivePieces::of(set)?;
+    Ok(pieces.copy_range(0..pieces.len()))
 }
 
 /// Unpacks an [`archive_trace`] byte stream into `dest` (which must not
@@ -121,6 +178,9 @@ pub(super) fn unpack_archive(bytes: &[u8], dest: &Path) -> io::Result<()> {
 pub struct TraceStore {
     dir: PathBuf,
     quarantined: AtomicU64,
+    /// Sets this store verified from disk, most recently used first, at
+    /// most [`REMEMBERED_SETS`]. Filled by [`TraceStore::get`] alone.
+    remembered: Mutex<Vec<Arc<TraceSet>>>,
 }
 
 impl TraceStore {
@@ -132,7 +192,11 @@ impl TraceStore {
     pub fn open<P: Into<PathBuf>>(dir: P) -> io::Result<TraceStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(TraceStore { dir, quarantined: AtomicU64::new(0) })
+        Ok(TraceStore {
+            dir,
+            quarantined: AtomicU64::new(0),
+            remembered: Mutex::new(Vec::with_capacity(REMEMBERED_SETS)),
+        })
     }
 
     /// The store's root directory.
@@ -155,9 +219,9 @@ impl TraceStore {
 
     /// The content hashes this store holds entries for. A cheap
     /// directory scan — entries are *not* verified here (the capability
-    /// handshake must stay fast); verification happens on
-    /// [`TraceStore::get`], where a corrupt entry is quarantined and the
-    /// next handshake stops advertising it.
+    /// handshake must stay fast); verification happens on an entry's
+    /// first [`TraceStore::get`], where a corrupt entry is quarantined
+    /// and the next handshake stops advertising it.
     pub fn held(&self) -> Vec<u64> {
         let Ok(read) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
@@ -171,24 +235,40 @@ impl TraceStore {
         hashes
     }
 
-    /// Loads the entry for `hash`, re-verifying the content hash from
-    /// the bytes on disk. A missing entry is `None`; an entry that fails
-    /// to load or whose re-derived hash disagrees is quarantined to
-    /// `<entry>.bad` (preserving the bytes for inspection) and also
-    /// reported as `None`, so the caller's next move — re-ship — is the
-    /// same either way.
+    /// The verified set for `hash`. A missing entry directory is `None`
+    /// (and forgets any remembered set: a wiped or quarantined entry is
+    /// gone). A set this store already verified is served from memory.
+    /// Otherwise the entry is loaded and its content hash re-derived
+    /// from the bytes on disk: an entry that fails to load or whose hash
+    /// disagrees is quarantined to `<entry>.bad` (preserving the bytes
+    /// for inspection) and also reported as `None`, so the caller's next
+    /// move — re-ship — is the same either way. There is no way to ask
+    /// for an unverified set.
     pub fn get(&self, hash: u64) -> Option<Arc<TraceSet>> {
         let path = self.entry_dir(hash);
+        // Held across the load, so concurrent `get`s verify once. Every
+        // step below leaves the list valid, so a poisoned lock is usable.
+        let mut remembered = self.remembered.lock().unwrap_or_else(PoisonError::into_inner);
+        let at = remembered.iter().position(|s| s.content_hash() == hash);
+        // Taken out of the list: dropped if the entry is gone, put back
+        // at the front otherwise.
+        let held = at.map(|i| remembered.remove(i));
         if !path.is_dir() {
             return None;
         }
-        match TraceSet::load(&path) {
-            Ok(set) if set.content_hash() == hash => Some(set),
-            _ => {
-                self.quarantine(&path);
-                None
-            }
-        }
+        let set = match held {
+            Some(set) => set,
+            None => match TraceSet::load(&path) {
+                Ok(set) if set.content_hash() == hash => set,
+                _ => {
+                    self.quarantine(&path);
+                    return None;
+                }
+            },
+        };
+        remembered.truncate(REMEMBERED_SETS - 1);
+        remembered.insert(0, set.clone());
+        Some(set)
     }
 
     fn quarantine(&self, path: &Path) {
@@ -204,9 +284,10 @@ impl TraceStore {
         }
     }
 
-    /// Bytes staged for `hash` so far: the full archive length if the
-    /// entry is installed, else the partial file's length (the resume
-    /// point after a crash), else zero.
+    /// Bytes staged for `hash` so far: the partial file's length (the
+    /// resume point after a crash), or zero without one — also for an
+    /// installed entry, whose partial is removed at commit (the
+    /// `TraceOffer` handler answers for that case with a `get`).
     pub fn staged_len(&self, hash: u64) -> u64 {
         std::fs::metadata(self.partial_path(hash))
             .map(|m| m.len())
@@ -275,6 +356,9 @@ impl TraceStore {
         let _ = std::fs::remove_dir_all(&tmp);
         let installed = (|| {
             unpack_archive(&bytes, &tmp)?;
+            // The loaded set holds every stream's bytes: let the staged
+            // archive go first, so the two are never resident together.
+            drop(bytes);
             let set = TraceSet::load(&tmp)?;
             if set.content_hash() != hash {
                 let found = hex(set.content_hash());
@@ -284,8 +368,8 @@ impl TraceStore {
             let _ = std::fs::remove_dir_all(&dest); // a quarantine raced us back
             std::fs::rename(&tmp, &dest)?;
             // The rename moved the very files just verified, so the set
-            // only needs its dir (and open_stream paths) pointed at the
-            // installed entry — not a second read, hash and validation.
+            // only needs its dir and file paths pointed at the installed
+            // entry — not a second read, hash and validation.
             Ok(set.rerooted(dest))
         })();
         if installed.is_err() {
@@ -313,13 +397,33 @@ mod tests {
     }
 
     fn capture(tag: &str) -> (PathBuf, Arc<TraceSet>) {
+        capture_seeded(tag, 1)
+    }
+
+    fn capture_seeded(tag: &str, seed: u64) -> (PathBuf, Arc<TraceSet>) {
         let dir = tmp(&format!("cap-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let chip = ChipConfig::paper(Organization::Mesh);
-        let set = crate::chip::capture_synthetic_trace(chip, Workload::WebSearch, 1, &dir, 2_000)
+        let set = crate::chip::capture_synthetic_trace(chip, Workload::WebSearch, seed, &dir, 2_000)
             .expect("capture trace");
         (dir, set)
+    }
+
+    /// Ships `set` into `store` whole: one staged chunk, committed.
+    fn install(store: &TraceStore, set: &TraceSet) {
+        let archive = archive_trace(set).unwrap();
+        store.append_chunk(set.content_hash(), 0, &archive).unwrap();
+        store.commit(set.content_hash(), archive.len() as u64).unwrap();
+    }
+
+    /// Flips the last byte of one installed stream file of `hash`.
+    fn rot(store: &TraceStore, hash: u64) {
+        let entry = store.entry_dir(hash);
+        let stream = std::fs::read_dir(entry).unwrap().next().unwrap().unwrap().path();
+        let mut bytes = std::fs::read(&stream).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&stream, &bytes).unwrap();
     }
 
     #[test]
@@ -433,5 +537,95 @@ mod tests {
         let err = unpack_archive(archive, &dest).unwrap_err();
         assert!(err.to_string().contains("unsafe"), "{err}");
         let _ = std::fs::remove_dir_all(&dest);
+    }
+
+    /// The archive is the concatenation of a count line and, per stream in
+    /// file-name order, a `file` line and the file's bytes — spelled out
+    /// here from the files on disk. Every sub-range of it is what the
+    /// driver cuts a chunk from.
+    #[test]
+    fn archive_bytes_are_the_files_on_disk_framed_in_name_order() {
+        let (cap, set) = capture("golden");
+        let mut golden = format!("nocout-trace-archive v1 files {}\n", set.files().len()).into_bytes();
+        for path in set.files() {
+            let bytes = std::fs::read(path).unwrap();
+            let name = path.file_name().unwrap().to_str().unwrap();
+            golden.extend_from_slice(format!("file {name} {}\n", bytes.len()).as_bytes());
+            golden.extend_from_slice(&bytes);
+        }
+        assert_eq!(archive_trace(&set).unwrap(), golden);
+        // The set archives from memory: the files are not read again.
+        std::fs::remove_dir_all(&cap).unwrap();
+        assert_eq!(archive_trace(&set).unwrap(), golden);
+        let pieces = ArchivePieces::of(&set).unwrap();
+        assert_eq!(pieces.len(), golden.len());
+        for (off, end) in [(0, 1), (0, 40), (33, 34), (7, 5_000), (golden.len() - 9, golden.len())] {
+            assert_eq!(pieces.copy_range(off..end), golden[off..end], "{off}..{end}");
+        }
+    }
+
+    #[test]
+    fn a_verified_set_is_remembered_until_its_entry_is_gone() {
+        let (cap, set) = capture("remember");
+        let store_dir = tmp("store-remember");
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let store = TraceStore::open(&store_dir).unwrap();
+        let hash = set.content_hash();
+        install(&store, &set);
+        let first = store.get(hash).expect("installed entry verifies");
+        let second = store.get(hash).expect("remembered");
+        assert!(Arc::ptr_eq(&first, &second), "the second get serves the verified set itself");
+
+        // A wiped entry is a miss, whatever the store remembers ...
+        std::fs::remove_dir_all(store.entry_dir(hash)).unwrap();
+        assert!(store.get(hash).is_none());
+        assert_eq!(store.staged_len(hash), 0);
+        assert!(store.held().is_empty());
+        // ... and a fresh shipment is verified from disk again: corrupt
+        // it after the commit and the next get must notice.
+        install(&store, &set);
+        rot(&store, hash);
+        assert!(store.get(hash).is_none(), "the wipe dropped the remembered set");
+        assert_eq!(store.quarantined(), 1);
+        install(&store, &set);
+        let third = store.get(hash).expect("reinstalled entry verifies");
+        assert!(!Arc::ptr_eq(&first, &third));
+        assert_eq!(third.content_hash(), hash);
+        let _ = std::fs::remove_dir_all(&cap);
+        let _ = std::fs::remove_dir_all(&store_dir);
+    }
+
+    #[test]
+    fn one_set_more_than_the_bound_evicts_the_least_recently_used() {
+        let store_dir = tmp("store-evict");
+        let _ = std::fs::remove_dir_all(&store_dir);
+        let store = TraceStore::open(&store_dir).unwrap();
+        let hashes: Vec<u64> = (0..=REMEMBERED_SETS as u64)
+            .map(|i| {
+                let (cap, set) = capture_seeded(&format!("evict-{i}"), 10 + i);
+                install(&store, &set);
+                let _ = std::fs::remove_dir_all(&cap);
+                set.content_hash()
+            })
+            .collect();
+        // Verify every entry once, in order: the last get pushes the
+        // first set out.
+        let firsts: Vec<_> = hashes.iter().map(|&h| store.get(h).expect("verifies")).collect();
+        // Rot the two oldest on disk. The second is still remembered and
+        // served as verified; the evicted first must re-verify, and so
+        // finds the rot.
+        rot(&store, hashes[0]);
+        rot(&store, hashes[1]);
+        let again = store.get(hashes[1]).expect("still remembered");
+        assert!(Arc::ptr_eq(&again, &firsts[1]));
+        assert_eq!(store.quarantined(), 0);
+        assert!(store.get(hashes[0]).is_none(), "evicted, so re-verified from disk");
+        assert_eq!(store.quarantined(), 1);
+        assert!(store.entry_dir(hashes[0]).with_extension("bad").is_dir());
+        // That miss took no slot: the other sets are all still held.
+        for (h, first) in hashes.iter().zip(&firsts).skip(1) {
+            assert!(Arc::ptr_eq(&store.get(*h).expect("remembered"), first));
+        }
+        let _ = std::fs::remove_dir_all(&store_dir);
     }
 }

@@ -83,7 +83,10 @@ pub const HEADER_LEN: usize = 20;
 /// needs one to resolve the `trace@<contenthash>…` spec form.
 pub trait TraceLookup {
     /// The trace with this content hash, if held (a corrupt store entry
-    /// counts as not held — the implementation quarantines it).
+    /// counts as not held — the implementation quarantines it). Called
+    /// for every trace-bearing spec parsed: an implementation may answer
+    /// from sets it has already verified in this process, as
+    /// `TraceStore` does.
     fn lookup(&self, hash: u64) -> Option<Arc<TraceSet>>;
 }
 

@@ -1,7 +1,8 @@
 //! The shard worker: serves [`wire`](super::wire) shard requests on a
 //! local [`BatchRunner`], streaming back bit-exact metric records.
 //!
-//! A worker is deliberately stateless between shards: it receives a
+//! A worker is deliberately stateless between shards (but for the trace
+//! sets its store remembers, below): it receives a
 //! [`Message::ShardRequest`], executes each spec through the same
 //! panic-isolating path as local batches
 //! ([`BatchRunner::run_batch_outcomes`]), and answers with one
@@ -30,7 +31,11 @@
 //! dispatching trace-bearing shards; the store appends chunks
 //! crash-safely and re-verifies the assembled archive against the
 //! content hash before installing (`super::store`). Shard requests then
-//! resolve `trace@<contenthash>` specs against the store.
+//! resolve `trace@<contenthash>` specs against the store, which reads,
+//! hashes and validates an entry on the first request naming it and
+//! remembers the verified set in memory for the ones after — the one
+//! piece of state a worker process carries from shard to shard, dropped
+//! as soon as the entry's directory is gone.
 //!
 //! ## Deterministic fault injection
 //!
@@ -254,9 +259,10 @@ impl Worker {
                         )
                     })?;
                     offers.insert(hash, total_len);
-                    // A verified installed entry answers with the full
-                    // length (nothing to ship); otherwise the staged
-                    // partial length is the resume point.
+                    // A verified installed entry (remembered, or verified
+                    // from disk now) answers with the full length: nothing
+                    // to ship. Otherwise the staged partial length is the
+                    // resume point.
                     let have = if store.get(hash).is_some() {
                         total_len
                     } else {

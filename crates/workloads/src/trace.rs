@@ -7,13 +7,14 @@
 //! LEB128 deltas of the fetch line and the data address against the
 //! previous record's, only where needed (the exact byte layout is
 //! documented in `docs/trace-format.md`). [`TraceWriter`] produces one
-//! stream file; [`TraceSource`] replays one out of its read buffer (no
-//! mmap) and loops back to the first record when the stream runs out, so
-//! a finite capture can drive arbitrarily long simulations;
+//! stream file; [`TraceSource`] is a cursor over one stream's bytes in
+//! memory and loops back to the first record when the stream runs out,
+//! so a finite capture can drive arbitrarily long simulations;
 //! [`TraceSet`] loads a whole directory, validates every record once
-//! with the decoder replay uses, and computes the content hash that keys
+//! with the decoder replay uses, computes the content hash that keys
 //! replay runs in the results cache (editing any byte of any stream
-//! invalidates cached metrics).
+//! invalidates cached metrics), and keeps the bytes it checked: replay
+//! reads that buffer, never the files again.
 //!
 //! [`WorkloadClass`] is the run-spec-level union of the two workload
 //! classes the simulator now supports: a synthetic CloudSuite-style
@@ -156,18 +157,24 @@ impl TraceHeader {
         58 + self.name.len() as u64
     }
 
-    /// Checks that the file is exactly as long as this header promises —
-    /// with a checked sum, so a `payload_len` corrupted toward `u64::MAX`
+    /// The header of the whole stream file held in `bytes`, checked
+    /// against it: a stream holds at least one record (a source must
+    /// always produce) and is exactly as long as its header promises —
+    /// by a checked sum, so a `payload_len` corrupted toward `u64::MAX`
     /// is the same typed error as any other wrong length.
-    fn check_file_len(&self, actual: u64, path: &Path) -> io::Result<()> {
-        let (header, payload) = (self.encoded_len(), self.payload_len);
-        if header.checked_add(payload) == Some(actual) {
-            return Ok(());
+    fn of_stream(bytes: &[u8], path: &Path) -> io::Result<TraceHeader> {
+        let h = TraceHeader::decode(&mut &bytes[..], path)?;
+        if h.instr_count == 0 || h.payload_len == 0 {
+            return invalid(path, "empty trace stream (sources must be infinite)");
         }
-        invalid(
-            path,
-            format!("file is {actual} bytes but header promises {header} + {payload}"),
-        )
+        let (header, payload, actual) = (h.encoded_len(), h.payload_len, bytes.len());
+        if header.checked_add(payload) != Some(actual as u64) {
+            return invalid(
+                path,
+                format!("file is {actual} bytes but header promises {header} + {payload}"),
+            );
+        }
+        Ok(h)
     }
 }
 
@@ -407,52 +414,47 @@ impl TraceWriter {
     }
 }
 
-/// Buffered, looping replay of one stream file — an
-/// [`InstructionSource`] whose stream is the recorded sequence repeated
-/// forever (workload streams are infinite by contract).
+/// Looping replay of one stream — an [`InstructionSource`] whose stream
+/// is the recorded sequence repeated forever (workload streams are
+/// infinite by contract).
 ///
-/// Records decode straight out of the read buffer. Decoding trusts the
-/// file layout; [`TraceSet::load`] validates every record up front with
-/// the same decoder, and a file mutated after that validation surfaces
-/// as a panic naming the file rather than silent corruption.
+/// A source is a cursor over the stream's bytes in memory: replay does
+/// no I/O. [`TraceSet::open_stream`] hands it the buffer
+/// [`TraceSet::load`] hashed and validated with the same decoder, so
+/// what is replayed is what was checked. [`TraceSource::open`] reads an
+/// unvalidated file whole and checks only its header; a bad record there
+/// surfaces as a panic naming the file rather than silent corruption.
 #[derive(Debug)]
 pub struct TraceSource {
-    file: File,
     path: PathBuf,
     header: TraceHeader,
-    /// `buf[pos..len]` holds the payload bytes read but not yet decoded.
-    buf: Box<[u8]>,
+    /// The whole stream file; records start at `header.encoded_len()`.
+    bytes: Arc<[u8]>,
+    /// Offset in `bytes` of the next record to decode.
     pos: usize,
-    len: usize,
-    /// Payload bytes not yet read from the file since the last rewind.
-    unread: u64,
     pred: Predictor,
 }
 
-/// Read-buffer size of a [`TraceSource`] (a chip holds one per core).
-const SOURCE_BUF_LEN: usize = 8 * 1024;
-
 impl TraceSource {
-    /// Opens a stream file and validates its header against the file's
-    /// length. Empty streams are rejected: a source must always produce.
+    /// Reads a stream file whole and validates its header against the
+    /// file's length. Empty streams are rejected: a source must always
+    /// produce.
     pub fn open<P: Into<PathBuf>>(path: P) -> io::Result<Self> {
         let path = path.into();
-        let mut file = File::open(&path)?;
-        let header = TraceHeader::decode(&mut file, &path)?;
-        if header.instr_count == 0 || header.payload_len == 0 {
-            return invalid(&path, "empty trace stream (sources must be infinite)");
-        }
-        header.check_file_len(file.metadata()?.len(), &path)?;
-        Ok(TraceSource {
-            file,
+        let bytes: Arc<[u8]> = std::fs::read(&path)?.into();
+        let header = TraceHeader::of_stream(&bytes, &path)?;
+        Ok(TraceSource::over(path, header, bytes))
+    }
+
+    /// A cursor at the first record of `bytes`, whose header is `header`.
+    fn over(path: PathBuf, header: TraceHeader, bytes: Arc<[u8]>) -> Self {
+        TraceSource {
             path,
-            unread: header.payload_len,
+            pos: header.encoded_len() as usize,
             header,
-            buf: vec![0; SOURCE_BUF_LEN].into_boxed_slice(),
-            pos: 0,
-            len: 0,
+            bytes,
             pred: Predictor::default(),
-        })
+        }
     }
 
     /// The stream's header.
@@ -460,32 +462,13 @@ impl TraceSource {
         &self.header
     }
 
-    /// Tops the buffer up from the file, first rewinding to the first
-    /// record (and zeroing the predictor) when the payload is spent.
-    fn fill(&mut self) -> io::Result<()> {
-        if self.pos == self.len && self.unread == 0 {
-            self.file.seek(SeekFrom::Start(self.header.encoded_len()))?;
-            self.unread = self.header.payload_len;
+    fn read_one(&mut self) -> FetchedInstr {
+        if self.pos == self.bytes.len() {
+            // Payload spent: back to the first record, predictor zeroed.
+            self.pos = self.header.encoded_len() as usize;
             self.pred = Predictor::default();
         }
-        self.buf.copy_within(self.pos..self.len, 0);
-        self.len -= self.pos;
-        self.pos = 0;
-        let room = self.buf.len() - self.len;
-        let want = usize::try_from(self.unread).map_or(room, |u| u.min(room));
-        self.file.read_exact(&mut self.buf[self.len..self.len + want])?;
-        self.len += want;
-        self.unread -= want as u64;
-        Ok(())
-    }
-
-    fn read_one(&mut self) -> FetchedInstr {
-        // A whole record is buffered unless the payload ends first.
-        if self.len - self.pos < MAX_RECORD_LEN && (self.unread > 0 || self.pos == self.len) {
-            self.fill()
-                .unwrap_or_else(|e| panic!("{}: trace read failed: {e}", self.path.display()));
-        }
-        let (instr, n) = decode_record(&self.buf[self.pos..self.len], &mut self.pred)
+        let (instr, n) = decode_record(&self.bytes[self.pos..], &mut self.pred)
             .unwrap_or_else(|e| panic!("{}: corrupt trace record: {e}", self.path.display()));
         self.pos += n;
         instr
@@ -512,8 +495,12 @@ pub struct TraceWarm {
     pub shared_rw_lines: u32,
 }
 
-/// A loaded trace directory: one validated stream per core slot, plus the
-/// content hash that keys replay runs in the results cache.
+/// A loaded trace directory: one validated stream per core slot, held
+/// in memory, plus the content hash that keys replay runs in the results
+/// cache. After [`TraceSet::load`] returns nothing reads the directory
+/// again: replay and archiving both work from the bytes that were
+/// checked, so editing or deleting the files under a loaded set changes
+/// nothing it does.
 ///
 /// Stream files are ordered by file name; slot `i` of a replay run reads
 /// the `i`-th file and is placed on the chip's `i`-th preferred core (the
@@ -524,9 +511,10 @@ pub struct TraceSet {
     dir: PathBuf,
     files: Vec<PathBuf>,
     headers: Vec<TraceHeader>,
+    /// Each stream file's bytes, as hashed and validated by `load`.
+    streams: Vec<Arc<[u8]>>,
     warm: TraceWarm,
     content_hash: u64,
-    total_bytes: u64,
 }
 
 impl TraceSet {
@@ -534,8 +522,8 @@ impl TraceSet {
     /// every record is checked once (kind, reserved bits, canonical
     /// varints, no record past the payload, record count = header), and
     /// the content hash (FNV-1a 64 over each file's name and bytes, in
-    /// file-name order) is computed here so cache-key construction never
-    /// re-reads the files.
+    /// file-name order) is computed here, over the bytes the set then
+    /// keeps for [`TraceSet::open_stream`] — each file is read once.
     pub fn load<P: Into<PathBuf>>(dir: P) -> io::Result<Arc<TraceSet>> {
         let dir = dir.into();
         let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)?
@@ -553,21 +541,17 @@ impl TraceSet {
             return invalid(&dir, format!("no `*{TRACE_SUFFIX}` stream files"));
         }
         let mut headers = Vec::with_capacity(files.len());
+        let mut streams = Vec::with_capacity(files.len());
         let mut hash = FNV_BASIS;
-        let mut total_bytes = 0;
         for path in &files {
-            let bytes = std::fs::read(path)?;
+            let bytes: Arc<[u8]> = std::fs::read(path)?.into();
             let name = path
                 .file_name()
                 .and_then(|n| n.to_str())
                 .expect("suffix-matched name is UTF-8");
             hash = fnv1a_fold(hash, name.as_bytes());
             hash = fnv1a_fold(hash, &bytes);
-            let header = TraceHeader::decode(&mut &bytes[..], path)?;
-            if header.instr_count == 0 {
-                return invalid(path, "empty trace stream");
-            }
-            header.check_file_len(bytes.len() as u64, path)?;
+            let header = TraceHeader::of_stream(&bytes, path)?;
             // Validate the whole record section once, with the decoder
             // replay uses, so replay can trust the layout.
             let mut rest = &bytes[header.encoded_len() as usize..];
@@ -589,8 +573,8 @@ impl TraceSet {
                     ),
                 );
             }
-            total_bytes += bytes.len() as u64;
             headers.push(header);
+            streams.push(bytes);
         }
         let first = &headers[0];
         let warm = TraceWarm {
@@ -613,17 +597,17 @@ impl TraceSet {
             dir,
             files,
             headers,
+            streams,
             warm,
             content_hash: hash,
-            total_bytes,
         }))
     }
 
     /// This set as it stands after its directory was renamed to `dir`:
     /// the same validated streams and content hash, with [`TraceSet::dir`]
-    /// and every stream path under the new root. Nothing is re-read — a
-    /// rename keeps the inodes — so the caller vouches that `dir` holds
-    /// exactly the files this set was loaded from.
+    /// and every stream path under the new root. Nothing is re-read: the
+    /// two sets share their stream bytes, and the caller vouches that
+    /// `dir` holds exactly the files this set was loaded from.
     pub fn rerooted<P: Into<PathBuf>>(&self, dir: P) -> Arc<TraceSet> {
         let dir = dir.into();
         let files = self
@@ -635,9 +619,9 @@ impl TraceSet {
             dir,
             files,
             headers: self.headers.clone(),
+            streams: self.streams.clone(),
             warm: self.warm,
             content_hash: self.content_hash,
-            total_bytes: self.total_bytes,
         })
     }
 
@@ -661,16 +645,29 @@ impl TraceSet {
         self.warm
     }
 
-    /// Opens the `slot`-th stream for replay.
+    /// Opens the `slot`-th stream for replay: a cursor over the bytes
+    /// [`TraceSet::load`] validated. No file is touched, so this never
+    /// returns an error.
     pub fn open_stream(&self, slot: usize) -> io::Result<TraceSource> {
-        TraceSource::open(&self.files[slot])
+        Ok(TraceSource::over(
+            self.files[slot].clone(),
+            self.headers[slot].clone(),
+            self.streams[slot].clone(),
+        ))
     }
 
-    /// The stream files, in file-name order — the same order the content
-    /// hash folds them in, so an archiver that walks this list and
-    /// re-hashes name + bytes reproduces [`TraceSet::content_hash`]
-    /// exactly (the identity rule trace shipping relies on; see
-    /// `docs/trace-format.md`).
+    /// The `slot`-th stream file's bytes, header included, exactly as
+    /// [`TraceSet::load`] read and hashed them.
+    pub fn stream_bytes(&self, slot: usize) -> &[u8] {
+        &self.streams[slot]
+    }
+
+    /// The stream files' paths as they were at load, in file-name order
+    /// — the same order the content hash folds them in, so an archiver
+    /// that pairs each name with [`TraceSet::stream_bytes`] of the same
+    /// slot and re-hashes name + bytes reproduces
+    /// [`TraceSet::content_hash`] exactly (the identity rule trace
+    /// shipping relies on; see `docs/trace-format.md`).
     pub fn files(&self) -> &[PathBuf] {
         &self.files
     }
@@ -683,10 +680,10 @@ impl TraceSet {
     }
 
     /// Total length of the stream files in bytes, headers included, as
-    /// read at load — against [`TraceSet::total_instructions`] it is what
-    /// an instruction costs on disk and on the shard wire.
+    /// held since load — against [`TraceSet::total_instructions`] it is
+    /// what an instruction costs on disk, in memory and on the shard wire.
     pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
+        self.streams.iter().map(|s| s.len() as u64).sum()
     }
 
     /// Total instructions recorded across all streams (part of the cache
@@ -698,7 +695,7 @@ impl TraceSet {
 }
 
 /// The workload classes a run spec can name: a synthetic CloudSuite-style
-/// profile, or a captured trace replayed from disk.
+/// profile, or a captured trace replayed from its loaded set.
 ///
 /// Cloning is cheap (traces are shared through an [`Arc`]), and equality
 /// follows cache-key semantics: two trace classes are equal exactly when

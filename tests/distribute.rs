@@ -300,9 +300,15 @@ fn trace_specs(set: &Arc<TraceSet>) -> Vec<RunSpec> {
 /// Starts an in-process worker with `fault` and a content-addressed
 /// trace store rooted at `store_dir`.
 fn spawn_worker_with_store(fault: FaultPlan, store_dir: &Path) -> Endpoint {
+    let store = TraceStore::open(store_dir).expect("open worker trace store");
+    spawn_worker_on_store(fault, store)
+}
+
+/// Starts an in-process worker with `fault` serving from `store` — an
+/// already open store, with whatever it has verified so far.
+fn spawn_worker_on_store(fault: FaultPlan, store: TraceStore) -> Endpoint {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker listener");
     let addr = listener.local_addr().expect("listener address").to_string();
-    let store = TraceStore::open(store_dir).expect("open worker trace store");
     std::thread::spawn(move || {
         let worker = Worker::new(BatchRunner::new(1))
             .with_heartbeat(Duration::from_millis(50))
@@ -434,6 +440,52 @@ fn corrupt_store_entry_is_quarantined_and_reshipped() {
         store_dir.join(format!("{hash:016x}.bad")).exists(),
         "the corrupt entry must be quarantined, not deleted"
     );
+    for d in [capture_dir, store_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// What a store verified is what it serves: an installed stream edited
+/// on disk *after* the store's first `get` is never read again by that
+/// store, so its worker replays the verified bytes and the campaign
+/// equals local. The next process to open the directory verifies from
+/// disk, finds the edit and quarantines the entry.
+#[test]
+fn a_verified_set_outlives_an_edit_of_its_files_until_the_next_process() {
+    let (capture_dir, set) = capture_trace("verified-once");
+    let specs = trace_specs(&set);
+    let store_dir = temp_dir("verified-once-w0");
+    seed_store(&store_dir, &set);
+    let hash = set.content_hash();
+    let store = TraceStore::open(&store_dir).expect("open store");
+    assert!(store.get(hash).is_some(), "the first get verifies the installed entry");
+
+    let entry = store_dir.join(format!("{hash:016x}"));
+    let victim = std::fs::read_dir(&entry)
+        .expect("read entry dir")
+        .filter_map(Result::ok)
+        .find(|e| e.path().is_file())
+        .expect("entry holds stream files")
+        .path();
+    let mut bytes = std::fs::read(&victim).expect("read stream file");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&victim, &bytes).expect("edit stream file");
+
+    let endpoints = vec![spawn_worker_on_store(FaultPlan::default(), store)];
+    let driver = ShardedDriver::new(endpoints, test_config());
+    let sharded = canon(&driver.execute_sharded(&specs));
+    assert_eq!(sharded, local_baseline(&specs), "the verified bytes are the replayed bytes");
+    let stats = driver.stats();
+    assert_eq!(stats.trace_ships, 0, "{stats:?}");
+    assert_eq!(stats.failed_points, 0, "{stats:?}");
+    let bad = store_dir.join(format!("{hash:016x}.bad"));
+    assert!(!bad.exists(), "the serving store had no reason to quarantine");
+
+    let fresh = TraceStore::open(&store_dir).expect("reopen store");
+    assert!(fresh.get(hash).is_none(), "a new store verifies from disk");
+    assert_eq!(fresh.quarantined(), 1);
+    assert!(bad.is_dir() && !entry.exists());
     for d in [capture_dir, store_dir] {
         let _ = std::fs::remove_dir_all(d);
     }

@@ -235,3 +235,40 @@ fn replay_activates_one_core_per_stream() {
         "replay must land on the cores the capture ran on"
     );
 }
+
+/// A loaded set holds the bytes it validated: once `load` has returned,
+/// deleting the directory changes neither the replayed streams (across
+/// loop-arounds) nor the metrics of a chip built from the set.
+#[test]
+fn a_loaded_set_replays_without_its_directory() {
+    use nocout_repro::substrates::cpu::source::{FetchedInstr, InstructionSource};
+    use nocout_repro::substrates::workloads::trace::TraceSet;
+
+    let dir = TempDir::new("held");
+    let chip = ChipConfig::with_cores(Organization::Mesh, 16);
+    let set = capture_synthetic_trace(chip, Workload::SatSolver, 2, &dir.0, 700).expect("capture");
+    let window = MeasurementWindow::new(1_000, 3_000);
+    let spec = RunSpec {
+        chip,
+        workload: WorkloadClass::Trace(set.clone()),
+        window,
+        seed: 2,
+    };
+    // Three loop-arounds of every stream, and a chip run, with the files
+    // in place ...
+    let laps = |set: &TraceSet| -> Vec<Vec<FetchedInstr>> {
+        (0..set.streams())
+            .map(|slot| {
+                let mut source = set.open_stream(slot).expect("open stream");
+                let n = 3 * set.header(slot).instr_count;
+                (0..n).map(|_| source.next_instr()).collect()
+            })
+            .collect()
+    };
+    let (streams_before, metrics_before) = (laps(&set), run(&spec));
+    // ... and with them gone.
+    std::fs::remove_dir_all(&dir.0).expect("delete the trace directory");
+    assert!(!set.files()[0].exists());
+    assert_eq!(laps(&set), streams_before);
+    assert_metrics_identical(&metrics_before, &run(&spec), "replay after delete");
+}
