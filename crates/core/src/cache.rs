@@ -53,7 +53,8 @@ use nocout_sim::hash::fnv1a;
 use nocout_sim::text::{float, hex, whole, Reader, TextError};
 use std::cell::Cell;
 use std::fmt::Write as _;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read as _};
 use std::path::{Path, PathBuf};
 
 /// Entry format version; part of every file and checked on load.
@@ -148,27 +149,25 @@ impl ResultsCache {
         self.dir.join(format!("{}.metrics", hex(fnv1a(key.as_bytes()))))
     }
 
-    /// Looks the spec up; a corrupt, truncated, or key-mismatched entry is
-    /// reported as a miss. Such an entry is also *quarantined*: renamed to
-    /// `<entry>.bad` (preserving the bytes for inspection) so repeated
-    /// lookups of the same spec do not re-read and re-parse a file that
-    /// can never hit, and so the next `put` recreates the entry cleanly.
+    /// Looks the spec up. An entry that cannot be opened or read is a plain
+    /// miss; bytes that were read and are not exactly this spec's entry —
+    /// corrupt, truncated, key-mismatched or not UTF-8 — are a miss too,
+    /// and are *quarantined*: renamed to `<entry>.bad` (preserving the
+    /// bytes for inspection) and counted in [`ResultsCache::quarantined`],
+    /// so repeated lookups of the same spec do not re-read and re-parse a
+    /// file that can never hit, and so the next `put` recreates the entry
+    /// cleanly.
     pub fn get(&self, spec: &RunSpec) -> Option<SystemMetrics> {
         let key = spec.cache_key();
         let path = self.entry_path(&key);
-        let loaded = match std::fs::read_to_string(&path) {
-            Err(_) => None, // absent (or unreadable): a plain miss
-            Ok(text) => {
-                let parsed = parse_entry(&text, &key);
-                if parsed.is_none() {
-                    // Present but unusable: move it out of the lookup path.
-                    if std::fs::rename(&path, path.with_extension("bad")).is_ok() {
-                        self.quarantined.set(self.quarantined.get() + 1);
-                    }
-                }
-                parsed
+        let loaded = read_file(&path).ok().and_then(|bytes| {
+            let parsed = std::str::from_utf8(&bytes).ok().and_then(|text| parse_entry(text, &key));
+            // Present but unusable: move it out of the lookup path.
+            if parsed.is_none() && std::fs::rename(&path, path.with_extension("bad")).is_ok() {
+                self.quarantined.set(self.quarantined.get() + 1);
             }
-        };
+            parsed
+        });
         match &loaded {
             Some(_) => self.hits.set(self.hits.get() + 1),
             None => self.misses.set(self.misses.get() + 1),
@@ -199,6 +198,30 @@ impl ResultsCache {
             self.store_failures.set(self.store_failures.get() + 1);
         }
     }
+}
+
+/// What one `read` of an entry file asks for; an entry of a 64-core chip
+/// (≈ 1.9 KB) fits, so a hit is one read of data and one that returns 0.
+const READ_CHUNK: usize = 4096;
+
+/// Every byte of the file at `path`: `open`, `read` until it returns 0,
+/// `close`. `std::fs::read` would spend an `fstat` on a size hint first.
+fn read_file(path: &Path) -> io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    let (mut buf, mut len) = (vec![0; READ_CHUNK], 0);
+    loop {
+        match file.read(&mut buf[len..]) {
+            Ok(0) => break,
+            Ok(n) => len += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if len == buf.len() {
+            buf.resize(2 * len, 0);
+        }
+    }
+    buf.truncate(len);
+    Ok(buf)
 }
 
 /// Renders a metrics entry: the versioned header, the canonical key, then
@@ -477,6 +500,82 @@ mod tests {
         cache.put(&s, &metrics());
         assert!(cache.get(&s).is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A cache over an empty directory of this test's own.
+    fn fresh_cache(test: &str) -> ResultsCache {
+        let dir = std::env::temp_dir().join(format!("nocout-cache-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ResultsCache::open(dir).unwrap()
+    }
+
+    /// Lengths on both sides of every decision the read loop makes, then
+    /// bytes that are not text at all: each is read whole, is a miss, and
+    /// is moved aside with its bytes kept.
+    #[test]
+    fn bytes_that_are_not_an_entry_are_quarantined_whatever_their_length() {
+        let cache = fresh_cache("not-an-entry");
+        let s = spec();
+        let path = cache.entry_path(&s.cache_key());
+        let mut files: Vec<Vec<u8>> = [0, READ_CHUNK, READ_CHUNK + 1, 3 * READ_CHUNK].map(|n| vec![b'x'; n]).into();
+        files.push(b"\xff\n".to_vec());
+        for (done, bytes) in files.iter().enumerate() {
+            std::fs::write(&path, bytes).unwrap();
+            assert_eq!(&read_file(&path).unwrap(), bytes);
+            assert!(cache.get(&s).is_none());
+            assert_eq!(cache.quarantined(), done as u64 + 1, "{} bytes", bytes.len());
+            assert!(!path.exists());
+            assert_eq!(&std::fs::read(path.with_extension("bad")).unwrap(), bytes);
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, files.len() as u64));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn an_entry_longer_than_a_read_round_trips_bit_exactly() {
+        let cache = fresh_cache("long-entry");
+        let s = spec();
+        let m = SystemMetrics { per_core_ipc: (0..400).map(|i| 1.0 / f64::from(i)).collect(), ..metrics() };
+        cache.put(&s, &m);
+        assert!(std::fs::read(cache.entry_path(&s.cache_key())).unwrap().len() > READ_CHUNK);
+        assert_eq!(format!("{:?}", cache.get(&s).expect("hits")), format!("{m:?}"));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// What cannot be read is a plain miss: there are no bytes to judge.
+    #[test]
+    fn a_directory_at_the_entry_path_is_a_miss_and_stays() {
+        let cache = fresh_cache("directory");
+        let s = spec();
+        let path = cache.entry_path(&s.cache_key());
+        std::fs::create_dir(&path).unwrap();
+        assert!(cache.get(&s).is_none());
+        assert_eq!((cache.misses(), cache.quarantined()), (1, 0));
+        assert!(path.is_dir() && !path.with_extension("bad").exists());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// The format did not move with the reader: an entry rendered by the
+    /// binary before it (PR 23, pasted from its output) is this one's hit,
+    /// and this one renders the same bytes.
+    #[test]
+    fn an_entry_written_before_the_single_pass_reader_is_a_hit() {
+        const WRITTEN_AT_PR_23: &str = "nocout-results-cache v2\n\
+            key v3 org=Mesh cores=16 llc_bytes=8388608 link_bits=128 mem_channels=4 banks=2 conc=1 \
+            active=- express=0 llc_rows=1 warmup=2000 measure=10000 seed=1 workload=synthetic:WebSearch\n\
+            active_cores 3\ncycles 10000\ninstructions 12345\nfetch_stall_fraction 3fd7ae147ae147ae\n\
+            per_core_ipc 3fd0000000000000 0000000000000000 3fd5555555555555\n\
+            llc 9 7 2 1 4 3\nnet_counts 42 16 61 5 6 7\n\
+            net_lat 4031400000000000 402b000000000000 4035200000000000 40934a456d5cfaad\n\
+            mem 11 4\nifetch_wait 321\n\
+            tail_block 19 4060420000000000 120 400 512\ntail_fill 8 4053600000000000 70 150 151\n\
+            tail_llc_miss 2 4056800000000000 88 92 93\ntail_request 55 4074d20000000000 300 900 1024\n\
+            net_tail_request 30 402d800000000000 14 29 31\nnet_tail_snoop 0 0000000000000000 0 0 0\n\
+            net_tail_response 12 4036800000000000 21 44 47\n";
+        let key = spec().cache_key();
+        let parsed = parse_entry(WRITTEN_AT_PR_23, &key).expect("parses");
+        assert_eq!(format!("{parsed:?}"), format!("{:?}", metrics()));
+        assert_eq!(render_entry(&key, &metrics()), WRITTEN_AT_PR_23);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! [`TextError`] naming the offending token, never a wrong value.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// A refused read. The message names the offending token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,6 +31,19 @@ fn refuse<T>(expected: &str, found: &str) -> Result<T, TextError> {
     let found = found.lines().next().unwrap_or("");
     Err(TextError(format!("expected {expected}, found `{found}`")))
 }
+
+/// The value of each lower-case hex digit; every other byte reads as a
+/// mark above `0xf`, so [`Reader::hash`] can OR sixteen lookups together
+/// and test once.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut value = 0;
+    while value < 16 {
+        table[b"0123456789abcdef"[value] as usize] = value as u8;
+        value += 1;
+    }
+    table
+};
 
 /// Sixteen lower-case hex digits: how [`hex`] and [`float`] write.
 #[derive(Debug, Clone, Copy)]
@@ -149,24 +161,52 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A decimal number: digits only, no sign, no leading zero.
-    pub fn num<T: FromStr>(&mut self) -> Result<T, TextError> {
-        let t = self.token()?;
-        let canonical = t.bytes().all(|b| b.is_ascii_digit()) && (t == "0" || !t.starts_with('0'));
-        match t.parse() {
-            Ok(v) if canonical => Ok(v),
-            _ => refuse("a decimal number", t),
+    /// A decimal number: digits only, no sign, no leading zero. One walk
+    /// over the token folds the digits and makes every check.
+    pub fn num<T: TryFrom<u64>>(&mut self) -> Result<T, TextError> {
+        let s = self.unread().unwrap_or("");
+        let (mut value, mut len) = (Some(0u64), 0);
+        for &b in s.as_bytes() {
+            if b == b' ' || b == b'\n' {
+                break;
+            }
+            let digit = b.wrapping_sub(b'0');
+            // After the first digit a zero value means that digit was `0`.
+            value = match value {
+                Some(v) if digit < 10 && (v != 0 || len == 0) => {
+                    v.checked_mul(10).and_then(|v| v.checked_add(digit.into()))
+                }
+                _ => None,
+            };
+            len += 1;
+        }
+        match value.filter(|_| len > 0).and_then(|v| T::try_from(v).ok()) {
+            Some(v) => {
+                (self.rest, self.mid_line) = (&s[len..], true);
+                Ok(v)
+            }
+            None => refuse("a decimal number", self.token()?),
         }
     }
 
-    /// A hash: exactly sixteen lower-case hex digits.
+    /// A hash: exactly sixteen lower-case hex digits, read in place. The
+    /// loop has no branch per digit — the digits of float bits are random,
+    /// and a range match per byte mispredicts on every one of them.
     pub fn hash(&mut self) -> Result<u64, TextError> {
-        let t = self.token()?;
-        let canonical = t.len() == 16 && t.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-        match u64::from_str_radix(t, 16) {
-            Ok(v) if canonical => Ok(v),
-            _ => refuse("16 hex digits", t),
+        let s = self.unread().unwrap_or("");
+        if let Some((digits, after)) = s.as_bytes().split_first_chunk::<16>() {
+            let (mut value, mut marks) = (0u64, 0u8);
+            for &b in digits {
+                let nibble = NIBBLE[usize::from(b)];
+                marks |= nibble;
+                value = value << 4 | u64::from(nibble);
+            }
+            if marks <= 0xf && matches!(after.first(), None | Some(b' ' | b'\n')) {
+                (self.rest, self.mid_line) = (&s[16..], true);
+                return Ok(value);
+            }
         }
+        refuse("16 hex digits", self.token()?)
     }
 
     /// A float, from the sixteen hex digits of its bits.
@@ -229,6 +269,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn a_reader_accepts_exactly_what_the_writers_emit() {
@@ -275,5 +316,142 @@ mod tests {
         assert!(!escape(hostile).contains('\n'));
         assert_eq!(unescape(&escape(hostile)).as_deref(), Ok(hostile));
         assert!(unescape("lone \\").is_err() && unescape("\\t").is_err());
+    }
+
+    /// `Reader::num` as it was before it walked its token once — a validity
+    /// pass, the leading-zero test, then `str::parse` — kept as the oracle.
+    fn old_num<T: std::str::FromStr>(r: &mut Reader<'_>) -> Result<T, TextError> {
+        let t = r.token()?;
+        let canonical = t.bytes().all(|b| b.is_ascii_digit()) && (t == "0" || !t.starts_with('0'));
+        match t.parse() {
+            Ok(v) if canonical => Ok(v),
+            _ => refuse("a decimal number", t),
+        }
+    }
+
+    /// `Reader::hash` as it was: a range match per digit, then
+    /// `from_str_radix` over the same sixteen bytes.
+    fn old_hash(r: &mut Reader<'_>) -> Result<u64, TextError> {
+        let t = r.token()?;
+        let canonical = t.len() == 16 && t.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        match u64::from_str_radix(t, 16) {
+            Ok(v) if canonical => Ok(v),
+            _ => refuse("16 hex digits", t),
+        }
+    }
+
+    /// Reads `text` from its start and again after a token and its space,
+    /// with the new reader and the old: the same value or the same
+    /// refusal, and the cursor left in the same place.
+    fn same_as_before<T: PartialEq + fmt::Debug>(
+        text: &str,
+        new: impl Fn(&mut Reader<'_>) -> Result<T, TextError>,
+        old: impl Fn(&mut Reader<'_>) -> Result<T, TextError>,
+    ) -> Result<T, TextError> {
+        let led = format!("k {text}");
+        let mut after_a_token = Reader::new(&led);
+        assert_eq!(after_a_token.token(), Ok("k"));
+        let [_, read] = [after_a_token, Reader::new(text)].map(|start| {
+            let (mut a, mut b) = (start.clone(), start);
+            let read = new(&mut a);
+            assert_eq!((&read, a.rest, a.mid_line), (&old(&mut b), b.rest, b.mid_line), "`{text}`");
+            read
+        });
+        read
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn hashes_and_floats_read_back_to_the_same_bits(v in 0u64..u64::MAX) {
+            prop_assert_eq!(whole(&hex(v).to_string(), Reader::hash), Ok(v));
+            let bits = whole(&float(f64::from_bits(v)).to_string(), Reader::float).map(f64::to_bits);
+            prop_assert_eq!(bits, Ok(v));
+        }
+    }
+
+    #[test]
+    fn a_hash_is_sixteen_lower_case_hex_digits_and_no_other_byte() {
+        for b in 0..=255u8 {
+            match char::from(b).to_digit(16).filter(|_| !b.is_ascii_uppercase()) {
+                Some(nibble) => assert_eq!(u32::from(NIBBLE[usize::from(b)]), nibble, "byte {b}"),
+                None => assert!(NIBBLE[usize::from(b)] > 0xf, "byte {b}"),
+            }
+        }
+        assert_eq!(whole("ffffffffffffffff", Reader::hash), Ok(u64::MAX));
+        let valid = "0123456789abcdef";
+        assert_eq!(same_as_before(valid, |r| r.hash(), old_hash), Ok(0x0123_4567_89ab_cdef));
+        // Every substitution a `&str` can hold: an ASCII byte over one
+        // digit, a two-byte character (lead bytes c2 and c3, every
+        // continuation byte) over two. No other byte occurs in UTF-8.
+        for at in 0..16 {
+            for c in (0..=255u8).map(char::from).filter(|c| !valid.contains(*c)) {
+                if at + c.len_utf8() > 16 {
+                    continue;
+                }
+                let token = format!("{}{c}{}", &valid[..at], &valid[at + c.len_utf8()..]);
+                assert_eq!(token.len(), 16);
+                let refusal = same_as_before(&token, |r| r.hash(), old_hash).unwrap_err();
+                if c != ' ' && c != '\n' {
+                    assert!(refusal.0.contains(&format!("`{token}`")), "{refusal}");
+                }
+            }
+        }
+        for token in [&valid[1..], "0123456789abcdef0"] {
+            let refusal = same_as_before(token, |r| r.hash(), old_hash).unwrap_err();
+            assert!(refusal.0.contains(&format!("`{token}`")), "{refusal}");
+        }
+    }
+
+    #[test]
+    fn a_number_fits_its_type_or_is_refused() {
+        fn at_the_bound<T: TryFrom<u64> + std::str::FromStr + PartialEq + fmt::Debug>(max: u64) {
+            let read = |t: &str| same_as_before(t, |r| r.num::<T>(), old_num::<T>);
+            assert_eq!(read(&max.to_string()).ok(), T::try_from(max).ok());
+            assert!(T::try_from(max).is_ok() && read("0").is_ok());
+            let over = (u128::from(max) + 1).to_string();
+            for t in [over.as_str(), "18446744073709551616", "100000000000000000000", "00", "01"] {
+                let refusal = read(t).unwrap_err();
+                assert!(refusal.0.contains(&format!("`{t}`")), "{refusal}");
+            }
+            assert!(read("").is_err());
+        }
+        at_the_bound::<u8>(u8::MAX.into());
+        at_the_bound::<u16>(u16::MAX.into());
+        at_the_bound::<u32>(u32::MAX.into());
+        at_the_bound::<u64>(u64::MAX);
+        at_the_bound::<usize>(usize::MAX as u64);
+    }
+
+    #[test]
+    fn on_random_ascii_the_readers_agree_with_the_ones_they_replace() {
+        const NOISE: &[u8] = b"0123456789abcdef0123456789 \n+-xAF";
+        let mut rng = TestRng::deterministic("text-oracle");
+        let (mut hashes, mut numbers) = (0, 0);
+        for _ in 0..10_000 {
+            // A hash, a number of any length or nothing, then a few edits.
+            let mut s = match rng.below(3) {
+                0 => hex(rng.next_u64()).to_string().into_bytes(),
+                1 => (rng.next_u64() >> rng.below(64)).to_string().into_bytes(),
+                _ => Vec::new(),
+            };
+            for _ in 0..rng.below(if s.is_empty() { 20 } else { 3 }) {
+                let at = rng.below(s.len() as u64 + 1) as usize;
+                let byte = NOISE[rng.below(NOISE.len() as u64) as usize];
+                match rng.below(3) {
+                    0 if at < s.len() => s[at] = byte,
+                    1 if at < s.len() => drop(s.remove(at)),
+                    _ => s.insert(at, byte),
+                }
+            }
+            let s = String::from_utf8(s).unwrap();
+            hashes += u32::from(same_as_before(&s, |r| r.hash(), old_hash).is_ok());
+            numbers += u32::from(same_as_before(&s, |r| r.num::<u64>(), old_num::<u64>).is_ok());
+            let _ = same_as_before(&s, |r| r.num::<u8>(), old_num::<u8>);
+            let _ = same_as_before(&s, |r| r.num::<u16>(), old_num::<u16>);
+            let _ = same_as_before(&s, |r| r.num::<u32>(), old_num::<u32>);
+            let _ = same_as_before(&s, |r| r.num::<usize>(), old_num::<usize>);
+        }
+        assert!(hashes > 1_000 && numbers > 1_000, "{hashes} hashes and {numbers} numbers read");
     }
 }
