@@ -109,11 +109,11 @@ pub mod uncoreopt {
 
     /// One LLC op: submit a GetS that hits, then tick and drain the tile
     /// across two cycles — one trip through the input ring, the MSHR-file
-    /// merge probe, bank arbitration, the directory update and the
-    /// calendar-wheel output stage. Two cycles per request is the tile's
-    /// exact service capacity (2 banks × 4-cycle occupancy, consecutive
-    /// line indices alternating banks), so the input queue stays bounded
-    /// and every request is granted on its submit tick.
+    /// merge probe, bank arbitration, the directory update and the output
+    /// stage on the shared calendar wheel. Two cycles per request is the
+    /// tile's exact service capacity (2 banks × 4-cycle occupancy,
+    /// consecutive line indices alternating banks), so the input queue
+    /// stays bounded and every request is granted on its submit tick.
     #[inline]
     pub fn llc_tile_hit_round(tile: &mut LlcTile, now: &mut Cycle, i: u64) {
         tile.submit(LlcInput::Core {
@@ -124,7 +124,7 @@ pub mod uncoreopt {
         });
         for _ in 0..2 {
             tile.tick(*now);
-            while tile.pop_ready(*now).is_some() {}
+            while tile.pop_ready().is_some() {}
             *now += 1;
         }
     }

@@ -771,7 +771,7 @@ impl ScaleOutChip {
                     continue;
                 }
                 self.llcs[i].tick(now);
-                while let Some(out) = self.llcs[i].pop_ready(now) {
+                while let Some(out) = self.llcs[i].pop_ready() {
                     let (src, dst, msg) = self.convert_llc_output(i, out);
                     injections.push((src, dst, msg));
                 }
@@ -876,7 +876,7 @@ impl ScaleOutChip {
                 if tile.has_queued_input() {
                     return None;
                 }
-                if let Some(at) = tile.next_output_at() {
+                if let Some(at) = tile.next_output_at(self.now) {
                     wake = wake.min(at);
                 }
             }

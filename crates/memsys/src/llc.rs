@@ -5,8 +5,10 @@
 //! enter [`LlcTile::submit`]; each cycle [`LlcTile::tick`] grants requests
 //! to free banks (internal banking per §4.3 — NOC-Out uses 2 banks per tile
 //! so bank contention is visible, the effect the paper credits for
-//! NOC-Out's small Data Serving loss); finished work surfaces through
-//! [`LlcTile::pop_ready`] as messages for the chip model to inject.
+//! NOC-Out's small Data Serving loss); outputs wait out the access latency
+//! on the shared calendar wheel ([`nocout_sim::wheel::EventWheel`]) and
+//! surface through [`LlcTile::pop_ready`] as messages for the chip model
+//! to inject.
 
 use crate::addr::Addr;
 use crate::cache::{CacheArray, CacheGeometry, Lookup};
@@ -14,8 +16,8 @@ use crate::directory::{DirState, Directory};
 use crate::protocol::{CoreId, MshrId, RequestKind, TxnId};
 use nocout_sim::ring::Ring;
 use nocout_sim::stats::{Counter, LatencyHist};
+use nocout_sim::wheel::EventWheel;
 use nocout_sim::Cycle;
-use std::collections::VecDeque;
 
 /// Configuration of one LLC tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,109 +376,6 @@ impl TileMshrFile {
     }
 }
 
-/// A slot-addressed calendar wheel for latency-delayed payloads.
-///
-/// Replaces the `BinaryHeap<Reverse<(at, seq)>>` + `HashMap<seq, payload>`
-/// pair behind [`LlcTile::pop_ready`]: every emission is due within the
-/// tile's small, bounded access latency, so scheduling is `at % slots`
-/// with the payload stored inline — no comparison heap, no side table, no
-/// sequence counter. Entries sharing a cycle land in the same slot in
-/// emission order, which reproduces the heap's `(at, seq)` tiebreak
-/// exactly; `pop_due`/`earliest` scan the handful of slot fronts, which at
-/// 8–16 contiguous slots is cheaper than a heap sift.
-///
-/// The wheel never misses late pops: entries are stamped with their
-/// absolute due cycle, so a consumer that falls behind still drains in
-/// global `(at, emission)` order.
-///
-/// # Examples
-///
-/// ```
-/// use nocout_mem::llc::OutputWheel;
-///
-/// let mut w: OutputWheel<&str> = OutputWheel::new(5);
-/// w.push(3, "b");
-/// w.push(2, "a");
-/// assert_eq!(w.earliest(), Some(2));
-/// assert_eq!(w.pop_due(1), None);
-/// assert_eq!(w.pop_due(3), Some("a"));
-/// assert_eq!(w.pop_due(3), Some("b"));
-/// ```
-#[derive(Debug)]
-pub struct OutputWheel<T: Copy> {
-    slots: Vec<VecDeque<(u64, T)>>,
-    pending: usize,
-}
-
-impl<T: Copy> OutputWheel<T> {
-    /// Creates a wheel covering schedules up to `max_latency` cycles out.
-    pub fn new(max_latency: u64) -> Self {
-        let n = (max_latency + 2).next_power_of_two().max(4) as usize;
-        OutputWheel {
-            slots: (0..n).map(|_| VecDeque::new()).collect(),
-            pending: 0,
-        }
-    }
-
-    /// Schedules `payload` for absolute cycle `at`. `at` must be within
-    /// `max_latency` of the most recent push's cycle (the tile emits
-    /// monotonically), which keeps each slot's queue due-ordered.
-    #[inline]
-    pub fn push(&mut self, at: u64, payload: T) {
-        let slot = (at as usize) & (self.slots.len() - 1);
-        debug_assert!(
-            self.slots[slot].back().is_none_or(|&(prev, _)| prev <= at),
-            "push beyond the wheel horizon would break in-slot ordering"
-        );
-        self.slots[slot].push_back((at, payload));
-        self.pending += 1;
-    }
-
-    /// The earliest scheduled cycle, if anything is pending.
-    pub fn earliest(&self) -> Option<u64> {
-        if self.pending == 0 {
-            return None;
-        }
-        self.slots.iter().filter_map(|s| s.front().map(|&(at, _)| at)).min()
-    }
-
-    /// Pops the earliest payload due at or before `now`, in `(at,
-    /// emission order)` priority.
-    pub fn pop_due(&mut self, now: u64) -> Option<T> {
-        if self.pending == 0 {
-            return None;
-        }
-        let mut best: Option<(u64, usize)> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Some(&(at, _)) = s.front() {
-                // Strict `<`: equal cycles share a slot, so no cross-slot
-                // tie is possible.
-                if best.is_none_or(|(b, _)| at < b) {
-                    best = Some((at, i));
-                }
-            }
-        }
-        let (at, i) = best?;
-        if at > now {
-            return None;
-        }
-        self.pending -= 1;
-        self.slots[i].pop_front().map(|(_, v)| v)
-    }
-
-    /// Scheduled entries not yet popped.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// True when nothing is scheduled.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-}
-
 /// Statistics for one LLC tile.
 #[derive(Debug, Default)]
 pub struct LlcStats {
@@ -539,7 +438,7 @@ impl LlcStats {
 /// let mut now = Cycle(0);
 /// let mshr = loop {
 ///     tile.tick(now);
-///     if let Some(LlcOutput::MemRead { mshr, .. }) = tile.pop_ready(now) {
+///     if let Some(LlcOutput::MemRead { mshr, .. }) = tile.pop_ready() {
 ///         break mshr;
 ///     }
 ///     now += 1;
@@ -548,7 +447,7 @@ impl LlcStats {
 /// tile.submit(LlcInput::MemData { mshr });
 /// let data = loop {
 ///     tile.tick(now);
-///     if let Some(LlcOutput::Data { txn, to }) = tile.pop_ready(now) {
+///     if let Some(LlcOutput::Data { txn, to }) = tile.pop_ready() {
 ///         break (txn, to);
 ///     }
 ///     now += 1;
@@ -564,7 +463,14 @@ pub struct LlcTile {
     banks: Vec<Cycle>,
     queue: Ring<LlcInput>,
     mshrs: TileMshrFile,
-    out: OutputWheel<LlcOutput>,
+    /// Emitted outputs waiting out their latency, keyed by due cycle.
+    out: EventWheel<LlcOutput>,
+    /// Outputs due by the latest tick, in `(due cycle, emission)` order.
+    ready: Ring<LlcOutput>,
+    due_scratch: Vec<LlcOutput>,
+    /// The cycle of the latest [`LlcTile::tick`]: the wheel's `now` for
+    /// emissions, and where the skipped-tick check starts.
+    last_tick: Cycle,
     waiter_scratch: Vec<LlcWaiter>,
     /// Allocation cycle per MSHR slot for miss-to-fill recording
     /// (`u64::MAX` = not a memory-bound allocation / recording off).
@@ -597,7 +503,11 @@ impl LlcTile {
             // MSHR plus a same-cycle burst of acks/writebacks.
             queue: Ring::with_capacity(2 * cfg.mshr_capacity.max(8)),
             mshrs: TileMshrFile::new(cfg.mshr_capacity),
-            out: OutputWheel::new(cfg.access_latency.max(1)),
+            // Emissions land at most `max(access_latency, 1)` cycles out.
+            out: EventWheel::with_slots(cfg.access_latency as usize + 2),
+            ready: Ring::with_capacity(8),
+            due_scratch: Vec::new(),
+            last_tick: Cycle::ZERO,
             waiter_scratch: Vec::new(),
             mshr_born: vec![u64::MAX; cfg.mshr_capacity],
             record_tails: true,
@@ -672,7 +582,7 @@ impl LlcTile {
     /// they resume via [`LlcTile::submit`], which re-activates the tile.
     /// This is the membership rule for the chip model's active set.
     pub fn has_pending_work(&self) -> bool {
-        !self.queue.is_empty() || !self.out.is_empty()
+        !self.queue.is_empty() || self.out.pending() > 0 || !self.ready.is_empty()
     }
 
     /// Whether any input is queued. A tile with queued inputs must be
@@ -684,23 +594,40 @@ impl LlcTile {
     }
 
     /// The ready cycle of the earliest emitted output still queued, if
-    /// any. With an empty input queue this is the tile's only upcoming
-    /// event, which is what the chip-level fast-forward jumps to.
-    pub fn next_output_at(&self) -> Option<Cycle> {
-        self.out.earliest().map(Cycle)
+    /// any, for a caller whose next tick is `now`: `now` itself while a
+    /// ready output waits to be popped. With an empty input queue this is
+    /// the tile's only upcoming event, which is what the chip-level
+    /// fast-forward jumps to.
+    pub fn next_output_at(&self, now: Cycle) -> Option<Cycle> {
+        if !self.ready.is_empty() {
+            return Some(now);
+        }
+        self.out.next_occupied_delta(now).map(|d| now + d)
     }
 
     fn emit(&mut self, at: Cycle, out: LlcOutput) {
-        self.out.push(at.raw(), out);
+        self.out.push(self.last_tick, at, out);
     }
 
-    /// Pops the next output whose latency has elapsed.
-    pub fn pop_ready(&mut self, now: Cycle) -> Option<LlcOutput> {
-        self.out.pop_due(now.raw())
+    /// Pops the next output whose latency has elapsed by the latest tick.
+    pub fn pop_ready(&mut self) -> Option<LlcOutput> {
+        self.ready.pop_front()
     }
 
-    /// Advances the tile: grants queued inputs to free banks.
+    /// Advances the tile: grants queued inputs to free banks, then moves
+    /// the outputs due at `now` to the queue [`LlcTile::pop_ready`] serves.
+    /// The tile must be ticked at every cycle an output comes due (the
+    /// wheel would hand a skipped cycle's outputs out one wrap late);
+    /// debug builds check it.
     pub fn tick(&mut self, now: Cycle) {
+        let next = self.last_tick + 1;
+        debug_assert!(
+            self.out
+                .next_occupied_delta(next)
+                .is_none_or(|d| next + d >= now),
+            "an LLC output came due in a cycle the tile was not ticked"
+        );
+        self.last_tick = now;
         // InvAcks and directory-only work bypass the banks; bank-bound work
         // is granted in order, one per free bank per cycle. Ungranted
         // entries are compacted forward in place (read cursor `r`, write
@@ -774,6 +701,10 @@ impl LlcTile {
                 w += 1;
             }
             self.queue.truncate(w);
+        }
+        self.out.drain_into(now, &mut self.due_scratch);
+        for &out in &self.due_scratch {
+            self.ready.push_back(out);
         }
     }
 
@@ -995,7 +926,7 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..max {
             tile.tick(*now);
-            while let Some(out) = tile.pop_ready(*now) {
+            while let Some(out) = tile.pop_ready() {
                 let done = pred(&out);
                 seen.push(out);
                 if done {
@@ -1132,7 +1063,7 @@ mod tests {
             .count();
         for _ in 0..50 {
             tile.tick(now);
-            if let Some(LlcOutput::Inv { .. }) = tile.pop_ready(now) {
+            if let Some(LlcOutput::Inv { .. }) = tile.pop_ready() {
                 inv_count += 1;
             }
             now += 1;
@@ -1142,7 +1073,7 @@ mod tests {
         tile.submit(LlcInput::InvAck { mshr });
         for _ in 0..20 {
             tile.tick(now);
-            assert!(tile.pop_ready(now).is_none(), "must wait for second ack");
+            assert!(tile.pop_ready().is_none(), "must wait for second ack");
             now += 1;
         }
         tile.submit(LlcInput::InvAck { mshr });
@@ -1150,6 +1081,39 @@ mod tests {
             matches!(o, LlcOutput::Data { txn: TxnId(3), to } if *to == CoreId(2))
         });
         assert_eq!(tile.stats.snoops_sent.value(), 2);
+    }
+
+    #[test]
+    fn hit_data_pops_exactly_access_latency_after_its_grant() {
+        // 0: the slot due at `now` drains at the end of `tick(now)`, after
+        // the grants — draining first would hold the output a whole wrap.
+        // 40: beyond a default tile's 8 slots.
+        for latency in [0, 40] {
+            let mut tile = LlcTile::new(LlcConfig {
+                access_latency: latency,
+                ..LlcConfig::nocout_tile()
+            });
+            tile.warm(Addr(0x40));
+            tile.tick(Cycle(0));
+            tile.submit(gets(1, 0, 0x40));
+            let mut popped = Vec::new();
+            for t in 1..100 {
+                tile.tick(Cycle(t));
+                popped.extend(std::iter::from_fn(|| tile.pop_ready()).map(|o| (t, o)));
+            }
+            let data = LlcOutput::Data { txn: TxnId(1), to: CoreId(0) };
+            assert_eq!(popped, [(1 + latency, data)], "access latency {latency}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "came due in a cycle the tile was not ticked")]
+    fn skipping_past_a_due_output_panics() {
+        let mut tile = LlcTile::new(LlcConfig::nocout_tile());
+        tile.submit(gets(1, 0, 0x40));
+        tile.tick(Cycle(0)); // a miss: its MemRead is due at cycle 5
+        tile.tick(Cycle(6));
     }
 
     #[test]
@@ -1192,7 +1156,7 @@ mod tests {
         let mut data_count = 0;
         for _ in 0..100 {
             tile.tick(now);
-            while let Some(out) = tile.pop_ready(now) {
+            while let Some(out) = tile.pop_ready() {
                 match out {
                     LlcOutput::Data { .. } => data_count += 1,
                     LlcOutput::MemRead { .. } => panic!("second fetch must merge"),
@@ -1223,7 +1187,7 @@ mod tests {
         let mut deliveries = Vec::new();
         for _ in 0..50 {
             tile.tick(now);
-            while let Some(LlcOutput::Data { txn, .. }) = tile.pop_ready(now) {
+            while let Some(LlcOutput::Data { txn, .. }) = tile.pop_ready() {
                 deliveries.push((txn, now.raw() - start.raw()));
             }
             now += 1;
@@ -1252,7 +1216,7 @@ mod tests {
         for _ in 0..20 {
             tile.tick(now);
             assert!(
-                !matches!(tile.pop_ready(now), Some(LlcOutput::MemRead { .. })),
+                !matches!(tile.pop_ready(), Some(LlcOutput::MemRead { .. })),
                 "merged request must not refetch"
             );
             now += 1;
@@ -1261,7 +1225,7 @@ mod tests {
         let mut data = 0;
         for _ in 0..100 {
             tile.tick(now);
-            while let Some(out) = tile.pop_ready(now) {
+            while let Some(out) = tile.pop_ready() {
                 if matches!(out, LlcOutput::Data { .. }) {
                     data += 1;
                 }
@@ -1295,7 +1259,7 @@ mod tests {
         let mut mem_write = false;
         for _ in 0..200 {
             tile.tick(now);
-            while let Some(out) = tile.pop_ready(now) {
+            while let Some(out) = tile.pop_ready() {
                 if matches!(out, LlcOutput::MemWrite { .. }) {
                     mem_write = true;
                 }
@@ -1358,7 +1322,7 @@ mod tests {
         for t in 0..10 {
             let now = Cycle(t);
             tile.tick(now);
-            assert!(tile.pop_ready(now).is_none());
+            assert!(tile.pop_ready().is_none());
         }
         assert_eq!(tile.inflight(), 0);
     }

@@ -12,7 +12,7 @@ use crate::fabric::Fabric;
 use crate::packet::{Delivery, Packet};
 use crate::stats::NetStats;
 use crate::types::{MessageClass, TerminalId};
-use crate::wheel::EventWheel;
+use nocout_sim::wheel::EventWheel;
 use nocout_sim::Cycle;
 use std::collections::VecDeque;
 

@@ -43,7 +43,6 @@ pub mod router;
 pub mod stats;
 pub mod topology;
 pub mod types;
-pub(crate) mod wheel;
 
 pub use fabric::Fabric;
 pub use network::{Network, NetworkBuilder, RouterView};

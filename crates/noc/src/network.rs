@@ -38,8 +38,8 @@ use crate::router::{
 };
 use crate::stats::NetStats;
 use crate::types::{MessageClass, PortIndex, RouterId, TerminalId, CLASS_COUNT};
-use crate::wheel::EventWheel;
 use nocout_sim::ring::Ring;
+use nocout_sim::wheel::EventWheel;
 use nocout_sim::Cycle;
 
 /// Maximum supported hop delay (pipeline + link) in cycles. The event wheel

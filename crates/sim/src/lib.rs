@@ -15,6 +15,8 @@
 //!   text format (cache entry, wire payload, journal, trace archive) shares,
 //! * [`ring::Ring`] — the fixed-capacity ring buffer behind the uncore
 //!   hot-path FIFO queues,
+//! * [`wheel::EventWheel`] — the one calendar wheel behind every timed
+//!   queue: network hops, analytic-fabric deliveries and LLC-tile outputs,
 //! * [`config`] — small helpers for experiment configuration.
 //!
 //! The original paper used the Flexus full-system simulation framework; this
@@ -38,6 +40,7 @@ pub mod ring;
 pub mod rng;
 pub mod stats;
 pub mod text;
+pub mod wheel;
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

@@ -1,31 +1,52 @@
-//! The calendar event wheel behind every NoC event queue.
+//! The calendar event wheel behind every timed queue in the simulator.
 //!
-//! Flit arrivals, credit returns and analytic-fabric deliveries are all
+//! Flit arrivals and credit returns (`Network`), analytic-fabric
+//! deliveries (`LatencyFabric`) and LLC-tile outputs (`LlcTile`) are all
 //! scheduled a small, bounded number of cycles ahead (a hop delay, a
-//! credit round-trip, a latency-function value), and the engine drains
-//! each cycle exactly once. Under that contract a slot-indexed wheel —
-//! `slot = cycle & (slots - 1)`, the slot count a power of two so no push
-//! or drain divides — replaces a comparison heap: pushes and drains
-//! are O(1) with no sift, no `Reverse` ordering, and no per-event
-//! allocation, because slot vectors are recycled by swapping with the
-//! caller's scratch buffer.
+//! credit round-trip, a latency-function value, a tile access latency),
+//! and each owner drains each cycle exactly once. Under that contract a
+//! slot-indexed wheel — `slot = cycle & (slots - 1)`, the slot count a
+//! power of two so no push or drain divides — replaces a comparison heap:
+//! pushes and drains are O(1) with no sift, no `Reverse` ordering, and no
+//! per-event allocation, because slot vectors are recycled by swapping
+//! with the caller's scratch buffer.
 //!
 //! The wheel doubles its slot count if an event is scheduled beyond the
 //! current horizon (re-bucketing the pending events), so callers with
 //! unbounded schedules — the analytic fabrics take an arbitrary latency
 //! function — degrade to a rare cold-path rebuild instead of a capacity
 //! assert.
+//!
+//! # Examples
+//!
+//! ```
+//! use nocout_sim::wheel::EventWheel;
+//! use nocout_sim::Cycle;
+//!
+//! let mut w: EventWheel<&str> = EventWheel::with_slots(4);
+//! w.push(Cycle(0), Cycle(2), "b");
+//! w.push(Cycle(0), Cycle(1), "a");
+//! assert_eq!(w.next_occupied_delta(Cycle(0)), Some(1));
+//! let mut due = Vec::new();
+//! w.drain_into(Cycle(0), &mut due);
+//! assert!(due.is_empty());
+//! w.drain_into(Cycle(1), &mut due);
+//! assert_eq!(due, ["a"]);
+//! assert_eq!(w.pending(), 1);
+//! ```
 
-use nocout_sim::Cycle;
+use crate::Cycle;
 
 /// A calendar wheel of events of type `T`, indexed by absolute cycle.
 ///
 /// Invariant (callers' contract): every scheduled cycle is drained before
 /// the wheel wraps back onto its slot, which holds whenever events are
 /// scheduled less than `slots` cycles ahead and the owner drains every
-/// cycle it does not provably skip (see `Network::skip_idle`).
+/// cycle it does not provably skip (see `Network::skip_idle`). A skipped
+/// due cycle is not an error the wheel can see: its events come out one
+/// wrap late.
 #[derive(Debug)]
-pub(crate) struct EventWheel<T> {
+pub struct EventWheel<T> {
     slots: Vec<Vec<T>>,
     /// `slots.len() - 1`; the length is always a power of two.
     mask: usize,
@@ -36,7 +57,7 @@ pub(crate) struct EventWheel<T> {
 impl<T> EventWheel<T> {
     /// Creates a wheel with at least `slots` initial slots (its schedule
     /// horizon), rounded up to a power of two.
-    pub(crate) fn with_slots(slots: usize) -> Self {
+    pub fn with_slots(slots: usize) -> Self {
         assert!(slots >= 2);
         let slots = slots.next_power_of_two();
         EventWheel {
@@ -54,7 +75,7 @@ impl<T> EventWheel<T> {
     /// Schedules `ev` for cycle `at` (`now <= at`), growing the horizon if
     /// `at` is beyond it.
     #[inline]
-    pub(crate) fn push(&mut self, now: Cycle, at: Cycle, ev: T) {
+    pub fn push(&mut self, now: Cycle, at: Cycle, ev: T) {
         debug_assert!(at >= now, "cannot schedule in the past");
         let delta = at.raw() - now.raw();
         if delta >= self.slots.len() as u64 {
@@ -69,7 +90,7 @@ impl<T> EventWheel<T> {
     /// buffers so slot capacity is recycled instead of reallocated every
     /// cycle.
     #[inline]
-    pub(crate) fn drain_into(&mut self, now: Cycle, out: &mut Vec<T>) {
+    pub fn drain_into(&mut self, now: Cycle, out: &mut Vec<T>) {
         let idx = self.slot_of(now.raw());
         out.clear();
         std::mem::swap(&mut self.slots[idx], out);
@@ -79,7 +100,7 @@ impl<T> EventWheel<T> {
     /// Cycles until the earliest scheduled event at or after `now` (0 =
     /// the next `drain_into(now)` will yield events), or `None` when the
     /// wheel is empty.
-    pub(crate) fn next_occupied_delta(&self, now: Cycle) -> Option<u64> {
+    pub fn next_occupied_delta(&self, now: Cycle) -> Option<u64> {
         if self.pending == 0 {
             return None;
         }
@@ -88,7 +109,7 @@ impl<T> EventWheel<T> {
 
     /// Events scheduled and not yet drained.
     #[inline]
-    pub(crate) fn pending(&self) -> usize {
+    pub fn pending(&self) -> usize {
         self.pending
     }
 

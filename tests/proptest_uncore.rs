@@ -1,8 +1,10 @@
 //! Property-based differential tests for the uncore hot-path
-//! structures: the LLC tile's array-backed MSHR file and calendar-wheel
-//! output stage against the `HashMap`/`BinaryHeap` pair they replaced,
-//! the set-associative directory against a per-line `HashMap` model, and
-//! the generic `Ring` against `VecDeque`.
+//! structures: the LLC tile's array-backed MSHR file against the
+//! `HashMap` it replaced, the shared calendar wheel (`EventWheel`, behind
+//! the network, the analytic fabrics and the LLC tile's output stage)
+//! against the `(due, seq)` `BinaryHeap` it replaced, the set-associative
+//! directory against a per-line `HashMap` model, and the generic `Ring`
+//! against `VecDeque`.
 //!
 //! These are the structure-level halves of the old-vs-new proof (the
 //! chip-level half is `tests/chip_golden_metrics.rs`): every operation
@@ -12,9 +14,11 @@
 
 use nocout_repro::substrates::mem::addr::Addr;
 use nocout_repro::substrates::mem::directory::{DirState, Directory, SharerSet};
-use nocout_repro::substrates::mem::llc::{LlcWaiter, OutputWheel, TileMshrFile};
+use nocout_repro::substrates::mem::llc::{LlcWaiter, TileMshrFile};
 use nocout_repro::substrates::mem::protocol::{CoreId, MshrId, RequestKind, TxnId};
 use nocout_repro::substrates::sim::ring::Ring;
+use nocout_repro::substrates::sim::wheel::EventWheel;
+use nocout_repro::substrates::sim::Cycle;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -141,55 +145,55 @@ proptest! {
     }
 
     #[test]
-    fn output_wheel_matches_heap_model(
-        ops in prop::collection::vec((0u8..3, 0u64..12, 0u64..4), 1..300)
+    fn event_wheel_matches_heap_model(
+        ops in prop::collection::vec((0u8..4, 0u64..13, 0u64..16), 1..300)
     ) {
-        const MAX_LATENCY: u64 = 12;
-        let mut wheel: OutputWheel<u64> = OutputWheel::new(MAX_LATENCY);
-        // The pre-refactor pair: a (due, seq) heap plus a seq → payload
-        // side table; seq is emission order, which is the tiebreak for
-        // same-cycle entries.
+        // Four slots against pushes up to 12 cycles ahead, so growth
+        // re-buckets pending events mid-run.
+        let mut wheel: EventWheel<u64> = EventWheel::with_slots(4);
+        // The comparison heap the wheels replaced: `(due, seq)`, seq being
+        // push order, which is the tiebreak for same-cycle events.
         let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut payloads: HashMap<u64, u64> = HashMap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
-        for &(kind, delta, advance) in &ops {
+        let mut drained = Vec::new();
+        for &(kind, ahead, jump) in &ops {
             match kind {
-                0 => {
-                    // Emit: due within the tile's bounded access latency.
-                    let at = now + delta.min(MAX_LATENCY);
-                    wheel.push(at, seq);
-                    heap.push(Reverse((at, seq)));
-                    payloads.insert(seq, seq);
+                0 | 1 => {
+                    wheel.push(Cycle(now), Cycle(now + ahead), seq);
+                    heap.push(Reverse((now + ahead, seq)));
                     seq += 1;
                 }
-                1 => now += advance,
-                _ => {
-                    // Drain everything due, comparing pop order exactly —
-                    // same-cycle entries must come out in emission order.
-                    loop {
-                        let model_next = match heap.peek() {
-                            Some(&Reverse((at, s))) if at <= now => Some(s),
-                            _ => None,
-                        };
-                        let got = wheel.pop_due(now);
-                        prop_assert_eq!(
-                            got,
-                            model_next.map(|s| payloads[&s]),
-                            "pop at now={} diverged", now
-                        );
-                        if model_next.is_none() {
+                2 => {
+                    // Drain this cycle, then step to the next one.
+                    wheel.drain_into(Cycle(now), &mut drained);
+                    let mut due = Vec::new();
+                    while let Some(&Reverse((at, s))) = heap.peek() {
+                        prop_assert!(at >= now, "the model holds an event due at {} < {}", at, now);
+                        if at > now {
                             break;
                         }
-                        let Reverse((_, s)) = heap.pop().expect("peeked entry");
-                        payloads.remove(&s);
+                        due.push(s);
+                        heap.pop();
                     }
+                    prop_assert_eq!(&drained, &due, "drain at now={} diverged", now);
+                    now += 1;
+                }
+                _ => {
+                    // Skip idle cycles: any distance up to the next
+                    // occupied slot, never past it.
+                    now += match wheel.next_occupied_delta(Cycle(now)) {
+                        Some(d) => jump.min(d),
+                        None => jump,
+                    };
                 }
             }
             // Invariants after every op.
             prop_assert_eq!(wheel.pending(), heap.len());
-            prop_assert_eq!(wheel.is_empty(), heap.is_empty());
-            prop_assert_eq!(wheel.earliest(), heap.peek().map(|&Reverse((at, _))| at));
+            prop_assert_eq!(
+                wheel.next_occupied_delta(Cycle(now)).map(|d| now + d),
+                heap.peek().map(|&Reverse((at, _))| at)
+            );
         }
     }
 
