@@ -48,10 +48,10 @@
 //! degrades to uncached operation rather than failing the run.
 
 use crate::metrics::{LlcSummary, MemSummary, NetSummary, SystemMetrics, TailSummary};
-use crate::runner::RunSpec;
+use crate::runner::{RunSpec, SPEC_LINE_BYTES};
 use nocout_sim::hash::fnv1a;
 use nocout_sim::text::{float, hex, whole, Reader, TextError};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, Read as _};
@@ -72,7 +72,10 @@ impl RunSpec {
     /// specs (v2 → v3: the network's all-class p50/p99 come from the
     /// merged per-class `LatencyHist`s, and the key became the spec line).
     pub fn cache_key(&self) -> String {
-        format!("v3 {}", self.spec_line())
+        let mut key = String::with_capacity(SPEC_LINE_BYTES);
+        key.push_str("v3 ");
+        self.push_spec_line(&mut key);
+        key
     }
 }
 
@@ -101,6 +104,10 @@ pub struct ResultsCache {
     misses: Cell<u64>,
     store_failures: Cell<u64>,
     quarantined: Cell<u64>,
+    /// What every `get` reads its entry file into: a scratch buffer, not
+    /// a memo — it holds no entry past the lookup that read it, and never
+    /// grows past `MAX_ENTRY`.
+    read_buf: RefCell<Vec<u8>>,
 }
 
 impl ResultsCache {
@@ -114,6 +121,7 @@ impl ResultsCache {
             misses: Cell::new(0),
             store_failures: Cell::new(0),
             quarantined: Cell::new(0),
+            read_buf: RefCell::new(Vec::new()),
         })
     }
 
@@ -146,22 +154,24 @@ impl ResultsCache {
     /// The entry file of a [`RunSpec::cache_key`], named by its FNV-1a 64
     /// content hash.
     fn entry_path(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{}.metrics", hex(fnv1a(key.as_bytes()))))
+        self.dir.join([hex(fnv1a(key.as_bytes())).as_str(), ".metrics"].concat())
     }
 
     /// Looks the spec up. An entry that cannot be opened or read is a plain
     /// miss; bytes that were read and are not exactly this spec's entry —
-    /// corrupt, truncated, key-mismatched or not UTF-8 — are a miss too,
-    /// and are *quarantined*: renamed to `<entry>.bad` (preserving the
-    /// bytes for inspection) and counted in [`ResultsCache::quarantined`],
-    /// so repeated lookups of the same spec do not re-read and re-parse a
-    /// file that can never hit, and so the next `put` recreates the entry
-    /// cleanly.
+    /// corrupt, truncated, key-mismatched, not UTF-8 or longer than any
+    /// entry can be — are a miss too, and are *quarantined*: renamed to
+    /// `<entry>.bad` (preserving the bytes for inspection) and counted in
+    /// [`ResultsCache::quarantined`], so repeated lookups of the same spec
+    /// do not re-read and re-parse a file that can never hit, and so the
+    /// next `put` recreates the entry cleanly.
     pub fn get(&self, spec: &RunSpec) -> Option<SystemMetrics> {
         let key = spec.cache_key();
         let path = self.entry_path(&key);
-        let loaded = read_file(&path).ok().and_then(|bytes| {
-            let parsed = std::str::from_utf8(&bytes).ok().and_then(|text| parse_entry(text, &key));
+        let mut buf = self.read_buf.borrow_mut();
+        let loaded = read_file(&path, &mut buf).ok().and_then(|bytes| {
+            let text = bytes.and_then(|bytes| std::str::from_utf8(bytes).ok());
+            let parsed = text.and_then(|text| parse_entry(text, &key));
             // Present but unusable: move it out of the lookup path.
             if parsed.is_none() && std::fs::rename(&path, path.with_extension("bad")).is_ok() {
                 self.quarantined.set(self.quarantined.get() + 1);
@@ -200,28 +210,37 @@ impl ResultsCache {
     }
 }
 
-/// What one `read` of an entry file asks for; an entry of a 64-core chip
-/// (≈ 1.9 KB) fits, so a hit is one read of data and one that returns 0.
+/// What one `read` of an entry file first asks for; an entry of a 64-core
+/// chip (≈ 1.9 KB) fits, so a hit is one read of data and one that
+/// returns 0.
 const READ_CHUNK: usize = 4096;
 
-/// Every byte of the file at `path`: `open`, `read` until it returns 0,
-/// `close`. `std::fs::read` would spend an `fstat` on a size hint first.
-fn read_file(path: &Path) -> io::Result<Vec<u8>> {
+/// The longest file a lookup reads: far above any entry (a 128-core
+/// chip's is ≈ 3 KB), so a longer file is not an entry, whatever the rest
+/// of it holds, and the kept read buffer never grows past this.
+const MAX_ENTRY: usize = 64 * 1024;
+
+/// Reads the file at `path` into `buf` (grown from [`READ_CHUNK`], by
+/// doubling, to at most [`MAX_ENTRY`], and kept at that length): `open`,
+/// `read` until it returns 0, `close`. Its bytes, or `None` for a file
+/// longer than `MAX_ENTRY`, which is left unread past the byte that
+/// proves it. `std::fs::read` would spend an `fstat` on a size hint first.
+fn read_file<'b>(path: &Path, buf: &'b mut Vec<u8>) -> io::Result<Option<&'b [u8]>> {
     let mut file = File::open(path)?;
-    let (mut buf, mut len) = (vec![0; READ_CHUNK], 0);
+    let (mut len, mut past_the_cap) = (0, [0u8]);
     loop {
-        match file.read(&mut buf[len..]) {
-            Ok(0) => break,
+        if len == buf.len() && len < MAX_ENTRY {
+            buf.resize((2 * len).clamp(READ_CHUNK, MAX_ENTRY), 0);
+        }
+        let into = if len < MAX_ENTRY { &mut buf[len..] } else { &mut past_the_cap[..] };
+        match file.read(into) {
+            Ok(0) => return Ok(Some(&buf[..len])),
+            Ok(_) if len == MAX_ENTRY => return Ok(None),
             Ok(n) => len += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-        if len == buf.len() {
-            buf.resize(2 * len, 0);
-        }
     }
-    buf.truncate(len);
-    Ok(buf)
 }
 
 /// Renders a metrics entry: the versioned header, the canonical key, then
@@ -290,8 +309,10 @@ pub(crate) fn read_entry(r: &mut Reader<'_>, expected_key: &str) -> Result<Syste
     let cycles = r.eol()?.expect("cycles")?.num()?;
     let instructions = r.eol()?.expect("instructions")?.num()?;
     let fetch_stall_fraction = r.eol()?.expect("fetch_stall_fraction")?.float()?;
-    let mut per_core_ipc = Vec::new();
     r.eol()?.expect("per_core_ipc")?;
+    // Sized from the line: each float is a space and sixteen digits.
+    let rest = r.clone().rest();
+    let mut per_core_ipc = Vec::with_capacity(rest.find('\n').unwrap_or(rest.len()) / 17);
     while !r.at_eol() {
         per_core_ipc.push(r.float()?);
     }
@@ -510,24 +531,49 @@ mod tests {
     }
 
     /// Lengths on both sides of every decision the read loop makes, then
-    /// bytes that are not text at all: each is read whole, is a miss, and
-    /// is moved aside with its bytes kept.
+    /// bytes that are not text at all: each is read whole — through one
+    /// buffer, long reads before short ones — is a miss, and is moved aside
+    /// with its bytes kept.
     #[test]
     fn bytes_that_are_not_an_entry_are_quarantined_whatever_their_length() {
         let cache = fresh_cache("not-an-entry");
         let s = spec();
         let path = cache.entry_path(&s.cache_key());
-        let mut files: Vec<Vec<u8>> = [0, READ_CHUNK, READ_CHUNK + 1, 3 * READ_CHUNK].map(|n| vec![b'x'; n]).into();
+        let lengths = [0, READ_CHUNK, READ_CHUNK + 1, 3 * READ_CHUNK, MAX_ENTRY, 1];
+        let mut files: Vec<Vec<u8>> = lengths.map(|n| vec![b'x'; n]).into();
         files.push(b"\xff\n".to_vec());
+        let mut buf = Vec::new();
         for (done, bytes) in files.iter().enumerate() {
             std::fs::write(&path, bytes).unwrap();
-            assert_eq!(&read_file(&path).unwrap(), bytes);
+            assert_eq!(read_file(&path, &mut buf).unwrap(), Some(&bytes[..]));
             assert!(cache.get(&s).is_none());
             assert_eq!(cache.quarantined(), done as u64 + 1, "{} bytes", bytes.len());
             assert!(!path.exists());
             assert_eq!(&std::fs::read(path.with_extension("bad")).unwrap(), bytes);
         }
         assert_eq!((cache.hits(), cache.misses()), (0, files.len() as u64));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A file one byte past the cap — here this spec's entry, padded — is
+    /// not an entry: it is judged without being read whole, quarantined
+    /// with its bytes kept, a miss, and leaves the handle's buffer no
+    /// larger than the cap. The next `put` is a hit through that buffer.
+    #[test]
+    fn a_file_one_byte_past_the_cap_is_quarantined_unread() {
+        let cache = fresh_cache("past-the-cap");
+        let s = spec();
+        let path = cache.entry_path(&s.cache_key());
+        let mut bytes = render_entry(&s.cache_key(), &metrics()).into_bytes();
+        bytes.resize(MAX_ENTRY + 1, b'\n');
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_file(&path, &mut Vec::new()).unwrap(), None);
+        assert!(cache.get(&s).is_none());
+        assert_eq!((cache.misses(), cache.quarantined()), (1, 1));
+        assert_eq!(std::fs::read(path.with_extension("bad")).unwrap(), bytes);
+        assert!(cache.read_buf.borrow().capacity() <= MAX_ENTRY);
+        cache.put(&s, &metrics());
+        assert!(cache.get(&s).is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

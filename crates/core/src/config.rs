@@ -29,6 +29,28 @@ impl Organization {
         Organization::NocOut,
     ];
 
+    /// Every organization: the evaluated three, then the analytic two.
+    pub const ALL: [Organization; 5] = [
+        Organization::Mesh,
+        Organization::FlattenedButterfly,
+        Organization::NocOut,
+        Organization::IdealWire,
+        Organization::ZeroLoadMesh,
+    ];
+
+    /// The stable identifier: what a spec line writes after `org=` (so
+    /// what cache keys and shard requests carry), and what `FromStr`
+    /// reads.
+    pub fn key(self) -> &'static str {
+        match self {
+            Organization::Mesh => "Mesh",
+            Organization::FlattenedButterfly => "FlattenedButterfly",
+            Organization::NocOut => "NocOut",
+            Organization::IdealWire => "IdealWire",
+            Organization::ZeroLoadMesh => "ZeroLoadMesh",
+        }
+    }
+
     /// Display name as used in the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
@@ -50,21 +72,11 @@ impl fmt::Display for Organization {
 impl std::str::FromStr for Organization {
     type Err = String;
 
-    /// Parses the stable identifier (the `Debug` variant name, as used in
-    /// cache keys and shard-request wire records).
+    /// Parses the stable identifier, [`Organization::key`].
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(match s {
-            "Mesh" => Organization::Mesh,
-            "FlattenedButterfly" => Organization::FlattenedButterfly,
-            "NocOut" => Organization::NocOut,
-            "IdealWire" => Organization::IdealWire,
-            "ZeroLoadMesh" => Organization::ZeroLoadMesh,
-            _ => {
-                return Err(format!(
-                    "`{s}` is not an organization (expected Mesh, \
-                     FlattenedButterfly, NocOut, IdealWire or ZeroLoadMesh)"
-                ))
-            }
+        Organization::ALL.into_iter().find(|o| o.key() == s).ok_or_else(|| {
+            let [keys @ .., last] = Organization::ALL.map(Organization::key);
+            format!("`{s}` is not an organization (expected {} or {last})", keys.join(", "))
         })
     }
 }
@@ -222,5 +234,22 @@ mod tests {
     fn organization_names() {
         assert_eq!(Organization::NocOut.to_string(), "NOC-Out");
         assert_eq!(Organization::EVALUATED.len(), 3);
+    }
+
+    /// Every variant's key reads back to it, the keys are the names cache
+    /// keys written before `key()` existed carry (the `Debug` names), and
+    /// anything else is refused naming all five.
+    #[test]
+    fn every_organization_key_round_trips() {
+        for org in Organization::ALL {
+            assert_eq!(org.key().parse(), Ok(org));
+            assert_eq!(org.key(), format!("{org:?}"));
+        }
+        assert_eq!(
+            "mesh".parse::<Organization>(),
+            Err("`mesh` is not an organization (expected Mesh, FlattenedButterfly, NocOut, \
+                 IdealWire or ZeroLoadMesh)"
+                .to_string())
+        );
     }
 }

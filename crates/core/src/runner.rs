@@ -57,7 +57,7 @@ use crate::config::ChipConfig;
 use crate::metrics::SystemMetrics;
 use nocout_sim::config::{MeasurementWindow, SeedSet};
 use nocout_sim::stats::RunningStats;
-use nocout_sim::text::{whole, Reader, TextError};
+use nocout_sim::text::{push_num, whole, Reader, TextError};
 use nocout_workloads::trace::TraceSet;
 use nocout_workloads::WorkloadClass;
 use std::fmt;
@@ -134,6 +134,10 @@ pub fn run_outcome(spec: &RunSpec) -> PointOutcome {
     })
 }
 
+/// Room for a whole cache key — the version, then the spec line — so a key
+/// or a spec line renders into one allocation.
+pub(crate) const SPEC_LINE_BYTES: usize = 256;
+
 /// One simulation point: chip × workload class × window × seed.
 ///
 /// The workload can be a synthetic profile or a captured trace
@@ -190,6 +194,15 @@ impl RunSpec {
     /// verbatim, so a field added to the spec is added here and in
     /// [`RunSpec::parse_line`], nowhere else.
     pub fn spec_line(&self) -> String {
+        let mut line = String::with_capacity(SPEC_LINE_BYTES);
+        self.push_spec_line(&mut line);
+        line
+    }
+
+    /// Appends [`RunSpec::spec_line`] to `out`, field by field with
+    /// `push_str` and `text::push_num` — no `core::fmt`, which a cache
+    /// lookup would otherwise spend on every key.
+    pub(crate) fn push_spec_line(&self, out: &mut String) {
         // Destructured in full, so a new `ChipConfig` field fails to
         // compile here until it is rendered (and `parse_line` until read).
         let ChipConfig {
@@ -204,18 +217,29 @@ impl RunSpec {
             express_links,
             llc_rows,
         } = self.chip;
-        let active = active_core_override.map_or("-".to_string(), |n| n.to_string());
-        let (express, window) = (u8::from(express_links), self.window);
-        format!(
-            "org={organization:?} cores={cores} llc_bytes={llc_total_bytes} \
-             link_bits={link_width_bits} mem_channels={mem_channels} banks={banks_per_llc_tile} \
-             conc={concentration} active={active} express={express} llc_rows={llc_rows} \
-             warmup={} measure={} seed={} workload={}",
-            window.warmup_cycles,
-            window.measure_cycles,
-            self.seed,
-            self.workload.cache_token()
-        )
+        fn field(out: &mut String, key: &str, value: u64) {
+            out.push_str(key);
+            push_num(out, value);
+        }
+        out.push_str("org=");
+        out.push_str(organization.key());
+        field(out, " cores=", cores as u64);
+        field(out, " llc_bytes=", llc_total_bytes);
+        field(out, " link_bits=", link_width_bits.into());
+        field(out, " mem_channels=", mem_channels as u64);
+        field(out, " banks=", banks_per_llc_tile as u64);
+        field(out, " conc=", concentration as u64);
+        match active_core_override {
+            Some(n) => field(out, " active=", n as u64),
+            None => out.push_str(" active=-"),
+        }
+        field(out, " express=", express_links.into());
+        field(out, " llc_rows=", llc_rows as u64);
+        field(out, " warmup=", self.window.warmup_cycles);
+        field(out, " measure=", self.window.measure_cycles);
+        field(out, " seed=", self.seed);
+        out.push_str(" workload=");
+        self.workload.push_cache_token(out);
     }
 
     /// Reads a [`RunSpec::spec_line`] back: the same keys in the same
@@ -559,7 +583,69 @@ impl BatchRunner {
 mod tests {
     use super::*;
     use crate::config::Organization;
-    use nocout_workloads::Workload;
+    use nocout_sim::text::hex;
+    use nocout_workloads::{OpenLoopSpec, Workload};
+
+    /// `RunSpec::spec_line` as it was, through `core::fmt` and the
+    /// organization's derived `Debug`, kept as the oracle.
+    fn old_spec_line(spec: &RunSpec) -> String {
+        let ChipConfig {
+            organization,
+            cores,
+            llc_total_bytes,
+            link_width_bits,
+            mem_channels,
+            banks_per_llc_tile,
+            concentration,
+            active_core_override,
+            express_links,
+            llc_rows,
+        } = spec.chip;
+        let active = active_core_override.map_or("-".to_string(), |n| n.to_string());
+        let (express, window) = (u8::from(express_links), spec.window);
+        let workload = match &spec.workload {
+            WorkloadClass::Synthetic(w) => format!("synthetic:{}", w.key()),
+            WorkloadClass::Trace(t) => {
+                format!("trace@{}x{}i{}", hex(t.content_hash()), t.streams(), t.total_instructions())
+            }
+            WorkloadClass::OpenLoop(s) => {
+                format!("openloop:{}:{}:{}", s.workload.key(), s.interval, s.service_instrs)
+            }
+        };
+        format!(
+            "org={organization:?} cores={cores} llc_bytes={llc_total_bytes} \
+             link_bits={link_width_bits} mem_channels={mem_channels} banks={banks_per_llc_tile} \
+             conc={concentration} active={active} express={express} llc_rows={llc_rows} \
+             warmup={} measure={} seed={} workload={workload}",
+            window.warmup_cycles, window.measure_cycles, spec.seed,
+        )
+    }
+
+    /// Every organization, `active` unset and set, `express` off and on,
+    /// and each workload form: the same bytes as the oracle, and a cache
+    /// key that fits the one allocation it is rendered into.
+    #[test]
+    fn the_spec_line_renders_as_it_did_through_core_fmt() {
+        let dir = std::env::temp_dir().join(format!("nocout-spec-line-{}", std::process::id()));
+        let chip = ChipConfig::with_cores(Organization::Mesh, 16);
+        let trace = crate::chip::capture_synthetic_trace(chip, Workload::WebSearch, 1, &dir, 100).unwrap();
+        let open_loop = OpenLoopSpec { workload: Workload::DataServing, interval: 1600, service_instrs: 32 };
+        let workloads = [Workload::SatSolver.into(), open_loop.into(), WorkloadClass::Trace(trace)];
+        let switches = [None, Some(12)].into_iter().flat_map(|a| [(a, false), (a, true)]);
+        for organization in Organization::ALL {
+            for (active_core_override, express_links) in switches.clone() {
+                for workload in &workloads {
+                    let chip = ChipConfig { active_core_override, express_links, ..ChipConfig::paper(organization) };
+                    let spec = RunSpec::new(chip, workload.clone()).with_seed(u64::MAX);
+                    assert_eq!(spec.spec_line(), old_spec_line(&spec));
+                    let key = spec.cache_key();
+                    assert_eq!(key, format!("v3 {}", old_spec_line(&spec)));
+                    assert_eq!(key.capacity(), SPEC_LINE_BYTES, "`{key}` grew its allocation");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn run_produces_nonzero_ipc() {

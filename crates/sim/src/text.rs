@@ -1,8 +1,9 @@
 //! The one strict text codec: cache entries, wire payloads, the spec
 //! line, journal records and trace-archive headers all read through
-//! [`Reader`] and write their hashes, floats and escapes through the
-//! helpers here. The rules are stated once, in the "Text formats"
-//! section of `docs/distributed-campaigns.md`; a reader accepts exactly
+//! [`Reader`] and write their numbers, hashes, floats and escapes through
+//! the helpers here ([`push_num`], [`hex`], [`float`], [`escape`]). The
+//! rules are stated once, in the "Text formats" section of
+//! `docs/distributed-campaigns.md`; a reader accepts exactly
 //! what a writer emits, so anything else — a stray space, a `+`, an
 //! upper-case digit, a missing final newline, a trailing token — is a
 //! [`TextError`] naming the offending token, never a wrong value.
@@ -32,38 +33,71 @@ fn refuse<T>(expected: &str, found: &str) -> Result<T, TextError> {
     Err(TextError(format!("expected {expected}, found `{found}`")))
 }
 
-/// The value of each lower-case hex digit; every other byte reads as a
-/// mark above `0xf`, so [`Reader::hash`] can OR sixteen lookups together
-/// and test once.
-const NIBBLE: [u8; 256] = {
-    let mut table = [0xff; 256];
-    let mut value = 0;
-    while value < 16 {
-        table[b"0123456789abcdef"[value] as usize] = value as u8;
-        value += 1;
-    }
-    table
-};
+/// `0x01` in every byte lane of a word.
+const LANES: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte lane.
+const HIGH: u64 = 0x80 * LANES;
+
+/// Eight hex digits as one big-endian word: their value, and whether
+/// every byte was one of `0-9a-f`. A word with no high bit set has lanes
+/// of at most `0x7f`, so adding a constant of at most `0x80` to every lane
+/// carries into no other lane, and "lane ≥ c" is the high bit of the lane
+/// plus `0x80 - c`. A word with a high bit set is refused, so what a carry
+/// did to its other lanes does not matter.
+fn hex_word(word: u64) -> (u64, bool) {
+    let at_least = |c: u8| word.wrapping_add(u64::from(0x80 - c) * LANES);
+    let digit = at_least(b'0') & !at_least(b'9' + 1);
+    let letter = at_least(b'a') & !at_least(b'f' + 1);
+    let valid = word & HIGH == 0 && (digit | letter) & HIGH == HIGH;
+    // A digit's low four bits are its value; a letter's are its value - 9.
+    let nibbles = (word & (0x0f * LANES)) + (letter & HIGH) / 0x80 * 9;
+    // Eight nibbles, one per byte, packed into 32 bits in three steps.
+    let pairs = (nibbles | nibbles >> 4) & 0x00ff_00ff_00ff_00ff;
+    let quads = (pairs | pairs >> 8) & 0x0000_ffff_0000_ffff;
+    ((quads | quads >> 16) & 0xffff_ffff, valid)
+}
 
 /// Sixteen lower-case hex digits: how [`hex`] and [`float`] write.
 #[derive(Debug, Clone, Copy)]
-pub struct Hex(u64);
+pub struct Hex([u8; 16]);
+
+impl Hex {
+    /// The sixteen digits.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
 
 impl fmt::Display for Hex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
+        f.write_str(self.as_str())
     }
 }
 
 /// Writes a 64-bit hash; read back by [`Reader::hash`].
 pub fn hex(hash: u64) -> Hex {
-    Hex(hash)
+    Hex(std::array::from_fn(|i| b"0123456789abcdef"[(hash >> (60 - 4 * i)) as usize & 0xf]))
+}
+
+/// Appends `n` in decimal, as [`Reader::num`] reads it back, with no
+/// `core::fmt` on the way: how the spec line writes its counts.
+pub fn push_num(out: &mut String, mut n: u64) {
+    let (mut digits, mut at) = ([0u8; 20], 20);
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
 }
 
 /// Writes a float as its IEEE-754 bits; [`Reader::float`] reads the
 /// same bits back.
 pub fn float(value: f64) -> Hex {
-    Hex(value.to_bits())
+    hex(value.to_bits())
 }
 
 /// Makes `s` one line: `\` becomes `\\`, a newline becomes `\n`.
@@ -144,11 +178,17 @@ impl<'a> Reader<'a> {
         Ok(&s[..n])
     }
 
-    /// The next token must be exactly `keyword`.
+    /// The next token must be exactly `keyword` (which holds no space or
+    /// newline). Matched in place; only a refusal reads the token.
     pub fn expect(&mut self, keyword: &str) -> Result<&mut Self, TextError> {
-        match self.token()? {
-            t if t == keyword => Ok(self),
-            t => refuse(&format!("`{keyword}`"), t),
+        let after = self.unread().and_then(|s| s.strip_prefix(keyword));
+        let ends = |after: &str| matches!(after.as_bytes().first(), None | Some(b' ' | b'\n'));
+        match after {
+            Some(after) if !keyword.is_empty() && ends(after) => {
+                (self.rest, self.mid_line) = (after, true);
+                Ok(self)
+            }
+            _ => refuse(&format!("`{keyword}`"), self.token()?),
         }
     }
 
@@ -189,21 +229,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A hash: exactly sixteen lower-case hex digits, read in place. The
-    /// loop has no branch per digit — the digits of float bits are random,
-    /// and a range match per byte mispredicts on every one of them.
+    /// A hash: exactly sixteen lower-case hex digits, read in place as two
+    /// words of eight byte lanes (`hex_word`). There is no branch per digit —
+    /// the digits of float bits are random, and a range match per byte
+    /// mispredicts on every one of them.
     pub fn hash(&mut self) -> Result<u64, TextError> {
         let s = self.unread().unwrap_or("");
         if let Some((digits, after)) = s.as_bytes().split_first_chunk::<16>() {
-            let (mut value, mut marks) = (0u64, 0u8);
-            for &b in digits {
-                let nibble = NIBBLE[usize::from(b)];
-                marks |= nibble;
-                value = value << 4 | u64::from(nibble);
-            }
-            if marks <= 0xf && matches!(after.first(), None | Some(b' ' | b'\n')) {
+            let words = u128::from_be_bytes(*digits);
+            let (high, high_ok) = hex_word((words >> 64) as u64);
+            let (low, low_ok) = hex_word(words as u64);
+            if high_ok && low_ok && matches!(after.first(), None | Some(b' ' | b'\n')) {
                 (self.rest, self.mid_line) = (&s[16..], true);
-                return Ok(value);
+                return Ok(high << 32 | low);
             }
         }
         refuse("16 hex digits", self.token()?)
@@ -340,6 +378,14 @@ mod tests {
         }
     }
 
+    /// `Reader::expect` as it was: the whole token read, then compared.
+    fn old_expect(r: &mut Reader<'_>, keyword: &str) -> Result<(), TextError> {
+        match r.token()? {
+            t if t == keyword => Ok(()),
+            t => refuse(&format!("`{keyword}`"), t),
+        }
+    }
+
     /// Reads `text` from its start and again after a token and its space,
     /// with the new reader and the old: the same value or the same
     /// refusal, and the cursor left in the same place.
@@ -370,30 +416,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_hash_is_sixteen_lower_case_hex_digits_and_no_other_byte() {
-        for b in 0..=255u8 {
-            match char::from(b).to_digit(16).filter(|_| !b.is_ascii_uppercase()) {
-                Some(nibble) => assert_eq!(u32::from(NIBBLE[usize::from(b)]), nibble, "byte {b}"),
-                None => assert!(NIBBLE[usize::from(b)] > 0xf, "byte {b}"),
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn the_writers_emit_what_core_fmt_would(v in 0u64..u64::MAX, shift in 0u32..64) {
+            for v in [v, v >> shift, 0, u64::MAX] {
+                prop_assert_eq!(hex(v).to_string(), format!("{v:016x}"));
+                let mut pushed = String::from("n=");
+                push_num(&mut pushed, v);
+                prop_assert_eq!(pushed, format!("n={v}"));
             }
         }
+    }
+
+    #[test]
+    fn a_hash_is_sixteen_lower_case_hex_digits_and_no_other_byte() {
         assert_eq!(whole("ffffffffffffffff", Reader::hash), Ok(u64::MAX));
         let valid = "0123456789abcdef";
         assert_eq!(same_as_before(valid, |r| r.hash(), old_hash), Ok(0x0123_4567_89ab_cdef));
-        // Every substitution a `&str` can hold: an ASCII byte over one
-        // digit, a two-byte character (lead bytes c2 and c3, every
-        // continuation byte) over two. No other byte occurs in UTF-8.
+        // Every substitution a `&str` can hold, each read as the old reader
+        // read it: an ASCII byte over one digit, a two-byte character (lead
+        // bytes c2 and c3, every continuation byte) over two. No other byte
+        // occurs in UTF-8.
         for at in 0..16 {
-            for c in (0..=255u8).map(char::from).filter(|c| !valid.contains(*c)) {
+            for c in (0..=255u8).map(char::from) {
                 if at + c.len_utf8() > 16 {
                     continue;
                 }
                 let token = format!("{}{c}{}", &valid[..at], &valid[at + c.len_utf8()..]);
                 assert_eq!(token.len(), 16);
-                let refusal = same_as_before(&token, |r| r.hash(), old_hash).unwrap_err();
-                if c != ' ' && c != '\n' {
-                    assert!(refusal.0.contains(&format!("`{token}`")), "{refusal}");
+                let read = same_as_before(&token, |r| r.hash(), old_hash);
+                match c.to_digit(16).filter(|_| !c.is_ascii_uppercase()) {
+                    Some(nibble) => assert_eq!(read.map(|v| v >> (60 - 4 * at) & 0xf), Ok(nibble.into())),
+                    None if c == ' ' || c == '\n' => assert!(read.is_err()),
+                    None => assert!(read.unwrap_err().0.contains(&format!("`{token}`")), "`{token}`"),
+                }
+            }
+        }
+        // The edges of the two ranges each lane is tested against, upper
+        // case, and a character whose lanes have the high bit set — at every
+        // position, across the boundary of the two words included.
+        for at in 0..16 {
+            let with = |c: char| format!("{}{c}{}", &valid[..at], &valid[(at + c.len_utf8()).min(16)..]);
+            for c in ['/', '0', '9', ':', '`', 'a', 'f', 'g', 'A', 'B', 'C', 'D', 'E', 'F', 'é'] {
+                let token = with(c);
+                let read = same_as_before(&token, |r| r.hash(), old_hash);
+                match c {
+                    '0' | '9' | 'a' | 'f' => assert!(read.is_ok(), "`{token}`"),
+                    _ => assert!(read.unwrap_err().0.contains(&format!("`{token}`")), "`{token}`"),
                 }
             }
         }
@@ -427,7 +497,7 @@ mod tests {
     fn on_random_ascii_the_readers_agree_with_the_ones_they_replace() {
         const NOISE: &[u8] = b"0123456789abcdef0123456789 \n+-xAF";
         let mut rng = TestRng::deterministic("text-oracle");
-        let (mut hashes, mut numbers) = (0, 0);
+        let (mut hashes, mut numbers, mut keywords) = (0, 0, 0);
         for _ in 0..10_000 {
             // A hash, a number of any length or nothing, then a few edits.
             let mut s = match rng.below(3) {
@@ -445,6 +515,10 @@ mod tests {
                 }
             }
             let s = String::from_utf8(s).unwrap();
+            // The first token, or a strict prefix of it, as the keyword.
+            let keyword = &s[..s.find([' ', '\n']).unwrap_or(s.len()).min(rng.below(20) as usize)];
+            let expect = |r: &mut Reader<'_>| r.expect(keyword).map(|_| ());
+            keywords += u32::from(same_as_before(&s, expect, |r| old_expect(r, keyword)).is_ok());
             hashes += u32::from(same_as_before(&s, |r| r.hash(), old_hash).is_ok());
             numbers += u32::from(same_as_before(&s, |r| r.num::<u64>(), old_num::<u64>).is_ok());
             let _ = same_as_before(&s, |r| r.num::<u8>(), old_num::<u8>);
@@ -453,5 +527,6 @@ mod tests {
             let _ = same_as_before(&s, |r| r.num::<usize>(), old_num::<usize>);
         }
         assert!(hashes > 1_000 && numbers > 1_000, "{hashes} hashes and {numbers} numbers read");
+        assert!(keywords > 1_000, "{keywords} keywords matched");
     }
 }

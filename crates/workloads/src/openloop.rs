@@ -52,7 +52,7 @@ use crate::profile::Workload;
 use nocout_cpu::source::{FetchedInstr, InstrBlock, InstructionSource, Op};
 use nocout_mem::addr::Addr;
 use nocout_sim::stats::LatencyHist;
-use nocout_sim::text::{whole, Reader};
+use nocout_sim::text::{push_num, whole, Reader};
 use nocout_sim::Cycle;
 
 /// Parameters of an open-loop arrival process layered over a synthetic
@@ -73,12 +73,19 @@ impl OpenLoopSpec {
     /// Canonical token used by cache keys and the wire protocol:
     /// `openloop:<WorkloadKey>:<interval>:<service_instrs>`.
     pub fn token(&self) -> String {
-        format!(
-            "openloop:{}:{}:{}",
-            self.workload.key(),
-            self.interval,
-            self.service_instrs
-        )
+        let mut token = String::new();
+        self.push_token(&mut token);
+        token
+    }
+
+    /// Appends [`OpenLoopSpec::token`] to `out`.
+    pub fn push_token(&self, out: &mut String) {
+        out.push_str("openloop:");
+        out.push_str(self.workload.key());
+        out.push(':');
+        push_num(out, self.interval);
+        out.push(':');
+        push_num(out, self.service_instrs.into());
     }
 
     /// Parses the [`OpenLoopSpec::token`] form (without assuming the

@@ -26,7 +26,7 @@ use crate::profile::{Workload, WorkloadProfile};
 use nocout_cpu::source::{FetchedInstr, InstructionSource, Op};
 use nocout_mem::addr::Addr;
 use nocout_sim::hash::{fnv1a_fold, FNV_BASIS};
-use nocout_sim::text::{hex, whole, Reader, TextError};
+use nocout_sim::text::{hex, push_num, whole, Reader, TextError};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -748,15 +748,28 @@ impl WorkloadClass {
     /// identical stream/instruction counts — astronomically unlikely,
     /// but probabilistic rather than exact.
     pub fn cache_token(&self) -> String {
+        let mut token = String::new();
+        self.push_cache_token(&mut token);
+        token
+    }
+
+    /// Appends [`WorkloadClass::cache_token`] to `out`: how the spec line
+    /// writes it, with no `core::fmt` on the way.
+    pub fn push_cache_token(&self, out: &mut String) {
         match self {
-            WorkloadClass::Synthetic(w) => format!("synthetic:{}", w.key()),
-            WorkloadClass::Trace(t) => format!(
-                "trace@{}x{}i{}",
-                hex(t.content_hash()),
-                t.streams(),
-                t.total_instructions()
-            ),
-            WorkloadClass::OpenLoop(s) => s.token(),
+            WorkloadClass::Synthetic(w) => {
+                out.push_str("synthetic:");
+                out.push_str(w.key());
+            }
+            WorkloadClass::Trace(t) => {
+                out.push_str("trace@");
+                out.push_str(hex(t.content_hash()).as_str());
+                out.push('x');
+                push_num(out, t.streams() as u64);
+                out.push('i');
+                push_num(out, t.total_instructions());
+            }
+            WorkloadClass::OpenLoop(s) => s.push_token(out),
         }
     }
 
