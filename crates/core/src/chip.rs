@@ -13,13 +13,14 @@ use nocout_mem::addr::{Addr, AddressMap};
 use nocout_mem::directory::SharerSet;
 use nocout_mem::llc::{LlcConfig, LlcInput, LlcOutput, LlcTile};
 use nocout_mem::mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
-use nocout_mem::protocol::{AccessKind, CoreId, Msg, MsgSlab, TxnId};
+use nocout_mem::protocol::{AccessKind, CoreId, Msg, TxnId};
 use nocout_noc::fabric::{Fabric, NextEvent};
 use nocout_noc::latency::LatencyFabric;
 use nocout_noc::topology::ideal::{build_analytic, AnalyticKind, AnalyticSpec};
 use nocout_noc::topology::{fbfly::build_fbfly, mesh::build_mesh, nocout::build_nocout};
 use nocout_noc::types::{MessageClass, TerminalId};
 use nocout_cpu::source::{FetchedInstr, InstrBlock, InstructionSource};
+use nocout_sim::slab::Slab;
 use nocout_sim::stats::LatencyHist;
 use nocout_sim::Cycle;
 use nocout_workloads::trace::{TraceHeader, TraceSet, TraceSource, TraceWriter, TRACE_SUFFIX};
@@ -177,42 +178,9 @@ impl SleepSet {
     }
 }
 
-#[derive(Debug)]
-struct TxnTable {
-    entries: Vec<Option<(u16, Addr, AccessKind, Cycle)>>,
-    free: Vec<u32>,
-}
-
-impl TxnTable {
-    fn new() -> Self {
-        TxnTable {
-            entries: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn alloc(&mut self, core: u16, line: Addr, kind: AccessKind, born: Cycle) -> TxnId {
-        if let Some(i) = self.free.pop() {
-            self.entries[i as usize] = Some((core, line, kind, born));
-            TxnId(i)
-        } else {
-            self.entries.push(Some((core, line, kind, born)));
-            TxnId((self.entries.len() - 1) as u32)
-        }
-    }
-
-    fn release(&mut self, txn: TxnId) -> (u16, Addr, AccessKind, Cycle) {
-        let rec = self.entries[txn.0 as usize]
-            .take()
-            .expect("transaction must be live");
-        self.free.push(txn.0);
-        rec
-    }
-
-    fn live(&self) -> usize {
-        self.entries.len() - self.free.len()
-    }
-}
+/// An in-flight core transaction: requesting core, line, access kind and
+/// the cycle its miss request entered the chip model.
+type Txn = (u16, Addr, AccessKind, Cycle);
 
 /// The simulated chip.
 ///
@@ -243,8 +211,10 @@ pub struct ScaleOutChip {
     active: Vec<(usize, CoreSource)>,
     llcs: Vec<LlcTile>,
     channels: Vec<MemoryChannel>,
-    msgs: MsgSlab,
-    txns: TxnTable,
+    /// In-flight protocol messages; the id is the network packet's token.
+    msgs: Slab<Msg>,
+    /// In-flight core transactions, addressed by [`TxnId`].
+    txns: Slab<Txn>,
     map: AddressMap,
     core_term: Vec<TerminalId>,
     llc_term: Vec<TerminalId>,
@@ -503,8 +473,8 @@ impl ScaleOutChip {
             active,
             llcs,
             channels,
-            msgs: MsgSlab::new(),
-            txns: TxnTable::new(),
+            msgs: Slab::new(),
+            txns: Slab::new(),
             map,
             core_term,
             llc_term,
@@ -648,13 +618,13 @@ impl ScaleOutChip {
 
     /// Outstanding core transactions.
     pub fn inflight_transactions(&self) -> usize {
-        self.txns.live()
+        self.txns.len()
     }
 
     fn inject(&mut self, src: TerminalId, dst: TerminalId, msg: Msg) {
         let class = msg.class();
         let payload = msg.payload_bytes();
-        let token = self.msgs.insert(msg);
+        let token = self.msgs.insert(msg) as u64;
         self.fabric.inject(src, dst, class, payload, token);
     }
 
@@ -744,7 +714,7 @@ impl ScaleOutChip {
                 }
             }
             for r in self.req_buf.drain(..) {
-                let txn = self.txns.alloc(c as u16, r.line, r.kind, now);
+                let txn = TxnId(self.txns.insert((c as u16, r.line, r.kind, now)));
                 let home = self.map.home_tile(r.line);
                 injections.push((
                     self.core_term[c],
@@ -792,7 +762,7 @@ impl ScaleOutChip {
                 done.clear();
                 self.channels[k].tick(now, &mut done);
                 for &token in &done {
-                    let home = match self.msgs.get(token) {
+                    let home = match self.msgs.get(token as u32) {
                         Msg::MemData { home, .. } => *home as usize,
                         other => unreachable!("unexpected memory completion {other:?}"),
                     };
@@ -939,13 +909,13 @@ impl ScaleOutChip {
     /// Cores whose wake-up is lost or late, either of which would hang
     /// or delay the core silently; empty on a correct chip. Lost: asleep
     /// until a fill that nothing in flight will deliver (every L1 miss
-    /// holds a [`TxnTable`] entry from request to fill). Late: asleep on
+    /// holds a `txns` entry from request to fill). Late: asleep on
     /// a timer beyond the current cycle that is not the one the core's
     /// state names — for a spinner, its source's next arrival; sleeping
     /// past that serves the request late, and every one queued behind it.
     fn lost_wakeups(&self) -> Vec<usize> {
         let mut expects_fill = vec![false; self.cores.len()];
-        for (core, ..) in self.txns.entries.iter().flatten() {
+        for (_, (core, ..)) in self.txns.iter() {
             expects_fill[*core as usize] = true;
         }
         let now = self.now.raw();
@@ -1055,7 +1025,7 @@ impl ScaleOutChip {
 
     fn dispatch(&mut self, terminal: usize, token: u64, now: Cycle) {
         let info = self.term_info[terminal];
-        let msg = self.msgs.take(token);
+        let msg = self.msgs.take(token as u32);
         match msg {
             Msg::CoreRequest {
                 txn,
@@ -1088,7 +1058,7 @@ impl ScaleOutChip {
                 self.llcs[llc].submit(LlcInput::MemData { mshr });
             }
             Msg::Data { txn } => {
-                let (core, line, kind, born) = self.txns.release(txn);
+                let (core, line, kind, born) = self.txns.take(txn.0);
                 if self.record_tails {
                     self.fill_hist.record(now.raw() - born.raw());
                 }
@@ -1157,7 +1127,7 @@ impl ScaleOutChip {
             }
             Msg::MemRead { mshr, home, addr } => {
                 let ch = info.mem.expect("MemRead must land on a memory channel");
-                let token = self.msgs.insert(Msg::MemData { mshr, home });
+                let token = self.msgs.insert(Msg::MemData { mshr, home }) as u64;
                 self.active_mems.insert(ch);
                 self.channels[ch].push(MemRequest::Read { token, addr }, now);
             }
@@ -1514,12 +1484,15 @@ mod tests {
         let core = chip.active[slot].0;
         assert_eq!(chip.lost_wakeups(), Vec::<usize>::new());
         // Lose its fills: drop every transaction it has in flight.
-        let doomed: Vec<u32> = (0..chip.txns.entries.len() as u32)
-            .filter(|i| chip.txns.entries[*i as usize].is_some_and(|e| e.0 as usize == core))
+        let doomed: Vec<u32> = chip
+            .txns
+            .iter()
+            .filter(|(_, e)| e.0 as usize == core)
+            .map(|(id, _)| id)
             .collect();
         assert!(!doomed.is_empty());
-        for i in doomed {
-            chip.txns.release(TxnId(i));
+        for id in doomed {
+            chip.txns.take(id);
         }
         assert_eq!(chip.lost_wakeups(), vec![core]);
     }

@@ -7,7 +7,7 @@
 
 use crate::addr::Addr;
 use crate::cache::{CacheArray, CacheGeometry, Evicted, Lookup};
-use crate::mshr::{MshrFile, MshrRequest};
+use crate::mshr::MshrFile;
 use nocout_sim::stats::Counter;
 
 /// Result of an L1 access.
@@ -69,9 +69,9 @@ impl L1Config {
 pub struct L1Cache {
     cfg: L1Config,
     array: CacheArray,
-    /// Fixed array of `mshr_capacity` slots, line-index addressed (see
-    /// [`crate::mshr`] for why this beats a `HashMap` at L1 scale).
-    mshrs: MshrFile,
+    /// `mshr_capacity` slots, line-index addressed; the record is whether
+    /// any merged request wants write permission (see [`crate::mshr`]).
+    mshrs: MshrFile<u64, bool>,
     /// Statistics.
     pub hits: Counter,
     /// Misses that allocated a new MSHR.
@@ -87,12 +87,14 @@ impl L1Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry's line size differs from the global
+    /// Panics if `mshr_capacity` is zero (every miss would block), or if
+    /// the geometry's line size differs from the global
     /// [`crate::addr::LINE_BYTES`]: the L1's MSHRs and pre-decoded
     /// access path address lines by the global line index, so a
     /// different per-array line size would make the tag array and the
     /// MSHR file disagree about what a "line" is.
     pub fn new(cfg: L1Config) -> Self {
+        assert!(cfg.mshr_capacity > 0, "an MSHR file needs at least one slot");
         assert_eq!(
             cfg.geometry.line_bytes,
             crate::addr::LINE_BYTES,
@@ -152,20 +154,20 @@ impl L1Cache {
                 self.hits.incr();
                 L1Access::Hit
             }
-            Lookup::Miss => match self.mshrs.request(line_index, waiter, is_write) {
-                MshrRequest::Merged => {
+            Lookup::Miss => {
+                if let Some(wants_write) = self.mshrs.merge(line_index, waiter) {
+                    *wants_write |= is_write;
                     self.merged.incr();
                     L1Access::MergedMiss
-                }
-                MshrRequest::Full => {
+                } else if self.mshrs.len() == self.mshrs.capacity() {
                     self.blocked.incr();
                     L1Access::Blocked
-                }
-                MshrRequest::Allocated => {
+                } else {
+                    self.mshrs.alloc(line_index, is_write, waiter);
                     self.misses.incr();
                     L1Access::Miss
                 }
-            },
+            }
         }
     }
 
@@ -183,7 +185,7 @@ impl L1Cache {
 
     /// Whether a miss for this line is outstanding.
     pub fn miss_pending(&self, addr: Addr) -> bool {
-        self.mshrs.contains(addr.line_index())
+        self.mshrs.lookup(addr.line_index()).is_some()
     }
 
     /// Completes a miss: installs the line and releases its MSHR,
@@ -197,7 +199,11 @@ impl L1Cache {
     /// Panics if no miss is outstanding for the line.
     pub fn fill(&mut self, addr: Addr, dirty: bool, waiters: &mut Vec<u64>) -> Option<Evicted> {
         let line = addr.line();
-        let wants_write = self.mshrs.release(line.line_index(), waiters);
+        let id = self
+            .mshrs
+            .lookup(line.line_index())
+            .expect("fill without outstanding miss");
+        let (_, wants_write) = self.mshrs.release(id, waiters);
         self.array.insert(line, dirty || wants_write)
     }
 

@@ -5,7 +5,7 @@
 //! * [`addr`] — physical addresses and NUCA interleaving,
 //! * [`cache`] — set-associative LRU tag arrays,
 //! * [`l1`] — private 32 KB L1-I/L1-D caches with MSHRs,
-//! * [`mshr`] — the fixed, array-backed MSHR file behind the L1s,
+//! * [`mshr`] — the one MSHR file, behind the L1s and the LLC tiles,
 //! * [`directory`] — full-map sharer tracking co-located with the LLC,
 //! * [`llc`] — banked LLC tiles with the directory protocol engine
 //!   (GetS/GetX, forwards, invalidations, memory fetches),
@@ -46,4 +46,4 @@ pub use directory::{DirState, Directory};
 pub use l1::{L1Access, L1Cache, L1Config};
 pub use llc::{LlcConfig, LlcInput, LlcOutput, LlcTile};
 pub use mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
-pub use protocol::{AccessKind, CoreId, Msg, MsgSlab, RequestKind, TxnId};
+pub use protocol::{AccessKind, CoreId, Msg, RequestKind, TxnId};

@@ -13,6 +13,7 @@
 use crate::addr::Addr;
 use crate::cache::{CacheArray, CacheGeometry, Lookup};
 use crate::directory::{DirState, Directory};
+use crate::mshr::MshrFile;
 use crate::protocol::{CoreId, MshrId, RequestKind, TxnId};
 use nocout_sim::ring::Ring;
 use nocout_sim::stats::{Counter, LatencyHist};
@@ -32,7 +33,9 @@ pub struct LlcConfig {
     pub access_latency: u64,
     /// Cycles a bank stays busy per access (throughput bound).
     pub bank_occupancy: u64,
-    /// Maximum in-flight memory fetches / invalidation collections.
+    /// In-flight memory fetches / invalidation collections the tile's MSHR
+    /// file is sized for (a sizing hint: the tile never refuses a request,
+    /// so the file grows past it instead).
     pub mshr_capacity: usize,
     /// This tile's index within the NUCA interleave (see `tile_stride`).
     pub tile_index: usize,
@@ -175,205 +178,40 @@ pub enum LlcOutput {
 }
 
 /// A request merged into an in-flight MSHR, replayed on completion.
-pub type LlcWaiter = (TxnId, CoreId, RequestKind);
-
-/// Waiter tags held inline in an MSHR slot before spilling to the
-/// slot-owned vector (same threshold as the L1 `MshrFile`).
-const TILE_INLINE_WAITERS: usize = 4;
-
-#[derive(Debug, Clone)]
-struct TileSlot {
-    valid: bool,
-    /// Bumped on release so a stale [`MshrId`] from a message still in
-    /// flight through the network can never alias a reused slot.
-    gen: u16,
-    addr: Addr,
-    pending_acks: u32,
-    pending_mem: bool,
-    inline_len: u8,
-    inline: [LlcWaiter; TILE_INLINE_WAITERS],
-    spill: Vec<LlcWaiter>,
-}
-
-impl TileSlot {
-    fn free() -> Self {
-        TileSlot {
-            valid: false,
-            gen: 0,
-            addr: Addr(0),
-            pending_acks: 0,
-            pending_mem: false,
-            inline_len: 0,
-            inline: [(TxnId(0), CoreId(0), RequestKind::GetS); TILE_INLINE_WAITERS],
-            spill: Vec::new(),
-        }
-    }
-}
-
-/// Array-backed MSHR file for an LLC tile, modeled on the L1
-/// [`crate::mshr::MshrFile`]: a fixed array of `mshr_capacity` slots,
-/// linearly scanned (at ≤ 32 entries a scan beats two hash lookups), with
-/// the line-index lookup inline in the scan instead of a side
-/// `HashMap<u64, u32>`, and waiter tags inline in the slot.
-///
-/// Unlike the L1 file, tile MSHR ids travel through the network (in
-/// [`LlcOutput::Inv`] / [`LlcOutput::MemRead`] and back via
-/// [`LlcInput::InvAck`] / [`LlcInput::MemData`]), so ids are
-/// generation-tagged: the low 16 bits address the slot, the high 16 carry
-/// its allocation generation, and a stale or foreign id resolves to `None`
-/// exactly as a missing key did in the `HashMap` it replaces. `capacity`
-/// is a sizing hint, not an admission bound — the tile has never
-/// back-pressured requests, so on overflow the file grows like the
-/// `HashMap` grew.
 ///
 /// # Examples
 ///
+/// A tile's MSHR file never refuses a request: past its nominal capacity
+/// it grows, and an id from a released entry resolves to nothing.
+///
 /// ```
 /// use nocout_mem::addr::Addr;
-/// use nocout_mem::llc::TileMshrFile;
+/// use nocout_mem::llc::LlcWaiter;
+/// use nocout_mem::mshr::MshrFile;
 /// use nocout_mem::protocol::{CoreId, RequestKind, TxnId};
 ///
-/// let mut file = TileMshrFile::new(16);
-/// let id = file.alloc(Addr(0x40), 0, true);
-/// file.push_waiter(id, (TxnId(1), CoreId(0), RequestKind::GetS));
-/// assert_eq!(file.lookup_line(Addr(0x40).line_index()), Some(id));
+/// // Waiters are tile requests; the record here is a pending-ack count.
+/// let mut file: MshrFile<LlcWaiter, u32> = MshrFile::new(1);
+/// let line = Addr(0x40).line_index();
+/// let id = file.alloc(line, 2, (TxnId(1), CoreId(0), RequestKind::GetS));
+/// file.alloc(line + 1, 0, (TxnId(2), CoreId(1), RequestKind::GetX));
+/// assert_eq!(file.capacity(), 2, "a full tile file grows");
+/// assert_eq!(file.lookup(line), Some(id));
 /// let mut waiters = Vec::new();
-/// assert_eq!(file.take(id, &mut waiters), Some(Addr(0x40)));
-/// assert_eq!(waiters.len(), 1);
-/// assert_eq!(file.take(id, &mut waiters), None, "stale id is ignored");
+/// assert_eq!(file.release(id, &mut waiters), (line, 2));
+/// assert_eq!(waiters, vec![(TxnId(1), CoreId(0), RequestKind::GetS)]);
+/// assert!(file.get_mut(id).is_none(), "stale id is ignored");
 /// ```
-#[derive(Debug)]
-pub struct TileMshrFile {
-    slots: Vec<TileSlot>,
-    used: usize,
-}
+pub type LlcWaiter = (TxnId, CoreId, RequestKind);
 
-impl TileMshrFile {
-    /// Creates a file with `capacity` pre-sized slots.
-    pub fn new(capacity: usize) -> Self {
-        TileMshrFile {
-            slots: (0..capacity.max(1)).map(|_| TileSlot::free()).collect(),
-            used: 0,
-        }
-    }
-
-    /// In-flight entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.used
-    }
-
-    /// True when no entry is in flight.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.used == 0
-    }
-
-    /// Current slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn resolve(&self, id: MshrId) -> Option<usize> {
-        let slot = (id.0 & 0xFFFF) as usize;
-        let gen = (id.0 >> 16) as u16;
-        match self.slots.get(slot) {
-            Some(s) if s.valid && s.gen == gen => Some(slot),
-            _ => None,
-        }
-    }
-
-    /// The in-flight entry for `line_index`, if any (the merge probe).
-    #[inline]
-    pub fn lookup_line(&self, line_index: u64) -> Option<MshrId> {
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.valid && s.addr.line_index() == line_index {
-                return Some(MshrId(((s.gen as u32) << 16) | i as u32));
-            }
-        }
-        None
-    }
-
-    /// Allocates an entry for `addr` (no entry for its line may exist).
-    pub fn alloc(&mut self, addr: Addr, pending_acks: u32, pending_mem: bool) -> MshrId {
-        debug_assert!(self.lookup_line(addr.line_index()).is_none());
-        let slot = match self.slots.iter().position(|s| !s.valid) {
-            Some(i) => i,
-            None => {
-                self.slots.push(TileSlot::free());
-                self.slots.len() - 1
-            }
-        };
-        assert!(slot < (1 << 16), "mshr slot index overflows the id encoding");
-        let s = &mut self.slots[slot];
-        s.valid = true;
-        s.addr = addr;
-        s.pending_acks = pending_acks;
-        s.pending_mem = pending_mem;
-        s.inline_len = 0;
-        debug_assert!(s.spill.is_empty());
-        self.used += 1;
-        MshrId(((s.gen as u32) << 16) | slot as u32)
-    }
-
-    /// Appends a waiter to an entry; `false` if the id is stale.
-    pub fn push_waiter(&mut self, id: MshrId, waiter: LlcWaiter) -> bool {
-        let Some(slot) = self.resolve(id) else {
-            return false;
-        };
-        let s = &mut self.slots[slot];
-        if (s.inline_len as usize) < TILE_INLINE_WAITERS && s.spill.is_empty() {
-            s.inline[s.inline_len as usize] = waiter;
-            s.inline_len += 1;
-        } else {
-            s.spill.push(waiter);
-        }
-        true
-    }
-
-    /// The line address an entry is fetching/collecting for.
-    #[inline]
-    pub fn addr_of(&self, id: MshrId) -> Option<Addr> {
-        self.resolve(id).map(|slot| self.slots[slot].addr)
-    }
-
-    /// Consumes one invalidation ack. Returns whether the entry is now
-    /// complete (no acks or memory data outstanding), or `None` for a
-    /// stale id.
-    pub fn dec_ack(&mut self, id: MshrId) -> Option<bool> {
-        let slot = self.resolve(id)?;
-        let s = &mut self.slots[slot];
-        debug_assert!(s.pending_acks > 0);
-        s.pending_acks -= 1;
-        Some(s.pending_acks == 0 && !s.pending_mem)
-    }
-
-    /// Records the memory fetch returning. Returns the line address and
-    /// whether the entry is now complete, or `None` for a stale id.
-    pub fn mem_arrived(&mut self, id: MshrId) -> Option<(Addr, bool)> {
-        let slot = self.resolve(id)?;
-        let s = &mut self.slots[slot];
-        s.pending_mem = false;
-        Some((s.addr, s.pending_acks == 0))
-    }
-
-    /// Releases an entry, appending its waiters (in merge order) to
-    /// `waiters`, and returns its line address. The freed slot's
-    /// generation is bumped so the released id goes stale immediately.
-    pub fn take(&mut self, id: MshrId, waiters: &mut Vec<LlcWaiter>) -> Option<Addr> {
-        let slot = self.resolve(id)?;
-        let s = &mut self.slots[slot];
-        for i in 0..s.inline_len as usize {
-            waiters.push(s.inline[i]);
-        }
-        waiters.append(&mut s.spill);
-        s.valid = false;
-        s.gen = s.gen.wrapping_add(1);
-        s.inline_len = 0;
-        self.used -= 1;
-        Some(s.addr)
-    }
+/// A tile MSHR's record: what the collection or fetch still waits for.
+#[derive(Debug, Clone, Copy)]
+struct TileEntry {
+    pending_acks: u32,
+    pending_mem: bool,
+    /// Allocation cycle of a memory-bound entry while tails are recorded,
+    /// for [`LlcStats::miss_latency`].
+    born: Option<Cycle>,
 }
 
 /// Statistics for one LLC tile.
@@ -462,7 +300,10 @@ pub struct LlcTile {
     dir: Directory,
     banks: Vec<Cycle>,
     queue: Ring<LlcInput>,
-    mshrs: TileMshrFile,
+    /// In-flight fetches and invalidation collections; their ids travel
+    /// through the network in [`LlcOutput::Inv`] / [`LlcOutput::MemRead`]
+    /// and come back in [`LlcInput::InvAck`] / [`LlcInput::MemData`].
+    mshrs: MshrFile<LlcWaiter, TileEntry>,
     /// Emitted outputs waiting out their latency, keyed by due cycle.
     out: EventWheel<LlcOutput>,
     /// Outputs due by the latest tick, in `(due cycle, emission)` order.
@@ -472,11 +313,6 @@ pub struct LlcTile {
     /// emissions, and where the skipped-tick check starts.
     last_tick: Cycle,
     waiter_scratch: Vec<LlcWaiter>,
-    /// Allocation cycle per MSHR slot for miss-to-fill recording
-    /// (`u64::MAX` = not a memory-bound allocation / recording off).
-    /// Indexed by the slot half of [`MshrId`]; grows only when the MSHR
-    /// file itself grows.
-    mshr_born: Vec<u64>,
     /// Whether miss-to-fill latencies are recorded into
     /// [`LlcStats::miss_latency`]. Observational only.
     record_tails: bool,
@@ -502,14 +338,13 @@ impl LlcTile {
             // Sized by the tile's in-flight bound: one queued request per
             // MSHR plus a same-cycle burst of acks/writebacks.
             queue: Ring::with_capacity(2 * cfg.mshr_capacity.max(8)),
-            mshrs: TileMshrFile::new(cfg.mshr_capacity),
+            mshrs: MshrFile::new(cfg.mshr_capacity),
             // Emissions land at most `max(access_latency, 1)` cycles out.
             out: EventWheel::with_slots(cfg.access_latency as usize + 2),
             ready: Ring::with_capacity(8),
             due_scratch: Vec::new(),
             last_tick: Cycle::ZERO,
             waiter_scratch: Vec::new(),
-            mshr_born: vec![u64::MAX; cfg.mshr_capacity],
             record_tails: true,
             stats: LlcStats::default(),
         }
@@ -669,14 +504,15 @@ impl LlcTile {
                         false
                     }
                 }
-                LlcInput::MemData { mshr } => match self.mshrs.addr_of(mshr) {
+                LlcInput::MemData { mshr } => match self.mshrs.get_mut(mshr) {
                     // Should not happen; drop defensively.
                     None => true,
-                    Some(addr) => {
+                    Some((line_index, _)) => {
+                        let addr = Addr::from_line_index(line_index);
                         if self.try_grant_bank(addr, now).is_some() {
                             grants += 1;
                             let done = now + self.cfg.access_latency;
-                            self.handle_mem_data(mshr, done);
+                            self.handle_mem_data(mshr, addr, done);
                             true
                         } else {
                             self.stats.bank_wait_cycles.incr();
@@ -725,8 +561,7 @@ impl LlcTile {
         let line = addr.line();
 
         // A fetch/collection already in flight for this line: piggyback.
-        if let Some(mid) = self.mshrs.lookup_line(line.line_index()) {
-            self.mshrs.push_waiter(mid, (txn, core, kind));
+        if self.mshrs.merge(line.line_index(), (txn, core, kind)).is_some() {
             return;
         }
 
@@ -796,20 +631,12 @@ impl LlcTile {
         } else {
             self.stats.hits.incr();
         }
-        let mid = self.mshrs.alloc(line, pending_acks, !hit);
-        // Stamp the slot's birth cycle for miss-to-fill recording; an
-        // ack-only allocation explicitly clears any stale stamp a prior
-        // occupant of the reused slot left behind.
-        let slot = (mid.0 & 0xFFFF) as usize;
-        if slot >= self.mshr_born.len() {
-            self.mshr_born.resize(slot + 1, u64::MAX);
-        }
-        self.mshr_born[slot] = if !hit && self.record_tails {
-            done.raw()
-        } else {
-            u64::MAX
+        let entry = TileEntry {
+            pending_acks,
+            pending_mem: !hit,
+            born: (!hit && self.record_tails).then_some(done),
         };
-        self.mshrs.push_waiter(mid, (txn, core, kind));
+        let mid = self.mshrs.alloc(line.line_index(), entry, (txn, core, kind));
         if pending_acks > 0 {
             self.stats.snooping_accesses.incr();
             if let Some(DirState::Shared(sharers)) = self.dir.state(line) {
@@ -854,18 +681,20 @@ impl LlcTile {
     }
 
     fn handle_inv_ack(&mut self, mshr: MshrId, now: Cycle) {
-        let Some(finished) = self.mshrs.dec_ack(mshr) else {
+        let Some((_, e)) = self.mshrs.get_mut(mshr) else {
             return;
         };
-        if finished {
+        debug_assert!(e.pending_acks > 0);
+        e.pending_acks -= 1;
+        if e.pending_acks == 0 && !e.pending_mem {
             self.complete_mshr(mshr, now + 1);
         }
     }
 
-    fn handle_mem_data(&mut self, mshr: MshrId, done: Cycle) {
-        let Some((line, finished)) = self.mshrs.mem_arrived(mshr) else {
-            return;
-        };
+    fn handle_mem_data(&mut self, mshr: MshrId, line: Addr, done: Cycle) {
+        let (_, e) = self.mshrs.get_mut(mshr).expect("granted MemData is live");
+        e.pending_mem = false;
+        let finished = e.pending_acks == 0;
         // Install the fetched line.
         let slice = self.slice_addr(line);
         if let Some(victim) = self.cache.insert(slice, false) {
@@ -884,16 +713,10 @@ impl LlcTile {
     fn complete_mshr(&mut self, mshr: MshrId, at: Cycle) {
         let mut waiters = std::mem::take(&mut self.waiter_scratch);
         waiters.clear();
-        let Some(addr) = self.mshrs.take(mshr, &mut waiters) else {
-            self.waiter_scratch = waiters;
-            return;
-        };
-        let slot = (mshr.0 & 0xFFFF) as usize;
-        if let Some(born) = self.mshr_born.get_mut(slot) {
-            if *born != u64::MAX {
-                self.stats.miss_latency.record(at.raw() - *born);
-                *born = u64::MAX;
-            }
+        let (line_index, e) = self.mshrs.release(mshr, &mut waiters);
+        let addr = Addr::from_line_index(line_index);
+        if let Some(born) = e.born {
+            self.stats.miss_latency.record(at - born);
         }
         let any_write = waiters.iter().any(|&(_, _, k)| k == RequestKind::GetX);
         for &(txn, core, _) in &waiters {

@@ -86,6 +86,21 @@ pub enum RequestKind {
 /// Every message carried over the interconnect, as stored in the chip
 /// model's in-flight message table (the network itself carries only an
 /// opaque token pointing at one of these).
+///
+/// # Examples
+///
+/// The table is a [`nocout_sim::slab::Slab`]; a message's slab id, widened
+/// to `u64`, is the token its packet carries:
+///
+/// ```
+/// use nocout_mem::protocol::{Msg, TxnId};
+/// use nocout_sim::slab::Slab;
+///
+/// let mut msgs = Slab::new();
+/// let token = msgs.insert(Msg::Data { txn: TxnId(3) }) as u64;
+/// assert_eq!(msgs.take(token as u32), Msg::Data { txn: TxnId(3) });
+/// assert!(msgs.is_empty());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Msg {
     /// Core → home LLC tile: L1 miss request.
@@ -194,76 +209,6 @@ impl Msg {
     }
 }
 
-/// A slab of in-flight protocol messages; the slab index is the opaque
-/// token carried by network packets.
-///
-/// # Examples
-///
-/// ```
-/// use nocout_mem::protocol::{Msg, MsgSlab, TxnId};
-///
-/// let mut slab = MsgSlab::new();
-/// let token = slab.insert(Msg::Data { txn: TxnId(3) });
-/// assert_eq!(slab.take(token), Msg::Data { txn: TxnId(3) });
-/// ```
-#[derive(Debug, Default)]
-pub struct MsgSlab {
-    entries: Vec<Option<Msg>>,
-    free: Vec<u32>,
-}
-
-impl MsgSlab {
-    /// Creates an empty slab.
-    pub fn new() -> Self {
-        MsgSlab::default()
-    }
-
-    /// Stores a message, returning its token.
-    pub fn insert(&mut self, msg: Msg) -> u64 {
-        if let Some(i) = self.free.pop() {
-            self.entries[i as usize] = Some(msg);
-            i as u64
-        } else {
-            self.entries.push(Some(msg));
-            (self.entries.len() - 1) as u64
-        }
-    }
-
-    /// Borrows the message for `token` without removing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token is not live.
-    pub fn get(&self, token: u64) -> &Msg {
-        self.entries[token as usize]
-            .as_ref()
-            .expect("message token must be live")
-    }
-
-    /// Removes and returns the message for `token`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the token is not live.
-    pub fn take(&mut self, token: u64) -> Msg {
-        let msg = self.entries[token as usize]
-            .take()
-            .expect("message token must be live");
-        self.free.push(token as u32);
-        msg
-    }
-
-    /// Number of live messages.
-    pub fn len(&self) -> usize {
-        self.entries.len() - self.free.len()
-    }
-
-    /// Whether the slab is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,27 +260,5 @@ mod tests {
         assert_eq!(AccessKind::Store.request(), RequestKind::GetX);
         assert!(AccessKind::Store.is_write());
         assert!(AccessKind::InstrFetch.is_ifetch());
-    }
-
-    #[test]
-    fn slab_reuses_slots() {
-        let mut slab = MsgSlab::new();
-        let a = slab.insert(Msg::Data { txn: TxnId(1) });
-        let b = slab.insert(Msg::Data { txn: TxnId(2) });
-        assert_eq!(slab.len(), 2);
-        slab.take(a);
-        let c = slab.insert(Msg::Data { txn: TxnId(3) });
-        assert_eq!(c, a, "freed slot must be reused");
-        let _ = b;
-        assert_eq!(slab.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "live")]
-    fn slab_double_take_panics() {
-        let mut slab = MsgSlab::new();
-        let a = slab.insert(Msg::Data { txn: TxnId(1) });
-        slab.take(a);
-        slab.take(a);
     }
 }

@@ -12,6 +12,7 @@ use crate::fabric::Fabric;
 use crate::packet::{Delivery, Packet};
 use crate::stats::NetStats;
 use crate::types::{MessageClass, TerminalId};
+use nocout_sim::slab::Slab;
 use nocout_sim::wheel::EventWheel;
 use nocout_sim::Cycle;
 use std::collections::VecDeque;
@@ -47,14 +48,15 @@ pub struct LatencyFabric {
     num_terminals: usize,
     link_width_bits: u32,
     latency_fn: LatencyFn,
-    /// Payload slots scheduled on a calendar wheel keyed by delivery
+    /// Payload ids scheduled on a calendar wheel keyed by delivery
     /// cycle — replaces the former `BinaryHeap<Reverse<(u64, u64)>>` of
     /// (deliver_at, slot) pairs.
-    in_flight: EventWheel<u64>,
+    in_flight: EventWheel<u32>,
     /// Scratch for draining one wheel slot per tick without allocating.
-    due_scratch: Vec<u64>,
-    payload: Vec<Option<Packet>>,
-    free: Vec<usize>,
+    due_scratch: Vec<u32>,
+    /// Packets in flight. Same-cycle deliveries go out in ascending id,
+    /// so the slab's reuse order is part of the delivery order.
+    payload: Slab<Packet>,
     delivered: Vec<VecDeque<Delivery>>,
     /// Terminals with undelivered packets, in arrival order.
     ready: VecDeque<u16>,
@@ -83,8 +85,7 @@ impl LatencyFabric {
             latency_fn,
             in_flight: EventWheel::with_slots(LATENCY_WHEEL_SLOTS),
             due_scratch: Vec::new(),
-            payload: Vec::new(),
-            free: Vec::new(),
+            payload: Slab::new(),
             delivered: (0..num_terminals).map(|_| VecDeque::new()).collect(),
             ready: VecDeque::new(),
             in_ready: vec![false; num_terminals],
@@ -120,16 +121,9 @@ impl Fabric for LatencyFabric {
         );
         // Head latency plus serialization of the remaining flits.
         let latency = (self.latency_fn)(src, dst) + (packet.size_flits as u64 - 1);
-        let slot = if let Some(s) = self.free.pop() {
-            self.payload[s] = Some(packet);
-            s
-        } else {
-            self.payload.push(Some(packet));
-            self.payload.len() - 1
-        };
+        let id = self.payload.insert(packet);
         self.stats.packets_injected.incr();
-        self.in_flight
-            .push(self.now, self.now + latency.max(1), slot as u64);
+        self.in_flight.push(self.now, self.now + latency.max(1), id);
     }
 
     fn tick(&mut self) {
@@ -137,14 +131,11 @@ impl Fabric for LatencyFabric {
         let mut due = std::mem::take(&mut self.due_scratch);
         self.in_flight.drain_into(self.now, &mut due);
         // The replaced heap popped same-cycle deliveries in ascending slot
-        // order (its tiebreak key); sorting the drained slot ids keeps the
+        // order (its tiebreak key); sorting the drained ids keeps the
         // delivery order — and thus `ready` rotation — bit-identical.
         due.sort_unstable();
-        for &slot in &due {
-            let packet = self.payload[slot as usize]
-                .take()
-                .expect("slot must be live");
-            self.free.push(slot as usize);
+        for &id in &due {
+            let packet = self.payload.take(id);
             let latency = self.now.saturating_since(packet.injected_at);
             self.stats
                 .record_delivery(packet.class, latency, packet.size_flits);

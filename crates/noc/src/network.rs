@@ -32,13 +32,14 @@
 //! event wheel — fused into one event when both land on the same cycle.
 
 use crate::flit::Flit;
-use crate::packet::{Delivery, Packet, PacketId, PacketSlab};
+use crate::packet::{Delivery, Packet, PacketId};
 use crate::router::{
     arbitrate, Feeder, InPort, OutPort, OutTarget, Router, RouterConfig, VcQueue, UNROUTED,
 };
 use crate::stats::NetStats;
 use crate::types::{MessageClass, PortIndex, RouterId, TerminalId, CLASS_COUNT};
 use nocout_sim::ring::Ring;
+use nocout_sim::slab::Slab;
 use nocout_sim::wheel::EventWheel;
 use nocout_sim::Cycle;
 
@@ -552,7 +553,7 @@ impl NetworkBuilder {
             route,
             active_routers: vec![0u64; nr.div_ceil(64)],
             terminals: self.terminals,
-            slab: PacketSlab::new(),
+            slab: Slab::new(),
             hops: EventWheel::with_slots(MAX_HOP_DELAY as usize * 2),
             stats: NetStats::new(),
             now: Cycle::ZERO,
@@ -594,7 +595,7 @@ pub struct Network {
     /// ascending full router scan it replaced exactly.
     active_routers: Vec<u64>,
     terminals: Vec<Terminal>,
-    slab: PacketSlab,
+    slab: Slab<Packet>,
     /// Single wheel carrying both halves of every hop (arrival downstream,
     /// credit upstream): one drain per tick, one push per hop when the
     /// delays coincide.
@@ -747,7 +748,7 @@ impl Network {
             token,
             self.now,
         );
-        let id = self.slab.insert(packet);
+        let id = PacketId(self.slab.insert(packet));
         let term = &mut self.terminals[src.index()];
         let was_idle = term.queued_packets == 0;
         term.lanes[class.vc()].queue.push_back(id);
@@ -938,7 +939,7 @@ impl Network {
                 *prog += 1;
                 if flit.is_tail() {
                     *prog = 0;
-                    let packet = self.slab.remove(flit.packet);
+                    let packet = self.slab.take(flit.packet.0);
                     let latency = self.now.saturating_since(packet.injected_at);
                     self.stats
                         .record_delivery(packet.class, latency, packet.size_flits);
@@ -993,7 +994,7 @@ impl Network {
                     continue;
                 }
                 let pid = term.lanes[c].queue.get(0);
-                let packet = self.slab.get(pid);
+                let packet = self.slab.get(pid.0);
                 let flit = Flit {
                     packet: pid,
                     seq: term.lanes[c].sent_flits,

@@ -1,23 +1,34 @@
-//! Packets and the packet slab.
+//! Packets and their ids.
 //!
 //! Flits are tiny `Copy` values that reference their parent packet through a
-//! [`PacketId`]; the packet bodies live in a [`PacketSlab`] owned by the
-//! network. This keeps the per-cycle data movement cheap while preserving
-//! full packet metadata for latency accounting and protocol resumption.
+//! [`PacketId`], an id into the network's [`nocout_sim::slab::Slab`] of
+//! packet bodies. This keeps the per-cycle data movement cheap while
+//! preserving full packet metadata for latency accounting and protocol
+//! resumption.
 
 use crate::types::{flits_for_payload, MessageClass, TerminalId};
 use nocout_sim::Cycle;
 
 /// Slab handle for a packet in flight.
+///
+/// # Examples
+///
+/// ```
+/// use nocout_noc::packet::{Packet, PacketId};
+/// use nocout_noc::types::{MessageClass, TerminalId};
+/// use nocout_sim::slab::Slab;
+/// use nocout_sim::Cycle;
+///
+/// let mut slab = Slab::new();
+/// let p = Packet::new(TerminalId(0), TerminalId(1), MessageClass::Request,
+///                     0, 128, 0, Cycle(0));
+/// let id = PacketId(slab.insert(p));
+/// assert_eq!(slab.get(id.0), &p);
+/// assert_eq!(slab.take(id.0), p);
+/// assert_eq!(slab.len(), 0);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketId(pub u32);
-
-impl PacketId {
-    #[inline]
-    fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// A network packet.
 ///
@@ -99,84 +110,6 @@ impl Delivery {
     }
 }
 
-/// Free-list slab of in-flight packets.
-///
-/// # Examples
-///
-/// ```
-/// use nocout_noc::packet::{Packet, PacketSlab};
-/// use nocout_noc::types::{MessageClass, TerminalId};
-/// use nocout_sim::Cycle;
-///
-/// let mut slab = PacketSlab::new();
-/// let p = Packet::new(TerminalId(0), TerminalId(1), MessageClass::Request,
-///                     0, 128, 0, Cycle(0));
-/// let id = slab.insert(p.clone());
-/// assert_eq!(slab.get(id), &p);
-/// assert_eq!(slab.remove(id), p);
-/// assert_eq!(slab.len(), 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct PacketSlab {
-    entries: Vec<Option<Packet>>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl PacketSlab {
-    /// Creates an empty slab.
-    pub fn new() -> Self {
-        PacketSlab::default()
-    }
-
-    /// Number of packets currently in flight.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no packets are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Inserts a packet, returning its handle.
-    pub fn insert(&mut self, packet: Packet) -> PacketId {
-        self.live += 1;
-        if let Some(idx) = self.free.pop() {
-            self.entries[idx as usize] = Some(packet);
-            PacketId(idx)
-        } else {
-            self.entries.push(Some(packet));
-            PacketId((self.entries.len() - 1) as u32)
-        }
-    }
-
-    /// Borrows a packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not live.
-    pub fn get(&self, id: PacketId) -> &Packet {
-        self.entries[id.index()]
-            .as_ref()
-            .expect("packet id must be live")
-    }
-
-    /// Removes a packet, releasing its slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not live.
-    pub fn remove(&mut self, id: PacketId) -> Packet {
-        let p = self.entries[id.index()]
-            .take()
-            .expect("packet id must be live");
-        self.free.push(id.0);
-        self.live -= 1;
-        p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,31 +124,6 @@ mod tests {
             n,
             Cycle(n),
         )
-    }
-
-    #[test]
-    fn slab_insert_get_remove() {
-        let mut slab = PacketSlab::new();
-        let a = slab.insert(packet(1));
-        let b = slab.insert(packet(2));
-        assert_eq!(slab.len(), 2);
-        assert_eq!(slab.get(a).token, 1);
-        assert_eq!(slab.get(b).token, 2);
-        assert_eq!(slab.remove(a).token, 1);
-        assert_eq!(slab.len(), 1);
-        // Slot reuse.
-        let c = slab.insert(packet(3));
-        assert_eq!(c, a);
-        assert_eq!(slab.get(c).token, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "live")]
-    fn slab_get_after_remove_panics() {
-        let mut slab = PacketSlab::new();
-        let a = slab.insert(packet(1));
-        slab.remove(a);
-        let _ = slab.get(a);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //!   text format (cache entry, wire payload, journal, trace archive) shares,
 //! * [`ring::Ring`] — the fixed-capacity ring buffer behind the uncore
 //!   hot-path FIFO queues,
+//! * [`slab::Slab`] — the one free-list slab behind every id-addressed
+//!   in-flight record: transactions, protocol messages, packets,
 //! * [`wheel::EventWheel`] — the one calendar wheel behind every timed
 //!   queue: network hops, analytic-fabric deliveries and LLC-tile outputs,
 //! * [`config`] — small helpers for experiment configuration.
@@ -38,6 +40,7 @@ pub mod config;
 pub mod hash;
 pub mod ring;
 pub mod rng;
+pub mod slab;
 pub mod stats;
 pub mod text;
 pub mod wheel;

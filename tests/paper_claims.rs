@@ -144,3 +144,39 @@ fn nocout_routers_match_paper_structure() {
         );
     }
 }
+
+#[test]
+fn fig7_matches_paper() {
+    // Fig. 7 from the golden CSV the CI fig7 byte gate ties to the model,
+    // so nothing is simulated here. Columns: workload, mesh, FBfly,
+    // NOC-Out, FBfly (paper), NOC-Out (paper); speedups over mesh.
+    let csv = include_str!("golden/fig7_fast.csv");
+    let rows: Vec<(&str, [f64; 5])> = csv
+        .lines()
+        .skip(1)
+        .map(|line| {
+            let mut cols = line.split(',');
+            let name = cols.next().expect("workload column");
+            let v: Vec<f64> = cols.map(|c| c.parse().expect("a number")).collect();
+            (name, v.try_into().expect("five numeric columns"))
+        })
+        .collect();
+    let (gmean, workloads) = rows.split_last().expect("rows");
+    assert_eq!(gmean.0, "GMean");
+    assert_eq!(workloads.len(), 6);
+    // Geomean: within 3 % of the paper's 1.17 (0.035), the top of
+    // nocbench's `paper_gmean_err_pct` over seeds 1–10 (0.9–3.0 %).
+    let [_, fb, no, fb_paper, no_paper] = gmean.1;
+    assert!((fb - fb_paper).abs() <= 0.035, "FBfly geomean {fb} vs {fb_paper}");
+    assert!((no - no_paper).abs() <= 0.035, "NOC-Out geomean {no} vs {no_paper}");
+    // The paper has the two equal; here NOC-Out leads by 0.030.
+    assert!((fb - no).abs() <= 0.04, "FBfly {fb} vs NOC-Out {no}");
+    // Per workload: within 0.12. The known deviations (ROADMAP item 1)
+    // set that bound: Web Search (+0.094 FBfly, +0.110 NOC-Out, the
+    // worst), Web Frontend's NOC-Out (+0.067) and Data Serving's NOC-Out
+    // (−0.073).
+    for (name, [_, fb, no, fb_paper, no_paper]) in workloads {
+        assert!((fb - fb_paper).abs() <= 0.12, "{name}: FBfly {fb} vs {fb_paper}");
+        assert!((no - no_paper).abs() <= 0.12, "{name}: NOC-Out {no} vs {no_paper}");
+    }
+}

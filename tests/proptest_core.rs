@@ -18,7 +18,7 @@ use nocout_repro::substrates::cpu::source::{
     FetchedInstr, GappedSource, InstructionSource, Op, ScriptedSource,
 };
 use nocout_repro::substrates::mem::addr::Addr;
-use nocout_repro::substrates::mem::mshr::{MshrFile, MshrRequest};
+use nocout_repro::substrates::mem::l1::{L1Access, L1Cache, L1Config};
 use nocout_repro::substrates::mem::protocol::AccessKind;
 use nocout_repro::substrates::sim::Cycle;
 use proptest::prelude::*;
@@ -412,13 +412,17 @@ proptest! {
     fn array_mshrs_match_hashmap_model(
         ops in prop::collection::vec((0u8..3, 0u64..12, any::<bool>()), 1..300)
     ) {
+        // The MSHR file through the L1's admission rule. A fill is
+        // invalidated at once, so the tag array never holds a line and
+        // every request reaches the MSHRs.
         const CAP: usize = 8;
-        let mut file = MshrFile::new(CAP);
+        let mut l1 = L1Cache::new(L1Config { mshr_capacity: CAP, ..L1Config::a15() });
         // The pre-refactor structure: line → (waiters, wants_write).
         let mut model: HashMap<u64, (Vec<u64>, bool)> = HashMap::new();
         let mut next_waiter = 0u64;
         let mut scratch = Vec::new();
         for &(kind, line, write) in &ops {
+            let addr = Addr(line * 64);
             if kind < 2 {
                 // Request (twice as likely as release, so files fill up).
                 let waiter = next_waiter;
@@ -426,27 +430,29 @@ proptest! {
                 let expect = if let Some(e) = model.get_mut(&line) {
                     e.0.push(waiter);
                     e.1 |= write;
-                    MshrRequest::Merged
+                    L1Access::MergedMiss
                 } else if model.len() >= CAP {
-                    MshrRequest::Full
+                    L1Access::Blocked
                 } else {
                     model.insert(line, (vec![waiter], write));
-                    MshrRequest::Allocated
+                    L1Access::Miss
                 };
-                prop_assert_eq!(file.request(line, waiter, write), expect);
+                prop_assert_eq!(l1.access(addr, write, waiter), expect);
             } else if let Some((waiters, wants_write)) = model.remove(&line) {
                 scratch.clear();
-                let got_write = file.release(line, &mut scratch);
+                prop_assert!(l1.fill(addr, false, &mut scratch).is_none());
                 prop_assert_eq!(&scratch, &waiters, "waiter order must be push order");
-                prop_assert_eq!(got_write, wants_write);
+                // The wants-write bit comes back as the installed line's
+                // dirty bit.
+                prop_assert_eq!(l1.snoop_invalidate(addr), (true, wants_write));
             } else {
-                // No outstanding miss: release would panic in both
+                // No outstanding miss: a fill would panic in both
                 // implementations; just check membership agrees.
-                prop_assert!(!file.contains(line));
+                prop_assert!(!l1.miss_pending(addr));
             }
-            prop_assert_eq!(file.len(), model.len());
+            prop_assert_eq!(l1.outstanding_misses(), model.len());
             for l in model.keys() {
-                prop_assert!(file.contains(*l));
+                prop_assert!(l1.miss_pending(Addr(l * 64)));
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Property-based differential tests for the uncore hot-path
-//! structures: the LLC tile's array-backed MSHR file against the
+//! structures: the MSHR file, driven by the LLC tile's rule, against the
 //! `HashMap` it replaced, the shared calendar wheel (`EventWheel`, behind
 //! the network, the analytic fabrics and the LLC tile's output stage)
 //! against the `(due, seq)` `BinaryHeap` it replaced, the set-associative
@@ -14,7 +14,8 @@
 
 use nocout_repro::substrates::mem::addr::Addr;
 use nocout_repro::substrates::mem::directory::{DirState, Directory, SharerSet};
-use nocout_repro::substrates::mem::llc::{LlcWaiter, TileMshrFile};
+use nocout_repro::substrates::mem::llc::LlcWaiter;
+use nocout_repro::substrates::mem::mshr::MshrFile;
 use nocout_repro::substrates::mem::protocol::{CoreId, MshrId, RequestKind, TxnId};
 use nocout_repro::substrates::sim::ring::Ring;
 use nocout_repro::substrates::sim::wheel::EventWheel;
@@ -27,7 +28,6 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 /// tracked per line.
 #[derive(Debug, Clone)]
 struct MshrModel {
-    addr: Addr,
     acks: u32,
     mem: bool,
     waiters: Vec<LlcWaiter>,
@@ -50,96 +50,74 @@ proptest! {
     fn tile_mshr_file_matches_hashmap_model(
         ops in prop::collection::vec((0u8..4, 0u64..10, any::<bool>(), 0u32..3), 1..300)
     ) {
-        // Capacity below the line space so the file exercises its
-        // overflow-growth path (the HashMap it replaced never refused an
-        // allocation).
-        let mut file = TileMshrFile::new(4);
+        // The MSHR file through the tile's rule, with the tile's record
+        // (pending acks, pending memory data): it never asks for room, and
+        // a capacity below the line space exercises the growth path (the
+        // HashMap it replaced never refused an allocation).
+        let mut file: MshrFile<LlcWaiter, (u32, bool)> = MshrFile::new(4);
         let mut model: HashMap<u64, MshrModel> = HashMap::new();
         let mut stale: Vec<MshrId> = vec![MshrId(777)];
         let mut next_waiter = 0u32;
         let mut scratch = Vec::new();
-        let mut model_waiters = Vec::new();
         for &(kind, line, flag, acks) in &ops {
-            let addr = Addr(line * 64);
-            match kind {
-                0 => {
-                    // Request arrival: merge into the in-flight entry for
-                    // the line, or allocate one.
+            // An ack (kind 1) or memory data (kind 2) for the line's entry,
+            // if it waits for one: the record's update, and whether the
+            // entry is complete.
+            let finished = match (kind, model.get_mut(&line)) {
+                (0, Some(e)) => {
+                    // Request arrival merging into the in-flight entry.
                     let w = waiter(next_waiter);
                     next_waiter += 1;
-                    if let Some(e) = model.get_mut(&line) {
-                        let id = file.lookup_line(line).expect("entry must be found");
-                        prop_assert_eq!(id, e.id, "merge must find the allocation's id");
-                        prop_assert!(file.push_waiter(id, w));
-                        e.waiters.push(w);
-                    } else {
-                        let id = file.alloc(addr, acks, flag);
-                        prop_assert!(file.push_waiter(id, w));
-                        model.insert(line, MshrModel {
-                            addr,
-                            acks,
-                            mem: flag,
-                            waiters: vec![w],
-                            id,
-                        });
-                    }
+                    prop_assert_eq!(file.lookup(line), Some(e.id), "merge must find the allocation's id");
+                    prop_assert!(file.merge(line, w).is_some());
+                    e.waiters.push(w);
+                    false
                 }
-                1 => {
-                    // Invalidation ack, if the entry expects one.
-                    let finished = match model.get_mut(&line) {
-                        Some(e) if e.acks > 0 => {
-                            e.acks -= 1;
-                            let fin = e.acks == 0 && !e.mem;
-                            prop_assert_eq!(file.dec_ack(e.id), Some(fin));
-                            fin
-                        }
-                        _ => false,
-                    };
-                    if finished {
-                        let e = model.remove(&line).expect("finished entry exists");
-                        scratch.clear();
-                        prop_assert_eq!(file.take(e.id, &mut scratch), Some(e.addr));
-                        prop_assert_eq!(&scratch, &e.waiters, "waiter order must be merge order");
-                        stale.push(e.id);
-                    }
+                (0, None) => {
+                    let w = waiter(next_waiter);
+                    next_waiter += 1;
+                    prop_assert!(file.merge(line, w).is_none());
+                    let id = file.alloc(line, (acks, flag), w);
+                    model.insert(line, MshrModel { acks, mem: flag, waiters: vec![w], id });
+                    false
                 }
-                2 => {
-                    // Memory data return, if the entry is waiting on one.
-                    let finished = match model.get_mut(&line) {
-                        Some(e) if e.mem => {
-                            e.mem = false;
-                            let fin = e.acks == 0;
-                            prop_assert_eq!(file.mem_arrived(e.id), Some((e.addr, fin)));
-                            fin
-                        }
-                        _ => false,
-                    };
-                    if finished {
-                        let e = model.remove(&line).expect("finished entry exists");
-                        scratch.clear();
-                        prop_assert_eq!(file.take(e.id, &mut scratch), Some(e.addr));
-                        prop_assert_eq!(&scratch, &e.waiters);
-                        stale.push(e.id);
-                    }
+                (1, Some(e)) if e.acks > 0 => {
+                    let (l, rec) = file.get_mut(e.id).expect("live entry");
+                    prop_assert_eq!((l, *rec), (line, (e.acks, e.mem)));
+                    rec.0 -= 1;
+                    e.acks -= 1;
+                    e.acks == 0 && !e.mem
                 }
-                _ => {
+                (2, Some(e)) if e.mem => {
+                    let (l, rec) = file.get_mut(e.id).expect("live entry");
+                    prop_assert_eq!((l, *rec), (line, (e.acks, e.mem)));
+                    rec.1 = false;
+                    e.mem = false;
+                    e.acks == 0
+                }
+                (3, _) => {
                     // A stale or foreign id (a message still in flight
-                    // after its entry completed) must be ignored on every
-                    // path, exactly as a missing HashMap key was.
+                    // after its entry completed) must resolve to nothing,
+                    // exactly as a missing HashMap key did.
                     let id = stale[(line as usize) % stale.len()];
-                    prop_assert_eq!(file.addr_of(id), None);
-                    prop_assert_eq!(file.dec_ack(id), None);
-                    prop_assert_eq!(file.mem_arrived(id), None);
-                    prop_assert!(!file.push_waiter(id, waiter(9999)));
-                    model_waiters.clear();
-                    prop_assert_eq!(file.take(id, &mut model_waiters), None);
+                    prop_assert_eq!(file.get_mut(id), None);
+                    false
                 }
+                _ => false,
+            };
+            if finished {
+                let e = model.remove(&line).expect("finished entry exists");
+                scratch.clear();
+                prop_assert_eq!(file.release(e.id, &mut scratch), (line, (0, false)));
+                prop_assert_eq!(&scratch, &e.waiters, "waiter order must be merge order");
+                prop_assert_eq!(file.get_mut(e.id), None, "a released id goes stale");
+                stale.push(e.id);
             }
             // Invariants after every op.
             prop_assert_eq!(file.len(), model.len());
             for (l, e) in &model {
-                prop_assert_eq!(file.lookup_line(*l), Some(e.id));
-                prop_assert_eq!(file.addr_of(e.id), Some(e.addr));
+                prop_assert_eq!(file.lookup(*l), Some(e.id));
+                prop_assert_eq!(file.get_mut(e.id).map(|(l, _)| l), Some(*l));
             }
         }
     }
