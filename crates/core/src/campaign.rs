@@ -49,12 +49,14 @@
 //!
 //! ## Seeds and traces
 //!
-//! Each grid point replicates over the seed axis with the same collapsing
-//! rule as every other campaign layer
-//! ([`crate::runner::replication_seeds`]): seed-insensitive workloads —
-//! trace replay is literal — run once per point regardless of the seed
-//! axis. A `trace:PATH` workload class therefore composes with any grid:
-//! it is just another element of the workload axis.
+//! A campaign is the one place that decides which seeds a point runs and
+//! how their results fold. Each grid point replicates over the seed axis,
+//! except that seed-insensitive workloads — trace replay is literal — run
+//! once per point regardless of the seed axis (`Campaign::point_seeds`).
+//! The per-seed results fold, in seed order, into the point's mean IPC
+//! and its 95 % confidence half-width ([`Campaign::run_on`]). A
+//! `trace:PATH` workload class therefore composes with any grid: it is
+//! just another element of the workload axis.
 
 use crate::config::{ChipConfig, Organization};
 use crate::metrics::{SystemMetrics, TailSummary};
@@ -280,8 +282,11 @@ impl Campaign {
     }
 
     /// The seeds a single point actually runs: the declared seed axis for
-    /// seed-sensitive workloads, its first element otherwise (the shared
-    /// collapsing rule of [`crate::runner::replication_seeds`]).
+    /// seed-sensitive workloads, its first element otherwise. Running N
+    /// identical simulations would fold to the same statistics (the mean
+    /// of N equal values is that value; the ci95 half-width is 0.0 at one
+    /// sample and at zero variance alike), so one run carries all the
+    /// information. This is the only place the rule is written.
     fn point_seeds<'a>(&'a self, point: &CampaignPoint) -> impl Iterator<Item = u64> + 'a {
         let runs = if point.workload.is_seed_sensitive() {
             self.seeds.len()
@@ -298,9 +303,9 @@ impl Campaign {
     /// vectors did — and folds the per-seed results into a queryable
     /// [`ResultFrame`].
     ///
-    /// Per point, replication statistics accumulate in seed order: the
-    /// frame's `ipc`/`ci95`/`metrics` are bit-identical to serial
-    /// [`crate::runner::run_replicated`] calls, at any worker count.
+    /// Per point, replication statistics accumulate in seed order, so the
+    /// frame's `ipc`/`ci95`/`metrics` are bit-identical at any worker
+    /// count and on any executor.
     ///
     /// Failure is per point, not per campaign: a spec whose simulation
     /// panics lands in the frame's failed-point set
@@ -1137,18 +1142,34 @@ mod tests {
             .seeds([1, 2])
             .window(MeasurementWindow::fast());
         let frame = c.run(&BatchRunner::serial());
-        let spec = RunSpec {
-            chip: ChipConfig::paper(Organization::Mesh),
-            workload: Workload::MapReduceW.into(),
-            window: MeasurementWindow::fast(),
-            seed: 1,
-        };
-        let r = crate::runner::run_replicated(&spec, &SeedSet::consecutive(1, 2));
+        // The oracle: the fold written out over one serial run per seed.
+        let mut stats = RunningStats::new();
+        let mut last = None;
+        for seed in [1, 2] {
+            let m = crate::runner::run(&RunSpec {
+                chip: ChipConfig::paper(Organization::Mesh),
+                workload: Workload::MapReduceW.into(),
+                window: MeasurementWindow::fast(),
+                seed,
+            });
+            stats.record(m.aggregate_ipc());
+            last = Some(m);
+        }
         let p = &frame.results()[0];
-        assert_eq!(p.ipc.to_bits(), r.mean_ipc.to_bits());
-        assert_eq!(p.ci95.to_bits(), r.ci95.to_bits());
-        assert_eq!(p.metrics.instructions, r.last.instructions);
+        assert_eq!(p.ipc.to_bits(), stats.mean().to_bits());
+        assert_eq!(p.ci95.to_bits(), stats.ci95_half_width().to_bits());
+        assert_eq!(p.metrics.instructions, last.unwrap().instructions);
         assert_eq!(p.seeds_run, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one seed")]
+    fn empty_seed_axis_panics() {
+        let _ = Campaign::new()
+            .workloads([Workload::WebSearch])
+            .seeds([])
+            .window(MeasurementWindow::fast())
+            .run(&BatchRunner::serial());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use campaign::{Campaign, ResultFrame};
 pub use chip::{capture_synthetic_trace, trace_capture_len, ScaleOutChip};
 pub use config::{ChipConfig, Organization};
 pub use metrics::SystemMetrics;
-pub use runner::{run, run_replicated, RunSpec};
+pub use runner::{run, RunSpec};
 
 /// Convenient glob-import surface for examples and the harness.
 pub mod prelude {
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::chip::{capture_synthetic_trace, trace_capture_len, ScaleOutChip};
     pub use crate::config::{ChipConfig, Organization};
     pub use crate::metrics::SystemMetrics;
-    pub use crate::runner::{run, run_replicated, RunSpec};
+    pub use crate::runner::{run, RunSpec};
     pub use nocout_sim::config::{MeasurementWindow, SeedSet};
     pub use nocout_workloads::{Workload, WorkloadClass};
 }

@@ -4,20 +4,18 @@
 //!
 //! ## Serial and batch execution
 //!
-//! [`run`] executes a single [`RunSpec`]; [`run_replicated`] repeats it
-//! over a seed set. Simulation points are fully independent (each builds
-//! its own chip from its spec and seed), so experiment campaigns — the
-//! chip × workload × seed grids behind every figure — parallelize
-//! trivially. [`BatchRunner`] exploits that with a worker pool over OS
-//! threads:
+//! [`run`] executes a single [`RunSpec`]. Simulation points are fully
+//! independent (each builds its own chip from its spec and seed), so
+//! experiment campaigns — the chip × workload × seed grids behind every
+//! figure — parallelize trivially. [`BatchRunner`] exploits that with a
+//! worker pool over OS threads: [`BatchRunner::run_batch_outcomes`]
+//! executes a slice of specs and returns one outcome per spec **keyed by
+//! spec index**, bit-identical to running each spec through [`run`]
+//! serially (each point's determinism depends only on its spec and seed,
+//! never on scheduling).
 //!
-//! * [`BatchRunner::run_batch`] executes a slice of specs and returns
-//!   metrics **keyed by spec index**, bit-identical to running each spec
-//!   through [`run`] serially (each point's determinism depends only on
-//!   its spec and seed, never on scheduling),
-//! * [`BatchRunner::run_replicated`] parallelizes across seeds while
-//!   accumulating the replication statistics in seed order, so
-//!   `mean_ipc`/`ci95` match the serial [`run_replicated`] exactly.
+//! Which seeds a point runs, and how their results fold into a mean and a
+//! 95 % interval, is decided in one place: [`crate::campaign::Campaign`].
 //!
 //! Every experiment binary exposes the pool width as `--jobs N`
 //! (`0`/unset = all hardware threads, honouring the `NOCOUT_JOBS`
@@ -27,11 +25,11 @@
 //!
 //! Because every point is a pure function of its spec, results can be
 //! memoized: [`BatchRunner::with_cache`] attaches a
-//! [`crate::cache::ResultsCache`] and [`BatchRunner::run_batch`] /
-//! [`BatchRunner::run_replicated`] then consult it before simulating,
-//! storing whatever they had to compute. Every experiment binary exposes
-//! this as `--cache DIR` (see `nocout_experiments::cli`), so re-running a
-//! figure pays only for the points its previous run didn't cover.
+//! [`crate::cache::ResultsCache`] and [`BatchRunner::run_batch_outcomes`]
+//! then consults it before simulating, storing whatever it had to
+//! compute. Every experiment binary exposes this as `--cache DIR` (see
+//! `nocout_experiments::cli`), so re-running a figure pays only for the
+//! points its previous run didn't cover.
 //!
 //! The key is the hash of [`RunSpec::cache_key`] — the behaviour version
 //! and [`RunSpec::spec_line`], every spec field by name — so any field
@@ -47,16 +45,16 @@
 //!     .into_iter()
 //!     .map(|w| RunSpec::new(ChipConfig::with_cores(Organization::Mesh, 16), w).fast())
 //!     .collect();
-//! let batch = BatchRunner::new(2).run_batch(&specs);
+//! let batch = BatchRunner::new(2).run_batch_outcomes(&specs);
 //! // Identical to the serial path, point for point.
-//! assert_eq!(batch[0].instructions, run(&specs[0]).instructions);
+//! let first = batch[0].as_ref().expect("a 16-core mesh point runs");
+//! assert_eq!(first.instructions, run(&specs[0]).instructions);
 //! ```
 
 use crate::chip::ScaleOutChip;
 use crate::config::ChipConfig;
 use crate::metrics::SystemMetrics;
-use nocout_sim::config::{MeasurementWindow, SeedSet};
-use nocout_sim::stats::RunningStats;
+use nocout_sim::config::MeasurementWindow;
 use nocout_sim::text::{push_num, whole, Reader, TextError};
 use nocout_workloads::trace::TraceSet;
 use nocout_workloads::WorkloadClass;
@@ -64,25 +62,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// A seed set was empty where at least one seed is required.
-///
-/// Replication folds (`run_replicated`, campaign execution) cannot produce
-/// a result from zero runs; this error carries the actionable message the
-/// old bare `expect(..)` panics lacked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmptySeedSetError;
-
-impl fmt::Display for EmptySeedSetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(
-            "seed set is empty — replication needs at least one seed \
-             (declare one with SeedSet::single(..) or Campaign::seeds([..]))",
-        )
-    }
-}
-
-impl std::error::Error for EmptySeedSetError {}
 
 /// Why one simulation point failed to produce metrics.
 ///
@@ -303,98 +282,32 @@ pub fn run(spec: &RunSpec) -> SystemMetrics {
     chip.metrics()
 }
 
-/// Aggregate over a seed set: mean aggregate IPC with its 95% confidence
-/// half-width, plus the last run's full metrics for detailed reporting.
-#[derive(Debug, Clone)]
-pub struct ReplicatedResult {
-    /// Mean aggregate IPC across seeds.
-    pub mean_ipc: f64,
-    /// 95% confidence half-width of the mean.
-    pub ci95: f64,
-    /// Metrics of the final seed's run (for activity/latency detail).
-    pub last: SystemMetrics,
-}
-
-/// Runs the spec once per seed and aggregates.
-///
-/// # Panics
-///
-/// Panics (with the [`EmptySeedSetError`] message) if `seeds` is empty;
-/// use [`try_run_replicated`] to handle that as a value.
-pub fn run_replicated(spec: &RunSpec, seeds: &SeedSet) -> ReplicatedResult {
-    try_run_replicated(spec, seeds).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_replicated`] with the empty-seed-set case as a typed error.
-pub fn try_run_replicated(
-    spec: &RunSpec,
-    seeds: &SeedSet,
-) -> Result<ReplicatedResult, EmptySeedSetError> {
-    let mut stats = RunningStats::new();
-    let mut last = None;
-    for seed in replication_seeds(spec, seeds)?.iter() {
-        let metrics = run(&spec.clone().with_seed(seed));
-        stats.record(metrics.aggregate_ipc());
-        last = Some(metrics);
-    }
-    Ok(ReplicatedResult {
-        mean_ipc: stats.mean(),
-        ci95: stats.ci95_half_width(),
-        // `replication_seeds` returned a non-empty set, so at least one
-        // seed ran.
-        last: last.ok_or(EmptySeedSetError)?,
-    })
-}
-
-/// Seed-insensitive workloads ([`WorkloadClass::is_seed_sensitive`] —
-/// trace replay is literal) collapse replication to the set's first
-/// seed: running N identical simulations would produce bit-identical
-/// statistics anyway (mean of N equal values is that value; the ci95
-/// half-width is 0.0 at one sample and at zero variance alike), so one
-/// run carries all the information. The campaign layers
-/// (`run_replicated`, `BatchRunner`, `crate::campaign::Campaign`) all
-/// route through this one rule.
-///
-/// # Errors
-///
-/// [`EmptySeedSetError`] if `seeds` is empty.
-pub fn replication_seeds(
-    spec: &RunSpec,
-    seeds: &SeedSet,
-) -> Result<SeedSet, EmptySeedSetError> {
-    if spec.workload.is_seed_sensitive() {
-        if seeds.is_empty() {
-            return Err(EmptySeedSetError);
-        }
-        Ok(seeds.clone())
-    } else {
-        Ok(SeedSet::single(seeds.first().ok_or(EmptySeedSetError)?))
-    }
-}
-
 /// A worker pool executing independent simulation points in parallel.
 ///
 /// Results are keyed by spec index and bit-identical to the serial
-/// [`run`]/[`run_replicated`] paths: every simulation point is
-/// deterministic in its spec and seed alone, and the pool only changes
-/// *when* points execute, never *what* they compute.
+/// [`run`] path: every simulation point is deterministic in its spec and
+/// seed alone, and the pool only changes *when* points execute, never
+/// *what* they compute. A [`Campaign`](crate::campaign::Campaign) runs
+/// its whole grid — every point × seed — as one batch on a pool.
 ///
 /// # Examples
 ///
 /// ```
+/// use nocout::campaign::Campaign;
 /// use nocout::config::{ChipConfig, Organization};
-/// use nocout::runner::{BatchRunner, RunSpec};
-/// use nocout_sim::config::SeedSet;
+/// use nocout::runner::BatchRunner;
+/// use nocout_sim::config::MeasurementWindow;
 /// use nocout_workloads::Workload;
 ///
-/// let spec = RunSpec::new(
-///     ChipConfig::with_cores(Organization::Mesh, 16),
-///     Workload::MapReduceC,
-/// )
-/// .fast();
-/// let runner = BatchRunner::new(2);
-/// let r = runner.run_replicated(&spec, &SeedSet::consecutive(1, 3));
-/// assert!(r.mean_ipc > 0.0);
+/// let frame = Campaign::new()
+///     .fixed(ChipConfig::with_cores(Organization::Mesh, 16))
+///     .workloads([Workload::MapReduceC])
+///     .seeds([1, 2, 3])
+///     .window(MeasurementWindow::fast())
+///     .run(&BatchRunner::new(2));
+/// let p = &frame.results()[0];
+/// assert_eq!(p.seeds_run, 3);
+/// assert!(p.ipc > 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
@@ -467,29 +380,15 @@ impl BatchRunner {
         self.jobs
     }
 
-    /// Executes every spec and returns their metrics keyed by spec index,
-    /// identical to mapping [`run`] over the slice. With an attached
-    /// cache, hits skip simulation entirely (entries round-trip
-    /// bit-exactly) and only the misses go to the worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any spec's simulation panics, naming the spec and the
-    /// panic message. Use [`BatchRunner::run_batch_outcomes`] to isolate
-    /// such failures per point instead.
-    pub fn run_batch(&self, specs: &[RunSpec]) -> Vec<SystemMetrics> {
-        self.run_batch_outcomes(specs)
-            .into_iter()
-            .map(|o| o.unwrap_or_else(|e| panic!("{e}")))
-            .collect()
-    }
-
-    /// [`BatchRunner::run_batch`] with per-point panic isolation: a
-    /// pathological spec fails *its own* point ([`PointError`]) while the
-    /// rest of the batch completes — a panic no longer unwinds a pool
-    /// thread (which, under `std::thread::scope`, would re-panic on scope
-    /// exit and discard the whole batch). Successful points are cached
-    /// exactly as in [`BatchRunner::run_batch`]; failed points are not.
+    /// Executes every spec and returns one outcome per spec, keyed by spec
+    /// index, identical to mapping [`run_outcome`] over the slice. With an
+    /// attached cache, hits skip simulation entirely (entries round-trip
+    /// bit-exactly) and only the misses go to the worker pool; successful
+    /// points are stored, failed points are not. A pathological spec
+    /// fails *its own* point ([`PointError`]) while the rest of the batch
+    /// completes — a panic never unwinds a pool thread (which, under
+    /// `std::thread::scope`, would re-panic on scope exit and discard the
+    /// whole batch).
     pub fn run_batch_outcomes(&self, specs: &[RunSpec]) -> Vec<PointOutcome> {
         let Some(cache) = &self.cache else {
             return self.run_batch_uncached(specs);
@@ -542,46 +441,12 @@ impl BatchRunner {
                 .collect()
         })
     }
-
-    /// Parallel [`run_replicated`]: seeds execute on the pool, but the
-    /// replication statistics accumulate in seed order, so the result
-    /// matches the serial path bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the [`EmptySeedSetError`] message) if `seeds` is
-    /// empty; use [`BatchRunner::try_run_replicated`] to handle that as a
-    /// value.
-    pub fn run_replicated(&self, spec: &RunSpec, seeds: &SeedSet) -> ReplicatedResult {
-        self.try_run_replicated(spec, seeds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`BatchRunner::run_replicated`] with the empty-seed-set case as a
-    /// typed error.
-    pub fn try_run_replicated(
-        &self,
-        spec: &RunSpec,
-        seeds: &SeedSet,
-    ) -> Result<ReplicatedResult, EmptySeedSetError> {
-        let seeds = replication_seeds(spec, seeds)?;
-        let specs: Vec<RunSpec> = seeds.iter().map(|s| spec.clone().with_seed(s)).collect();
-        let all = self.run_batch(&specs);
-        let mut stats = RunningStats::new();
-        for m in &all {
-            stats.record(m.aggregate_ipc());
-        }
-        Ok(ReplicatedResult {
-            mean_ipc: stats.mean(),
-            ci95: stats.ci95_half_width(),
-            last: all.into_iter().last().ok_or(EmptySeedSetError)?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use crate::config::Organization;
     use nocout_sim::text::hex;
     use nocout_workloads::{OpenLoopSpec, Workload};
@@ -693,27 +558,28 @@ mod tests {
                 RunSpec::new(ChipConfig::with_cores(Organization::Mesh, 16), w).fast()
             })
             .collect();
-        let batch = BatchRunner::new(2).run_batch(&specs);
+        let batch = BatchRunner::new(2).run_batch_outcomes(&specs);
         for (spec, m) in specs.iter().zip(&batch) {
+            let m = m.as_ref().expect("a 16-core mesh point runs");
             let serial = run(spec);
             assert_eq!(m.instructions, serial.instructions);
             assert_eq!(m.network.packets, serial.network.packets);
         }
     }
 
+    /// A seeded campaign's fold does not depend on the pool width.
     #[test]
     fn parallel_replication_matches_serial() {
-        let spec = RunSpec::new(
-            ChipConfig::with_cores(Organization::Mesh, 16),
-            Workload::SatSolver,
-        )
-        .fast();
-        let seeds = nocout_sim::config::SeedSet::consecutive(5, 3);
-        let serial = run_replicated(&spec, &seeds);
-        let parallel = BatchRunner::new(3).run_replicated(&spec, &seeds);
-        assert_eq!(serial.mean_ipc.to_bits(), parallel.mean_ipc.to_bits());
+        let campaign = Campaign::new()
+            .fixed(ChipConfig::with_cores(Organization::Mesh, 16))
+            .workloads([Workload::SatSolver])
+            .seeds([5, 6, 7])
+            .window(MeasurementWindow::fast());
+        let serial = campaign.run(&BatchRunner::serial()).results()[0].clone();
+        let parallel = campaign.run(&BatchRunner::new(3)).results()[0].clone();
+        assert_eq!(serial.ipc.to_bits(), parallel.ipc.to_bits());
         assert_eq!(serial.ci95.to_bits(), parallel.ci95.to_bits());
-        assert_eq!(serial.last.instructions, parallel.last.instructions);
+        assert_eq!(serial.metrics.instructions, parallel.metrics.instructions);
     }
 
     #[test]
@@ -731,29 +597,6 @@ mod tests {
             Workload::WebSearch,
         )
         .fast()
-    }
-
-    #[test]
-    fn empty_seed_set_is_a_typed_error() {
-        let spec = RunSpec::new(
-            ChipConfig::with_cores(Organization::Mesh, 16),
-            Workload::WebSearch,
-        )
-        .fast();
-        let empty: SeedSet = [].into_iter().collect();
-        assert_eq!(
-            try_run_replicated(&spec, &empty).unwrap_err(),
-            EmptySeedSetError
-        );
-        assert_eq!(
-            BatchRunner::serial()
-                .try_run_replicated(&spec, &empty)
-                .unwrap_err(),
-            EmptySeedSetError
-        );
-        assert_eq!(replication_seeds(&spec, &empty).unwrap_err(), EmptySeedSetError);
-        // The message is actionable, not a bare expect.
-        assert!(EmptySeedSetError.to_string().contains("at least one seed"));
     }
 
     #[test]
@@ -805,13 +648,15 @@ mod tests {
 
     #[test]
     fn replication_reports_confidence() {
-        let spec = RunSpec::new(
-            ChipConfig::with_cores(Organization::Mesh, 16),
-            Workload::WebFrontend,
-        )
-        .fast();
-        let r = run_replicated(&spec, &nocout_sim::config::SeedSet::consecutive(1, 3));
-        assert!(r.mean_ipc > 0.0);
-        assert!(r.ci95 >= 0.0);
+        let frame = Campaign::new()
+            .fixed(ChipConfig::with_cores(Organization::Mesh, 16))
+            .workloads([Workload::WebFrontend])
+            .seeds([1, 2, 3])
+            .window(MeasurementWindow::fast())
+            .run(&BatchRunner::serial());
+        let p = &frame.results()[0];
+        assert_eq!(p.seeds_run, 3);
+        assert!(p.ipc > 0.0);
+        assert!(p.ci95 >= 0.0);
     }
 }

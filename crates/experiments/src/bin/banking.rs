@@ -18,7 +18,7 @@ the paper's 2-banks-per-tile configuration. Writes out/banking.csv.";
 
 fn main() {
     let cli = Cli::parse("banking", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let workloads = [Workload::DataServing, Workload::MapReduceW, Workload::WebSearch];
@@ -34,7 +34,7 @@ fn main() {
     );
     // Banking degree isn't a typed axis, so the configuration axis is
     // explicit: one labelled variant per banks-per-tile setting.
-    let frame = campaign()
+    let frame = campaign(scale)
         .variants(bank_counts.map(|banks| {
             let mut cfg = ChipConfig::paper(Organization::NocOut);
             cfg.banks_per_llc_tile = banks;

@@ -60,7 +60,7 @@ fn main() {
             _ => cli.unknown(&flag),
         }
     }
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let mut chip = ChipConfig::with_cores(org, cores).with_link_width(width);
@@ -69,26 +69,27 @@ fn main() {
     chip.express_links = express;
     chip.llc_rows = llc_rows;
 
-    // Seed-insensitive classes (trace replay) collapse to one run — the
-    // shared rule of `nocout::runner::replication_seeds`; clamping here
-    // too keeps the printed "over N seed(s)" honest.
-    if !workload.is_seed_sensitive() && seeds > 1 {
-        eprintln!("note: trace replay is seed-independent; running 1 run instead of {seeds}");
-        seeds = 1;
-    }
-    // A single-point campaign: the explorer is the degenerate grid.
-    let frame = campaign()
+    // A single-point campaign: the explorer is the degenerate grid. The
+    // campaign decides how many seeds run (a seed-insensitive class such
+    // as trace replay runs one), so the report prints what it ran.
+    let frame = campaign(scale)
         .fixed(chip)
         .workloads([workload.clone()])
         .seeds(&SeedSet::consecutive(1, seeds.max(1)))
         .run(&runner);
     let p = &frame.results()[0];
     let m = &p.metrics;
+    if p.seeds_run < seeds {
+        eprintln!(
+            "note: {workload} is seed-independent; ran {} run instead of {seeds}",
+            p.seeds_run
+        );
+    }
 
     println!("configuration : {org} / {workload} / {cores} cores / {width}-bit links");
     println!(
-        "performance   : aggregate IPC {:.4} ± {:.4} (95% CI over {seeds} seed(s))",
-        p.ipc, p.ci95
+        "performance   : aggregate IPC {:.4} ± {:.4} (95% CI over {} seed(s))",
+        p.ipc, p.ci95, p.seeds_run
     );
     println!(
         "cores         : {} active, fetch stall {:.1}%",

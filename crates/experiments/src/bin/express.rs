@@ -21,7 +21,7 @@ out/express.csv.";
 
 fn main() {
     let cli = Cli::parse("express", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let model = NocAreaModel::paper_32nm();
@@ -35,7 +35,7 @@ fn main() {
         ],
     );
     let variants = [("Chains only", false), ("With express links", true)];
-    let frame = campaign()
+    let frame = campaign(scale)
         .variants(variants.map(|(label, express)| {
             let mut cfg = ChipConfig::with_cores(Organization::NocOut, 128);
             cfg.express_links = express;

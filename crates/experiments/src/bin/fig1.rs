@@ -20,7 +20,7 @@ out/fig1.csv.";
 
 fn main() {
     let cli = Cli::parse("fig1", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let core_counts = [1usize, 2, 4, 8, 16, 32, 64];
@@ -40,7 +40,7 @@ fn main() {
 
     // The whole fabric × core-count × workload grid as one campaign; the
     // paper normalizes each (workload, fabric) series to its 1-core point.
-    let frame = campaign()
+    let frame = campaign(scale)
         .orgs(fabrics)
         .cores(core_counts)
         .workloads(workloads)

@@ -19,7 +19,7 @@ mesh baseline, against the paper's ~2% average. Writes out/fig4.csv.";
 
 fn main() {
     let cli = Cli::parse("fig4", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let paper = [1.2, 2.2, 2.8, 4.2, 1.8, 0.8];
@@ -33,7 +33,7 @@ fn main() {
     );
     // Measured on the mesh baseline; the traffic mix is an application
     // property and is organization-independent.
-    let frame = campaign()
+    let frame = campaign(scale)
         .orgs([Organization::Mesh])
         .workloads(Workload::ALL)
         .run(&runner);

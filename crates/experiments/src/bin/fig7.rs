@@ -23,12 +23,12 @@ numbers alongside. Writes out/fig7.csv.";
 
 fn main() {
     let cli = Cli::parse("fig7", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     // The whole organization × workload grid as one declarative campaign
     // (every point × seed executes as a single parallel batch).
-    let frame = fig7_campaign().run(&runner);
+    let frame = fig7_campaign(scale).run(&runner);
     for &w in Workload::ALL.iter() {
         let mesh = frame.get(Organization::Mesh, w);
         let fb = frame.get(Organization::FlattenedButterfly, w);

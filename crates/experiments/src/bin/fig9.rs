@@ -21,7 +21,7 @@ Writes out/fig9.csv.";
 
 fn main() {
     let cli = Cli::parse("fig9", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let model = NocAreaModel::paper_32nm();
@@ -55,7 +55,7 @@ fn main() {
     );
     // The per-organization link widths differ, so the configuration axis
     // is explicit: three fitted variants × the six workloads.
-    let frame = campaign()
+    let frame = campaign(scale)
         .variants([
             ("Mesh", mesh_cfg.with_link_width(mesh_w)),
             ("FBfly", fb_cfg.with_link_width(fb_w)),

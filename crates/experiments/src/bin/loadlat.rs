@@ -46,10 +46,10 @@ fn spec(interval: u64) -> OpenLoopSpec {
 
 fn main() {
     let cli = Cli::parse("loadlat", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
-    let frame = nocout_experiments::campaign()
+    let frame = nocout_experiments::campaign(scale)
         .orgs(Organization::EVALUATED)
         .workloads(INTERVALS.map(spec))
         .run(&runner);

@@ -20,7 +20,7 @@ against the paper's watts. Writes out/power.csv.";
 
 fn main() {
     let cli = Cli::parse("power", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     // (organization, buffer tech, average switch radix, paper watts)
@@ -43,7 +43,7 @@ fn main() {
     );
     // Every organization × workload activity measurement runs as one
     // campaign; the energy models then price each result.
-    let frame = campaign()
+    let frame = campaign(scale)
         .orgs(orgs.map(|(org, ..)| org))
         .workloads(Workload::ALL)
         .run(&runner);

@@ -35,11 +35,11 @@ fn main() {
             _ => cli.unknown(&flag),
         }
     }
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let orgs = [Organization::Mesh, Organization::NocOut];
-    let plan = campaign().orgs(orgs).workloads([workload.clone()]);
+    let plan = campaign(scale).orgs(orgs).workloads([workload.clone()]);
     let frame = plan.run(&runner);
     for org in orgs {
         let m = &frame.get(org, workload.clone()).metrics;

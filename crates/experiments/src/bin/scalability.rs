@@ -22,7 +22,7 @@ out/scalability.csv.";
 
 fn main() {
     let cli = Cli::parse("scalability", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let model = NocAreaModel::paper_32nm();
@@ -45,7 +45,7 @@ fn main() {
     ];
     // Concentration couples cores, tree fan-in and memory channels, so
     // the configuration axis is explicit: one labelled variant each.
-    let frame = campaign()
+    let frame = campaign(scale)
         .variants(variants.map(|(label, cores, concentration)| {
             let mut cfg = ChipConfig::with_cores(Organization::NocOut, cores);
             cfg.concentration = concentration;

@@ -119,10 +119,10 @@ fn main() {
     // The local runner either executes the campaign itself (--local) or
     // just carries the --jobs / --cache settings every spawned worker
     // inherits.
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     let campaign = match &trace_set {
-        Some(set) => trace_campaign(set.clone()),
-        None => fig7_campaign(),
+        Some(set) => trace_campaign(set.clone(), scale),
+        None => fig7_campaign(scale),
     };
 
     let frame = if local {

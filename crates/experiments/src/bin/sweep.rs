@@ -23,7 +23,7 @@ Writes out/sweep.csv.";
 
 fn main() {
     let cli = Cli::parse("sweep", ABOUT, "");
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
     let widths = [128u32, 64, 32, 16];
@@ -41,7 +41,7 @@ fn main() {
         ],
     );
     // The whole organization × width grid as one campaign.
-    let frame = campaign()
+    let frame = campaign(scale)
         .orgs(Organization::EVALUATED)
         .link_bits(widths)
         .workloads([workload])

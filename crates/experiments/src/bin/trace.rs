@@ -18,7 +18,7 @@
 use nocout::cache::render_entry;
 use nocout::prelude::*;
 use nocout_experiments::cli::Cli;
-use nocout_experiments::{campaign, measurement_window, out_path, Table};
+use nocout_experiments::{measurement_window, out_path, Table};
 
 const ABOUT: &str = "Captures a multi-million-instruction trace from each \
 CloudSuite-style profile on the mesh, replays it as the trace:PATH \
@@ -44,10 +44,10 @@ fn main() {
             _ => cli.unknown(&flag),
         }
     }
-    let runner = cli.runner();
+    let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
-    let window = measurement_window();
+    let window = measurement_window(scale);
     let instrs_per_core = instrs_override.unwrap_or_else(|| trace_capture_len(&window));
     let workloads: Vec<Workload> = match only {
         Some(w) => vec![w],
@@ -78,7 +78,7 @@ fn main() {
         // a two-element workload axis — `trace:PATH` composes with any
         // grid — so `--jobs` and `--cache` apply to the replays exactly
         // as to the synthetic runs.
-        let frame = campaign()
+        let frame = Campaign::new()
             .fixed(chip)
             .workloads([WorkloadClass::from(w), WorkloadClass::Trace(set.clone())])
             .seeds([seed])

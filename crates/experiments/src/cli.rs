@@ -28,9 +28,11 @@
 //!         _ => cli.unknown(&flag),
 //!     }
 //! }
-//! let runner = cli.runner();
+//! let (runner, scale) = (cli.runner(), cli.scale());
+//! cli.finish();
 //! ```
 
+use crate::report::Scale;
 use nocout::cache::ResultsCache;
 use nocout::runner::BatchRunner;
 use nocout_workloads::trace::TraceSet;
@@ -48,6 +50,8 @@ pub struct Cli {
     jobs: Option<usize>,
     /// Results-cache directory from `--cache`.
     cache_dir: Option<PathBuf>,
+    /// [`Scale::Fast`] under `NOCOUT_FAST=1`.
+    scale: Scale,
     rest: VecDeque<String>,
 }
 
@@ -55,12 +59,19 @@ impl Cli {
     /// Parses `std::env::args()`: extracts `--jobs`/`--help`, keeps every
     /// other token (in order) for the binary to consume. `about` is the
     /// one-paragraph description of what the binary runs (its grid, its
-    /// output), printed under the usage line by `--help`.
+    /// output), printed under the usage line by `--help`. The scale is
+    /// [`Scale::Fast`] when `NOCOUT_FAST=1` is set, [`Scale::Paper`]
+    /// otherwise — the only place the variable is read.
     pub fn parse(bin: &str, about: &str, usage_tail: &str) -> Cli {
-        Cli::parse_from(bin, about, usage_tail, std::env::args().skip(1).collect())
+        let mut cli = Cli::parse_from(bin, about, usage_tail, std::env::args().skip(1).collect());
+        if std::env::var("NOCOUT_FAST").as_deref() == Ok("1") {
+            cli.scale = Scale::Fast;
+        }
+        cli
     }
 
-    /// Like [`Cli::parse`] but over an explicit token list (tests).
+    /// Like [`Cli::parse`] but over an explicit token list and without
+    /// reading the environment: the scale is [`Scale::Paper`] (tests).
     pub fn parse_from(bin: &str, about: &str, usage_tail: &str, tokens: Vec<String>) -> Cli {
         let mut cli = Cli {
             bin: bin.to_string(),
@@ -68,6 +79,7 @@ impl Cli {
             usage_tail: usage_tail.to_string(),
             jobs: None,
             cache_dir: None,
+            scale: Scale::Paper,
             rest: VecDeque::new(),
         };
         let mut it = tokens.into_iter();
@@ -145,6 +157,11 @@ impl Cli {
             },
             None => runner,
         }
+    }
+
+    /// The window and seed set every campaign of this process runs at.
+    pub fn scale(&self) -> Scale {
+        self.scale
     }
 
     /// Next unconsumed token, if any.
@@ -395,6 +412,11 @@ mod tests {
     fn zero_jobs_means_all_threads() {
         let c = cli(&["--jobs", "0"]);
         assert!(c.runner().jobs() >= 1);
+    }
+
+    #[test]
+    fn explicit_tokens_run_at_the_paper_scale() {
+        assert_eq!(cli(&["--jobs", "1"]).scale(), Scale::Paper);
     }
 
     #[test]

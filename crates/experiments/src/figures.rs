@@ -7,7 +7,7 @@
 //! renderings of the figure becomes impossible by construction (and the
 //! CI sharded-execution gate `cmp`s the outputs anyway).
 
-use crate::report::campaign;
+use crate::report::{campaign, Scale};
 use crate::table::Table;
 use nocout::campaign::ResultFrame;
 use nocout::prelude::*;
@@ -24,10 +24,9 @@ pub const FIG7_PAPER_FBFLY: [f64; 6] = [1.31, 1.15, 1.20, 1.12, 1.16, 1.07];
 pub const FIG7_PAPER_NOCOUT: [f64; 6] = [1.27, 1.15, 1.21, 1.12, 1.16, 1.12];
 
 /// The Figure 7 campaign: the 3 evaluated organizations × 6 workloads at
-/// 128-bit links, on the standard window/seed set (honours
-/// `NOCOUT_FAST=1`).
-pub fn fig7_campaign() -> Campaign {
-    campaign().orgs(Organization::EVALUATED).workloads(Workload::ALL)
+/// 128-bit links, on the window and seed set of `scale`.
+pub fn fig7_campaign(scale: Scale) -> Campaign {
+    campaign(scale).orgs(Organization::EVALUATED).workloads(Workload::ALL)
 }
 
 /// Renders a [`fig7_campaign`] result frame as the Figure 7 table —
@@ -76,12 +75,12 @@ pub fn fig7_table(frame: &ResultFrame) -> Table {
 }
 
 /// A captured-trace replay campaign over the 3 evaluated organizations:
-/// one trace workload, standard window (trace replay is
+/// one trace workload, on the window of `scale` (trace replay is
 /// seed-insensitive, so the seed axis collapses to 3 points). Both the
 /// local and the sharded trace execution paths build their grid here —
 /// the trace-shipping CI gate `cmp`s their CSVs.
-pub fn trace_campaign(set: Arc<TraceSet>) -> Campaign {
-    campaign()
+pub fn trace_campaign(set: Arc<TraceSet>, scale: Scale) -> Campaign {
+    campaign(scale)
         .orgs(Organization::EVALUATED)
         .workloads([WorkloadClass::Trace(set)])
 }

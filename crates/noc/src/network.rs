@@ -1072,8 +1072,8 @@ impl Network {
     ///
     /// Candidate order — ascending port, then ascending VC within a port —
     /// reproduces the plain nested scan exactly (`MessageClass::ALL` is
-    /// ascending-VC order), on both paths below, so arbitration is
-    /// bit-identical to probing every queue front.
+    /// ascending-VC order), so arbitration is bit-identical to probing
+    /// every queue front.
     fn gather_candidates(
         &self,
         ri: usize,
@@ -1082,43 +1082,25 @@ impl Network {
         let m = &self.rmeta[ri];
         let in_base = m.in_base as usize;
         let out_base = m.out_base as usize;
-        if m.in_count <= 2 {
-            // Radix-≤2 fast path (NOC-Out tree nodes): probe the one or two
-            // per-port occupancy bytes directly instead of walking the
-            // port-mask word. Skipping a zero byte is exactly skipping a
-            // clear port bit, so the order is unchanged.
-            for ipi in 0..m.in_count as usize {
-                let mut cm = self.in_occ[in_base + ipi];
-                while cm != 0 {
-                    let cv = cm.trailing_zeros() as usize;
-                    cm &= cm - 1;
-                    if let Some(c) = self.candidate_at(ri, in_base, out_base, ipi, cv) {
-                        candidates.push(c);
-                    }
-                }
-            }
-        } else {
-            // Walk only occupied (port, VC) pairs via the occupancy masks.
-            let mut pm = m.port_occ;
-            while pm != 0 {
-                let ipi = pm.trailing_zeros() as usize;
-                pm &= pm - 1;
-                let mut cm = self.in_occ[in_base + ipi];
-                while cm != 0 {
-                    let cv = cm.trailing_zeros() as usize;
-                    cm &= cm - 1;
-                    if let Some(c) = self.candidate_at(ri, in_base, out_base, ipi, cv) {
-                        candidates.push(c);
-                    }
+        // Walk only occupied (port, VC) pairs via the occupancy masks.
+        let mut pm = m.port_occ;
+        while pm != 0 {
+            let ipi = pm.trailing_zeros() as usize;
+            pm &= pm - 1;
+            let mut cm = self.in_occ[in_base + ipi];
+            while cm != 0 {
+                let cv = cm.trailing_zeros() as usize;
+                cm &= cm - 1;
+                if let Some(c) = self.candidate_at(ri, in_base, out_base, ipi, cv) {
+                    candidates.push(c);
                 }
             }
         }
     }
 
     /// Reference candidate gather: probe every (port, VC) queue front with
-    /// no occupancy masks and no radix fast path. The invariant checker
-    /// asserts this agrees with [`Network::gather_candidates`] on every
-    /// router.
+    /// no occupancy masks. The invariant checker asserts this agrees with
+    /// [`Network::gather_candidates`] on every router.
     fn gather_candidates_reference(
         &self,
         ri: usize,
@@ -1169,15 +1151,7 @@ impl Network {
                 candidates.clear();
                 self.gather_candidates(ri, &mut candidates);
                 // Grant one flit per out port among its gathered
-                // candidates. Lone candidate — the common case on a lightly
-                // contended router — skips the per-out-port grouping
-                // machinery; the arbiter still runs so round-robin state
-                // advances exactly as the general path would.
-                if let [(out, p, c)] = candidates[..] {
-                    let (win_port, win_class) = self.arbitrate_at(ri, out, &[(p, c)]);
-                    self.send_flit(ri, out, win_port, win_class, now);
-                    continue;
-                }
+                // candidates.
                 while let Some(&(out, _, _)) = candidates.first() {
                     per_out.clear();
                     candidates.retain(|&(o, p, c)| {
@@ -1373,8 +1347,8 @@ impl Network {
     /// debug-assertion tick path): credit counters never exceed their
     /// maxima; the buffered-flit counters, the occupancy masks, and the
     /// active-router dirty bitmap all match what the queue contents imply;
-    /// and the masked candidate gather (with its radix-≤2 fast path) agrees
-    /// with a first-principles probe of every queue front.
+    /// and the masked candidate gather agrees with a first-principles probe
+    /// of every queue front.
     pub fn check_invariants(&self) {
         let mut grand_total = 0u64;
         let mut expect_active = vec![0u64; self.active_routers.len()];

@@ -98,13 +98,6 @@ impl SeedSet {
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.seeds.iter().copied()
     }
-
-    /// The first seed, or `None` for an empty set. Callers that require a
-    /// non-empty set should surface `nocout::runner::EmptySeedSetError`
-    /// rather than unwrapping.
-    pub fn first(&self) -> Option<u64> {
-        self.seeds.first().copied()
-    }
 }
 
 impl<'a> IntoIterator for &'a SeedSet {

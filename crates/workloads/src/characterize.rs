@@ -6,7 +6,8 @@
 //! before simulating a full chip) and the calibration regression suite:
 //! tests pin each workload's L1-I MPKI, data-traffic split and
 //! latency-sensitivity knobs so that future edits cannot silently drift
-//! from the CloudSuite-derived targets in EXPERIMENTS.md.
+//! from the CloudSuite-derived targets that `profile.rs` documents per
+//! profile.
 
 use crate::gen::WorkloadGen;
 use crate::profile::WorkloadProfile;

@@ -21,8 +21,9 @@
 //!
 //! Each [`Workload`] carries a [`WorkloadProfile`] whose knobs were
 //! calibrated so the relative behaviour across interconnects matches the
-//! paper's evaluation (see EXPERIMENTS.md for the paper-vs-measured
-//! record).
+//! paper's evaluation. The paper-vs-measured record is the `(paper)`
+//! columns of `tests/golden/fig7_fast.csv` beside the measured ones, and
+//! `tests/paper_claims.rs` gates it.
 
 pub mod characterize;
 pub mod gen;

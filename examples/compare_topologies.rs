@@ -1,9 +1,9 @@
 //! Head-to-head: the same scale-out workload on all three organizations,
 //! plus the contention-free ideal — a miniature of the paper's Fig. 7.
 //!
-//! The four organizations run as one parallel batch on a
-//! `BatchRunner` worker pool (results are bit-identical to running them
-//! serially — per-seed determinism is independent of scheduling).
+//! The four organizations are one `Campaign`, run as one parallel batch
+//! on a `BatchRunner` worker pool (results are bit-identical to running
+//! them serially — per-seed determinism is independent of scheduling).
 //!
 //! Run with `cargo run --release --example compare_topologies`.
 //! Pass a workload name and/or `--jobs N`:
@@ -30,37 +30,32 @@ fn main() {
     let runner: BatchRunner = cli.runner();
     cli.finish();
 
-    let window = MeasurementWindow::new(10_000, 20_000);
     let orgs = [
         Organization::Mesh,
         Organization::FlattenedButterfly,
         Organization::NocOut,
         Organization::IdealWire,
     ];
-    let specs: Vec<RunSpec> = orgs
-        .iter()
-        .map(|&org| RunSpec {
-            chip: ChipConfig::paper(org),
-            workload: workload.into(),
-            window,
-            seed: 7,
-        })
-        .collect();
+    let frame = Campaign::new()
+        .orgs(orgs)
+        .workloads([workload])
+        .seeds([7])
+        .window(MeasurementWindow::new(10_000, 20_000))
+        .run(&runner);
 
     println!(
         "{workload} across organizations (normalized to the mesh, {} worker(s)):\n",
         runner.jobs()
     );
-    let results = runner.run_batch(&specs);
-    let mesh_ipc = results[0].aggregate_ipc();
-    for (org, metrics) in orgs.iter().zip(&results) {
-        let ipc = metrics.aggregate_ipc();
+    let mesh_ipc = frame.get(Organization::Mesh, workload).ipc;
+    for org in orgs {
+        let p = frame.get(org, workload);
         println!(
             "  {:<22} IPC {:>6.3}  vs mesh {:>5.3}  net latency {:>5.1} cycles",
             org.name(),
-            ipc,
-            ipc / mesh_ipc,
-            metrics.network.mean_latency
+            p.ipc,
+            p.ipc / mesh_ipc,
+            p.metrics.network.mean_latency
         );
     }
     println!(

@@ -1,12 +1,21 @@
 //! The batch engine's contract: parallel execution never changes results.
 //!
-//! `BatchRunner::run_batch` must be bit-identical to the serial `run`
-//! per spec, and the parallel `run_replicated` must reproduce the serial
-//! replication statistics exactly — at any worker count.
+//! `BatchRunner::run_batch_outcomes` must be bit-identical to the serial
+//! `run` per spec, and a seeded campaign must fold the same replication
+//! statistics at any worker count as on one.
 
 use nocout_repro::prelude::*;
 use nocout_repro::runner::BatchRunner;
-use nocout_sim::config::{MeasurementWindow, SeedSet};
+use nocout_sim::config::MeasurementWindow;
+
+/// The batch's metrics, every point required to succeed.
+fn run_batch(runner: &BatchRunner, specs: &[RunSpec]) -> Vec<SystemMetrics> {
+    runner
+        .run_batch_outcomes(specs)
+        .into_iter()
+        .map(|o| o.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
+}
 
 fn grid() -> Vec<RunSpec> {
     // A miniature campaign: organizations × workloads × seeds, covering
@@ -36,7 +45,7 @@ fn run_batch_is_bit_identical_to_serial_run() {
     let specs = grid();
     let serial: Vec<SystemMetrics> = specs.iter().map(nocout_repro::run).collect();
     for jobs in [2, 4, 8] {
-        let batch = BatchRunner::new(jobs).run_batch(&specs);
+        let batch = run_batch(&BatchRunner::new(jobs), &specs);
         assert_eq!(batch.len(), serial.len());
         for (i, (a, b)) in serial.iter().zip(&batch).enumerate() {
             assert_eq!(a.instructions, b.instructions, "spec {i} at {jobs} jobs");
@@ -63,19 +72,19 @@ fn run_batch_is_bit_identical_to_serial_run() {
 
 #[test]
 fn parallel_replication_matches_serial_statistics() {
-    let spec = RunSpec {
-        chip: ChipConfig::paper(Organization::NocOut),
-        workload: Workload::MapReduceW.into(),
-        window: MeasurementWindow::new(2_000, 5_000),
-        seed: 1,
-    };
-    let seeds = SeedSet::consecutive(1, 3);
-    let serial = nocout_repro::run_replicated(&spec, &seeds);
+    let campaign = Campaign::new()
+        .fixed(ChipConfig::paper(Organization::NocOut))
+        .workloads([Workload::MapReduceW])
+        .seeds([1, 2, 3])
+        .window(MeasurementWindow::new(2_000, 5_000));
+    let serial = campaign.run(&BatchRunner::serial()).results()[0].clone();
+    assert_eq!(serial.seeds_run, 3);
     for jobs in [2, 3, 8] {
-        let parallel = BatchRunner::new(jobs).run_replicated(&spec, &seeds);
+        let frame = campaign.run(&BatchRunner::new(jobs));
+        let parallel = &frame.results()[0];
         assert_eq!(
-            serial.mean_ipc.to_bits(),
-            parallel.mean_ipc.to_bits(),
+            serial.ipc.to_bits(),
+            parallel.ipc.to_bits(),
             "mean at {jobs} jobs"
         );
         assert_eq!(
@@ -84,7 +93,7 @@ fn parallel_replication_matches_serial_statistics() {
             "ci95 at {jobs} jobs"
         );
         assert_eq!(
-            serial.last.instructions, parallel.last.instructions,
+            serial.metrics.instructions, parallel.metrics.instructions,
             "last-seed metrics at {jobs} jobs"
         );
     }
@@ -93,13 +102,13 @@ fn parallel_replication_matches_serial_statistics() {
 #[test]
 fn batch_of_one_and_empty_batch_work() {
     let runner = BatchRunner::new(4);
-    assert!(runner.run_batch(&[]).is_empty());
+    assert!(runner.run_batch_outcomes(&[]).is_empty());
     let spec = RunSpec::new(
         ChipConfig::with_cores(Organization::Mesh, 16),
         Workload::SatSolver,
     )
     .fast();
-    let one = runner.run_batch(std::slice::from_ref(&spec));
+    let one = run_batch(&runner, std::slice::from_ref(&spec));
     assert_eq!(one.len(), 1);
     assert_eq!(one[0].instructions, nocout_repro::run(&spec).instructions);
 }

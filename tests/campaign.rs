@@ -7,6 +7,7 @@ use nocout_repro::cache::ResultsCache;
 use nocout_repro::campaign::Campaign;
 use nocout_repro::prelude::*;
 use nocout_repro::runner::BatchRunner;
+use nocout_sim::stats::RunningStats;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -156,20 +157,25 @@ fn warm_cache_replays_a_full_campaign_with_zero_simulations() {
 #[test]
 fn campaign_matches_hand_rolled_point_loop() {
     // The frame must be bit-identical to the pre-campaign idiom the
-    // binaries used: run_replicated per (chip, workload) point.
+    // binaries used: one serial run per (chip, workload, seed), folded in
+    // seed order.
     let frame = grid().run(&BatchRunner::serial());
-    let seeds = SeedSet::consecutive(1, 2);
     for p in frame.results() {
-        let spec = RunSpec {
-            chip: p.chip,
-            workload: p.workload.clone(),
-            window: window(),
-            seed: 1,
-        };
-        let r = nocout_repro::run_replicated(&spec, &seeds);
-        assert_eq!(p.ipc.to_bits(), r.mean_ipc.to_bits());
-        assert_eq!(p.ci95.to_bits(), r.ci95.to_bits());
-        assert_eq!(p.metrics.instructions, r.last.instructions);
+        let mut stats = RunningStats::new();
+        let mut last = None;
+        for seed in [1, 2] {
+            let m = nocout_repro::run(&RunSpec {
+                chip: p.chip,
+                workload: p.workload.clone(),
+                window: window(),
+                seed,
+            });
+            stats.record(m.aggregate_ipc());
+            last = Some(m);
+        }
+        assert_eq!(p.ipc.to_bits(), stats.mean().to_bits());
+        assert_eq!(p.ci95.to_bits(), stats.ci95_half_width().to_bits());
+        assert_eq!(p.metrics.instructions, last.unwrap().instructions);
     }
 }
 

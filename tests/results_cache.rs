@@ -29,6 +29,15 @@ impl Drop for TempCacheDir {
     }
 }
 
+/// The batch's metrics, every point required to succeed.
+fn run_batch(runner: &BatchRunner, specs: &[RunSpec]) -> Vec<SystemMetrics> {
+    runner
+        .run_batch_outcomes(specs)
+        .into_iter()
+        .map(|o| o.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
+}
+
 fn grid() -> Vec<RunSpec> {
     let window = MeasurementWindow::new(1_000, 3_000);
     let mut specs = Vec::new();
@@ -51,7 +60,7 @@ fn second_sweep_is_all_hits_and_bit_identical() {
     let specs = grid();
 
     let cold = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
-    let first = cold.run_batch(&specs);
+    let first = run_batch(&cold, &specs);
     let cache = cold.cache().unwrap();
     assert_eq!(cache.hits(), 0, "cold cache cannot hit");
     assert_eq!(cache.misses(), specs.len() as u64);
@@ -59,7 +68,7 @@ fn second_sweep_is_all_hits_and_bit_identical() {
     // A fresh handle over the same directory: every point must come back
     // from disk (zero simulations) and match the first run bit for bit.
     let warm = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
-    let second = warm.run_batch(&specs);
+    let second = run_batch(&warm, &specs);
     let cache = warm.cache().unwrap();
     assert_eq!(cache.misses(), 0, "warm cache must not simulate");
     assert_eq!(cache.hits(), specs.len() as u64);
@@ -91,10 +100,10 @@ fn second_sweep_is_all_hits_and_bit_identical() {
 fn cached_results_match_uncached_run() {
     let dir = TempCacheDir::new("vs-uncached");
     let specs = grid();
-    let uncached = BatchRunner::serial().run_batch(&specs);
+    let uncached = run_batch(&BatchRunner::serial(), &specs);
     let runner = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
-    runner.run_batch(&specs); // populate
-    let cached = runner.run_batch(&specs); // read back
+    run_batch(&runner, &specs); // populate
+    let cached = run_batch(&runner, &specs); // read back
     for (i, (a, b)) in uncached.iter().zip(&cached).enumerate() {
         assert_eq!(a.instructions, b.instructions, "spec {i}");
         assert_eq!(
@@ -134,21 +143,21 @@ fn any_spec_change_misses() {
 #[test]
 fn replication_through_cache_matches_serial() {
     let dir = TempCacheDir::new("replicated");
-    let spec = RunSpec {
-        chip: ChipConfig::with_cores(Organization::Mesh, 16),
-        workload: Workload::SatSolver.into(),
-        window: MeasurementWindow::new(500, 1_500),
-        seed: 1,
-    };
-    let seeds = SeedSet::consecutive(1, 3);
-    let plain = nocout_repro::run_replicated(&spec, &seeds);
+    let campaign = Campaign::new()
+        .fixed(ChipConfig::with_cores(Organization::Mesh, 16))
+        .workloads([Workload::SatSolver])
+        .seeds([1, 2, 3])
+        .window(MeasurementWindow::new(500, 1_500));
+    let plain = campaign.run(&BatchRunner::serial()).results()[0].clone();
     let runner = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
-    runner.run_replicated(&spec, &seeds); // populate
-    let cached = runner.run_replicated(&spec, &seeds); // all hits
-    assert_eq!(runner.cache().unwrap().misses(), seeds.len() as u64);
-    assert_eq!(plain.mean_ipc.to_bits(), cached.mean_ipc.to_bits());
+    campaign.run(&runner); // populate
+    let frame = campaign.run(&runner); // all hits
+    let cached = &frame.results()[0];
+    assert_eq!(runner.cache().unwrap().misses(), 3);
+    assert_eq!(runner.cache().unwrap().hits(), 3);
+    assert_eq!(plain.ipc.to_bits(), cached.ipc.to_bits());
     assert_eq!(plain.ci95.to_bits(), cached.ci95.to_bits());
-    assert_eq!(plain.last.instructions, cached.last.instructions);
+    assert_eq!(plain.metrics.instructions, cached.metrics.instructions);
 }
 
 #[test]

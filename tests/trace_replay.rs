@@ -121,13 +121,14 @@ fn trace_replay_participates_in_the_results_cache() {
     let spec = replay_spec(chip, &trace_dir.0, window, 5);
 
     let runner = BatchRunner::serial().with_cache(ResultsCache::open(&cache_dir.0).unwrap());
-    let first = runner.run_batch(std::slice::from_ref(&spec));
+    let first = runner.run_batch_outcomes(std::slice::from_ref(&spec));
     assert_eq!(runner.cache().unwrap().misses(), 1, "cold cache misses");
 
     let warm = BatchRunner::serial().with_cache(ResultsCache::open(&cache_dir.0).unwrap());
-    let second = warm.run_batch(std::slice::from_ref(&spec));
+    let second = warm.run_batch_outcomes(std::slice::from_ref(&spec));
     assert_eq!(warm.cache().unwrap().hits(), 1, "warm cache must hit");
-    assert_metrics_identical(&first[0], &second[0], "cache round trip");
+    let (first, second) = (first[0].as_ref().unwrap(), second[0].as_ref().unwrap());
+    assert_metrics_identical(first, second, "cache round trip");
 
     // Edit one byte of one stream (the header's seed field, offset 30:
     // provenance only, so the stream stays loadable): the content hash
@@ -148,7 +149,7 @@ fn trace_replay_participates_in_the_results_cache() {
         "edited trace must change the cache key"
     );
     let probe = BatchRunner::serial().with_cache(ResultsCache::open(&cache_dir.0).unwrap());
-    probe.run_batch(std::slice::from_ref(&edited_spec));
+    probe.run_batch_outcomes(std::slice::from_ref(&edited_spec));
     assert_eq!(probe.cache().unwrap().misses(), 1, "edited trace must miss");
 }
 
