@@ -442,22 +442,29 @@ impl ScaleOutChip {
             // A trace can drive at most one core per captured stream.
             n_active = n_active.min(t.streams());
         }
+        // One hot-set table per chip: every generator draws from it.
+        let hot_zipf = match &class {
+            WorkloadClass::Synthetic(w) => Some(w.profile().hot_zipf()),
+            WorkloadClass::OpenLoop(s) => Some(s.workload.profile().hot_zipf()),
+            WorkloadClass::Trace(_) => None,
+        };
         let active = active_order[..n_active]
             .iter()
             .enumerate()
             .map(|(slot, &c)| {
+                let zipf = || Arc::clone(hot_zipf.as_ref().expect("a synthetic class"));
                 let source = match &class {
-                    WorkloadClass::Synthetic(w) => {
-                        CoreSource::Synthetic(WorkloadGen::new(w.profile(), c as u16, seed))
-                    }
+                    WorkloadClass::Synthetic(w) => CoreSource::Synthetic(
+                        WorkloadGen::with_zipf(w.profile(), c as u16, seed, zipf()),
+                    ),
                     WorkloadClass::Trace(t) => CoreSource::Trace(
                         t.open_stream(slot).unwrap_or_else(|e| {
                             panic!("cannot open trace stream {slot}: {e}")
                         }),
                     ),
-                    WorkloadClass::OpenLoop(s) => {
-                        CoreSource::OpenLoop(OpenLoopSource::new(*s, c as u16, seed))
-                    }
+                    WorkloadClass::OpenLoop(s) => CoreSource::OpenLoop(
+                        OpenLoopSource::with_zipf(*s, c as u16, seed, zipf()),
+                    ),
                 };
                 (c, source)
             })
@@ -507,8 +514,7 @@ impl ScaleOutChip {
     /// headers (local-data lines are derived from the *captured* core id,
     /// whose private address space the stream's accesses live in).
     fn warm_caches(&mut self, class: &WorkloadClass) {
-        use nocout_mem::addr::LINE_BYTES;
-        use nocout_workloads::gen::{INSTR_BASE, LLC_DATA_BASE, PRIVATE_BASE, SHARED_RW_BASE};
+        use nocout_workloads::gen::{INSTR_BASE, LLC_DATA_BASE, SHARED_RW_BASE};
         if self.active.is_empty() {
             return;
         }
@@ -554,38 +560,13 @@ impl ScaleOutChip {
                 .collect();
             llc.warm_fill(&runs);
         }
-        fn warm_l1s(
-            core: &mut Core,
-            hot: impl Iterator<Item = Addr>,
-            local: impl Iterator<Item = Addr>,
-        ) {
-            for addr in hot {
-                core.warm_l1i(addr);
-            }
-            for addr in local {
-                core.warm_l1d(addr);
-            }
-        }
         for (c, source) in &self.active {
-            let core = &mut self.cores[*c];
-            match source {
-                CoreSource::Synthetic(g) => {
-                    warm_l1s(core, g.hot_instr_lines(), g.local_data_lines())
-                }
-                CoreSource::OpenLoop(o) => {
-                    let g = o.gen();
-                    warm_l1s(core, g.hot_instr_lines(), g.local_data_lines())
-                }
-                CoreSource::Trace(t) => {
-                    let h = t.header();
-                    let base = PRIVATE_BASE + ((h.core as u64) << 40);
-                    warm_l1s(
-                        core,
-                        (0..h.instr_hot_lines as u64).map(|i| Addr(INSTR_BASE + i * LINE_BYTES)),
-                        (0..h.local_data_lines as u64).map(|i| Addr(base + i * LINE_BYTES)),
-                    )
-                }
-            }
+            let runs = match source {
+                CoreSource::Synthetic(g) => g.l1_runs(),
+                CoreSource::OpenLoop(o) => o.gen().l1_runs(),
+                CoreSource::Trace(t) => t.header().l1_runs(),
+            };
+            self.cores[*c].warm_fill(runs);
         }
     }
 
@@ -1300,8 +1281,9 @@ pub fn capture_synthetic_trace(
             std::fs::remove_file(path)?;
         }
     }
+    let hot_zipf = profile.hot_zipf();
     for (slot, c) in active_order[..n_active].iter().copied().enumerate() {
-        let mut gen = WorkloadGen::new(profile, c as u16, seed);
+        let mut gen = WorkloadGen::with_zipf(profile, c as u16, seed, Arc::clone(&hot_zipf));
         let path = dir.join(format!("core-{slot:03}{TRACE_SUFFIX}"));
         let mut w = TraceWriter::create(path, TraceHeader::for_profile(&profile, c as u32, seed))?;
         w.capture(&mut gen, instrs_per_core)?;

@@ -677,6 +677,16 @@ impl Core {
         self.l1d.warm(line);
     }
 
+    /// Warms a core that has run nothing yet with two runs of
+    /// consecutive lines `(first, count)`: `instr` into the L1-I, `data`
+    /// into the L1-D — the state [`Core::warm_l1i`] and
+    /// [`Core::warm_l1d`] line by line would leave, in closed form (see
+    /// [`nocout_mem::cache::CacheArray::warm_fill`]).
+    pub fn warm_fill(&mut self, [instr, data]: [(Addr, u64); 2]) {
+        self.l1i.warm_fill(instr.0, instr.1);
+        self.l1d.warm_fill(data.0, data.1);
+    }
+
     /// Invalidation snoop against the L1-D; returns `(present, dirty)`.
     pub fn snoop_invalidate(&mut self, line: Addr) -> (bool, bool) {
         self.l1d.snoop_invalidate(line)

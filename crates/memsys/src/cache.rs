@@ -233,15 +233,18 @@ impl CacheArray {
 
     /// Installs whole runs of consecutive lines, clean, into a never-used
     /// array: the state `insert(line, false)` for every line of each
-    /// `(first_line, count)` range in turn would leave, without the
-    /// per-line set scans — in an array that has seen nothing else the
-    /// k-th line of a set lands in way k with the next stamp. Lines that
-    /// find their set full go through [`CacheArray::insert`].
+    /// `(first_line, count)` range in turn would leave, in closed form.
+    /// In an array that has seen nothing else, the k-th line a set
+    /// receives lands in way `k mod W` with the next stamp: the first `W`
+    /// fill the free ways in order, and once the set is full its least
+    /// recent way is always the one filled `W` lines earlier. Each line
+    /// costs one tag and one stamp write, with no set scan.
     ///
     /// # Panics
     ///
     /// Panics if the array has been used (any lookup or insert) or two
-    /// ranges share a line: either would make "way k, next stamp" wrong.
+    /// ranges share a line: either would make "way k mod W, next stamp"
+    /// wrong.
     pub fn warm_fill(&mut self, ranges: &[(u64, u64)]) {
         assert_eq!(self.stamp, 0, "warm_fill needs a never-used array");
         for (k, a) in ranges.iter().enumerate() {
@@ -257,15 +260,11 @@ impl CacheArray {
         for &(first, count) in ranges {
             for line in first..first + count {
                 let set = (line as usize) & (self.sets - 1);
-                let k = filled[set];
-                if k == ways {
-                    self.insert(Addr(line << self.line_shift), false);
-                    continue;
-                }
-                filled[set] = k + 1;
+                let i = set * ways + filled[set] % ways;
+                filled[set] += 1;
                 self.stamp += 1;
-                self.tags[set * ways + k] = line + 1;
-                self.lru[set * ways + k] = self.stamp;
+                self.tags[i] = line + 1;
+                self.lru[i] = self.stamp;
             }
         }
     }

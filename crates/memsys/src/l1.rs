@@ -213,6 +213,17 @@ impl L1Cache {
         let _ = self.array.insert(addr.line(), false);
     }
 
+    /// [`L1Cache::warm`] for `count` consecutive lines from `first`, on
+    /// an L1 that has seen no access yet (see [`CacheArray::warm_fill`]).
+    pub fn warm_fill(&mut self, first: Addr, count: u64) {
+        self.array.warm_fill(&[(first.line_index(), count)]);
+    }
+
+    /// The tag array (diagnostics).
+    pub fn array(&self) -> &CacheArray {
+        &self.array
+    }
+
     /// Invalidation snoop: removes the line; returns `(present, dirty)`.
     pub fn snoop_invalidate(&mut self, addr: Addr) -> (bool, bool) {
         self.array.invalidate(addr.line())

@@ -151,10 +151,13 @@ impl SimRng {
 ///
 /// Scale-out workloads re-reference a skewed subset of their instruction
 /// footprint (hot request-handling paths); the workload models use this
-/// sampler to produce that skew. Sampling uses the rejection-inversion
-/// method's cheap cousin: a precomputed cumulative table, acceptable because
-/// footprints are sampled at cache-line granularity over at most a few
-/// hundred thousand ranks and tables are built once per run.
+/// sampler to produce that skew. Sampling inverts a precomputed
+/// cumulative table, acceptable because footprints are sampled at
+/// cache-line granularity over at most a few hundred thousand ranks and
+/// tables are built once per run. A guide table (Chen & Asau's indexed
+/// search) starts each draw a step or two from its rank: `guide[k]` is
+/// the first rank whose cumulative weight reaches the k-th of `n` equal
+/// slices of `[0, 1)`, so a draw in slice `k` scans up from there.
 ///
 /// # Examples
 ///
@@ -169,6 +172,7 @@ impl SimRng {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cumulative: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -176,9 +180,15 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or beyond `u32` ranks, or if `theta` is not
+    /// finite.
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "Zipf support must be non-empty");
+        assert!(u32::try_from(n).is_ok(), "Zipf support must fit u32 ranks");
+        assert!(
+            theta.is_finite(),
+            "Zipf exponent must be finite, got {theta}"
+        );
         let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
         for rank in 0..n {
@@ -189,7 +199,26 @@ impl Zipf {
         for c in &mut cumulative {
             *c /= total;
         }
-        Zipf { cumulative }
+        // `slice(c)` is monotone in `c`, so every rank below `guide[k]`
+        // has a cumulative weight below any draw `u` with
+        // `slice(u) == k`: the scan from `guide[k]` cannot skip the rank
+        // the full search would find.
+        let mut guide = Vec::with_capacity(n);
+        let mut rank = 0;
+        for k in 0..n {
+            while rank < n && Self::slice(cumulative[rank], n) < k {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Zipf { cumulative, guide }
+    }
+
+    /// The guide slice of `x` in `[0, 1]`: `floor(x·n)`, clamped to the
+    /// last slice.
+    #[inline]
+    fn slice(x: f64, n: usize) -> usize {
+        ((x * n as f64) as usize).min(n - 1)
     }
 
     /// Number of ranks in the support.
@@ -202,16 +231,28 @@ impl Zipf {
         self.cumulative.is_empty()
     }
 
-    /// Draws one rank.
+    /// The normalized cumulative weight of each rank: a draw `u` samples
+    /// the first rank whose entry reaches `u`.
+    pub fn cumulative(&self) -> &[f64] {
+        &self.cumulative
+    }
+
+    /// Draws one rank: the first whose cumulative weight reaches a
+    /// uniform draw (the last rank if rounding leaves none).
+    #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cumulative.len() - 1),
+        self.rank_of(rng.next_f64())
+    }
+
+    /// The rank a draw of `u` in `[0, 1)` samples.
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let n = self.cumulative.len();
+        let mut rank = self.guide[Self::slice(u, n)] as usize;
+        while rank < n && self.cumulative[rank] < u {
+            rank += 1;
         }
+        rank.min(n - 1)
     }
 }
 
@@ -309,6 +350,50 @@ mod tests {
         }
         assert!(counts[0] > counts[50] * 5, "rank 0 should be far hotter");
         assert_eq!(counts.iter().sum::<usize>(), 50_000);
+    }
+
+    /// The search `sample` replaced: a binary search of the whole table.
+    fn binary_search_rank(zipf: &Zipf, u: f64) -> usize {
+        match zipf
+            .cumulative
+            .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative is finite"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(zipf.cumulative.len() - 1),
+        }
+    }
+
+    #[test]
+    fn zipf_guide_search_equals_binary_search() {
+        // Edge tables: one rank, uniform, shallow, steep. The workload
+        // profiles' own tables are checked in `nocout-workloads`.
+        let tables = [
+            (1, 0.9),
+            (2, 0.0),
+            (10, 0.0),
+            (100, 0.2),
+            (500, 0.99),
+            (1000, 3.0),
+        ];
+        for (n, theta) in tables {
+            let zipf = Zipf::new(n, theta);
+            let mut rng = SimRng::new(n as u64);
+            // Random draws, then every slice boundary exactly.
+            let draws = (0..50_000).map(|_| rng.next_f64());
+            for u in draws.chain((0..n).map(|k| k as f64 / n as f64)) {
+                assert_eq!(
+                    zipf.rank_of(u),
+                    binary_search_rank(&zipf, u),
+                    "n={n} θ={theta} u={u}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn zipf_refuses_a_nan_exponent() {
+        Zipf::new(8, f64::NAN);
     }
 
     #[test]

@@ -196,15 +196,25 @@ const SUBS: usize = 1 << SUB_BITS;
 /// is split into `SUBS` equal-width sub-buckets.
 const LAT_BUCKETS: usize = SUBS * (64 - SUB_BITS + 1);
 
-/// A fixed-capacity log-linear latency histogram: power-of-two major
-/// buckets, each split into 32 linear sub-buckets.
+/// A log-linear latency histogram: power-of-two major buckets, each
+/// split into 32 linear sub-buckets, stored over the span of buckets it
+/// has seen.
 ///
-/// Recording costs a handful of ALU ops and one array increment, with
-/// zero steady-state allocation, and the relative quantile error is
-/// bounded at **1/32 (~3%)**, tight enough to report p99/p999.
-/// Values below 32 are recorded exactly. Histograms merge by bucket-wise
-/// addition, so per-core/per-tile histograms compose into chip-wide
-/// distributions without losing tail resolution.
+/// Recording costs a handful of ALU ops and one array increment, and the
+/// relative quantile error is bounded at **1/32 (~3%)**, tight enough to
+/// report p99/p999. Values below 32 are recorded exactly. Histograms
+/// merge by bucket-wise addition, so per-core/per-tile histograms compose
+/// into chip-wide distributions without losing tail resolution.
+///
+/// Of the 1 920 buckets that cover `u64`, only the contiguous run `lo..hi`
+/// between the lowest and highest bucket ever touched is stored (the
+/// dense store with an offset of DDSketch, Masson et al., VLDB 2019): a
+/// histogram is empty, and owns no heap, until its first sample; a
+/// sample outside the span widens it on a cold path; `merge`,
+/// `percentile` and `iter` walk the span only, and `reset` zeroes it in
+/// place. Latencies fall in a narrow band, so a span is tens of buckets
+/// where the full layout is 15 KiB. Every answer is the one the full
+/// 1 920-bucket array would give.
 ///
 /// [`percentile`](LatencyHist::percentile) returns the *upper bound* of
 /// the bucket holding the q-quantile sample (rank `ceil(q·total)`,
@@ -223,31 +233,28 @@ const LAT_BUCKETS: usize = SUBS * (64 - SUB_BITS + 1);
 /// let p99 = h.percentile(0.99);
 /// assert!(p99 >= 990 && p99 <= 990 * 33 / 32);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct LatencyHist {
-    buckets: Box<[u64; LAT_BUCKETS]>,
+    /// Counts of buckets `lo..lo + counts.len()`; empty until the first
+    /// sample.
+    counts: Vec<u64>,
+    lo: usize,
     total: u64,
     sum: u128,
 }
 
-impl Default for LatencyHist {
-    fn default() -> Self {
-        LatencyHist::new()
-    }
-}
-
 impl LatencyHist {
-    /// Creates an empty histogram. This is the only allocation the
-    /// histogram ever performs; `record`/`merge`/`reset` are in-place.
-    pub fn new() -> Self {
+    /// Creates an empty histogram; it allocates on its first sample.
+    pub const fn new() -> Self {
         LatencyHist {
-            buckets: Box::new([0; LAT_BUCKETS]),
+            counts: Vec::new(),
+            lo: 0,
             total: 0,
             sum: 0,
         }
     }
 
-    /// Bucket index of `v`.
+    /// Bucket index of `v`, in `0..LAT_BUCKETS`.
     #[inline]
     fn bucket_of(v: u64) -> usize {
         if v < SUBS as u64 {
@@ -272,12 +279,44 @@ impl LatencyHist {
         }
     }
 
+    /// One past the highest stored bucket.
+    fn hi(&self) -> usize {
+        self.lo + self.counts.len()
+    }
+
+    /// Widens the stored span to cover buckets `lo..hi` (`lo < hi`).
+    fn widen(&mut self, lo: usize, hi: usize) {
+        debug_assert!(lo < hi && hi <= LAT_BUCKETS);
+        if self.counts.is_empty() {
+            self.lo = lo;
+        } else if lo < self.lo {
+            let below = self.lo - lo;
+            self.counts.splice(0..0, std::iter::repeat_n(0, below));
+            self.lo = lo;
+        }
+        let hi = hi.max(self.hi());
+        self.counts.resize(hi - self.lo, 0);
+    }
+
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
+        let b = Self::bucket_of(v);
+        // A bucket below `lo` wraps past any span length, so one bounds
+        // check covers both sides.
+        match self.counts.get_mut(b.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(b),
+        }
         self.total += 1;
         self.sum += v as u128;
+    }
+
+    /// Counts a sample in bucket `b`, outside the stored span.
+    #[cold]
+    fn record_outside(&mut self, b: usize) {
+        self.widen(b, b + 1);
+        self.counts[b - self.lo] += 1;
     }
 
     /// Number of recorded samples.
@@ -303,12 +342,21 @@ impl LatencyHist {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
+        // Eight buckets at a time until the chunk that reaches `rank`,
+        // then bucket by bucket: the first bucket to bring the running
+        // count to `rank` holds samples (the count was below it before).
         let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if b > 0 && seen >= rank {
-                return Self::bucket_upper(i);
+        for (c, chunk) in self.counts.chunks(8).enumerate() {
+            let in_chunk: u64 = chunk.iter().sum();
+            if seen + in_chunk >= rank {
+                for (j, &b) in chunk.iter().enumerate() {
+                    seen += b;
+                    if seen >= rank {
+                        return Self::bucket_upper(self.lo + 8 * c + j);
+                    }
+                }
             }
+            seen += in_chunk;
         }
         u64::MAX
     }
@@ -317,26 +365,34 @@ impl LatencyHist {
     /// the result is exactly the histogram of the concatenated sample
     /// streams.
     pub fn merge(&mut self, other: &LatencyHist) {
-        for (a, &b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+        if !other.counts.is_empty() {
+            if other.lo < self.lo || other.hi() > self.hi() {
+                self.widen(other.lo, other.hi());
+            }
+            let at = other.lo - self.lo;
+            for (a, &b) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum += other.sum;
     }
 
     /// Iterates over `(bucket_upper_bound, count)` pairs for non-empty
-    /// buckets.
+    /// buckets, in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
+        self.counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_upper(i), c))
+            .map(|(i, &c)| (Self::bucket_upper(self.lo + i), c))
     }
 
-    /// Resets the histogram in place (no reallocation).
+    /// Resets the histogram in place: the span is zeroed and kept, so a
+    /// histogram reused across windows does not allocate again for the
+    /// same band.
     pub fn reset(&mut self) {
-        self.buckets.fill(0);
+        self.counts.fill(0);
         self.total = 0;
         self.sum = 0;
     }
@@ -570,6 +626,26 @@ mod tests {
             assert!(h.percentile(1.0) >= v);
             h.reset();
         }
+    }
+
+    #[test]
+    fn latency_hist_stores_only_its_span() {
+        let mut h = LatencyHist::new();
+        assert_eq!(h.counts.capacity(), 0, "empty until the first sample");
+        h.record(100);
+        h.record(40);
+        // 40 and 100 are buckets 40 and 82 (widths 1 and 2).
+        assert_eq!((h.lo, h.hi()), (40, 83));
+        h.reset();
+        assert_eq!((h.lo, h.hi()), (40, 83), "reset keeps the span");
+        assert_eq!(h.iter().count(), 0);
+        let mut wide = LatencyHist::new();
+        wide.record(0);
+        wide.record(u64::MAX);
+        assert_eq!((wide.lo, wide.hi()), (0, LAT_BUCKETS));
+        h.merge(&wide);
+        assert_eq!((h.lo, h.hi()), (0, LAT_BUCKETS));
+        assert_eq!(h.iter().collect::<Vec<_>>(), [(0, 1), (u64::MAX, 1)]);
     }
 
     #[test]

@@ -51,15 +51,7 @@ pub fn characterize(
 ) -> Characterization {
     let mut core = Core::new(CoreConfig::a15());
     let mut gen = WorkloadGen::new(*profile, 0, seed);
-    // Warm the L1s the way the chip model does.
-    let hot: Vec<_> = gen.hot_instr_lines().collect();
-    for a in hot {
-        core.warm_l1i(a);
-    }
-    let local: Vec<_> = gen.local_data_lines().collect();
-    for a in local {
-        core.warm_l1d(a);
-    }
+    core.warm_fill(gen.l1_runs());
 
     let mut now = Cycle(0);
     let mut pending: Vec<(Cycle, nocout_cpu::MissRequest)> = Vec::new();
@@ -179,6 +171,70 @@ mod tests {
             slow_cpi > fast_cpi * 1.25,
             "CPI must track fill latency: {fast_cpi:.2} -> {slow_cpi:.2}"
         );
+    }
+
+    /// Each profile's numbers as measured before the L1s warmed through
+    /// [`Core::warm_fill`] (they warmed line by line then): the warm path
+    /// changed how, not what.
+    #[test]
+    fn characterize_repeats_the_line_by_line_warm_numbers() {
+        // (workload, instructions, cycles, ifetch MPKI, data MPKI, fetch stall share)
+        #[rustfmt::skip]
+        let pinned = [
+            (Workload::DataServing, 60000, 141970, 61.21666666666667, 24.883333333333333, 0.6467915756850039),
+            (Workload::MapReduceC, 60002, 119137, 31.68227725742475, 46.26512449585014, 0.398910497998103),
+            (Workload::MapReduceW, 60000, 134590, 42.7, 45.96666666666667, 0.4757188498402556),
+            (Workload::SatSolver, 60001, 75775, 12.366460558990683, 34.03276612056466, 0.24480369515011546),
+            (Workload::WebFrontend, 60002, 110024, 29.19902669911003, 40.3819872670911, 0.39787682687413656),
+            (Workload::WebSearch, 60002, 74960, 18.499383353888202, 21.799273357554746, 0.3701974386339381),
+        ];
+        for (w, instructions, cycles, ifetch_mpki, data_mpki, fetch_stall_fraction) in pinned {
+            let want = Characterization {
+                instructions,
+                cycles,
+                ifetch_mpki,
+                data_mpki,
+                fetch_stall_fraction,
+            };
+            assert_eq!(measure(w), want, "{w}");
+        }
+    }
+
+    /// A core warmed through the run helper holds exactly the tag arrays
+    /// (ways, stamps) that warming line by line leaves — on every
+    /// profile, and on a hot and a local set that over-subscribe the
+    /// 512-line L1s.
+    #[test]
+    fn warm_fill_equals_the_per_line_warm() {
+        use crate::gen::{l1_warm_runs, INSTR_BASE, PRIVATE_BASE};
+        use nocout_mem::addr::{Addr, LINE_BYTES};
+        let sizes = Workload::ALL
+            .map(|w| w.profile())
+            .map(|p| (p.instr_hot_lines as u64, p.local_data_lines as u64));
+        for (hot, local) in sizes.into_iter().chain([(1300, 700), (0, 1)]) {
+            for core in [0u32, 5, 127] {
+                let mut filled = Core::new(CoreConfig::a15());
+                filled.warm_fill(l1_warm_runs(core, hot, local));
+                let mut looped = Core::new(CoreConfig::a15());
+                for i in 0..hot {
+                    looped.warm_l1i(Addr(INSTR_BASE + i * LINE_BYTES));
+                }
+                let base = PRIVATE_BASE + ((core as u64) << 40);
+                for i in 0..local {
+                    looped.warm_l1d(Addr(base + i * LINE_BYTES));
+                }
+                assert_eq!(
+                    filled.l1i().array(),
+                    looped.l1i().array(),
+                    "{hot} hot, core {core}"
+                );
+                assert_eq!(
+                    filled.l1d().array(),
+                    looped.l1d().array(),
+                    "{local} local, core {core}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::profile::WorkloadProfile;
 use nocout_cpu::source::{FetchedInstr, InstructionSource, Op};
 use nocout_mem::addr::{Addr, LINE_BYTES};
 use nocout_sim::rng::{SimRng, Zipf};
+use std::sync::Arc;
 
 /// Base of the shared instruction region.
 pub const INSTR_BASE: u64 = 0x0100_0000_0000;
@@ -14,6 +15,26 @@ pub const LLC_DATA_BASE: u64 = 0x0300_0000_0000;
 /// Base of the per-core private data regions (strided by core).
 pub const PRIVATE_BASE: u64 = 0x1000_0000_0000;
 
+/// Base of `core`'s private data region.
+fn private_base(core: u32) -> u64 {
+    PRIVATE_BASE + ((core as u64) << 40)
+}
+
+/// What checkpoint-style warming installs in a core's L1s, as two runs of
+/// consecutive lines `(first, count)`: the first `instr_hot_lines` lines
+/// of the instruction region (the hot set) for the L1-I, then the first
+/// `local_data_lines` lines of `core`'s private region (its local set)
+/// for the L1-D. Every source kind warms through this one helper — a
+/// generator from its profile ([`WorkloadGen::l1_runs`]), a replayed
+/// trace from its stream header — and hands the runs to
+/// [`nocout_cpu::Core::warm_fill`].
+pub fn l1_warm_runs(core: u32, instr_hot_lines: u64, local_data_lines: u64) -> [(Addr, u64); 2] {
+    [
+        (Addr(INSTR_BASE), instr_hot_lines),
+        (Addr(private_base(core)), local_data_lines),
+    ]
+}
+
 /// A per-core synthetic instruction stream implementing
 /// [`InstructionSource`].
 ///
@@ -21,6 +42,11 @@ pub const PRIVATE_BASE: u64 = 0x1000_0000_0000;
 /// shared read-write region and the LLC-resident region; private data is
 /// disjoint per core. The stream is fully determined by `(profile, core,
 /// seed)`.
+///
+/// The hot-set Zipf table is the one immutable piece every core's stream
+/// shares: a chip builds it once ([`WorkloadProfile::hot_zipf`]) and
+/// hands each generator the same table through
+/// [`WorkloadGen::with_zipf`]; [`WorkloadGen::new`] builds its own.
 ///
 /// # Examples
 ///
@@ -37,7 +63,7 @@ pub struct WorkloadGen {
     profile: WorkloadProfile,
     core: u16,
     rng: SimRng,
-    hot_zipf: Zipf,
+    hot_zipf: Arc<Zipf>,
     current_line: u64,
     remaining_in_run: u32,
     /// Cumulative op-mix thresholds: one uniform draw against this table
@@ -50,14 +76,30 @@ pub struct WorkloadGen {
 impl WorkloadGen {
     /// Creates the stream for `core` with the given seed. Different cores
     /// should use different `(core, seed)` pairs; the same pair reproduces
-    /// the same stream exactly.
+    /// the same stream exactly. A standalone generator: it builds its own
+    /// hot-set table.
     pub fn new(profile: WorkloadProfile, core: u16, seed: u64) -> Self {
+        WorkloadGen::with_zipf(profile, core, seed, profile.hot_zipf())
+    }
+
+    /// [`WorkloadGen::new`] drawing from a hot-set table built by
+    /// [`WorkloadProfile::hot_zipf`] of the same profile, shared with the
+    /// chip's other generators. The stream is the one `new` yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's support is not the profile's hot set.
+    pub fn with_zipf(profile: WorkloadProfile, core: u16, seed: u64, hot_zipf: Arc<Zipf>) -> Self {
         assert!(
             profile.instr_hot_lines < profile.instr_footprint_lines,
             "hot set must be a subset of the footprint"
         );
+        assert_eq!(
+            hot_zipf.len(),
+            profile.instr_hot_lines,
+            "the hot-set table must span the profile's hot set"
+        );
         let mut rng = SimRng::new(seed ^ ((core as u64) << 32) ^ 0x9E37_79B9);
-        let hot_zipf = Zipf::new(profile.instr_hot_lines, profile.instr_zipf_theta);
         let current_line = hot_zipf.sample(&mut rng) as u64;
         // Cumulative op-mix table: P(mem), then P(long ALU) carved out of
         // the non-memory remainder, so the marginal op distribution
@@ -76,16 +118,15 @@ impl WorkloadGen {
         }
     }
 
-    /// The instruction lines a warmed L1-I would hold (the hot set).
-    pub fn hot_instr_lines(&self) -> impl Iterator<Item = Addr> + '_ {
-        (0..self.profile.instr_hot_lines as u64)
-            .map(|i| Addr(INSTR_BASE + i * LINE_BYTES))
-    }
-
-    /// The data lines a warmed L1-D would hold (the core's local set).
-    pub fn local_data_lines(&self) -> impl Iterator<Item = Addr> + '_ {
-        let base = PRIVATE_BASE + ((self.core as u64) << 40);
-        (0..self.profile.local_data_lines as u64).map(move |i| Addr(base + i * LINE_BYTES))
+    /// The lines a warmed core holds: its hot set and local set, as
+    /// [`l1_warm_runs`].
+    pub fn l1_runs(&self) -> [(Addr, u64); 2] {
+        let p = &self.profile;
+        l1_warm_runs(
+            self.core as u32,
+            p.instr_hot_lines as u64,
+            p.local_data_lines as u64,
+        )
     }
 
     /// The profile driving this stream.
@@ -98,7 +139,7 @@ impl WorkloadGen {
         // local L1-resident set, shared read-write set, LLC-resident set,
         // then the vast private dataset for the remainder.
         let p = &self.profile;
-        let base = PRIVATE_BASE + ((self.core as u64) << 40);
+        let base = private_base(self.core as u32);
         let r = self.rng.next_f64();
         if r < p.local_data_fraction {
             let line = self.rng.next_below(p.local_data_lines as u64);
@@ -215,6 +256,35 @@ mod tests {
         let mut block = InstrBlock::new();
         for n in 0..10_000 {
             assert_eq!(block.take(&mut blocked), direct.next_instr(), "instr {n}");
+        }
+    }
+
+    #[test]
+    fn shared_table_draws_the_standalone_stream() {
+        let p = Workload::WebFrontend.profile();
+        let shared = p.hot_zipf();
+        let mut standalone = WorkloadGen::new(p, 4, 13);
+        let mut handed = WorkloadGen::with_zipf(p, 4, 13, Arc::clone(&shared));
+        assert_eq!(collect(&mut standalone, 5_000), collect(&mut handed, 5_000));
+    }
+
+    /// `Zipf::sample` walks up from a guide table; on every profile's
+    /// hot-set table it must pick the rank a binary search of the whole
+    /// cumulative table picks, draw for draw.
+    #[test]
+    fn guide_search_equals_binary_search_on_every_profile() {
+        for w in Workload::ALL {
+            let zipf = w.profile().hot_zipf();
+            let cumulative = zipf.cumulative();
+            let mut rng = SimRng::new(w as u64);
+            for _ in 0..1_000_000 {
+                let u = rng.clone().next_f64();
+                let want = match cumulative.binary_search_by(|c| c.total_cmp(&u)) {
+                    Ok(i) => i,
+                    Err(i) => i.min(cumulative.len() - 1),
+                };
+                assert_eq!(zipf.sample(&mut rng), want, "{w}");
+            }
         }
     }
 

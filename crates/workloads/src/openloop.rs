@@ -51,9 +51,11 @@ use crate::gen::{WorkloadGen, INSTR_BASE};
 use crate::profile::Workload;
 use nocout_cpu::source::{FetchedInstr, InstrBlock, InstructionSource, Op};
 use nocout_mem::addr::Addr;
+use nocout_sim::rng::Zipf;
 use nocout_sim::stats::LatencyHist;
 use nocout_sim::text::{push_num, whole, Reader};
 use nocout_sim::Cycle;
+use std::sync::Arc;
 
 /// Parameters of an open-loop arrival process layered over a synthetic
 /// workload.
@@ -134,11 +136,17 @@ impl OpenLoopSource {
     /// stream is exactly the closed-loop stream of the same
     /// `(workload, core, seed)`.
     pub fn new(spec: OpenLoopSpec, core: u16, seed: u64) -> Self {
+        OpenLoopSource::with_zipf(spec, core, seed, spec.workload.profile().hot_zipf())
+    }
+
+    /// [`OpenLoopSource::new`] whose service stream draws from a shared
+    /// hot-set table (see [`WorkloadGen::with_zipf`]).
+    pub fn with_zipf(spec: OpenLoopSpec, core: u16, seed: u64, hot_zipf: Arc<Zipf>) -> Self {
         assert!(spec.interval >= 1, "interval must be >= 1");
         assert!(spec.service_instrs >= 1, "service_instrs must be >= 1");
         OpenLoopSource {
             spec,
-            gen: WorkloadGen::new(spec.workload.profile(), core, seed),
+            gen: WorkloadGen::with_zipf(spec.workload.profile(), core, seed, hot_zipf),
             now: 0,
             next_arrival: spec.interval,
             arrived: 0,

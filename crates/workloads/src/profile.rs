@@ -1,6 +1,8 @@
 //! The six workload profiles and their calibrated parameters.
 
+use nocout_sim::rng::Zipf;
 use std::fmt;
+use std::sync::Arc;
 
 /// The CloudSuite-derived workloads of the paper's evaluation (§5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,6 +256,14 @@ impl WorkloadProfile {
     /// Number of cores to activate given a chip with `available` cores.
     pub fn active_cores(&self, available: usize) -> usize {
         available.min(self.max_cores)
+    }
+
+    /// The Zipf table over the hot instruction set that every core's
+    /// [`WorkloadGen`](crate::WorkloadGen) draws its hot-set transitions
+    /// from. It depends on the profile alone, so a chip builds it once
+    /// and hands every core the same `Arc`.
+    pub fn hot_zipf(&self) -> Arc<Zipf> {
+        Arc::new(Zipf::new(self.instr_hot_lines, self.instr_zipf_theta))
     }
 }
 

@@ -99,6 +99,16 @@ impl TraceHeader {
         }
     }
 
+    /// The lines replay warms into the captured core's L1s, as
+    /// [`l1_warm_runs`](crate::gen::l1_warm_runs) of the header's counts.
+    pub fn l1_runs(&self) -> [(Addr, u64); 2] {
+        crate::gen::l1_warm_runs(
+            self.core,
+            self.instr_hot_lines as u64,
+            self.local_data_lines as u64,
+        )
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.name.len());
         out.extend_from_slice(&TRACE_MAGIC);

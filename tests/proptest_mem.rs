@@ -159,7 +159,7 @@ proptest! {
         base in 0u64..1000,
         // (gap before the range, its length in percent of the array's
         // capacity, sort key): one to four ranges, together sometimes well
-        // past capacity so sets over-subscribe and the fallback runs.
+        // past capacity so sets over-subscribe and wrap to way 0.
         cuts in prop::collection::vec((0u64..40, 0u64..80, 0u32..1000), 1..5),
         ops in prop::collection::vec((0u8..3, 0u64..10_000, any::<bool>()), 300..301)
     ) {
