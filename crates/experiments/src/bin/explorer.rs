@@ -60,6 +60,9 @@ fn main() {
             _ => cli.unknown(&flag),
         }
     }
+    if seeds == 0 {
+        cli.fail("invalid value for `--seeds`: `0` (expected at least 1)");
+    }
     let (runner, scale) = (cli.runner(), cli.scale());
     cli.finish();
 
@@ -75,7 +78,7 @@ fn main() {
     let frame = campaign(scale)
         .fixed(chip)
         .workloads([workload.clone()])
-        .seeds(&SeedSet::consecutive(1, seeds.max(1)))
+        .seeds(&SeedSet::consecutive(1, seeds))
         .run(&runner);
     let p = &frame.results()[0];
     let m = &p.metrics;

@@ -1,30 +1,19 @@
 //! `shard-run`: campaigns through the fault-tolerant sharded driver.
 //!
-//! Exercises the whole `nocout::distribute` stack end to end: partitions
-//! a campaign grid (the Figure 7 grid by default, a captured-trace
-//! replay grid with `--trace DIR`) into shards, dispatches them to
-//! `nocout-worker` endpoints (spawned locally with `--workers N`, or
-//! already running and reached with `--connect ADDR`), retries failed
-//! shards with seeded backoff, optionally speculates on stragglers and
-//! journals completed points for `--resume` after a driver crash. The
-//! merged frame renders through the same shared table as the local path
-//! (`fig7`, or `--local`), so the sharded CSV is byte-identical to the
-//! local one — the CI sharded-execution and trace-shipping gates `cmp`
-//! them.
-//!
-//! Trace campaigns ship their traces by content hash: spawned workers
-//! get per-worker content-addressed stores under `--worker-store DIR`
-//! (`DIR/w0`, `DIR/w1`, ...), the driver ships archives in
-//! `--chunk-bytes` chunks and reuses whatever a worker already holds.
-//!
-//! The `--fault-*` flags are forwarded to the *first* spawned worker
-//! (`--fault-corrupt-chunk` arms the driver itself), so one chaos
-//! invocation can prove a worker crash mid-shard — or mid-trace-transfer
-//! — is survived.
+//! Exercises the whole `nocout::distribute` stack end to end on Fig. 7's
+//! grid, taken from the figure registry, or with `--trace DIR` on a
+//! captured-trace replay grid (`--help` describes every flag). The merged
+//! frame renders through the same table as the local path (`repro fig7`,
+//! or `--local`), so the sharded CSV is byte-identical to the local one —
+//! the CI sharded-execution and trace-shipping gates `cmp` them. Spawned
+//! workers get trace stores under `--worker-store DIR` (`DIR/w0`,
+//! `DIR/w1`, ...). The `--fault-*` flags are forwarded to the *first* spawned worker, so one
+//! chaos invocation can prove a worker crash mid-shard — or
+//! mid-trace-transfer — is survived.
 
 use nocout::distribute::{DriverConfig, Endpoint, ShardedDriver};
 use nocout_experiments::cli::{Cli, FaultArgs};
-use nocout_experiments::figures::{fig7_campaign, fig7_table, trace_campaign, trace_table};
+use nocout_experiments::figures::{find, trace_campaign, trace_table, Body};
 use nocout_experiments::report_csv;
 use nocout_workloads::trace::TraceSet;
 use std::path::PathBuf;
@@ -120,9 +109,12 @@ fn main() {
     // just carries the --jobs / --cache settings every spawned worker
     // inherits.
     let (runner, scale) = (cli.runner(), cli.scale());
+    let Some(Body::Grid { grid, render }) = find("fig7").map(|f| f.body) else {
+        unreachable!("Figure 7 is registered with a campaign grid")
+    };
     let campaign = match &trace_set {
         Some(set) => trace_campaign(set.clone(), scale),
-        None => fig7_campaign(scale),
+        None => grid(scale),
     };
 
     let frame = if local {
@@ -191,7 +183,7 @@ fn main() {
     }
     let table = match &trace_set {
         Some(set) => trace_table(&frame, set),
-        None => fig7_table(&frame),
+        None => render(&frame).table,
     };
     table.print();
     report_csv(&out, &table.csv_records());

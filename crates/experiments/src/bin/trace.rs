@@ -56,14 +56,14 @@ fn main() {
 
     let mut table = Table::new(
         "Trace capture → replay identity (Mesh, Table 1 configuration)",
-        vec![
-            "Workload".into(),
-            "Streams".into(),
-            "Instrs/core".into(),
-            "Bytes/instr".into(),
-            "Synth IPC".into(),
-            "Replay IPC".into(),
-            "Identical".into(),
+        &[
+            "Workload",
+            "Streams",
+            "Instrs/core",
+            "Bytes/instr",
+            "Synth IPC",
+            "Replay IPC",
+            "Identical",
         ],
     );
     let mut synth_lines = String::new();

@@ -6,19 +6,17 @@
 //! disk keyed by their `RunSpec` content hash — a re-run sharing points
 //! with an earlier campaign only simulates the new ones; see
 //! `nocout::cache` for the key and invalidation rules) and `--help`,
-//! which prints the usage line followed by the binary's `about` text —
-//! every binary describes the grid it runs there, so `--help` is never
-//! just the shared flag list. Binary-specific flags are consumed through
-//! [`Cli::next_flag`]/[`Cli::value`]/[`Cli::parsed`], which — unlike the
-//! hand-rolled loops these replaced — name the offending flag and value
-//! in every error instead of silently printing the generic usage line.
+//! which prints the usage line followed by the binary's `about` text (the
+//! grid it runs). Binary-specific flags are consumed through
+//! [`Cli::next_flag`]/[`Cli::value`]/[`Cli::parsed`], whose errors name
+//! the offending flag and value.
 //!
 //! ```no_run
 //! use nocout_experiments::cli::Cli;
 //!
 //! let mut cli = Cli::parse(
-//!     "sweep",
-//!     "Sweeps link width over every organization.",
+//!     "probe",
+//!     "Runs one workload on every organization.",
 //!     "[--workload NAME]",
 //! );
 //! let mut workload = String::from("mapreduce-w");
@@ -364,29 +362,25 @@ fn parse_openloop(value: &str) -> Result<OpenLoopSpec, String> {
     })
 }
 
+/// The synthetic profiles' CLI names: the one list [`parse_workload`]
+/// and [`workload_names`] both read.
+const WORKLOADS: [(&str, Workload); 6] = [
+    ("data-serving", Workload::DataServing),
+    ("mapreduce-c", Workload::MapReduceC),
+    ("mapreduce-w", Workload::MapReduceW),
+    ("sat-solver", Workload::SatSolver),
+    ("web-frontend", Workload::WebFrontend),
+    ("web-search", Workload::WebSearch),
+];
+
 /// Parses a workload CLI name (`data-serving`, `web-search`, ...).
 pub fn parse_workload(name: &str) -> Option<Workload> {
-    Some(match name {
-        "data-serving" => Workload::DataServing,
-        "mapreduce-c" => Workload::MapReduceC,
-        "mapreduce-w" => Workload::MapReduceW,
-        "sat-solver" => Workload::SatSolver,
-        "web-frontend" => Workload::WebFrontend,
-        "web-search" => Workload::WebSearch,
-        _ => return None,
-    })
+    WORKLOADS.iter().find(|(n, _)| *n == name).map(|&(_, w)| w)
 }
 
 /// The CLI names accepted by [`parse_workload`].
 pub fn workload_names() -> Vec<&'static str> {
-    vec![
-        "data-serving",
-        "mapreduce-c",
-        "mapreduce-w",
-        "sat-solver",
-        "web-frontend",
-        "web-search",
-    ]
+    WORKLOADS.iter().map(|&(n, _)| n).collect()
 }
 
 #[cfg(test)]

@@ -5,38 +5,25 @@
 //! a performance concern; judicious express links bypass intermediate
 //! nodes and let performance approach a wire-only network, at some channel
 //! expense but with the same trivially simple node design.
-//!
-//! Run with `cargo run --release -p nocout-experiments --bin express`
-//! (add `--jobs N` to run both configurations in parallel).
 
+use super::{Body, Figure, Output};
+use crate::{campaign, Scale, Table};
 use nocout::prelude::*;
-use nocout_experiments::cli::Cli;
-use nocout_experiments::{campaign, report_csv, Table};
 use nocout_tech::area::{NocAreaModel, OrganizationArea};
 
-const ABOUT: &str = "Reproduces the section 7.1 express-links ablation: a \
+pub(super) const FIGURE: Figure = Figure {
+    name: "express",
+    about: "Reproduces the section 7.1 express-links ablation: a \
 128-core (8-row) NOC-Out with plain chains vs skip-two express links on \
-MapReduce-C, reporting IPC, tree latency and NoC area. Writes \
-out/express.csv.";
+MapReduce-C, reporting IPC, tree latency and NoC area.",
+    body: Body::Grid { grid, render },
+};
 
-fn main() {
-    let cli = Cli::parse("express", ABOUT, "");
-    let (runner, scale) = (cli.runner(), cli.scale());
-    cli.finish();
+const VARIANTS: [(&str, bool); 2] = [("Chains only", false), ("With express links", true)];
 
-    let model = NocAreaModel::paper_32nm();
-    let mut table = Table::new(
-        "§7.1 — Express links in 128-core (8-row) trees, MapReduce-C",
-        vec![
-            "Configuration".into(),
-            "Aggregate IPC (norm.)".into(),
-            "Mean net latency".into(),
-            "NOC area (mm²)".into(),
-        ],
-    );
-    let variants = [("Chains only", false), ("With express links", true)];
-    let frame = campaign(scale)
-        .variants(variants.map(|(label, express)| {
+fn grid(scale: Scale) -> Campaign {
+    campaign(scale)
+        .variants(VARIANTS.map(|(label, express)| {
             let mut cfg = ChipConfig::with_cores(Organization::NocOut, 128);
             cfg.express_links = express;
             cfg.active_core_override = Some(128);
@@ -44,10 +31,16 @@ fn main() {
             (label, cfg)
         }))
         .workloads([Workload::MapReduceC])
-        .run(&runner);
+}
 
-    let base = frame.at().label(variants[0].0).ipc();
-    for (label, _) in variants {
+fn render(frame: &ResultFrame) -> Output {
+    let model = NocAreaModel::paper_32nm();
+    let mut table = Table::new(
+        "§7.1 — Express links in 128-core (8-row) trees, MapReduce-C",
+        &["Configuration", "Aggregate IPC (norm.)", "Mean net latency", "NOC area (mm²)"],
+    );
+    let base = frame.at().label(VARIANTS[0].0).ipc();
+    for (label, _) in VARIANTS {
         let p = frame.at().label(label).one();
         let area = model
             .area(&OrganizationArea::nocout(&p.chip.nocout_spec()))
@@ -59,14 +52,12 @@ fn main() {
             format!("{area:.2}"),
         ]);
     }
-    table.print();
-    println!(
-        "Takeaway: express links shave the tree hops (visible in the latency \
+    let notes = vec!["Takeaway: express links shave the tree hops (visible in the latency \
          column) while the nodes stay 2-input muxes, but at 8 rows the trees \
          contribute only a few cycles of a ~40-cycle LLC round trip, so the \
          end-to-end gain is small — they become interesting at the hundreds of \
          cores the paper projects, where tree height would otherwise grow \
          linearly."
-    );
-    report_csv("express.csv", &table.csv_records());
+        .into()];
+    Output { table, notes }
 }

@@ -4,42 +4,32 @@
 //! Paper result: flattened butterfly ≈ 23 mm² (≈ 7× mesh), mesh ≈ 3.5 mm²,
 //! NOC-Out ≈ 2.5 mm² (28% below mesh, 9× below FBfly); within NOC-Out each
 //! tree network contributes ~18% and the LLC butterfly ~64% of the area.
-//!
-//! Run with `cargo run --release -p nocout-experiments --bin fig8`.
 
-use nocout_experiments::cli::Cli;
-use nocout_experiments::{report_csv, Table};
+use super::{Body, Figure, Output};
+use crate::Table;
 use nocout_noc::topology::fbfly::FbflySpec;
 use nocout_noc::topology::mesh::MeshSpec;
 use nocout_noc::topology::nocout::NocOutSpec;
 use nocout_tech::area::{NocAreaModel, OrganizationArea};
 
-const ABOUT: &str = "Reproduces Figure 8: the analytic 32nm NoC area \
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig8",
+    about: "Reproduces Figure 8: the analytic 32nm NoC area \
 breakdown (links/buffers/crossbars) of the 3 evaluated organizations at \
-128-bit links — no simulation runs. Writes out/fig8.csv.";
+128-bit links — no simulation runs.",
+    body: Body::Direct(render),
+};
 
-fn main() {
-    // Analytic models only — no simulation, so `--jobs` has nothing to
-    // parallelize, but the shared CLI keeps flag handling uniform.
-    let cli = Cli::parse("fig8", ABOUT, "");
-    cli.finish();
+fn render() -> Output {
     let model = NocAreaModel::paper_32nm();
     let orgs = [
         (OrganizationArea::mesh(&MeshSpec::paper_64()), 3.5),
         (OrganizationArea::fbfly(&FbflySpec::paper_64()), 23.0),
         (OrganizationArea::nocout(&NocOutSpec::paper_64()), 2.5),
     ];
-
     let mut table = Table::new(
         "Figure 8 — NOC area breakdown (mm²)",
-        vec![
-            "Organization".into(),
-            "Links".into(),
-            "Buffers".into(),
-            "Crossbars".into(),
-            "Total".into(),
-            "Total (paper)".into(),
-        ],
+        &["Organization", "Links", "Buffers", "Crossbars", "Total", "Total (paper)"],
     );
     for (org, paper_total) in &orgs {
         let r = model.area(org);
@@ -52,7 +42,6 @@ fn main() {
             format!("{paper_total:.1}"),
         ]);
     }
-    table.print();
 
     // NOC-Out internal shares (§6.2).
     let spec = NocOutSpec::paper_64();
@@ -60,20 +49,22 @@ fn main() {
     let llc = model
         .area(&OrganizationArea::nocout_llc_region_only(&spec))
         .total_mm2();
-    println!(
-        "NOC-Out internals: LLC butterfly {:.0}% of total (paper: 64%), \
-         both tree networks together {:.0}% (paper: ~36%)",
-        100.0 * llc / full,
-        100.0 * (full - llc) / full
-    );
     let mesh = model.area(&orgs[0].0).total_mm2();
     let fb = model.area(&orgs[1].0).total_mm2();
-    println!(
-        "Ratios: FBfly/Mesh {:.1}x (paper ~7x) — FBfly/NOC-Out {:.1}x (paper ~9x) — \
-         NOC-Out saves {:.0}% vs Mesh (paper 28%)",
-        fb / mesh,
-        fb / full,
-        100.0 * (1.0 - full / mesh)
-    );
-    report_csv("fig8.csv", &table.csv_records());
+    let notes = vec![
+        format!(
+            "NOC-Out internals: LLC butterfly {:.0}% of total (paper: 64%), \
+             both tree networks together {:.0}% (paper: ~36%)",
+            100.0 * llc / full,
+            100.0 * (full - llc) / full
+        ),
+        format!(
+            "Ratios: FBfly/Mesh {:.1}x (paper ~7x) — FBfly/NOC-Out {:.1}x (paper ~9x) — \
+             NOC-Out saves {:.0}% vs Mesh (paper 28%)",
+            fb / mesh,
+            fb / full,
+            100.0 * (1.0 - full / mesh)
+        ),
+    ];
+    Output { table, notes }
 }

@@ -2,25 +2,23 @@
 //! traffic — shows where the flits actually go (§4's design argument:
 //! almost everything funnels through the LLC row, so that is where the
 //! connectivity budget belongs).
-//!
-//! Run with `cargo run --release -p nocout-experiments --bin heatmap`.
 
-use nocout_experiments::cli::Cli;
-use nocout_experiments::Table;
+use super::{Body, Figure, Output};
+use crate::Table;
 use nocout_noc::rng_traffic::run_bilateral_traffic;
 use nocout_noc::topology::nocout::{build_nocout, NocOutSpec};
 use nocout_noc::RouterId;
 
-const ABOUT: &str = "Profiles flit activity by region (LLC row vs tree \
+pub(super) const FIGURE: Figure = Figure {
+    name: "heatmap",
+    about: "Profiles flit activity by region (LLC row vs tree \
 nodes) of the NOC-Out fabric under uniform bilateral traffic — a \
 network-level run outside the campaign grid, showing why the rich \
-topology budget belongs in the LLC row.";
+topology budget belongs in the LLC row.",
+    body: Body::Direct(render),
+};
 
-fn main() {
-    // Single network-level traffic run — nothing to fan out, but the
-    // shared CLI keeps `--jobs`/`--help` handling uniform across bins.
-    let cli = Cli::parse("heatmap", ABOUT, "");
-    cli.finish();
+fn render() -> Output {
     let spec = NocOutSpec::paper_64();
     let mut built = build_nocout(&spec);
     let report = run_bilateral_traffic(&mut built, 0.5, 50_000, 1);
@@ -45,12 +43,7 @@ fn main() {
 
     let mut table = Table::new(
         "NOC-Out flit activity by region (uniform bilateral traffic)",
-        vec![
-            "Region".into(),
-            "Routers".into(),
-            "Flits switched".into(),
-            "Flits/router".into(),
-        ],
+        &["Region", "Routers", "Flits switched", "Flits/router"],
     );
     table.row(vec![
         "LLC row (flattened butterfly)".into(),
@@ -64,15 +57,17 @@ fn main() {
         tree_flits.to_string(),
         format!("{:.0}", tree_flits as f64 / tree_nodes as f64),
     ]);
-    table.print();
-    println!(
-        "delivered {} packets, mean latency {:.1} cycles",
-        report.packets, report.mean_latency
-    );
-    println!(
-        "The LLC routers each switch ~{}x the flits of a tree node — the traffic\n\
-         concentration that justifies spending the rich topology only there (§6.2).",
-        ((llc_flits as f64 / llc_routers as f64) / (tree_flits as f64 / tree_nodes as f64))
-            .round()
-    );
+    let notes = vec![
+        format!(
+            "delivered {} packets, mean latency {:.1} cycles",
+            report.packets, report.mean_latency
+        ),
+        format!(
+            "The LLC routers each switch ~{}x the flits of a tree node — the traffic\n\
+             concentration that justifies spending the rich topology only there (§6.2).",
+            ((llc_flits as f64 / llc_routers as f64) / (tree_flits as f64 / tree_nodes as f64))
+                .round()
+        ),
+    ];
+    Output { table, notes }
 }

@@ -9,22 +9,24 @@
 //! when the core falls behind) and reports the end-to-end service
 //! latency percentiles per organization as the arrival interval
 //! shrinks. The p99 must be monotone in load on every organization —
-//! asserted here, and held by the CI golden-CSV gate.
-//!
-//! Run with `cargo run --release -p nocout-experiments --bin loadlat`
-//! (set `NOCOUT_FAST=1` for the CI smoke configuration, `--jobs N` to
-//! spread the grid over N workers). Writes `out/loadlat.csv`.
+//! asserted by the render, and held by the CI golden-CSV gate.
 
+use super::{Body, Figure, Output};
+use crate::{campaign, Table};
 use nocout::prelude::*;
-use nocout_experiments::cli::Cli;
-use nocout_experiments::report_csv;
-use nocout_experiments::table::Table;
 use nocout_workloads::OpenLoopSpec;
 
-const ABOUT: &str = "Load-vs-tail-latency sweep: open-loop request \
+pub(super) const FIGURE: Figure = Figure {
+    name: "loadlat",
+    about: "Load-vs-tail-latency sweep: open-loop request \
 arrivals (data-serving service streams, 32 instructions per request) at \
 a ladder of arrival intervals on the 3 evaluated organizations, \
-reporting per-point service-latency percentiles. Writes out/loadlat.csv.";
+reporting per-point service-latency percentiles.",
+    body: Body::Grid {
+        grid: |scale| campaign(scale).orgs(Organization::EVALUATED).workloads(INTERVALS.map(spec)),
+        render,
+    },
+};
 
 /// Arrival intervals in cycles, lightest load first. 32-instruction
 /// requests take on the order of a hundred cycles of service, so the
@@ -44,26 +46,17 @@ fn spec(interval: u64) -> OpenLoopSpec {
     }
 }
 
-fn main() {
-    let cli = Cli::parse("loadlat", ABOUT, "");
-    let (runner, scale) = (cli.runner(), cli.scale());
-    cli.finish();
-
-    let frame = nocout_experiments::campaign(scale)
-        .orgs(Organization::EVALUATED)
-        .workloads(INTERVALS.map(spec))
-        .run(&runner);
-
+/// # Panics
+///
+/// Panics if a point completed no request, or, showing the whole table,
+/// if shrinking the arrival interval (raising load) lowers an
+/// organization's p99: the contract the CI golden gate freezes.
+fn render(frame: &ResultFrame) -> Output {
     let mut table = Table::new(
         "Load vs tail latency (open-loop, data-serving, 32-instr requests)",
-        vec![
-            "Organization".into(),
-            "IntervalCycles".into(),
-            "ReqCount".into(),
-            "ReqP50".into(),
-            "ReqP99".into(),
-            "ReqP999".into(),
-            "NetRespP99".into(),
+        &[
+            "Organization", "IntervalCycles", "ReqCount", "ReqP50", "ReqP99", "ReqP999",
+            "NetRespP99",
         ],
     );
     let mut curves: Vec<(Organization, u64, u64)> = Vec::new();
@@ -87,21 +80,20 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    report_csv("loadlat.csv", &table.csv_records());
 
-    // The contract the CI golden gate freezes: per organization,
-    // shrinking the arrival interval (raising load) never lowers the
-    // p99, and every point completed requests in the window. Checked
-    // after the table prints so a violation still shows the full curve.
+    // Per organization, shrinking the arrival interval (raising load)
+    // never lowers the p99. The message carries the table so a violation
+    // still shows the full curve.
     for w in curves.chunks(INTERVALS.len()) {
         for pair in w.windows(2) {
             let ((org, i0, p0), (_, i1, p1)) = (pair[0], pair[1]);
             assert!(
                 p1 >= p0,
-                "{org}: p99 {p1} at interval {i1} is below p99 {p0} at the \
-                 lighter interval {i0} — tail latency must be monotone in load"
+                "{}{org}: p99 {p1} at interval {i1} is below p99 {p0} at the \
+                 lighter interval {i0} — tail latency must be monotone in load",
+                table.render()
             );
         }
     }
+    Output { table, notes: Vec::new() }
 }

@@ -4,51 +4,39 @@
 //! organization, against > 60 W for the cores); most energy goes into the
 //! links; the ordering is NOC-Out (1.3 W) < FBfly (1.6 W) < Mesh (1.8 W),
 //! because NOC-Out's traffic travels shorter distances.
-//!
-//! Run with `cargo run --release -p nocout-experiments --bin power`
-//! (add `--jobs N` to spread the 18-point grid over N workers).
 
+use super::{Body, Figure, Output};
+use crate::{campaign, Table};
 use nocout::prelude::*;
-use nocout_experiments::cli::Cli;
-use nocout_experiments::{campaign, report_csv, Table};
 use nocout_tech::{BufferTech, ChipPowerModel, NocEnergyModel};
 
-const ABOUT: &str = "Reproduces the section 6.4 power analysis: measures \
+pub(super) const FIGURE: Figure = Figure {
+    name: "power",
+    about: "Reproduces the section 6.4 power analysis: measures \
 NoC activity for the 3 evaluated organizations x 6 workloads, prices it \
 with the 32nm energy models, and reports mean NoC power per organization \
-against the paper's watts. Writes out/power.csv.";
+against the paper's watts.",
+    // Every organization × workload activity measurement; the energy
+    // models then price each result.
+    body: Body::Grid {
+        grid: |scale| campaign(scale).orgs(ORGS.map(|(org, ..)| org)).workloads(Workload::ALL),
+        render,
+    },
+};
 
-fn main() {
-    let cli = Cli::parse("power", ABOUT, "");
-    let (runner, scale) = (cli.runner(), cli.scale());
-    cli.finish();
+/// (organization, buffer tech, average switch radix, paper watts)
+const ORGS: [(Organization, BufferTech, f64, f64); 3] = [
+    (Organization::Mesh, BufferTech::FlipFlop, 5.0, 1.8),
+    (Organization::FlattenedButterfly, BufferTech::Sram, 15.0, 1.6),
+    (Organization::NocOut, BufferTech::FlipFlop, 2.8, 1.3),
+];
 
-    // (organization, buffer tech, average switch radix, paper watts)
-    let orgs = [
-        (Organization::Mesh, BufferTech::FlipFlop, 5.0, 1.8),
-        (Organization::FlattenedButterfly, BufferTech::Sram, 15.0, 1.6),
-        (Organization::NocOut, BufferTech::FlipFlop, 2.8, 1.3),
-    ];
+fn render(frame: &ResultFrame) -> Output {
     let mut table = Table::new(
         "§6.4 — Average NOC power (W), mean over the six workloads",
-        vec![
-            "Organization".into(),
-            "Links".into(),
-            "Buffers".into(),
-            "Crossbars".into(),
-            "Static".into(),
-            "Total (W)".into(),
-            "Paper (W)".into(),
-        ],
+        &["Organization", "Links", "Buffers", "Crossbars", "Static", "Total (W)", "Paper (W)"],
     );
-    // Every organization × workload activity measurement runs as one
-    // campaign; the energy models then price each result.
-    let frame = campaign(scale)
-        .orgs(orgs.map(|(org, ..)| org))
-        .workloads(Workload::ALL)
-        .run(&runner);
-
-    for (org, buffer_tech, radix, paper) in orgs {
+    for (org, buffer_tech, radix, paper) in ORGS {
         let model = NocEnergyModel::paper_32nm(128, buffer_tech).with_radix(radix);
         let mut totals = [0.0f64; 5];
         for &w in Workload::ALL.iter() {
@@ -72,12 +60,11 @@ fn main() {
             format!("{paper:.1}"),
         ]);
     }
-    table.print();
     let chip = ChipPowerModel::paper_32nm();
-    println!(
+    let notes = vec![format!(
         "Chip context: 64 cores ≈ {:.0} W, 8 MB LLC ≈ {:.0} W — the NOC stays a minor consumer.",
         chip.cores_power_w(64),
         chip.llc_power_w(8.0)
-    );
-    report_csv("power.csv", &table.csv_records());
+    )];
+    Output { table, notes }
 }

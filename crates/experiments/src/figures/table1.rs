@@ -1,36 +1,31 @@
 //! Table 1: evaluation parameters — printed from the live configuration
 //! structs so the documentation can never drift from the simulated
 //! hardware.
-//!
-//! Run with `cargo run -p nocout-experiments --bin table1`.
 
+use super::{Body, Figure, Output};
+use crate::Table;
 use nocout::prelude::*;
-use nocout_experiments::cli::Cli;
-use nocout_experiments::Table;
 use nocout_mem::llc::LlcConfig;
 use nocout_mem::mem_ctrl::MemChannelConfig;
 use nocout_noc::RouterConfig;
 use nocout_tech::ChipPowerModel;
 
-const ABOUT: &str = "Prints Table 1 (the evaluation parameters) from the \
+pub(super) const FIGURE: Figure = Figure {
+    name: "table1",
+    about: "Prints Table 1 (the evaluation parameters) from the \
 live configuration structs, so the documentation cannot drift from the \
-simulated hardware — no simulation runs.";
+simulated hardware — no simulation runs.",
+    body: Body::Direct(render),
+};
 
-fn main() {
-    // Prints live configuration structs — no simulation, but the shared
-    // CLI keeps `--jobs`/`--help` handling uniform across bins.
-    let cli = Cli::parse("table1", ABOUT, "");
-    cli.finish();
+fn render() -> Output {
     let chip = ChipConfig::paper(Organization::NocOut);
     let tech = ChipPowerModel::paper_32nm();
     let mem = MemChannelConfig::default();
     let mesh_r = RouterConfig::mesh();
     let tree_r = RouterConfig::tree_node();
 
-    let mut t = Table::new(
-        "Table 1 — Evaluation parameters",
-        vec!["Parameter".into(), "Value".into()],
-    );
+    let mut t = Table::new("Table 1 — Evaluation parameters", &["Parameter", "Value"]);
     t.row(vec![
         "Technology".into(),
         "32nm, 0.9V, 2GHz".into(),
@@ -90,5 +85,5 @@ fn main() {
             mem.latency, mem.occupancy
         ),
     ]);
-    t.print();
+    Output { table: t, notes: Vec::new() }
 }

@@ -15,9 +15,9 @@ pub enum Scale {
 }
 
 /// A [`Campaign`] pre-configured with the binaries' measurement window
-/// and seed set at `scale`. Every figure/sweep binary starts here,
-/// declares its axes, and runs the grid through the shared
-/// `--jobs`/`--cache` runner:
+/// and seed set at `scale`. Every figure's grid starts here and declares
+/// its axes; `repro` runs it through the shared `--jobs`/`--cache`
+/// runner:
 ///
 /// ```no_run
 /// use nocout::prelude::*;

@@ -12,7 +12,7 @@ use std::path::Path;
 /// ```
 /// use nocout_experiments::table::Table;
 ///
-/// let mut t = Table::new("Demo", vec!["Workload".into(), "Speedup".into()]);
+/// let mut t = Table::new("Demo", &["Workload", "Speedup"]);
 /// t.row(vec!["Web Search".into(), "1.07".into()]);
 /// let s = t.render();
 /// assert!(s.contains("Web Search"));
@@ -27,10 +27,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, header: Vec<String>) -> Self {
+    pub fn new(title: &str, header: &[&str]) -> Self {
         Table {
             title: title.to_string(),
-            header,
+            header: header.iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -43,16 +43,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row arity mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table as aligned text.
@@ -135,21 +125,19 @@ mod tests {
 
     #[test]
     fn render_alignment() {
-        let mut t = Table::new("T", vec!["A".into(), "Longer".into()]);
+        let mut t = Table::new("T", &["A", "Longer"]);
         t.row(vec!["xxxxxx".into(), "1".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[1].starts_with("A"));
         assert!(lines[1].contains("Longer"));
         assert!(lines[3].starts_with("xxxxxx"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "arity")]
     fn arity_checked() {
-        let mut t = Table::new("T", vec!["A".into()]);
+        let mut t = Table::new("T", &["A"]);
         t.row(vec!["1".into(), "2".into()]);
     }
 
