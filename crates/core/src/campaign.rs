@@ -521,7 +521,7 @@ impl FailedPoint {
 /// Points are stored in the canonical expansion order
 /// ([`ResultFrame::results`]); the query helpers ([`ResultFrame::get`],
 /// [`ResultFrame::at`], [`ResultFrame::normalize_to`]) replace the
-/// flat-index arithmetic the experiment binaries used to hand-roll.
+/// flat-index arithmetic each figure used to hand-roll.
 /// Points whose execution failed are carried separately
 /// ([`ResultFrame::failed`]): queries that land on one panic naming the
 /// failure instead of reporting a hole in the grid.
@@ -578,7 +578,7 @@ impl ResultFrame {
     }
 
     /// The unique point at (organization, workload) — the common query of
-    /// the figure binaries.
+    /// the figures.
     ///
     /// # Panics
     ///
@@ -887,15 +887,6 @@ impl<'f> Sel<'f> {
     pub fn request_tail(&self) -> TailSummary {
         self.one().metrics.request_latency
     }
-
-    /// p99 of [`Sel::request_tail`] — the load-vs-tail-latency y axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the match is not unique.
-    pub fn request_p99(&self) -> u64 {
-        self.one().metrics.request_latency.p99
-    }
 }
 
 /// A [`ResultFrame`] view with every point's mean IPC divided by its
@@ -1156,9 +1147,11 @@ mod tests {
             last = Some(m);
         }
         let p = &frame.results()[0];
-        assert_eq!(p.ipc.to_bits(), stats.mean().to_bits());
-        assert_eq!(p.ci95.to_bits(), stats.ci95_half_width().to_bits());
-        assert_eq!(p.metrics.instructions, last.unwrap().instructions);
+        let folded = (stats.mean(), stats.ci95_half_width(), last.unwrap());
+        assert_eq!(
+            format!("{:?}", (p.ipc, p.ci95, &p.metrics)),
+            format!("{folded:?}")
+        );
         assert_eq!(p.seeds_run, 2);
     }
 

@@ -507,8 +507,7 @@ fn decode_after_header<R: Read>(
     Message::from_payload(kind, &payload, traces)
 }
 
-/// Decodes one frame from a complete byte buffer (tests and the
-/// pipe-transport reader).
+/// Decodes one frame from a complete byte buffer.
 ///
 /// # Errors
 ///

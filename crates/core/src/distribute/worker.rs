@@ -196,17 +196,6 @@ impl Worker {
         Ok(())
     }
 
-    /// Serves one peer over stdin/stdout — the pipe transport for local
-    /// process pools that never open a socket.
-    ///
-    /// # Errors
-    ///
-    /// The first protocol error on the pipe (there is no next connection
-    /// to fall back to).
-    pub fn serve_stdio(&self) -> Result<(), WireError> {
-        self.serve_stream(std::io::stdin().lock(), std::io::stdout())
-    }
-
     /// Serves one peer: handshake, trace shipments and shard requests
     /// in, capability/transfer acks and result frames out, until the
     /// peer closes or a fault fires.

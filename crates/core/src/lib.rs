@@ -19,7 +19,7 @@
 //! * [`runner`] — warmup/measure orchestration,
 //! * [`campaign`] — declarative axis grids ([`campaign::Campaign`]) over
 //!   the runner, returning coordinate-queryable
-//!   [`campaign::ResultFrame`]s (what every experiment binary is built
+//!   [`campaign::ResultFrame`]s (what every figure `repro` runs is built
 //!   on; see `docs/campaign-api.md`),
 //! * [`cache`] — the on-disk, spec-keyed results cache campaigns opt
 //!   into with `--cache DIR`,

@@ -697,12 +697,6 @@ impl Core {
         self.l1d.snoop_downgrade(line)
     }
 
-    /// Emits a writeback request for dirty victims — called by the chip
-    /// model when it processes L1 evictions. Exposed for protocol tests.
-    pub fn l1d_mut(&mut self) -> &mut L1Cache {
-        &mut self.l1d
-    }
-
     /// Read access to the L1-I (diagnostics).
     pub fn l1i(&self) -> &L1Cache {
         &self.l1i
@@ -1124,111 +1118,7 @@ mod tests {
             dense.tick(Cycle(t), &mut src_a, &mut out);
         }
         sparse.fast_forward(Cycle(3), 37);
-        assert_eq!(dense.stats.cycles.value(), sparse.stats.cycles.value());
-        assert_eq!(
-            dense.stats.fetch_stall_cycles.value(),
-            sparse.stats.fetch_stall_cycles.value()
-        );
-        assert_eq!(
-            dense.stats.mem_stall_cycles.value(),
-            sparse.stats.mem_stall_cycles.value()
-        );
-        assert_eq!(dense.stats.retired.value(), sparse.stats.retired.value());
-    }
-
-    /// A looping stream with fetch-line transitions, loads, stores and
-    /// mixed ALU latencies — enough structure to exercise stalls, fills
-    /// and refill boundaries in the differential tests below.
-    fn varied_script() -> Vec<FetchedInstr> {
-        (0..23u64)
-            .map(|i| FetchedInstr {
-                fetch_line: Addr((i / 4) * 64),
-                op: match i % 5 {
-                    0 => Op::Alu { latency: 1 },
-                    1 => Op::Alu { latency: 3 },
-                    2 => Op::Load {
-                        addr: Addr(0x3_0000 + (i % 11) * 64),
-                        dependent: i % 2 == 0,
-                    },
-                    3 => Op::Store {
-                        addr: Addr(0x5_0000 + (i % 7) * 64),
-                    },
-                    _ => Op::Load {
-                        addr: Addr(0x7_0000 + i * 64),
-                        dependent: false,
-                    },
-                },
-            })
-            .collect()
-    }
-
-    /// Drives a core for `cycles`, filling every miss after a fixed
-    /// latency, with the chosen tick flavour (or a mix).
-    fn drive(cycles: u64, flavour: impl Fn(u64) -> bool) -> (CoreStats, Vec<MissRequest>) {
-        let mut src = ScriptedSource::new(varied_script());
-        let mut core = Core::new(CoreConfig::a15());
-        let mut out = Vec::new();
-        let mut log = Vec::new();
-        let mut pending: Vec<(Cycle, MissRequest)> = Vec::new();
-        for t in 0..cycles {
-            let now = Cycle(t);
-            pending.retain(|(at, r)| {
-                if *at <= now {
-                    match r.kind {
-                        AccessKind::InstrFetch => core.fill_ifetch(r.line, now),
-                        _ => {
-                            core.fill_data(r.line, now);
-                        }
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-            out.clear();
-            if flavour(t) {
-                core.tick(now, &mut src, &mut out);
-            } else {
-                core.tick_reference(now, &mut src, &mut out);
-            }
-            for r in out.drain(..) {
-                log.push(r);
-                pending.push((now + 18, r));
-            }
-        }
-        (core.stats, log)
-    }
-
-    #[test]
-    fn block_tick_is_bit_identical_to_per_instruction_reference() {
-        let (blocked, blocked_reqs) = drive(3_000, |_| true);
-        let (reference, reference_reqs) = drive(3_000, |_| false);
-        assert_eq!(blocked_reqs, reference_reqs, "miss streams diverged");
-        assert_eq!(blocked.retired.value(), reference.retired.value());
-        assert_eq!(blocked.cycles.value(), reference.cycles.value());
-        assert_eq!(
-            blocked.fetch_stall_cycles.value(),
-            reference.fetch_stall_cycles.value()
-        );
-        assert_eq!(
-            blocked.mem_stall_cycles.value(),
-            reference.mem_stall_cycles.value()
-        );
-        assert_eq!(blocked.ifetch_misses.value(), reference.ifetch_misses.value());
-        assert_eq!(blocked.data_misses.value(), reference.data_misses.value());
-    }
-
-    #[test]
-    fn mixed_tick_flavours_preserve_the_stream() {
-        // Alternating between block and per-instruction ticking mid-run
-        // must consume exactly the same sequence: the reference path
-        // drains the block's buffered instructions before touching the
-        // source again.
-        let (mixed, mixed_reqs) = drive(3_000, |t| (t / 97) % 2 == 0);
-        let (reference, reference_reqs) = drive(3_000, |_| false);
-        assert_eq!(mixed_reqs, reference_reqs, "miss streams diverged");
-        assert_eq!(mixed.retired.value(), reference.retired.value());
-        assert_eq!(mixed.data_misses.value(), reference.data_misses.value());
+        assert_eq!(format!("{dense:?}"), format!("{sparse:?}"));
     }
 
     /// A core stalled on an ifetch miss with one completed-but-unretired
@@ -1290,19 +1180,7 @@ mod tests {
             dense_core.tick(Cycle(t), &mut dense_src, &mut out);
             sparse_core.tick(Cycle(t), &mut sparse_src, &mut out);
         }
-        assert_eq!(dense_core.stats.cycles.value(), sparse_core.stats.cycles.value());
-        assert_eq!(
-            dense_core.stats.retired.value(),
-            sparse_core.stats.retired.value()
-        );
-        assert_eq!(
-            dense_core.stats.fetch_stall_cycles.value(),
-            sparse_core.stats.fetch_stall_cycles.value()
-        );
-        assert_eq!(
-            dense_core.stats.mem_stall_cycles.value(),
-            sparse_core.stats.mem_stall_cycles.value()
-        );
+        assert_eq!(format!("{dense_core:?}"), format!("{sparse_core:?}"));
     }
 
     #[test]

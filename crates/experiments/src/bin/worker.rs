@@ -1,8 +1,7 @@
 //! `nocout-worker`: serves shard requests on a local simulation pool.
 //!
-//! The serving side of `nocout::distribute`: binds a TCP listener (or
-//! speaks the same protocol over stdin/stdout with `--stdio`), executes
-//! each incoming shard on a local `BatchRunner`, and streams back
+//! The serving side of `nocout::distribute`: binds a TCP listener,
+//! executes each incoming shard on a local `BatchRunner`, and streams back
 //! bit-exact metric records with heartbeats in between. The `shard-run`
 //! driver spawns these itself (`--listen 127.0.0.1:0`, parsing the
 //! `listening <addr>` banner below), but a worker can equally be started
@@ -20,33 +19,31 @@ use std::time::Duration;
 
 const ABOUT: &str = "Serves nocout shard requests: accepts length-prefixed, \
 digest-checked shard frames over TCP (--listen ADDR, announcing `listening \
-<addr>` on stdout once bound) or stdin/stdout (--stdio), runs each spec on \
-a local simulation pool, and streams back bit-exact metric records with \
-heartbeats during long points. --trace-store DIR attaches a \
-content-addressed trace store: the worker advertises its held trace hashes \
-in the capability handshake, accepts driver-shipped trace archives \
-(resumable, hash-verified, installed atomically), and replays trace@HASH \
-workloads from the store. The --fault-* flags make the worker misbehave \
-deterministically, for chaos tests.";
+<addr>` on stdout once bound), runs each spec on a local simulation pool, \
+and streams back bit-exact metric records with heartbeats during long \
+points. --trace-store DIR attaches a content-addressed trace store: the \
+worker advertises its held trace hashes in the capability handshake, \
+accepts driver-shipped trace archives (resumable, hash-verified, installed \
+atomically), and replays trace@HASH workloads from the store. The \
+--fault-* flags make the worker misbehave deterministically, for chaos \
+tests.";
 
 fn main() {
     let mut cli = Cli::parse(
         "nocout-worker",
         ABOUT,
         &format!(
-            "(--listen ADDR | --stdio) [--trace-store DIR] [--heartbeat-ms N] {}",
+            "--listen ADDR [--trace-store DIR] [--heartbeat-ms N] {}",
             FaultArgs::USAGE
         ),
     );
     let mut listen: Option<String> = None;
-    let mut stdio = false;
     let mut heartbeat_ms: u64 = 200;
     let mut trace_store: Option<String> = None;
     let mut faults = FaultArgs::default();
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
             "--listen" => listen = Some(cli.value(&flag)),
-            "--stdio" => stdio = true,
             "--heartbeat-ms" => heartbeat_ms = cli.parsed(&flag),
             "--trace-store" => trace_store = Some(cli.value(&flag)),
             _ => {
@@ -56,9 +53,9 @@ fn main() {
             }
         }
     }
-    if stdio == listen.is_some() {
-        cli.fail("exactly one of --listen ADDR or --stdio is required");
-    }
+    let Some(addr) = listen else {
+        cli.fail("--listen ADDR is required");
+    };
     if heartbeat_ms == 0 {
         cli.fail("--heartbeat-ms must be positive");
     }
@@ -73,16 +70,6 @@ fn main() {
         }
     }
 
-    if stdio {
-        cli.finish();
-        if let Err(e) = worker.serve_stdio() {
-            eprintln!("nocout-worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let addr = listen.expect("checked above");
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => cli.fail(&format!("cannot bind `{addr}`: {e}")),

@@ -1,11 +1,10 @@
 //! Shared command-line parsing for the experiment binaries.
 //!
 //! Every binary accepts `--jobs N` (parallel simulation workers; `0` or
-//! unset means all hardware threads, with the `NOCOUT_JOBS` environment
-//! variable as the default), `--cache DIR` (memoize simulation points on
-//! disk keyed by their `RunSpec` content hash — a re-run sharing points
-//! with an earlier campaign only simulates the new ones; see
-//! `nocout::cache` for the key and invalidation rules) and `--help`,
+//! unset means all hardware threads), `--cache DIR` (memoize simulation
+//! points on disk keyed by their `RunSpec` content hash — a re-run
+//! sharing points with an earlier campaign only simulates the new ones;
+//! see `nocout::cache` for the key and invalidation rules) and `--help`,
 //! which prints the usage line followed by the binary's `about` text (the
 //! grid it runs). Binary-specific flags are consumed through
 //! [`Cli::next_flag`]/[`Cli::value`]/[`Cli::parsed`], whose errors name
@@ -44,7 +43,7 @@ pub struct Cli {
     bin: String,
     about: String,
     usage_tail: String,
-    /// Explicit `--jobs` value; `None` defers to `BatchRunner::from_env`.
+    /// Explicit `--jobs` value; `None` means all hardware threads.
     jobs: Option<usize>,
     /// Results-cache directory from `--cache`.
     cache_dir: Option<PathBuf>,
@@ -104,7 +103,7 @@ impl Cli {
                     }
                     println!(
                         "\ncommon flags:\n  --jobs N     parallel simulation workers \
-                         (0/unset: all hardware threads; NOCOUT_JOBS)\n  --cache DIR  \
+                         (0/unset: all hardware threads)\n  --cache DIR  \
                          memoize simulation points on disk, keyed by RunSpec content hash"
                     );
                     std::process::exit(0);
@@ -137,14 +136,10 @@ impl Cli {
         self.fail(&format!("unknown flag `{flag}`"))
     }
 
-    /// The worker pool sized from `--jobs`, falling back to the
-    /// `NOCOUT_JOBS` environment variable (and then all hardware
-    /// threads), with the `--cache` results cache attached when given.
+    /// The worker pool sized from `--jobs` (all hardware threads without
+    /// it), with the `--cache` results cache attached when given.
     pub fn runner(&self) -> BatchRunner {
-        let runner = match self.jobs {
-            Some(jobs) => BatchRunner::new(jobs),
-            None => BatchRunner::from_env(),
-        };
+        let runner = BatchRunner::new(self.jobs.unwrap_or(0));
         match &self.cache_dir {
             Some(dir) => match ResultsCache::open(dir.clone()) {
                 Ok(cache) => runner.with_cache(cache),
@@ -209,7 +204,7 @@ impl Cli {
     /// in binaries without positional arguments).
     pub fn finish(mut self) {
         if let Some(tok) = self.rest.pop_front() {
-            self.unknown(&tok);
+            self.fail(&format!("unexpected argument `{tok}`"));
         }
     }
 }

@@ -27,7 +27,7 @@ pub enum Scale {
 /// let frame = campaign(Scale::Paper)
 ///     .orgs(Organization::EVALUATED)
 ///     .workloads(Workload::ALL)
-///     .run(&BatchRunner::from_env());
+///     .run(&BatchRunner::new(0));
 /// let norm = frame.normalize_to(Organization::Mesh);
 /// println!("NOC-Out gmean: {:.3}", norm.geomean(Organization::NocOut));
 /// ```

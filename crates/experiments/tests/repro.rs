@@ -1,7 +1,8 @@
 //! The `repro` binary's command line, run as a process from a scratch
-//! directory: figure selection, its errors, `--help`, and the CSVs of the
-//! two analytic figures (milliseconds even in a debug build). Plus
-//! `explorer`'s refusal of a seed count it cannot run.
+//! directory: figure selection, its errors (a stray argument among them),
+//! `--help`, and the CSVs of the two analytic figures (milliseconds even
+//! in a debug build). Plus `explorer`'s refusal of a seed count it cannot
+//! run.
 
 use nocout_experiments::figures::FIGURES;
 use std::process::Command;
@@ -35,6 +36,14 @@ fn unknown_or_missing_figure_exits_2_with_the_usage_line() {
     let (code, _, err, _) = run(REPRO, "missing", &[]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("usage: repro [--jobs N] [--cache DIR]"), "{err}");
+}
+
+#[test]
+fn a_stray_argument_exits_2_naming_it() {
+    let (code, _, err, files) = run(REPRO, "stray", &["fig8", "extra"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("unexpected argument `extra`"), "{err}");
+    assert!(files.is_empty(), "nothing runs: {files:?}");
 }
 
 #[test]

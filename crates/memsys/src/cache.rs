@@ -32,15 +32,6 @@ impl CacheGeometry {
         }
     }
 
-    /// An LLC slice of the given capacity, 16-way.
-    pub fn llc_slice(capacity_bytes: u64) -> Self {
-        CacheGeometry {
-            capacity_bytes,
-            ways: 16,
-            line_bytes: 64,
-        }
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> usize {
         (self.capacity_bytes / (self.ways as u64 * self.line_bytes)) as usize
@@ -398,11 +389,5 @@ mod tests {
         assert_eq!(g.sets(), 128);
         let c = CacheArray::new(g);
         assert_eq!(c.geometry().ways, 4);
-    }
-
-    #[test]
-    fn llc_slice_geometry() {
-        let g = CacheGeometry::llc_slice(1024 * 1024);
-        assert_eq!(g.sets(), 1024);
     }
 }

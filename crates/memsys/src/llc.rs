@@ -241,15 +241,6 @@ pub struct LlcStats {
 }
 
 impl LlcStats {
-    /// Fraction of LLC accesses that triggered at least one snoop message.
-    pub fn snoop_fraction(&self) -> f64 {
-        if self.accesses.value() == 0 {
-            0.0
-        } else {
-            self.snooping_accesses.value() as f64 / self.accesses.value() as f64
-        }
-    }
-
     /// Resets all counters.
     pub fn reset(&mut self) {
         *self = LlcStats::default();
@@ -1162,6 +1153,6 @@ mod tests {
         // Two writes → each snoops the accumulated sharers.
         tile.submit(getx(200, 9, 0x40));
         run_until(&mut tile, &mut now, 1000, |o| matches!(o, LlcOutput::Inv { .. }));
-        assert!(tile.stats.snoop_fraction() > 0.0);
+        assert!(tile.stats.snooping_accesses.value() > 0);
     }
 }

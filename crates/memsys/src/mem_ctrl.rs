@@ -303,9 +303,7 @@ mod tests {
             t += 1;
         }
         assert_eq!(dense_done, sparse_done);
-        assert_eq!(dense.reads.value(), sparse.reads.value());
-        assert_eq!(dense.writes.value(), sparse.writes.value());
-        assert_eq!(dense.queue_cycles.value(), sparse.queue_cycles.value());
+        assert_eq!(format!("{dense:?}"), format!("{sparse:?}"));
     }
 
     #[test]

@@ -198,10 +198,12 @@ pub struct NetworkBuilder {
     routers: Vec<Router>,
     terminals: Vec<Terminal>,
     link_width_bits: u32,
-    /// Ejection/injection link geometry.
-    terminal_link_delay: u8,
-    terminal_link_mm: f32,
 }
+
+/// Delay of every terminal's injection and ejection link, in cycles.
+const TERMINAL_LINK_DELAY: u8 = 1;
+/// Length of every terminal's injection and ejection link, in mm.
+const TERMINAL_LINK_MM: f32 = 0.5;
 
 impl NetworkBuilder {
     /// Starts a network whose links are `link_width_bits` wide (one flit per
@@ -213,16 +215,7 @@ impl NetworkBuilder {
             routers: Vec::new(),
             terminals: Vec::new(),
             link_width_bits,
-            terminal_link_delay: 1,
-            terminal_link_mm: 0.5,
         }
-    }
-
-    /// Overrides the delay/length of terminal attachment links.
-    pub fn terminal_link(&mut self, delay: u8, length_mm: f32) -> &mut Self {
-        self.terminal_link_delay = delay;
-        self.terminal_link_mm = length_mm;
-        self
     }
 
     /// Adds a router, returning its id.
@@ -344,7 +337,7 @@ impl NetworkBuilder {
             r.in_ports.push(InPort::new(
                 depth,
                 Feeder::Terminal(terminal),
-                1 + self.terminal_link_delay,
+                1 + TERMINAL_LINK_DELAY,
             ));
             (r.in_ports.len() - 1) as PortIndex
         };
@@ -353,8 +346,8 @@ impl NetworkBuilder {
             r.out_ports.push(OutPort {
                 target: OutTarget::Terminal {
                     terminal,
-                    link_delay: self.terminal_link_delay,
-                    length_mm: self.terminal_link_mm,
+                    link_delay: TERMINAL_LINK_DELAY,
+                    length_mm: TERMINAL_LINK_MM,
                 },
                 credits: [u8::MAX; CLASS_COUNT],
                 max_credits: [u8::MAX; CLASS_COUNT],
@@ -1662,58 +1655,6 @@ mod tests {
         }
         assert_eq!(count, 12);
         net.check_invariants();
-    }
-
-    #[test]
-    fn reference_tick_matches_fast_tick() {
-        // Drive two identical contended networks in lockstep — one through
-        // the masked/dirty-list switch, one through the reference full
-        // scan — and compare every observable each cycle.
-        let build = || {
-            let mut b = NetworkBuilder::new(128);
-            let cfg = RouterConfig::mesh();
-            let rs: Vec<_> = (0..3).map(|_| b.add_router(cfg)).collect();
-            b.add_bidi_link(rs[0], rs[2], 1, 2.0);
-            b.add_bidi_link(rs[1], rs[2], 1, 2.0);
-            let ta = b.add_terminal(rs[0]).terminal;
-            let tb = b.add_terminal(rs[1]).terminal;
-            let tc = b.add_terminal(rs[2]).terminal;
-            b.compute_routes_bfs();
-            (b.build(), [ta, tb, tc])
-        };
-        let (mut fast, terms) = build();
-        let (mut reference, _) = build();
-        for i in 0..6 {
-            for &src in &terms[..2] {
-                fast.inject(src, terms[2], MessageClass::Response, 64, i);
-                reference.inject(src, terms[2], MessageClass::Response, 64, i);
-            }
-            fast.inject(terms[2], terms[0], MessageClass::Snoop, 0, i);
-            reference.inject(terms[2], terms[0], MessageClass::Snoop, 0, i);
-        }
-        for _ in 0..400 {
-            fast.tick();
-            reference.tick_reference();
-            assert_eq!(fast.packets_in_flight(), reference.packets_in_flight());
-            for &t in &terms {
-                loop {
-                    let (a, b) = (fast.poll(t), reference.poll(t));
-                    assert_eq!(a, b, "deliveries diverged at {}", fast.now());
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-        }
-        assert_eq!(fast.packets_in_flight(), 0);
-        assert_eq!(fast.debug_rr_state(), reference.debug_rr_state());
-        for r in 0..fast.num_routers() {
-            let id = RouterId(r as u16);
-            assert_eq!(
-                fast.router(id).flits_sent_per_port(),
-                reference.router(id).flits_sent_per_port()
-            );
-        }
     }
 
     #[test]

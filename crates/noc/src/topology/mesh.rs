@@ -75,14 +75,6 @@ pub struct TiledNetwork {
     pub rows: usize,
 }
 
-impl TiledNetwork {
-    /// The tile coordinates (col, row) of terminal index `t` within
-    /// `tile_terminals`.
-    pub fn tile_coords(&self, tile: usize) -> (usize, usize) {
-        (tile % self.cols, tile / self.cols)
-    }
-}
-
 /// Positions (as tile indices) at which memory controllers attach: spread
 /// along the left and right die edges, mirroring Fig. 5's channel placement.
 pub(crate) fn mc_tiles(cols: usize, rows: usize, channels: usize) -> Vec<usize> {

@@ -3,8 +3,7 @@
 //! This crate provides the substrate shared by every timing model in the
 //! workspace:
 //!
-//! * [`Cycle`] — a strongly-typed cycle count and the [`SimClock`] that
-//!   advances it,
+//! * [`Cycle`] — a strongly-typed cycle count,
 //! * [`rng::SimRng`] — a deterministic, splittable pseudo-random number
 //!   generator so that every experiment is exactly reproducible from a seed,
 //! * [`stats`] — counters, histograms and running statistics used by the
@@ -28,12 +27,11 @@
 //! # Examples
 //!
 //! ```
-//! use nocout_sim::{Cycle, SimClock};
+//! use nocout_sim::Cycle;
 //!
-//! let mut clock = SimClock::new();
-//! assert_eq!(clock.now(), Cycle(0));
-//! clock.advance();
-//! assert_eq!(clock.now(), Cycle(1));
+//! let mut now = Cycle::ZERO;
+//! now += 1;
+//! assert_eq!(now, Cycle(1));
 //! ```
 
 pub mod config;
@@ -88,20 +86,6 @@ impl Cycle {
     pub fn saturating_since(self, earlier: Cycle) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
-
-    /// Converts a cycle count into seconds given a clock frequency in Hz.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use nocout_sim::Cycle;
-    /// let c = Cycle(2_000_000_000);
-    /// assert!((c.to_seconds(2.0e9) - 1.0).abs() < 1e-12);
-    /// ```
-    #[inline]
-    pub fn to_seconds(self, frequency_hz: f64) -> f64 {
-        self.0 as f64 / frequency_hz
-    }
 }
 
 impl Add<u64> for Cycle {
@@ -139,59 +123,6 @@ impl From<u64> for Cycle {
     }
 }
 
-/// The global simulation clock.
-///
-/// Components never advance the clock themselves; the top-level system
-/// driver ticks every component once per cycle and then advances the clock,
-/// which keeps the whole chip model synchronous and deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use nocout_sim::SimClock;
-///
-/// let mut clock = SimClock::new();
-/// for _ in 0..100 {
-///     clock.advance();
-/// }
-/// assert_eq!(clock.now().raw(), 100);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: Cycle,
-}
-
-impl SimClock {
-    /// Creates a clock at cycle zero.
-    pub fn new() -> Self {
-        SimClock { now: Cycle::ZERO }
-    }
-
-    /// The current cycle.
-    #[inline]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances the clock by one cycle.
-    #[inline]
-    pub fn advance(&mut self) {
-        self.now.0 += 1;
-    }
-
-    /// Advances the clock by `n` cycles.
-    #[inline]
-    pub fn advance_by(&mut self, n: u64) {
-        self.now.0 += n;
-    }
-}
-
-/// Frequency of the simulated chip in Hz (2 GHz per Table 1 of the paper).
-pub const CHIP_FREQUENCY_HZ: f64 = 2.0e9;
-
-/// Duration of one clock cycle in picoseconds at [`CHIP_FREQUENCY_HZ`].
-pub const CYCLE_TIME_PS: f64 = 1.0e12 / CHIP_FREQUENCY_HZ;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,23 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances() {
-        let mut clk = SimClock::new();
-        clk.advance();
-        clk.advance_by(9);
-        assert_eq!(clk.now(), Cycle(10));
-    }
-
-    #[test]
     fn cycle_display_and_from() {
         assert_eq!(Cycle::from(42).to_string(), "42");
-    }
-
-    #[test]
-    fn cycle_seconds_at_two_ghz() {
-        let c = Cycle(2);
-        let s = c.to_seconds(CHIP_FREQUENCY_HZ);
-        assert!((s - 1.0e-9).abs() < 1e-15);
-        assert!((CYCLE_TIME_PS - 500.0).abs() < 1e-9);
     }
 }

@@ -125,26 +125,6 @@ impl SimRng {
         let u = self.next_f64().max(f64::MIN_POSITIVE);
         (u.ln() / (1.0 - p).ln()).floor() as u64
     }
-
-    /// Selects an index in `[0, weights.len())` with probability
-    /// proportional to `weights[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to a non-positive value.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weights must be non-empty");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weights must sum to a positive value");
-        let mut x = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= *w;
-        }
-        weights.len() - 1
-    }
 }
 
 /// A Zipf-distributed sampler over ranks `0..n`.
@@ -317,16 +297,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.chance(0.02)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.02).abs() < 0.004, "rate was {rate}");
-    }
-
-    #[test]
-    fn weighted_index_prefers_heavy_weight() {
-        let mut rng = SimRng::new(5);
-        let w = [0.01, 0.98, 0.01];
-        let picks = (0..10_000)
-            .filter(|_| rng.weighted_index(&w) == 1)
-            .count();
-        assert!(picks > 9_000);
     }
 
     #[test]

@@ -410,65 +410,6 @@ impl fmt::Debug for LatencyHist {
     }
 }
 
-/// Tracks the utilization of a resource: the fraction of observed cycles in
-/// which the resource was busy.
-///
-/// # Examples
-///
-/// ```
-/// use nocout_sim::stats::Utilization;
-///
-/// let mut u = Utilization::new();
-/// u.observe(true);
-/// u.observe(false);
-/// assert!((u.fraction() - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Utilization {
-    busy: u64,
-    observed: u64,
-}
-
-impl Utilization {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Utilization::default()
-    }
-
-    /// Records one cycle of observation.
-    #[inline]
-    pub fn observe(&mut self, busy: bool) {
-        self.observed += 1;
-        if busy {
-            self.busy += 1;
-        }
-    }
-
-    /// Busy fraction in `[0,1]` (0 when nothing observed).
-    pub fn fraction(&self) -> f64 {
-        if self.observed == 0 {
-            0.0
-        } else {
-            self.busy as f64 / self.observed as f64
-        }
-    }
-
-    /// Number of busy cycles.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy
-    }
-
-    /// Number of observed cycles.
-    pub fn observed_cycles(&self) -> u64 {
-        self.observed
-    }
-
-    /// Resets the tracker.
-    pub fn reset(&mut self) {
-        *self = Utilization::default();
-    }
-}
-
 /// Geometric mean of a slice of positive values, the aggregation the paper
 /// uses for Fig. 7 and Fig. 9 ("GMean") and the one
 /// `nocout::campaign::NormalizedFrame::geomean` relies on.
@@ -646,17 +587,6 @@ mod tests {
         h.merge(&wide);
         assert_eq!((h.lo, h.hi()), (0, LAT_BUCKETS));
         assert_eq!(h.iter().collect::<Vec<_>>(), [(0, 1), (u64::MAX, 1)]);
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let mut u = Utilization::new();
-        for i in 0..10 {
-            u.observe(i % 4 == 0);
-        }
-        assert!((u.fraction() - 0.3).abs() < 1e-12);
-        assert_eq!(u.busy_cycles(), 3);
-        assert_eq!(u.observed_cycles(), 10);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! workload's generator, with per-request latency (arrival to completion,
 //! *including* time spent queued behind earlier requests) recorded into a
 //! [`LatencyHist`]. This is the prerequisite for the classic
-//! load-vs-tail-latency serving curve (the `loadlat` experiment binary).
+//! load-vs-tail-latency serving curve (the `loadlat` figure, `repro
+//! loadlat`).
 //!
 //! ## Semantics
 //!
@@ -43,9 +44,10 @@
 //! when the second one arrives), so block delivery and the
 //! per-instruction reference path may consume different filler counts.
 //! Determinism still holds: the same `(spec, core, seed, config)` always
-//! produces the same run. The determinism test-suite pins the closed-loop
-//! classes; open-loop runs are pinned end-to-end by the `loadlat` golden
-//! CSV instead.
+//! produces the same run. The sleeping-core sweep of
+//! `tests/chip_event_determinism.rs` runs open-loop classes against the
+//! chip's reference tick like the closed-loop ones, and the `loadlat`
+//! golden CSV (`repro loadlat`) pins them end to end.
 
 use crate::gen::{WorkloadGen, INSTR_BASE};
 use crate::profile::Workload;

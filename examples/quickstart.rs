@@ -59,7 +59,7 @@ fn main() {
         .workloads([Workload::WebSearch, Workload::DataServing])
         .window(MeasurementWindow::new(10_000, 20_000))
         .seeds([42])
-        .run(&BatchRunner::from_env());
+        .run(&BatchRunner::new(0)); // 0: one worker per hardware thread
     let norm = frame.normalize_to(Organization::Mesh);
     println!("\nNOC-Out speedup over the mesh (same window, seed 42):");
     for w in [Workload::WebSearch, Workload::DataServing] {

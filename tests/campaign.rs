@@ -3,35 +3,14 @@
 //! touches, and a warm results cache replays a full campaign with zero
 //! simulations.
 
+mod common;
+
+use common::{same, TempDir};
 use nocout_repro::cache::ResultsCache;
 use nocout_repro::campaign::Campaign;
 use nocout_repro::prelude::*;
 use nocout_repro::runner::BatchRunner;
 use nocout_sim::stats::RunningStats;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A unique, self-cleaning cache directory per test.
-struct TempCacheDir(PathBuf);
-
-impl TempCacheDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "nocout-campaign-test-{}-{}-{}",
-            tag,
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        TempCacheDir(dir)
-    }
-}
-
-impl Drop for TempCacheDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn window() -> MeasurementWindow {
     MeasurementWindow::new(1_000, 3_000)
@@ -127,7 +106,7 @@ fn axis_declaration_order_does_not_change_cache_key_coverage() {
 
 #[test]
 fn warm_cache_replays_a_full_campaign_with_zero_simulations() {
-    let dir = TempCacheDir::new("warm-replay");
+    let dir = TempDir::new("warm-replay");
 
     let cold = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
     let first = grid().run(&cold);
@@ -143,15 +122,8 @@ fn warm_cache_replays_a_full_campaign_with_zero_simulations() {
     assert_eq!(cache.misses(), 0, "warm campaign must not simulate");
     assert_eq!(cache.hits(), 16);
 
-    // And the frames are bit-identical, per point.
-    assert_eq!(first.len(), second.len());
-    for (a, b) in first.results().iter().zip(second.results()) {
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits());
-        assert_eq!(a.ci95.to_bits(), b.ci95.to_bits());
-        assert_eq!(a.metrics.instructions, b.metrics.instructions);
-        assert_eq!(a.metrics.network.packets, b.metrics.network.packets);
-        assert_eq!(a.seeds_run, b.seeds_run);
-    }
+    // And the frames are bit-identical.
+    same(&second, &first, "warm frame against cold");
 }
 
 #[test]
@@ -173,9 +145,12 @@ fn campaign_matches_hand_rolled_point_loop() {
             stats.record(m.aggregate_ipc());
             last = Some(m);
         }
-        assert_eq!(p.ipc.to_bits(), stats.mean().to_bits());
-        assert_eq!(p.ci95.to_bits(), stats.ci95_half_width().to_bits());
-        assert_eq!(p.metrics.instructions, last.unwrap().instructions);
+        let folded = (stats.mean(), stats.ci95_half_width(), last.unwrap());
+        let ctx = format!(
+            "{} {} {} cores",
+            p.chip.organization, p.workload, p.chip.cores
+        );
+        same(&(p.ipc, p.ci95, p.metrics.clone()), &folded, ctx);
     }
 }
 
@@ -183,10 +158,7 @@ fn campaign_matches_hand_rolled_point_loop() {
 fn worker_count_does_not_change_the_frame() {
     let serial = grid().run(&BatchRunner::serial());
     let parallel = grid().run(&BatchRunner::new(4));
-    for (a, b) in serial.results().iter().zip(parallel.results()) {
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits());
-        assert_eq!(a.metrics.instructions, b.metrics.instructions);
-    }
+    same(&parallel, &serial, "4 workers against 1");
 }
 
 #[test]
@@ -194,7 +166,7 @@ fn trace_workloads_compose_with_the_grid_and_collapse_seeds() {
     // Capture a tiny trace, then put it on the workload axis next to a
     // synthetic profile: the synthetic points replicate over both
     // seeds, the trace points collapse to one literal replay each.
-    let dir = TempCacheDir::new("trace-axis");
+    let dir = TempDir::new("trace-axis");
     let chip = ChipConfig::with_cores(Organization::Mesh, 16);
     let set = nocout_repro::capture_synthetic_trace(
         chip,

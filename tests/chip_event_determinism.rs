@@ -1,19 +1,21 @@
 //! The event-driven chip tick's contract: active-set scheduling, idle
-//! fast-forward and block-based instruction delivery never change
-//! results.
+//! fast-forward, per-core sleep and block-based instruction delivery
+//! never change results.
 //!
 //! `ScaleOutChip::tick` skips sleeping cores (paying the cycles they
 //! slept through, stalled or spinning, in bulk at the wake), visits
 //! only LLC tiles and memory channels with pending work and feeds every
 //! core in instruction *blocks* (one virtual `refill` per 64
 //! instructions), and `ScaleOutChip::run_for` jumps over globally idle
-//! stretches; all of it must be bit-identical
-//! to the full-scan, per-instruction reference (`tick_reference`)
-//! across every organization, workload mix and seed — the same
-//! differential pattern `tests/batch_determinism.rs` applies to the
-//! parallel batch engine and `tests/trace_replay.rs` to the trace
-//! workload class.
+//! stretches; all of it must be bit-identical to the full-scan,
+//! per-instruction reference (`tick_reference`) across every
+//! organization, workload class and script. The twins run on the shared
+//! lockstep harness in `tests/common`.
 
+mod common;
+
+use common::{lockstep, TempDir};
+use nocout_repro::metrics::TailSummary;
 use nocout_repro::prelude::*;
 use nocout_repro::substrates::workloads::OpenLoopSpec;
 
@@ -25,152 +27,220 @@ const ALL_ORGS: [Organization; 5] = [
     Organization::ZeroLoadMesh,
 ];
 
-fn assert_metrics_identical(a: &SystemMetrics, b: &SystemMetrics, ctx: &str) {
-    assert_eq!(a.active_cores, b.active_cores, "{ctx}: active cores");
-    assert_eq!(a.cycles, b.cycles, "{ctx}: cycles");
-    assert_eq!(a.instructions, b.instructions, "{ctx}: instructions");
-    assert_eq!(
-        a.fetch_stall_fraction.to_bits(),
-        b.fetch_stall_fraction.to_bits(),
-        "{ctx}: fetch stall fraction"
-    );
-    assert_eq!(a.per_core_ipc.len(), b.per_core_ipc.len(), "{ctx}");
-    for (i, (x, y)) in a.per_core_ipc.iter().zip(&b.per_core_ipc).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: core {i} ipc");
-    }
-    assert_eq!(a.llc.accesses, b.llc.accesses, "{ctx}: llc accesses");
-    assert_eq!(a.llc.hits, b.llc.hits, "{ctx}: llc hits");
-    assert_eq!(a.llc.misses, b.llc.misses, "{ctx}: llc misses");
-    assert_eq!(a.llc.snoops_sent, b.llc.snoops_sent, "{ctx}: snoops");
-    assert_eq!(
-        a.llc.snooping_accesses, b.llc.snooping_accesses,
-        "{ctx}: snooping accesses"
-    );
-    assert_eq!(a.llc.writebacks, b.llc.writebacks, "{ctx}: writebacks");
-    assert_eq!(a.network.packets, b.network.packets, "{ctx}: packets");
-    assert_eq!(
-        a.network.mean_latency.to_bits(),
-        b.network.mean_latency.to_bits(),
-        "{ctx}: mean latency"
-    );
-    assert_eq!(a.network.p50_latency, b.network.p50_latency, "{ctx}: p50");
-    assert_eq!(a.network.p99_latency, b.network.p99_latency, "{ctx}: p99");
-    assert_eq!(
-        a.network.buffer_writes, b.network.buffer_writes,
-        "{ctx}: buffer writes"
-    );
-    assert_eq!(
-        a.network.xbar_traversals, b.network.xbar_traversals,
-        "{ctx}: xbar traversals"
-    );
-    assert_eq!(a.memory.reads, b.memory.reads, "{ctx}: memory reads");
-    assert_eq!(a.memory.writes, b.memory.writes, "{ctx}: memory writes");
+/// One step of a chip script. The chip under test takes the path named;
+/// its reference twin runs `tick_reference` for as many cycles.
+#[derive(Debug, Clone, Copy)]
+enum Seg {
+    Tick(u64),
+    RunFor(u64),
+    Reference(u64),
+    /// One more `tick`, which tells whether cores are asleep: fewer
+    /// `Core::tick` calls than active cores means the rest slept through
+    /// it. With `reset` set, the first probe to see sleepers resets both
+    /// twins' statistics, so a reset lands on sleeping cores.
+    Probe {
+        reset: bool,
+    },
+    /// `reset_stats` on both twins.
+    Reset,
 }
 
-/// Active-set, block-fed ticking matches the full-scan per-instruction
-/// reference, cycle for cycle, on every organization and across
-/// workloads and seeds — including intermediate in-flight state, not
-/// just final counters.
-#[test]
-fn active_set_tick_is_bit_identical_to_full_scan() {
-    for org in ALL_ORGS {
-        for (workload, seed) in [
-            (Workload::WebSearch, 1u64),
-            (Workload::DataServing, 7),
-            (Workload::SatSolver, 13),
-            (Workload::MapReduceW, 5),
-        ] {
-            let cfg = ChipConfig::paper(org);
-            let mut fast = ScaleOutChip::new(cfg, workload, seed);
-            let mut reference = ScaleOutChip::new(cfg, workload, seed);
-            for cycle in 0..4_000u64 {
-                fast.tick();
-                reference.tick_reference();
-                if cycle % 512 == 0 {
-                    assert_eq!(
-                        fast.inflight_messages(),
-                        reference.inflight_messages(),
-                        "{org} {workload:?} seed {seed} cycle {cycle}: in-flight msgs"
-                    );
-                    assert_eq!(
-                        fast.inflight_transactions(),
-                        reference.inflight_transactions(),
-                        "{org} {workload:?} seed {seed} cycle {cycle}: in-flight txns"
-                    );
+/// Runs `seg` on a chip with every path the chip under test may take.
+fn advance(chip: &mut ScaleOutChip, seg: Seg) {
+    match seg {
+        Seg::Tick(n) => (0..n).for_each(|_| chip.tick()),
+        Seg::RunFor(n) => chip.run_for(n),
+        Seg::Reference(n) => (0..n).for_each(|_| chip.tick_reference()),
+        Seg::Probe { .. } => chip.tick(),
+        Seg::Reset => chip.reset_stats(),
+    }
+}
+
+/// The scripts every organization × class runs.
+fn scripts() -> [(&'static str, Vec<Seg>); 3] {
+    // Any interleaving of the three paths, with `metrics()` read and
+    // `reset_stats()` called while cores are asleep. Segment lengths are
+    // coprime with the path rotation, so every path runs at every length.
+    let mixed = [1u64, 7, 64, 3, 129, 20, 2, 250]
+        .iter()
+        .cycle()
+        .take(40)
+        .enumerate()
+        .flat_map(|(i, &n)| {
+            let seg = [Seg::Tick(n), Seg::RunFor(n), Seg::Reference(n)][i % 3];
+            [seg, Seg::Probe { reset: i >= 12 }]
+        })
+        .collect();
+    // Plain ticking from construction, checked every 500 cycles.
+    let tick = vec![Seg::Tick(500); 4];
+    // A warm-up and a measurement window, as a campaign point runs them.
+    let run_for = vec![Seg::RunFor(1_000), Seg::Reset, Seg::RunFor(2_000)];
+    [("mixed", mixed), ("tick", tick), ("run_for", run_for)]
+}
+
+/// Drives a chip of `org` running `class` and its reference twin
+/// through `script`, comparing the clocks, the in-flight messages and
+/// transactions and every metric after each step. Returns both chips,
+/// how many probes saw sleeping cores and whether a probe reset them.
+fn run_script(
+    org: Organization,
+    class: &WorkloadClass,
+    seed: u64,
+    script: Vec<Seg>,
+    ctx: &str,
+) -> (ScaleOutChip, ScaleOutChip, u32, bool) {
+    let cfg = ChipConfig::paper(org);
+    let build = || ScaleOutChip::new(cfg, class.clone(), seed);
+    let (mut asleep_samples, mut reset_now, mut reset_done) = (0, false, false);
+    let [fast, reference] = lockstep(
+        [build(), build()],
+        script,
+        |chip, k, &seg| match (k, seg) {
+            (0, Seg::Probe { reset }) => {
+                let executed = chip.core_tick_counts().executed;
+                chip.tick();
+                let asleep =
+                    chip.core_tick_counts().executed - executed < chip.active_cores() as u64;
+                asleep_samples += asleep as u32;
+                reset_now = reset && asleep && !reset_done;
+                if reset_now {
+                    chip.reset_stats();
                 }
             }
-            let ctx = format!("{org} {workload:?} seed {seed}");
-            assert_metrics_identical(&fast.metrics(), &reference.metrics(), &ctx);
-        }
-    }
+            (0, seg) => advance(chip, seg),
+            (_, Seg::Probe { .. }) => {
+                chip.tick_reference();
+                if reset_now {
+                    chip.reset_stats();
+                    reset_done = true;
+                }
+            }
+            (_, Seg::Tick(n) | Seg::RunFor(n)) => advance(chip, Seg::Reference(n)),
+            (_, seg) => advance(chip, seg),
+        },
+        |chip| {
+            let inflight = (chip.inflight_messages(), chip.inflight_transactions());
+            (chip.now(), inflight, chip.metrics())
+        },
+        ctx,
+    );
+    (fast, reference, asleep_samples, reset_done)
 }
 
-/// Mixing the two tick flavours mid-run is also safe: the active sets
-/// stay consistent whichever path maintained them last.
+/// Per-core sleep, the active sets, block delivery and idle fast-forward
+/// never change results: on every organization and every kind of
+/// instruction source — closed-loop synthetic, open-loop from near idle
+/// (where cores sleep spinning between requests) to past the mesh's knee,
+/// and trace replay — the chip under test matches a reference that ticks
+/// every core and component every cycle, under every script.
 #[test]
-fn interleaved_tick_flavours_stay_consistent() {
-    let cfg = ChipConfig::paper(Organization::Mesh);
-    let mut mixed = ScaleOutChip::new(cfg, Workload::MapReduceC, 3);
-    let mut reference = ScaleOutChip::new(cfg, Workload::MapReduceC, 3);
-    for cycle in 0..3_000u64 {
-        if (cycle / 64) % 2 == 0 {
-            mixed.tick();
-        } else {
-            mixed.tick_reference();
+fn sleeping_cores_are_bit_identical_to_reference() {
+    // Replay opens the stream files per chip build: the directory lives
+    // until the test ends.
+    let trace_dir = TempDir::new("sleep-lockstep");
+    let trace = capture_synthetic_trace(
+        ChipConfig::paper(Organization::Mesh),
+        Workload::MapReduceW,
+        4,
+        &trace_dir.0,
+        3_000,
+    )
+    .expect("capture");
+    let open_loop = |interval| -> WorkloadClass {
+        OpenLoopSpec {
+            workload: Workload::DataServing,
+            interval,
+            service_instrs: 32,
         }
-        reference.tick_reference();
-    }
-    assert_metrics_identical(&mixed.metrics(), &reference.metrics(), "mixed flavours");
-}
-
-/// `run_for` (with chip-level idle fast-forward) reproduces per-cycle
-/// ticking exactly, including the stall counters it applies in bulk.
-#[test]
-fn run_for_fast_forward_is_bit_identical() {
-    for org in ALL_ORGS {
-        let cfg = ChipConfig::paper(org);
-        let (warmup, measure) = (2_000u64, 4_000u64);
-        let mut jumped = ScaleOutChip::new(cfg, Workload::WebFrontend, 9);
-        jumped.run_for(warmup);
-        jumped.reset_stats();
-        jumped.run_for(measure);
-
-        let mut stepped = ScaleOutChip::new(cfg, Workload::WebFrontend, 9);
-        for _ in 0..warmup {
-            stepped.tick();
+        .into()
+    };
+    const NEAR_IDLE: usize = 6;
+    let classes: [(WorkloadClass, u64); 10] = [
+        (Workload::DataServing.into(), 7),
+        (Workload::SatSolver.into(), 13),
+        (Workload::WebSearch.into(), 1),
+        (Workload::MapReduceW.into(), 5),
+        (Workload::MapReduceC.into(), 3),
+        (Workload::WebFrontend.into(), 9),
+        (open_loop(1_600), 11),
+        (open_loop(200), 11),
+        (open_loop(50), 11),
+        (trace.into(), 11),
+    ];
+    // One thread per organization: the sweep is the suite's longest
+    // test, and the organizations are independent.
+    std::thread::scope(|s| {
+        for org in ALL_ORGS {
+            let classes = &classes;
+            s.spawn(move || {
+                for (k, (class, seed)) in classes.iter().enumerate() {
+                    for (name, script) in scripts() {
+                        let ctx = format!("{org} class {k} seed {seed} {name}");
+                        let (mut fast, mut reference, asleep_samples, reset_done) =
+                            run_script(org, class, *seed, script, &ctx);
+                        let ticks = fast.core_tick_counts();
+                        let active = fast.active_cores() as u64;
+                        assert_eq!(ticks.total(), active * fast.now().raw(), "{ctx}");
+                        // The oracle never sleeps.
+                        let oracle = reference.core_tick_counts();
+                        assert_eq!(oracle.executed, oracle.total(), "{ctx}");
+                        match name {
+                            "mixed" => {
+                                assert!(reset_done, "{ctx}: no reset landed on a sleeping core");
+                                assert!(
+                                    asleep_samples >= 10,
+                                    "{ctx}: only {asleep_samples} samples saw sleepers"
+                                );
+                            }
+                            // Near idle the cores spin between requests
+                            // and sleep through it, and `run_for` jumps
+                            // the whole chip to the next arrival.
+                            "run_for" if k == NEAR_IDLE => {
+                                assert!(
+                                    ticks.executed * 5 < ticks.total(),
+                                    "{ctx}: {ticks:?} executes 20 % of the core-slots or more"
+                                );
+                                assert!(
+                                    ticks.slept_spinning > ticks.slept_stalled,
+                                    "{ctx}: {ticks:?}"
+                                );
+                                assert!(fast.skipped_cycles() > 0, "{ctx}: no whole-chip skip");
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            });
         }
-        stepped.reset_stats();
-        for _ in 0..measure {
-            stepped.tick();
-        }
-
-        assert_eq!(jumped.now(), stepped.now(), "{org}: clocks must agree");
-        assert_metrics_identical(&jumped.metrics(), &stepped.metrics(), &format!("{org}"));
-    }
+    });
 }
 
 /// Service-level tail recording is purely observational: a run with
-/// recording disabled produces bit-identical legacy metrics to one with
-/// it enabled (the default). The tail histograms may only ever *read*
-/// the simulation — never touch RNG draws, event order, or arbitration
-/// state.
+/// recording disabled matches one with it enabled (the default) in every
+/// metric but the three summaries recording gates. The tail histograms
+/// may only ever *read* the simulation — never touch RNG draws, event
+/// order, or arbitration state.
 #[test]
 fn tail_recording_does_not_perturb_simulation() {
     for org in [Organization::Mesh, Organization::NocOut] {
         for (workload, seed) in [(Workload::WebSearch, 1u64), (Workload::DataServing, 7)] {
+            let ctx = format!("{org} {workload:?} seed {seed}");
             let cfg = ChipConfig::paper(org);
-            let mut recording = ScaleOutChip::new(cfg, workload, seed);
             let mut silent = ScaleOutChip::new(cfg, workload, seed);
             silent.set_tail_recording(false);
-            recording.run_for(2_000);
-            silent.run_for(2_000);
-            recording.reset_stats();
-            silent.reset_stats();
-            recording.run_for(6_000);
-            silent.run_for(6_000);
+            let [mut recording, mut silent] = lockstep(
+                [ScaleOutChip::new(cfg, workload, seed), silent],
+                [Seg::RunFor(2_000), Seg::Reset, Seg::RunFor(6_000)],
+                |chip, _, &seg| advance(chip, seg),
+                |chip| SystemMetrics {
+                    block_latency: TailSummary::default(),
+                    fill_latency: TailSummary::default(),
+                    llc_miss_latency: TailSummary::default(),
+                    ..chip.metrics()
+                },
+                &ctx,
+            );
             let (rm, sm) = (recording.metrics(), silent.metrics());
-            let ctx = format!("{org} {workload:?} seed {seed}");
-            assert_metrics_identical(&rm, &sm, &ctx);
             // The recording run actually measured something...
             assert!(rm.block_latency.count > 0, "{ctx}: no blocks recorded");
             assert!(rm.fill_latency.count > 0, "{ctx}: no fills recorded");
@@ -201,141 +271,5 @@ fn low_occupancy_chip_drains_through_active_sets() {
             "{org}: {} transactions stranded",
             chip.inflight_transactions()
         );
-    }
-}
-
-/// Per-core sleep never changes results: a chip driven by an arbitrary
-/// interleaving of `tick`, `run_for` and `tick_reference` — with
-/// `metrics()` read and `reset_stats()` called while cores are asleep —
-/// matches a chip that only ever ran the reference tick, which ticks
-/// every core every cycle. Covers every organization and every kind of
-/// instruction source (closed-loop synthetic, open-loop from near idle —
-/// where cores sleep spinning between requests — to past the mesh's
-/// knee, trace replay).
-#[test]
-fn sleeping_cores_are_bit_identical_to_reference() {
-    // Replay opens the stream files per chip build: the directory lives
-    // until the test ends.
-    struct TraceDir(std::path::PathBuf);
-    impl Drop for TraceDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-    let trace_dir = TraceDir(
-        std::env::temp_dir().join(format!("nocout-sleep-lockstep-{}", std::process::id())),
-    );
-    let trace = capture_synthetic_trace(
-        ChipConfig::paper(Organization::Mesh),
-        Workload::MapReduceW,
-        4,
-        &trace_dir.0,
-        3_000,
-    )
-    .expect("capture");
-    let open_loop = |interval| -> WorkloadClass {
-        OpenLoopSpec {
-            workload: Workload::DataServing,
-            interval,
-            service_instrs: 32,
-        }
-        .into()
-    };
-    const NEAR_IDLE: usize = 3;
-    let classes: [WorkloadClass; 7] = [
-        Workload::DataServing.into(),
-        Workload::SatSolver.into(),
-        Workload::WebSearch.into(),
-        open_loop(1_600),
-        open_loop(200),
-        open_loop(50),
-        trace.into(),
-    ];
-    for org in ALL_ORGS {
-        for (k, class) in classes.iter().enumerate() {
-            let ctx = format!("{org} class {k}");
-            let cfg = ChipConfig::paper(org);
-            let mut fast = ScaleOutChip::new(cfg, class.clone(), 11);
-            let mut reference = ScaleOutChip::new(cfg, class.clone(), 11);
-            let active = fast.active_cores() as u64;
-            let (mut asleep_samples, mut reset_done) = (0, false);
-            // Segment lengths are coprime with the flavour rotation, so
-            // every flavour runs at every length.
-            for (segment, len) in [1u64, 7, 64, 3, 129, 20, 2, 250]
-                .iter()
-                .cycle()
-                .take(40)
-                .enumerate()
-            {
-                match segment % 3 {
-                    0 => (0..*len).for_each(|_| fast.tick()),
-                    1 => fast.run_for(*len),
-                    _ => (0..*len).for_each(|_| fast.tick_reference()),
-                }
-                (0..*len).for_each(|_| reference.tick_reference());
-                // One more plain tick tells whether cores are asleep at
-                // this sample point: fewer `Core::tick` calls than
-                // active cores means the rest slept through it.
-                let executed_before = fast.core_tick_counts().executed;
-                fast.tick();
-                reference.tick_reference();
-                let some_asleep = fast.core_tick_counts().executed - executed_before < active;
-                asleep_samples += some_asleep as u32;
-                assert_eq!(fast.now(), reference.now(), "{ctx}: clocks");
-                assert_eq!(
-                    fast.inflight_transactions(),
-                    reference.inflight_transactions(),
-                    "{ctx} segment {segment}: in-flight txns"
-                );
-                assert_eq!(
-                    format!("{:?}", fast.metrics()),
-                    format!("{:?}", reference.metrics()),
-                    "{ctx} segment {segment}"
-                );
-                if some_asleep && !reset_done && segment >= 12 {
-                    fast.reset_stats();
-                    reference.reset_stats();
-                    reset_done = true;
-                }
-            }
-            assert!(reset_done, "{ctx}: no reset landed on a sleeping core");
-            assert!(
-                asleep_samples >= 10,
-                "{ctx}: only {asleep_samples} samples saw sleepers"
-            );
-            let ticks = fast.core_tick_counts();
-            assert_eq!(ticks.total(), active * fast.now().raw(), "{ctx}");
-            // The oracle never sleeps.
-            let oracle = reference.core_tick_counts();
-            assert_eq!(oracle.executed, oracle.total(), "{ctx}");
-            if k != NEAR_IDLE {
-                continue;
-            }
-            // Near idle the cores spin between requests, and sleep
-            // through it: a third of the segments ran the reference
-            // tick, which executes every core-slot, so the share is read
-            // off a plain run of the same class. `run_for` can then jump
-            // the whole chip to the next arrival.
-            assert!(ticks.slept_spinning > 0, "{ctx}: no core slept spinning");
-            let mut idle = ScaleOutChip::new(cfg, class.clone(), 11);
-            idle.run_for(6_000);
-            let ticks = idle.core_tick_counts();
-            assert!(
-                ticks.executed * 5 < ticks.total(),
-                "{ctx}: {ticks:?} executes 20 % of the core-slots or more"
-            );
-            assert!(
-                ticks.slept_spinning > ticks.slept_stalled,
-                "{ctx}: {ticks:?}"
-            );
-            assert!(idle.skipped_cycles() > 0, "{ctx}: no whole-chip skip");
-            let mut stepped = ScaleOutChip::new(cfg, class.clone(), 11);
-            (0..6_000).for_each(|_| stepped.tick());
-            assert_eq!(
-                format!("{:?}", idle.metrics()),
-                format!("{:?}", stepped.metrics()),
-                "{ctx}: run_for against per-cycle ticking"
-            );
-        }
     }
 }

@@ -13,6 +13,9 @@
 //! the CI container pins a single CPU, so wall-clock assumptions tighter
 //! than seconds would flake.
 
+mod common;
+
+use common::{same, TempDir};
 use nocout_repro::config::{ChipConfig, Organization};
 use nocout_repro::distribute::{
     archive_trace, DriverConfig, Endpoint, FaultPlan, ShardedDriver, TraceStore, Worker,
@@ -64,20 +67,9 @@ fn test_config() -> DriverConfig {
     }
 }
 
-/// Bit-exact comparison of outcomes (`f64` Debug formatting is the
-/// shortest round-trip representation, so equal strings mean equal bits).
-fn canon(outcomes: &[PointOutcome]) -> Vec<String> {
-    outcomes
-        .iter()
-        .map(|o| match o {
-            Ok(m) => format!("ok {m:?}"),
-            Err(e) => format!("err {} {}", e.cache_key, e.message),
-        })
-        .collect()
-}
-
-fn local_baseline(specs: &[RunSpec]) -> Vec<String> {
-    canon(&BatchRunner::new(1).run_batch_outcomes(specs))
+/// The same points run locally: what every sharded run must equal.
+fn local_baseline(specs: &[RunSpec]) -> Vec<PointOutcome> {
+    BatchRunner::new(1).run_batch_outcomes(specs)
 }
 
 #[test]
@@ -85,9 +77,9 @@ fn sharded_execution_is_bit_identical_to_local() {
     let specs = specs();
     let endpoints = vec![spawn_worker(FaultPlan::default()), spawn_worker(FaultPlan::default())];
     let driver = ShardedDriver::new(endpoints, test_config());
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert!(sharded.iter().all(|s| s.starts_with("ok ")), "{sharded:?}");
-    assert_eq!(sharded, local_baseline(&specs));
+    let sharded = driver.execute_sharded(&specs);
+    assert!(sharded.iter().all(Result::is_ok), "{sharded:?}");
+    same(&sharded, &local_baseline(&specs), "sharded against local");
     let stats = driver.stats();
     assert_eq!(stats.shards, 2);
     assert_eq!(stats.failed_points, 0);
@@ -106,8 +98,12 @@ fn worker_crash_mid_shard_is_retried_on_the_survivor() {
         spawn_worker(FaultPlan::default()),
     ];
     let driver = ShardedDriver::new(endpoints, test_config());
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert_eq!(sharded, local_baseline(&specs), "retried results must stay bit-identical");
+    let sharded = driver.execute_sharded(&specs);
+    same(
+        &sharded,
+        &local_baseline(&specs),
+        "retried results must stay bit-identical",
+    );
     let stats = driver.stats();
     assert!(stats.failed_attempts >= 1, "the crash must be observed: {stats:?}");
     assert!(stats.retries >= 1, "the crashed shard must be re-dispatched: {stats:?}");
@@ -175,11 +171,11 @@ fn straggler_is_speculated_and_results_stay_identical() {
         ..test_config()
     };
     let driver = ShardedDriver::new(endpoints, cfg);
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert_eq!(
-        sharded,
-        local_baseline(&specs),
-        "whichever twin wins, results are bit-identical"
+    let sharded = driver.execute_sharded(&specs);
+    same(
+        &sharded,
+        &local_baseline(&specs),
+        "whichever twin wins, results are bit-identical",
     );
     let stats = driver.stats();
     assert!(stats.speculative >= 1, "the straggling shard must be speculated: {stats:?}");
@@ -226,8 +222,12 @@ fn journal_resume_dispatches_only_uncovered_points() {
         ..test_config()
     };
     let driver2 = ShardedDriver::new(vec![spawn_worker(FaultPlan::default())], cfg2);
-    let second = canon(&driver2.execute_sharded(&specs));
-    assert_eq!(second, local_baseline(&specs), "resumed + fresh points are bit-identical");
+    let second = driver2.execute_sharded(&specs);
+    same(
+        &second,
+        &local_baseline(&specs),
+        "resumed + fresh points are bit-identical",
+    );
     let stats = driver2.stats();
     assert_eq!(stats.journal_resumed, 2, "exactly the journaled points are recovered");
     assert_eq!(stats.shards, 1, "only the uncovered shard dispatches");
@@ -245,8 +245,12 @@ fn journal_resume_dispatches_only_uncovered_points() {
         vec![Endpoint::Tcp("127.0.0.1:1".into())],
         cfg3,
     );
-    let third = canon(&driver3.execute_sharded(&specs));
-    assert_eq!(third, local_baseline(&specs), "a full journal needs no workers at all");
+    let third = driver3.execute_sharded(&specs);
+    same(
+        &third,
+        &local_baseline(&specs),
+        "a full journal needs no workers at all",
+    );
     assert_eq!(driver3.stats().journal_resumed as usize, specs.len());
     assert_eq!(driver3.stats().dispatches, 0);
 
@@ -264,22 +268,11 @@ fn temp_journal(tag: &str) -> PathBuf {
 // Content-addressed trace shipping.
 // ---------------------------------------------------------------------
 
-/// A fresh temp directory for this test (removed and recreated).
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "nocout-distribute-test-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
 /// Captures a small synthetic-workload trace into a fresh temp dir.
-fn capture_trace(tag: &str) -> (PathBuf, Arc<TraceSet>) {
-    let dir = temp_dir(&format!("{tag}-capture"));
+fn capture_trace(tag: &str) -> (TempDir, Arc<TraceSet>) {
+    let dir = TempDir::new(&format!("{tag}-capture"));
     let chip = ChipConfig::paper(Organization::Mesh);
-    let trace = nocout_repro::capture_synthetic_trace(chip, Workload::WebSearch, 1, &dir, 2_000)
+    let trace = nocout_repro::capture_synthetic_trace(chip, Workload::WebSearch, 1, &dir.0, 2_000)
         .expect("capture trace");
     (dir, trace)
 }
@@ -331,13 +324,13 @@ fn seed_store(dir: &Path, set: &Arc<TraceSet>) {
 
 #[test]
 fn trace_campaign_ships_to_empty_stores_and_matches_local() {
-    let (capture_dir, set) = capture_trace("ship");
+    let (_capture, set) = capture_trace("ship");
     let specs = trace_specs(&set);
-    let s0 = temp_dir("ship-w0");
-    let s1 = temp_dir("ship-w1");
+    let s0 = TempDir::new("ship-w0");
+    let s1 = TempDir::new("ship-w1");
     let endpoints = vec![
-        spawn_worker_with_store(FaultPlan::default(), &s0),
-        spawn_worker_with_store(FaultPlan::default(), &s1),
+        spawn_worker_with_store(FaultPlan::default(), &s0.0),
+        spawn_worker_with_store(FaultPlan::default(), &s1.0),
     ];
     let cfg = DriverConfig {
         shard_points: 1, // one point per shard: both workers get trace work
@@ -345,26 +338,23 @@ fn trace_campaign_ships_to_empty_stores_and_matches_local() {
         ..test_config()
     };
     let driver = ShardedDriver::new(endpoints, cfg);
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert!(sharded.iter().all(|s| s.starts_with("ok ")), "{sharded:?}");
-    assert_eq!(
-        sharded,
-        local_baseline(&specs),
-        "trace points shipped by content hash must stay bit-identical to local"
+    let sharded = driver.execute_sharded(&specs);
+    assert!(sharded.iter().all(Result::is_ok), "{sharded:?}");
+    same(
+        &sharded,
+        &local_baseline(&specs),
+        "trace points shipped by content hash must stay bit-identical to local",
     );
     let stats = driver.stats();
     assert!(stats.trace_ships >= 1, "empty stores force a shipment: {stats:?}");
     assert_eq!(stats.failed_points, 0, "{stats:?}");
-    for d in [capture_dir, s0, s1] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 #[test]
 fn mid_transfer_worker_crash_is_resumed_on_retry() {
-    let (capture_dir, set) = capture_trace("resume-ship");
+    let (_capture, set) = capture_trace("resume-ship");
     let specs = trace_specs(&set);
-    let store_dir = temp_dir("resume-ship-w0");
+    let store_dir = TempDir::new("resume-ship-w0");
     // The worker drops the connection after durably staging the second
     // chunk — a crash mid-transfer. It keeps serving (a restarted
     // worker), so the retried ship must *resume* from the staged partial
@@ -374,18 +364,18 @@ fn mid_transfer_worker_crash_is_resumed_on_retry() {
             drop_after_chunks: Some(2),
             ..FaultPlan::default()
         },
-        &store_dir,
+        &store_dir.0,
     )];
     let cfg = DriverConfig {
         chunk_bytes: 512,
         ..test_config()
     };
     let driver = ShardedDriver::new(endpoints, cfg);
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert_eq!(
-        sharded,
-        local_baseline(&specs),
-        "a resumed transfer must still install a bit-identical trace"
+    let sharded = driver.execute_sharded(&specs);
+    same(
+        &sharded,
+        &local_baseline(&specs),
+        "a resumed transfer must still install a bit-identical trace",
     );
     let stats = driver.stats();
     assert!(stats.failed_attempts >= 1, "the crash must be observed: {stats:?}");
@@ -394,23 +384,20 @@ fn mid_transfer_worker_crash_is_resumed_on_retry() {
         "the retry must resume past the two staged chunks: {stats:?}"
     );
     assert_eq!(stats.failed_points, 0, "{stats:?}");
-    for d in [capture_dir, store_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 #[test]
 fn corrupt_store_entry_is_quarantined_and_reshipped() {
-    let (capture_dir, set) = capture_trace("quarantine");
+    let (_capture, set) = capture_trace("quarantine");
     let specs = trace_specs(&set);
-    let store_dir = temp_dir("quarantine-w0");
-    seed_store(&store_dir, &set);
+    let store_dir = TempDir::new("quarantine-w0");
+    seed_store(&store_dir.0, &set);
     // Flip one byte of an installed stream file: the store still
     // *advertises* the entry (held() is an unverified scan), but the
     // first load re-verifies the content hash, quarantines the entry to
     // `.bad`, and the driver's retry ships a fresh copy.
     let hash = set.content_hash();
-    let entry = store_dir.join(format!("{hash:016x}"));
+    let entry = store_dir.0.join(format!("{hash:016x}"));
     let victim = std::fs::read_dir(&entry)
         .expect("read entry dir")
         .filter_map(Result::ok)
@@ -422,13 +409,13 @@ fn corrupt_store_entry_is_quarantined_and_reshipped() {
     bytes[mid] ^= 0x40;
     std::fs::write(&victim, &bytes).expect("corrupt stream file");
 
-    let endpoints = vec![spawn_worker_with_store(FaultPlan::default(), &store_dir)];
+    let endpoints = vec![spawn_worker_with_store(FaultPlan::default(), &store_dir.0)];
     let driver = ShardedDriver::new(endpoints, test_config());
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert_eq!(
-        sharded,
-        local_baseline(&specs),
-        "a quarantined entry must be re-shipped, never replayed corrupt"
+    let sharded = driver.execute_sharded(&specs);
+    same(
+        &sharded,
+        &local_baseline(&specs),
+        "a quarantined entry must be re-shipped, never replayed corrupt",
     );
     let stats = driver.stats();
     assert!(
@@ -437,12 +424,9 @@ fn corrupt_store_entry_is_quarantined_and_reshipped() {
     );
     assert_eq!(stats.failed_points, 0, "{stats:?}");
     assert!(
-        store_dir.join(format!("{hash:016x}.bad")).exists(),
+        store_dir.0.join(format!("{hash:016x}.bad")).exists(),
         "the corrupt entry must be quarantined, not deleted"
     );
-    for d in [capture_dir, store_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 /// What a store verified is what it serves: an installed stream edited
@@ -452,15 +436,15 @@ fn corrupt_store_entry_is_quarantined_and_reshipped() {
 /// disk, finds the edit and quarantines the entry.
 #[test]
 fn a_verified_set_outlives_an_edit_of_its_files_until_the_next_process() {
-    let (capture_dir, set) = capture_trace("verified-once");
+    let (_capture, set) = capture_trace("verified-once");
     let specs = trace_specs(&set);
-    let store_dir = temp_dir("verified-once-w0");
-    seed_store(&store_dir, &set);
+    let store_dir = TempDir::new("verified-once-w0");
+    seed_store(&store_dir.0, &set);
     let hash = set.content_hash();
-    let store = TraceStore::open(&store_dir).expect("open store");
+    let store = TraceStore::open(&store_dir.0).expect("open store");
     assert!(store.get(hash).is_some(), "the first get verifies the installed entry");
 
-    let entry = store_dir.join(format!("{hash:016x}"));
+    let entry = store_dir.0.join(format!("{hash:016x}"));
     let victim = std::fs::read_dir(&entry)
         .expect("read entry dir")
         .filter_map(Result::ok)
@@ -474,45 +458,43 @@ fn a_verified_set_outlives_an_edit_of_its_files_until_the_next_process() {
 
     let endpoints = vec![spawn_worker_on_store(FaultPlan::default(), store)];
     let driver = ShardedDriver::new(endpoints, test_config());
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert_eq!(sharded, local_baseline(&specs), "the verified bytes are the replayed bytes");
+    let sharded = driver.execute_sharded(&specs);
+    same(
+        &sharded,
+        &local_baseline(&specs),
+        "the verified bytes are the replayed bytes",
+    );
     let stats = driver.stats();
     assert_eq!(stats.trace_ships, 0, "{stats:?}");
     assert_eq!(stats.failed_points, 0, "{stats:?}");
-    let bad = store_dir.join(format!("{hash:016x}.bad"));
+    let bad = store_dir.0.join(format!("{hash:016x}.bad"));
     assert!(!bad.exists(), "the serving store had no reason to quarantine");
 
-    let fresh = TraceStore::open(&store_dir).expect("reopen store");
+    let fresh = TraceStore::open(&store_dir.0).expect("reopen store");
     assert!(fresh.get(hash).is_none(), "a new store verifies from disk");
     assert_eq!(fresh.quarantined(), 1);
     assert!(bad.is_dir() && !entry.exists());
-    for d in [capture_dir, store_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 #[test]
 fn held_traces_are_reused_without_shipping() {
-    let (capture_dir, set) = capture_trace("reuse");
+    let (_capture, set) = capture_trace("reuse");
     let specs = trace_specs(&set);
-    let store_dir = temp_dir("reuse-w0");
-    seed_store(&store_dir, &set);
-    let endpoints = vec![spawn_worker_with_store(FaultPlan::default(), &store_dir)];
+    let store_dir = TempDir::new("reuse-w0");
+    seed_store(&store_dir.0, &set);
+    let endpoints = vec![spawn_worker_with_store(FaultPlan::default(), &store_dir.0)];
     let driver = ShardedDriver::new(endpoints, test_config());
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert_eq!(sharded, local_baseline(&specs));
+    let sharded = driver.execute_sharded(&specs);
+    same(&sharded, &local_baseline(&specs), "sharded against local");
     let stats = driver.stats();
     assert_eq!(stats.trace_ships, 0, "a held trace must not be re-shipped: {stats:?}");
     assert!(stats.trace_reuses >= 1, "the reuse must be counted: {stats:?}");
     assert_eq!(stats.failed_points, 0, "{stats:?}");
-    for d in [capture_dir, store_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 #[test]
 fn storeless_worker_degrades_trace_points_but_still_runs_synthetic() {
-    let (capture_dir, set) = capture_trace("storeless");
+    let (_capture, set) = capture_trace("storeless");
     // Two synthetic points plus two trace points, one worker with *no*
     // trace store: the synthetic half must complete bit-identically, the
     // trace half must degrade with a typed trace-capability error — not
@@ -533,9 +515,13 @@ fn storeless_worker_degrades_trace_points_but_still_runs_synthetic() {
     };
     let driver = ShardedDriver::new(endpoints, cfg);
     let outcomes = driver.execute_sharded(&specs);
-    let synthetic = canon(&outcomes[..2]);
-    assert!(synthetic.iter().all(|s| s.starts_with("ok ")), "{synthetic:?}");
-    assert_eq!(synthetic, local_baseline(&specs[..2]));
+    let synthetic = &outcomes[..2];
+    assert!(synthetic.iter().all(Result::is_ok), "{synthetic:?}");
+    same(
+        synthetic,
+        &local_baseline(&specs[..2])[..],
+        "sharded against local",
+    );
     for o in &outcomes[2..] {
         let e = o.as_ref().expect_err("trace points must degrade without a store");
         assert!(
@@ -544,20 +530,19 @@ fn storeless_worker_degrades_trace_points_but_still_runs_synthetic() {
             e.message
         );
     }
-    let _ = std::fs::remove_dir_all(capture_dir);
 }
 
 #[test]
 fn mixed_store_and_storeless_workers_complete_a_trace_campaign() {
-    let (capture_dir, set) = capture_trace("mixed");
+    let (_capture, set) = capture_trace("mixed");
     let specs = trace_specs(&set);
-    let store_dir = temp_dir("mixed-w1");
+    let store_dir = TempDir::new("mixed-w1");
     // Worker 0 has no store; worker 1 does. Whichever claims a trace
     // shard first, every point must complete (the storeless endpoint is
     // retired from trace-bearing shards only).
     let endpoints = vec![
         spawn_worker(FaultPlan::default()),
-        spawn_worker_with_store(FaultPlan::default(), &store_dir),
+        spawn_worker_with_store(FaultPlan::default(), &store_dir.0),
     ];
     let cfg = DriverConfig {
         shard_points: 1,
@@ -565,12 +550,9 @@ fn mixed_store_and_storeless_workers_complete_a_trace_campaign() {
         ..test_config()
     };
     let driver = ShardedDriver::new(endpoints, cfg);
-    let sharded = canon(&driver.execute_sharded(&specs));
-    assert_eq!(sharded, local_baseline(&specs));
+    let sharded = driver.execute_sharded(&specs);
+    same(&sharded, &local_baseline(&specs), "sharded against local");
     assert_eq!(driver.stats().failed_points, 0, "{:?}", driver.stats());
-    for d in [capture_dir, store_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -612,7 +594,7 @@ fn assert_shards_cost_what_they_simulate(serve: fn(&Worker, &TcpListener)) {
         let started = Instant::now();
         let outcomes = driver.execute_sharded(&specs);
         let overhead = started.elapsed().saturating_sub(local);
-        assert_eq!(canon(&outcomes), baseline);
+        same(&outcomes, &baseline, "sharded against local");
         assert_eq!(driver.stats().dispatches, 25, "{:?}", driver.stats());
         if overhead < Duration::from_millis(500) {
             return;

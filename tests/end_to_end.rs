@@ -1,5 +1,8 @@
 //! End-to-end integration tests: full-system runs across organizations.
 
+mod common;
+
+use common::same;
 use nocout_repro::prelude::*;
 use nocout_sim::config::MeasurementWindow;
 
@@ -33,10 +36,7 @@ fn runs_are_bit_deterministic() {
     for org in [Organization::Mesh, Organization::NocOut] {
         let a = quick(ChipConfig::paper(org), Workload::DataServing, 9);
         let b = quick(ChipConfig::paper(org), Workload::DataServing, 9);
-        assert_eq!(a.instructions, b.instructions, "{org}");
-        assert_eq!(a.network.packets, b.network.packets, "{org}");
-        assert_eq!(a.llc.accesses, b.llc.accesses, "{org}");
-        assert_eq!(a.memory.reads, b.memory.reads, "{org}");
+        same(&a, &b, org);
     }
 }
 

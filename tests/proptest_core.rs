@@ -8,10 +8,15 @@
 //! sequence must leave the new structures observably identical to the
 //! containers they replaced.
 //!
-//! The last section pins the core's bulk accounting of skipped ticks —
-//! the one function the chip's per-core sleep rests on — to dense
-//! ticking, for stalled cores and for cores spinning on an idle source.
+//! The last section drives one core as twins on the lockstep harness of
+//! `tests/common`: block-fed ticking against per-instruction ticking, and
+//! the core's bulk accounting of skipped ticks — the one function the
+//! chip's per-core sleep rests on — against dense ticking, for stalled
+//! cores and for cores spinning on an idle source.
 
+mod common;
+
+use common::{lockstep, same};
 use nocout_repro::substrates::cpu::model::{Core, CoreConfig, CoreIdle, MissRequest};
 use nocout_repro::substrates::cpu::rob::{RingRob, WakeupIndex};
 use nocout_repro::substrates::cpu::source::{
@@ -69,14 +74,28 @@ impl Clocked for GappedSource {
     }
 }
 
-/// One core, its source, and the fills its misses have coming — driven
-/// either densely (a `Core::tick` every cycle) or the way the chip's
-/// sleep set drives it: after a real tick that leaves `idle_state()`
-/// non-`Busy` the core is not ticked again until its wake cycle or a
-/// fill, and `fast_forward` pays the gap.
+/// How a [`DrivenCore`] ticks its core.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Drive {
+    /// A block-fed `Core::tick` every cycle.
+    Dense,
+    /// The way the chip's sleep set drives a core: after a real tick that
+    /// leaves `idle_state()` non-`Busy` the core is not ticked again until
+    /// its wake cycle or a fill, and `fast_forward` pays the gap.
+    Sleepy,
+    /// The per-instruction `Core::tick_reference` every cycle.
+    Reference,
+    /// `Core::tick` and `Core::tick_reference` alternating every 97
+    /// cycles, so each takes over from the other mid-block.
+    Mixed,
+}
+
+/// One core, its source, and the fills its misses have coming, ticked
+/// the way its [`Drive`] says.
 struct DrivenCore<S> {
     core: Core,
     src: S,
+    drive: Drive,
     /// `(due cycle, request)` in issue order.
     pending: Vec<(u64, MissRequest)>,
     /// Every request with its issue cycle.
@@ -91,16 +110,17 @@ struct DrivenCore<S> {
 }
 
 impl DrivenCore<ScriptedSource> {
-    fn new(script: Vec<FetchedInstr>) -> Self {
-        DrivenCore::on(ScriptedSource::new(script))
+    fn new(script: Vec<FetchedInstr>, drive: Drive) -> Self {
+        DrivenCore::on(ScriptedSource::new(script), drive)
     }
 }
 
 impl<S: Clocked> DrivenCore<S> {
-    fn on(src: S) -> Self {
+    fn on(src: S, drive: Drive) -> Self {
         DrivenCore {
             core: Core::new(CoreConfig::a15()),
             src,
+            drive,
             pending: Vec::new(),
             log: Vec::new(),
             asleep: None,
@@ -124,7 +144,7 @@ impl<S: Clocked> DrivenCore<S> {
 
     /// One cycle in the chip's order: the core's tick, then the fills
     /// due this cycle. `latency[k]` is the k-th request's fill latency.
-    fn step(&mut self, t: u64, latency: &[u64], sleepy: bool) {
+    fn step(&mut self, t: u64, latency: &[u64]) {
         if self.asleep.is_some_and(|(_, wake_at)| wake_at <= t) {
             self.wake(t);
         }
@@ -132,7 +152,13 @@ impl<S: Clocked> DrivenCore<S> {
             // As in the chip, only a core about to tick is told the time.
             self.src.advance_to(t);
             let mut out = Vec::new();
-            self.core.tick(Cycle(t), &mut self.src, &mut out);
+            match self.drive {
+                Drive::Reference => self.core.tick_reference(Cycle(t), &mut self.src, &mut out),
+                Drive::Mixed if (t / 97) % 2 == 1 => {
+                    self.core.tick_reference(Cycle(t), &mut self.src, &mut out)
+                }
+                _ => self.core.tick(Cycle(t), &mut self.src, &mut out),
+            }
             for r in out {
                 self.pending
                     .push((t + latency[self.log.len() % latency.len()], r));
@@ -144,7 +170,7 @@ impl<S: Clocked> DrivenCore<S> {
                 CoreIdle::Stalled => u64::MAX,
                 CoreIdle::StalledUntil(at) | CoreIdle::SpinningUntil(at) => at.raw(),
             };
-            if sleepy && wake_at > t + 1 {
+            if self.drive == Drive::Sleepy && wake_at > t + 1 {
                 self.asleep = Some((t + 1, wake_at));
                 if matches!(idle, CoreIdle::SpinningUntil(_)) {
                     self.sleeps_spinning += 1;
@@ -170,35 +196,78 @@ impl<S: Clocked> DrivenCore<S> {
     }
 }
 
-/// Runs a dense and a sleepy twin of `make()` for `cycles` and checks
-/// they end in the same state — every counter, the ROB (stale slots
-/// included), the staged instruction, the instruction block, both L1s
-/// (the `Debug` rendering covers all of `Core`) — having issued the same
-/// requests at the same cycles. Returns the sleepy twin for the caller
-/// to check which states it slept in.
+/// The `Debug` rendering of `core` — all of it, or all but the
+/// instruction block: only the block path fills the block, so a twin fed
+/// one instruction at a time agrees on everything else.
+fn rendering(core: &Core, with_block: bool) -> String {
+    let s = format!("{core:?}");
+    if with_block {
+        return s;
+    }
+    let start = s
+        .find("block: InstrBlock")
+        .expect("a Core renders its block");
+    let mut depth = 0;
+    for (i, c) in s[start..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return format!("{}{}", &s[..start], &s[start + i + 1..]),
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    unreachable!("unbalanced Core rendering")
+}
+
+/// Drives the twins `make(under)` and `make(reference)` for `cycles` on
+/// the lockstep harness, checking every 100 cycles that they have issued
+/// as many requests, the last at the same cycle; at the end, with the
+/// sleepers paid, the whole miss streams and the whole cores must agree
+/// — every counter, the ROB (stale slots included), the staged
+/// instruction, the instruction block (unless one twin ticks per
+/// instruction), both L1s. Returns the twin under test for the caller to
+/// check which states it slept in.
 fn assert_twins_agree<S: Clocked>(
-    make: impl Fn() -> DrivenCore<S>,
+    make: impl Fn(Drive) -> DrivenCore<S>,
+    [under, reference]: [Drive; 2],
     latency: &[u64],
     cycles: u64,
 ) -> DrivenCore<S> {
-    let (mut dense, mut sleepy) = (make(), make());
-    for t in 0..cycles {
-        dense.step(t, latency, false);
-        sleepy.step(t, latency, true);
-    }
-    sleepy.wake(cycles);
-    assert_eq!(dense.log, sleepy.log, "miss streams diverged");
-    assert_eq!(format!("{:?}", dense.core), format!("{:?}", sleepy.core));
-    sleepy
+    let ctx = format!("{under:?} against {reference:?}");
+    let checkpoints = (0..cycles).step_by(100).map(|t| t..(t + 100).min(cycles));
+    let twins = lockstep(
+        [make(under), make(reference)],
+        checkpoints,
+        |d, _, cycles| cycles.clone().for_each(|t| d.step(t, latency)),
+        |d| (d.log.len(), d.log.last().copied()),
+        &ctx,
+    );
+    let [mut under, mut reference] = twins;
+    under.wake(cycles);
+    reference.wake(cycles);
+    same(
+        &under.log,
+        &reference.log,
+        format_args!("{ctx}: miss streams"),
+    );
+    let with_block = ![under.drive, reference.drive].contains(&Drive::Reference);
+    same(
+        &rendering(&under.core, with_block),
+        &rendering(&reference.core, with_block),
+        format_args!("{ctx}: cores"),
+    );
+    under
 }
 
-/// [`assert_twins_agree`] on a closed-loop script.
+/// [`assert_twins_agree`] with a sleepy and a dense twin on a closed-loop
+/// script.
 fn assert_sleep_equals_dense(
     script: Vec<FetchedInstr>,
     latency: &[u64],
     cycles: u64,
 ) -> DrivenCore<ScriptedSource> {
-    assert_twins_agree(|| DrivenCore::new(script.clone()), latency, cycles)
+    let make = |drive| DrivenCore::new(script.clone(), drive);
+    assert_twins_agree(make, [Drive::Sleepy, Drive::Dense], latency, cycles)
 }
 
 fn alu(line: u64, latency: u8) -> FetchedInstr {
@@ -218,6 +287,62 @@ fn load(line: u64, addr: u64, dependent: bool) -> FetchedInstr {
     }
 }
 
+/// A script from random `(fetch line, kind, address, dependent, ALU
+/// latency)` tuples: ALU ops, loads (sub-line offsets merge onto one MSHR,
+/// the LSQ-full path), line-strided loads and stores.
+fn random_script(ops: &[(u64, u8, u64, bool, u8)]) -> Vec<FetchedInstr> {
+    ops.iter()
+        .map(|&(line, kind, a, dependent, lat)| match kind {
+            0 | 1 => alu(line, lat),
+            2 | 3 => load(line, (a % 4) * 64 + a, dependent),
+            4 => load(line, a * 64, false),
+            _ => FetchedInstr {
+                fetch_line: Addr(line * 64),
+                op: Op::Store {
+                    addr: Addr(0x20_0000 + a * 64),
+                },
+            },
+        })
+        .collect()
+}
+
+/// A looping stream with fetch-line transitions, loads, stores and
+/// mixed ALU latencies: enough structure to exercise stalls, fills and
+/// block refill boundaries.
+fn varied_script() -> Vec<FetchedInstr> {
+    (0..23u64)
+        .map(|i| match i % 5 {
+            0 => alu(i / 4, 1),
+            1 => alu(i / 4, 3),
+            2 => load(i / 4, 0x2_0000 + (i % 11) * 64, i % 2 == 0),
+            3 => FetchedInstr {
+                fetch_line: Addr((i / 4) * 64),
+                op: Op::Store {
+                    addr: Addr(0x5_0000 + (i % 7) * 64),
+                },
+            },
+            _ => load(i / 4, 0x6_0000 + i * 64, false),
+        })
+        .collect()
+}
+
+/// Block-fed ticking consumes the stream exactly as per-instruction
+/// ticking does: the same requests at the same cycles, the same core.
+#[test]
+fn block_tick_is_bit_identical_to_per_instruction_reference() {
+    let make = |drive| DrivenCore::new(varied_script(), drive);
+    assert_twins_agree(make, [Drive::Dense, Drive::Reference], &[18], 3_000);
+}
+
+/// Alternating between block and per-instruction ticking mid-run
+/// consumes exactly the same sequence: the reference path drains the
+/// block's buffered instructions before touching the source again.
+#[test]
+fn mixed_tick_flavours_preserve_the_stream() {
+    let make = |drive| DrivenCore::new(varied_script(), drive);
+    assert_twins_agree(make, [Drive::Mixed, Drive::Reference], &[18], 3_000);
+}
+
 /// Fetch stall with an empty ROB: `Stalled`, woken by the fill only.
 #[test]
 fn sleep_in_fetch_stall_equals_dense() {
@@ -231,11 +356,11 @@ fn sleep_in_fetch_stall_equals_dense() {
 #[test]
 fn sleep_until_rob_head_completes_lands_on_the_wake_cycle() {
     let script = vec![alu(0, 9), alu(1, 1)];
-    let mut probe = DrivenCore::new(script.clone());
-    probe.step(0, &[2, 300], true);
-    probe.step(1, &[2, 300], true);
-    probe.step(2, &[2, 300], true);
-    probe.step(3, &[2, 300], true);
+    let mut probe = DrivenCore::new(script.clone(), Drive::Sleepy);
+    probe.step(0, &[2, 300]);
+    probe.step(1, &[2, 300]);
+    probe.step(2, &[2, 300]);
+    probe.step(3, &[2, 300]);
     // Dispatched the latency-9 op at cycle 3 and stalled on line 1.
     assert_eq!(probe.idle_after(3), CoreIdle::StalledUntil(Cycle(12)));
     assert_eq!(probe.asleep, Some((4, 12)));
@@ -248,9 +373,9 @@ fn sleep_until_rob_head_completes_lands_on_the_wake_cycle() {
 fn sleep_with_full_rob_equals_dense() {
     let mut script = vec![load(0, 0, false)];
     script.extend((0..70).map(|_| alu(0, 1)));
-    let mut probe = DrivenCore::new(script.clone());
+    let mut probe = DrivenCore::new(script.clone(), Drive::Sleepy);
     // Every miss, the first fetch included, fills after 500 cycles.
-    (0..540).for_each(|t| probe.step(t, &[500], true));
+    (0..540).for_each(|t| probe.step(t, &[500]));
     assert!(!probe.core.fetch_stalled());
     assert_eq!(
         probe.idle_after(539),
@@ -265,8 +390,8 @@ fn sleep_with_full_rob_equals_dense() {
 #[test]
 fn sleep_on_dependent_load_equals_dense() {
     let script = vec![load(0, 0, false), alu(0, 2), load(0, 64, true), alu(0, 1)];
-    let mut probe = DrivenCore::new(script.clone());
-    (0..96).for_each(|t| probe.step(t, &[90], true));
+    let mut probe = DrivenCore::new(script.clone(), Drive::Sleepy);
+    (0..96).for_each(|t| probe.step(t, &[90]));
     assert!(!probe.core.fetch_stalled());
     assert_eq!(probe.core.outstanding_data_misses(), 1);
     assert_eq!(probe.idle_after(95), CoreIdle::Stalled);
@@ -286,8 +411,8 @@ fn sleep_with_full_lsq_equals_dense() {
             addr: Addr(0x20_0000),
         },
     });
-    let mut probe = DrivenCore::new(script.clone());
-    (0..132).for_each(|t| probe.step(t, &[120], true));
+    let mut probe = DrivenCore::new(script.clone(), Drive::Sleepy);
+    (0..132).for_each(|t| probe.step(t, &[120]));
     assert!(!probe.core.fetch_stalled());
     assert_eq!(probe.core.outstanding_data_misses(), 16);
     assert_eq!(probe.idle_after(131), CoreIdle::Stalled);
@@ -302,15 +427,13 @@ fn sleep_with_full_lsq_equals_dense() {
 #[test]
 fn gapped_source_crosses_stalled_spinning_and_serving() {
     let script = vec![load(3, 0, false), alu(3, 2), load(3, 64, true), alu(3, 1)];
-    let make = || {
-        DrivenCore::on(GappedSource::new(
-            script.clone(),
-            Addr(3 * 64),
-            40,
-            vec![120, 700, 90],
-        ))
+    let make = |drive| {
+        DrivenCore::on(
+            GappedSource::new(script.clone(), Addr(3 * 64), 40, vec![120, 700, 90]),
+            drive,
+        )
     };
-    let s = assert_twins_agree(make, &[25, 140], 4_000);
+    let s = assert_twins_agree(make, [Drive::Sleepy, Drive::Dense], &[25, 140], 4_000);
     assert!(s.sleeps_fetch > 0, "cold filler line");
     assert!(s.sleeps_backend > 0, "dependent load behind a miss");
     assert!(
@@ -327,12 +450,12 @@ fn gapped_source_crosses_stalled_spinning_and_serving() {
 #[test]
 fn l1_mshr_blocked_retry_stays_busy() {
     let script: Vec<FetchedInstr> = (0..9).map(|i| load(0, i * 64, false)).collect();
-    let mut probe = DrivenCore::new(script);
-    (0..112).for_each(|t| probe.step(t, &[100], true));
+    let mut probe = DrivenCore::new(script, Drive::Sleepy);
+    (0..112).for_each(|t| probe.step(t, &[100]));
     assert_eq!(probe.core.outstanding_data_misses(), 8);
     assert_eq!(probe.idle_after(111), CoreIdle::Busy);
     let blocked = probe.core.l1d().blocked.value();
-    probe.step(112, &[100], true);
+    probe.step(112, &[100]);
     assert_eq!(probe.core.l1d().blocked.value(), blocked + 1);
 }
 
@@ -465,20 +588,22 @@ proptest! {
         ops in prop::collection::vec((0u64..5, 0u8..6, 0u64..10, any::<bool>(), 1u8..7), 1..90),
         latency in prop::collection::vec(1u64..180, 1..12),
     ) {
-        let script: Vec<FetchedInstr> = ops
-            .iter()
-            .map(|&(line, kind, a, dependent, lat)| match kind {
-                0 | 1 => alu(line, lat),
-                // Sub-line offsets merge onto one MSHR (the LSQ-full path).
-                2 | 3 => load(line, (a % 4) * 64 + a, dependent),
-                4 => load(line, a * 64, false),
-                _ => FetchedInstr {
-                    fetch_line: Addr(line * 64),
-                    op: Op::Store { addr: Addr(0x20_0000 + a * 64) },
-                },
-            })
-            .collect();
-        assert_sleep_equals_dense(script, &latency, 1_200);
+        assert_sleep_equals_dense(random_script(&ops), &latency, 1_200);
+    }
+
+    // Block-fed ticking, alone and taking turns with per-instruction
+    // ticking, consumes a random script exactly as per-instruction
+    // ticking does, whatever stalls and fill times it meets.
+    #[test]
+    fn block_tick_matches_per_instruction_reference_on_random_scripts(
+        ops in prop::collection::vec((0u64..5, 0u8..6, 0u64..10, any::<bool>(), 1u8..7), 1..90),
+        latency in prop::collection::vec(1u64..180, 1..12),
+    ) {
+        let script = random_script(&ops);
+        let make = |drive| DrivenCore::new(script.clone(), drive);
+        for under in [Drive::Dense, Drive::Mixed] {
+            assert_twins_agree(make, [under, Drive::Reference], &latency, 1_200);
+        }
     }
 
     // The same with idle gaps: requests of a random script arrive on a
@@ -493,26 +618,13 @@ proptest! {
         gaps in prop::collection::vec(1u64..400, 1..6),
         filler_line in 0u64..6,
     ) {
-        let script: Vec<FetchedInstr> = ops
-            .iter()
-            .map(|&(line, kind, a, dependent, lat)| match kind {
-                0 | 1 => alu(line, lat),
-                2 | 3 => load(line, (a % 4) * 64 + a, dependent),
-                4 => load(line, a * 64, false),
-                _ => FetchedInstr {
-                    fetch_line: Addr(line * 64),
-                    op: Op::Store { addr: Addr(0x20_0000 + a * 64) },
-                },
-            })
-            .collect();
-        let make = || {
-            DrivenCore::on(GappedSource::new(
-                script.clone(),
-                Addr(filler_line * 64),
-                burst,
-                gaps.clone(),
-            ))
+        let script = random_script(&ops);
+        let make = |drive| {
+            DrivenCore::on(
+                GappedSource::new(script.clone(), Addr(filler_line * 64), burst, gaps.clone()),
+                drive,
+            )
         };
-        assert_twins_agree(make, &latency, 2_500);
+        assert_twins_agree(make, [Drive::Sleepy, Drive::Dense], &latency, 2_500);
     }
 }

@@ -1,11 +1,16 @@
 //! Property-based tests on the NoC substrate: conservation, ordering and
-//! flow-control invariants under randomized traffic and geometry.
+//! flow-control invariants under randomized traffic and geometry, and the
+//! production switch path against its full-scan reference on the
+//! lockstep harness of `tests/common`.
 
+mod common;
+
+use common::{lockstep, same};
 use nocout_repro::substrates::noc::topology::fbfly::{build_fbfly, FbflySpec};
 use nocout_repro::substrates::noc::topology::mesh::{build_mesh, MeshSpec};
 use nocout_repro::substrates::noc::topology::nocout::{build_nocout, NocOutSpec};
 use nocout_repro::substrates::noc::types::MessageClass;
-use nocout_repro::substrates::noc::Network;
+use nocout_repro::substrates::noc::{Network, NetworkBuilder, RouterConfig, RouterId};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -61,64 +66,109 @@ fn check_conservation(net: &mut Network, terminals: &[nocout_repro::substrates::
     assert_eq!(seen.len(), traffic.len(), "packets lost");
 }
 
-/// Drives two identical networks in lockstep — one through the production
-/// masked/dirty-list switch path (`tick`), one through the reference
-/// full-scan path (`tick_reference`, which probes every queue front and
-/// never takes the radix or lone-candidate fast paths) — and asserts every
-/// observable agrees: per-terminal deliveries each cycle, packets in
-/// flight, and finally the round-robin arbiter state and per-port
-/// `flits_sent` counters. Injections are spread over time (the `gap`
-/// field) so the comparison covers transient occupancy patterns, not just
-/// a single burst.
-fn check_flat_matches_reference(
-    fast: &mut Network,
-    reference: &mut Network,
+/// One step of a network twin script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Inject the script's `k`-th packet.
+    Inject(usize),
+    Tick,
+}
+
+/// Drives two copies of a network on the lockstep harness — the one under
+/// test through the production masked/dirty-list switch path (`tick`),
+/// its reference through the full-scan path (`tick_reference`, which
+/// probes every queue front and never takes the radix or lone-candidate
+/// fast paths). After every step the packets in flight and each
+/// terminal's deliveries must agree, and after the drain the round-robin
+/// arbiter state and the per-port `flits_sent` counters. Each packet is
+/// followed by its gap of ticks, so the comparison covers transient
+/// occupancy patterns, not just a single burst; 1 000 ticks then drain
+/// the networks.
+fn flat_switch_matches_reference(
+    build: impl Fn() -> Network,
     terminals: &[nocout_repro::substrates::noc::TerminalId],
     traffic: &[(Traffic, u8)],
 ) {
-    let step = |fast: &mut Network, reference: &mut Network| {
-        fast.tick();
-        reference.tick_reference();
-        assert_eq!(fast.packets_in_flight(), reference.packets_in_flight());
-        for term in terminals {
-            loop {
-                let (a, b) = (fast.poll(*term), reference.poll(*term));
-                assert_eq!(a, b, "deliveries diverged at cycle {}", fast.now());
-                if a.is_none() {
-                    break;
-                }
+    let script = traffic
+        .iter()
+        .enumerate()
+        .flat_map(|(k, (_, gap))| {
+            std::iter::once(Step::Inject(k)).chain(std::iter::repeat_n(Step::Tick, *gap as usize))
+        })
+        .chain(std::iter::repeat_n(Step::Tick, 1_000));
+    let [fast, reference] = lockstep(
+        [build(), build()],
+        script,
+        |net, k, &step| match (step, k) {
+            (Step::Inject(i), _) => {
+                let t = &traffic[i].0;
+                let class = MessageClass::ALL[t.class];
+                net.inject(
+                    terminals[t.src],
+                    terminals[t.dst],
+                    class,
+                    t.payload,
+                    i as u64,
+                );
             }
-        }
-    };
-    for (i, (t, gap)) in traffic.iter().enumerate() {
-        let class = MessageClass::ALL[t.class];
-        fast.inject(terminals[t.src], terminals[t.dst], class, t.payload, i as u64);
-        reference.inject(terminals[t.src], terminals[t.dst], class, t.payload, i as u64);
-        for _ in 0..*gap {
-            step(fast, reference);
-        }
-    }
-    let mut budget = 200_000u32;
-    while fast.packets_in_flight() > 0 {
-        assert!(budget > 0, "networks failed to drain");
-        budget -= 1;
-        step(fast, reference);
-    }
+            (Step::Tick, 0) => net.tick(),
+            (Step::Tick, _) => net.tick_reference(),
+        },
+        |net| {
+            let delivered: Vec<_> = terminals
+                .iter()
+                .flat_map(|&term| std::iter::from_fn(|| net.poll(term)).collect::<Vec<_>>())
+                .collect();
+            (net.packets_in_flight(), delivered)
+        },
+        "flat switch against the reference",
+    );
+    assert_eq!(fast.packets_in_flight(), 0, "networks failed to drain");
     fast.check_invariants();
     reference.check_invariants();
-    assert_eq!(
-        fast.debug_rr_state(),
-        reference.debug_rr_state(),
-        "round-robin arbiter state diverged"
+    let arbiters = |net: &Network| {
+        let flits: Vec<_> = (0..net.num_routers())
+            .map(|r| net.router(RouterId(r as u16)).flits_sent_per_port())
+            .collect();
+        (net.debug_rr_state(), flits)
+    };
+    same(
+        &arbiters(&fast),
+        &arbiters(&reference),
+        "round-robin state and per-port flits",
     );
-    for r in 0..fast.num_routers() {
-        let id = nocout_repro::substrates::noc::RouterId(r as u16);
-        assert_eq!(
-            fast.router(id).flits_sent_per_port(),
-            reference.router(id).flits_sent_per_port(),
-            "per-port flit counts diverged at router {r}"
-        );
-    }
+}
+
+/// Two sources streaming multi-flit responses into one sink while the
+/// sink snoops one of them back: contention for one ejection port and
+/// both directions of a link, all injected at once.
+#[test]
+fn contended_sink_flat_switch_matches_reference() {
+    let build = || {
+        let mut b = NetworkBuilder::new(128);
+        let rs: Vec<_> = (0..3).map(|_| b.add_router(RouterConfig::mesh())).collect();
+        b.add_bidi_link(rs[0], rs[2], 1, 2.0);
+        b.add_bidi_link(rs[1], rs[2], 1, 2.0);
+        let terminals: Vec<_> = rs.iter().map(|&r| b.add_terminal(r).terminal).collect();
+        b.compute_routes_bfs();
+        (b.build(), terminals)
+    };
+    // Classes index `MessageClass::ALL`: 1 is a snoop, 2 a response.
+    let traffic: Vec<_> = (0..6)
+        .flat_map(|_| [(0, 2, 2, 64), (1, 2, 2, 64), (2, 0, 1, 0)])
+        .map(|(src, dst, class, payload)| {
+            (
+                Traffic {
+                    src,
+                    dst,
+                    class,
+                    payload,
+                },
+                0,
+            )
+        })
+        .collect();
+    flat_switch_matches_reference(|| build().0, &build().1, &traffic);
 }
 
 fn timed_traffic_strategy(
@@ -172,12 +222,9 @@ proptest! {
 
     #[test]
     fn mesh_flat_switch_matches_reference(traffic in timed_traffic_strategy(16, 60)) {
-        let mut fast = build_mesh(&MeshSpec::with_tiles(16));
-        let mut reference = build_mesh(&MeshSpec::with_tiles(16));
-        let terminals = fast.tile_terminals.clone();
-        check_flat_matches_reference(
-            &mut fast.network,
-            &mut reference.network,
+        let terminals = build_mesh(&MeshSpec::with_tiles(16)).tile_terminals;
+        flat_switch_matches_reference(
+            || build_mesh(&MeshSpec::with_tiles(16)).network,
             &terminals,
             &traffic,
         );
@@ -186,15 +233,8 @@ proptest! {
     #[test]
     fn fbfly_flat_switch_matches_reference(traffic in timed_traffic_strategy(16, 60)) {
         let spec = FbflySpec { cols: 4, rows: 4, ..FbflySpec::paper_64() };
-        let mut fast = build_fbfly(&spec);
-        let mut reference = build_fbfly(&spec);
-        let terminals = fast.tile_terminals.clone();
-        check_flat_matches_reference(
-            &mut fast.network,
-            &mut reference.network,
-            &terminals,
-            &traffic,
-        );
+        let terminals = build_fbfly(&spec).tile_terminals;
+        flat_switch_matches_reference(|| build_fbfly(&spec).network, &terminals, &traffic);
     }
 
     #[test]
@@ -207,16 +247,9 @@ proptest! {
             express_links: true,
             ..NocOutSpec::paper_64()
         };
-        let mut fast = build_nocout(&spec);
-        let mut reference = build_nocout(&spec);
-        let mut terminals = fast.core_terminals.clone();
-        terminals.extend(fast.llc_terminals.clone());
-        check_flat_matches_reference(
-            &mut fast.network,
-            &mut reference.network,
-            &terminals,
-            &traffic,
-        );
+        let n = build_nocout(&spec);
+        let terminals = [n.core_terminals, n.llc_terminals].concat();
+        flat_switch_matches_reference(|| build_nocout(&spec).network, &terminals, &traffic);
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! record sequences stay one-to-one, which is what lets the content hash
 //! of the encoded bytes stand for the trace (`docs/trace-format.md`).
 
+mod common;
+
+use common::TempDir;
 use nocout_repro::substrates::cpu::source::{FetchedInstr, InstructionSource, Op};
 use nocout_repro::substrates::mem::addr::Addr;
 use nocout_repro::substrates::workloads::trace::{
@@ -14,31 +17,10 @@ use nocout_repro::substrates::workloads::{Workload, WorkloadGen};
 use proptest::prelude::*;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "nocout-trace-codec-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        TempDir(dir)
-    }
-
-    fn stream(&self) -> PathBuf {
-        self.0.join(format!("core-000{TRACE_SUFFIX}"))
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// The one stream file a test writes into its scratch directory.
+fn stream(dir: &TempDir) -> PathBuf {
+    dir.0.join(format!("core-000{TRACE_SUFFIX}"))
 }
 
 fn write_stream(path: &Path, instrs: &[FetchedInstr]) {
@@ -107,7 +89,7 @@ proptest! {
         instrs in prop::collection::vec(instr(), 1..400)
     ) {
         let dir = TempDir::new("roundtrip");
-        write_stream(&dir.stream(), &instrs);
+        write_stream(&stream(&dir), &instrs);
         let set = TraceSet::load(&dir.0).expect("a written stream loads");
         prop_assert_eq!(set.total_instructions(), instrs.len() as u64);
         let mut replay = set.open_stream(0).expect("open stream");
@@ -145,8 +127,8 @@ fn worked_example_matches_the_format_document() {
             },
         },
     ];
-    write_stream(&dir.stream(), &instrs);
-    let bytes = std::fs::read(dir.stream()).expect("read stream");
+    write_stream(&stream(&dir), &instrs);
+    let bytes = std::fs::read(stream(&dir)).expect("read stream");
     let payload = &bytes[bytes.len() - 11..];
     assert_eq!(
         payload,
@@ -172,8 +154,8 @@ fn streams_longer_than_the_read_buffer_replay_exactly() {
             },
         })
         .collect();
-    write_stream(&dir.stream(), &instrs);
-    let mut replay = TraceSource::open(dir.stream()).expect("open stream");
+    write_stream(&stream(&dir), &instrs);
+    let mut replay = TraceSource::open(stream(&dir)).expect("open stream");
     assert!(
         replay.header().payload_len > 64 * 1024,
         "must outgrow any read buffer"
@@ -191,21 +173,21 @@ fn streams_longer_than_the_read_buffer_replay_exactly() {
 fn no_single_byte_mutation_keeps_the_content_hash() {
     let dir = TempDir::new("mutate");
     let profile = Workload::DataServing.profile();
-    let mut w = TraceWriter::create(dir.stream(), TraceHeader::for_profile(&profile, 0, 3))
+    let mut w = TraceWriter::create(stream(&dir), TraceHeader::for_profile(&profile, 0, 3))
         .expect("create stream");
     w.capture(&mut WorkloadGen::new(profile, 0, 3), 48)
         .expect("capture");
     w.finish().expect("finish stream");
     let set = TraceSet::load(&dir.0).expect("the capture loads");
     let original_hash = set.content_hash();
-    let original = std::fs::read(dir.stream()).expect("read stream");
+    let original = std::fs::read(stream(&dir)).expect("read stream");
     let payload_start = original.len() - set.header(0).payload_len as usize;
     let (mut refused, mut rehashed) = (0, 0);
     for at in payload_start..original.len() {
         for flip in 1..=0xffu8 {
             let mut bytes = original.clone();
             bytes[at] ^= flip;
-            std::fs::write(dir.stream(), &bytes).expect("write mutant");
+            std::fs::write(stream(&dir), &bytes).expect("write mutant");
             match TraceSet::load(&dir.0) {
                 Ok(mutant) => {
                     assert_ne!(
@@ -291,7 +273,7 @@ fn non_canonical_records_are_rejected_naming_the_file() {
     ];
     for (what, records, payload) in cases {
         let dir = TempDir::new("noncanonical");
-        hand_built_stream(&dir.stream(), records, payload);
+        hand_built_stream(&stream(&dir), records, payload);
         match TraceSet::load(&dir.0) {
             Ok(_) => assert!(
                 what.is_empty(),
@@ -302,7 +284,7 @@ fn non_canonical_records_are_rejected_naming_the_file() {
                 let msg = e.to_string();
                 assert!(!what.is_empty() && msg.contains(what), "{what}: {msg}");
                 assert!(
-                    msg.contains(&dir.stream().display().to_string()),
+                    msg.contains(&stream(&dir).display().to_string()),
                     "{what}: {msg}"
                 );
             }
@@ -315,7 +297,7 @@ fn non_canonical_records_are_rejected_naming_the_file() {
 fn record_count_must_match_the_header() {
     for promised in [1, 3] {
         let dir = TempDir::new("count");
-        hand_built_stream(&dir.stream(), promised, &[0x0c, 0x0c]);
+        hand_built_stream(&stream(&dir), promised, &[0x0c, 0x0c]);
         let err = TraceSet::load(&dir.0).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("payload holds 2"), "{err}");

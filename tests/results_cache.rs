@@ -1,42 +1,12 @@
 //! The results cache's contract: hits are bit-identical to simulation,
 //! a warm cache performs zero simulations, and any spec change misses.
 
+mod common;
+
+use common::{run_batch, same, TempDir};
 use nocout_repro::cache::ResultsCache;
 use nocout_repro::prelude::*;
 use nocout_repro::runner::BatchRunner;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A unique, self-cleaning cache directory per test.
-struct TempCacheDir(PathBuf);
-
-impl TempCacheDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "nocout-results-cache-test-{}-{}-{}",
-            tag,
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        TempCacheDir(dir)
-    }
-}
-
-impl Drop for TempCacheDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// The batch's metrics, every point required to succeed.
-fn run_batch(runner: &BatchRunner, specs: &[RunSpec]) -> Vec<SystemMetrics> {
-    runner
-        .run_batch_outcomes(specs)
-        .into_iter()
-        .map(|o| o.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
 
 fn grid() -> Vec<RunSpec> {
     let window = MeasurementWindow::new(1_000, 3_000);
@@ -56,7 +26,7 @@ fn grid() -> Vec<RunSpec> {
 
 #[test]
 fn second_sweep_is_all_hits_and_bit_identical() {
-    let dir = TempCacheDir::new("sweep");
+    let dir = TempDir::new("sweep");
     let specs = grid();
 
     let cold = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
@@ -73,50 +43,23 @@ fn second_sweep_is_all_hits_and_bit_identical() {
     assert_eq!(cache.misses(), 0, "warm cache must not simulate");
     assert_eq!(cache.hits(), specs.len() as u64);
 
-    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
-        assert_eq!(a.instructions, b.instructions, "spec {i}");
-        assert_eq!(a.cycles, b.cycles, "spec {i}");
-        assert_eq!(a.llc.accesses, b.llc.accesses, "spec {i}");
-        assert_eq!(a.network.packets, b.network.packets, "spec {i}");
-        assert_eq!(
-            a.network.mean_latency.to_bits(),
-            b.network.mean_latency.to_bits(),
-            "spec {i}"
-        );
-        assert_eq!(
-            a.fetch_stall_fraction.to_bits(),
-            b.fetch_stall_fraction.to_bits(),
-            "spec {i}"
-        );
-        for (x, y) in a.per_core_ipc.iter().zip(&b.per_core_ipc) {
-            assert_eq!(x.to_bits(), y.to_bits(), "spec {i}");
-        }
-        assert_eq!(a.memory.reads, b.memory.reads, "spec {i}");
-        assert_eq!(a.memory.writes, b.memory.writes, "spec {i}");
-    }
+    same(&second, &first, "warm against cold");
 }
 
 #[test]
 fn cached_results_match_uncached_run() {
-    let dir = TempCacheDir::new("vs-uncached");
+    let dir = TempDir::new("vs-uncached");
     let specs = grid();
     let uncached = run_batch(&BatchRunner::serial(), &specs);
     let runner = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
     run_batch(&runner, &specs); // populate
     let cached = run_batch(&runner, &specs); // read back
-    for (i, (a, b)) in uncached.iter().zip(&cached).enumerate() {
-        assert_eq!(a.instructions, b.instructions, "spec {i}");
-        assert_eq!(
-            a.aggregate_ipc().to_bits(),
-            b.aggregate_ipc().to_bits(),
-            "spec {i}"
-        );
-    }
+    same(&cached, &uncached, "cached against uncached");
 }
 
 #[test]
 fn any_spec_change_misses() {
-    let dir = TempCacheDir::new("invalidation");
+    let dir = TempDir::new("invalidation");
     let cache = ResultsCache::open(&dir.0).unwrap();
     let base = RunSpec {
         chip: ChipConfig::with_cores(Organization::Mesh, 16),
@@ -142,27 +85,24 @@ fn any_spec_change_misses() {
 
 #[test]
 fn replication_through_cache_matches_serial() {
-    let dir = TempCacheDir::new("replicated");
+    let dir = TempDir::new("replicated");
     let campaign = Campaign::new()
         .fixed(ChipConfig::with_cores(Organization::Mesh, 16))
         .workloads([Workload::SatSolver])
         .seeds([1, 2, 3])
         .window(MeasurementWindow::new(500, 1_500));
-    let plain = campaign.run(&BatchRunner::serial()).results()[0].clone();
+    let plain = campaign.run(&BatchRunner::serial());
     let runner = BatchRunner::serial().with_cache(ResultsCache::open(&dir.0).unwrap());
     campaign.run(&runner); // populate
-    let frame = campaign.run(&runner); // all hits
-    let cached = &frame.results()[0];
+    let cached = campaign.run(&runner); // all hits
     assert_eq!(runner.cache().unwrap().misses(), 3);
     assert_eq!(runner.cache().unwrap().hits(), 3);
-    assert_eq!(plain.ipc.to_bits(), cached.ipc.to_bits());
-    assert_eq!(plain.ci95.to_bits(), cached.ci95.to_bits());
-    assert_eq!(plain.metrics.instructions, cached.metrics.instructions);
+    same(&cached, &plain, "cached campaign against serial");
 }
 
 #[test]
 fn corrupt_entry_degrades_to_miss_and_heals() {
-    let dir = TempCacheDir::new("corrupt");
+    let dir = TempDir::new("corrupt");
     let cache = ResultsCache::open(&dir.0).unwrap();
     let spec = RunSpec {
         chip: ChipConfig::with_cores(Organization::Mesh, 16),
@@ -179,5 +119,5 @@ fn corrupt_entry_degrades_to_miss_and_heals() {
     assert!(cache.get(&spec).is_none(), "corrupt entry must miss");
     cache.put(&spec, &metrics);
     let healed = cache.get(&spec).expect("rewritten entry must hit");
-    assert_eq!(healed.instructions, metrics.instructions);
+    same(&healed, &metrics, "healed entry");
 }

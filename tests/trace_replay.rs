@@ -3,59 +3,12 @@
 //! organizations and seeds, and participates in the results cache under
 //! its content hash (so editing a stream invalidates cached replays).
 
+mod common;
+
+use common::{same, TempDir};
 use nocout_repro::cache::ResultsCache;
 use nocout_repro::prelude::*;
 use nocout_repro::runner::BatchRunner;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "nocout-trace-replay-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn assert_metrics_identical(a: &SystemMetrics, b: &SystemMetrics, ctx: &str) {
-    assert_eq!(a.active_cores, b.active_cores, "{ctx}: active cores");
-    assert_eq!(a.cycles, b.cycles, "{ctx}: cycles");
-    assert_eq!(a.instructions, b.instructions, "{ctx}: instructions");
-    assert_eq!(
-        a.fetch_stall_fraction.to_bits(),
-        b.fetch_stall_fraction.to_bits(),
-        "{ctx}: fetch stall fraction"
-    );
-    for (i, (x, y)) in a.per_core_ipc.iter().zip(&b.per_core_ipc).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: core {i} ipc");
-    }
-    assert_eq!(a.llc.accesses, b.llc.accesses, "{ctx}: llc accesses");
-    assert_eq!(a.llc.hits, b.llc.hits, "{ctx}: llc hits");
-    assert_eq!(a.llc.misses, b.llc.misses, "{ctx}: llc misses");
-    assert_eq!(a.llc.snoops_sent, b.llc.snoops_sent, "{ctx}: snoops");
-    assert_eq!(a.llc.writebacks, b.llc.writebacks, "{ctx}: writebacks");
-    assert_eq!(a.network.packets, b.network.packets, "{ctx}: packets");
-    assert_eq!(
-        a.network.mean_latency.to_bits(),
-        b.network.mean_latency.to_bits(),
-        "{ctx}: mean latency"
-    );
-    assert_eq!(a.network.p99_latency, b.network.p99_latency, "{ctx}: p99");
-    assert_eq!(a.memory.reads, b.memory.reads, "{ctx}: memory reads");
-    assert_eq!(a.memory.writes, b.memory.writes, "{ctx}: memory writes");
-}
 
 fn replay_spec(chip: ChipConfig, dir: &std::path::Path, window: MeasurementWindow, seed: u64) -> RunSpec {
     let set = nocout_repro::substrates::workloads::trace::TraceSet::load(dir)
@@ -89,7 +42,11 @@ fn replayed_trace_reproduces_synthetic_metrics_bit_for_bit() {
             seed,
         });
         let replay = run(&replay_spec(chip, &dir.0, window, seed));
-        assert_metrics_identical(&synth, &replay, &format!("{org} {workload:?} seed {seed}"));
+        same(
+            &synth,
+            &replay,
+            format_args!("{org} {workload:?} seed {seed}"),
+        );
     }
 }
 
@@ -104,7 +61,7 @@ fn looping_replay_is_deterministic() {
     let window = MeasurementWindow::new(2_000, 6_000);
     let a = run(&replay_spec(chip, &dir.0, window, 2));
     let b = run(&replay_spec(chip, &dir.0, window, 2));
-    assert_metrics_identical(&a, &b, "looping replay");
+    same(&a, &b, "looping replay");
     assert!(a.instructions > 0, "looped replay must make progress");
 }
 
@@ -128,7 +85,7 @@ fn trace_replay_participates_in_the_results_cache() {
     let second = warm.run_batch_outcomes(std::slice::from_ref(&spec));
     assert_eq!(warm.cache().unwrap().hits(), 1, "warm cache must hit");
     let (first, second) = (first[0].as_ref().unwrap(), second[0].as_ref().unwrap());
-    assert_metrics_identical(first, second, "cache round trip");
+    same(first, second, "cache round trip");
 
     // Edit one byte of one stream (the header's seed field, offset 30:
     // provenance only, so the stream stays loadable): the content hash
@@ -271,5 +228,5 @@ fn a_loaded_set_replays_without_its_directory() {
     std::fs::remove_dir_all(&dir.0).expect("delete the trace directory");
     assert!(!set.files()[0].exists());
     assert_eq!(laps(&set), streams_before);
-    assert_metrics_identical(&metrics_before, &run(&spec), "replay after delete");
+    same(&metrics_before, &run(&spec), "replay after delete");
 }
