@@ -59,7 +59,7 @@
 //! just another element of the workload axis.
 
 use crate::config::{ChipConfig, Organization};
-use crate::metrics::{SystemMetrics, TailSummary};
+use crate::metrics::SystemMetrics;
 use crate::runner::{BatchRunner, PointOutcome, RunSpec};
 use nocout_sim::config::{MeasurementWindow, SeedSet};
 use nocout_sim::stats::{geometric_mean, RunningStats};
@@ -876,16 +876,6 @@ impl<'f> Sel<'f> {
     /// Panics if the match is not unique.
     pub fn ipc(&self) -> f64 {
         self.one().ipc
-    }
-
-    /// Open-loop service-latency summary (arrival to completion) of the
-    /// single matching point; all-zero for closed-loop workloads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the match is not unique.
-    pub fn request_tail(&self) -> TailSummary {
-        self.one().metrics.request_latency
     }
 }
 

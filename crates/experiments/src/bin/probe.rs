@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release -p nocout-experiments --bin probe -- \
 //! [--workload NAME|trace:PATH|openloop:WORKLOAD:INTERVAL:SERVICE] \
-//! [--jobs N]` (legacy positional `ws`/`sat` accepted).
+//! [--jobs N]`.
 
 use nocout::prelude::*;
 use nocout_experiments::cli::Cli;
@@ -23,15 +23,12 @@ fn main() {
     let mut cli = Cli::parse(
         "probe",
         ABOUT,
-        "[--workload NAME|trace:PATH|openloop:WORKLOAD:INTERVAL:SERVICE | ws|sat]",
+        "[--workload NAME|trace:PATH|openloop:WORKLOAD:INTERVAL:SERVICE]",
     );
     let mut workload: WorkloadClass = Workload::DataServing.into();
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
             "--workload" => workload = cli.workload_class(&flag),
-            // Legacy positional shorthands.
-            "ws" => workload = Workload::WebSearch.into(),
-            "sat" => workload = Workload::SatSolver.into(),
             _ => cli.unknown(&flag),
         }
     }

@@ -2,7 +2,7 @@
 //! directory: figure selection, its errors (a stray argument among them),
 //! `--help`, and the CSVs of the two analytic figures (milliseconds even
 //! in a debug build). Plus `explorer`'s refusal of a seed count it cannot
-//! run.
+//! run, and `probe`'s refusal of a workload given without `--workload`.
 
 use nocout_experiments::figures::FIGURES;
 use std::process::Command;
@@ -70,4 +70,11 @@ fn explorer_refuses_zero_seeds() {
     let (code, _, err, _) = run(env!("CARGO_BIN_EXE_explorer"), "seeds", &["--seeds", "0"]);
     assert_eq!(code, Some(2), "{err}");
     assert!(err.contains("`--seeds`") && err.contains("`0`"), "{err}");
+}
+
+#[test]
+fn probe_takes_a_workload_only_through_its_flag() {
+    let (code, _, err, _) = run(env!("CARGO_BIN_EXE_probe"), "probe-ws", &["ws"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("`ws`"), "{err}");
 }

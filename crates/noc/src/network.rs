@@ -20,22 +20,23 @@
 //!
 //! ## Flat storage
 //!
-//! The per-cycle engine runs on a structure-of-arrays core: `build()`
-//! hoists every router's input ports, output ports, and route table into
-//! network-level contiguous arrays (`vcs`, `in_occ`, `in_credit`,
-//! `out_ports`, `route`), indexed through per-router base offsets kept in a
-//! small `RouterMeta` header. A flit-hop then touches a handful of adjacent
-//! cache lines instead of chasing per-router heap `Vec`s. Routers with
-//! buffered flits are tracked in an `active_routers` bitmap whose
-//! ascending-bit scan reproduces the ascending-index full scan it replaced
-//! bit for bit, and each hop's arrival and credit return ride a single
-//! event wheel — fused into one event when both land on the same cycle.
+//! The per-cycle engine runs on a structure-of-arrays core: network-level
+//! contiguous arrays (`vcs`, `in_occ`, `in_credit`, `out_ports`, `route`),
+//! indexed through per-router base offsets kept in a small `RouterMeta`
+//! header. A flit-hop then touches a handful of adjacent cache lines
+//! instead of chasing per-router heap `Vec`s. Routers with buffered flits
+//! are tracked in an `active_routers` bitmap whose ascending-bit scan
+//! reproduces the ascending-index full scan it replaced bit for bit, and
+//! each hop's arrival and credit return ride a single event wheel — fused
+//! into one event when both land on the same cycle.
+//!
+//! The builder holds the final headers from `add_router` on and appends
+//! every port to a creation-ordered list; `build()` groups the lists per
+//! router, sets the bases, and applies the route writes.
 
 use crate::flit::Flit;
 use crate::packet::{Delivery, Packet, PacketId};
-use crate::router::{
-    arbitrate, Feeder, InPort, OutPort, OutTarget, Router, RouterConfig, VcQueue, UNROUTED,
-};
+use crate::router::{arbitrate, Dest, OutPort, OutTarget, RouterConfig, VcQueue, UNROUTED};
 use crate::stats::NetStats;
 use crate::types::{MessageClass, PortIndex, RouterId, TerminalId, CLASS_COUNT};
 use nocout_sim::ring::Ring;
@@ -48,18 +49,6 @@ use nocout_sim::Cycle;
 /// wheel never takes its growth path here.
 pub const MAX_HOP_DELAY: u64 = 32;
 
-#[derive(Debug, Clone, Copy)]
-enum ArrivalDest {
-    RouterPort { router: RouterId, port: PortIndex },
-    Terminal(TerminalId),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CreditDest {
-    RouterPort { router: RouterId, port: PortIndex },
-    Terminal(TerminalId),
-}
-
 /// One scheduled consequence of a flit send, all carried by a single event
 /// wheel. Within a cycle, credit application (which only touches credit
 /// counters) and arrival application (which only touches buffers, terminals
@@ -69,26 +58,23 @@ enum CreditDest {
 #[derive(Debug, Clone, Copy)]
 enum HopEvent {
     /// A flit reaching its downstream buffer or ejecting at a terminal.
-    Arrival { dest: ArrivalDest, flit: Flit },
+    Arrival { dest: Dest, flit: Flit },
     /// A credit returning upstream after a downstream buffer slot freed.
-    Credit {
-        dest: CreditDest,
-        class: MessageClass,
-    },
+    Credit { dest: Dest, class: MessageClass },
     /// Both halves of one hop whose delays land on the same cycle (the
     /// credit class is the flit's class): one wheel push instead of two.
     Fused {
-        dest: ArrivalDest,
+        dest: Dest,
         flit: Flit,
-        credit: CreditDest,
+        credit: Dest,
     },
 }
 
 /// Precomputed credit-return path of an input port: where the credit goes
-/// and how long it takes (already clamped to ≥ 1 at build time).
+/// and how long it takes (`1 + link delay`, so at least one cycle).
 #[derive(Debug, Clone, Copy)]
 struct CreditReturn {
-    dest: CreditDest,
+    dest: Dest,
     delay: u8,
 }
 
@@ -195,7 +181,16 @@ pub struct TerminalAttachment {
 /// ```
 #[derive(Debug)]
 pub struct NetworkBuilder {
-    routers: Vec<Router>,
+    /// The network's router headers, final from `add_router` on: ports
+    /// bump `in_count`/`out_count`, and `build()` sets the bases.
+    rmeta: Vec<RouterMeta>,
+    /// Input ports in creation order: owning router, VC depth, and where
+    /// the port returns its credits.
+    in_ports: Vec<(RouterId, u8, CreditReturn)>,
+    /// Output ports in creation order, with their owning router.
+    out_ports: Vec<(RouterId, OutPort)>,
+    /// Route-table writes in call order; a later write wins.
+    routes: Vec<(RouterId, TerminalId, PortIndex)>,
     terminals: Vec<Terminal>,
     link_width_bits: u32,
 }
@@ -212,7 +207,10 @@ impl NetworkBuilder {
     pub fn new(link_width_bits: u32) -> Self {
         assert!(link_width_bits > 0);
         NetworkBuilder {
-            routers: Vec::new(),
+            rmeta: Vec::new(),
+            in_ports: Vec::new(),
+            out_ports: Vec::new(),
+            routes: Vec::new(),
             terminals: Vec::new(),
             link_width_bits,
         }
@@ -220,8 +218,52 @@ impl NetworkBuilder {
 
     /// Adds a router, returning its id.
     pub fn add_router(&mut self, cfg: RouterConfig) -> RouterId {
-        self.routers.push(Router::new(cfg, 0));
-        RouterId((self.routers.len() - 1) as u16)
+        self.rmeta.push(RouterMeta {
+            cfg,
+            in_base: 0,
+            out_base: 0,
+            in_count: 0,
+            out_count: 0,
+            buffered: 0,
+            port_occ: 0,
+        });
+        RouterId((self.rmeta.len() - 1) as u16)
+    }
+
+    /// Appends an input port to `router`, returning its index there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router's radix would exceed the 64-port occupancy
+    /// word.
+    fn push_in_port(&mut self, router: RouterId, depth: u8, credit: CreditReturn) -> PortIndex {
+        let m = &mut self.rmeta[router.index()];
+        assert!(
+            m.in_count < 64,
+            "router radix exceeds the 64-bit port-occupancy word"
+        );
+        m.in_count += 1;
+        self.in_ports.push((router, depth, credit));
+        m.in_count - 1
+    }
+
+    /// Appends an output port to `router` with `credits` per VC, returning
+    /// its index there.
+    fn push_out_port(&mut self, router: RouterId, target: OutTarget, credits: u8) -> PortIndex {
+        let m = &mut self.rmeta[router.index()];
+        m.out_count += 1;
+        self.out_ports.push((
+            router,
+            OutPort {
+                target,
+                credits: [credits; CLASS_COUNT],
+                max_credits: [credits; CLASS_COUNT],
+                owner: [None; CLASS_COUNT],
+                rr_next: 0,
+                flits_sent: 0,
+            },
+        ));
+        m.out_count - 1
     }
 
     /// Adds a unidirectional link from `from` to `to`, returning
@@ -231,8 +273,9 @@ impl NetworkBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the hop delay (downstream pipeline + link) would exceed
-    /// [`MAX_HOP_DELAY`].
+    /// Panics if the hop delay (`from`'s pipeline + link) would exceed
+    /// [`MAX_HOP_DELAY`], or if `to` already has 64 input ports (the
+    /// width of a router's port-occupancy word).
     pub fn add_link(
         &mut self,
         from: RouterId,
@@ -240,7 +283,7 @@ impl NetworkBuilder {
         link_delay: u8,
         length_mm: f32,
     ) -> (PortIndex, PortIndex) {
-        let depth = self.routers[to.index()].cfg.vc_depth;
+        let depth = self.rmeta[to.index()].cfg.vc_depth;
         self.add_link_with_depth(from, to, link_delay, length_mm, depth)
     }
 
@@ -256,47 +299,29 @@ impl NetworkBuilder {
         length_mm: f32,
         depth: u8,
     ) -> (PortIndex, PortIndex) {
-        let from_cfg = self.routers[from.index()].cfg;
+        let from_meta = &self.rmeta[from.index()];
         assert!(
-            (from_cfg.pipeline_delay as u64 + link_delay as u64) < MAX_HOP_DELAY,
+            (from_meta.cfg.pipeline_delay as u64 + link_delay as u64) < MAX_HOP_DELAY,
             "hop delay exceeds event-wheel capacity"
         );
-        let to_depth = depth;
-        let in_port = {
-            let rt = &mut self.routers[to.index()];
-            rt.in_ports.push(InPort::new(
-                to_depth,
-                Feeder::Router {
-                    router: from,
-                    port: PortIndex::MAX, // patched below
-                },
-                1 + link_delay,
-            ));
-            (rt.in_ports.len() - 1) as PortIndex
+        let out_port = from_meta.out_count;
+        let credit = CreditReturn {
+            dest: Dest::Port {
+                router: from,
+                port: out_port,
+            },
+            delay: 1 + link_delay,
         };
-        let out_port = {
-            let rf = &mut self.routers[from.index()];
-            rf.out_ports.push(OutPort {
-                target: OutTarget::Router {
-                    router: to,
-                    port: in_port,
-                    link_delay,
-                    length_mm,
-                },
-                credits: [to_depth; CLASS_COUNT],
-                max_credits: [to_depth; CLASS_COUNT],
-                owner: [None; CLASS_COUNT],
-                rr_next: 0,
-                flits_sent: 0,
-            });
-            (rf.out_ports.len() - 1) as PortIndex
+        let in_port = self.push_in_port(to, depth, credit);
+        let target = OutTarget {
+            dest: Dest::Port {
+                router: to,
+                port: in_port,
+            },
+            link_delay,
+            length_mm,
         };
-        // Patch the feeder back-reference now that the out port exists.
-        if let Feeder::Router { port, .. } =
-            &mut self.routers[to.index()].in_ports[in_port as usize].feeder
-        {
-            *port = out_port;
-        }
+        self.push_out_port(from, target, depth);
         (out_port, in_port)
     }
 
@@ -324,41 +349,29 @@ impl NetworkBuilder {
     /// Attaches a terminal whose injection and ejection sides live on
     /// *different* routers. NOC-Out cores use this: they inject into their
     /// reduction-tree node but receive from their dispersion-tree node.
+    /// The ejection router's route to the terminal is installed here.
     pub fn add_terminal_split(
         &mut self,
         inject_router: RouterId,
         eject_router: RouterId,
     ) -> TerminalAttachment {
-        let router = inject_router;
         let terminal = TerminalId(self.terminals.len() as u16);
-        let depth = self.routers[router.index()].cfg.vc_depth;
-        let in_port = {
-            let r = &mut self.routers[router.index()];
-            r.in_ports.push(InPort::new(
-                depth,
-                Feeder::Terminal(terminal),
-                1 + TERMINAL_LINK_DELAY,
-            ));
-            (r.in_ports.len() - 1) as PortIndex
+        let depth = self.rmeta[inject_router.index()].cfg.vc_depth;
+        let credit = CreditReturn {
+            dest: Dest::Terminal(terminal),
+            delay: 1 + TERMINAL_LINK_DELAY,
         };
-        let out_port = {
-            let r = &mut self.routers[eject_router.index()];
-            r.out_ports.push(OutPort {
-                target: OutTarget::Terminal {
-                    terminal,
-                    link_delay: TERMINAL_LINK_DELAY,
-                    length_mm: TERMINAL_LINK_MM,
-                },
-                credits: [u8::MAX; CLASS_COUNT],
-                max_credits: [u8::MAX; CLASS_COUNT],
-                owner: [None; CLASS_COUNT],
-                rr_next: 0,
-                flits_sent: 0,
-            });
-            (r.out_ports.len() - 1) as PortIndex
+        let in_port = self.push_in_port(inject_router, depth, credit);
+        let target = OutTarget {
+            dest: Dest::Terminal(terminal),
+            link_delay: TERMINAL_LINK_DELAY,
+            length_mm: TERMINAL_LINK_MM,
         };
+        // Terminal targets are credit-exempt sinks.
+        let out_port = self.push_out_port(eject_router, target, u8::MAX);
+        self.set_route(eject_router, terminal, out_port);
         self.terminals.push(Terminal {
-            attach_router: router,
+            attach_router: inject_router,
             attach_port: in_port,
             eject_router,
             lanes: Default::default(),
@@ -379,11 +392,8 @@ impl NetworkBuilder {
     /// Sets the routing-table entry at `router` for packets destined to
     /// `terminal`.
     pub fn set_route(&mut self, router: RouterId, terminal: TerminalId, out_port: PortIndex) {
-        let r = &mut self.routers[router.index()];
-        if r.route.len() <= terminal.index() {
-            r.route.resize(terminal.index() + 1, UNROUTED);
-        }
-        r.route[terminal.index()] = out_port;
+        assert!(router.index() < self.rmeta.len(), "router id out of range");
+        self.routes.push((router, terminal, out_port));
     }
 
     /// Computes shortest-path routing tables for every (router, terminal)
@@ -394,20 +404,21 @@ impl NetworkBuilder {
     /// butterfly builders install explicit dimension-order tables instead,
     /// which BFS cannot guarantee.
     pub fn compute_routes_bfs(&mut self) {
-        let nr = self.routers.len();
-        // adjacency: for each router, (out_port, dest router, hop_delay)
+        let nr = self.rmeta.len();
+        // adjacency: for each router, (out_port, dest router, hop_delay) in
+        // port order — creation order is port order within a router.
         let mut adj: Vec<Vec<(PortIndex, usize, u64)>> = vec![Vec::new(); nr];
+        let mut next_port = vec![0 as PortIndex; nr];
         let mut max_hop = 1u64;
-        for (ri, r) in self.routers.iter().enumerate() {
-            for (pi, o) in r.out_ports.iter().enumerate() {
-                if let OutTarget::Router {
-                    router, link_delay, ..
-                } = o.target
-                {
-                    let hop = (r.cfg.pipeline_delay as u64 + link_delay as u64).max(1);
-                    max_hop = max_hop.max(hop);
-                    adj[ri].push((pi as PortIndex, router.index(), hop));
-                }
+        for (from, o) in &self.out_ports {
+            let ri = from.index();
+            let pi = next_port[ri];
+            next_port[ri] += 1;
+            if let Dest::Port { router, .. } = o.target.dest {
+                let pipeline = self.rmeta[ri].cfg.pipeline_delay;
+                let hop = (pipeline as u64 + o.target.link_delay as u64).max(1);
+                max_hop = max_hop.max(hop);
+                adj[ri].push((pi, router.index(), hop));
             }
         }
         // Reversed adjacency, built once for all terminals (it was
@@ -455,102 +466,75 @@ impl NetworkBuilder {
                 d += 1;
             }
             // Choose, at each router, the lowest-index out port on a
-            // shortest path.
+            // shortest path. The ejection router keeps the route
+            // `add_terminal_split` installed; unreachable routers stay
+            // UNROUTED.
             for ri in 0..nr {
-                if ri == target_router {
-                    // Route to the terminal's ejection port.
-                    let eject = self.routers[ri]
-                        .out_ports
-                        .iter()
-                        .position(|o| {
-                            matches!(o.target, OutTarget::Terminal { terminal, .. } if terminal == term)
-                        })
-                        .expect("terminal must have an ejection port") as PortIndex;
-                    self.set_route(RouterId(ri as u16), term, eject);
+                if ri == target_router || dist[ri] == u64::MAX {
                     continue;
                 }
-                if dist[ri] == u64::MAX {
-                    continue; // unreachable; leave UNROUTED
-                }
-                let mut best: Option<PortIndex> = None;
-                for &(pi, to, w) in &adj[ri] {
-                    if dist[to] != u64::MAX && dist[to] + w == dist[ri] && best.is_none() {
-                        best = Some(pi);
-                    }
-                }
-                if let Some(p) = best {
-                    self.set_route(RouterId(ri as u16), term, p);
+                let on_path = |&&(_, to, w): &&(PortIndex, usize, u64)| {
+                    dist[to] != u64::MAX && dist[to] + w == dist[ri]
+                };
+                if let Some(&(p, ..)) = adj[ri].iter().find(on_path) {
+                    self.routes.push((RouterId(ri as u16), term, p));
                 }
             }
         }
     }
 
-    /// Finalizes the network, flattening every router's ports and route
-    /// table into the network-level contiguous arrays (see the module docs).
+    /// Finalizes the network: groups the ports per router into the
+    /// network-level contiguous arrays (see the module docs), builds every
+    /// input port's VC rings and applies the route writes.
     ///
-    /// # Panics
-    ///
-    /// Panics if a router's radix exceeds the 64-port occupancy word
-    /// (routes may still be `UNROUTED` for genuinely unreachable pairs;
-    /// using such a route at runtime panics with a diagnostic).
-    pub fn build(mut self) -> Network {
-        let nt = self.terminals.len();
-        for r in &mut self.routers {
-            if r.route.len() < nt {
-                r.route.resize(nt, UNROUTED);
-            }
+    /// Routes may still be `UNROUTED` for genuinely unreachable pairs;
+    /// using such a route at runtime panics with a diagnostic.
+    pub fn build(self) -> Network {
+        let NetworkBuilder {
+            mut rmeta,
+            mut in_ports,
+            mut out_ports,
+            routes,
+            terminals,
+            link_width_bits,
+        } = self;
+        // A stable sort keeps creation order, which is port order, within
+        // each router.
+        in_ports.sort_by_key(|&(router, ..)| router);
+        out_ports.sort_by_key(|&(router, _)| router);
+        let (mut in_base, mut out_base) = (0, 0);
+        for m in &mut rmeta {
+            (m.in_base, m.out_base) = (in_base, out_base);
+            in_base += u32::from(m.in_count);
+            out_base += u32::from(m.out_count);
         }
-        let nr = self.routers.len();
-        let total_in: usize = self.routers.iter().map(|r| r.in_ports.len()).sum();
-        let total_out: usize = self.routers.iter().map(|r| r.out_ports.len()).sum();
-        let mut rmeta = Vec::with_capacity(nr);
-        let mut vcs = Vec::with_capacity(total_in * CLASS_COUNT);
-        let mut in_occ = Vec::with_capacity(total_in);
-        let mut in_credit = Vec::with_capacity(total_in);
-        let mut out_ports = Vec::with_capacity(total_out);
-        let mut route = Vec::with_capacity(nr * nt);
-        for r in self.routers {
+        let mut vcs = Vec::with_capacity(in_ports.len() * CLASS_COUNT);
+        for &(_, depth, _) in &in_ports {
+            vcs.extend((0..CLASS_COUNT).map(|_| VcQueue::new(depth)));
+        }
+        let (nr, nt) = (rmeta.len(), terminals.len());
+        let mut route = vec![UNROUTED; nr * nt];
+        for (router, terminal, port) in routes {
             assert!(
-                r.in_ports.len() <= 64,
-                "router radix exceeds the 64-bit port-occupancy word"
+                terminal.index() < nt,
+                "route to unknown terminal {terminal}"
             );
-            rmeta.push(RouterMeta {
-                cfg: r.cfg,
-                in_base: in_occ.len() as u32,
-                out_base: out_ports.len() as u32,
-                in_count: r.in_ports.len() as u8,
-                out_count: r.out_ports.len() as u8,
-                buffered: 0,
-                port_occ: 0,
-            });
-            for ip in r.in_ports {
-                in_occ.push(0u8);
-                in_credit.push(CreditReturn {
-                    dest: match ip.feeder {
-                        Feeder::Router { router, port } => CreditDest::RouterPort { router, port },
-                        Feeder::Terminal(t) => CreditDest::Terminal(t),
-                    },
-                    delay: ip.credit_delay.max(1),
-                });
-                vcs.extend(ip.vcs);
-            }
-            out_ports.extend(r.out_ports);
-            route.extend_from_slice(&r.route);
+            route[router.index() * nt + terminal.index()] = port;
         }
         Network {
             rmeta,
             vcs,
-            in_occ,
-            in_credit,
-            out_ports,
+            in_occ: vec![0; in_ports.len()],
+            in_credit: in_ports.into_iter().map(|(.., credit)| credit).collect(),
+            out_ports: out_ports.into_iter().map(|(_, o)| o).collect(),
             route,
             active_routers: vec![0u64; nr.div_ceil(64)],
-            terminals: self.terminals,
+            terminals,
             slab: Slab::new(),
             hops: EventWheel::with_slots(MAX_HOP_DELAY as usize * 2),
             stats: NetStats::new(),
             now: Cycle::ZERO,
-            link_width_bits: self.link_width_bits,
+            link_width_bits,
             active_terms: Vec::new(),
             ready_terms: Ring::with_capacity(16),
             buffered_flits: 0,
@@ -901,28 +885,28 @@ impl Network {
     }
 
     #[inline]
-    fn apply_credit(&mut self, dest: CreditDest, class: MessageClass) {
+    fn apply_credit(&mut self, dest: Dest, class: MessageClass) {
         match dest {
-            CreditDest::RouterPort { router, port } => {
+            Dest::Port { router, port } => {
                 let base = self.rmeta[router.index()].out_base as usize;
                 let o = &mut self.out_ports[base + port as usize];
                 let c = &mut o.credits[class.vc()];
                 debug_assert!(*c < o.max_credits[class.vc()]);
                 *c += 1;
             }
-            CreditDest::Terminal(t) => {
+            Dest::Terminal(t) => {
                 self.terminals[t.index()].inject_credits[class.vc()] += 1;
             }
         }
     }
 
     #[inline]
-    fn apply_arrival(&mut self, dest: ArrivalDest, flit: Flit) {
+    fn apply_arrival(&mut self, dest: Dest, flit: Flit) {
         match dest {
-            ArrivalDest::RouterPort { router, port } => {
+            Dest::Port { router, port } => {
                 self.push_flit(router, port, flit);
             }
-            ArrivalDest::Terminal(t) => {
+            Dest::Terminal(t) => {
                 let term = &mut self.terminals[t.index()];
                 let prog = &mut term.rx_progress[flit.class.vc()];
                 debug_assert_eq!(
@@ -1051,7 +1035,7 @@ impl Network {
             Some(owner) if owner != ipi as PortIndex => return None,
             _ => {}
         }
-        let is_terminal_target = matches!(o.target, OutTarget::Terminal { .. });
+        let is_terminal_target = matches!(o.target.dest, Dest::Terminal(_));
         if !is_terminal_target && o.credits[cv] == 0 {
             return None;
         }
@@ -1238,7 +1222,7 @@ impl Network {
         if flit.is_tail() {
             o.owner[cv] = None;
         }
-        if let OutTarget::Router { .. } = o.target {
+        if let Dest::Port { .. } = o.target.dest {
             debug_assert!(o.credits[cv] > 0);
             o.credits[cv] -= 1;
         }
@@ -1248,16 +1232,13 @@ impl Network {
         self.stats.buffer_reads.incr();
         self.stats.xbar_traversals.incr();
         self.stats.flit_hops.incr();
-        self.stats.flit_mm += target.length_mm() as f64;
+        self.stats.flit_mm += target.length_mm as f64;
         // Schedule the arrival downstream and the credit return upstream.
         // When both are due the same cycle they fuse into one wheel push;
         // otherwise two events go into the same wheel (still one drain per
         // tick, versus the former separate arrival and credit wheels).
-        let hop = (pipeline_delay + target.link_delay()).max(1) as u64;
-        let dest = match target {
-            OutTarget::Router { router, port, .. } => ArrivalDest::RouterPort { router, port },
-            OutTarget::Terminal { terminal, .. } => ArrivalDest::Terminal(terminal),
-        };
+        let hop = (pipeline_delay + target.link_delay).max(1) as u64;
+        let dest = target.dest;
         let ret = self.in_credit[gp];
         let arrive_at = now + hop;
         let credit_at = now + ret.delay as u64;
@@ -1313,12 +1294,12 @@ impl Network {
                         router
                     );
                     let out_base = self.rmeta[ri].out_base as usize;
-                    match self.out_ports[out_base + port as usize].target {
-                        OutTarget::Terminal { terminal, .. } => {
+                    match self.out_ports[out_base + port as usize].target.dest {
+                        Dest::Terminal(terminal) => {
                             assert_eq!(terminal, dst, "route from t{s} ejects at wrong terminal");
                             break;
                         }
-                        OutTarget::Router { router: next, .. } => {
+                        Dest::Port { router: next, .. } => {
                             router = next;
                             count += 1;
                         }
@@ -1328,12 +1309,6 @@ impl Network {
             }
         }
         hops
-    }
-
-    /// Round-robin arbiter pointers of every output port, in flat port
-    /// order (observability for the differential layout tests).
-    pub fn debug_rr_state(&self) -> Vec<u16> {
-        self.out_ports.iter().map(|o| o.rr_next).collect()
     }
 
     /// Validates internal invariants (used by tests and, sampled, by the
@@ -1717,6 +1692,54 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 16);
+    }
+
+    /// The flat wiring of every paper fabric: each link's downstream input
+    /// port returns its credits to exactly the output port that feeds it,
+    /// each injection port credits its own terminal, and each terminal's
+    /// ejection router routes it to its own ejection port.
+    #[test]
+    fn built_fabrics_wire_credits_and_ejection_routes() {
+        use crate::topology::{fbfly, mesh, nocout};
+        let nocout = nocout::NocOutSpec {
+            express_links: true,
+            ..nocout::NocOutSpec::paper_64()
+        };
+        let nets = [
+            mesh::build_mesh(&mesh::MeshSpec::paper_64()).network,
+            fbfly::build_fbfly(&fbfly::FbflySpec::paper_64()).network,
+            nocout::build_nocout(&nocout).network,
+        ];
+        for net in &nets {
+            let credit_of = |router: RouterId, port: PortIndex| {
+                let m = &net.rmeta[router.index()];
+                assert!(port < m.in_count, "{router} has no input port {port}");
+                net.in_credit[m.in_base as usize + port as usize].dest
+            };
+            for ri in 0..net.num_routers() {
+                let from = RouterId(ri as u16);
+                for (port, o) in net.out_slice(ri).iter().enumerate() {
+                    if let Dest::Port { router, port: ip } = o.target.dest {
+                        let feeder = Dest::Port {
+                            router: from,
+                            port: port as PortIndex,
+                        };
+                        assert_eq!(credit_of(router, ip), feeder);
+                    }
+                }
+            }
+            for (ti, term) in net.terminals.iter().enumerate() {
+                let t = TerminalId(ti as u16);
+                assert_eq!(
+                    credit_of(term.attach_router, term.attach_port),
+                    Dest::Terminal(t)
+                );
+                let eject = net.router(term.eject_router).route_to(t);
+                let eject = eject.expect("ejection route installed") as usize;
+                let dest = net.out_slice(term.eject_router.index())[eject].target.dest;
+                assert_eq!(dest, Dest::Terminal(t), "{t} ejects elsewhere");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Table-routed, input-buffered, credit-flow-controlled routers.
 //!
-//! One `Router` type models every switching element in the study:
+//! One router model covers every switching element in the study:
 //!
 //! * a **mesh router** is 5×5 with a 2-stage speculative pipeline
 //!   (`pipeline_delay = 2`) and round-robin arbitration,
@@ -77,57 +77,25 @@ impl RouterConfig {
     }
 }
 
-/// Where credits for a departed flit are returned.
+/// Where a flit or a credit lands: an input port (for a flit) or an
+/// output port (for a credit) of a router, or a terminal's network
+/// interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Feeder {
-    /// Input port is fed by another router's output port.
-    Router { router: RouterId, port: PortIndex },
-    /// Input port is fed by a terminal's network interface.
+pub(crate) enum Dest {
+    Port { router: RouterId, port: PortIndex },
     Terminal(TerminalId),
 }
 
-/// What an output port drives.
+/// What an output port drives: a downstream input port, or a terminal's
+/// ejection side (an uncongested sink; throughput is still limited to one
+/// flit per cycle by arbitration).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OutTarget {
-    /// A link to another router's input port.
-    Router {
-        /// Downstream router.
-        router: RouterId,
-        /// Input port at the downstream router.
-        port: PortIndex,
-        /// Link traversal delay in cycles.
-        link_delay: u8,
-        /// Physical link length in millimetres (for the energy model).
-        length_mm: f32,
-    },
-    /// Ejection to a terminal (the terminal side is an uncongested sink;
-    /// throughput is still limited to one flit per cycle by arbitration).
-    Terminal {
-        /// The terminal served by this port.
-        terminal: TerminalId,
-        /// Ejection-link delay in cycles.
-        link_delay: u8,
-        /// Physical link length in millimetres.
-        length_mm: f32,
-    },
-}
-
-impl OutTarget {
-    /// The link delay of this output.
-    pub fn link_delay(&self) -> u8 {
-        match *self {
-            OutTarget::Router { link_delay, .. } => link_delay,
-            OutTarget::Terminal { link_delay, .. } => link_delay,
-        }
-    }
-
-    /// Link length in millimetres.
-    pub fn length_mm(&self) -> f32 {
-        match *self {
-            OutTarget::Router { length_mm, .. } => length_mm,
-            OutTarget::Terminal { length_mm, .. } => length_mm,
-        }
-    }
+pub(crate) struct OutTarget {
+    pub(crate) dest: Dest,
+    /// Link traversal delay in cycles.
+    pub(crate) link_delay: u8,
+    /// Physical link length in millimetres (for the energy model).
+    pub(crate) length_mm: f32,
 }
 
 /// Upper bound on the configurable VC buffer depth. The deepest ring
@@ -227,33 +195,6 @@ impl VcQueue {
     }
 }
 
-/// An input port as staged by the builder: one VC per message class plus
-/// credit-return bookkeeping. [`NetworkBuilder::build`] flattens these into
-/// the network-level arrays (`crate::network::Network`); the per-port
-/// occupancy byte lives there, next to its siblings.
-///
-/// [`NetworkBuilder::build`]: crate::network::NetworkBuilder::build
-#[derive(Debug)]
-pub(crate) struct InPort {
-    pub(crate) vcs: [VcQueue; CLASS_COUNT],
-    pub(crate) feeder: Feeder,
-    /// Delay after a flit departs this buffer until the upstream sender can
-    /// reuse the credit (credit wire + update).
-    pub(crate) credit_delay: u8,
-}
-
-impl InPort {
-    /// Builds an input port whose VC rings hold `depth` flits each — the
-    /// same depth the sender's credit counter is initialized to.
-    pub(crate) fn new(depth: u8, feeder: Feeder, credit_delay: u8) -> Self {
-        InPort {
-            vcs: std::array::from_fn(|_| VcQueue::new(depth)),
-            feeder,
-            credit_delay,
-        }
-    }
-}
-
 /// An output port: target, per-VC credits, and the wormhole owner lock.
 #[derive(Debug)]
 pub(crate) struct OutPort {
@@ -271,38 +212,8 @@ pub(crate) struct OutPort {
     pub(crate) flits_sent: u64,
 }
 
-/// A router (or tree node) as staged by the builder.
-///
-/// This is construction-time scaffolding only: routers are assembled
-/// through [`NetworkBuilder`](crate::network::NetworkBuilder), whose
-/// `build()` hoists every router's ports and route table into the
-/// network-level flat arrays. The per-cycle logic lives in
-/// [`Network::tick`](crate::network::Network::tick), which only ever sees
-/// the flat form; read-only inspection goes through
-/// [`RouterView`](crate::network::RouterView).
-#[derive(Debug)]
-pub(crate) struct Router {
-    pub(crate) cfg: RouterConfig,
-    pub(crate) in_ports: Vec<InPort>,
-    pub(crate) out_ports: Vec<OutPort>,
-    /// Route table: output port per destination terminal. `UNROUTED` marks
-    /// terminals this router can never see.
-    pub(crate) route: Vec<PortIndex>,
-}
-
 /// Sentinel for "no route from this router to that terminal".
 pub(crate) const UNROUTED: PortIndex = PortIndex::MAX;
-
-impl Router {
-    pub(crate) fn new(cfg: RouterConfig, num_terminals: usize) -> Self {
-        Router {
-            cfg,
-            in_ports: Vec::new(),
-            out_ports: Vec::new(),
-            route: vec![UNROUTED; num_terminals],
-        }
-    }
-}
 
 /// Picks the winning candidate for an output port among `(in_port, class)`
 /// pairs, according to `arbiter`. `num_in_ports` sizes the round-robin

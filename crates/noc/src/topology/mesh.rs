@@ -161,20 +161,16 @@ pub fn build_mesh(spec: &MeshSpec) -> TiledNetwork {
     }
 
     let tile_terminals: Vec<_> = (0..cols * rows)
-        .map(|i| b.add_terminal(router_at[i]))
+        .map(|i| b.add_terminal(router_at[i]).terminal)
         .collect();
     let mc_attach = mc_tiles(cols, rows, spec.num_memory_channels);
     let mc_terminals: Vec<_> = mc_attach
         .iter()
-        .map(|&tile| b.add_terminal(router_at[tile]))
+        .map(|&tile| b.add_terminal(router_at[tile]).terminal)
         .collect();
 
     // Dimension-order (X then Y) routing tables for every terminal.
-    let route_to = |b: &mut NetworkBuilder,
-                        term: TerminalId,
-                        eject_port: PortIndex,
-                        dc: usize,
-                        dr: usize| {
+    let route_to = |b: &mut NetworkBuilder, term: TerminalId, dc: usize, dr: usize| {
         for r in 0..rows {
             for c in 0..cols {
                 let here = idx(c, r);
@@ -187,24 +183,23 @@ pub fn build_mesh(spec: &MeshSpec) -> TiledNetwork {
                 } else if r > dr {
                     north[here].expect("north link exists")
                 } else {
-                    eject_port
+                    continue; // the ejection route, installed with the terminal
                 };
                 b.set_route(router_at[here], term, port);
             }
         }
     };
-    for (i, att) in tile_terminals.iter().enumerate() {
-        route_to(&mut b, att.terminal, att.out_port, i % cols, i / cols);
+    for (i, &term) in tile_terminals.iter().enumerate() {
+        route_to(&mut b, term, i % cols, i / cols);
     }
-    for (k, att) in mc_terminals.iter().enumerate() {
-        let tile = mc_attach[k];
-        route_to(&mut b, att.terminal, att.out_port, tile % cols, tile / cols);
+    for (&term, &tile) in mc_terminals.iter().zip(&mc_attach) {
+        route_to(&mut b, term, tile % cols, tile / cols);
     }
 
     TiledNetwork {
         network: b.build(),
-        tile_terminals: tile_terminals.iter().map(|a| a.terminal).collect(),
-        mc_terminals: mc_terminals.iter().map(|a| a.terminal).collect(),
+        tile_terminals,
+        mc_terminals,
         cols,
         rows,
     }

@@ -8,9 +8,11 @@
 ///
 /// Mirrors the paper's SimFlex-style methodology: run the detailed model for
 /// a warmup period (100K cycles; 2M for Data Serving in the paper), then
-/// measure over a fixed window (50K cycles in the paper). Our synthetic
-/// workloads reach steady state quickly, so the defaults are of the same
-/// order.
+/// measure over a fixed window (50K cycles in the paper). The defaults are
+/// of the same order, but they do not reach the steady state: after the
+/// chip's warm image, IPC falls by 16–25 % over 0.45–1.75 M cycles before
+/// it plateaus (ROADMAP item 11), so a window this short measures the
+/// warm-up transient.
 ///
 /// # Examples
 ///

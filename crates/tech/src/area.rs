@@ -3,9 +3,21 @@
 //! The model consumes a structural description of a network — every
 //! router's port/VC/depth configuration and every link's length — and
 //! produces the three-way breakdown the paper reports. Constructors derive
-//! those structural descriptions directly from the same topology specs the
-//! simulator builds its networks from, so the area numbers and the timing
-//! model always describe the same hardware.
+//! those structural descriptions from the same topology specs the
+//! simulator builds its networks from, but they count ports and VCs on
+//! their own, not from the built network, and the two differ in three
+//! places:
+//!
+//! * tree nodes get 2 VCs per input port here; the simulator builds one VC
+//!   per message class (`CLASS_COUNT` = 3);
+//! * the memory-controller ports are left out: the extra input and output
+//!   port of each mesh or flattened-butterfly tile a channel attaches to,
+//!   and of NOC-Out's edge LLC routers;
+//! * NOC-Out's express links add their wires here but not the tree-node
+//!   ports they end on.
+//!
+//! Fig. 8, Fig. 9 and the power model read these numbers as they are; the
+//! deviations are recorded as known ones in ROADMAP item 8(d).
 
 use crate::wire::WireModel;
 use crate::BufferTech;

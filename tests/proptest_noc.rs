@@ -10,7 +10,7 @@ use nocout_repro::substrates::noc::topology::fbfly::{build_fbfly, FbflySpec};
 use nocout_repro::substrates::noc::topology::mesh::{build_mesh, MeshSpec};
 use nocout_repro::substrates::noc::topology::nocout::{build_nocout, NocOutSpec};
 use nocout_repro::substrates::noc::types::MessageClass;
-use nocout_repro::substrates::noc::{Network, NetworkBuilder, RouterConfig, RouterId};
+use nocout_repro::substrates::noc::{Network, NetworkBuilder, RouterConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -79,11 +79,11 @@ enum Step {
 /// its reference through the full-scan path (`tick_reference`, which
 /// probes every queue front and never takes the radix or lone-candidate
 /// fast paths). After every step the packets in flight and each
-/// terminal's deliveries must agree, and after the drain the round-robin
-/// arbiter state and the per-port `flits_sent` counters. Each packet is
-/// followed by its gap of ticks, so the comparison covers transient
-/// occupancy patterns, not just a single burst; 1 000 ticks then drain
-/// the networks.
+/// terminal's deliveries must agree, and after the drain the whole state
+/// of the two networks (arbiters, credits, counters, statistics). Each
+/// packet is followed by its gap of ticks, so the comparison covers
+/// transient occupancy patterns, not just a single burst; 1 000 ticks then
+/// drain the networks.
 fn flat_switch_matches_reference(
     build: impl Fn() -> Network,
     terminals: &[nocout_repro::substrates::noc::TerminalId],
@@ -126,17 +126,7 @@ fn flat_switch_matches_reference(
     assert_eq!(fast.packets_in_flight(), 0, "networks failed to drain");
     fast.check_invariants();
     reference.check_invariants();
-    let arbiters = |net: &Network| {
-        let flits: Vec<_> = (0..net.num_routers())
-            .map(|r| net.router(RouterId(r as u16)).flits_sent_per_port())
-            .collect();
-        (net.debug_rr_state(), flits)
-    };
-    same(
-        &arbiters(&fast),
-        &arbiters(&reference),
-        "round-robin state and per-port flits",
-    );
+    same(&fast, &reference, "the drained networks' whole state");
 }
 
 /// Two sources streaming multi-flit responses into one sink while the
