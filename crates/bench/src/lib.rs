@@ -87,8 +87,8 @@ pub mod memopt {
 pub mod uncoreopt {
     use nocout_mem::addr::Addr;
     use nocout_mem::directory::Directory;
-    use nocout_mem::llc::{LlcConfig, LlcInput, LlcTile};
-    use nocout_mem::protocol::{CoreId, RequestKind, TxnId};
+    use nocout_mem::llc::{LlcConfig, LlcTile};
+    use nocout_mem::protocol::{CoreId, Msg, RequestKind, TxnId};
     use nocout_noc::fabric::Fabric;
     use nocout_noc::latency::LatencyFabric;
     use nocout_noc::types::{MessageClass, TerminalId};
@@ -107,16 +107,18 @@ pub mod uncoreopt {
         tile
     }
 
-    /// One LLC op: submit a GetS that hits, then tick and drain the tile
-    /// across two cycles — one trip through the input ring, the MSHR-file
-    /// merge probe, bank arbitration, the directory update and the output
-    /// stage on the shared calendar wheel. Two cycles per request is the
-    /// tile's exact service capacity (2 banks × 4-cycle occupancy,
-    /// consecutive line indices alternating banks), so the input queue
-    /// stays bounded and every request is granted on its submit tick.
+    /// One LLC op: submit a GetS `Msg::CoreRequest` that hits, then tick
+    /// and drain the tile across two cycles — the submit-time check that
+    /// the message is LLC-bound, one trip through the input ring, the
+    /// MSHR-file merge probe, bank arbitration, the directory update and
+    /// the `(Dest, Msg)` output stage on the shared calendar wheel. Two
+    /// cycles per request is the tile's exact service capacity (2 banks ×
+    /// 4-cycle occupancy, consecutive line indices alternating banks), so
+    /// the input queue stays bounded and every request is granted on its
+    /// submit tick.
     #[inline]
     pub fn llc_tile_hit_round(tile: &mut LlcTile, now: &mut Cycle, i: u64) {
-        tile.submit(LlcInput::Core {
+        tile.submit(Msg::CoreRequest {
             txn: TxnId(i as u32),
             core: CoreId((i % 64) as u16),
             addr: Addr::from_line_index(i % LLC_WARM_LINES),
@@ -195,8 +197,8 @@ pub mod nocopt {
         let r0 = b.add_router(RouterConfig::mesh());
         let r1 = b.add_router(RouterConfig::mesh());
         b.add_bidi_link(r0, r1, 1, 2.0);
-        let t0 = b.add_terminal(r0).terminal;
-        let t1 = b.add_terminal(r1).terminal;
+        let t0 = b.add_terminal(r0);
+        let t1 = b.add_terminal(r1);
         b.compute_routes_bfs();
         let mut net = b.build();
         for _ in 0..4 {

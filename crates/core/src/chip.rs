@@ -11,7 +11,7 @@ use crate::metrics::{LlcSummary, MemSummary, NetSummary, SystemMetrics, TailSumm
 use nocout_cpu::{Core, CoreConfig, CoreIdle, MissRequest};
 use nocout_mem::addr::{Addr, AddressMap};
 use nocout_mem::directory::SharerSet;
-use nocout_mem::llc::{LlcConfig, LlcInput, LlcOutput, LlcTile};
+use nocout_mem::llc::{Dest, LlcConfig, LlcTile};
 use nocout_mem::mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
 use nocout_mem::protocol::{AccessKind, CoreId, Msg, TxnId};
 use nocout_noc::fabric::{Fabric, NextEvent};
@@ -722,9 +722,15 @@ impl ScaleOutChip {
                     continue;
                 }
                 self.llcs[i].tick(now);
-                while let Some(out) = self.llcs[i].pop_ready() {
-                    let (src, dst, msg) = self.convert_llc_output(i, out);
-                    injections.push((src, dst, msg));
+                while let Some((to, msg)) = self.llcs[i].pop_ready() {
+                    let dst = match (to, msg) {
+                        (Dest::Core(c), _) => self.core_term[c.index()],
+                        (Dest::Memory, Msg::MemRead { addr, .. } | Msg::MemWrite { addr }) => {
+                            self.mc_term[self.map.memory_channel(addr)]
+                        }
+                        (Dest::Memory, other) => unreachable!("{other:?} is not memory-bound"),
+                    };
+                    injections.push((self.llc_term[i], dst, msg));
                 }
                 self.active_llcs.set(i, self.llcs[i].has_pending_work());
             }
@@ -938,105 +944,19 @@ impl ScaleOutChip {
         self.skipped_cycles
     }
 
-    fn convert_llc_output(
-        &mut self,
-        tile: usize,
-        out: LlcOutput,
-    ) -> (TerminalId, TerminalId, Msg) {
-        let src = self.llc_term[tile];
-        match out {
-            LlcOutput::Data { txn, to } => {
-                (src, self.core_term[to.index()], Msg::Data { txn })
-            }
-            LlcOutput::FwdGetS {
-                txn,
-                owner,
-                requester,
-                addr,
-            } => (
-                src,
-                self.core_term[owner.index()],
-                Msg::FwdGetS {
-                    txn,
-                    requester,
-                    addr,
-                },
-            ),
-            LlcOutput::FwdGetX {
-                txn,
-                owner,
-                requester,
-                addr,
-            } => (
-                src,
-                self.core_term[owner.index()],
-                Msg::FwdGetX {
-                    txn,
-                    requester,
-                    addr,
-                },
-            ),
-            LlcOutput::Inv { mshr, sharer, addr } => (
-                src,
-                self.core_term[sharer.index()],
-                Msg::Inv {
-                    mshr,
-                    home: tile as u16,
-                    addr,
-                },
-            ),
-            LlcOutput::MemRead { mshr, addr } => {
-                let ch = self.map.memory_channel(addr);
-                (
-                    src,
-                    self.mc_term[ch],
-                    Msg::MemRead {
-                        mshr,
-                        home: tile as u16,
-                        addr,
-                    },
-                )
-            }
-            LlcOutput::MemWrite { addr } => {
-                let ch = self.map.memory_channel(addr);
-                (src, self.mc_term[ch], Msg::MemWrite { addr })
-            }
-        }
-    }
-
     fn dispatch(&mut self, terminal: usize, token: u64, now: Cycle) {
         let info = self.term_info[terminal];
         let msg = self.msgs.take(token as u32);
         match msg {
-            Msg::CoreRequest {
-                txn,
-                core,
-                addr,
-                kind,
-            } => {
-                let llc = info.llc.expect("CoreRequest must land on an LLC tile");
+            Msg::CoreRequest { .. }
+            | Msg::WriteBack { .. }
+            | Msg::InvAck { .. }
+            | Msg::MemData { .. } => {
+                let llc = info
+                    .llc
+                    .unwrap_or_else(|| panic!("{msg:?} must land on an LLC tile"));
                 self.active_llcs.insert(llc);
-                self.llcs[llc].submit(LlcInput::Core {
-                    txn,
-                    core,
-                    addr,
-                    kind,
-                });
-            }
-            Msg::WriteBack { core, addr } => {
-                let llc = info.llc.expect("WriteBack must land on an LLC tile");
-                self.active_llcs.insert(llc);
-                self.llcs[llc].submit(LlcInput::WriteBack { core, addr });
-            }
-            Msg::InvAck { mshr } => {
-                let llc = info.llc.expect("InvAck must land on an LLC tile");
-                self.active_llcs.insert(llc);
-                self.llcs[llc].submit(LlcInput::InvAck { mshr });
-            }
-            Msg::MemData { mshr, .. } => {
-                let llc = info.llc.expect("MemData must land on an LLC tile");
-                self.active_llcs.insert(llc);
-                self.llcs[llc].submit(LlcInput::MemData { mshr });
+                self.llcs[llc].submit(msg);
             }
             Msg::Data { txn } => {
                 let (core, line, kind, born) = self.txns.take(txn.0);

@@ -44,6 +44,6 @@ pub use addr::{Addr, AddressMap, LINE_BYTES};
 pub use cache::{CacheArray, CacheGeometry};
 pub use directory::{DirState, Directory};
 pub use l1::{L1Access, L1Cache, L1Config};
-pub use llc::{LlcConfig, LlcInput, LlcOutput, LlcTile};
+pub use llc::{LlcConfig, LlcTile};
 pub use mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
 pub use protocol::{AccessKind, CoreId, Msg, RequestKind, TxnId};

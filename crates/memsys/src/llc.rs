@@ -1,20 +1,23 @@
 //! LLC tile controller: banked NUCA slice + directory + protocol engine.
 //!
 //! One `LlcTile` models a slice of the shared last-level cache together
-//! with its co-located directory slice. Requests delivered by the network
-//! enter [`LlcTile::submit`]; each cycle [`LlcTile::tick`] grants requests
-//! to free banks (internal banking per §4.3 — NOC-Out uses 2 banks per tile
-//! so bank contention is visible, the effect the paper credits for
-//! NOC-Out's small Data Serving loss); outputs wait out the access latency
-//! on the shared calendar wheel ([`nocout_sim::wheel::EventWheel`]) and
-//! surface through [`LlcTile::pop_ready`] as messages for the chip model
-//! to inject.
+//! with its co-located directory slice. It speaks the network's own
+//! vocabulary, [`Msg`]: the four LLC-bound messages the network delivers
+//! (`CoreRequest`, `WriteBack`, `InvAck`, `MemData`) enter
+//! [`LlcTile::submit`], which refuses any other; each cycle
+//! [`LlcTile::tick`] grants requests to free banks (internal banking per
+//! §4.3 — NOC-Out uses 2 banks per tile so bank contention is visible,
+//! the effect the paper credits for NOC-Out's small Data Serving loss);
+//! the messages a tile sends wait out the access latency on the shared
+//! calendar wheel ([`nocout_sim::wheel::EventWheel`]) and surface through
+//! [`LlcTile::pop_ready`] as `(Dest, Msg)` pairs, ready for the chip
+//! model to inject.
 
 use crate::addr::Addr;
 use crate::cache::{CacheArray, CacheGeometry, Lookup};
 use crate::directory::{DirState, Directory};
 use crate::mshr::MshrFile;
-use crate::protocol::{CoreId, MshrId, RequestKind, TxnId};
+use crate::protocol::{CoreId, Msg, MshrId, RequestKind, TxnId};
 use nocout_sim::ring::Ring;
 use nocout_sim::stats::{Counter, LatencyHist};
 use nocout_sim::wheel::EventWheel;
@@ -89,92 +92,16 @@ impl LlcConfig {
     }
 }
 
-/// Work delivered to an LLC tile (after network transit).
+/// Where a message an LLC tile emits goes: a core, or the memory
+/// channel that owns the message's line (the chip model picks the
+/// channel from the address).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LlcInput {
-    /// An L1 miss request from a core.
-    Core {
-        /// Core-side transaction.
-        txn: TxnId,
-        /// Requesting core.
-        core: CoreId,
-        /// Line address.
-        addr: Addr,
-        /// GetS or GetX.
-        kind: RequestKind,
-    },
-    /// A dirty writeback from a core (no reply).
-    WriteBack {
-        /// Writing core.
-        core: CoreId,
-        /// Line address.
-        addr: Addr,
-    },
-    /// Invalidation acknowledgement for a pending collection.
-    InvAck {
-        /// The collection being acknowledged.
-        mshr: MshrId,
-    },
-    /// Line data returning from a memory controller.
-    MemData {
-        /// The fetch being completed.
-        mshr: MshrId,
-    },
-}
-
-/// Messages an LLC tile asks the chip model to send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LlcOutput {
-    /// Data (or write permission) to a requesting core.
-    Data {
-        /// Transaction completed by this response.
-        txn: TxnId,
-        /// Destination core.
-        to: CoreId,
-    },
-    /// Forward-read snoop to the exclusive owner.
-    FwdGetS {
-        /// Requester's transaction (owner replies directly to it).
-        txn: TxnId,
-        /// Current owner (snoop destination).
-        owner: CoreId,
-        /// Requesting core.
-        requester: CoreId,
-        /// Line address.
-        addr: Addr,
-    },
-    /// Forward-write snoop to the exclusive owner.
-    FwdGetX {
-        /// Requester's transaction.
-        txn: TxnId,
-        /// Current owner (snoop destination).
-        owner: CoreId,
-        /// Requesting core.
-        requester: CoreId,
-        /// Line address.
-        addr: Addr,
-    },
-    /// Invalidation snoop to a sharer; the ack returns to this tile.
-    Inv {
-        /// Collection awaiting this ack.
-        mshr: MshrId,
-        /// Sharer to invalidate.
-        sharer: CoreId,
-        /// Line address.
-        addr: Addr,
-    },
-    /// Fetch a line from memory.
-    MemRead {
-        /// MSHR to resume on [`LlcInput::MemData`].
-        mshr: MshrId,
-        /// Line address.
-        addr: Addr,
-    },
-    /// Write a dirty victim to memory (no reply).
-    MemWrite {
-        /// Line address.
-        addr: Addr,
-    },
+pub enum Dest {
+    /// A core: the requester of `Data`, the owner of `FwdGetS` /
+    /// `FwdGetX`, the sharer of `Inv`.
+    Core(CoreId),
+    /// Memory: `MemRead` and `MemWrite`.
+    Memory,
 }
 
 /// A request merged into an in-flight MSHR, replayed on completion.
@@ -255,28 +182,28 @@ impl LlcStats {
 ///
 /// ```
 /// use nocout_mem::addr::Addr;
-/// use nocout_mem::llc::{LlcConfig, LlcInput, LlcOutput, LlcTile};
-/// use nocout_mem::protocol::{CoreId, RequestKind, TxnId};
+/// use nocout_mem::llc::{Dest, LlcConfig, LlcTile};
+/// use nocout_mem::protocol::{CoreId, Msg, RequestKind, TxnId};
 /// use nocout_sim::Cycle;
 ///
 /// let mut tile = LlcTile::new(LlcConfig::nocout_tile());
-/// tile.submit(LlcInput::Core {
+/// tile.submit(Msg::CoreRequest {
 ///     txn: TxnId(1), core: CoreId(0), addr: Addr(0x40),
 ///     kind: RequestKind::GetS,
 /// });
 /// let mut now = Cycle(0);
-/// let mshr = loop {
+/// let (mshr, home) = loop {
 ///     tile.tick(now);
-///     if let Some(LlcOutput::MemRead { mshr, .. }) = tile.pop_ready() {
-///         break mshr;
+///     if let Some((Dest::Memory, Msg::MemRead { mshr, home, .. })) = tile.pop_ready() {
+///         break (mshr, home);
 ///     }
 ///     now += 1;
 ///     assert!(now.raw() < 100);
 /// };
-/// tile.submit(LlcInput::MemData { mshr });
+/// tile.submit(Msg::MemData { mshr, home });
 /// let data = loop {
 ///     tile.tick(now);
-///     if let Some(LlcOutput::Data { txn, to }) = tile.pop_ready() {
+///     if let Some((Dest::Core(to), Msg::Data { txn })) = tile.pop_ready() {
 ///         break (txn, to);
 ///     }
 ///     now += 1;
@@ -290,16 +217,16 @@ pub struct LlcTile {
     cache: CacheArray,
     dir: Directory,
     banks: Vec<Cycle>,
-    queue: Ring<LlcInput>,
+    queue: Ring<Msg>,
     /// In-flight fetches and invalidation collections; their ids travel
-    /// through the network in [`LlcOutput::Inv`] / [`LlcOutput::MemRead`]
-    /// and come back in [`LlcInput::InvAck`] / [`LlcInput::MemData`].
+    /// through the network in [`Msg::Inv`] / [`Msg::MemRead`] and come
+    /// back in [`Msg::InvAck`] / [`Msg::MemData`].
     mshrs: MshrFile<LlcWaiter, TileEntry>,
     /// Emitted outputs waiting out their latency, keyed by due cycle.
-    out: EventWheel<LlcOutput>,
+    out: EventWheel<(Dest, Msg)>,
     /// Outputs due by the latest tick, in `(due cycle, emission)` order.
-    ready: Ring<LlcOutput>,
-    due_scratch: Vec<LlcOutput>,
+    ready: Ring<(Dest, Msg)>,
+    due_scratch: Vec<(Dest, Msg)>,
     /// The cycle of the latest [`LlcTile::tick`]: the wheel's `now` for
     /// emissions, and where the skipped-tick check starts.
     last_tick: Cycle,
@@ -393,8 +320,23 @@ impl LlcTile {
     }
 
     /// Queues incoming work (called by the chip model on packet delivery).
-    pub fn submit(&mut self, input: LlcInput) {
-        self.queue.push_back(input);
+    ///
+    /// # Panics
+    ///
+    /// On any message but the four a tile serves: `CoreRequest`,
+    /// `WriteBack`, `InvAck` and `MemData`. The panic names the message.
+    pub fn submit(&mut self, msg: Msg) {
+        assert!(
+            matches!(
+                msg,
+                Msg::CoreRequest { .. }
+                    | Msg::WriteBack { .. }
+                    | Msg::InvAck { .. }
+                    | Msg::MemData { .. }
+            ),
+            "an LLC tile serves CoreRequest, WriteBack, InvAck and MemData, not {msg:?}"
+        );
+        self.queue.push_back(msg);
     }
 
     /// Outstanding queued inputs plus in-flight MSHRs (drain check).
@@ -431,12 +373,13 @@ impl LlcTile {
         self.out.next_occupied_delta(now).map(|d| now + d)
     }
 
-    fn emit(&mut self, at: Cycle, out: LlcOutput) {
-        self.out.push(self.last_tick, at, out);
+    fn emit(&mut self, at: Cycle, to: Dest, msg: Msg) {
+        self.out.push(self.last_tick, at, (to, msg));
     }
 
-    /// Pops the next output whose latency has elapsed by the latest tick.
-    pub fn pop_ready(&mut self) -> Option<LlcOutput> {
+    /// Pops the next message whose latency has elapsed by the latest
+    /// tick, with where it goes.
+    pub fn pop_ready(&mut self) -> Option<(Dest, Msg)> {
         self.ready.pop_front()
     }
 
@@ -469,22 +412,22 @@ impl LlcTile {
             let input = self.queue.get(r);
             r += 1;
             let consumed = match input {
-                LlcInput::InvAck { mshr } => {
+                Msg::InvAck { mshr } => {
                     self.handle_inv_ack(mshr, now);
                     true
                 }
-                LlcInput::Core { addr, .. } | LlcInput::WriteBack { addr, .. } => {
+                Msg::CoreRequest { addr, .. } | Msg::WriteBack { addr, .. } => {
                     if self.try_grant_bank(addr, now).is_some() {
                         grants += 1;
                         let done = now + self.cfg.access_latency;
                         match input {
-                            LlcInput::Core {
+                            Msg::CoreRequest {
                                 txn,
                                 core,
                                 addr,
                                 kind,
                             } => self.handle_core(txn, core, addr, kind, done),
-                            LlcInput::WriteBack { core, addr } => {
+                            Msg::WriteBack { core, addr } => {
                                 self.handle_writeback(core, addr, done)
                             }
                             _ => unreachable!(),
@@ -495,7 +438,7 @@ impl LlcTile {
                         false
                     }
                 }
-                LlcInput::MemData { mshr } => match self.mshrs.get_mut(mshr) {
+                Msg::MemData { mshr, .. } => match self.mshrs.get_mut(mshr) {
                     // Should not happen; drop defensively.
                     None => true,
                     Some((line_index, _)) => {
@@ -511,6 +454,7 @@ impl LlcTile {
                         }
                     }
                 },
+                _ => unreachable!("`submit` admits only LLC-bound messages"),
             };
             if !consumed {
                 if w != r - 1 {
@@ -568,9 +512,9 @@ impl LlcTile {
                         self.dir.add_sharer(line, core);
                         self.emit(
                             done,
-                            LlcOutput::FwdGetS {
+                            Dest::Core(owner),
+                            Msg::FwdGetS {
                                 txn,
-                                owner,
                                 requester: core,
                                 addr: line,
                             },
@@ -580,9 +524,9 @@ impl LlcTile {
                         self.dir.set_exclusive(line, core);
                         self.emit(
                             done,
-                            LlcOutput::FwdGetX {
+                            Dest::Core(owner),
+                            Msg::FwdGetX {
                                 txn,
-                                owner,
                                 requester: core,
                                 addr: line,
                             },
@@ -612,7 +556,7 @@ impl LlcTile {
                 RequestKind::GetS => self.dir.add_sharer(line, core),
                 RequestKind::GetX => self.dir.set_exclusive(line, core),
             }
-            self.emit(done, LlcOutput::Data { txn, to: core });
+            self.emit(done, Dest::Core(core), Msg::Data { txn });
             return;
         }
 
@@ -635,9 +579,10 @@ impl LlcTile {
                 for sharer in targets {
                     self.emit(
                         done,
-                        LlcOutput::Inv {
+                        Dest::Core(sharer),
+                        Msg::Inv {
                             mshr: mid,
-                            sharer,
+                            home: self.cfg.tile_index as u16,
                             addr: line,
                         },
                     );
@@ -645,10 +590,15 @@ impl LlcTile {
             }
         }
         if !hit {
-            self.emit(done, LlcOutput::MemRead {
-                mshr: mid,
-                addr: line,
-            });
+            self.emit(
+                done,
+                Dest::Memory,
+                Msg::MemRead {
+                    mshr: mid,
+                    home: self.cfg.tile_index as u16,
+                    addr: line,
+                },
+            );
         }
     }
 
@@ -666,7 +616,7 @@ impl LlcTile {
             self.dir.drop_line(victim_addr);
             if victim.dirty {
                 self.stats.mem_writes.incr();
-                self.emit(done, LlcOutput::MemWrite { addr: victim_addr });
+                self.emit(done, Dest::Memory, Msg::MemWrite { addr: victim_addr });
             }
         }
     }
@@ -693,7 +643,7 @@ impl LlcTile {
             self.dir.drop_line(victim_addr);
             if victim.dirty {
                 self.stats.mem_writes.incr();
-                self.emit(done, LlcOutput::MemWrite { addr: victim_addr });
+                self.emit(done, Dest::Memory, Msg::MemWrite { addr: victim_addr });
             }
         }
         if finished {
@@ -711,7 +661,7 @@ impl LlcTile {
         }
         let any_write = waiters.iter().any(|&(_, _, k)| k == RequestKind::GetX);
         for &(txn, core, _) in &waiters {
-            self.emit(at, LlcOutput::Data { txn, to: core });
+            self.emit(at, Dest::Core(core), Msg::Data { txn });
         }
         // Final directory state: single writer becomes exclusive; otherwise
         // everyone is a sharer (mixed waiter sets are treated as shared —
@@ -731,12 +681,12 @@ impl LlcTile {
 mod tests {
     use super::*;
 
-    fn run_until<F: FnMut(&LlcOutput) -> bool>(
+    fn run_until<F: FnMut(&(Dest, Msg)) -> bool>(
         tile: &mut LlcTile,
         now: &mut Cycle,
         max: u64,
         mut pred: F,
-    ) -> Vec<LlcOutput> {
+    ) -> Vec<(Dest, Msg)> {
         let mut seen = Vec::new();
         for _ in 0..max {
             tile.tick(*now);
@@ -752,8 +702,8 @@ mod tests {
         panic!("predicate not satisfied; saw {seen:?}");
     }
 
-    fn gets(txn: u32, core: u16, addr: u64) -> LlcInput {
-        LlcInput::Core {
+    fn gets(txn: u32, core: u16, addr: u64) -> Msg {
+        Msg::CoreRequest {
             txn: TxnId(txn),
             core: CoreId(core),
             addr: Addr(addr),
@@ -761,13 +711,136 @@ mod tests {
         }
     }
 
-    fn getx(txn: u32, core: u16, addr: u64) -> LlcInput {
-        LlcInput::Core {
+    fn getx(txn: u32, core: u16, addr: u64) -> Msg {
+        Msg::CoreRequest {
             txn: TxnId(txn),
             core: CoreId(core),
             addr: Addr(addr),
             kind: RequestKind::GetX,
         }
+    }
+
+    /// Memory's reply to a default tile's (`tile_index` 0) `MemRead`.
+    fn mem_data(mshr: MshrId) -> Msg {
+        Msg::MemData { mshr, home: 0 }
+    }
+
+    /// Ticks `tile` for `cycles`, answering each `MemRead` at once with
+    /// the `MemData` it asks for; returns everything the tile emitted.
+    fn serve(tile: &mut LlcTile, now: &mut Cycle, cycles: u64) -> Vec<(Dest, Msg)> {
+        let mut seen = Vec::new();
+        for _ in 0..cycles {
+            tile.tick(*now);
+            while let Some(out) = tile.pop_ready() {
+                if let (_, Msg::MemRead { mshr, home, .. }) = out {
+                    tile.submit(Msg::MemData { mshr, home });
+                }
+                seen.push(out);
+            }
+            *now += 1;
+        }
+        seen
+    }
+
+    #[test]
+    fn inv_and_mem_read_name_the_tile_as_home() {
+        let mut tile = LlcTile::new(LlcConfig::nocout_tile().at_position(3, 8));
+        let mut now = Cycle(0);
+        // Line 3 is homed at tile 3 of 8.
+        let line = 3 * 64;
+        // Two readers merge into one fetch, then a writer invalidates both.
+        tile.submit(gets(1, 0, line));
+        tile.submit(gets(2, 1, line));
+        let mut seen = serve(&mut tile, &mut now, 100);
+        tile.submit(getx(3, 2, line));
+        seen.extend(serve(&mut tile, &mut now, 100));
+        let homes: Vec<u16> = seen
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Msg::Inv { home, .. } | Msg::MemRead { home, .. } => Some(*home),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(homes, [3, 3, 3], "one MemRead, two Invs: {seen:?}");
+    }
+
+    #[test]
+    fn outputs_are_addressed_to_their_destination() {
+        let mut tile = LlcTile::new(LlcConfig {
+            slice_bytes: 4096, // 4 sets × 16 ways
+            ..LlcConfig::tiled_slice()
+        });
+        let mut now = Cycle(0);
+        let mut step = |msg: Msg| {
+            tile.submit(msg);
+            serve(&mut tile, &mut now, 50)
+        };
+        let mut seen = Vec::new();
+        // Writer 3 fetches line 0; writer 5 takes it; reader 6 is
+        // forwarded to 5, which then writes the line back. Readers 0 and
+        // 1 share line 0x40; writer 2 invalidates them.
+        for msg in [
+            getx(1, 3, 0),
+            getx(2, 5, 0),
+            gets(3, 6, 0),
+            Msg::WriteBack {
+                core: CoreId(5),
+                addr: Addr(0),
+            },
+            gets(4, 0, 0x40),
+            gets(5, 1, 0x40),
+            getx(6, 2, 0x40),
+        ] {
+            seen.extend(step(msg));
+        }
+        let Some(&(_, Msg::Inv { mshr, .. })) = seen.last() else {
+            panic!("expected an Inv last: {seen:?}");
+        };
+        seen.extend(step(Msg::InvAck { mshr }));
+        seen.extend(step(Msg::InvAck { mshr }));
+        // Sixteen more lines in line 0's set evict the dirty line 0.
+        for k in 1..=16u32 {
+            seen.extend(step(gets(100 + k, 7, k as u64 * 4096)));
+        }
+        for want in [
+            (Dest::Core(CoreId(3)), Msg::Data { txn: TxnId(1) }),
+            (
+                Dest::Core(CoreId(3)),
+                Msg::FwdGetX {
+                    txn: TxnId(2),
+                    requester: CoreId(5),
+                    addr: Addr(0),
+                },
+            ),
+            (
+                Dest::Core(CoreId(5)),
+                Msg::FwdGetS {
+                    txn: TxnId(3),
+                    requester: CoreId(6),
+                    addr: Addr(0),
+                },
+            ),
+            (Dest::Core(CoreId(2)), Msg::Data { txn: TxnId(6) }),
+            (Dest::Memory, Msg::MemWrite { addr: Addr(0) }),
+        ] {
+            assert!(seen.contains(&want), "{want:?} missing from {seen:?}");
+        }
+        for sharer in [0, 1] {
+            assert!(seen.iter().any(|o| matches!(o,
+                (Dest::Core(CoreId(c)), Msg::Inv { addr: Addr(0x40), .. }) if *c == sharer)));
+        }
+        for (to, msg) in &seen {
+            match msg {
+                Msg::MemRead { .. } | Msg::MemWrite { .. } => assert_eq!(*to, Dest::Memory),
+                _ => assert!(matches!(to, Dest::Core(_)), "{msg:?} sent to {to:?}"),
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not Data { txn: TxnId(7) }")]
+    fn submit_refuses_a_message_no_tile_serves() {
+        LlcTile::new(LlcConfig::nocout_tile()).submit(Msg::Data { txn: TxnId(7) });
     }
 
     #[test]
@@ -776,18 +849,25 @@ mod tests {
         let mut now = Cycle(0);
         tile.submit(gets(1, 0, 0x40));
         let outs = run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::MemRead { .. })
+            matches!(o, (_, Msg::MemRead { .. }))
         });
         let mshr = match outs.last().unwrap() {
-            LlcOutput::MemRead { mshr, addr } => {
+            (
+                Dest::Memory,
+                Msg::MemRead {
+                    mshr,
+                    home: 0,
+                    addr,
+                },
+            ) => {
                 assert_eq!(*addr, Addr(0x40));
                 *mshr
             }
             _ => unreachable!(),
         };
-        tile.submit(LlcInput::MemData { mshr });
+        tile.submit(mem_data(mshr));
         run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::Data { txn: TxnId(1), to } if *to == CoreId(0))
+            *o == (Dest::Core(CoreId(0)), Msg::Data { txn: TxnId(1) })
         });
         assert_eq!(tile.stats.misses.value(), 1);
         assert_eq!(tile.inflight(), 0);
@@ -799,30 +879,32 @@ mod tests {
         let mut now = Cycle(0);
         tile.submit(gets(1, 0, 0x40));
         let outs = run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::MemRead { .. })
+            matches!(o, (_, Msg::MemRead { .. }))
         });
         let mshr = match outs.last().unwrap() {
-            LlcOutput::MemRead { mshr, .. } => *mshr,
+            (_, Msg::MemRead { mshr, .. }) => *mshr,
             _ => unreachable!(),
         };
-        tile.submit(LlcInput::MemData { mshr });
-        run_until(&mut tile, &mut now, 100, |o| matches!(o, LlcOutput::Data { .. }));
+        tile.submit(mem_data(mshr));
+        run_until(&mut tile, &mut now, 100, |o| {
+            matches!(o, (_, Msg::Data { .. }))
+        });
         tile.submit(gets(2, 1, 0x40));
         run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::Data { txn: TxnId(2), .. })
+            matches!(o, (_, Msg::Data { txn: TxnId(2) }))
         });
         assert_eq!(tile.stats.hits.value(), 1);
         assert_eq!(tile.stats.snoops_sent.value(), 0, "read sharing is snoop-free");
     }
 
-    fn prime_line(tile: &mut LlcTile, now: &mut Cycle, addr: u64, input: LlcInput) {
+    fn prime_line(tile: &mut LlcTile, now: &mut Cycle, addr: u64, input: Msg) {
         tile.submit(input);
         let outs = run_until(tile, now, 100, |o| {
-            matches!(o, LlcOutput::MemRead { .. } | LlcOutput::Data { .. })
+            matches!(o, (_, Msg::MemRead { .. } | Msg::Data { .. }))
         });
-        if let LlcOutput::MemRead { mshr, .. } = outs.last().unwrap() {
-            tile.submit(LlcInput::MemData { mshr: *mshr });
-            run_until(tile, now, 100, |o| matches!(o, LlcOutput::Data { .. }));
+        if let (_, Msg::MemRead { mshr, .. }) = outs.last().unwrap() {
+            tile.submit(mem_data(*mshr));
+            run_until(tile, now, 100, |o| matches!(o, (_, Msg::Data { .. })));
         }
         let _ = addr;
     }
@@ -835,15 +917,17 @@ mod tests {
         // Core 5 reads: directory must forward to owner core 3.
         tile.submit(gets(2, 5, 0x40));
         let outs = run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::FwdGetS { .. })
+            matches!(o, (_, Msg::FwdGetS { .. }))
         });
         match outs.last().unwrap() {
-            LlcOutput::FwdGetS {
-                txn,
-                owner,
-                requester,
-                addr,
-            } => {
+            (
+                Dest::Core(owner),
+                Msg::FwdGetS {
+                    txn,
+                    requester,
+                    addr,
+                },
+            ) => {
                 assert_eq!(*txn, TxnId(2));
                 assert_eq!(*owner, CoreId(3));
                 assert_eq!(*requester, CoreId(5));
@@ -861,38 +945,40 @@ mod tests {
         prime_line(&mut tile, &mut now, 0x80, gets(1, 0, 0x80));
         tile.submit(gets(2, 1, 0x80));
         run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::Data { txn: TxnId(2), .. })
+            matches!(o, (_, Msg::Data { txn: TxnId(2) }))
         });
         // Core 2 writes: cores 0 and 1 must be invalidated before data.
         tile.submit(getx(3, 2, 0x80));
-        let outs = run_until(&mut tile, &mut now, 100, |o| matches!(o, LlcOutput::Inv { .. }));
+        let outs = run_until(&mut tile, &mut now, 100, |o| {
+            matches!(o, (_, Msg::Inv { .. }))
+        });
         let mshr = match outs.last().unwrap() {
-            LlcOutput::Inv { mshr, .. } => *mshr,
+            (_, Msg::Inv { mshr, .. }) => *mshr,
             _ => unreachable!(),
         };
         // Exactly two Invs total; drain the second if still queued.
         let mut inv_count = outs
             .iter()
-            .filter(|o| matches!(o, LlcOutput::Inv { .. }))
+            .filter(|o| matches!(o, (_, Msg::Inv { .. })))
             .count();
         for _ in 0..50 {
             tile.tick(now);
-            if let Some(LlcOutput::Inv { .. }) = tile.pop_ready() {
+            if let Some((_, Msg::Inv { .. })) = tile.pop_ready() {
                 inv_count += 1;
             }
             now += 1;
         }
         assert_eq!(inv_count, 2);
         // No data until both acks arrive.
-        tile.submit(LlcInput::InvAck { mshr });
+        tile.submit(Msg::InvAck { mshr });
         for _ in 0..20 {
             tile.tick(now);
             assert!(tile.pop_ready().is_none(), "must wait for second ack");
             now += 1;
         }
-        tile.submit(LlcInput::InvAck { mshr });
+        tile.submit(Msg::InvAck { mshr });
         run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::Data { txn: TxnId(3), to } if *to == CoreId(2))
+            *o == (Dest::Core(CoreId(2)), Msg::Data { txn: TxnId(3) })
         });
         assert_eq!(tile.stats.snoops_sent.value(), 2);
     }
@@ -915,7 +1001,7 @@ mod tests {
                 tile.tick(Cycle(t));
                 popped.extend(std::iter::from_fn(|| tile.pop_ready()).map(|o| (t, o)));
             }
-            let data = LlcOutput::Data { txn: TxnId(1), to: CoreId(0) };
+            let data = (Dest::Core(CoreId(0)), Msg::Data { txn: TxnId(1) });
             assert_eq!(popped, [(1 + latency, data)], "access latency {latency}");
         }
     }
@@ -935,7 +1021,7 @@ mod tests {
         let mut tile = LlcTile::new(LlcConfig::nocout_tile());
         let mut now = Cycle(0);
         prime_line(&mut tile, &mut now, 0xC0, getx(1, 7, 0xC0));
-        tile.submit(LlcInput::WriteBack {
+        tile.submit(Msg::WriteBack {
             core: CoreId(7),
             addr: Addr(0xC0),
         });
@@ -947,7 +1033,7 @@ mod tests {
         // Next read hits without snoops (owner gone).
         tile.submit(gets(2, 1, 0xC0));
         run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::Data { txn: TxnId(2), .. })
+            matches!(o, (_, Msg::Data { txn: TxnId(2) }))
         });
         assert_eq!(tile.stats.snoops_sent.value(), 0);
     }
@@ -959,21 +1045,21 @@ mod tests {
         tile.submit(gets(1, 0, 0x40));
         tile.submit(gets(2, 1, 0x40));
         let outs = run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::MemRead { .. })
+            matches!(o, (_, Msg::MemRead { .. }))
         });
         let mshr = match outs.last().unwrap() {
-            LlcOutput::MemRead { mshr, .. } => *mshr,
+            (_, Msg::MemRead { mshr, .. }) => *mshr,
             _ => unreachable!(),
         };
         // Only one memory read for the two requests.
-        tile.submit(LlcInput::MemData { mshr });
+        tile.submit(mem_data(mshr));
         let mut data_count = 0;
         for _ in 0..100 {
             tile.tick(now);
             while let Some(out) = tile.pop_ready() {
-                match out {
-                    LlcOutput::Data { .. } => data_count += 1,
-                    LlcOutput::MemRead { .. } => panic!("second fetch must merge"),
+                match out.1 {
+                    Msg::Data { .. } => data_count += 1,
+                    Msg::MemRead { .. } => panic!("second fetch must merge"),
                     _ => {}
                 }
             }
@@ -1001,7 +1087,7 @@ mod tests {
         let mut deliveries = Vec::new();
         for _ in 0..50 {
             tile.tick(now);
-            while let Some(LlcOutput::Data { txn, .. }) = tile.pop_ready() {
+            while let Some((_, Msg::Data { txn })) = tile.pop_ready() {
                 deliveries.push((txn, now.raw() - start.raw()));
             }
             now += 1;
@@ -1020,27 +1106,27 @@ mod tests {
         let mut now = Cycle(0);
         tile.submit(gets(1, 0, 0x40));
         let outs = run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::MemRead { .. })
+            matches!(o, (_, Msg::MemRead { .. }))
         });
         let mshr = match outs.last().unwrap() {
-            LlcOutput::MemRead { mshr, .. } => *mshr,
+            (_, Msg::MemRead { mshr, .. }) => *mshr,
             _ => unreachable!(),
         };
         tile.submit(getx(2, 1, 0x40));
         for _ in 0..20 {
             tile.tick(now);
             assert!(
-                !matches!(tile.pop_ready(), Some(LlcOutput::MemRead { .. })),
+                !matches!(tile.pop_ready(), Some((_, Msg::MemRead { .. }))),
                 "merged request must not refetch"
             );
             now += 1;
         }
-        tile.submit(LlcInput::MemData { mshr });
+        tile.submit(mem_data(mshr));
         let mut data = 0;
         for _ in 0..100 {
             tile.tick(now);
             while let Some(out) = tile.pop_ready() {
-                if matches!(out, LlcOutput::Data { .. }) {
+                if matches!(out, (_, Msg::Data { .. })) {
                     data += 1;
                 }
             }
@@ -1066,7 +1152,7 @@ mod tests {
             let addr = (i as u64) * 4096; // same set in a 4-set slice... stride by sets*64
             prime_line(&mut tile, &mut now, addr, gets(100 + i, 1, addr));
         }
-        tile.submit(LlcInput::WriteBack {
+        tile.submit(Msg::WriteBack {
             core: CoreId(0),
             addr: Addr(0),
         });
@@ -1074,7 +1160,7 @@ mod tests {
         for _ in 0..200 {
             tile.tick(now);
             while let Some(out) = tile.pop_ready() {
-                if matches!(out, LlcOutput::MemWrite { .. }) {
+                if matches!(out, (_, Msg::MemWrite { .. })) {
                     mem_write = true;
                 }
             }
@@ -1089,10 +1175,10 @@ mod tests {
         // hits without memory traffic.
         tile.submit(gets(999, 2, 0));
         let outs = run_until(&mut tile, &mut now, 200, |o| {
-            matches!(o, LlcOutput::Data { txn: TxnId(999), .. } | LlcOutput::MemRead { .. })
+            matches!(o, (_, Msg::Data { txn: TxnId(999) } | Msg::MemRead { .. }))
         });
         assert!(
-            matches!(outs.last().unwrap(), LlcOutput::Data { .. }),
+            matches!(outs.last().unwrap(), (_, Msg::Data { .. })),
             "re-installed line must hit"
         );
         let _ = mem_write;
@@ -1106,14 +1192,17 @@ mod tests {
         // Writer 5 takes the line from writer 3.
         tile.submit(getx(2, 5, 0x40));
         run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::FwdGetX { owner, requester, .. }
+            matches!(o, (Dest::Core(owner), Msg::FwdGetX { requester, .. })
                 if *owner == CoreId(3) && *requester == CoreId(5))
         });
         // A third writer must now be forwarded to 5, not 3.
         tile.submit(getx(3, 7, 0x40));
-        run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::FwdGetX { owner, .. } if *owner == CoreId(5))
-        });
+        run_until(
+            &mut tile,
+            &mut now,
+            100,
+            |o| matches!(o, (Dest::Core(owner), Msg::FwdGetX { .. }) if *owner == CoreId(5)),
+        );
     }
 
     #[test]
@@ -1124,7 +1213,7 @@ mod tests {
         let before = tile.stats.snoops_sent.value();
         tile.submit(gets(2, 3, 0x40));
         run_until(&mut tile, &mut now, 100, |o| {
-            matches!(o, LlcOutput::Data { txn: TxnId(2), .. })
+            matches!(o, (_, Msg::Data { txn: TxnId(2) }))
         });
         assert_eq!(tile.stats.snoops_sent.value(), before);
     }
@@ -1132,7 +1221,7 @@ mod tests {
     #[test]
     fn inv_ack_for_unknown_mshr_is_ignored() {
         let mut tile = LlcTile::new(LlcConfig::nocout_tile());
-        tile.submit(LlcInput::InvAck { mshr: MshrId(777) });
+        tile.submit(Msg::InvAck { mshr: MshrId(777) });
         for t in 0..10 {
             let now = Cycle(t);
             tile.tick(now);
@@ -1148,11 +1237,15 @@ mod tests {
         prime_line(&mut tile, &mut now, 0x40, gets(1, 0, 0x40));
         for i in 0..97u32 {
             tile.submit(gets(10 + i, (i % 8) as u16, 0x40));
-            run_until(&mut tile, &mut now, 100, |o| matches!(o, LlcOutput::Data { .. }));
+            run_until(&mut tile, &mut now, 100, |o| {
+                matches!(o, (_, Msg::Data { .. }))
+            });
         }
         // Two writes → each snoops the accumulated sharers.
         tile.submit(getx(200, 9, 0x40));
-        run_until(&mut tile, &mut now, 1000, |o| matches!(o, LlcOutput::Inv { .. }));
+        run_until(&mut tile, &mut now, 1000, |o| {
+            matches!(o, (_, Msg::Inv { .. }))
+        });
         assert!(tile.stats.snooping_accesses.value() > 0);
     }
 }

@@ -136,18 +136,6 @@ struct Terminal {
     in_ready: bool,
 }
 
-/// Handle returned when attaching a terminal: the terminal id plus the
-/// router ports created for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TerminalAttachment {
-    /// The new terminal.
-    pub terminal: TerminalId,
-    /// Input port allocated on the router (injection side).
-    pub in_port: PortIndex,
-    /// Output port allocated on the router (ejection side).
-    pub out_port: PortIndex,
-}
-
 /// Incrementally builds a [`Network`].
 ///
 /// # Examples
@@ -164,8 +152,8 @@ pub struct TerminalAttachment {
 /// let r1 = b.add_router(RouterConfig::mesh());
 /// b.add_link(r0, r1, 1, 1.8);
 /// b.add_link(r1, r0, 1, 1.8);
-/// let t0 = b.add_terminal(r0).terminal;
-/// let t1 = b.add_terminal(r1).terminal;
+/// let t0 = b.add_terminal(r0);
+/// let t1 = b.add_terminal(r1);
 /// b.compute_routes_bfs();
 /// let mut net = b.build();
 ///
@@ -341,8 +329,8 @@ impl NetworkBuilder {
 
     /// Attaches a terminal (core, LLC tile, or memory controller) to a
     /// router, allocating an injection input port and an ejection output
-    /// port on it.
-    pub fn add_terminal(&mut self, router: RouterId) -> TerminalAttachment {
+    /// port on it, and returns the terminal's id.
+    pub fn add_terminal(&mut self, router: RouterId) -> TerminalId {
         self.add_terminal_split(router, router)
     }
 
@@ -354,7 +342,7 @@ impl NetworkBuilder {
         &mut self,
         inject_router: RouterId,
         eject_router: RouterId,
-    ) -> TerminalAttachment {
+    ) -> TerminalId {
         let terminal = TerminalId(self.terminals.len() as u16);
         let depth = self.rmeta[inject_router.index()].cfg.vc_depth;
         let credit = CreditReturn {
@@ -382,11 +370,7 @@ impl NetworkBuilder {
             queued_packets: 0,
             in_ready: false,
         });
-        TerminalAttachment {
-            terminal,
-            in_port,
-            out_port,
-        }
+        terminal
     }
 
     /// Sets the routing-table entry at `router` for packets destined to
@@ -1409,8 +1393,8 @@ mod tests {
         let r0 = b.add_router(cfg);
         let r1 = b.add_router(cfg);
         b.add_bidi_link(r0, r1, link_delay, 2.0);
-        let t0 = b.add_terminal(r0).terminal;
-        let t1 = b.add_terminal(r1).terminal;
+        let t0 = b.add_terminal(r0);
+        let t1 = b.add_terminal(r1);
         b.compute_routes_bfs();
         (b.build(), t0, t1)
     }
@@ -1500,8 +1484,8 @@ mod tests {
         let r2 = b.add_router(cfg);
         b.add_bidi_link(r0, r1, 1, 2.0);
         b.add_bidi_link(r1, r2, 1, 2.0);
-        let t0 = b.add_terminal(r0).terminal;
-        let t2 = b.add_terminal(r2).terminal;
+        let t0 = b.add_terminal(r0);
+        let t2 = b.add_terminal(r2);
         b.compute_routes_bfs();
         let mut net = b.build();
         for i in 0..20 {
@@ -1526,9 +1510,9 @@ mod tests {
         let rs: Vec<_> = (0..3).map(|_| b.add_router(cfg)).collect();
         b.add_bidi_link(rs[0], rs[2], 1, 2.0);
         b.add_bidi_link(rs[1], rs[2], 1, 2.0);
-        let ta = b.add_terminal(rs[0]).terminal;
-        let tb = b.add_terminal(rs[1]).terminal;
-        let tc = b.add_terminal(rs[2]).terminal;
+        let ta = b.add_terminal(rs[0]);
+        let tb = b.add_terminal(rs[1]);
+        let tc = b.add_terminal(rs[2]);
         b.compute_routes_bfs();
         let mut net = b.build();
         for i in 0..10 {
@@ -1677,9 +1661,9 @@ mod tests {
         let r2 = b.add_router(cfg);
         b.add_bidi_link(r0, r2, 1, 2.0);
         b.add_bidi_link(r1, r2, 1, 2.0);
-        let ta = b.add_terminal(r0).terminal;
-        let tb = b.add_terminal(r1).terminal;
-        let tc = b.add_terminal(r2).terminal;
+        let ta = b.add_terminal(r0);
+        let tb = b.add_terminal(r1);
+        let tc = b.add_terminal(r2);
         b.compute_routes_bfs();
         let mut net = b.build();
         for i in 0..8 {

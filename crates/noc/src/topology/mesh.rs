@@ -161,12 +161,12 @@ pub fn build_mesh(spec: &MeshSpec) -> TiledNetwork {
     }
 
     let tile_terminals: Vec<_> = (0..cols * rows)
-        .map(|i| b.add_terminal(router_at[i]).terminal)
+        .map(|i| b.add_terminal(router_at[i]))
         .collect();
     let mc_attach = mc_tiles(cols, rows, spec.num_memory_channels);
     let mc_terminals: Vec<_> = mc_attach
         .iter()
-        .map(|&tile| b.add_terminal(router_at[tile]).terminal)
+        .map(|&tile| b.add_terminal(router_at[tile]))
         .collect();
 
     // Dimension-order (X then Y) routing tables for every terminal.

@@ -228,13 +228,10 @@ pub fn build_nocout(spec: &NocOutSpec) -> NocOutNetwork {
     // index 0 on every tree node).
     let core_terminals: Vec<TerminalId> = core_nodes
         .iter()
-        .map(|&(red, disp)| b.add_terminal_split(red, disp).terminal)
+        .map(|&(red, disp)| b.add_terminal_split(red, disp))
         .collect();
 
-    let llc_terminals: Vec<TerminalId> = llc_routers
-        .iter()
-        .map(|&r| b.add_terminal(r).terminal)
-        .collect();
+    let llc_terminals: Vec<TerminalId> = llc_routers.iter().map(|&r| b.add_terminal(r)).collect();
 
     // Memory channels alternate between the two edge LLC routers, matching
     // Fig. 5's placement on the left and right die edges (cycling over
@@ -243,7 +240,7 @@ pub fn build_nocout(spec: &NocOutSpec) -> NocOutNetwork {
         .map(|k| {
             let row = (k / 2) % spec.llc_rows;
             let col = if k % 2 == 0 { 0 } else { spec.columns - 1 };
-            b.add_terminal(llc_at(col, row)).terminal
+            b.add_terminal(llc_at(col, row))
         })
         .collect();
 

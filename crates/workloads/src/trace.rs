@@ -429,11 +429,9 @@ impl TraceWriter {
 /// infinite by contract).
 ///
 /// A source is a cursor over the stream's bytes in memory: replay does
-/// no I/O. [`TraceSet::open_stream`] hands it the buffer
-/// [`TraceSet::load`] hashed and validated with the same decoder, so
-/// what is replayed is what was checked. [`TraceSource::open`] reads an
-/// unvalidated file whole and checks only its header; a bad record there
-/// surfaces as a panic naming the file rather than silent corruption.
+/// no I/O. [`TraceSet::open_stream`], the only way to get one, hands it
+/// the buffer [`TraceSet::load`] hashed and validated with the same
+/// decoder, so what is replayed is what was checked.
 #[derive(Debug)]
 pub struct TraceSource {
     path: PathBuf,
@@ -446,16 +444,6 @@ pub struct TraceSource {
 }
 
 impl TraceSource {
-    /// Reads a stream file whole and validates its header against the
-    /// file's length. Empty streams are rejected: a source must always
-    /// produce.
-    pub fn open<P: Into<PathBuf>>(path: P) -> io::Result<Self> {
-        let path = path.into();
-        let bytes: Arc<[u8]> = std::fs::read(&path)?.into();
-        let header = TraceHeader::of_stream(&bytes, &path)?;
-        Ok(TraceSource::over(path, header, bytes))
-    }
-
     /// A cursor at the first record of `bytes`, whose header is `header`.
     fn over(path: PathBuf, header: TraceHeader, bytes: Arc<[u8]>) -> Self {
         TraceSource {
@@ -894,8 +882,8 @@ mod tests {
     #[test]
     fn capture_then_replay_reproduces_the_stream() {
         let dir = TempDir::new("roundtrip");
-        let path = capture_one(&dir.0, 3, 7, 5_000);
-        let mut replay = TraceSource::open(&path).unwrap();
+        capture_one(&dir.0, 3, 7, 5_000);
+        let mut replay = TraceSet::load(&dir.0).unwrap().open_stream(0).unwrap();
         assert_eq!(replay.header().instr_count, 5_000);
         assert_eq!(replay.header().core, 3);
         let mut gen = WorkloadGen::new(Workload::MapReduceC.profile(), 3, 7);
@@ -907,8 +895,8 @@ mod tests {
     #[test]
     fn replay_loops_past_the_end() {
         let dir = TempDir::new("looping");
-        let path = capture_one(&dir.0, 0, 1, 100);
-        let mut replay = TraceSource::open(&path).unwrap();
+        capture_one(&dir.0, 0, 1, 100);
+        let mut replay = TraceSet::load(&dir.0).unwrap().open_stream(0).unwrap();
         let first: Vec<FetchedInstr> = (0..100).map(|_| replay.next_instr()).collect();
         let second: Vec<FetchedInstr> = (0..100).map(|_| replay.next_instr()).collect();
         assert_eq!(first, second, "stream must loop exactly");
@@ -917,9 +905,10 @@ mod tests {
     #[test]
     fn block_refill_matches_per_instruction_replay() {
         let dir = TempDir::new("block");
-        let path = capture_one(&dir.0, 1, 9, 777);
-        let mut blocked = TraceSource::open(&path).unwrap();
-        let mut direct = TraceSource::open(&path).unwrap();
+        capture_one(&dir.0, 1, 9, 777);
+        let set = TraceSet::load(&dir.0).unwrap();
+        let mut blocked = set.open_stream(0).unwrap();
+        let mut direct = set.open_stream(0).unwrap();
         let mut block = InstrBlock::new();
         for n in 0..3_000 {
             assert_eq!(block.take(&mut blocked), direct.next_instr(), "instr {n}");
@@ -987,12 +976,9 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[22..30].copy_from_slice(&u64::MAX.to_le_bytes()); // payload_len
         std::fs::write(&path, bytes).unwrap();
-        let at_load = TraceSet::load(&dir.0).unwrap_err();
-        let at_open = TraceSource::open(&path).unwrap_err();
-        for err in [at_load, at_open] {
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-            assert!(err.to_string().contains(&path.display().to_string()), "{err}");
-        }
+        let err = TraceSet::load(&dir.0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&path.display().to_string()), "{err}");
     }
 
     #[test]
@@ -1002,7 +988,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4] = 99; // version field
         std::fs::write(&path, bytes).unwrap();
-        let err = TraceSource::open(&path).unwrap_err();
+        let err = TraceSet::load(&dir.0).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
     }
 

@@ -26,9 +26,9 @@ fn main() {
     b.add_link(llc_router, disp_near, 1, 1.75);
     b.add_link(disp_near, disp_far, 1, 1.75);
 
-    let core_far = b.add_terminal_split(red_far, disp_far).terminal;
-    let core_near = b.add_terminal_split(red_near, disp_near).terminal;
-    let llc = b.add_terminal(llc_router).terminal;
+    let core_far = b.add_terminal_split(red_far, disp_far);
+    let core_near = b.add_terminal_split(red_near, disp_near);
+    let llc = b.add_terminal(llc_router);
     b.compute_routes_bfs();
     let mut net = b.build();
 

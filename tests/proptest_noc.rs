@@ -139,7 +139,7 @@ fn contended_sink_flat_switch_matches_reference() {
         let rs: Vec<_> = (0..3).map(|_| b.add_router(RouterConfig::mesh())).collect();
         b.add_bidi_link(rs[0], rs[2], 1, 2.0);
         b.add_bidi_link(rs[1], rs[2], 1, 2.0);
-        let terminals: Vec<_> = rs.iter().map(|&r| b.add_terminal(r).terminal).collect();
+        let terminals: Vec<_> = rs.iter().map(|&r| b.add_terminal(r)).collect();
         b.compute_routes_bfs();
         (b.build(), terminals)
     };

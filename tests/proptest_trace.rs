@@ -11,7 +11,7 @@ use common::TempDir;
 use nocout_repro::substrates::cpu::source::{FetchedInstr, InstructionSource, Op};
 use nocout_repro::substrates::mem::addr::Addr;
 use nocout_repro::substrates::workloads::trace::{
-    TraceHeader, TraceSet, TraceSource, TraceWriter, TRACE_SUFFIX,
+    TraceHeader, TraceSet, TraceWriter, TRACE_SUFFIX,
 };
 use nocout_repro::substrates::workloads::{Workload, WorkloadGen};
 use proptest::prelude::*;
@@ -155,7 +155,9 @@ fn streams_longer_than_the_read_buffer_replay_exactly() {
         })
         .collect();
     write_stream(&stream(&dir), &instrs);
-    let mut replay = TraceSource::open(stream(&dir)).expect("open stream");
+    let mut replay = TraceSet::load(&dir.0)
+        .and_then(|set| set.open_stream(0))
+        .expect("open stream");
     assert!(
         replay.header().payload_len > 64 * 1024,
         "must outgrow any read buffer"
