@@ -12,7 +12,7 @@ use nocout_cpu::{Core, CoreConfig, CoreIdle, MissRequest};
 use nocout_mem::addr::{Addr, AddressMap};
 use nocout_mem::directory::SharerSet;
 use nocout_mem::llc::{Dest, LlcConfig, LlcTile};
-use nocout_mem::mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
+use nocout_mem::mem_ctrl::{MemChannelConfig, MemoryChannel};
 use nocout_mem::protocol::{AccessKind, CoreId, Msg, TxnId};
 use nocout_noc::fabric::{Fabric, NextEvent};
 use nocout_noc::latency::LatencyFabric;
@@ -229,8 +229,6 @@ pub struct ScaleOutChip {
     active_llcs: ActiveSet,
     /// Memory channels with queued requests or outstanding completions.
     active_mems: ActiveSet,
-    /// Reusable scratch for memory-channel completions.
-    mem_done_buf: Vec<u64>,
     /// End-to-end L1 miss-to-fill latency: core request entering the chip
     /// model to its data packet dispatching back into the core.
     fill_hist: LatencyHist,
@@ -492,7 +490,6 @@ impl ScaleOutChip {
             inject_buf: Vec::new(),
             active_llcs: ActiveSet::with_len(num_llcs),
             active_mems: ActiveSet::with_len(num_mems),
-            mem_done_buf: Vec::new(),
             fill_hist: LatencyHist::new(),
             record_tails: true,
             open_loop: matches!(&class, WorkloadClass::OpenLoop(_)),
@@ -592,9 +589,11 @@ impl ScaleOutChip {
         self.active.iter().map(|(c, _)| *c).collect()
     }
 
-    /// Protocol messages currently in flight (network + tables).
+    /// Protocol messages currently in flight (network + tables). A read
+    /// held at a memory channel counts as the `MemData` it owes.
     pub fn inflight_messages(&self) -> usize {
-        self.msgs.len()
+        let owed: usize = self.channels.iter().map(MemoryChannel::owed_replies).sum();
+        self.msgs.len() + owed
     }
 
     /// Outstanding core transactions.
@@ -602,6 +601,8 @@ impl ScaleOutChip {
         self.txns.len()
     }
 
+    /// Sends `msg` from `src` to `dst`, on the class and with the payload
+    /// the message names: the one way a message enters the fabric.
     fn inject(&mut self, src: TerminalId, dst: TerminalId, msg: Msg) {
         let class = msg.class();
         let payload = msg.payload_bytes();
@@ -741,29 +742,19 @@ impl ScaleOutChip {
 
         // 3. Active memory channels complete reads.
         if full_scan || !self.active_mems.is_empty() {
-            let mut done = std::mem::take(&mut self.mem_done_buf);
             for k in 0..self.channels.len() {
                 if !full_scan && !self.active_mems.member[k] {
                     continue;
                 }
-                done.clear();
-                self.channels[k].tick(now, &mut done);
-                for &token in &done {
-                    let home = match self.msgs.get(token as u32) {
-                        Msg::MemData { home, .. } => *home as usize,
-                        other => unreachable!("unexpected memory completion {other:?}"),
+                self.channels[k].tick(now);
+                while let Some(msg) = self.channels[k].pop_ready(now) {
+                    let Msg::MemData { home, .. } = msg else {
+                        unreachable!("a memory channel returns only MemData, not {msg:?}")
                     };
-                    self.fabric.inject(
-                        self.mc_term[k],
-                        self.llc_term[home],
-                        MessageClass::Response,
-                        nocout_mem::LINE_BYTES as u32,
-                        token,
-                    );
+                    self.inject(self.mc_term[k], self.llc_term[home as usize], msg);
                 }
                 self.active_mems.set(k, self.channels[k].has_pending_work());
             }
-            self.mem_done_buf = done;
         }
 
         // 4. The interconnect moves flits.
@@ -992,25 +983,21 @@ impl ScaleOutChip {
                 txn,
                 requester,
                 addr,
-            } => {
-                let c = info.core.expect("snoop must land on a core");
-                self.cores[c].snoop_downgrade(addr);
-                // The owner supplies the line straight to the requester
-                // (an L1-to-L1 forward; in NOC-Out it physically transits
-                // the LLC region).
-                self.inject(
-                    self.core_term[c],
-                    self.core_term[requester.index()],
-                    Msg::Data { txn },
-                );
             }
-            Msg::FwdGetX {
+            | Msg::FwdGetX {
                 txn,
                 requester,
                 addr,
             } => {
                 let c = info.core.expect("snoop must land on a core");
-                self.cores[c].snoop_invalidate(addr);
+                if let Msg::FwdGetS { .. } = msg {
+                    self.cores[c].snoop_downgrade(addr);
+                } else {
+                    self.cores[c].snoop_invalidate(addr);
+                }
+                // The owner supplies the line straight to the requester
+                // (an L1-to-L1 forward; in NOC-Out it physically transits
+                // the LLC region).
                 self.inject(
                     self.core_term[c],
                     self.core_term[requester.index()],
@@ -1026,16 +1013,12 @@ impl ScaleOutChip {
                     Msg::InvAck { mshr },
                 );
             }
-            Msg::MemRead { mshr, home, addr } => {
-                let ch = info.mem.expect("MemRead must land on a memory channel");
-                let token = self.msgs.insert(Msg::MemData { mshr, home }) as u64;
+            Msg::MemRead { .. } | Msg::MemWrite { .. } => {
+                let ch = info
+                    .mem
+                    .unwrap_or_else(|| panic!("{msg:?} must land on a memory channel"));
                 self.active_mems.insert(ch);
-                self.channels[ch].push(MemRequest::Read { token, addr }, now);
-            }
-            Msg::MemWrite { addr } => {
-                let ch = info.mem.expect("MemWrite must land on a memory channel");
-                self.active_mems.insert(ch);
-                self.channels[ch].push(MemRequest::Write { addr }, now);
+                self.channels[ch].submit(msg);
             }
         }
     }
@@ -1057,7 +1040,6 @@ impl ScaleOutChip {
         for ch in &mut self.channels {
             ch.reads.reset();
             ch.writes.reset();
-            ch.queue_cycles.reset();
         }
         self.fill_hist.reset();
         self.fabric.reset_stats();

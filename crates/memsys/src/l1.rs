@@ -4,6 +4,13 @@
 //! fetch — the effect the whole paper revolves around — while L1-D misses
 //! overlap up to the MSHR/LSQ bound, modelling the low memory-level
 //! parallelism of scale-out workloads.
+//!
+//! Simplification: an L1 line is present or absent, clean or dirty; the
+//! L1 does not track shared versus exclusive. A store that hits a present
+//! line marks it dirty without an upgrade request, so a write to a line
+//! the core holds shared costs no coherence traffic. Exclusivity lives in
+//! the home tile's directory, which forwards or invalidates on the next
+//! core's miss.
 
 use crate::addr::Addr;
 use crate::cache::{CacheArray, CacheGeometry, Evicted, Lookup};
@@ -125,9 +132,8 @@ impl L1Cache {
     /// opaque tag returned by [`fill`](Self::fill) when the line arrives.
     ///
     /// Write upgrades are folded into misses: a store to a present line
-    /// simply marks it dirty (the coherence request for exclusivity is
-    /// raised by the chip model when the directory demands it; our L1 does
-    /// not track S/E distinction — see DESIGN.md §3.3).
+    /// simply marks it dirty (the L1 does not track S/E; see the module
+    /// doc).
     pub fn access(&mut self, addr: Addr, is_write: bool, waiter: u64) -> L1Access {
         let idx = addr.line_index();
         self.access_indexed(idx, self.array.set_base_of_line(idx), is_write, waiter)
@@ -190,9 +196,8 @@ impl L1Cache {
 
     /// Completes a miss: installs the line and releases its MSHR,
     /// appending the miss's waiter tags (in request order) to `waiters` —
-    /// a caller-provided scratch buffer the caller clears, mirroring the
-    /// `MemoryChannel::tick` out-param pattern so a fill allocates
-    /// nothing. Returns any evicted victim.
+    /// a caller-provided scratch buffer the caller clears, so a fill
+    /// allocates nothing. Returns any evicted victim.
     ///
     /// # Panics
     ///

@@ -45,5 +45,5 @@ pub use cache::{CacheArray, CacheGeometry};
 pub use directory::{DirState, Directory};
 pub use l1::{L1Access, L1Cache, L1Config};
 pub use llc::{LlcConfig, LlcTile};
-pub use mem_ctrl::{MemChannelConfig, MemRequest, MemoryChannel};
+pub use mem_ctrl::{MemChannelConfig, MemoryChannel};
 pub use protocol::{AccessKind, CoreId, Msg, RequestKind, TxnId};

@@ -23,8 +23,8 @@
 //!   never reaches the growth path. The tile never asks — it has never
 //!   refused a request — and growth is its safety valve.
 //! * **Release.** [`MshrFile::release`] appends the waiters, in merge
-//!   order, to a caller-owned scratch `Vec` (the `MemoryChannel::tick`
-//!   out-param pattern).
+//!   order, to a caller-owned scratch `Vec`, so a release allocates
+//!   nothing.
 //!
 //! `tests/proptest_core.rs` and `tests/proptest_uncore.rs` pin the file
 //! against the `HashMap` models it replaced, through each caller's rule.
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn release_appends_to_existing_scratch_content() {
         // The out-param contract: release appends, the caller owns
-        // clearing (same as MemoryChannel::tick's completion buffer).
+        // clearing.
         let mut m = L1File::new(2);
         let a = m.alloc(1, false, 10);
         let b = m.alloc(2, false, 20);

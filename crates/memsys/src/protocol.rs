@@ -7,11 +7,13 @@
 //! the line from memory. Messages map onto the three network classes that
 //! guarantee deadlock freedom: requests, snoops, and responses.
 //!
-//! [`Msg`] is the one vocabulary of the network, the LLC tiles and the
-//! chip: the chip injects a `Msg` and dispatches it on delivery, an LLC
-//! tile takes the four LLC-bound messages (`CoreRequest`, `WriteBack`,
-//! `InvAck`, `MemData`) as they arrive and emits the ones it sends, each
-//! with its [`crate::llc::Dest`], with nothing translating in between.
+//! [`Msg`] is the one vocabulary of the network, the LLC tiles, the
+//! memory channels and the chip: the chip injects a `Msg` and dispatches
+//! it on delivery, an LLC tile takes the four LLC-bound messages
+//! (`CoreRequest`, `WriteBack`, `InvAck`, `MemData`) as they arrive and
+//! emits the ones it sends, each with its [`crate::llc::Dest`], and a
+//! memory channel takes `MemRead` and `MemWrite` and returns each read's
+//! `MemData`, with nothing translating in between.
 
 use crate::addr::Addr;
 use nocout_noc::types::MessageClass;

@@ -718,12 +718,6 @@ impl Network {
             self.active_terms.push(src.0);
         }
         self.stats.packets_injected.incr();
-        // `queued_packets` is maintained as exactly the sum of the lane
-        // queue lengths, so the peak-depth stat reads the counter instead
-        // of re-summing the lanes.
-        if term.queued_packets > self.stats.peak_inject_queue {
-            self.stats.peak_inject_queue = term.queued_packets;
-        }
     }
 
     /// Takes the next delivered packet at `terminal`, if any.

@@ -34,8 +34,6 @@ pub struct NetStats {
     pub buffer_reads: Counter,
     /// Crossbar/mux traversals (any flit leaving through an output port).
     pub xbar_traversals: Counter,
-    /// Maximum injection-queue depth observed at any terminal.
-    pub peak_inject_queue: u64,
 }
 
 impl NetStats {
