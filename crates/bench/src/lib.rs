@@ -86,7 +86,8 @@ pub mod memopt {
 /// `memsys.directory_ns`, `noc.fabric_wheel_ns`).
 pub mod uncoreopt {
     use nocout_mem::addr::Addr;
-    use nocout_mem::directory::Directory;
+    use nocout_mem::cache::CacheGeometry;
+    use nocout_mem::directory::LlcSlice;
     use nocout_mem::llc::{LlcConfig, LlcTile};
     use nocout_mem::protocol::{CoreId, Msg, RequestKind, TxnId};
     use nocout_noc::fabric::Fabric;
@@ -131,18 +132,26 @@ pub mod uncoreopt {
         }
     }
 
-    /// A directory with the default standalone slice geometry (256 sets
-    /// × 16 ways).
-    pub fn bench_directory() -> Directory {
-        Directory::new()
+    /// A 256-set × 16-way LLC slice with all 4096 lines of
+    /// [`directory_round`]'s space resident, so every tracked line's
+    /// state lives in its way.
+    pub fn bench_directory() -> LlcSlice {
+        let mut slice = LlcSlice::new(CacheGeometry {
+            capacity_bytes: 4096 * 64,
+            ways: 16,
+            line_bytes: 64,
+        });
+        slice.warm_fill(&[(0, 4096)]);
+        slice
     }
 
     /// One directory op over a 4096-line space: track a line for two
-    /// sharers, probe its state, then invalidate both — an insert, three
-    /// set-indexed finds, and an entry drop per round, so population
-    /// churns the way L1 fills and evictions churn it.
+    /// sharers, probe its state, then invalidate both — five set scans
+    /// (one per operation) that start tracking a line in its way and
+    /// drop it again, so population churns the way L1 fills and
+    /// evictions churn it.
     #[inline]
-    pub fn directory_round(dir: &mut Directory, i: u64) {
+    pub fn directory_round(dir: &mut LlcSlice, i: u64) {
         let addr = Addr((i % 4096) * 64);
         let a = CoreId((i % 64) as u16);
         let b = CoreId(((i + 1) % 64) as u16);

@@ -4,10 +4,12 @@
 //! are modelled — the simulator never carries data values, just timing.
 //!
 //! Storage is three flat arrays indexed `set * ways + way`: `tags` (line
-//! index + 1, so `0` is an invalid way), `lru` stamps and `dirty` bytes —
-//! 17 bytes a way, all `vec![0; n]`, so an empty array is untouched zero
-//! pages rather than memory written at construction, and a tag probe
-//! scans one dense `u64` slice.
+//! index + 1, so `0` is an invalid way), `u32` LRU stamps and `dirty`
+//! bytes — 13 bytes a way — and a tag probe scans one dense `u64` slice.
+//! A stamp only orders the ways of one set, so when the array-wide
+//! counter would pass `u32::MAX` a cold path renumbers every set's valid
+//! ways `1..=k` in their current order and the count carries on from
+//! there: victims are the same on a run of any length.
 
 use crate::addr::Addr;
 
@@ -76,10 +78,11 @@ pub struct CacheArray {
     sets: usize,
     /// Line index + 1 per way; `0` = invalid.
     tags: Vec<u64>,
-    /// Last-use stamp per way; higher = more recently used.
-    lru: Vec<u64>,
+    /// Last-use stamp per way; higher = more recently used. Only the
+    /// order of a set's valid ways means anything (see the module doc).
+    lru: Vec<u32>,
     dirty: Vec<u8>,
-    stamp: u64,
+    stamp: u32,
     line_shift: u32,
 }
 
@@ -137,11 +140,43 @@ impl CacheArray {
             .map(|k| base + k)
     }
 
-    /// [`CacheArray::find`] from an address.
+    /// The way holding `addr`'s line, without updating recency: the
+    /// index a per-way side array (the LLC's directory state) shares.
     #[inline]
-    fn find_addr(&self, addr: Addr) -> Option<usize> {
+    pub(crate) fn way_of(&self, addr: Addr) -> Option<usize> {
         let line = self.line_of(addr);
         self.find(self.set_base_of_line(line) as usize, line)
+    }
+
+    /// Advances the recency counter and returns the new stamp,
+    /// renumbering every set first when the counter is exhausted.
+    #[inline]
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.rerank();
+        }
+        self.stamp += 1;
+        self.stamp
+    }
+
+    /// Renumbers each set's valid ways `1..=k` in their current recency
+    /// order (stamps within a set are distinct, so the order is total)
+    /// and restarts the counter at the highest number given. Victim
+    /// choice compares stamps within one set only, so it is unchanged.
+    #[cold]
+    #[inline(never)]
+    fn rerank(&mut self) {
+        let ways = self.geometry.ways;
+        let mut order: Vec<usize> = Vec::with_capacity(ways);
+        for base in (0..self.tags.len()).step_by(ways) {
+            order.clear();
+            order.extend((base..base + ways).filter(|&i| self.tags[i] != 0));
+            order.sort_unstable_by_key(|&i| self.lru[i]);
+            for (rank, &i) in order.iter().enumerate() {
+                self.lru[i] = rank as u32 + 1;
+            }
+        }
+        self.stamp = ways as u32;
     }
 
     /// [`CacheArray::lookup`] with the geometry pre-resolved: `set_base`
@@ -150,10 +185,10 @@ impl CacheArray {
     #[inline]
     pub fn lookup_at(&mut self, set_base: u32, line_index: u64) -> Lookup {
         debug_assert_eq!(set_base, self.set_base_of_line(line_index));
-        self.stamp += 1;
+        let stamp = self.next_stamp();
         match self.find(set_base as usize, line_index) {
             Some(i) => {
-                self.lru[i] = self.stamp;
+                self.lru[i] = stamp;
                 Lookup::Hit
             }
             None => Lookup::Miss,
@@ -173,7 +208,7 @@ impl CacheArray {
 
     /// Probes for a line without updating recency.
     pub fn probe(&self, addr: Addr) -> Lookup {
-        match self.find_addr(addr) {
+        match self.way_of(addr) {
             Some(_) => Lookup::Hit,
             None => Lookup::Miss,
         }
@@ -194,15 +229,22 @@ impl CacheArray {
     /// Inserts a line (after a fill), evicting the LRU way if the set is
     /// full. Returns the victim, if any.
     pub fn insert(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
+        self.insert_way(addr, dirty).1
+    }
+
+    /// [`CacheArray::insert`], also returning the way the line now
+    /// occupies: the way [`CacheArray::way_of`] resolves for it, and the
+    /// victim's way when there is a victim.
+    pub(crate) fn insert_way(&mut self, addr: Addr, dirty: bool) -> (usize, Option<Evicted>) {
         let line = self.line_of(addr);
         let base = self.set_base_of_line(line) as usize;
         let set = base..base + self.geometry.ways;
-        self.stamp += 1;
+        let stamp = self.next_stamp();
         // Already present: refresh (fill on a racing request).
         if let Some(i) = self.find(base, line) {
-            self.lru[i] = self.stamp;
+            self.lru[i] = stamp;
             self.dirty[i] |= dirty as u8;
-            return None;
+            return (i, None);
         }
         // A free way, else evict the LRU one.
         let (i, evicted) = match self.tags[set.clone()].iter().position(|&t| t == 0) {
@@ -217,9 +259,9 @@ impl CacheArray {
             }
         };
         self.tags[i] = line + 1;
-        self.lru[i] = self.stamp;
+        self.lru[i] = stamp;
         self.dirty[i] = dirty as u8;
-        evicted
+        (i, evicted)
     }
 
     /// Installs whole runs of consecutive lines, clean, into a never-used
@@ -253,16 +295,15 @@ impl CacheArray {
                 let set = (line as usize) & (self.sets - 1);
                 let i = set * ways + filled[set] % ways;
                 filled[set] += 1;
-                self.stamp += 1;
                 self.tags[i] = line + 1;
-                self.lru[i] = self.stamp;
+                self.lru[i] = self.next_stamp();
             }
         }
     }
 
     /// Invalidates a line if present; returns `(was_present, was_dirty)`.
     pub fn invalidate(&mut self, addr: Addr) -> (bool, bool) {
-        match self.find_addr(addr) {
+        match self.way_of(addr) {
             Some(i) => {
                 let dirty = self.dirty[i] != 0;
                 self.tags[i] = 0;
@@ -276,7 +317,7 @@ impl CacheArray {
     /// Clears a present line's dirty bit (downgrade on a forward snoop);
     /// returns whether the line was present.
     pub fn clean(&mut self, addr: Addr) -> bool {
-        let hit = self.find_addr(addr);
+        let hit = self.way_of(addr);
         if let Some(i) = hit {
             self.dirty[i] = 0;
         }
@@ -380,6 +421,40 @@ mod tests {
         assert_eq!(c.valid_lines(), 4);
         for s in 0..4 {
             assert_eq!(c.probe(line(s, 7)), Lookup::Hit);
+        }
+    }
+
+    #[test]
+    fn stamp_rerank_keeps_victims_across_the_wrap() {
+        // One lookup/insert/invalidate script on a fresh array and on one
+        // whose counter starts `short` of exhaustion: hits, misses and
+        // victims must agree before, across and after the renumbering.
+        let geometry = CacheGeometry {
+            capacity_bytes: 512, // 2 sets × 4 ways
+            ways: 4,
+            line_bytes: 64,
+        };
+        for short in [0, 1, 5, 30, 100] {
+            let mut fresh = CacheArray::new(geometry);
+            let mut worn = CacheArray::new(geometry);
+            worn.stamp = u32::MAX - short;
+            let mut x = 12345u64;
+            for _ in 0..400 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let a = Addr(((x >> 33) % 12) * 64);
+                match (x >> 59) % 8 {
+                    0..=3 => assert_eq!(fresh.lookup(a), worn.lookup(a)),
+                    4..=6 => {
+                        let dirty = x >> 40 & 1 == 1;
+                        assert_eq!(fresh.insert(a, dirty), worn.insert(a, dirty));
+                    }
+                    _ => assert_eq!(fresh.invalidate(a), worn.invalidate(a)),
+                }
+            }
+            assert!(worn.stamp < 400, "the counter never wrapped");
+            assert_eq!(fresh.tags, worn.tags);
         }
     }
 

@@ -5,7 +5,14 @@
 //! The directory is what turns L1 data sharing into snoop traffic; in
 //! scale-out workloads that traffic is nearly absent (Fig. 4 measures ~2%
 //! of LLC accesses producing a snoop), and NOC-Out's design leans on that.
+//!
+//! The directory slice is folded into the data slice's tag array: a
+//! line's state lives in the way that holds the line ([`LlcSlice`]), so
+//! an LLC way costs 22 bytes, 13 of tag, recency and dirty bit and 9 of
+//! directory state, with no second tag array to keep in step.
 
+use crate::addr::{Addr, LINE_BYTES};
+use crate::cache::{CacheArray, CacheGeometry, Evicted, Lookup};
 use crate::protocol::CoreId;
 
 /// A set of sharer cores: one bit per core, so at most
@@ -66,12 +73,18 @@ impl SharerSet {
         self.0 == 0
     }
 
-    /// Iterates over member cores.
-    pub fn iter(&self) -> impl Iterator<Item = CoreId> + '_ {
-        let bits = self.0;
-        (0..128u16)
-            .filter(move |i| bits & (1u128 << i) != 0)
-            .map(CoreId)
+    /// Iterates over member cores in ascending order, visiting only the
+    /// set bits.
+    pub fn iter(&self) -> impl Iterator<Item = CoreId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let core = CoreId(bits.trailing_zeros() as u16);
+            bits &= bits - 1;
+            Some(core)
+        })
     }
 }
 
@@ -94,255 +107,326 @@ pub enum DirState {
     Exclusive(CoreId),
 }
 
-/// A tracked line that found its set full (see [`Directory`]).
-#[derive(Debug, Clone, Copy)]
-struct SpillEntry {
-    line: u64,
-    state: DirState,
-}
+/// Way state: the line holds no directory state.
+const UNTRACKED: u8 = 0;
+/// Way state: `lo` (and `hi`) hold a sharer mask.
+const SHARED: u8 = 1;
+/// Way state: `lo` holds the owner's id.
+const EXCLUSIVE: u8 = 2;
 
-/// Location of a tracked line: a way in the set-associative array, or an
-/// index into the conflict spill list.
+/// Where a tracked line's state lives: the way its slice holds it in, or
+/// an index into the side list.
 #[derive(Debug, Clone, Copy)]
 enum Pos {
     Way(usize),
-    Spill(usize),
+    Side(usize),
 }
 
-/// A directory slice: line → sharer state, for lines cached in any L1.
+/// The directory half of an [`LlcSlice`]: per-way state, indexed by the
+/// way the slice's tag array resolves for a line, plus a side list.
 ///
-/// Lines not present map to "uncached above the LLC". Entries are dropped
-/// eagerly when their sharer set empties.
+/// A way's state is its `kind` byte and one sharer word, `lo` — the low
+/// 64 bits of the sharer mask, or the owner's id — 9 bytes a way. The
+/// high sharer word, `hi`, is allocated for every way the first time a
+/// core ≥ 64 is recorded in a way; a chip of at most 64 cores never
+/// allocates it. The side list holds the lines that are tracked but not
+/// resident: an ack collection that completes after its line was
+/// victimised records its requester there, and the line's next fill moves
+/// the state into its way. No side-list line is ever resident in the
+/// slice.
+#[derive(Debug)]
+struct Directory {
+    /// Per way: the low sharer word (Shared) or the owner's id (Exclusive).
+    lo: Vec<u64>,
+    /// Per way: the high sharer word; empty until a core ≥ 64 is recorded.
+    hi: Vec<u64>,
+    /// Per way: `UNTRACKED`, `SHARED` or `EXCLUSIVE`.
+    kind: Vec<u8>,
+    /// Tracked lines not resident in the slice: `(line index, state)`.
+    side: Vec<(u64, DirState)>,
+    len: usize,
+}
+
+impl Directory {
+    fn new(ways: usize) -> Self {
+        Directory {
+            lo: vec![0; ways],
+            hi: Vec::new(),
+            kind: vec![UNTRACKED; ways],
+            side: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// The position of `line`'s state, given the way the tag array holds
+    /// it in (`None`: not resident).
+    #[inline]
+    fn find(&self, way: Option<usize>, line: u64) -> Option<Pos> {
+        match way {
+            Some(w) => (self.kind[w] != UNTRACKED).then_some(Pos::Way(w)),
+            None => self.side.iter().position(|e| e.0 == line).map(Pos::Side),
+        }
+    }
+
+    #[inline]
+    fn get(&self, pos: Pos) -> DirState {
+        match pos {
+            Pos::Way(w) if self.kind[w] == EXCLUSIVE => {
+                DirState::Exclusive(CoreId(self.lo[w] as u16))
+            }
+            Pos::Way(w) => {
+                let hi = self.hi.get(w).copied().unwrap_or(0);
+                DirState::Shared(SharerSet((hi as u128) << 64 | self.lo[w] as u128))
+            }
+            Pos::Side(i) => self.side[i].1,
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, pos: Pos, state: DirState) {
+        let w = match pos {
+            Pos::Way(w) => w,
+            Pos::Side(i) => {
+                self.side[i].1 = state;
+                return;
+            }
+        };
+        match state {
+            DirState::Shared(s) => {
+                let hi = (s.0 >> 64) as u64;
+                if hi != 0 && self.hi.is_empty() {
+                    self.hi = vec![0; self.kind.len()];
+                }
+                if let Some(h) = self.hi.get_mut(w) {
+                    *h = hi;
+                }
+                self.lo[w] = s.0 as u64;
+                self.kind[w] = SHARED;
+            }
+            DirState::Exclusive(owner) => {
+                self.lo[w] = owner.0 as u64;
+                self.kind[w] = EXCLUSIVE;
+            }
+        }
+    }
+
+    /// Drops the state at `pos`.
+    fn untrack(&mut self, pos: Pos) {
+        match pos {
+            Pos::Way(w) => self.kind[w] = UNTRACKED,
+            Pos::Side(i) => {
+                self.side.swap_remove(i);
+            }
+        }
+        self.len -= 1;
+    }
+}
+
+/// An LLC slice's tag array and its co-located directory slice (Fig.
+/// 2(b): "L2 slice = data + tags + directory"), one structure: a line's
+/// directory state lives in the way the tag array holds it in, so every
+/// directory operation is the one set scan that finds the way.
 ///
-/// Storage is a set-associative array mirroring the data slice's
-/// [`crate::cache::CacheArray`] geometry (construct with
-/// [`Directory::with_geometry`] from the slice's set count, ways and NUCA
-/// stride): a lookup is the same shift+mask the tag array uses followed by
-/// a ≤ `ways` linear scan of `lines` (line index + 1, `0` = free way).
-/// A way's state sits at the same index in two more flat arrays — `bits`,
-/// the sharer mask or the owner's id, and `excl`, which of the two — 25
-/// bytes a way, all zero-initialised, so an empty directory is untouched
-/// zero pages. Because directory population is not *exactly*
-/// the slice's resident set (a line can be re-tracked while an in-flight
-/// MSHR completes after its slice victimization), set-conflict overflow
-/// falls back to a small spill list, preserving the map's semantics
-/// bit-for-bit while keeping the hot lookup allocation-free.
+/// The directory is an exact map, line → sharer state, for any line:
+/// lines not present are "uncached above the LLC", and an entry is dropped
+/// when its sharer set empties. Inclusion is structural: a tracked line is
+/// in its way or, between an eviction and its next fill, in a short side
+/// list (see the `llc` module doc for when that happens). Evicting a line
+/// drops its state; [`LlcSlice::install`] moves a side-list line's state
+/// into the way it fills. Addresses are slice-local.
 ///
 /// # Examples
 ///
 /// ```
 /// use nocout_mem::addr::Addr;
-/// use nocout_mem::directory::{Directory, DirState, SharerSet};
+/// use nocout_mem::cache::CacheGeometry;
+/// use nocout_mem::directory::{DirState, LlcSlice};
 /// use nocout_mem::protocol::CoreId;
 ///
-/// let mut dir = Directory::new();
+/// let mut slice = LlcSlice::new(CacheGeometry { capacity_bytes: 4096, ways: 16, line_bytes: 64 });
 /// let a = Addr(0x40);
-/// dir.add_sharer(a, CoreId(3));
-/// assert!(matches!(dir.state(a), Some(DirState::Shared(_))));
-/// dir.set_exclusive(a, CoreId(5));
-/// assert_eq!(dir.state(a), Some(DirState::Exclusive(CoreId(5))));
+/// slice.install(a, false);
+/// slice.add_sharer(a, CoreId(3));
+/// assert!(matches!(slice.state(a), Some(DirState::Shared(_))));
+/// slice.set_exclusive(a, CoreId(5));
+/// assert_eq!(slice.state(a), Some(DirState::Exclusive(CoreId(5))));
 /// ```
 #[derive(Debug)]
-pub struct Directory {
-    sets: usize,
-    ways: usize,
-    stride: u64,
-    /// Line index + 1 per way; `0` = free.
-    lines: Vec<u64>,
-    /// Per way: the sharer mask (Shared) or the owner's id (Exclusive).
-    bits: Vec<u128>,
-    /// Per way: non-zero when the way's state is Exclusive.
-    excl: Vec<u8>,
-    spill: Vec<SpillEntry>,
-    len: usize,
+pub struct LlcSlice {
+    tags: CacheArray,
+    dir: Directory,
 }
 
-impl Default for Directory {
-    fn default() -> Self {
-        Directory::new()
-    }
-}
-
-impl Directory {
-    /// Hard ceiling on tracked lines: 128 cores (the §7.1 concentration
-    /// study maximum) × 64 KB of private L1 (I + D) per core / 64 B lines.
-    /// The directory only tracks lines held in some L1, so population
-    /// beyond this bound means an eviction path failed to drop its lines.
-    pub const MAX_TRACKED_LINES: usize = SharerSet::MAX_CORES * (64 * 1024 / 64);
-
-    /// Creates an empty directory with a default standalone geometry
-    /// (256 sets × 16 ways, unit stride).
-    pub fn new() -> Self {
-        Directory::with_geometry(256, 16, 1)
-    }
-
-    /// Creates a directory slice mirroring a cache slice's geometry:
-    /// `sets` must be a power of two, and `stride` is the NUCA interleave
-    /// (chip line indices are divided by it before set selection, exactly
-    /// like the data slice's local addressing).
-    pub fn with_geometry(sets: usize, ways: usize, stride: u64) -> Self {
-        assert!(sets.is_power_of_two(), "directory sets must be a power of two");
-        assert!(ways > 0 && stride > 0);
-        Directory {
-            sets,
-            ways,
-            stride,
-            lines: vec![0; sets * ways],
-            bits: vec![0; sets * ways],
-            excl: vec![0; sets * ways],
-            spill: Vec::new(),
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn set_base(&self, line_index: u64) -> usize {
-        (((line_index / self.stride) as usize) & (self.sets - 1)) * self.ways
-    }
-
-    #[inline]
-    fn find(&self, line_index: u64) -> Option<Pos> {
-        let base = self.set_base(line_index);
-        let set = &self.lines[base..base + self.ways];
-        if let Some(k) = set.iter().position(|&l| l == line_index + 1) {
-            return Some(Pos::Way(base + k));
-        }
-        self.spill
-            .iter()
-            .position(|e| e.line == line_index)
-            .map(Pos::Spill)
-    }
-
-    #[inline]
-    fn get_at(&self, pos: Pos) -> DirState {
-        match pos {
-            Pos::Way(i) if self.excl[i] != 0 => DirState::Exclusive(CoreId(self.bits[i] as u16)),
-            Pos::Way(i) => DirState::Shared(SharerSet(self.bits[i])),
-            Pos::Spill(i) => self.spill[i].state,
-        }
-    }
-
-    #[inline]
-    fn set_at(&mut self, pos: Pos, state: DirState) {
-        match pos {
-            Pos::Way(i) => {
-                (self.bits[i], self.excl[i]) = match state {
-                    DirState::Shared(s) => (s.0, 0),
-                    DirState::Exclusive(owner) => (owner.0 as u128, 1),
-                }
-            }
-            Pos::Spill(i) => self.spill[i].state = state,
-        }
-    }
-
-    fn insert(&mut self, line_index: u64, state: DirState) {
-        self.len += 1;
-        debug_assert!(
-            self.len <= Self::MAX_TRACKED_LINES,
-            "directory population {} exceeds total L1 capacity in lines — \
-             an eviction path is leaking entries",
-            self.len
+impl LlcSlice {
+    /// An empty slice of `geometry`, which must have [`LINE_BYTES`] lines.
+    pub fn new(geometry: CacheGeometry) -> Self {
+        assert_eq!(
+            geometry.line_bytes, LINE_BYTES,
+            "an LLC slice holds whole lines"
         );
-        let base = self.set_base(line_index);
-        let set = &self.lines[base..base + self.ways];
-        match set.iter().position(|&l| l == 0) {
-            Some(k) => {
-                self.lines[base + k] = line_index + 1;
-                self.set_at(Pos::Way(base + k), state);
-            }
-            None => self.spill.push(SpillEntry {
-                line: line_index,
-                state,
-            }),
+        LlcSlice {
+            tags: CacheArray::new(geometry),
+            dir: Directory::new(geometry.sets() * geometry.ways),
         }
     }
 
-    fn remove_at(&mut self, pos: Pos) {
-        match pos {
-            Pos::Way(i) => self.lines[i] = 0,
-            Pos::Spill(i) => {
-                self.spill.swap_remove(i);
-            }
+    /// Looks a line up, updating recency (see [`CacheArray::lookup`]).
+    pub fn lookup(&mut self, addr: Addr) -> Lookup {
+        self.tags.lookup(addr)
+    }
+
+    /// Marks a present line dirty; returns whether it was present.
+    pub fn mark_dirty(&mut self, addr: Addr) -> bool {
+        self.tags.mark_dirty(addr)
+    }
+
+    /// Installs a line, clean or `dirty` (see [`CacheArray::insert`]).
+    /// The victim, if any, leaves the directory with its way, and the
+    /// line's side-list state, if any, moves into the way it fills.
+    pub fn install(&mut self, addr: Addr, dirty: bool) -> Option<Evicted> {
+        let (way, victim) = self.tags.insert_way(addr, dirty);
+        if victim.is_some() && self.dir.kind[way] != UNTRACKED {
+            self.dir.untrack(Pos::Way(way));
         }
-        self.len -= 1;
+        let line = addr.line_index();
+        if let Some(i) = self.dir.side.iter().position(|e| e.0 == line) {
+            let (_, state) = self.dir.side.swap_remove(i);
+            self.dir.set(Pos::Way(way), state);
+        }
+        debug_assert!(
+            self.side_list_not_resident(),
+            "a side-list line is resident"
+        );
+        victim
+    }
+
+    /// Installs whole runs of lines, clean and untracked, into a never-used
+    /// slice (see [`CacheArray::warm_fill`]).
+    pub fn warm_fill(&mut self, ranges: &[(u64, u64)]) {
+        assert_eq!(self.dir.len, 0, "warm_fill needs a never-used slice");
+        self.tags.warm_fill(ranges);
     }
 
     /// Current state of a line (None = uncached in all L1s).
-    pub fn state(&self, addr: crate::addr::Addr) -> Option<DirState> {
-        self.find(addr.line_index()).map(|pos| self.get_at(pos))
+    pub fn state(&self, addr: Addr) -> Option<DirState> {
+        let way = self.tags.way_of(addr);
+        self.dir
+            .find(way, addr.line_index())
+            .map(|pos| self.dir.get(pos))
+    }
+
+    /// Starts tracking an untracked line in `way`, or in the side list.
+    fn track(&mut self, way: Option<usize>, line: u64, state: DirState) {
+        self.dir.len += 1;
+        match way {
+            Some(w) => self.dir.set(Pos::Way(w), state),
+            None => {
+                self.dir.side.push((line, state));
+                debug_assert!(
+                    self.side_list_not_resident(),
+                    "a side-list line is resident"
+                );
+            }
+        }
     }
 
     /// Records `core` as a sharer (demotes Exclusive to Shared, keeping the
     /// former owner as a sharer — the FwdGetS path).
-    pub fn add_sharer(&mut self, addr: crate::addr::Addr, core: CoreId) {
-        let idx = addr.line_index();
-        match self.find(idx) {
+    pub fn add_sharer(&mut self, addr: Addr, core: CoreId) {
+        let (way, line) = (self.tags.way_of(addr), addr.line_index());
+        match self.dir.find(way, line) {
             Some(pos) => {
-                let mut sharers = match self.get_at(pos) {
+                let mut sharers = match self.dir.get(pos) {
                     DirState::Shared(s) => s,
                     DirState::Exclusive(owner) => SharerSet::single(owner),
                 };
                 sharers.insert(core);
-                self.set_at(pos, DirState::Shared(sharers));
+                self.dir.set(pos, DirState::Shared(sharers));
             }
-            None => self.insert(idx, DirState::Shared(SharerSet::single(core))),
+            None => self.track(way, line, DirState::Shared(SharerSet::single(core))),
         }
     }
 
     /// Makes `core` the exclusive owner, replacing any previous state.
-    pub fn set_exclusive(&mut self, addr: crate::addr::Addr, core: CoreId) {
-        let idx = addr.line_index();
-        match self.find(idx) {
-            Some(pos) => self.set_at(pos, DirState::Exclusive(core)),
-            None => self.insert(idx, DirState::Exclusive(core)),
+    pub fn set_exclusive(&mut self, addr: Addr, core: CoreId) {
+        let (way, line) = (self.tags.way_of(addr), addr.line_index());
+        match self.dir.find(way, line) {
+            Some(pos) => self.dir.set(pos, DirState::Exclusive(core)),
+            None => self.track(way, line, DirState::Exclusive(core)),
         }
     }
 
     /// Removes `core` from the line's sharers/ownership (writeback or
     /// invalidation), dropping the entry when no holder remains. Returns
     /// whether the core was recorded.
-    pub fn remove_core(&mut self, addr: crate::addr::Addr, core: CoreId) -> bool {
-        let idx = addr.line_index();
-        let Some(pos) = self.find(idx) else {
+    pub fn remove_core(&mut self, addr: Addr, core: CoreId) -> bool {
+        let Some(pos) = self.dir.find(self.tags.way_of(addr), addr.line_index()) else {
             return false;
         };
-        let (drop_entry, had) = match self.get_at(pos) {
+        let (drop_entry, had) = match self.dir.get(pos) {
             DirState::Exclusive(owner) => (owner == core, owner == core),
             DirState::Shared(mut s) => {
                 let had = s.contains(core);
                 s.remove(core);
-                self.set_at(pos, DirState::Shared(s));
+                self.dir.set(pos, DirState::Shared(s));
                 (s.is_empty(), had)
             }
         };
         if drop_entry {
-            self.remove_at(pos);
+            self.dir.untrack(pos);
         }
         had
     }
 
-    /// Drops all state for a line (LLC eviction).
-    pub fn drop_line(&mut self, addr: crate::addr::Addr) {
-        if let Some(pos) = self.find(addr.line_index()) {
-            self.remove_at(pos);
+    /// Drops all state for a line.
+    pub fn drop_line(&mut self, addr: Addr) {
+        if let Some(pos) = self.dir.find(self.tags.way_of(addr), addr.line_index()) {
+            self.dir.untrack(pos);
         }
     }
 
     /// Number of tracked lines.
     pub fn tracked_lines(&self) -> usize {
-        self.len
+        self.dir.len
+    }
+
+    /// Whether no side-list line is resident in the slice: the invariant
+    /// that keeps a line's state in exactly one place.
+    fn side_list_not_resident(&self) -> bool {
+        self.dir
+            .side
+            .iter()
+            .all(|&(line, _)| self.tags.way_of(Addr::from_line_index(line)).is_none())
     }
 
     #[cfg(test)]
-    pub(crate) fn spill_is_empty_for_test(&self) -> bool {
-        self.spill.is_empty()
+    pub(crate) fn side_len_for_test(&self) -> usize {
+        self.dir.side.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::Addr;
+
+    /// A slice of `sets` × `ways` 64-byte lines.
+    fn slice(sets: u64, ways: usize) -> LlcSlice {
+        LlcSlice::new(CacheGeometry {
+            capacity_bytes: sets * ways as u64 * LINE_BYTES,
+            ways,
+            line_bytes: LINE_BYTES,
+        })
+    }
+
+    /// A roomy slice with `a` resident or not: the map must answer the
+    /// same from a way and from the side list.
+    fn with_line(a: Addr, resident: bool) -> LlcSlice {
+        let mut s = slice(256, 16);
+        if resident {
+            s.install(a, false);
+        }
+        s
+    }
 
     #[test]
     fn sharer_set_basics() {
@@ -357,6 +441,11 @@ mod tests {
         assert!(!s.contains(CoreId(63)));
         let members: Vec<_> = s.iter().collect();
         assert_eq!(members, vec![CoreId(0), CoreId(127)]);
+        // Set bits only, ascending, across the word boundary.
+        let cores = [1u16, 5, 63, 64, 100, 126];
+        let s: SharerSet = cores.iter().rev().map(|&c| CoreId(c)).collect();
+        assert!(s.iter().map(|c| c.0).eq(cores));
+        assert_eq!(SharerSet::empty().iter().count(), 0);
     }
 
     #[test]
@@ -367,101 +456,134 @@ mod tests {
 
     #[test]
     fn exclusive_demotes_to_shared_on_read() {
-        let mut dir = Directory::new();
         let a = Addr(0x100);
-        dir.set_exclusive(a, CoreId(1));
-        dir.add_sharer(a, CoreId(2));
-        match dir.state(a) {
-            Some(DirState::Shared(s)) => {
-                assert!(s.contains(CoreId(1)), "old owner stays as sharer");
-                assert!(s.contains(CoreId(2)));
+        for resident in [false, true] {
+            let mut dir = with_line(a, resident);
+            dir.set_exclusive(a, CoreId(1));
+            dir.add_sharer(a, CoreId(2));
+            match dir.state(a) {
+                Some(DirState::Shared(s)) => {
+                    assert!(s.contains(CoreId(1)), "old owner stays as sharer");
+                    assert!(s.contains(CoreId(2)));
+                }
+                other => panic!("unexpected state {other:?}"),
             }
-            other => panic!("unexpected state {other:?}"),
+            assert_eq!(dir.side_len_for_test(), !resident as usize);
         }
     }
 
     #[test]
     fn remove_core_drops_empty_entries() {
-        let mut dir = Directory::new();
         let a = Addr(0x40);
-        dir.add_sharer(a, CoreId(9));
-        assert!(dir.remove_core(a, CoreId(9)));
-        assert_eq!(dir.state(a), None);
-        assert_eq!(dir.tracked_lines(), 0);
-        assert!(!dir.remove_core(a, CoreId(9)));
+        for resident in [false, true] {
+            let mut dir = with_line(a, resident);
+            dir.add_sharer(a, CoreId(9));
+            assert!(dir.remove_core(a, CoreId(9)));
+            assert_eq!(dir.state(a), None);
+            assert_eq!(dir.tracked_lines(), 0);
+            assert!(!dir.remove_core(a, CoreId(9)));
+            assert_eq!(dir.side_len_for_test(), 0);
+        }
     }
 
     #[test]
     fn remove_nonowner_is_noop() {
-        let mut dir = Directory::new();
         let a = Addr(0x40);
-        dir.set_exclusive(a, CoreId(1));
-        assert!(!dir.remove_core(a, CoreId(2)));
-        assert_eq!(dir.state(a), Some(DirState::Exclusive(CoreId(1))));
+        for resident in [false, true] {
+            let mut dir = with_line(a, resident);
+            dir.set_exclusive(a, CoreId(1));
+            assert!(!dir.remove_core(a, CoreId(2)));
+            assert_eq!(dir.state(a), Some(DirState::Exclusive(CoreId(1))));
+        }
     }
 
     #[test]
     fn drop_line_clears_state() {
-        let mut dir = Directory::new();
         let a = Addr(0x80);
-        dir.set_exclusive(a, CoreId(0));
-        dir.drop_line(a);
-        assert_eq!(dir.state(a), None);
+        for resident in [false, true] {
+            let mut dir = with_line(a, resident);
+            dir.set_exclusive(a, CoreId(0));
+            dir.drop_line(a);
+            assert_eq!(dir.state(a), None);
+            assert_eq!(dir.tracked_lines(), 0);
+        }
     }
 
     #[test]
     fn invalidate_paths_leave_lines_untracked() {
         // Every removal path — writeback of an owned line, last-sharer
-        // invalidation, and LLC eviction — must return a line to the
-        // "uncached above the LLC" state and release its slot, so
-        // population stays bounded by what the L1s actually hold.
-        let mut dir = Directory::new();
+        // invalidation, and eviction from the slice — must return a line
+        // to the "uncached above the LLC" state and release its way or
+        // side-list entry. Lines 0..32 are resident, 32..65 are not.
+        let mut dir = slice(4, 8);
+        dir.warm_fill(&[(0, 32)]);
         for i in 0..64u64 {
             dir.add_sharer(Addr(i * 64), CoreId((i % 8) as u16));
         }
         dir.set_exclusive(Addr(64 * 64), CoreId(1));
         assert_eq!(dir.tracked_lines(), 65);
+        assert_eq!(dir.side_len_for_test(), 33);
         // Owner writeback path.
         assert!(dir.remove_core(Addr(64 * 64), CoreId(1)));
         assert_eq!(dir.state(Addr(64 * 64)), None);
-        // Last-sharer invalidation path.
-        for i in 0..32u64 {
+        // Last-sharer invalidation path, from ways and from the side list.
+        for i in (0..64u64).step_by(2) {
             assert!(dir.remove_core(Addr(i * 64), CoreId((i % 8) as u16)));
         }
-        // LLC-eviction path.
-        for i in 32..64u64 {
+        assert_eq!(dir.tracked_lines(), 32);
+        // Eviction path: 32 new lines push every resident line out.
+        for i in 100..132u64 {
+            assert!(dir.install(Addr(i * 64), false).is_some());
+        }
+        assert_eq!(dir.tracked_lines(), 16, "the 16 odd side-list lines");
+        for i in (33..64u64).step_by(2) {
             dir.drop_line(Addr(i * 64));
         }
         assert_eq!(dir.tracked_lines(), 0);
+        assert_eq!(dir.side_len_for_test(), 0);
         for i in 0..=64u64 {
             assert_eq!(dir.state(Addr(i * 64)), None);
         }
-        assert!(dir.tracked_lines() <= Directory::MAX_TRACKED_LINES);
     }
 
     #[test]
     fn set_conflicts_spill_without_losing_state() {
-        // 2 sets × 1 way: four lines in the same set force three into the
-        // spill list; state and removal must behave exactly like the map.
-        let mut dir = Directory::with_geometry(2, 1, 1);
+        // 2 sets × 1 way: of four tracked lines in set 0 only the resident
+        // one lives in the way; the rest wait in the side list with their
+        // state, a fill moves one into the way and evicts the other.
+        let mut dir = slice(2, 1);
         let lines = [0u64, 2, 4, 6]; // even line indices → set 0
+        dir.install(Addr(0), false);
         for (k, &l) in lines.iter().enumerate() {
             dir.add_sharer(Addr(l * 64), CoreId(k as u16));
         }
-        assert_eq!(dir.tracked_lines(), 4);
+        assert_eq!((dir.tracked_lines(), dir.side_len_for_test()), (4, 3));
         for (k, &l) in lines.iter().enumerate() {
             match dir.state(Addr(l * 64)) {
                 Some(DirState::Shared(s)) => assert!(s.contains(CoreId(k as u16))),
                 other => panic!("unexpected {other:?}"),
             }
         }
-        // Removing a spilled entry then reusing the freed way.
-        assert!(dir.remove_core(Addr(4 * 64), CoreId(2)));
-        assert_eq!(dir.state(Addr(4 * 64)), None);
+        // Filling line 4 evicts line 0 (its state goes) and adopts line
+        // 4's side-list state.
+        assert_eq!(
+            dir.install(Addr(4 * 64), false).map(|v| v.addr),
+            Some(Addr(0))
+        );
+        assert_eq!(dir.state(Addr(0)), None);
+        assert_eq!(
+            dir.state(Addr(4 * 64)),
+            Some(DirState::Shared(SharerSet::single(CoreId(2))))
+        );
+        assert_eq!((dir.tracked_lines(), dir.side_len_for_test()), (3, 2));
+        // A line tracked after its eviction waits in the side list.
         dir.set_exclusive(Addr(8 * 64), CoreId(9));
-        assert_eq!(dir.state(Addr(8 * 64)), Some(DirState::Exclusive(CoreId(9))));
+        assert_eq!(
+            dir.state(Addr(8 * 64)),
+            Some(DirState::Exclusive(CoreId(9)))
+        );
         assert_eq!(dir.tracked_lines(), 4);
-        for &l in &[0u64, 2, 6, 8] {
+        for &l in &[2u64, 4, 6, 8] {
             dir.drop_line(Addr(l * 64));
         }
         assert_eq!(dir.tracked_lines(), 0);
@@ -469,18 +591,20 @@ mod tests {
 
     #[test]
     fn line_zero_is_a_line_not_a_free_way() {
-        // Ways store line + 1 so that zeroed storage reads as free; line
+        // Tags store line + 1 so that zeroed storage reads as free; line
         // index 0 must still be tracked, found, demoted and dropped like
-        // any other line — in a way and in the spill list.
+        // any other line — in a way and in the side list.
         let zero = Addr(0);
-        let mut dir = Directory::with_geometry(2, 1, 1);
+        let mut dir = slice(2, 1);
         assert_eq!(dir.state(zero), None, "a free way is not line 0");
+        dir.install(zero, false);
+        assert_eq!(dir.state(zero), None, "a fill tracks nothing");
         dir.set_exclusive(zero, CoreId(0));
         assert_eq!(dir.state(zero), Some(DirState::Exclusive(CoreId(0))));
         assert_eq!(dir.tracked_lines(), 1);
-        // Same set, way taken by line 0: line 2 spills; line 0 stays found.
+        // Same set, way taken by line 0: line 2 goes to the side list.
         dir.add_sharer(Addr(2 * 64), CoreId(1));
-        assert!(!dir.spill_is_empty_for_test());
+        assert_eq!(dir.side_len_for_test(), 1);
         dir.add_sharer(zero, CoreId(3));
         let both: SharerSet = [CoreId(0), CoreId(3)].into_iter().collect();
         assert_eq!(dir.state(zero), Some(DirState::Shared(both)), "demoted");
@@ -488,9 +612,11 @@ mod tests {
         assert!(dir.remove_core(zero, CoreId(3)));
         assert_eq!(dir.state(zero), None);
         assert_eq!(dir.tracked_lines(), 1);
-        // Line 4 takes the freed way, so now line 0 is the one that spills.
+        // Line 4 takes the way, so now line 0 is the one in the side list.
+        dir.install(Addr(4 * 64), false);
         dir.add_sharer(Addr(4 * 64), CoreId(2));
         dir.add_sharer(zero, CoreId(5));
+        assert_eq!(dir.side_len_for_test(), 2);
         assert_eq!(
             dir.state(zero),
             Some(DirState::Shared(SharerSet::single(CoreId(5))))
@@ -525,26 +651,46 @@ mod tests {
     }
 
     #[test]
-    fn nuca_stride_selects_slice_local_sets() {
-        // With stride 64 (a 64-tile interleave), chip lines 0 and 64 are
-        // consecutive slice-local lines and must land in different sets of
-        // a 2-set directory rather than aliasing.
-        let mut dir = Directory::with_geometry(2, 1, 64);
-        dir.add_sharer(Addr(0), CoreId(0));
-        dir.add_sharer(Addr(64 * 64), CoreId(1));
-        assert_eq!(dir.tracked_lines(), 2);
-        assert!(dir.spill_is_empty_for_test());
+    fn high_sharer_word_is_allocated_on_first_use() {
+        // Cores below 64 fit the low word; the first core ≥ 64 recorded in
+        // a way allocates the high word, which then round-trips.
+        let mut dir = slice(4, 2);
+        dir.warm_fill(&[(0, 8)]);
+        for c in 0..64 {
+            dir.add_sharer(Addr(0), CoreId(c));
+        }
+        dir.set_exclusive(Addr(64), CoreId(127));
+        assert!(dir.dir.hi.is_empty());
+        dir.add_sharer(Addr(128), CoreId(64));
+        dir.add_sharer(Addr(128), CoreId(127));
+        assert_eq!(dir.dir.hi.len(), 8);
+        let high: SharerSet = [CoreId(64), CoreId(127)].into_iter().collect();
+        assert_eq!(dir.state(Addr(128)), Some(DirState::Shared(high)));
+        assert_eq!(
+            dir.state(Addr(0)),
+            Some(DirState::Shared(SharerSet(u64::MAX as u128)))
+        );
+        assert_eq!(dir.state(Addr(64)), Some(DirState::Exclusive(CoreId(127))));
+        // A later low-word-only set in a way clears the way's high word.
+        dir.drop_line(Addr(128));
+        dir.add_sharer(Addr(128), CoreId(1));
+        assert_eq!(
+            dir.state(Addr(128)),
+            Some(DirState::Shared(SharerSet::single(CoreId(1))))
+        );
     }
 
     #[test]
     fn lines_are_independent() {
-        let mut dir = Directory::new();
-        dir.add_sharer(Addr(0x00), CoreId(1));
-        dir.add_sharer(Addr(0x40), CoreId(2));
-        assert_eq!(dir.tracked_lines(), 2);
-        match dir.state(Addr(0x00)) {
-            Some(DirState::Shared(s)) => assert!(!s.contains(CoreId(2))),
-            other => panic!("unexpected {other:?}"),
+        for resident in [false, true] {
+            let mut dir = with_line(Addr(0x00), resident);
+            dir.add_sharer(Addr(0x00), CoreId(1));
+            dir.add_sharer(Addr(0x40), CoreId(2));
+            assert_eq!(dir.tracked_lines(), 2);
+            match dir.state(Addr(0x00)) {
+                Some(DirState::Shared(s)) => assert!(!s.contains(CoreId(2))),
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 }

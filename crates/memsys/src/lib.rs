@@ -42,7 +42,7 @@ pub mod protocol;
 
 pub use addr::{Addr, AddressMap, LINE_BYTES};
 pub use cache::{CacheArray, CacheGeometry};
-pub use directory::{DirState, Directory};
+pub use directory::{DirState, LlcSlice};
 pub use l1::{L1Access, L1Cache, L1Config};
 pub use llc::{LlcConfig, LlcTile};
 pub use mem_ctrl::{MemChannelConfig, MemoryChannel};

@@ -20,10 +20,24 @@
 //! waiter a sharer. It is a timing-model simplification: every waiter
 //! gets its `Data` at once, and the writers in a mixed set are not
 //! serialised against each other or the readers.
+//!
+//! Two more simplifications make the directory track more than the L1s
+//! hold. A clean L1 victim leaves silently: the chip sends a `WriteBack`
+//! only for a dirty one, so the directory keeps the core as a sharer
+//! until an `Inv` or an eviction clears it. And an LLC eviction drops the
+//! line's directory state without invalidating the L1 copies (no
+//! back-invalidation), so an L1 can hold a line its tile no longer
+//! tracks. Directory sharers are therefore not a subset of L1 contents,
+//! and directory population is bounded by the slice's ways, not by L1
+//! capacity. What holds is inclusion the other way: every tracked line is
+//! in its way of the slice ([`LlcSlice`]) or in its short side list. A
+//! line enters the side list only when an ack collection completes after
+//! the line was evicted: the requester's state waits there for the line's
+//! next fill.
 
 use crate::addr::Addr;
-use crate::cache::{CacheArray, CacheGeometry, Lookup};
-use crate::directory::{DirState, Directory};
+use crate::cache::{CacheGeometry, Lookup};
+use crate::directory::{DirState, LlcSlice, SharerSet};
 use crate::mshr::MshrFile;
 use crate::protocol::{CoreId, Msg, MshrId, RequestKind, TxnId};
 use nocout_sim::ring::Ring;
@@ -220,8 +234,9 @@ impl LlcStats {
 #[derive(Debug)]
 pub struct LlcTile {
     cfg: LlcConfig,
-    cache: CacheArray,
-    dir: Directory,
+    /// The slice's tags with the directory state in their ways; indexed
+    /// by slice-local address.
+    slice: LlcSlice,
     banks: Vec<Cycle>,
     queue: Ring<Msg>,
     /// In-flight fetches and invalidation collections; their ids travel
@@ -254,10 +269,7 @@ impl LlcTile {
         };
         LlcTile {
             cfg,
-            cache: CacheArray::new(geometry),
-            // The directory slice mirrors the data slice's geometry, so a
-            // lookup is the same shift+mask the tag array uses.
-            dir: Directory::with_geometry(geometry.sets(), cfg.ways, cfg.tile_stride as u64),
+            slice: LlcSlice::new(geometry),
             banks: vec![Cycle::ZERO; cfg.banks],
             // Sized by the tile's in-flight bound: one queued request per
             // MSHR plus a same-cycle burst of acks/writebacks.
@@ -305,14 +317,14 @@ impl LlcTile {
     /// instruction footprint, mirroring the paper's warmed checkpoints).
     pub fn warm(&mut self, addr: Addr) {
         let slice = self.slice_addr(addr);
-        let _ = self.cache.insert(slice, false);
+        let _ = self.slice.install(slice, false);
     }
 
     /// [`LlcTile::warm`] for whole runs of this tile's lines, on a tile
     /// that has seen no access yet: each `(first, count)` names `count`
     /// lines homed here starting at chip address `first` — `tile_stride`
     /// apart on the chip, consecutive inside the slice. Runs must not
-    /// overlap (see [`CacheArray::warm_fill`]).
+    /// overlap (see [`crate::cache::CacheArray::warm_fill`]).
     pub fn warm_fill(&mut self, runs: &[(Addr, u64)]) {
         let stride = self.cfg.tile_stride as u64;
         let local: Vec<(u64, u64)> = runs
@@ -322,7 +334,7 @@ impl LlcTile {
                 (self.slice_addr(first).line_index(), count)
             })
             .collect();
-        self.cache.warm_fill(&local);
+        self.slice.warm_fill(&local);
     }
 
     /// Queues incoming work (called by the chip model on packet delivery).
@@ -499,14 +511,16 @@ impl LlcTile {
 
         // Directory first: an exclusive owner elsewhere means forwarding,
         // regardless of whether our data copy is current.
-        if let Some(DirState::Exclusive(owner)) = self.dir.state(line) {
+        let slice = self.slice_addr(line);
+        let state = self.slice.state(slice);
+        if let Some(DirState::Exclusive(owner)) = state {
             if owner != core {
                 self.stats.snoops_sent.incr();
                 self.stats.snooping_accesses.incr();
                 self.stats.hits.incr();
                 match kind {
                     RequestKind::GetS => {
-                        self.dir.add_sharer(line, core);
+                        self.slice.add_sharer(slice, core);
                         self.emit(
                             done,
                             Dest::Core(owner),
@@ -518,7 +532,7 @@ impl LlcTile {
                         );
                     }
                     RequestKind::GetX => {
-                        self.dir.set_exclusive(line, core);
+                        self.slice.set_exclusive(slice, core);
                         self.emit(
                             done,
                             Dest::Core(owner),
@@ -534,24 +548,23 @@ impl LlcTile {
             }
         }
 
-        // Invalidations needed for a write to a shared line.
-        let mut pending_acks = 0u32;
-        if kind == RequestKind::GetX {
-            if let Some(DirState::Shared(sharers)) = self.dir.state(line) {
-                // Snoops are emitted below, once the MSHR collecting their
-                // acks exists; here we only count them.
-                pending_acks = sharers.iter().filter(|&s| s != core).count() as u32;
-                self.stats.snoops_sent.add(pending_acks as u64);
-            }
+        // Invalidations needed for a write to a shared line: every sharer
+        // but the writer. They are emitted below, once the MSHR collecting
+        // their acks exists.
+        let mut inv_targets = SharerSet::empty();
+        if let (RequestKind::GetX, Some(DirState::Shared(sharers))) = (kind, state) {
+            inv_targets = sharers;
+            inv_targets.remove(core);
         }
+        let pending_acks = inv_targets.count();
+        self.stats.snoops_sent.add(pending_acks as u64);
 
-        let slice = self.slice_addr(line);
-        let hit = self.cache.lookup(slice) == Lookup::Hit;
+        let hit = self.slice.lookup(slice) == Lookup::Hit;
         if hit && pending_acks == 0 {
             self.stats.hits.incr();
             match kind {
-                RequestKind::GetS => self.dir.add_sharer(line, core),
-                RequestKind::GetX => self.dir.set_exclusive(line, core),
+                RequestKind::GetS => self.slice.add_sharer(slice, core),
+                RequestKind::GetX => self.slice.set_exclusive(slice, core),
             }
             self.emit(done, Dest::Core(core), Msg::Data { txn });
             return;
@@ -571,19 +584,16 @@ impl LlcTile {
         let mid = self.mshrs.alloc(line.line_index(), entry, (txn, core, kind));
         if pending_acks > 0 {
             self.stats.snooping_accesses.incr();
-            if let Some(DirState::Shared(sharers)) = self.dir.state(line) {
-                let targets: Vec<CoreId> = sharers.iter().filter(|&s| s != core).collect();
-                for sharer in targets {
-                    self.emit(
-                        done,
-                        Dest::Core(sharer),
-                        Msg::Inv {
-                            mshr: mid,
-                            home: self.cfg.tile_index as u16,
-                            addr: line,
-                        },
-                    );
-                }
+            for sharer in inv_targets.iter() {
+                self.emit(
+                    done,
+                    Dest::Core(sharer),
+                    Msg::Inv {
+                        mshr: mid,
+                        home: self.cfg.tile_index as u16,
+                        addr: line,
+                    },
+                );
             }
         }
         if !hit {
@@ -601,24 +611,22 @@ impl LlcTile {
 
     fn handle_writeback(&mut self, core: CoreId, addr: Addr, done: Cycle) {
         self.stats.writebacks.incr();
-        let line = addr.line();
-        self.dir.remove_core(line, core);
-        let slice = self.slice_addr(line);
-        if !self.cache.mark_dirty(slice) {
+        let slice = self.slice_addr(addr.line());
+        self.slice.remove_core(slice, core);
+        if !self.slice.mark_dirty(slice) {
             // Line was evicted from the LLC meanwhile: re-install it dirty.
             self.install(slice, true, done);
         }
     }
 
     /// Installs the slice-local line `slice`, clean or `dirty`. The
-    /// victim, if any, leaves the directory, and a dirty one is written
-    /// back to memory at `done`.
+    /// victim, if any, leaves the directory with its way, and a dirty one
+    /// is written back to memory at `done`.
     fn install(&mut self, slice: Addr, dirty: bool, done: Cycle) {
-        if let Some(victim) = self.cache.insert(slice, dirty) {
-            let victim_addr = self.chip_addr(victim.addr);
-            self.dir.drop_line(victim_addr);
+        if let Some(victim) = self.slice.install(slice, dirty) {
             if victim.dirty {
-                self.emit(done, Dest::Memory, Msg::MemWrite { addr: victim_addr });
+                let addr = self.chip_addr(victim.addr);
+                self.emit(done, Dest::Memory, Msg::MemWrite { addr });
             }
         }
     }
@@ -648,7 +656,7 @@ impl LlcTile {
         let mut waiters = std::mem::take(&mut self.waiter_scratch);
         waiters.clear();
         let (line_index, e) = self.mshrs.release(mshr, &mut waiters);
-        let addr = Addr::from_line_index(line_index);
+        let slice = self.slice_addr(Addr::from_line_index(line_index));
         if let Some(born) = e.born {
             self.stats.miss_latency.record(at - born);
         }
@@ -660,10 +668,10 @@ impl LlcTile {
         // everyone is a sharer (mixed waiter sets complete as shared; see
         // the module doc).
         if any_write && waiters.len() == 1 {
-            self.dir.set_exclusive(addr, waiters[0].1);
+            self.slice.set_exclusive(slice, waiters[0].1);
         } else {
             for &(_, core, _) in &waiters {
-                self.dir.add_sharer(addr, core);
+                self.slice.add_sharer(slice, core);
             }
         }
         self.waiter_scratch = waiters;
@@ -1178,6 +1186,99 @@ mod tests {
             seen.contains(&(Dest::Memory, Msg::MemWrite { addr: Addr(0) })),
             "re-installed line must be written back dirty: {seen:?}"
         );
+    }
+
+    #[test]
+    fn acks_completing_after_eviction_keep_the_owner_until_the_next_fill() {
+        // Tiny slice: 4 sets × 16 ways.
+        let mut tile = LlcTile::new(LlcConfig {
+            slice_bytes: 4096,
+            ..LlcConfig::tiled_slice()
+        });
+        let mut now = Cycle(0);
+        // Cores 0 and 1 share line 0; core 2's GetX hits and must collect
+        // two acks.
+        prime_line(&mut tile, &mut now, gets(1, 0, 0));
+        prime_line(&mut tile, &mut now, gets(2, 1, 0));
+        tile.submit(getx(3, 2, 0));
+        let seen = serve(&mut tile, &mut now, 50);
+        let invs: Vec<MshrId> = seen
+            .iter()
+            .filter_map(|o| match o {
+                (_, Msg::Inv { mshr, .. }) => Some(*mshr),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(invs.len(), 2, "{seen:?}");
+        // Sixteen more lines in line 0's set evict it while the acks are
+        // out, and its sharers with it.
+        for k in 1..=16u32 {
+            tile.submit(gets(100 + k, 7, k as u64 * 4096));
+            serve(&mut tile, &mut now, 50);
+        }
+        assert_eq!(tile.slice.state(Addr(0)), None);
+        for &mshr in &invs {
+            tile.submit(Msg::InvAck { mshr });
+        }
+        let seen = serve(&mut tile, &mut now, 50);
+        assert!(seen.contains(&(Dest::Core(CoreId(2)), Msg::Data { txn: TxnId(3) })));
+        assert_eq!(
+            tile.slice.side_len_for_test(),
+            1,
+            "the owner waits in the side list"
+        );
+        // A reader is forwarded to that owner, and joins it as a sharer.
+        tile.submit(gets(4, 3, 0));
+        let seen = serve(&mut tile, &mut now, 50);
+        let fwd = Msg::FwdGetS {
+            txn: TxnId(4),
+            requester: CoreId(3),
+            addr: Addr(0),
+        };
+        assert!(seen.contains(&(Dest::Core(CoreId(2)), fwd)), "{seen:?}");
+        // The next fill moves the state into the line's way: a third
+        // reader misses, then a writer invalidates all three sharers.
+        tile.submit(gets(5, 4, 0));
+        let seen = serve(&mut tile, &mut now, 50);
+        assert!(seen
+            .iter()
+            .any(|o| matches!(o, (Dest::Memory, Msg::MemRead { .. }))));
+        assert_eq!(
+            tile.slice.side_len_for_test(),
+            0,
+            "the fill adopted the state"
+        );
+        tile.submit(getx(6, 5, 0));
+        let seen = serve(&mut tile, &mut now, 50);
+        let inv_to: Vec<Dest> = seen
+            .iter()
+            .filter(|o| matches!(o, (_, Msg::Inv { .. })))
+            .map(|o| o.0)
+            .collect();
+        assert_eq!(inv_to, [2, 3, 4].map(|c| Dest::Core(CoreId(c))));
+    }
+
+    #[test]
+    fn nuca_stride_selects_slice_local_sets() {
+        // Tile 0 of 64 with 2 sets × 1 way: chip lines 0 and 64 are its
+        // consecutive slice-local lines 0 and 1, so they land in different
+        // sets rather than aliasing, and both stay resident and tracked.
+        let mut tile = LlcTile::new(
+            LlcConfig {
+                slice_bytes: 128,
+                ways: 1,
+                ..LlcConfig::tiled_slice()
+            }
+            .at_position(0, 64),
+        );
+        let mut now = Cycle(0);
+        prime_line(&mut tile, &mut now, gets(1, 0, 0));
+        prime_line(&mut tile, &mut now, gets(2, 1, 64 * 64));
+        assert_eq!(tile.slice.tracked_lines(), 2);
+        assert_eq!(tile.slice.side_len_for_test(), 0);
+        prime_line(&mut tile, &mut now, gets(3, 2, 0));
+        prime_line(&mut tile, &mut now, gets(4, 2, 64 * 64));
+        assert_eq!((tile.stats.misses.value(), tile.stats.hits.value()), (2, 2));
     }
 
     #[test]

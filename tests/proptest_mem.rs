@@ -3,7 +3,7 @@
 
 use nocout_repro::substrates::mem::addr::{Addr, AddressMap};
 use nocout_repro::substrates::mem::cache::{CacheArray, CacheGeometry, Lookup};
-use nocout_repro::substrates::mem::directory::Directory;
+use nocout_repro::substrates::mem::directory::LlcSlice;
 use nocout_repro::substrates::mem::llc::{LlcConfig, LlcTile};
 use nocout_repro::substrates::mem::protocol::CoreId;
 use nocout_repro::substrates::workloads::gen::{INSTR_BASE, LLC_DATA_BASE, SHARED_RW_BASE};
@@ -130,26 +130,42 @@ proptest! {
     }
 
     #[test]
-    fn directory_add_remove_is_balanced(ops in prop::collection::vec((0u64..32, 0u16..8, any::<bool>()), 1..200)) {
-        let mut dir = Directory::new();
+    fn directory_add_remove_is_balanced(ops in prop::collection::vec((0u8..3, 0u64..32, 0u16..8), 1..200)) {
+        // A 2-set × 2-way slice under a 32-line space: most tracked lines
+        // are not resident and live in the side list, fills move them
+        // into ways, and evictions drop the state of the lines they push
+        // out.
+        let mut dir = LlcSlice::new(CacheGeometry {
+            capacity_bytes: 256,
+            ways: 2,
+            line_bytes: 64,
+        });
         let mut model: std::collections::HashMap<u64, std::collections::HashSet<u16>> =
             std::collections::HashMap::new();
-        for (line, core, add) in &ops {
+        for (op, line, core) in &ops {
             let a = Addr::from_line_index(*line);
-            if *add {
-                dir.add_sharer(a, CoreId(*core));
-                model.entry(*line).or_default().insert(*core);
-            } else {
-                dir.remove_core(a, CoreId(*core));
-                if let Some(s) = model.get_mut(line) {
-                    s.remove(core);
-                    if s.is_empty() {
-                        model.remove(line);
+            match op {
+                0 => {
+                    dir.add_sharer(a, CoreId(*core));
+                    model.entry(*line).or_default().insert(*core);
+                }
+                1 => {
+                    dir.remove_core(a, CoreId(*core));
+                    if let Some(s) = model.get_mut(line) {
+                        s.remove(core);
+                        if s.is_empty() {
+                            model.remove(line);
+                        }
+                    }
+                }
+                _ => {
+                    if let Some(victim) = dir.install(a, false) {
+                        model.remove(&victim.addr.line_index());
                     }
                 }
             }
+            prop_assert_eq!(dir.tracked_lines(), model.len());
         }
-        prop_assert_eq!(dir.tracked_lines(), model.len());
     }
 
     #[test]

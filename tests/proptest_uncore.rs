@@ -2,8 +2,8 @@
 //! structures: the MSHR file, driven by the LLC tile's rule, against the
 //! `HashMap` it replaced, the shared calendar wheel (`EventWheel`, behind
 //! the network, the analytic fabrics and the LLC tile's output stage)
-//! against the `(due, seq)` `BinaryHeap` it replaced, the set-associative
-//! directory against a per-line `HashMap` model, and the generic `Ring`
+//! against the `(due, seq)` `BinaryHeap` it replaced, the LLC slice's
+//! folded directory against a per-line `HashMap` model, and the generic `Ring`
 //! against `VecDeque`.
 //!
 //! These are the structure-level halves of the old-vs-new proof (the
@@ -13,7 +13,8 @@
 //! same-cycle tiebreaks.
 
 use nocout_repro::substrates::mem::addr::Addr;
-use nocout_repro::substrates::mem::directory::{DirState, Directory, SharerSet};
+use nocout_repro::substrates::mem::cache::CacheGeometry;
+use nocout_repro::substrates::mem::directory::{DirState, LlcSlice, SharerSet};
 use nocout_repro::substrates::mem::llc::LlcWaiter;
 use nocout_repro::substrates::mem::mshr::MshrFile;
 use nocout_repro::substrates::mem::protocol::{CoreId, MshrId, RequestKind, TxnId};
@@ -177,17 +178,23 @@ proptest! {
 
     #[test]
     fn set_associative_directory_matches_hashmap_model(
-        ops in prop::collection::vec((0u8..4, 0u64..24, 0u16..6), 1..300)
+        ops in prop::collection::vec((0u8..5, 0u64..24, 0u16..6), 1..300)
     ) {
-        // Tiny geometry (4 sets × 2 ways) against a 24-line space forces
-        // constant set-conflict spills, the path a full-size directory
-        // takes rarely.
-        let mut dir = Directory::with_geometry(4, 2, 1);
+        // A tiny slice (4 sets × 2 ways) under a 24-line space keeps most
+        // tracked lines out of the slice, in the side list, the path a
+        // full-size slice takes rarely; fills move side-list state into
+        // ways and evict lines with theirs.
+        let mut dir = LlcSlice::new(CacheGeometry {
+            capacity_bytes: 512,
+            ways: 2,
+            line_bytes: 64,
+        });
         let mut model: HashMap<u64, DirState> = HashMap::new();
         // Every case opens on line 0 (stored as tag 1: zero is a free
-        // way) in a set then over-subscribed, so the random ops always
-        // start from a populated spill list.
-        let opening = [(0, 0, 0), (1, 4, 1), (0, 8, 2), (0, 12, 3)];
+        // way) resident and tracked, with three more lines of its set
+        // tracked, so the random ops always start from a populated side
+        // list.
+        let opening = [(4, 0, 0), (0, 0, 0), (1, 4, 1), (0, 8, 2), (0, 12, 3)];
         for &(kind, line, core) in opening.iter().chain(&ops) {
             let addr = Addr(line * 64);
             let core = CoreId(core);
@@ -234,9 +241,14 @@ proptest! {
                     };
                     prop_assert_eq!(dir.remove_core(addr, core), model_had);
                 }
-                _ => {
+                3 => {
                     dir.drop_line(addr);
                     model.remove(&line);
+                }
+                _ => {
+                    if let Some(victim) = dir.install(addr, false) {
+                        model.remove(&victim.addr.line_index());
+                    }
                 }
             }
             // Invariants after every op.
