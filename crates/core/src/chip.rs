@@ -81,54 +81,56 @@ struct TermInfo {
     mem: Option<usize>,
 }
 
-/// Membership bitmap (plus population count) of components with pending
-/// work. The chip's per-cycle scans visit only members, in index order —
+/// Membership bitmap of components with pending work. The chip's per-cycle scans visit only members, in index order —
 /// on a 64-tile chip most LLC tiles and memory channels are idle most
 /// cycles, so calling into all of them was the dominant cost of the
 /// tile/channel steps (mirroring what `Fabric::take_ready_terminal`
-/// already does for delivery). A bitmap beats a sorted worklist here:
-/// membership updates are branch-cheap, iteration order matches the
-/// full-scan reference by construction, and when nothing is active the
-/// whole step is one counter test.
+/// already does for delivery). Members are bits of `u64` words, walked
+/// with `trailing_zeros`: membership updates are branch-free, iteration
+/// order matches the full-scan reference by construction, and when
+/// nothing is active a step reads one word per 64 components.
 #[derive(Debug, Default)]
 struct ActiveSet {
-    member: Vec<bool>,
-    count: usize,
+    words: Vec<u64>,
 }
 
 impl ActiveSet {
     fn with_len(n: usize) -> Self {
         ActiveSet {
-            member: vec![false; n],
-            count: 0,
+            words: vec![0; n.div_ceil(64)],
         }
     }
 
     #[inline]
     fn insert(&mut self, i: usize) {
-        if !self.member[i] {
-            self.member[i] = true;
-            self.count += 1;
-        }
+        self.words[i >> 6] |= 1 << (i & 63);
     }
 
     /// Records the component's post-tick state.
     #[inline]
     fn set(&mut self, i: usize, active: bool) {
-        if self.member[i] != active {
-            self.member[i] = active;
-            if active {
-                self.count += 1;
-            } else {
-                self.count -= 1;
-            }
-        }
+        let (word, bit) = (&mut self.words[i >> 6], 1u64 << (i & 63));
+        *word = *word & !bit | if active { bit } else { 0 };
     }
 
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.count == 0
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        bits_of(&self.words)
     }
+}
+
+/// The set bits of a bitmap, ascending.
+fn bits_of(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = (wi << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
 }
 
 /// `SleepSet::wake_at` of a core that is ticked every cycle.
@@ -136,8 +138,8 @@ const AWAKE: u64 = 0;
 /// `SleepSet::wake_at` of a core asleep with no timer: only a fill wakes it.
 const UNTIL_FILL: u64 = u64::MAX;
 
-/// Which active cores are asleep, as dense per-slot arrays the core loop
-/// reads instead of touching the `Core` structs.
+/// Which active cores are asleep, as dense per-slot arrays and slot
+/// bitmaps the core loop reads instead of touching the `Core` structs.
 ///
 /// A core goes to sleep after a real tick that left it in a non-`Busy`
 /// [`CoreIdle`] state — its coming ticks are all alike: counter bumps
@@ -148,11 +150,25 @@ const UNTIL_FILL: u64 = u64::MAX;
 /// `Core::fast_forward` at the wake (before the fill mutates the core)
 /// or at a sync point; which kind they were is the core's to know, so
 /// the set keeps no note of it.
+///
+/// The core loop walks the `awake` bitmap, in ascending slot order, and
+/// looks at the timers only in a cycle that `next_timer` says one is
+/// due: then it wakes every `timed` slot whose timer has come and
+/// recomputes `next_timer` from the rest.
 #[derive(Debug)]
 struct SleepSet {
     /// Per activation slot: the first cycle the core must really be
     /// ticked again ([`AWAKE`], a timer, or [`UNTIL_FILL`]).
     wake_at: Vec<u64>,
+    /// Bit per slot: the core is awake (`wake_at` is [`AWAKE`]).
+    awake: Vec<u64>,
+    /// Bit per slot: the core sleeps on a timer (`wake_at` is neither
+    /// [`AWAKE`] nor [`UNTIL_FILL`]).
+    timed: Vec<u64>,
+    /// A lower bound on the `timed` slots' timers ([`UNTIL_FILL`] when
+    /// none is timed): exact after the core loop's timer pass, lowered by
+    /// every timed sleep, left as it is by a wake.
+    next_timer: u64,
     /// Per activation slot, meaningful while asleep: the first cycle
     /// whose tick the core's counters do not include yet.
     since: Vec<u64>,
@@ -169,12 +185,49 @@ impl SleepSet {
         for (slot, (c, _)) in active.iter().enumerate() {
             slot_of[*c] = slot as u32;
         }
+        let words = active.len().div_ceil(64);
+        let mut awake = vec![0u64; words];
+        for slot in 0..active.len() {
+            awake[slot >> 6] |= 1 << (slot & 63);
+        }
         SleepSet {
             wake_at: vec![AWAKE; active.len()],
+            awake,
+            timed: vec![0; words],
+            next_timer: UNTIL_FILL,
             since: vec![0; active.len()],
             slot_of,
             asleep: 0,
         }
+    }
+
+    /// Puts `slot` to sleep until `wake_at` (a timer, or [`UNTIL_FILL`]).
+    #[inline]
+    fn sleep(&mut self, slot: usize, wake_at: u64, since: u64) {
+        let (w, bit) = (slot >> 6, 1u64 << (slot & 63));
+        self.awake[w] &= !bit;
+        if wake_at != UNTIL_FILL {
+            self.timed[w] |= bit;
+            self.next_timer = self.next_timer.min(wake_at);
+        }
+        self.wake_at[slot] = wake_at;
+        self.since[slot] = since;
+        self.asleep += 1;
+    }
+
+    /// Returns a sleeping `slot` to the core loop.
+    #[inline]
+    fn wake(&mut self, slot: usize) {
+        let (w, bit) = (slot >> 6, 1u64 << (slot & 63));
+        self.awake[w] |= bit;
+        self.timed[w] &= !bit;
+        self.wake_at[slot] = AWAKE;
+        self.asleep -= 1;
+    }
+
+    /// The earliest timer of a timed sleeper, if any.
+    fn earliest_timer(&self) -> Option<u64> {
+        bits_of(&self.timed).map(|slot| self.wake_at[slot]).min()
     }
 }
 
@@ -648,66 +701,22 @@ impl ScaleOutChip {
             }
         }
 
-        // 1. Cores execute and emit miss requests.
+        // 1. Cores execute and emit miss requests: the awake slots, in
+        // ascending order, after the sleepers whose timer has come join
+        // them (the reference pass woke every sleeper above). Waking a
+        // core settles only that core, so waking them all first is the
+        // same as waking each at its turn.
+        if now.raw() >= self.sleep.next_timer {
+            self.wake_due_timers(now.raw());
+        }
         let mut injections = std::mem::take(&mut self.inject_buf);
-        for ai in 0..self.active.len() {
-            // The reference pass woke every sleeper above, so this test
-            // never skips a core there.
-            let wake = self.sleep.wake_at[ai];
-            if wake > now.raw() {
-                continue;
-            }
-            if wake != AWAKE {
-                self.wake_slot(ai, now.raw());
-            }
-            let (c, source) = {
-                let entry = &mut self.active[ai];
-                (entry.0, &mut entry.1)
-            };
-            // Open-loop arrivals land on their schedule regardless of
-            // core progress. Only a core about to consume instructions
-            // needs them delivered: a sleeper's gap is caught up in this
-            // one call at its wake. Gated so closed-loop runs keep the
-            // core loop as-is.
-            if self.open_loop {
-                if let CoreSource::OpenLoop(o) = source {
-                    o.advance_to(now.raw());
-                }
-            }
-            self.req_buf.clear();
-            self.core_ticks += 1;
-            if full_scan {
-                self.cores[c].tick_reference(now, source, &mut self.req_buf);
-            } else {
-                self.cores[c].tick(now, source, &mut self.req_buf);
-                // Sleep when the next tick (at `now + 1`) is provably one
-                // `fast_forward` can stand in for; a wake cycle of
-                // `now + 1` is no sleep. A spinner's timer is the arrival
-                // cycle: that tick is a real one and serves the request.
-                let wake_at = match self.cores[c].idle_state(now, source) {
-                    CoreIdle::Busy => AWAKE,
-                    CoreIdle::Stalled => UNTIL_FILL,
-                    CoreIdle::StalledUntil(at) | CoreIdle::SpinningUntil(at) => at.raw(),
-                };
-                if wake_at > now.raw() + 1 {
-                    self.sleep.wake_at[ai] = wake_at;
-                    self.sleep.since[ai] = now.raw() + 1;
-                    self.sleep.asleep += 1;
-                }
-            }
-            for r in self.req_buf.drain(..) {
-                let txn = TxnId(self.txns.insert((c as u16, r.line, r.kind, now)));
-                let home = self.map.home_tile(r.line);
-                injections.push((
-                    self.core_term[c],
-                    self.llc_term[home],
-                    Msg::CoreRequest {
-                        txn,
-                        core: CoreId(c as u16),
-                        addr: r.line,
-                        kind: r.kind.request(),
-                    },
-                ));
+        for wi in 0..self.sleep.awake.len() {
+            // A core that goes to sleep clears only its own bit.
+            let mut word = self.sleep.awake[wi];
+            while word != 0 {
+                let ai = (wi << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.tick_core(ai, now, full_scan, &mut injections);
             }
         }
         for (src, dst, msg) in injections.drain(..) {
@@ -715,45 +724,40 @@ impl ScaleOutChip {
         }
 
         // 2. Active LLC tiles process and emit protocol messages. The
-        // bitmap is visited in index order, so the messages injected here
+        // bitmap is walked in index order, so the messages injected here
         // appear in exactly the order the full scan would produce.
-        if full_scan || !self.active_llcs.is_empty() {
+        if full_scan {
             for i in 0..self.llcs.len() {
-                if !full_scan && !self.active_llcs.member[i] {
-                    continue;
-                }
-                self.llcs[i].tick(now);
-                while let Some((to, msg)) = self.llcs[i].pop_ready() {
-                    let dst = match (to, msg) {
-                        (Dest::Core(c), _) => self.core_term[c.index()],
-                        (Dest::Memory, Msg::MemRead { addr, .. } | Msg::MemWrite { addr }) => {
-                            self.mc_term[self.map.memory_channel(addr)]
-                        }
-                        (Dest::Memory, other) => unreachable!("{other:?} is not memory-bound"),
-                    };
-                    injections.push((self.llc_term[i], dst, msg));
-                }
-                self.active_llcs.set(i, self.llcs[i].has_pending_work());
+                self.tick_llc(i, now, &mut injections);
             }
-            for (src, dst, msg) in injections.drain(..) {
-                self.inject(src, dst, msg);
+        } else {
+            for wi in 0..self.active_llcs.words.len() {
+                // A tile's tick changes only its own membership bit.
+                let mut word = self.active_llcs.words[wi];
+                while word != 0 {
+                    let i = (wi << 6) + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    self.tick_llc(i, now, &mut injections);
+                }
             }
+        }
+        for (src, dst, msg) in injections.drain(..) {
+            self.inject(src, dst, msg);
         }
 
         // 3. Active memory channels complete reads.
-        if full_scan || !self.active_mems.is_empty() {
+        if full_scan {
             for k in 0..self.channels.len() {
-                if !full_scan && !self.active_mems.member[k] {
-                    continue;
+                self.tick_channel(k, now);
+            }
+        } else {
+            for wi in 0..self.active_mems.words.len() {
+                let mut word = self.active_mems.words[wi];
+                while word != 0 {
+                    let k = (wi << 6) + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    self.tick_channel(k, now);
                 }
-                self.channels[k].tick(now);
-                while let Some(msg) = self.channels[k].pop_ready(now) {
-                    let Msg::MemData { home, .. } = msg else {
-                        unreachable!("a memory channel returns only MemData, not {msg:?}")
-                    };
-                    self.inject(self.mc_term[k], self.llc_term[home as usize], msg);
-                }
-                self.active_mems.set(k, self.channels[k].has_pending_work());
             }
         }
 
@@ -772,6 +776,114 @@ impl ScaleOutChip {
 
         self.inject_buf = injections;
         self.now.0 += 1;
+    }
+
+    /// Wakes every timed sleeper whose timer is at or before `now`, and
+    /// makes `next_timer` the earliest timer left.
+    fn wake_due_timers(&mut self, now: u64) {
+        let mut next = UNTIL_FILL;
+        for wi in 0..self.sleep.timed.len() {
+            let mut word = self.sleep.timed[wi];
+            while word != 0 {
+                let slot = (wi << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let at = self.sleep.wake_at[slot];
+                if at <= now {
+                    self.wake_slot(slot, now);
+                } else {
+                    next = next.min(at);
+                }
+            }
+        }
+        self.sleep.next_timer = next;
+    }
+
+    /// Ticks the awake core in activation slot `ai`, staging its miss
+    /// requests in `injections`; the fast pass puts it to sleep when its
+    /// coming ticks are ones `Core::fast_forward` can stand in for.
+    fn tick_core(
+        &mut self,
+        ai: usize,
+        now: Cycle,
+        full_scan: bool,
+        injections: &mut Vec<(TerminalId, TerminalId, Msg)>,
+    ) {
+        let (c, source) = {
+            let entry = &mut self.active[ai];
+            (entry.0, &mut entry.1)
+        };
+        // Open-loop arrivals land on their schedule regardless of core
+        // progress. Only a core about to consume instructions needs them
+        // delivered: a sleeper's gap is caught up in this one call at its
+        // wake. Gated so closed-loop runs keep the core loop as-is.
+        if self.open_loop {
+            if let CoreSource::OpenLoop(o) = source {
+                o.advance_to(now.raw());
+            }
+        }
+        self.req_buf.clear();
+        self.core_ticks += 1;
+        if full_scan {
+            self.cores[c].tick_reference(now, source, &mut self.req_buf);
+        } else {
+            self.cores[c].tick(now, source, &mut self.req_buf);
+            // Sleep when the next tick (at `now + 1`) is provably one
+            // `fast_forward` can stand in for; a wake cycle of `now + 1`
+            // is no sleep. A spinner's timer is the arrival cycle: that
+            // tick is a real one and serves the request.
+            let wake_at = match self.cores[c].idle_state(now, source) {
+                CoreIdle::Busy => AWAKE,
+                CoreIdle::Stalled => UNTIL_FILL,
+                CoreIdle::StalledUntil(at) | CoreIdle::SpinningUntil(at) => at.raw(),
+            };
+            if wake_at > now.raw() + 1 {
+                self.sleep.sleep(ai, wake_at, now.raw() + 1);
+            }
+        }
+        for r in self.req_buf.drain(..) {
+            let txn = TxnId(self.txns.insert((c as u16, r.line, r.kind, now)));
+            let home = self.map.home_tile(r.line);
+            injections.push((
+                self.core_term[c],
+                self.llc_term[home],
+                Msg::CoreRequest {
+                    txn,
+                    core: CoreId(c as u16),
+                    addr: r.line,
+                    kind: r.kind.request(),
+                },
+            ));
+        }
+    }
+
+    /// Ticks LLC tile `i`, staging what it emits in `injections`, and
+    /// records whether it still has work.
+    fn tick_llc(&mut self, i: usize, now: Cycle, injections: &mut Vec<(TerminalId, TerminalId, Msg)>) {
+        self.llcs[i].tick(now);
+        while let Some((to, msg)) = self.llcs[i].pop_ready() {
+            let dst = match (to, msg) {
+                (Dest::Core(c), _) => self.core_term[c.index()],
+                (Dest::Memory, Msg::MemRead { addr, .. } | Msg::MemWrite { addr }) => {
+                    self.mc_term[self.map.memory_channel(addr)]
+                }
+                (Dest::Memory, other) => unreachable!("{other:?} is not memory-bound"),
+            };
+            injections.push((self.llc_term[i], dst, msg));
+        }
+        self.active_llcs.set(i, self.llcs[i].has_pending_work());
+    }
+
+    /// Ticks memory channel `k`, injecting the data it completes, and
+    /// records whether it still has work.
+    fn tick_channel(&mut self, k: usize, now: Cycle) {
+        self.channels[k].tick(now);
+        while let Some(msg) = self.channels[k].pop_ready(now) {
+            let Msg::MemData { home, .. } = msg else {
+                unreachable!("a memory channel returns only MemData, not {msg:?}")
+            };
+            self.inject(self.mc_term[k], self.llc_term[home as usize], msg);
+        }
+        self.active_mems.set(k, self.channels[k].has_pending_work());
     }
 
     /// Runs `cycles` ticks, fast-forwarding through stretches where every
@@ -810,33 +922,23 @@ impl ScaleOutChip {
         if self.sleep.asleep < self.active.len() {
             return None;
         }
-        // `UNTIL_FILL` is `Cycle::NEVER`, so sleepers without a timer
-        // drop out of the minimum by themselves.
-        let timers = self.sleep.wake_at.iter().copied();
-        let mut wake = Cycle(timers.min().unwrap_or(UNTIL_FILL));
-        if !self.active_llcs.is_empty() {
-            for (i, tile) in self.llcs.iter().enumerate() {
-                if !self.active_llcs.member[i] {
-                    continue;
-                }
-                // Queued inputs arbitrate for banks (and count wait
-                // cycles) every cycle; only output timers are skippable.
-                if tile.has_queued_input() {
-                    return None;
-                }
-                if let Some(at) = tile.next_output_at(self.now) {
-                    wake = wake.min(at);
-                }
+        // `UNTIL_FILL` is `Cycle::NEVER`: sleepers without a timer wake
+        // only on a fill.
+        let mut wake = Cycle(self.sleep.earliest_timer().unwrap_or(UNTIL_FILL));
+        for i in self.active_llcs.iter() {
+            let tile = &self.llcs[i];
+            // Queued inputs arbitrate for banks (and count wait cycles)
+            // every cycle; only output timers are skippable.
+            if tile.has_queued_input() {
+                return None;
+            }
+            if let Some(at) = tile.next_output_at(self.now) {
+                wake = wake.min(at);
             }
         }
-        if !self.active_mems.is_empty() {
-            for (k, ch) in self.channels.iter().enumerate() {
-                if !self.active_mems.member[k] {
-                    continue;
-                }
-                if let Some(at) = ch.next_wake() {
-                    wake = wake.min(at);
-                }
+        for k in self.active_mems.iter() {
+            if let Some(at) = self.channels[k].next_wake() {
+                wake = wake.min(at);
             }
         }
         match self.fabric.next_event() {
@@ -864,8 +966,7 @@ impl ScaleOutChip {
     /// it will be ticked again) and returns it to the core loop.
     fn wake_slot(&mut self, slot: usize, upto: u64) {
         self.settle(slot, upto);
-        self.sleep.wake_at[slot] = AWAKE;
-        self.sleep.asleep -= 1;
+        self.sleep.wake(slot);
     }
 
     /// Settles every sleeper up to the current cycle without waking it,
@@ -1112,8 +1213,9 @@ impl ScaleOutChip {
             p99_latency: net_hist.percentile(0.99),
             flit_mm: ns.flit_mm,
             buffer_writes: ns.buffer_writes.value(),
-            buffer_reads: ns.buffer_reads.value(),
-            xbar_traversals: ns.xbar_traversals.value(),
+            // Every flit hop reads one buffer and crosses one crossbar.
+            buffer_reads: ns.flit_hops.value(),
+            xbar_traversals: ns.flit_hops.value(),
             request_tail: TailSummary::of(ns.class_tail(MessageClass::Request)),
             snoop_tail: TailSummary::of(ns.class_tail(MessageClass::Snoop)),
             response_tail: TailSummary::of(ns.class_tail(MessageClass::Response)),

@@ -20,19 +20,21 @@
 //!   temp directory and the partial file, never a half-written entry.
 //! * **Verified bytes are the replayed bytes** — every byte replayed
 //!   was hashed and validated in this process, and is replayed from the
-//!   buffer that was checked. A store's first [`TraceStore::get`] of an
-//!   entry re-derives the content hash from the bytes on disk
-//!   (`TraceSet::load` reads, hashes and validates every stream, and
-//!   keeps what it read); an entry whose bytes do not match its name is
-//!   quarantined to `<entry>.bad` — exactly like
-//!   `crate::cache::ResultsCache` — and reported as a miss, so the
-//!   driver re-ships instead of replaying corrupt streams. The store
-//!   then remembers the verified set (the [`REMEMBERED_SETS`] most
-//!   recently used, by hash) and serves later `get`s from memory for as
-//!   long as the entry directory exists: a wiped or quarantined entry is
-//!   a miss and drops the remembered set. Bit rot in an installed entry
-//!   is therefore found at the next process's first `get` — or this
-//!   one's after an eviction — not at the next point's.
+//!   buffer that was checked. A set is verified once per process, by
+//!   whichever comes first: the [`TraceStore::commit`] that installs it
+//!   (which loads and hashes the unpacked archive before renaming it
+//!   into place), or the first [`TraceStore::get`] of an entry some
+//!   earlier process installed (`TraceSet::load` reads, hashes and
+//!   validates every stream, and keeps what it read). An entry whose
+//!   bytes do not match its name is quarantined to `<entry>.bad` —
+//!   exactly like `crate::cache::ResultsCache` — and reported as a
+//!   miss, so the driver re-ships instead of replaying corrupt streams.
+//!   The store remembers each verified set (the [`REMEMBERED_SETS`] most
+//!   recently used, by hash) and serves `get`s from memory for as long
+//!   as the entry directory exists: a wiped or quarantined entry is a
+//!   miss and drops the remembered set. Bit rot in an installed entry is
+//!   therefore found at the next process's first `get` — or this one's
+//!   after an eviction — not at the next point's.
 //! * **Resumable transfer** — chunks append to `<hash>.partial` with a
 //!   per-chunk fsync; a worker crash mid-transfer loses nothing already
 //!   appended, and the next offer resumes from the staged length.
@@ -178,8 +180,9 @@ pub(super) fn unpack_archive(bytes: &[u8], dest: &Path) -> io::Result<()> {
 pub struct TraceStore {
     dir: PathBuf,
     quarantined: AtomicU64,
-    /// Sets this store verified from disk, most recently used first, at
-    /// most [`REMEMBERED_SETS`]. Filled by [`TraceStore::get`] alone.
+    /// Sets this store verified, most recently used first, at most
+    /// [`REMEMBERED_SETS`]: filled by [`TraceStore::commit`] and
+    /// [`TraceStore::get`].
     remembered: Mutex<Vec<Arc<TraceSet>>>,
 }
 
@@ -266,9 +269,15 @@ impl TraceStore {
                 }
             },
         };
-        remembered.truncate(REMEMBERED_SETS - 1);
-        remembered.insert(0, set.clone());
+        Self::remember(&mut remembered, &set);
         Some(set)
+    }
+
+    /// Puts a verified `set` at the front of `remembered`, which holds no
+    /// set of its hash, evicting the least recently used past the bound.
+    fn remember(remembered: &mut Vec<Arc<TraceSet>>, set: &Arc<TraceSet>) {
+        remembered.truncate(REMEMBERED_SETS - 1);
+        remembered.insert(0, Arc::clone(set));
     }
 
     fn quarantine(&self, path: &Path) {
@@ -323,9 +332,11 @@ impl TraceStore {
     /// Completes a transfer: checks the staged length against the
     /// offered total, unpacks the archive into a temp directory, loads
     /// it and re-verifies the content hash, then renames it into place
-    /// atomically and removes the partial. On any failure the partial is
-    /// discarded so the next offer re-ships from zero rather than
-    /// resuming onto corrupt bytes.
+    /// atomically and removes the partial. The installed set is
+    /// remembered as verified, so the first [`TraceStore::get`] after a
+    /// shipment loads nothing. On any failure the partial is discarded
+    /// so the next offer re-ships from zero rather than resuming onto
+    /// corrupt bytes.
     ///
     /// # Errors
     ///
@@ -334,8 +345,17 @@ impl TraceStore {
     pub fn commit(&self, hash: u64, total_len: u64) -> io::Result<Arc<TraceSet>> {
         let partial = self.partial_path(hash);
         let result = self.commit_inner(hash, total_len, &partial);
-        if result.is_err() {
-            let _ = std::fs::remove_file(&partial);
+        match &result {
+            Ok(set) => {
+                // A `get` racing the rename may have verified the entry
+                // too: one remembered set per hash.
+                let mut remembered = self.remembered.lock().unwrap_or_else(PoisonError::into_inner);
+                remembered.retain(|s| s.content_hash() != hash);
+                Self::remember(&mut remembered, set);
+            }
+            Err(_) => {
+                let _ = std::fs::remove_file(&partial);
+            }
         }
         result
     }
@@ -449,8 +469,15 @@ mod tests {
         assert_eq!(store.held(), vec![hash]);
         assert_eq!(store.staged_len(hash), 0, "partial removed after install");
         let loaded = store.get(hash).expect("installed entry loads");
-        assert_eq!(loaded.content_hash(), hash);
-        assert_eq!(installed.files(), loaded.files());
+        assert!(
+            Arc::ptr_eq(&installed, &loaded),
+            "the commit verified the set: the first get loads nothing"
+        );
+        // The next process verifies the installed entry from disk.
+        let next = TraceStore::open(&store_dir).unwrap();
+        let reloaded = next.get(hash).expect("installed entry loads");
+        assert_eq!(reloaded.content_hash(), hash);
+        assert_eq!(installed.files(), reloaded.files());
         let _ = std::fs::remove_dir_all(&cap);
         let _ = std::fs::remove_dir_all(&store_dir);
     }
@@ -467,9 +494,11 @@ mod tests {
     }
 
     /// Installs a captured trace, lets `corrupt` edit the bytes of one
-    /// installed stream file, and checks the store's answer: `held()`
-    /// still advertises the entry (no verification on scan), but `get()`
-    /// must refuse it, quarantine it, and miss.
+    /// installed stream file, and checks the stores' answers: the store
+    /// that committed the entry verified it then and serves what it
+    /// verified; the next process to open the directory sees `held()`
+    /// still advertise the entry (no verification on scan), but its
+    /// `get()` must refuse it, quarantine it, and miss.
     fn corrupted_entry_is_quarantined(tag: &str, corrupt: impl FnOnce(&mut Vec<u8>)) {
         let (cap, set) = capture(tag);
         let store_dir = tmp(&format!("store-{tag}"));
@@ -485,11 +514,14 @@ mod tests {
         let mut bytes = std::fs::read(&stream).unwrap();
         corrupt(&mut bytes);
         std::fs::write(&stream, &bytes).unwrap();
-        assert_eq!(store.held(), vec![hash]);
-        assert!(store.get(hash).is_none());
-        assert_eq!(store.quarantined(), 1);
+        let served = store.get(hash).expect("the committed set, verified at commit");
+        assert_eq!(served.content_hash(), hash);
+        let next = TraceStore::open(&store_dir).unwrap();
+        assert_eq!(next.held(), vec![hash]);
+        assert!(next.get(hash).is_none());
+        assert_eq!(next.quarantined(), 1);
         assert!(entry.with_extension("bad").is_dir(), "bytes preserved for inspection");
-        assert!(store.held().is_empty(), "quarantined entries are no longer advertised");
+        assert!(next.held().is_empty(), "quarantined entries are no longer advertised");
         let _ = std::fs::remove_dir_all(&cap);
         let _ = std::fs::remove_dir_all(&store_dir);
     }
@@ -572,7 +604,7 @@ mod tests {
         let store = TraceStore::open(&store_dir).unwrap();
         let hash = set.content_hash();
         install(&store, &set);
-        let first = store.get(hash).expect("installed entry verifies");
+        let first = store.get(hash).expect("the commit verified the entry");
         let second = store.get(hash).expect("remembered");
         assert!(Arc::ptr_eq(&first, &second), "the second get serves the verified set itself");
 
@@ -581,12 +613,17 @@ mod tests {
         assert!(store.get(hash).is_none());
         assert_eq!(store.staged_len(hash), 0);
         assert!(store.held().is_empty());
-        // ... and a fresh shipment is verified from disk again: corrupt
-        // it after the commit and the next get must notice.
+        // ... and a fresh shipment is verified again, by its commit: rot it
+        // after the commit and this store serves the set it verified,
+        // while the next process verifies from disk and must notice.
         install(&store, &set);
         rot(&store, hash);
-        assert!(store.get(hash).is_none(), "the wipe dropped the remembered set");
-        assert_eq!(store.quarantined(), 1);
+        let shipped = store.get(hash).expect("the fresh commit's set");
+        assert!(!Arc::ptr_eq(&first, &shipped), "the wipe dropped the remembered set");
+        let next = TraceStore::open(&store_dir).unwrap();
+        assert!(next.get(hash).is_none());
+        assert_eq!(next.quarantined(), 1);
+        assert!(store.get(hash).is_none(), "a quarantined entry is gone for every store");
         install(&store, &set);
         let third = store.get(hash).expect("reinstalled entry verifies");
         assert!(!Arc::ptr_eq(&first, &third));
@@ -608,8 +645,9 @@ mod tests {
                 set.content_hash()
             })
             .collect();
-        // Verify every entry once, in order: the last get pushes the
-        // first set out.
+        // The commits remembered the last four. Get every entry once, in
+        // order: each re-verifies the one set the previous get evicted,
+        // and the last get pushes the first set out.
         let firsts: Vec<_> = hashes.iter().map(|&h| store.get(h).expect("verifies")).collect();
         // Rot the two oldest on disk. The second is still remembered and
         // served as verified; the evicted first must re-verify, and so

@@ -3,15 +3,27 @@
 //! Used for both the 32 KB L1s and the LLC slices. Only tags and metadata
 //! are modelled — the simulator never carries data values, just timing.
 //!
-//! Storage is three flat arrays indexed `set * ways + way`: `tags` (line
-//! index + 1, so `0` is an invalid way), `u32` LRU stamps and `dirty`
-//! bytes — 13 bytes a way — and a tag probe scans one dense `u64` slice.
-//! A stamp only orders the ways of one set, so when the array-wide
-//! counter would pass `u32::MAX` a cold path renumbers every set's valid
-//! ways `1..=k` in their current order and the count carries on from
-//! there: victims are the same on a run of any length.
+//! Storage is flat arrays indexed `set * ways + way`, sized to what they
+//! hold:
+//!
+//! * `tags`: the line's bits above the set index, plus one, so `0` is an
+//!   invalid way. The word is the array's type parameter ([`TagWord`]):
+//!   `u64` in the L1s, whose private regions sit 2⁴⁰ apart, and `u32` in
+//!   the LLC slices, where the tile interleave and 1 024 or 128 sets
+//!   leave at most 29 tag bits below 2⁴⁸. A line whose tag does not fit
+//!   the word is refused, never truncated.
+//! * `lru`: a one-byte recency stamp per way, drawn from a per-set clock.
+//!   A stamp only orders the ways of its own set, so when a set's clock
+//!   would pass 255 a cold path renumbers that set's valid ways `1..=k`
+//!   in their current order and the clock carries on from `k`: victims
+//!   are the same on a run of any length.
+//! * `dirty`: one bit per way.
+//!
+//! A 16-way LLC way costs 4 + 1 + ⅛ bytes plus a sixteenth of its set's
+//! clock; a 4-way L1 way 8 + 1 + ⅛ plus a quarter.
 
 use crate::addr::Addr;
+use std::fmt::Debug;
 
 /// Geometry of a cache array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +52,40 @@ impl CacheGeometry {
     }
 }
 
+/// The word a [`CacheArray`] stores a tag in: a line's bits above the set
+/// index, plus one (`0` marks an invalid way).
+pub trait TagWord: Copy + Eq + Default + Debug {
+    /// The stored form of `high`, a line's bits above the set index, or
+    /// `None` when `high + 1` does not fit the word.
+    fn encode(high: u64) -> Option<Self>;
+    /// The `high` an [`TagWord::encode`]d word was made from.
+    fn decode(self) -> u64;
+}
+
+impl TagWord for u64 {
+    #[inline]
+    fn encode(high: u64) -> Option<Self> {
+        high.checked_add(1)
+    }
+
+    #[inline]
+    fn decode(self) -> u64 {
+        self - 1
+    }
+}
+
+impl TagWord for u32 {
+    #[inline]
+    fn encode(high: u64) -> Option<Self> {
+        u32::try_from(high + 1).ok()
+    }
+
+    #[inline]
+    fn decode(self) -> u64 {
+        u64::from(self) - 1
+    }
+}
+
 /// A line evicted by an insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
@@ -58,7 +104,8 @@ pub enum Lookup {
     Miss,
 }
 
-/// A set-associative, true-LRU, write-back tag array.
+/// A set-associative, true-LRU, write-back tag array storing its tags in
+/// `T` (see the module doc).
 ///
 /// # Examples
 ///
@@ -66,27 +113,31 @@ pub enum Lookup {
 /// use nocout_mem::addr::Addr;
 /// use nocout_mem::cache::{CacheArray, CacheGeometry, Lookup};
 ///
-/// let mut c = CacheArray::new(CacheGeometry::l1_32k());
+/// let mut c: CacheArray = CacheArray::new(CacheGeometry::l1_32k());
 /// let a = Addr(0x1000);
 /// assert_eq!(c.lookup(a), Lookup::Miss);
 /// c.insert(a, false);
 /// assert_eq!(c.lookup(a), Lookup::Hit);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheArray {
+pub struct CacheArray<T: TagWord = u64> {
     geometry: CacheGeometry,
     sets: usize,
-    /// Line index + 1 per way; `0` = invalid.
-    tags: Vec<u64>,
+    /// Encoded tag per way; `T::default()` (zero) = invalid.
+    tags: Vec<T>,
     /// Last-use stamp per way; higher = more recently used. Only the
     /// order of a set's valid ways means anything (see the module doc).
-    lru: Vec<u32>,
-    dirty: Vec<u8>,
-    stamp: u32,
+    lru: Vec<u8>,
+    /// Per set: the latest stamp handed out; `0` while the set is unused.
+    clock: Vec<u8>,
+    /// One dirty bit per way, 64 ways a word.
+    dirty: Vec<u64>,
     line_shift: u32,
+    /// Log2 of the set count: a line's tag is `line >> set_shift`.
+    set_shift: u32,
 }
 
-impl CacheArray {
+impl<T: TagWord> CacheArray<T> {
     /// Creates an empty array.
     ///
     /// # Panics
@@ -98,15 +149,20 @@ impl CacheArray {
         assert!(sets > 0, "cache must have at least one set");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(geometry.line_bytes.is_power_of_two());
+        assert!(
+            geometry.ways < u8::MAX as usize,
+            "one-byte recency stamps order at most 254 ways"
+        );
         let n = sets * geometry.ways;
         CacheArray {
             geometry,
             sets,
-            tags: vec![0; n],
+            tags: vec![T::default(); n],
             lru: vec![0; n],
-            dirty: vec![0; n],
-            stamp: 0,
+            clock: vec![0; sets],
+            dirty: vec![0; n.div_ceil(64)],
             line_shift: geometry.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -120,6 +176,35 @@ impl CacheArray {
         addr.0 >> self.line_shift
     }
 
+    #[inline]
+    fn set_of(&self, line_index: u64) -> usize {
+        (line_index as usize) & (self.sets - 1)
+    }
+
+    /// The stored tag of `line_index`.
+    ///
+    /// # Panics
+    ///
+    /// When the tag does not fit `T`, naming the line's address: a
+    /// truncated tag would alias another line.
+    #[inline]
+    fn tag_of(&self, line_index: u64) -> T {
+        match T::encode(line_index >> self.set_shift) {
+            Some(tag) => tag,
+            None => self.tag_overflow(line_index),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn tag_overflow(&self, line_index: u64) -> ! {
+        panic!(
+            "line address {} has tag bits that do not fit a {}-byte tag word",
+            Addr(line_index << self.line_shift),
+            std::mem::size_of::<T>()
+        )
+    }
+
     /// Resolves a line number (address >> line shift) to the base index
     /// of its set's ways — the geometry math of a lookup, exposed so hot
     /// callers can decode a line once and reuse the result across the
@@ -127,13 +212,12 @@ impl CacheArray {
     /// [`CacheArray::lookup_at`]).
     #[inline]
     pub fn set_base_of_line(&self, line_index: u64) -> u32 {
-        (((line_index as usize) & (self.sets - 1)) * self.geometry.ways) as u32
+        (self.set_of(line_index) * self.geometry.ways) as u32
     }
 
-    /// The way holding `line_index` in the set starting at `base`.
+    /// The way holding `tag` in the set starting at `base`.
     #[inline]
-    fn find(&self, base: usize, line_index: u64) -> Option<usize> {
-        let tag = line_index + 1;
+    fn find(&self, base: usize, tag: T) -> Option<usize> {
         self.tags[base..base + self.geometry.ways]
             .iter()
             .position(|&t| t == tag)
@@ -145,48 +229,78 @@ impl CacheArray {
     #[inline]
     pub(crate) fn way_of(&self, addr: Addr) -> Option<usize> {
         let line = self.line_of(addr);
-        self.find(self.set_base_of_line(line) as usize, line)
+        self.find(self.set_base_of_line(line) as usize, self.tag_of(line))
     }
 
-    /// Advances the recency counter and returns the new stamp,
-    /// renumbering every set first when the counter is exhausted.
     #[inline]
-    fn next_stamp(&mut self) -> u32 {
-        if self.stamp == u32::MAX {
-            self.rerank();
-        }
-        self.stamp += 1;
-        self.stamp
+    fn is_dirty(&self, i: usize) -> bool {
+        self.dirty[i >> 6] >> (i & 63) & 1 != 0
     }
 
-    /// Renumbers each set's valid ways `1..=k` in their current recency
-    /// order (stamps within a set are distinct, so the order is total)
-    /// and restarts the counter at the highest number given. Victim
-    /// choice compares stamps within one set only, so it is unchanged.
+    #[inline]
+    fn set_dirty(&mut self, i: usize, dirty: bool) {
+        let (word, bit) = (&mut self.dirty[i >> 6], 1u64 << (i & 63));
+        if dirty {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// Advances `set`'s clock and returns the new stamp, renumbering the
+    /// set first when its clock is exhausted.
+    #[inline]
+    fn next_stamp(&mut self, set: usize) -> u8 {
+        if self.clock[set] == u8::MAX {
+            self.rerank(set);
+        }
+        self.clock[set] += 1;
+        self.clock[set]
+    }
+
+    /// Renumbers `set`'s valid ways `1..=k` in their current recency
+    /// order and restarts its clock at `k`. A valid way's stamps are
+    /// distinct (each is a fresh clock value), so a way's new number is
+    /// one more than the count of valid stamps below its own. Victim
+    /// choice compares stamps within the set only, so it is unchanged.
     #[cold]
     #[inline(never)]
-    fn rerank(&mut self) {
-        let ways = self.geometry.ways;
-        let mut order: Vec<usize> = Vec::with_capacity(ways);
-        for base in (0..self.tags.len()).step_by(ways) {
-            order.clear();
-            order.extend((base..base + ways).filter(|&i| self.tags[i] != 0));
-            order.sort_unstable_by_key(|&i| self.lru[i]);
-            for (rank, &i) in order.iter().enumerate() {
-                self.lru[i] = rank as u32 + 1;
-            }
+    fn rerank(&mut self, set: usize) {
+        let base = set * self.geometry.ways;
+        let ways = base..base + self.geometry.ways;
+        let mut seen = [0u64; 4];
+        let mut valid = 0u8;
+        for i in ways.clone().filter(|&i| self.tags[i] != T::default()) {
+            let s = self.lru[i] as usize;
+            seen[s >> 6] |= 1 << (s & 63);
+            valid += 1;
         }
-        self.stamp = ways as u32;
+        for i in ways.filter(|&i| self.tags[i] != T::default()) {
+            let s = self.lru[i] as usize;
+            let below = seen[..s >> 6].iter().map(|w| w.count_ones()).sum::<u32>()
+                + (seen[s >> 6] & ((1u64 << (s & 63)) - 1)).count_ones();
+            self.lru[i] = below as u8 + 1;
+        }
+        self.clock[set] = valid;
     }
 
     /// [`CacheArray::lookup`] with the geometry pre-resolved: `set_base`
     /// must be `self.set_base_of_line(line_index)`. Identical recency
-    /// behaviour (the LRU stamp advances on every lookup, hit or miss).
+    /// behaviour (the set's clock advances on every lookup, hit or miss).
     #[inline]
     pub fn lookup_at(&mut self, set_base: u32, line_index: u64) -> Lookup {
         debug_assert_eq!(set_base, self.set_base_of_line(line_index));
-        let stamp = self.next_stamp();
-        match self.find(set_base as usize, line_index) {
+        let way = self.find(set_base as usize, self.tag_of(line_index));
+        self.touch(line_index, way)
+    }
+
+    /// The recency half of a lookup whose way is already resolved: `way`
+    /// must be where `line_index` sits (`None`: absent). Advances the
+    /// line's set clock and stamps the way.
+    #[inline]
+    pub(crate) fn touch(&mut self, line_index: u64, way: Option<usize>) -> Lookup {
+        let stamp = self.next_stamp(self.set_of(line_index));
+        match way {
             Some(i) => {
                 self.lru[i] = stamp;
                 Lookup::Hit
@@ -195,13 +309,19 @@ impl CacheArray {
         }
     }
 
+    /// Marks the line in `way` dirty.
+    #[inline]
+    pub(crate) fn mark_way_dirty(&mut self, way: usize) {
+        self.set_dirty(way, true);
+    }
+
     /// [`CacheArray::mark_dirty`] with the geometry pre-resolved.
     #[inline]
     pub fn mark_dirty_at(&mut self, set_base: u32, line_index: u64) -> bool {
         debug_assert_eq!(set_base, self.set_base_of_line(line_index));
-        let hit = self.find(set_base as usize, line_index);
+        let hit = self.find(set_base as usize, self.tag_of(line_index));
         if let Some(i) = hit {
-            self.dirty[i] = 1;
+            self.set_dirty(i, true);
         }
         hit.is_some()
     }
@@ -237,30 +357,38 @@ impl CacheArray {
     /// victim's way when there is a victim.
     pub(crate) fn insert_way(&mut self, addr: Addr, dirty: bool) -> (usize, Option<Evicted>) {
         let line = self.line_of(addr);
-        let base = self.set_base_of_line(line) as usize;
-        let set = base..base + self.geometry.ways;
-        let stamp = self.next_stamp();
+        let tag = self.tag_of(line);
+        let set = self.set_of(line);
+        let base = set * self.geometry.ways;
+        let ways = base..base + self.geometry.ways;
+        let stamp = self.next_stamp(set);
         // Already present: refresh (fill on a racing request).
-        if let Some(i) = self.find(base, line) {
+        if let Some(i) = self.find(base, tag) {
             self.lru[i] = stamp;
-            self.dirty[i] |= dirty as u8;
+            if dirty {
+                self.set_dirty(i, true);
+            }
             return (i, None);
         }
         // A free way, else evict the LRU one.
-        let (i, evicted) = match self.tags[set.clone()].iter().position(|&t| t == 0) {
+        let free = self.tags[ways.clone()]
+            .iter()
+            .position(|&t| t == T::default());
+        let (i, evicted) = match free {
             Some(k) => (base + k, None),
             None => {
-                let i = set.min_by_key(|&i| self.lru[i]).expect("ways non-empty");
+                let i = ways.min_by_key(|&i| self.lru[i]).expect("ways non-empty");
+                let victim_line = self.tags[i].decode() << self.set_shift | set as u64;
                 let victim = Evicted {
-                    addr: Addr((self.tags[i] - 1) << self.line_shift),
-                    dirty: self.dirty[i] != 0,
+                    addr: Addr(victim_line << self.line_shift),
+                    dirty: self.is_dirty(i),
                 };
                 (i, Some(victim))
             }
         };
-        self.tags[i] = line + 1;
+        self.tags[i] = tag;
         self.lru[i] = stamp;
-        self.dirty[i] = dirty as u8;
+        self.set_dirty(i, dirty);
         (i, evicted)
     }
 
@@ -268,10 +396,10 @@ impl CacheArray {
     /// array: the state `insert(line, false)` for every line of each
     /// `(first_line, count)` range in turn would leave, in closed form.
     /// In an array that has seen nothing else, the k-th line a set
-    /// receives lands in way `k mod W` with the next stamp: the first `W`
-    /// fill the free ways in order, and once the set is full its least
-    /// recent way is always the one filled `W` lines earlier. Each line
-    /// costs one tag and one stamp write, with no set scan.
+    /// receives lands in way `k mod W` with the set's next stamp: the
+    /// first `W` fill the free ways in order, and once the set is full
+    /// its least recent way is always the one filled `W` lines earlier.
+    /// Each line costs one tag and one stamp write, with no set scan.
     ///
     /// # Panics
     ///
@@ -279,7 +407,10 @@ impl CacheArray {
     /// ranges share a line: either would make "way k mod W, next stamp"
     /// wrong.
     pub fn warm_fill(&mut self, ranges: &[(u64, u64)]) {
-        assert_eq!(self.stamp, 0, "warm_fill needs a never-used array");
+        assert!(
+            self.clock.iter().all(|&c| c == 0),
+            "warm_fill needs a never-used array"
+        );
         for (k, a) in ranges.iter().enumerate() {
             for b in &ranges[..k] {
                 assert!(
@@ -292,11 +423,15 @@ impl CacheArray {
         let mut filled = vec![0usize; self.sets];
         for &(first, count) in ranges {
             for line in first..first + count {
-                let set = (line as usize) & (self.sets - 1);
+                let tag = self.tag_of(line);
+                let set = self.set_of(line);
                 let i = set * ways + filled[set] % ways;
                 filled[set] += 1;
-                self.tags[i] = line + 1;
-                self.lru[i] = self.next_stamp();
+                // The stamp first: a renumbering must see the way as the
+                // insert would, before the new line lands in it.
+                let stamp = self.next_stamp(set);
+                self.tags[i] = tag;
+                self.lru[i] = stamp;
             }
         }
     }
@@ -305,9 +440,9 @@ impl CacheArray {
     pub fn invalidate(&mut self, addr: Addr) -> (bool, bool) {
         match self.way_of(addr) {
             Some(i) => {
-                let dirty = self.dirty[i] != 0;
-                self.tags[i] = 0;
-                self.dirty[i] = 0;
+                let dirty = self.is_dirty(i);
+                self.tags[i] = T::default();
+                self.set_dirty(i, false);
                 (true, dirty)
             }
             None => (false, false),
@@ -319,14 +454,14 @@ impl CacheArray {
     pub fn clean(&mut self, addr: Addr) -> bool {
         let hit = self.way_of(addr);
         if let Some(i) = hit {
-            self.dirty[i] = 0;
+            self.set_dirty(i, false);
         }
         hit.is_some()
     }
 
     /// Number of valid lines (test/diagnostic helper; O(size)).
     pub fn valid_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != 0).count()
+        self.tags.iter().filter(|&&t| t != T::default()).count()
     }
 }
 
@@ -427,19 +562,21 @@ mod tests {
     #[test]
     fn stamp_rerank_keeps_victims_across_the_wrap() {
         // One lookup/insert/invalidate script on a fresh array and on one
-        // whose counter starts `short` of exhaustion: hits, misses and
-        // victims must agree before, across and after the renumbering.
+        // whose set clocks start `short` of exhaustion: hits, misses and
+        // victims must agree before, across and after each renumbering.
+        // 3 000 operations over two sets wrap every set's clock several
+        // times in both arrays.
         let geometry = CacheGeometry {
             capacity_bytes: 512, // 2 sets × 4 ways
             ways: 4,
             line_bytes: 64,
         };
-        for short in [0, 1, 5, 30, 100] {
-            let mut fresh = CacheArray::new(geometry);
-            let mut worn = CacheArray::new(geometry);
-            worn.stamp = u32::MAX - short;
+        for short in [0u8, 1, 5, 30, 100] {
+            let mut fresh: CacheArray = CacheArray::new(geometry);
+            let mut worn: CacheArray = CacheArray::new(geometry);
+            worn.clock.fill(u8::MAX - short);
             let mut x = 12345u64;
-            for _ in 0..400 {
+            for _ in 0..3000 {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
@@ -453,16 +590,85 @@ mod tests {
                     _ => assert_eq!(fresh.invalidate(a), worn.invalidate(a)),
                 }
             }
-            assert!(worn.stamp < 400, "the counter never wrapped");
             assert_eq!(fresh.tags, worn.tags);
         }
+    }
+
+    #[test]
+    fn a_full_set_keeps_its_lru_order_across_a_renumbering() {
+        // Four ways filled, touched in a known order, then the set's clock
+        // is run up to the wrap by misses: the renumbering must keep the
+        // least recent way the victim, then the next, and so on.
+        let mut c: CacheArray = CacheArray::new(CacheGeometry {
+            capacity_bytes: 256, // 1 set × 4 ways
+            ways: 4,
+            line_bytes: 64,
+        });
+        let line = |k: u64| Addr(k * 64);
+        for k in 0..4 {
+            c.insert(line(k), false);
+        }
+        for k in [2, 0, 3, 1] {
+            assert_eq!(c.lookup(line(k)), Lookup::Hit);
+        }
+        while c.clock[0] != u8::MAX {
+            assert_eq!(c.lookup(line(99)), Lookup::Miss);
+        }
+        assert_eq!(c.lookup(line(99)), Lookup::Miss, "renumbers the set");
+        assert_eq!(c.clock[0], 5);
+        for (incoming, victim) in [(10, 2), (11, 0), (12, 3), (13, 1)] {
+            assert_eq!(c.insert(line(incoming), false).map(|e| e.addr), Some(line(victim)));
+        }
+    }
+
+    /// A `u32`-tagged array of 8 sets: a line's tag is `line >> 3`.
+    fn narrow() -> CacheArray<u32> {
+        CacheArray::new(CacheGeometry {
+            capacity_bytes: 8 * 2 * 64,
+            ways: 2,
+            line_bytes: 64,
+        })
+    }
+
+    /// The highest line of set 5 whose tag still fits a `u32`.
+    const WIDEST_FITTING_LINE: u64 = (u32::MAX as u64 - 1) << 3 | 5;
+
+    #[test]
+    fn a_u32_tag_round_trips_up_to_the_word() {
+        let mut c = narrow();
+        let widest = Addr::from_line_index(WIDEST_FITTING_LINE);
+        let low = Addr::from_line_index(5);
+        c.insert(widest, true);
+        c.insert(low, false);
+        assert_eq!(c.probe(widest), Lookup::Hit);
+        let evicted = c.insert(Addr::from_line_index(13), false);
+        assert_eq!(
+            evicted,
+            Some(Evicted {
+                addr: widest,
+                dirty: true
+            }),
+            "the victim's address is rebuilt from its tag and set"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "line address 0x1ffffffff40 has tag bits that do not fit")]
+    fn a_u32_array_refuses_a_lookup_whose_tag_does_not_fit() {
+        narrow().lookup(Addr::from_line_index(WIDEST_FITTING_LINE + 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "line address 0x1ffffffff40 has tag bits that do not fit")]
+    fn a_u32_array_refuses_an_insert_whose_tag_does_not_fit() {
+        narrow().insert(Addr::from_line_index(WIDEST_FITTING_LINE + 8), false);
     }
 
     #[test]
     fn l1_geometry() {
         let g = CacheGeometry::l1_32k();
         assert_eq!(g.sets(), 128);
-        let c = CacheArray::new(g);
+        let c: CacheArray = CacheArray::new(g);
         assert_eq!(c.geometry().ways, 4);
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! The directory slice is folded into the data slice's tag array: a
 //! line's state lives in the way that holds the line ([`LlcSlice`]), so
-//! an LLC way costs 22 bytes, 13 of tag, recency and dirty bit and 9 of
-//! directory state, with no second tag array to keep in step.
+//! an LLC way costs about 14 bytes, 5 of `u32` tag, recency byte and
+//! dirty bit and 9 of directory state, with no second tag array to keep
+//! in step.
 
 use crate::addr::{Addr, LINE_BYTES};
 use crate::cache::{CacheArray, CacheGeometry, Evicted, Lookup};
@@ -235,6 +236,14 @@ impl Directory {
 /// drops its state; [`LlcSlice::install`] moves a side-list line's state
 /// into the way it fills. Addresses are slice-local.
 ///
+/// Tags are `u32` words ([`crate::cache::TagWord`]): the slice-local
+/// line's bits above the set index, which stay below 2²⁹ for every
+/// address below 2⁴⁸ on the paper chips; a line whose tag does not fit
+/// is refused, naming its address. A caller that makes several
+/// directory and recency operations on one line resolves it once with
+/// [`LlcSlice::locate`] and passes the [`SliceLine`] to the `_at`
+/// methods, so the set is scanned once.
+///
 /// # Examples
 ///
 /// ```
@@ -253,8 +262,17 @@ impl Directory {
 /// ```
 #[derive(Debug)]
 pub struct LlcSlice {
-    tags: CacheArray,
+    tags: CacheArray<u32>,
     dir: Directory,
+}
+
+/// A slice-local line resolved against its set once: the way that holds
+/// it, if it is resident. Valid until the slice's next
+/// [`LlcSlice::install`], which may move lines between ways.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SliceLine {
+    line: u64,
+    way: Option<usize>,
 }
 
 impl LlcSlice {
@@ -270,14 +288,39 @@ impl LlcSlice {
         }
     }
 
+    /// Resolves `addr`'s line to its way, if resident: the one set scan
+    /// the `_at` methods share.
+    #[inline]
+    pub fn locate(&self, addr: Addr) -> SliceLine {
+        SliceLine {
+            line: addr.line_index(),
+            way: self.tags.way_of(addr),
+        }
+    }
+
     /// Looks a line up, updating recency (see [`CacheArray::lookup`]).
     pub fn lookup(&mut self, addr: Addr) -> Lookup {
-        self.tags.lookup(addr)
+        self.lookup_at(self.locate(addr))
+    }
+
+    /// [`LlcSlice::lookup`] of a located line.
+    #[inline]
+    pub fn lookup_at(&mut self, at: SliceLine) -> Lookup {
+        self.tags.touch(at.line, at.way)
     }
 
     /// Marks a present line dirty; returns whether it was present.
     pub fn mark_dirty(&mut self, addr: Addr) -> bool {
-        self.tags.mark_dirty(addr)
+        self.mark_dirty_at(self.locate(addr))
+    }
+
+    /// [`LlcSlice::mark_dirty`] of a located line.
+    #[inline]
+    pub fn mark_dirty_at(&mut self, at: SliceLine) -> bool {
+        if let Some(w) = at.way {
+            self.tags.mark_way_dirty(w);
+        }
+        at.way.is_some()
     }
 
     /// Installs a line, clean or `dirty` (see [`CacheArray::insert`]).
@@ -309,10 +352,13 @@ impl LlcSlice {
 
     /// Current state of a line (None = uncached in all L1s).
     pub fn state(&self, addr: Addr) -> Option<DirState> {
-        let way = self.tags.way_of(addr);
-        self.dir
-            .find(way, addr.line_index())
-            .map(|pos| self.dir.get(pos))
+        self.state_at(self.locate(addr))
+    }
+
+    /// [`LlcSlice::state`] of a located line.
+    #[inline]
+    pub fn state_at(&self, at: SliceLine) -> Option<DirState> {
+        self.dir.find(at.way, at.line).map(|pos| self.dir.get(pos))
     }
 
     /// Starts tracking an untracked line in `way`, or in the side list.
@@ -333,7 +379,12 @@ impl LlcSlice {
     /// Records `core` as a sharer (demotes Exclusive to Shared, keeping the
     /// former owner as a sharer — the FwdGetS path).
     pub fn add_sharer(&mut self, addr: Addr, core: CoreId) {
-        let (way, line) = (self.tags.way_of(addr), addr.line_index());
+        self.add_sharer_at(self.locate(addr), core);
+    }
+
+    /// [`LlcSlice::add_sharer`] of a located line.
+    pub fn add_sharer_at(&mut self, at: SliceLine, core: CoreId) {
+        let SliceLine { line, way } = at;
         match self.dir.find(way, line) {
             Some(pos) => {
                 let mut sharers = match self.dir.get(pos) {
@@ -349,7 +400,12 @@ impl LlcSlice {
 
     /// Makes `core` the exclusive owner, replacing any previous state.
     pub fn set_exclusive(&mut self, addr: Addr, core: CoreId) {
-        let (way, line) = (self.tags.way_of(addr), addr.line_index());
+        self.set_exclusive_at(self.locate(addr), core);
+    }
+
+    /// [`LlcSlice::set_exclusive`] of a located line.
+    pub fn set_exclusive_at(&mut self, at: SliceLine, core: CoreId) {
+        let SliceLine { line, way } = at;
         match self.dir.find(way, line) {
             Some(pos) => self.dir.set(pos, DirState::Exclusive(core)),
             None => self.track(way, line, DirState::Exclusive(core)),
@@ -360,7 +416,12 @@ impl LlcSlice {
     /// invalidation), dropping the entry when no holder remains. Returns
     /// whether the core was recorded.
     pub fn remove_core(&mut self, addr: Addr, core: CoreId) -> bool {
-        let Some(pos) = self.dir.find(self.tags.way_of(addr), addr.line_index()) else {
+        self.remove_core_at(self.locate(addr), core)
+    }
+
+    /// [`LlcSlice::remove_core`] of a located line.
+    pub fn remove_core_at(&mut self, at: SliceLine, core: CoreId) -> bool {
+        let Some(pos) = self.dir.find(at.way, at.line) else {
             return false;
         };
         let (drop_entry, had) = match self.dir.get(pos) {
@@ -380,7 +441,8 @@ impl LlcSlice {
 
     /// Drops all state for a line.
     pub fn drop_line(&mut self, addr: Addr) {
-        if let Some(pos) = self.dir.find(self.tags.way_of(addr), addr.line_index()) {
+        let at = self.locate(addr);
+        if let Some(pos) = self.dir.find(at.way, at.line) {
             self.dir.untrack(pos);
         }
     }

@@ -510,9 +510,11 @@ impl LlcTile {
         }
 
         // Directory first: an exclusive owner elsewhere means forwarding,
-        // regardless of whether our data copy is current.
-        let slice = self.slice_addr(line);
-        let state = self.slice.state(slice);
+        // regardless of whether our data copy is current. The line is
+        // resolved to its way once; state, recency and the directory
+        // update below all use that one set scan.
+        let at = self.slice.locate(self.slice_addr(line));
+        let state = self.slice.state_at(at);
         if let Some(DirState::Exclusive(owner)) = state {
             if owner != core {
                 self.stats.snoops_sent.incr();
@@ -520,7 +522,7 @@ impl LlcTile {
                 self.stats.hits.incr();
                 match kind {
                     RequestKind::GetS => {
-                        self.slice.add_sharer(slice, core);
+                        self.slice.add_sharer_at(at, core);
                         self.emit(
                             done,
                             Dest::Core(owner),
@@ -532,7 +534,7 @@ impl LlcTile {
                         );
                     }
                     RequestKind::GetX => {
-                        self.slice.set_exclusive(slice, core);
+                        self.slice.set_exclusive_at(at, core);
                         self.emit(
                             done,
                             Dest::Core(owner),
@@ -559,12 +561,12 @@ impl LlcTile {
         let pending_acks = inv_targets.count();
         self.stats.snoops_sent.add(pending_acks as u64);
 
-        let hit = self.slice.lookup(slice) == Lookup::Hit;
+        let hit = self.slice.lookup_at(at) == Lookup::Hit;
         if hit && pending_acks == 0 {
             self.stats.hits.incr();
             match kind {
-                RequestKind::GetS => self.slice.add_sharer(slice, core),
-                RequestKind::GetX => self.slice.set_exclusive(slice, core),
+                RequestKind::GetS => self.slice.add_sharer_at(at, core),
+                RequestKind::GetX => self.slice.set_exclusive_at(at, core),
             }
             self.emit(done, Dest::Core(core), Msg::Data { txn });
             return;
@@ -612,8 +614,9 @@ impl LlcTile {
     fn handle_writeback(&mut self, core: CoreId, addr: Addr, done: Cycle) {
         self.stats.writebacks.incr();
         let slice = self.slice_addr(addr.line());
-        self.slice.remove_core(slice, core);
-        if !self.slice.mark_dirty(slice) {
+        let at = self.slice.locate(slice);
+        self.slice.remove_core_at(at, core);
+        if !self.slice.mark_dirty_at(at) {
             // Line was evicted from the LLC meanwhile: re-install it dirty.
             self.install(slice, true, done);
         }
@@ -656,7 +659,9 @@ impl LlcTile {
         let mut waiters = std::mem::take(&mut self.waiter_scratch);
         waiters.clear();
         let (line_index, e) = self.mshrs.release(mshr, &mut waiters);
-        let slice = self.slice_addr(Addr::from_line_index(line_index));
+        let line = self
+            .slice
+            .locate(self.slice_addr(Addr::from_line_index(line_index)));
         if let Some(born) = e.born {
             self.stats.miss_latency.record(at - born);
         }
@@ -668,10 +673,10 @@ impl LlcTile {
         // everyone is a sharer (mixed waiter sets complete as shared; see
         // the module doc).
         if any_write && waiters.len() == 1 {
-            self.slice.set_exclusive(slice, waiters[0].1);
+            self.slice.set_exclusive_at(line, waiters[0].1);
         } else {
             for &(_, core, _) in &waiters {
-                self.slice.add_sharer(slice, core);
+                self.slice.add_sharer_at(line, core);
             }
         }
         self.waiter_scratch = waiters;
@@ -1344,5 +1349,17 @@ mod tests {
             matches!(o, (_, Msg::Inv { .. }))
         });
         assert!(tile.stats.snooping_accesses.value() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "line address 0x200000000000 has tag bits that do not fit a 4-byte tag word")]
+    fn a_line_whose_tag_does_not_fit_a_u32_is_refused() {
+        // Tile 0 of 64 on a tiled chip: chip line 2⁴⁵ is slice-local line
+        // 2³⁹ (slice address 2⁴⁵), whose bits above the 128-set index,
+        // 2³², do not fit a `u32` tag. The request's lookup refuses it
+        // rather than truncating the tag onto another line's.
+        let mut tile = LlcTile::new(LlcConfig::tiled_slice().at_position(0, 64));
+        tile.submit(gets(1, 0, 1 << 51));
+        tile.tick(Cycle(0));
     }
 }

@@ -23,7 +23,9 @@
 //! The per-cycle engine runs on a structure-of-arrays core: network-level
 //! contiguous arrays (`vcs`, `in_occ`, `in_credit`, `out_ports`, `route`),
 //! indexed through per-router base offsets kept in a small `RouterMeta`
-//! header. A flit-hop then touches a handful of adjacent cache lines
+//! header. Every VC ring's flits sit in one network-level pool
+//! (`flit_pool`), where each ring owns exactly its port's depth of
+//! 8-byte slots. A flit-hop then touches a handful of adjacent cache lines
 //! instead of chasing per-router heap `Vec`s. Routers with buffered flits
 //! are tracked in an `active_routers` bitmap whose ascending-bit scan
 //! reproduces the ascending-index full scan it replaced bit for bit, and
@@ -36,7 +38,9 @@
 
 use crate::flit::Flit;
 use crate::packet::{Delivery, Packet, PacketId};
-use crate::router::{arbitrate, Dest, OutPort, OutTarget, RouterConfig, VcQueue, UNROUTED};
+use crate::router::{
+    arbitrate, ArbiterKind, Dest, OutPort, OutTarget, RouterConfig, VcQueue, NO_FLIT, UNROUTED,
+};
 use crate::stats::NetStats;
 use crate::types::{MessageClass, PortIndex, RouterId, TerminalId, CLASS_COUNT};
 use nocout_sim::ring::Ring;
@@ -237,8 +241,17 @@ impl NetworkBuilder {
 
     /// Appends an output port to `router` with `credits` per VC, returning
     /// its index there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router would have more than 64 output ports (the
+    /// switch allocator's per-cycle grant word).
     fn push_out_port(&mut self, router: RouterId, target: OutTarget, credits: u8) -> PortIndex {
         let m = &mut self.rmeta[router.index()];
+        assert!(
+            m.out_count < 64,
+            "router radix exceeds the 64-bit output-grant word"
+        );
         m.out_count += 1;
         self.out_ports.push((
             router,
@@ -468,8 +481,9 @@ impl NetworkBuilder {
     }
 
     /// Finalizes the network: groups the ports per router into the
-    /// network-level contiguous arrays (see the module docs), builds every
-    /// input port's VC rings and applies the route writes.
+    /// network-level contiguous arrays (see the module docs), lays every
+    /// input port's VC rings back to back over the flit pool and applies
+    /// the route writes.
     ///
     /// Routes may still be `UNROUTED` for genuinely unreachable pairs;
     /// using such a route at runtime panics with a diagnostic.
@@ -493,8 +507,12 @@ impl NetworkBuilder {
             out_base += u32::from(m.out_count);
         }
         let mut vcs = Vec::with_capacity(in_ports.len() * CLASS_COUNT);
+        let mut slots = 0u32;
         for &(_, depth, _) in &in_ports {
-            vcs.extend((0..CLASS_COUNT).map(|_| VcQueue::new(depth)));
+            for _ in 0..CLASS_COUNT {
+                vcs.push(VcQueue::new(slots, depth));
+                slots += u32::from(depth);
+            }
         }
         let (nr, nt) = (rmeta.len(), terminals.len());
         let mut route = vec![UNROUTED; nr * nt];
@@ -508,6 +526,7 @@ impl NetworkBuilder {
         Network {
             rmeta,
             vcs,
+            flit_pool: vec![NO_FLIT; slots as usize],
             in_occ: vec![0; in_ports.len()],
             in_credit: in_ports.into_iter().map(|(.., credit)| credit).collect(),
             out_ports: out_ports.into_iter().map(|(_, o)| o).collect(),
@@ -523,8 +542,6 @@ impl NetworkBuilder {
             ready_terms: Ring::with_capacity(16),
             buffered_flits: 0,
             hop_scratch: Vec::new(),
-            candidate_scratch: Vec::new(),
-            per_out_scratch: Vec::new(),
         }
     }
 }
@@ -540,6 +557,9 @@ pub struct Network {
     /// Every VC ring in the network, laid out `[router][in port][class]`;
     /// a port's rings start at `(in_base + port) * CLASS_COUNT`.
     vcs: Vec<VcQueue>,
+    /// The rings' flit slots: ring `k` owns `vcs[k].base()..vcs[k].end()`,
+    /// and the rings tile the pool in `vcs` order.
+    flit_pool: Vec<Flit>,
     /// Per-input-port VC occupancy bytes (bit `vc` set ⇔ queue non-empty),
     /// indexed `in_base + port`.
     in_occ: Vec<u8>,
@@ -573,13 +593,9 @@ pub struct Network {
     /// Flits currently buffered in router input VCs (sum of per-router
     /// `buffered`), maintained for the drained-network fast path.
     buffered_flits: u64,
-    /// Reusable per-cycle scratch buffers (hoisted out of the hot path so
+    /// Reusable per-cycle scratch buffer (hoisted out of the hot path so
     /// steady state allocates nothing).
     hop_scratch: Vec<HopEvent>,
-    /// `(desired out port, in port, class)` triples gathered per router.
-    candidate_scratch: Vec<(PortIndex, PortIndex, MessageClass)>,
-    /// Per-out-port candidate list handed to the arbiter.
-    per_out_scratch: Vec<(PortIndex, MessageClass)>,
 }
 
 /// Read-only view of one router in the flat network core (topology
@@ -888,13 +904,18 @@ impl Network {
                 let term = &mut self.terminals[t.index()];
                 let prog = &mut term.rx_progress[flit.class.vc()];
                 debug_assert_eq!(
-                    *prog, flit.seq,
+                    *prog == 0,
+                    flit.is_head(),
                     "per-class wormhole delivery must be in order"
                 );
                 *prog += 1;
                 if flit.is_tail() {
-                    *prog = 0;
                     let packet = self.slab.take(flit.packet.0);
+                    debug_assert_eq!(
+                        *prog, packet.size_flits,
+                        "per-class wormhole delivery must be in order"
+                    );
+                    *prog = 0;
                     let latency = self.now.saturating_since(packet.injected_at);
                     self.stats
                         .record_delivery(packet.class, latency, packet.size_flits);
@@ -920,7 +941,7 @@ impl Network {
         let ri = router.index();
         let gp = self.rmeta[ri].in_base as usize + port as usize;
         let cv = flit.class.vc();
-        self.vcs[gp * CLASS_COUNT + cv].push_back(flit);
+        self.vcs[gp * CLASS_COUNT + cv].push_back(&mut self.flit_pool, flit);
         self.in_occ[gp] |= 1 << cv;
         let m = &mut self.rmeta[ri];
         m.port_occ |= 1u64 << port;
@@ -950,13 +971,13 @@ impl Network {
                 }
                 let pid = term.lanes[c].queue.get(0);
                 let packet = self.slab.get(pid.0);
-                let flit = Flit {
-                    packet: pid,
-                    seq: term.lanes[c].sent_flits,
-                    size: packet.size_flits,
-                    dst: packet.dst,
-                    class: packet.class,
-                };
+                let flit = Flit::new(
+                    pid,
+                    term.lanes[c].sent_flits,
+                    packet.size_flits,
+                    packet.dst,
+                    packet.class,
+                );
                 let router = term.attach_router;
                 let port = term.attach_port;
                 term.inject_credits[c] -= 1;
@@ -996,8 +1017,8 @@ impl Network {
         cv: usize,
     ) -> Option<(PortIndex, PortIndex, MessageClass)> {
         let vc = &self.vcs[(in_base + ipi) * CLASS_COUNT + cv];
-        let flit = *vc.front()?;
-        let desired = match vc.current_out {
+        let flit = vc.front(&self.flit_pool)?;
+        let desired = match vc.current_out() {
             Some(p) => p,
             None => {
                 debug_assert!(flit.is_head());
@@ -1021,18 +1042,20 @@ impl Network {
     }
 
     /// One pass over the occupied input VCs of router `ri`: each queue-front
-    /// flit that satisfies routing, wormhole ownership and credits becomes a
-    /// `(desired out, in port, class)` candidate. (A VC therefore offers at
-    /// most one flit per cycle — one crossbar input per input VC.)
+    /// flit that satisfies routing, wormhole ownership and credits is
+    /// handed to `visit` as a `(desired out, in port, class)` candidate. (A
+    /// VC therefore offers at most one flit per cycle — one crossbar input
+    /// per input VC.)
     ///
     /// Candidate order — ascending port, then ascending VC within a port —
     /// reproduces the plain nested scan exactly (`MessageClass::ALL` is
     /// ascending-VC order), so arbitration is bit-identical to probing
     /// every queue front.
-    fn gather_candidates(
+    #[inline]
+    fn visit_candidates(
         &self,
         ri: usize,
-        candidates: &mut Vec<(PortIndex, PortIndex, MessageClass)>,
+        mut visit: impl FnMut((PortIndex, PortIndex, MessageClass)),
     ) {
         let m = &self.rmeta[ri];
         let in_base = m.in_base as usize;
@@ -1047,7 +1070,7 @@ impl Network {
                 let cv = cm.trailing_zeros() as usize;
                 cm &= cm - 1;
                 if let Some(c) = self.candidate_at(ri, in_base, out_base, ipi, cv) {
-                    candidates.push(c);
+                    visit(c);
                 }
             }
         }
@@ -1055,7 +1078,7 @@ impl Network {
 
     /// Reference candidate gather: probe every (port, VC) queue front with
     /// no occupancy masks. The invariant checker asserts this agrees with
-    /// [`Network::gather_candidates`] on every router.
+    /// [`Network::visit_candidates`] on every router.
     fn gather_candidates_reference(
         &self,
         ri: usize,
@@ -1073,26 +1096,22 @@ impl Network {
         }
     }
 
-    /// Runs the configured arbiter for output port `out` of router `ri`
-    /// over the flat state.
-    fn arbitrate_at(
-        &mut self,
-        ri: usize,
-        out: PortIndex,
-        candidates: &[(PortIndex, MessageClass)],
-    ) -> (PortIndex, MessageClass) {
-        let m = &self.rmeta[ri];
-        let (arbiter, in_count) = (m.cfg.arbiter, m.in_count as usize);
-        let o = &mut self.out_ports[m.out_base as usize + out as usize];
-        arbitrate(arbiter, in_count, &mut o.rr_next, candidates)
-    }
-
+    /// The switch allocator, one pass per router: while the candidates are
+    /// visited, each output port keeps its best one so far, ranked the way
+    /// [`arbitrate`] ranks them (lower wins); then the ports are granted in
+    /// the order they first appeared among the candidates — the order the
+    /// reference pass grants them in, so the hop wheel sees the same
+    /// pushes. A round-robin rank is the candidate's distance past the
+    /// port's pointer, a conditional subtract where the reference takes a
+    /// `%`. Bit-identical to [`Network::switch_flits_reference`]; the
+    /// lockstep tests drive one network down each path.
     fn switch_flits(&mut self) {
         let now = self.now;
-        // Reusable scratch buffers (per-cycle allocation here used to
-        // dominate the tick's allocator traffic).
-        let mut candidates = std::mem::take(&mut self.candidate_scratch);
-        let mut per_out = std::mem::take(&mut self.per_out_scratch);
+        // Per out port: (rank, in port, VC) of the best candidate, valid
+        // where `seen` has the port's bit; and the ports in first-seen
+        // order. Set up once per cycle, reused by every router.
+        let mut best = [(0u16, 0 as PortIndex, 0u8); 64];
+        let mut order = [0 as PortIndex; 64];
         // Scan only routers holding flits, in ascending index order. The
         // word snapshot stays valid while its routers are processed: a send
         // can clear only the *current* router's bit (arrivals to other
@@ -1103,35 +1122,60 @@ impl Network {
             while word != 0 {
                 let ri = (wi << 6) + word.trailing_zeros() as usize;
                 word &= word - 1;
-                candidates.clear();
-                self.gather_candidates(ri, &mut candidates);
-                // Grant one flit per out port among its gathered
-                // candidates.
-                while let Some(&(out, _, _)) = candidates.first() {
-                    per_out.clear();
-                    candidates.retain(|&(o, p, c)| {
-                        if o == out {
-                            per_out.push((p, c));
-                            false
-                        } else {
-                            true
+                let m = &self.rmeta[ri];
+                let (arbiter, out_base) = (m.cfg.arbiter, m.out_base as usize);
+                let slots = u16::from(m.in_count) * CLASS_COUNT as u16;
+                let (mut seen, mut granted) = (0u64, 0usize);
+                let out_ports = &self.out_ports;
+                self.visit_candidates(ri, |(out, in_port, class)| {
+                    let cv = class.vc() as u8;
+                    let rank = match arbiter {
+                        ArbiterKind::RoundRobin => {
+                            let key = u16::from(in_port) * CLASS_COUNT as u16 + u16::from(cv);
+                            let rr = out_ports[out_base + out as usize].rr_next;
+                            if key >= rr {
+                                key - rr
+                            } else {
+                                key + slots - rr
+                            }
                         }
-                    });
-                    let (win_port, win_class) = self.arbitrate_at(ri, out, &per_out);
-                    self.send_flit(ri, out, win_port, win_class, now);
+                        // Higher class priority first, then the lower port.
+                        ArbiterKind::StaticPriority => {
+                            u16::from(u8::MAX - class.priority()) << 8 | u16::from(in_port)
+                        }
+                    };
+                    let bit = 1u64 << out;
+                    if seen & bit == 0 {
+                        seen |= bit;
+                        order[granted] = out;
+                        granted += 1;
+                        best[out as usize] = (rank, in_port, cv);
+                    } else if rank < best[out as usize].0 {
+                        best[out as usize] = (rank, in_port, cv);
+                    }
+                });
+                for &out in &order[..granted] {
+                    let (_, in_port, cv) = best[out as usize];
+                    if arbiter == ArbiterKind::RoundRobin {
+                        let next = u16::from(in_port) * CLASS_COUNT as u16 + u16::from(cv) + 1;
+                        let o = &mut self.out_ports[out_base + out as usize];
+                        o.rr_next = if next == slots { 0 } else { next };
+                    }
+                    let class = MessageClass::from_vc(cv as usize);
+                    self.send_flit(ri, out, in_port, class, now);
                 }
             }
         }
-        self.candidate_scratch = candidates;
-        self.per_out_scratch = per_out;
     }
 
     /// Reference switch pass (see [`Network::tick_reference`]): ascending
-    /// full scan, reference gather, general grant loop only.
+    /// full scan, reference gather, and the grant loop the fast pass
+    /// replaced — candidates grouped per output port by first appearance,
+    /// each group handed to [`arbitrate`].
     fn switch_flits_reference(&mut self) {
         let now = self.now;
-        let mut candidates = std::mem::take(&mut self.candidate_scratch);
-        let mut per_out = std::mem::take(&mut self.per_out_scratch);
+        let mut candidates = Vec::new();
+        let mut group = Vec::new();
         for ri in 0..self.rmeta.len() {
             if self.rmeta[ri].buffered == 0 {
                 continue;
@@ -1139,21 +1183,22 @@ impl Network {
             candidates.clear();
             self.gather_candidates_reference(ri, &mut candidates);
             while let Some(&(out, _, _)) = candidates.first() {
-                per_out.clear();
+                group.clear();
                 candidates.retain(|&(o, p, c)| {
                     if o == out {
-                        per_out.push((p, c));
+                        group.push((p, c));
                         false
                     } else {
                         true
                     }
                 });
-                let (win_port, win_class) = self.arbitrate_at(ri, out, &per_out);
+                let m = &self.rmeta[ri];
+                let (arbiter, in_count) = (m.cfg.arbiter, m.in_count as usize);
+                let o = &mut self.out_ports[m.out_base as usize + out as usize];
+                let (win_port, win_class) = arbitrate(arbiter, in_count, &mut o.rr_next, &group);
                 self.send_flit(ri, out, win_port, win_class, now);
             }
         }
-        self.candidate_scratch = candidates;
-        self.per_out_scratch = per_out;
     }
 
     fn send_flit(
@@ -1175,12 +1220,14 @@ impl Network {
         };
         let gp = in_base + in_port as usize;
         let vc = &mut self.vcs[gp * CLASS_COUNT + cv];
-        let flit = vc.pop_front().expect("winner queue non-empty");
+        let flit = vc
+            .pop_front(&self.flit_pool)
+            .expect("winner queue non-empty");
         if flit.is_head() {
-            vc.current_out = Some(out);
+            vc.set_current_out(Some(out));
         }
         if flit.is_tail() {
-            vc.current_out = None;
+            vc.set_current_out(None);
         }
         if vc.len() == 0 {
             let occ = &mut self.in_occ[gp];
@@ -1207,8 +1254,6 @@ impl Network {
         o.flits_sent += 1;
         let target = o.target;
         self.buffered_flits -= 1;
-        self.stats.buffer_reads.incr();
-        self.stats.xbar_traversals.incr();
         self.stats.flit_hops.incr();
         self.stats.flit_mm += target.length_mm as f64;
         // Schedule the arrival downstream and the credit return upstream.
@@ -1293,9 +1338,21 @@ impl Network {
     /// debug-assertion tick path): credit counters never exceed their
     /// maxima; the buffered-flit counters, the occupancy masks, and the
     /// active-router dirty bitmap all match what the queue contents imply;
-    /// and the masked candidate gather agrees with a first-principles probe
-    /// of every queue front.
+    /// the VC rings tile the flit pool, back to back without overlap; and
+    /// the masked candidate gather agrees with a first-principles probe of
+    /// every queue front.
     pub fn check_invariants(&self) {
+        let mut next_slot = 0u32;
+        for (k, vc) in self.vcs.iter().enumerate() {
+            assert_eq!(vc.base(), next_slot, "VC ring {k} does not start where ring {} ends", k.wrapping_sub(1));
+            assert!(vc.len() <= vc.capacity(), "VC ring {k} holds more than its depth");
+            next_slot = vc.end();
+        }
+        assert_eq!(
+            next_slot as usize,
+            self.flit_pool.len(),
+            "the VC rings do not cover the flit pool"
+        );
         let mut grand_total = 0u64;
         let mut expect_active = vec![0u64; self.active_routers.len()];
         let mut fast = Vec::new();
@@ -1342,7 +1399,7 @@ impl Network {
             }
             fast.clear();
             reference.clear();
-            self.gather_candidates(ri, &mut fast);
+            self.visit_candidates(ri, |c| fast.push(c));
             self.gather_candidates_reference(ri, &mut reference);
             assert_eq!(
                 fast, reference,
@@ -1543,7 +1600,7 @@ mod tests {
         assert_eq!(s.packets_delivered.value(), 1);
         // 1 flit crosses two out-ports (r0->r1, r1->terminal).
         assert_eq!(s.flit_hops.value(), 2);
-        assert_eq!(s.buffer_reads.value(), 2);
+        assert_eq!(s.buffer_writes.value(), 2);
         assert!(s.flit_mm > 0.0);
     }
 
@@ -1717,6 +1774,48 @@ mod tests {
                 let dest = net.out_slice(term.eject_router.index())[eject].target.dest;
                 assert_eq!(dest, Dest::Terminal(t), "{t} ejects elsewhere");
             }
+        }
+    }
+
+    /// Each VC ring owns exactly its port's depth of the flit pool: the
+    /// credits the feeding output port (or terminal) starts with. Every
+    /// ring is fed by exactly one of them, and the rings tile the pool.
+    #[test]
+    fn every_vc_ring_holds_exactly_its_ports_depth() {
+        use crate::topology::{fbfly, mesh, nocout};
+        let nocout = nocout::NocOutSpec {
+            express_links: true,
+            ..nocout::NocOutSpec::paper_64()
+        };
+        let nets = [
+            mesh::build_mesh(&mesh::MeshSpec::paper_64()).network,
+            fbfly::build_fbfly(&fbfly::FbflySpec::paper_64()).network,
+            nocout::build_nocout(&nocout).network,
+        ];
+        for net in &nets {
+            let mut fed = vec![0u32; net.vcs.len()];
+            let mut check = |router: RouterId, port: PortIndex, depth: [u8; CLASS_COUNT]| {
+                let gp = net.rmeta[router.index()].in_base as usize + port as usize;
+                for (cv, &d) in depth.iter().enumerate() {
+                    let k = gp * CLASS_COUNT + cv;
+                    assert_eq!(net.vcs[k].capacity(), d as usize, "{router} port {port} VC {cv}");
+                    fed[k] += 1;
+                }
+            };
+            for ri in 0..net.num_routers() {
+                for o in net.out_slice(ri) {
+                    if let Dest::Port { router, port } = o.target.dest {
+                        check(router, port, o.max_credits);
+                    }
+                }
+            }
+            for term in &net.terminals {
+                check(term.attach_router, term.attach_port, term.inject_credits);
+            }
+            assert!(fed.iter().all(|&n| n == 1), "a ring with no feeder or two");
+            let depth: usize = net.vcs.iter().map(|vc| vc.capacity()).sum();
+            assert_eq!(depth, net.flit_pool.len());
+            net.check_invariants();
         }
     }
 

@@ -98,62 +98,75 @@ pub(crate) struct OutTarget {
     pub(crate) length_mm: f32,
 }
 
-/// Upper bound on the configurable VC buffer depth. The deepest ring
-/// any in-tree topology builds is 13 flits — the flattened butterfly
-/// sizes depth per link as `credit_round_trip_depth` (pipeline 3 +
-/// 2×link 4 + 2) on its longest 7-tile-span links. The cap exists so
-/// the ring can keep its storage inline (below) rather than behind a
-/// heap pointer; it is kept as tight as that bound allows because every
-/// input port carries `CLASS_COUNT` rings, so slack here is multiplied
-/// across every port of every router.
-pub(crate) const MAX_VC_DEPTH: usize = 16;
-
-/// One virtual-channel FIFO at an input port: a fixed ring sized to the
-/// port's buffer depth.
+/// One virtual-channel FIFO at an input port: a ring over exactly the
+/// port's buffer depth of slots in the network's flit pool.
 ///
 /// Credit-based flow control bounds occupancy — a sender only transmits
 /// while it holds a credit, and credits mirror the downstream slots — so
 /// the ring never grows and a push past `cap` is a protocol violation,
 /// not a capacity policy.
 ///
-/// Storage is an inline array, not a `Vec`: the switch allocator probes
-/// queue fronts on every cycle, and keeping the flits on the same cache
-/// lines as the ring indices saves a dereference per probe.
+/// The ring is an 8-byte header; its flits live in one network-level
+/// pool (`Vec<Flit>`), where the rings lie back to back in VC order, each
+/// owning `cap` slots from `base` on. Every method that touches flits
+/// takes that pool. A ring costs what its port buffers: a 5-deep mesh VC
+/// is 8 + 5 × 8 bytes.
 #[derive(Debug)]
 pub(crate) struct VcQueue {
-    buf: [Flit; MAX_VC_DEPTH],
-    cap: u16,
-    head: u16,
-    len: u16,
+    /// First pool slot of this ring.
+    base: u32,
+    cap: u8,
+    head: u8,
+    len: u8,
     /// Output port locked by the packet currently flowing through this VC
-    /// (set when its head departs, cleared when its tail departs).
-    pub(crate) current_out: Option<PortIndex>,
+    /// (set when its head departs, cleared when its tail departs);
+    /// [`NO_PORT`] while unlocked.
+    current_out: PortIndex,
 }
 
-/// Filler for unoccupied ring slots (never observable: reads are bounded
-/// by `len`).
-const NO_FLIT: Flit = Flit {
-    packet: crate::packet::PacketId(0),
-    seq: 0,
-    size: 0,
-    dst: TerminalId(0),
-    class: MessageClass::Request,
-};
+/// `VcQueue::current_out` of an unlocked VC. Never a real port: the
+/// builder caps a router at 64 output ports.
+const NO_PORT: PortIndex = PortIndex::MAX;
+
+/// Filler for unoccupied pool slots (never observable: reads are bounded
+/// by each ring's `len`).
+pub(crate) const NO_FLIT: Flit = Flit::new(
+    crate::packet::PacketId(0),
+    0,
+    1,
+    TerminalId(0),
+    MessageClass::Request,
+);
 
 impl VcQueue {
-    pub(crate) fn new(depth: u8) -> Self {
+    /// A ring of `depth` slots starting at pool slot `base`.
+    pub(crate) fn new(base: u32, depth: u8) -> Self {
         assert!(depth > 0, "VC depth must be at least one flit");
-        assert!(
-            depth as usize <= MAX_VC_DEPTH,
-            "VC depth {depth} exceeds the inline ring bound {MAX_VC_DEPTH}"
-        );
         VcQueue {
-            buf: [NO_FLIT; MAX_VC_DEPTH],
-            cap: depth as u16,
+            base,
+            cap: depth,
             head: 0,
             len: 0,
-            current_out: None,
+            current_out: NO_PORT,
         }
+    }
+
+    /// The first pool slot past this ring.
+    #[inline]
+    pub(crate) fn end(&self) -> u32 {
+        self.base + u32::from(self.cap)
+    }
+
+    /// The pool slot this ring starts at.
+    #[inline]
+    pub(crate) fn base(&self) -> u32 {
+        self.base
+    }
+
+    /// The ring's capacity in flits: its port's buffer depth.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.cap as usize
     }
 
     #[inline]
@@ -161,31 +174,42 @@ impl VcQueue {
         self.len as usize
     }
 
+    /// The output port the VC's current packet holds, if any.
     #[inline]
-    pub(crate) fn front(&self) -> Option<&Flit> {
-        (self.len > 0).then(|| &self.buf[self.head as usize])
+    pub(crate) fn current_out(&self) -> Option<PortIndex> {
+        (self.current_out != NO_PORT).then_some(self.current_out)
     }
 
     #[inline]
-    pub(crate) fn push_back(&mut self, flit: Flit) {
+    pub(crate) fn set_current_out(&mut self, port: Option<PortIndex>) {
+        self.current_out = port.unwrap_or(NO_PORT);
+    }
+
+    #[inline]
+    pub(crate) fn front(&self, pool: &[Flit]) -> Option<Flit> {
+        (self.len > 0).then(|| pool[(self.base + u32::from(self.head)) as usize])
+    }
+
+    #[inline]
+    pub(crate) fn push_back(&mut self, pool: &mut [Flit], flit: Flit) {
         assert!(
             self.len < self.cap,
             "VC buffer overflow: credit protocol violated"
         );
-        let mut tail = self.head + self.len;
-        if tail >= self.cap {
-            tail -= self.cap;
+        let mut tail = self.head as u32 + self.len as u32;
+        if tail >= self.cap as u32 {
+            tail -= self.cap as u32;
         }
-        self.buf[tail as usize] = flit;
+        pool[(self.base + tail) as usize] = flit;
         self.len += 1;
     }
 
     #[inline]
-    pub(crate) fn pop_front(&mut self) -> Option<Flit> {
+    pub(crate) fn pop_front(&mut self, pool: &[Flit]) -> Option<Flit> {
         if self.len == 0 {
             return None;
         }
-        let flit = self.buf[self.head as usize];
+        let flit = pool[(self.base + u32::from(self.head)) as usize];
         self.head += 1;
         if self.head == self.cap {
             self.head = 0;
@@ -284,47 +308,57 @@ mod tests {
         assert_eq!(first, third);
     }
 
+    fn numbered(k: u32) -> Flit {
+        Flit::new(
+            crate::packet::PacketId(k),
+            0,
+            1,
+            TerminalId(0),
+            MessageClass::Request,
+        )
+    }
+
     #[test]
     fn vc_ring_wraps_and_respects_depth() {
-        use crate::packet::PacketId;
-        let flit = |seq: u16| Flit {
-            packet: PacketId(0),
-            seq,
-            size: 100,
-            dst: TerminalId(0),
-            class: MessageClass::Request,
-        };
-        let mut vc = VcQueue::new(3);
+        // A 3-deep ring in the middle of a pool, between two neighbours
+        // that must never see its flits.
+        let mut pool = vec![NO_FLIT; 2 + 3 + 4];
+        let mut vc = VcQueue::new(2, 3);
+        assert_eq!((vc.base(), vc.end(), vc.capacity()), (2, 5, 3));
         assert_eq!(vc.len(), 0);
-        // Churn past the capacity several times to exercise wraparound.
-        for round in 0..5u16 {
+        // Churn past the capacity several times, starting the head at
+        // every slot, to exercise wraparound.
+        for round in 0..5u32 {
             for i in 0..3 {
-                vc.push_back(flit(round * 3 + i));
+                vc.push_back(&mut pool, numbered(round * 3 + i));
             }
             assert_eq!(vc.len(), 3);
-            assert_eq!(vc.front().unwrap().seq, round * 3);
-            for i in 0..3 {
-                assert_eq!(vc.pop_front().unwrap().seq, round * 3 + i);
+            assert_eq!(vc.front(&pool).unwrap().packet.0, round * 3);
+            for i in 0..2 {
+                assert_eq!(vc.pop_front(&pool).unwrap().packet.0, round * 3 + i);
             }
+            vc.push_back(&mut pool, numbered(100 + round));
+            assert_eq!(vc.pop_front(&pool).unwrap().packet.0, round * 3 + 2);
+            assert_eq!(vc.pop_front(&pool).unwrap().packet.0, 100 + round);
         }
-        assert_eq!(vc.pop_front(), None);
+        assert_eq!(vc.pop_front(&pool), None);
+        assert!(
+            pool[..2].iter().chain(&pool[5..]).all(|&f| f == NO_FLIT),
+            "the ring wrote outside its slots"
+        );
     }
 
     #[test]
     #[should_panic(expected = "credit protocol violated")]
     fn vc_ring_overflow_panics() {
-        use crate::packet::PacketId;
-        let flit = Flit {
-            packet: PacketId(0),
-            seq: 0,
-            size: 100,
-            dst: TerminalId(0),
-            class: MessageClass::Request,
-        };
-        let mut vc = VcQueue::new(2);
-        vc.push_back(flit);
-        vc.push_back(flit);
-        vc.push_back(flit);
+        // Two rings back to back: the first must refuse a third flit
+        // rather than spill into its neighbour's slots.
+        let mut pool = vec![NO_FLIT; 4];
+        let mut vc = VcQueue::new(0, 2);
+        let _next = VcQueue::new(2, 2);
+        vc.push_back(&mut pool, numbered(0));
+        vc.push_back(&mut pool, numbered(1));
+        vc.push_back(&mut pool, numbered(2));
     }
 
     #[test]

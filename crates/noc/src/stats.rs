@@ -1,8 +1,9 @@
 //! Network-level activity statistics.
 //!
 //! Everything the experiment harness and the energy model need: packet
-//! latencies per class, flit activity (buffer reads/writes, crossbar
-//! traversals, link millimetres) and queue pressure.
+//! latencies per class, flit activity (flit hops — each one buffer read
+//! and one crossbar traversal — buffer writes and link millimetres) and
+//! queue pressure.
 
 use crate::types::{MessageClass, CLASS_COUNT};
 use nocout_sim::stats::{Counter, LatencyHist, RunningStats};
@@ -24,16 +25,15 @@ pub struct NetStats {
     /// enough for p99/p999); the all-class distribution is their merge.
     pub tail_hists: [LatencyHist; CLASS_COUNT],
     /// Total flit link traversals (router-to-router and ejection links).
+    /// Every hop is also one buffer read (the flit leaves an input VC)
+    /// and one crossbar or mux traversal (it leaves through an output
+    /// port), so this one counter stands for all three.
     pub flit_hops: Counter,
     /// Total link distance travelled by flits, in flit·mm (drives link
     /// energy).
     pub flit_mm: f64,
     /// Flit buffer writes (arrival into any input VC).
     pub buffer_writes: Counter,
-    /// Flit buffer reads (departure from any input VC).
-    pub buffer_reads: Counter,
-    /// Crossbar/mux traversals (any flit leaving through an output port).
-    pub xbar_traversals: Counter,
 }
 
 impl NetStats {

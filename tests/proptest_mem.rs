@@ -2,7 +2,7 @@
 //! directory bookkeeping and address-map structure.
 
 use nocout_repro::substrates::mem::addr::{Addr, AddressMap};
-use nocout_repro::substrates::mem::cache::{CacheArray, CacheGeometry, Lookup};
+use nocout_repro::substrates::mem::cache::{CacheArray, CacheGeometry, Lookup, TagWord};
 use nocout_repro::substrates::mem::directory::LlcSlice;
 use nocout_repro::substrates::mem::llc::{LlcConfig, LlcTile};
 use nocout_repro::substrates::mem::protocol::CoreId;
@@ -10,7 +10,7 @@ use nocout_repro::substrates::workloads::gen::{INSTR_BASE, LLC_DATA_BASE, SHARED
 use nocout_repro::substrates::workloads::Workload;
 use proptest::prelude::*;
 
-fn small_cache() -> CacheArray {
+fn small_cache<T: TagWord>() -> CacheArray<T> {
     CacheArray::new(CacheGeometry {
         capacity_bytes: 2048, // 8 sets × 4 ways
         ways: 4,
@@ -18,102 +18,156 @@ fn small_cache() -> CacheArray {
     })
 }
 
+/// Runs a cache property on both tag words: the L1s' `u64` and the LLC
+/// slices' `u32` must model the same cache.
+macro_rules! on_both_tag_words {
+    ($check:ident($($arg:expr),*)) => {
+        $check::<u64>($($arg),*);
+        $check::<u32>($($arg),*);
+    };
+}
+
+fn never_exceeds_capacity<T: TagWord>(lines: &[u64]) {
+    let mut c = small_cache::<T>();
+    for l in lines {
+        let _ = c.insert(Addr::from_line_index(*l), false);
+    }
+    prop_assert!(c.valid_lines() <= 32, "capacity exceeded: {}", c.valid_lines());
+}
+
+fn inserted_is_present<T: TagWord>(lines: &[u64]) {
+    let mut c = small_cache::<T>();
+    for l in lines {
+        let a = Addr::from_line_index(*l);
+        c.insert(a, false);
+        prop_assert_eq!(c.probe(a), Lookup::Hit);
+    }
+}
+
+fn victims_were_inserted<T: TagWord>(lines: &[u64]) {
+    let mut c = small_cache::<T>();
+    let mut inserted = std::collections::HashSet::new();
+    for l in lines {
+        let a = Addr::from_line_index(*l);
+        if let Some(ev) = c.insert(a, false) {
+            prop_assert!(
+                inserted.contains(&ev.addr.line_index()),
+                "victim {} was never inserted",
+                ev.addr
+            );
+            prop_assert_ne!(ev.addr.line_index(), *l, "cannot evict the incoming line");
+        }
+        inserted.insert(*l);
+    }
+}
+
+fn mru_survives<T: TagWord>(tag: u64) {
+    let mut c = small_cache::<T>();
+    // Line indices in the same set: set = line & 7 with 8 sets.
+    let base = tag % 8;
+    let fill: Vec<u64> = (0..4u64).map(|i| base + i * 8).collect();
+    for &l in &fill {
+        c.insert(Addr::from_line_index(l), false);
+    }
+    // Touch the first line, insert a conflicting fifth: the touched line
+    // must survive.
+    let protected = Addr::from_line_index(fill[0]);
+    c.lookup(protected);
+    c.insert(Addr::from_line_index(base + 4 * 8), false);
+    prop_assert_eq!(c.probe(protected), Lookup::Hit);
+}
+
+fn dirty_is_never_lost<T: TagWord>(ops: &[(u64, bool)]) {
+    // Every line marked dirty must either still be present-dirty or have
+    // been reported as a dirty eviction.
+    let mut c = small_cache::<T>();
+    let mut dirty_out = 0usize;
+    let mut dirty_in = std::collections::HashSet::new();
+    for (l, write) in ops {
+        let a = Addr::from_line_index(*l);
+        if c.probe(a) == Lookup::Hit {
+            if *write {
+                c.mark_dirty(a);
+                dirty_in.insert(*l);
+            }
+        } else if let Some(ev) = c.insert(a, *write) {
+            if ev.dirty {
+                dirty_out += 1;
+                dirty_in.remove(&ev.addr.line_index());
+            }
+        } else if *write {
+            dirty_in.insert(*l);
+        }
+        if *write && c.probe(a) == Lookup::Hit {
+            c.mark_dirty(a);
+            dirty_in.insert(*l);
+        }
+    }
+    let mut still_dirty = 0usize;
+    for l in &dirty_in {
+        let (present, dirty) = c.invalidate(Addr::from_line_index(*l));
+        if present && dirty {
+            still_dirty += 1;
+        }
+    }
+    // All tracked dirty lines are accounted: present-dirty or evicted.
+    prop_assert!(still_dirty + dirty_out >= dirty_in.len().saturating_sub(dirty_out));
+}
+
+/// `warm_fill` against the insert loop it stands for, then both under the
+/// same traffic, answer by answer (victims included).
+fn warm_fill_is_the_insert_loop<T: TagWord>(
+    geometry: CacheGeometry,
+    ranges: &[(u64, u64)],
+    span: u64,
+    ops: &[(u8, u64, bool)],
+) {
+    let mut filled = CacheArray::<T>::new(geometry);
+    filled.warm_fill(ranges);
+    let mut looped = CacheArray::<T>::new(geometry);
+    for &(first, count) in ranges {
+        for line in first..first + count {
+            looped.insert(Addr::from_line_index(line), false);
+        }
+    }
+    prop_assert_eq!(&filled, &looped);
+    for &(kind, line, dirty) in ops {
+        let a = Addr::from_line_index(line % span);
+        match kind {
+            0 => prop_assert_eq!(filled.lookup(a), looped.lookup(a)),
+            1 => prop_assert_eq!(filled.insert(a, dirty), looped.insert(a, dirty)),
+            _ => prop_assert_eq!(filled.invalidate(a), looped.invalidate(a)),
+        }
+    }
+    prop_assert_eq!(&filled, &looped);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn cache_never_exceeds_capacity(lines in prop::collection::vec(0u64..4096, 1..300)) {
-        let mut c = small_cache();
-        for l in &lines {
-            let _ = c.insert(Addr::from_line_index(*l), false);
-        }
-        prop_assert!(c.valid_lines() <= 32, "capacity exceeded: {}", c.valid_lines());
+        on_both_tag_words!(never_exceeds_capacity(&lines));
     }
 
     #[test]
     fn inserted_line_is_immediately_present(lines in prop::collection::vec(0u64..4096, 1..100)) {
-        let mut c = small_cache();
-        for l in &lines {
-            let a = Addr::from_line_index(*l);
-            c.insert(a, false);
-            prop_assert_eq!(c.probe(a), Lookup::Hit);
-        }
+        on_both_tag_words!(inserted_is_present(&lines));
     }
 
     #[test]
     fn eviction_reports_a_previously_inserted_line(lines in prop::collection::vec(0u64..512, 1..200)) {
-        let mut c = small_cache();
-        let mut inserted = std::collections::HashSet::new();
-        for l in &lines {
-            let a = Addr::from_line_index(*l);
-            if let Some(ev) = c.insert(a, false) {
-                prop_assert!(
-                    inserted.contains(&ev.addr.line_index()),
-                    "victim {} was never inserted",
-                    ev.addr
-                );
-                prop_assert_ne!(ev.addr.line_index(), *l, "cannot evict the incoming line");
-            }
-            inserted.insert(*l);
-        }
+        on_both_tag_words!(victims_were_inserted(&lines));
     }
 
     #[test]
     fn mru_line_survives_one_insertion(tag in 0u64..64) {
-        let mut c = small_cache();
-        // Fill one set (lines with the same set index: stride 8).
-        let set_lines: Vec<u64> = (0..4).map(|i| tag + i * 8 * 64).collect();
-        // Use line indices in the same set: set = line & 7 with 8 sets.
-        let base = tag % 8;
-        let fill: Vec<u64> = (0..4u64).map(|i| base + i * 8).collect();
-        for &l in &fill {
-            c.insert(Addr::from_line_index(l), false);
-        }
-        let _ = set_lines;
-        // Touch the first line, insert a conflicting fifth: the touched
-        // line must survive.
-        let protected = Addr::from_line_index(fill[0]);
-        c.lookup(protected);
-        c.insert(Addr::from_line_index(base + 4 * 8), false);
-        prop_assert_eq!(c.probe(protected), Lookup::Hit);
+        on_both_tag_words!(mru_survives(tag));
     }
 
     #[test]
     fn dirty_data_is_never_silently_lost(ops in prop::collection::vec((0u64..64, any::<bool>()), 1..200)) {
-        // Every line marked dirty must either still be present-dirty or
-        // have been reported as a dirty eviction.
-        let mut c = small_cache();
-        let mut dirty_out = 0usize;
-        let mut dirty_in = std::collections::HashSet::new();
-        for (l, write) in &ops {
-            let a = Addr::from_line_index(*l);
-            if c.probe(a) == Lookup::Hit {
-                if *write {
-                    c.mark_dirty(a);
-                    dirty_in.insert(*l);
-                }
-            } else if let Some(ev) = c.insert(a, *write) {
-                if ev.dirty {
-                    dirty_out += 1;
-                    dirty_in.remove(&ev.addr.line_index());
-                }
-            } else if *write {
-                dirty_in.insert(*l);
-            }
-            if *write && c.probe(a) == Lookup::Hit {
-                c.mark_dirty(a);
-                dirty_in.insert(*l);
-            }
-        }
-        let mut still_dirty = 0usize;
-        for l in &dirty_in {
-            let (present, dirty) = c.invalidate(Addr::from_line_index(*l));
-            if present && dirty {
-                still_dirty += 1;
-            }
-        }
-        // All tracked dirty lines are accounted: present-dirty or evicted.
-        prop_assert!(still_dirty + dirty_out >= dirty_in.len().saturating_sub(dirty_out));
+        on_both_tag_words!(dirty_is_never_lost(&ops));
     }
 
     #[test]
@@ -194,35 +248,14 @@ proptest! {
         ranges.sort_by_key(|&(key, _)| key);
         let ranges: Vec<(u64, u64)> = ranges.into_iter().map(|(_, r)| r).collect();
 
-        let mut filled = CacheArray::new(geometry);
-        filled.warm_fill(&ranges);
-        let mut looped = CacheArray::new(geometry);
-        for &(first, count) in &ranges {
-            for line in first..first + count {
-                looped.insert(Addr::from_line_index(line), false);
-            }
-        }
-        prop_assert_eq!(&filled, &looped);
-
-        // ... and stay equal, answer by answer (victims included), under
-        // traffic over the warmed lines and a margin either side.
-        let span = end + 16;
-        for &(kind, line, dirty) in &ops {
-            let a = Addr::from_line_index(line % span);
-            match kind {
-                0 => prop_assert_eq!(filled.lookup(a), looped.lookup(a)),
-                1 => prop_assert_eq!(filled.insert(a, dirty), looped.insert(a, dirty)),
-                _ => prop_assert_eq!(filled.invalidate(a), looped.invalidate(a)),
-            }
-        }
-        prop_assert_eq!(&filled, &looped);
+        on_both_tag_words!(warm_fill_is_the_insert_loop(geometry, &ranges, end + 16, &ops));
     }
 }
 
 #[test]
 #[should_panic(expected = "never-used")]
 fn warm_fill_refuses_an_array_that_has_seen_a_lookup() {
-    let mut c = small_cache();
+    let mut c = small_cache::<u64>();
     c.lookup(Addr(0));
     c.warm_fill(&[(0, 4)]);
 }
@@ -230,7 +263,7 @@ fn warm_fill_refuses_an_array_that_has_seen_a_lookup() {
 #[test]
 #[should_panic(expected = "overlap")]
 fn warm_fill_refuses_overlapping_ranges() {
-    small_cache().warm_fill(&[(8, 4), (0, 9)]);
+    small_cache::<u64>().warm_fill(&[(8, 4), (0, 9)]);
 }
 
 /// The chip warms each LLC tile with `warm_fill`; `LlcTile::warm`, line by
